@@ -1,27 +1,16 @@
 """Virtual air-to-ground massive-MIMO channel sounder and analysis toolkit."""
 
-from .array_geometry import (ArrayGeometry, PatternParams, PortDescriptor,
-                             build_cylindrical_array, port_id_for)
-from .calibration import (CalibratedResponse, CalibrationError,
-                          StabilityReport, calibrate, stability_stats)
-from .capture_file import (CaptureFileError, HashMismatch, read_capture,
-                           write_capture)
-from .capture_sim import (AttenuatorModel, CaptureRecord, SystemResponse,
-                          build_system_response, ideal_system_response,
-                          port_stack_response, simulate_b2b, simulate_snapshot)
-from .channel_synth import (Facet, PathComponent, PathSet, Scene, SceneError,
-                            Trajectory, WobbleParams, synthesize_paths,
-                            tx_position_at, tx_tilt_at, wobble_offset)
-from .config import (DEFAULTS, PRESETS, ScenarioConfig, SchemaError,
-                     config_hash, parse_scenario)
+from .array_geometry import build_cylindrical_array
+from .calibration import CalibratedResponse, calibrate, stability_stats
+from .capture_sim import CaptureRecord, simulate_snapshot
+from .channel_synth import synthesize_paths
+from .config import parse_scenario
 from .pipeline import (analyze_records, calibrate_records, run_b2b,
                        run_synthesis, summarize)
-from .processing import (DelaySpread, EigenReport, GateConfig, GatedCIR,
-                         RawCIR, SnapshotMetrics, cir_from_tf,
-                         column_power_profile, correlation_and_eigen,
-                         rms_delay_spread, route_report, rx_power,
+from .processing import (GatedCIR, RawCIR, cir_from_tf, column_power_profile,
+                         correlation_and_eigen, rms_delay_spread,
                          snapshot_metrics, threshold_and_gate)
-from .waveform import (SPEED_OF_LIGHT, TimingPlan, TonePlan, make_tone_plan,
+from .waveform import (SPEED_OF_LIGHT, TimingPlan, TonePlan,
                        snapshot_timestamps)
 
 __version__ = "0.1.0"

@@ -11,6 +11,8 @@ the array in the world frame is a scenario concern (a rotation about z
 handled by the capture simulator).
 """
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -145,17 +147,7 @@ class ArrayGeometry:
         return amp * (co + p.cross_amplitude * cross)
 
     def content_hash(self):
-        import hashlib
-        import json
-
-        doc = {
-            "radius": self.radius,
-            "vertical_spacing": self.vertical_spacing,
-            "columns": self.columns,
-            "rows": self.rows,
-            "pattern": self.pattern.to_dict(),
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_dict(self):

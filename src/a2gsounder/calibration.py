@@ -93,6 +93,9 @@ def stability_stats(b2b_series, port=0):
     """
     if len(b2b_series) < 2:
         raise CalibrationError("stability analysis needs at least 2 snapshots")
+    n_ports = b2b_series[0].tf.shape[0]
+    if not 0 <= port < n_ports:
+        raise CalibrationError(f"port {port} out of range for {n_ports} ports")
     first = b2b_series[0].tf[port]
     if np.any(np.abs(first) == 0.0):
         raise CalibrationError(f"first snapshot has a zero tone at port {port}")

@@ -7,8 +7,8 @@ Layout (all little-endian regardless of host):
     bytes 8..11  uint32 header JSON length L
     bytes 12..   L bytes of UTF-8 JSON header
     then         payload: snapshots in time order, port-major, tones
-                 innermost, each complex value two IEEE-754 float32
-                 (real, imaginary)
+                 innermost, each complex value a numpy "<c8" (two
+                 IEEE-754 float32: real, imaginary)
 
 The header carries the record type (MEAS, B2B or CAL for calibrated
 responses), config and geometry hashes, counts, the tone plan and the
@@ -16,6 +16,7 @@ per-snapshot metadata. Payload length is snapshots*ports*tones*8 bytes.
 """
 
 import json
+import os
 import struct
 import warnings
 
@@ -31,7 +32,7 @@ RECORD_TYPES = ("MEAS", "B2B", "CAL")
 
 
 class CaptureFileError(ValueError):
-    """Malformed capture file (magic, version, truncation)."""
+    """Malformed capture file (magic, version, header, truncation)."""
 
 
 class HashMismatch(CaptureFileError):
@@ -83,10 +84,7 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for tf in tfs:
-            flat = np.empty(tf.size * 2, dtype="<f4")
-            flat[0::2] = tf.real.ravel().astype("<f4")
-            flat[1::2] = tf.imag.ravel().astype("<f4")
-            fh.write(flat.tobytes())
+            fh.write(tf.astype("<c8").tobytes())
 
 
 def _tf_of(record):
@@ -98,6 +96,47 @@ def _vec(value, length):
     if value is None:
         return [0.0] * length
     return [float(v) for v in np.asarray(value).ravel()[:length]]
+
+
+_COUNTS = ("snapshot_count", "port_count", "tone_count")
+_PER_SNAPSHOT = ("timestamps", "tx_positions", "tx_tilts", "snapshot_indices")
+_HEADER_KEYS = (("record_type", "config_hash", "geometry_hash", "tone_plan", "snr_db", "seed")
+                + _COUNTS + _PER_SNAPSHOT)
+
+
+def _parse_header(blob):
+    """Decode the JSON header and check the fields read_capture relies on.
+
+    Returns (header, TonePlan of the header's tone plan).
+    """
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CaptureFileError(f"header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CaptureFileError("header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CaptureFileError(f"header lacks {missing}")
+    if header["record_type"] not in RECORD_TYPES:
+        raise CaptureFileError(f"header record_type must be one of {RECORD_TYPES}")
+    for key in ("config_hash", "geometry_hash"):
+        if not isinstance(header[key], str):
+            raise CaptureFileError(f"header {key} must be a string")
+    for key in _COUNTS:
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise CaptureFileError(f"header {key} must be a non-negative integer")
+    for key in _PER_SNAPSHOT:
+        value = header[key]
+        if not isinstance(value, list) or len(value) != header["snapshot_count"]:
+            raise CaptureFileError(
+                f"header {key} must list {header['snapshot_count']} snapshots")
+    try:
+        plan = TonePlan(**header["tone_plan"])
+    except (TypeError, ValueError) as exc:
+        raise CaptureFileError(f"header tone_plan is malformed: {exc}") from exc
+    return header, plan
 
 
 def read_capture(path, expected_config_hash=None, strict_hash=False):
@@ -121,18 +160,20 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
         blob = fh.read(hlen)
         if len(blob) < hlen:
             raise CaptureFileError("truncated header JSON")
-        header = json.loads(blob.decode("utf-8"))
+        header, plan = _parse_header(blob)
 
         snapshots = header["snapshot_count"]
         ports = header["port_count"]
         tones = header["tone_count"]
         expected = snapshots * ports * tones * 8
-        payload = fh.read(expected + 1)
-        if len(payload) < expected:
+        # sized from the file, so a corrupt count cannot trigger a huge read
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
             raise CaptureFileError(
-                f"truncated payload: expected {expected} bytes, got {len(payload)}")
-        if len(payload) > expected:
+                f"truncated payload: expected {expected} bytes, got {available}")
+        if available > expected:
             raise CaptureFileError("trailing bytes after payload")
+        payload = fh.read(expected)
 
     if expected_config_hash is not None and header["config_hash"] != expected_config_hash:
         message = (f"config hash mismatch: file has {header['config_hash'][:12]}..., "
@@ -141,9 +182,7 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
             raise HashMismatch(message)
         warnings.warn(message)
 
-    plan = TonePlan(**header["tone_plan"])
-    flat = np.frombuffer(payload, dtype="<f4")
-    data = (flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64))
+    data = np.frombuffer(payload, "<c8").astype(np.complex128)
     data = data.reshape(snapshots, ports, tones)
 
     records = []
@@ -152,7 +191,7 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
             timestamp=header["timestamps"][s],
             tx_position=np.array(header["tx_positions"][s]),
             tx_tilt=np.array(header["tx_tilts"][s]),
-            tf=data[s].copy(),
+            tf=data[s],
             tone_plan=plan,
             snr_db=header["snr_db"],
             seed=header["seed"],

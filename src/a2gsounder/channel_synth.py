@@ -446,6 +446,11 @@ class Trajectory:
         return doc
 
 
+def wobble_index(trajectory, time):
+    """Hover wobble state at ``time``: floor(time * snapshot_rate)."""
+    return int(math.floor(time * trajectory.wobble.snapshot_rate))
+
+
 def tx_position_at(trajectory, time):
     """TX position at ``time`` seconds (time >= 0)."""
     if time < 0:
@@ -453,8 +458,8 @@ def tx_position_at(trajectory, time):
     if trajectory.kind == "static_point":
         return trajectory.position.copy()
     if trajectory.kind == "hover":
-        index = int(math.floor(time * trajectory.wobble.snapshot_rate))
-        return trajectory.position + wobble_offset(trajectory.wobble, index)
+        return trajectory.position + wobble_offset(trajectory.wobble,
+                                                   wobble_index(trajectory, time))
     # square_route
     corners = trajectory.corners()
     perimeter = 4.0 * trajectory.side
@@ -469,6 +474,5 @@ def tx_position_at(trajectory, time):
 def tx_tilt_at(trajectory, time):
     """TX antenna tilt (x, y rotations, radians) at ``time``."""
     if trajectory.kind == "hover":
-        index = int(math.floor(time * trajectory.wobble.snapshot_rate))
-        return wobble_tilt(trajectory.wobble, index)
+        return wobble_tilt(trajectory.wobble, wobble_index(trajectory, time))
     return np.zeros(2)

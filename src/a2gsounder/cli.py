@@ -26,8 +26,8 @@ from .capture_file import (CaptureFileError, HashMismatch, read_capture,
 from .capture_sim import AttenuatorModel
 from .config import SchemaError, parse_scenario
 from .pipeline import (analyze_records, calibrate_records, metrics_rows,
-                       run_b2b, run_synthesis, stability_rows, summarize,
-                       write_rows_csv, write_rows_json)
+                       report_rows, run_b2b, run_synthesis, stability_rows,
+                       summarize, write_rows_csv, write_rows_json)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -170,7 +170,7 @@ def cmd_stability(args):
     records, header = _read(args.ref, strict=args.strict_hash)
     try:
         report = stability_stats(records, port=args.port)
-    except (CalibrationError, IndexError) as exc:
+    except CalibrationError as exc:
         raise _Exit(EXIT_DIMENSION, str(exc))
     rows = stability_rows(report)
     if args.format == "json":
@@ -198,16 +198,7 @@ def cmd_report(args):
     if not rows:
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has no rows")
 
-    out_rows = []
-    for i, row in enumerate(rows):
-        out = {"location": i}
-        for key in ("timestamp", "tx_x", "tx_y", "tx_z", "p_rx_db",
-                    "sigma_tau_dbs", "gamma12_db", "gamma14_db", "argmax_v_column"):
-            out[key] = row.get(key, "")
-        for key, value in row.items():
-            if key.startswith("col"):
-                out[key] = value
-        out_rows.append(out)
+    out_rows = report_rows(rows)
     if args.format == "json":
         write_rows_json(args.out, out_rows)
     else:

@@ -187,37 +187,174 @@ def _type_name(value):
     return type(value).__name__
 
 
-def _check_number(value, path, minimum=None, exclusive_minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        raise SchemaError(f"{path}: must be > {exclusive_minimum}, got {value}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise SchemaError(f"{path}: must be <= {maximum}, got {value}")
-    return float(value)
+def _number(minimum=None, above=None, maximum=None, nullable=False):
+    """Rule: a JSON number, returned as float; ``above`` is an exclusive bound."""
+    def check(value, path):
+        if value is None and nullable:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
+        if above is not None and value <= above:
+            raise SchemaError(f"{path}: must be > {above}, got {value}")
+        if minimum is not None and value < minimum:
+            raise SchemaError(f"{path}: must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise SchemaError(f"{path}: must be <= {maximum}, got {value}")
+        return float(value)
+    return check
 
 
-def _check_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {_type_name(value)}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{path}: must be >= {minimum}, got {value}")
-    return value
+def _integer(minimum=None):
+    """Rule: a JSON integer (booleans excluded)."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{path}: expected an integer, got {_type_name(value)}")
+        if minimum is not None and value < minimum:
+            raise SchemaError(f"{path}: must be >= {minimum}, got {value}")
+        return value
+    return check
 
 
-def _check_vector(value, path, length):
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise SchemaError(f"{path}: expected a list of {length} numbers")
-    return [_check_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _vector(length):
+    """Rule: a list of ``length`` numbers, returned as floats."""
+    element = _number()
+
+    def check(value, path):
+        if not isinstance(value, (list, tuple)) or len(value) != length:
+            raise SchemaError(f"{path}: expected a list of {length} numbers")
+        return [element(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
 
 
-def _check_complex(value, path):
+def _one_of(*choices):
+    """Rule: one of a fixed set of strings."""
+    def check(value, path):
+        if value not in choices:
+            raise SchemaError(f"{path}: must be one of {list(choices)}, got {value!r}")
+        return value
+    return check
+
+
+def _complex(value, path):
+    """Rule: a real number or a [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
-    pair = _check_vector(value, path, 2)
-    return complex(pair[0], pair[1])
+    re, im = _vector(2)(value, path)
+    return complex(re, im)
+
+
+def _points(value, path):
+    """Rule: a list of at least three 3-D points."""
+    if not isinstance(value, list) or len(value) < 3:
+        raise SchemaError(f"{path}: expected a list of >= 3 points")
+    return [_vector(3)(c, f"{path}[{k}]") for k, c in enumerate(value)]
+
+
+_FACET_DEFAULTS = {"name": None, "corners": None, "gamma_v": [-0.5, 0.0],
+                   "gamma_h": [-0.5, 0.0], "cross_pol": 0.0}
+
+
+def _facets(value, path):
+    """Rule: a list of facet objects, built into Facets."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list")
+    facets = []
+    for i, doc in enumerate(value):
+        item = f"{path}[{i}]"
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{item}: expected an object")
+        merged = _merge(_FACET_DEFAULTS, doc, item)
+        if "corners" not in doc:
+            raise SchemaError(f"{item}.corners: required")
+        facets.append(_section(merged, item, Facet, rules="scene.facets[]",
+                               name=str(doc.get("name", f"facet{i}"))))
+    return tuple(facets)
+
+
+# Type and bounds of every scenario leaf, keyed by dotted path; mirrors
+# DEFAULTS ("scene.facets[]" covers each facet object).
+RULES = {
+    "tone_plan.center_frequency": _number(above=0.0),
+    "tone_plan.tone_spacing": _number(above=0.0),
+    "tone_plan.tone_count": _integer(minimum=2),
+    "tone_plan.nominal_bandwidth": _number(above=0.0),
+    "timing.t_siso": _number(above=0.0),
+    "timing.ports_per_simo": _integer(minimum=1),
+    "timing.simos_per_burst": _integer(minimum=1),
+    "timing.burst_rate": _number(above=0.0),
+    "array.columns": _integer(minimum=1),
+    "array.rows": _integer(minimum=1),
+    "array.radius": _number(above=0.0),
+    "array.vertical_spacing": _number(above=0.0),
+    "array.pattern.q_azimuth": _number(minimum=0.0),
+    "array.pattern.q_elevation": _number(minimum=0.0),
+    "array.pattern.xpd_db": _number(minimum=0.0),
+    "array.pattern.backlobe_floor_db": _number(),
+    "scene.rx_position": _vector(3),
+    "scene.rx_mounting_rotation_deg": _number(),
+    "scene.facets": _facets,
+    "scene.facets[].corners": _points,
+    "scene.facets[].gamma_v": _complex,
+    "scene.facets[].gamma_h": _complex,
+    "scene.facets[].cross_pol": _number(minimum=0.0, maximum=0.999999),
+    "trajectory.kind": _one_of("static_point", "hover", "square_route"),
+    "trajectory.position": _vector(3),
+    "trajectory.wobble.sigma_pos": _number(minimum=0.0),
+    "trajectory.wobble.sigma_angle_deg": _number(minimum=0.0),
+    "trajectory.wobble.rho": _number(minimum=0.0, maximum=0.999999),
+    "trajectory.wobble.seed": _integer(),
+    "trajectory.center": _vector(2),
+    "trajectory.side": _number(above=0.0),
+    "trajectory.height": _number(),
+    "trajectory.speed": _number(above=0.0),
+    "trajectory.start_corner": _one_of("NW", "NE", "SE", "SW"),
+    "system.seed": _integer(),
+    "system.ripple_db": _number(minimum=0.0),
+    "system.ripple_components": _integer(minimum=1),
+    "system.phase_span_deg": _number(minimum=0.0),
+    "system.port_gain_spread_db": _number(minimum=0.0, maximum=3.0),
+    "system.phase_drift_deg": _number(minimum=0.0),
+    "system.amplitude_jitter_db": _number(minimum=0.0),
+    "attenuator.nominal_loss_db": _number(above=0.0),
+    "attenuator.ripple_db": _number(minimum=0.0),
+    "attenuator.ripple_cycles": _number(minimum=0.0),
+    "gate.noise_margin_db": _number(above=0.0),
+    "gate.peak_margin_db": _number(above=0.0),
+    "gate.delay_gate": _number(above=0.0),
+    "gate.noise_window_fraction": _number(above=0.0, maximum=0.999999),
+    "capture.burst_count": _integer(minimum=1),
+    "capture.snr_db": _number(nullable=True),
+    "capture.noise_seed": _integer(),
+    "capture.b2b_snapshot_count": _integer(minimum=1),
+    "capture.b2b_snr_db": _number(nullable=True),
+    "capture.b2b_noise_seed": _integer(),
+}
+
+
+def _section(doc, path, build, rules=None, **built):
+    """Check every leaf of the section ``doc`` at ``path`` against RULES,
+    then return ``build(**leaves, **built)``.
+
+    ``built`` holds already-built subsections, which are not checked
+    again; ``rules`` is the RULES prefix when it differs from ``path``.
+    A ValueError from ``build`` becomes a SchemaError naming the section.
+    """
+    prefix = rules or path
+    leaves = {key: RULES[f"{prefix}.{key}"](value, f"{path}.{key}")
+              for key, value in doc.items() if key not in built}
+    try:
+        return build(**leaves, **built)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _scene(facets, rx_position, rx_mounting_rotation_deg):
+    return Scene(facets=facets, rx_position=rx_position,
+                 rx_mounting_rotation=math.radians(rx_mounting_rotation_deg))
+
+
+def _wobble(sigma_angle_deg, **rest):
+    return WobbleParams(sigma_angle=math.radians(sigma_angle_deg), **rest)
 
 
 def _merge(base, override, path="scenario"):
@@ -293,193 +430,30 @@ def parse_scenario(document):
 
 
 def _build(resolved):
-    tp = resolved["tone_plan"]
-    try:
-        tone_plan = TonePlan(
-            center_frequency=_check_number(tp["center_frequency"], "tone_plan.center_frequency",
-                                           exclusive_minimum=0.0),
-            tone_spacing=_check_number(tp["tone_spacing"], "tone_plan.tone_spacing",
-                                       exclusive_minimum=0.0),
-            tone_count=_check_int(tp["tone_count"], "tone_plan.tone_count", minimum=2),
-            nominal_bandwidth=_check_number(tp["nominal_bandwidth"], "tone_plan.nominal_bandwidth",
-                                            exclusive_minimum=0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"tone_plan: {exc}") from exc
-
-    tm = resolved["timing"]
-    try:
-        timing = TimingPlan(
-            t_siso=_check_number(tm["t_siso"], "timing.t_siso", exclusive_minimum=0.0),
-            ports_per_simo=_check_int(tm["ports_per_simo"], "timing.ports_per_simo", minimum=1),
-            simos_per_burst=_check_int(tm["simos_per_burst"], "timing.simos_per_burst", minimum=1),
-            burst_rate=_check_number(tm["burst_rate"], "timing.burst_rate", exclusive_minimum=0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"timing: {exc}") from exc
+    tone_plan = _section(resolved["tone_plan"], "tone_plan", TonePlan)
+    timing = _section(resolved["timing"], "timing", TimingPlan)
 
     ar = resolved["array"]
-    pat = ar["pattern"]
-    try:
-        pattern = PatternParams(
-            q_azimuth=_check_number(pat["q_azimuth"], "array.pattern.q_azimuth", minimum=0.0),
-            q_elevation=_check_number(pat["q_elevation"], "array.pattern.q_elevation", minimum=0.0),
-            xpd_db=_check_number(pat["xpd_db"], "array.pattern.xpd_db", minimum=0.0),
-            backlobe_floor_db=_check_number(pat["backlobe_floor_db"],
-                                            "array.pattern.backlobe_floor_db"),
-        )
-        geometry = build_cylindrical_array(
-            columns=_check_int(ar["columns"], "array.columns", minimum=1),
-            rows=_check_int(ar["rows"], "array.rows", minimum=1),
-            radius=_check_number(ar["radius"], "array.radius", exclusive_minimum=0.0),
-            vertical_spacing=_check_number(ar["vertical_spacing"], "array.vertical_spacing",
-                                           exclusive_minimum=0.0),
-            pattern=pattern,
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"array: {exc}") from exc
-
+    pattern = _section(ar["pattern"], "array.pattern", PatternParams)
+    geometry = _section(ar, "array", build_cylindrical_array, pattern=pattern)
     if geometry.n_ports != timing.ports_per_simo:
         raise SchemaError(
             f"timing.ports_per_simo: {timing.ports_per_simo} does not match the "
             f"{geometry.n_ports}-port array (columns*rows*2)")
 
-    sc = resolved["scene"]
-    facets = []
-    if not isinstance(sc["facets"], list):
-        raise SchemaError("scene.facets: expected a list")
-    for i, fd in enumerate(sc["facets"]):
-        path = f"scene.facets[{i}]"
-        if not isinstance(fd, dict):
-            raise SchemaError(f"{path}: expected an object")
-        allowed = {"name", "corners", "gamma_v", "gamma_h", "cross_pol"}
-        for key in fd:
-            if key not in allowed:
-                raise SchemaError(f"{path}.{key}: unknown key")
-        if "corners" not in fd:
-            raise SchemaError(f"{path}.corners: required")
-        corners = fd["corners"]
-        if not isinstance(corners, list) or len(corners) < 3:
-            raise SchemaError(f"{path}.corners: expected a list of >= 3 points")
-        corners = [_check_vector(c, f"{path}.corners[{k}]", 3) for k, c in enumerate(corners)]
-        try:
-            facets.append(Facet(
-                corners=corners,
-                gamma_v=_check_complex(fd.get("gamma_v", [-0.5, 0.0]), f"{path}.gamma_v"),
-                gamma_h=_check_complex(fd.get("gamma_h", [-0.5, 0.0]), f"{path}.gamma_h"),
-                cross_pol=_check_number(fd.get("cross_pol", 0.0), f"{path}.cross_pol",
-                                        minimum=0.0, maximum=0.999999),
-                name=str(fd.get("name", f"facet{i}")),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"{path}: {exc}") from exc
-    scene = Scene(
-        facets=tuple(facets),
-        rx_position=_check_vector(sc["rx_position"], "scene.rx_position", 3),
-        rx_mounting_rotation=math.radians(
-            _check_number(sc["rx_mounting_rotation_deg"], "scene.rx_mounting_rotation_deg")),
-    )
+    scene = _section(resolved["scene"], "scene", _scene)
 
     tr = resolved["trajectory"]
-    kind = tr["kind"]
-    if kind not in ("static_point", "hover", "square_route"):
-        raise SchemaError(f"trajectory.kind: unknown kind '{kind}'")
-    wb = tr["wobble"]
-    try:
-        wobble = WobbleParams(
-            sigma_pos=_check_number(wb["sigma_pos"], "trajectory.wobble.sigma_pos", minimum=0.0),
-            sigma_angle=math.radians(_check_number(wb["sigma_angle_deg"],
-                                                   "trajectory.wobble.sigma_angle_deg",
-                                                   minimum=0.0)),
-            rho=_check_number(wb["rho"], "trajectory.wobble.rho", minimum=0.0, maximum=0.999999),
-            seed=_check_int(wb["seed"], "trajectory.wobble.seed"),
-            snapshot_rate=timing.snapshot_rate,
-        )
-        trajectory = Trajectory(
-            kind=kind,
-            position=_check_vector(tr["position"], "trajectory.position", 3),
-            wobble=wobble,
-            center=_check_vector(tr["center"], "trajectory.center", 2),
-            side=_check_number(tr["side"], "trajectory.side", exclusive_minimum=0.0),
-            height=_check_number(tr["height"], "trajectory.height"),
-            speed=_check_number(tr["speed"], "trajectory.speed", exclusive_minimum=0.0),
-            start_corner=tr["start_corner"],
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"trajectory: {exc}") from exc
+    wobble = _section(tr["wobble"], "trajectory.wobble", _wobble,
+                      snapshot_rate=timing.snapshot_rate)
+    trajectory = _section(tr, "trajectory", Trajectory, wobble=wobble)
 
-    sy = resolved["system"]
-    system = {
-        "seed": _check_int(sy["seed"], "system.seed"),
-        "ripple_db": _check_number(sy["ripple_db"], "system.ripple_db", minimum=0.0),
-        "ripple_components": _check_int(sy["ripple_components"], "system.ripple_components",
-                                        minimum=1),
-        "phase_span_deg": _check_number(sy["phase_span_deg"], "system.phase_span_deg",
-                                        minimum=0.0),
-        "port_gain_spread_db": _check_number(sy["port_gain_spread_db"],
-                                             "system.port_gain_spread_db",
-                                             minimum=0.0, maximum=3.0),
-        "phase_drift_deg": _check_number(sy["phase_drift_deg"], "system.phase_drift_deg",
-                                         minimum=0.0),
-        "amplitude_jitter_db": _check_number(sy["amplitude_jitter_db"],
-                                             "system.amplitude_jitter_db", minimum=0.0),
-    }
-
-    at = resolved["attenuator"]
-    try:
-        attenuator = AttenuatorModel(
-            nominal_loss_db=_check_number(at["nominal_loss_db"], "attenuator.nominal_loss_db",
-                                          exclusive_minimum=0.0),
-            ripple_db=_check_number(at["ripple_db"], "attenuator.ripple_db", minimum=0.0),
-            ripple_cycles=_check_number(at["ripple_cycles"], "attenuator.ripple_cycles",
-                                        minimum=0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"attenuator: {exc}") from exc
-
-    gt = resolved["gate"]
-    try:
-        gate = GateConfig(
-            noise_margin_db=_check_number(gt["noise_margin_db"], "gate.noise_margin_db",
-                                          exclusive_minimum=0.0),
-            peak_margin_db=_check_number(gt["peak_margin_db"], "gate.peak_margin_db",
-                                         exclusive_minimum=0.0),
-            delay_gate=_check_number(gt["delay_gate"], "gate.delay_gate", exclusive_minimum=0.0),
-            noise_window_fraction=_check_number(gt["noise_window_fraction"],
-                                                "gate.noise_window_fraction",
-                                                exclusive_minimum=0.0, maximum=0.999999),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"gate: {exc}") from exc
+    system = _section(resolved["system"], "system", dict)
+    attenuator = _section(resolved["attenuator"], "attenuator", AttenuatorModel)
+    gate = _section(resolved["gate"], "gate", GateConfig)
     if gate.delay_gate >= tone_plan.max_unambiguous_delay:
         raise SchemaError("gate.delay_gate: must be below the maximum unambiguous delay")
-
-    cp = resolved["capture"]
-    snr = cp["snr_db"]
-    b2b_snr = cp["b2b_snr_db"]
-    capture = {
-        "burst_count": _check_int(cp["burst_count"], "capture.burst_count", minimum=1),
-        "snr_db": None if snr is None else _check_number(snr, "capture.snr_db"),
-        "noise_seed": _check_int(cp["noise_seed"], "capture.noise_seed"),
-        "b2b_snapshot_count": _check_int(cp["b2b_snapshot_count"],
-                                         "capture.b2b_snapshot_count", minimum=1),
-        "b2b_snr_db": None if b2b_snr is None else _check_number(b2b_snr, "capture.b2b_snr_db"),
-        "b2b_noise_seed": _check_int(cp["b2b_noise_seed"], "capture.b2b_noise_seed"),
-    }
+    capture = _section(resolved["capture"], "capture", dict)
 
     return ScenarioConfig(
         tone_plan=tone_plan,

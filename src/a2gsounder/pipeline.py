@@ -14,9 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .calibration import calibrate
-from .capture_sim import build_system_response, simulate_b2b, simulate_snapshot
-from .channel_synth import synthesize_paths, tx_position_at, tx_tilt_at
-from .processing import route_report, snapshot_metrics
+from .capture_sim import (build_system_response, port_stack_response,
+                          simulate_b2b, simulate_snapshot)
+from .channel_synth import (synthesize_paths, tx_position_at, tx_tilt_at,
+                            wobble_index)
+from .processing import snapshot_metrics
 from .waveform import snapshot_timestamps
 
 
@@ -82,7 +84,7 @@ def run_synthesis(config):
         if traj.kind == "static_point":
             key = 0
         elif traj.kind == "hover":
-            key = int(math.floor(time * traj.wobble.snapshot_rate))
+            key = wobble_index(traj, time)
         else:
             key = None
         if key is not None and key in base_cache:
@@ -90,7 +92,6 @@ def run_synthesis(config):
         paths, tx, tilt = paths_for_snapshot(config, time)
         entry = (paths, tx, tilt, None)
         if key is not None:
-            from .capture_sim import port_stack_response
             tf = port_stack_response(paths, config.geometry, config.tone_plan,
                                      config.scene.rx_mounting_rotation)
             entry = (paths, tx, tilt, tf)
@@ -145,39 +146,65 @@ def analyze_records(cal_records, geometry, gate, window="rect"):
     return _map_ordered(lambda c: snapshot_metrics(c, geometry, gate, window), cal_records)
 
 
-_METRIC_FIELDS = (
-    "snapshot_index", "timestamp", "tx_x", "tx_y", "tx_z",
-    "p_rx", "p_rx_db", "sigma_tau_s", "sigma_tau_dbs", "strongest_port",
-    "los_bin_power_db", "gamma12_db", "gamma14_db", "eigen_span_db",
-    "argmax_v_column",
-)
+# One row per snapshot, in column order; CSV, JSON and the route report
+# are all projections of these rows.
+METRIC_FIELDS = {
+    "snapshot_index": lambda m: m.snapshot_index,
+    "timestamp": lambda m: m.timestamp,
+    "tx_x": lambda m: float(m.tx_position[0]),
+    "tx_y": lambda m: float(m.tx_position[1]),
+    "tx_z": lambda m: float(m.tx_position[2]),
+    "p_rx": lambda m: m.p_rx,
+    "p_rx_db": lambda m: m.p_rx_db,
+    "sigma_tau_s": lambda m: m.sigma_tau_s,
+    "sigma_tau_dbs": lambda m: m.sigma_tau_dbs,
+    "strongest_port": lambda m: m.strongest_port,
+    "los_bin_power_db": lambda m: m.los_bin_power_db,
+    "gamma12_db": lambda m: m.gamma12_db,
+    "gamma14_db": lambda m: m.gamma14_db,
+    "eigen_span_db": lambda m: m.eigen_span_db,
+    "argmax_v_column": lambda m: m.argmax_v_column,
+}
+
+# route table columns after "location"; the per-column col{c}_{v,h}_db
+# powers follow them
+REPORT_FIELDS = ("timestamp", "tx_x", "tx_y", "tx_z", "p_rx_db", "sigma_tau_dbs",
+                 "gamma12_db", "gamma14_db", "argmax_v_column")
 
 
 def metrics_rows(metrics):
+    """Per-snapshot rows: METRIC_FIELDS, then col{c}_v_db/col{c}_h_db per column."""
     rows = []
     for m in metrics:
-        row = {
-            "snapshot_index": m.snapshot_index,
-            "timestamp": m.timestamp,
-            "tx_x": float(m.tx_position[0]),
-            "tx_y": float(m.tx_position[1]),
-            "tx_z": float(m.tx_position[2]),
-            "p_rx": m.p_rx,
-            "p_rx_db": 10.0 * math.log10(m.p_rx) if m.p_rx > 0 else -math.inf,
-            "sigma_tau_s": m.sigma_tau_s,
-            "sigma_tau_dbs": m.sigma_tau_dbs,
-            "strongest_port": m.strongest_port,
-            "los_bin_power_db": m.los_bin_power_db,
-            "gamma12_db": m.gamma12_db,
-            "gamma14_db": m.gamma14_db,
-            "eigen_span_db": m.eigen_span_db,
-            "argmax_v_column": m.argmax_v_column,
-        }
+        row = {name: value(m) for name, value in METRIC_FIELDS.items()}
         for col in range(m.column_power_db.shape[0]):
             row[f"col{col}_v_db"] = m.column_power_db[col, 0]
             row[f"col{col}_h_db"] = m.column_power_db[col, 1]
         rows.append(row)
     return rows
+
+
+def report_rows(rows):
+    """Location-indexed route table projected from metrics rows.
+
+    ``rows`` are metrics_rows() dicts or the same rows read back from a
+    metrics CSV; values pass through untouched and a missing report
+    field becomes "".
+    """
+    if not rows:
+        raise ValueError("route report needs at least one snapshot")
+    out = []
+    for i, row in enumerate(rows):
+        entry = {"location": i}
+        entry.update((key, row.get(key, "")) for key in REPORT_FIELDS)
+        entry.update((key, value) for key, value in row.items() if key.startswith("col"))
+        out.append(entry)
+    return out
+
+
+def route_rows(metrics):
+    """Route table of SnapshotMetrics: report_rows(metrics_rows(metrics))."""
+    return report_rows(metrics_rows(metrics))
 
 
 def write_rows_csv(path, rows, config_hash=None):
@@ -230,8 +257,7 @@ def summarize(metrics, config_hash=""):
         "gamma12_db": _stat([m.gamma12_db for m in metrics]),
         "gamma14_db": _stat([m.gamma14_db for m in metrics]),
         "sigma_tau_dbs": _stat([m.sigma_tau_dbs for m in metrics]),
-        "p_rx_db": _stat([10.0 * math.log10(m.p_rx) if m.p_rx > 0 else -math.inf
-                          for m in metrics]),
+        "p_rx_db": _stat([m.p_rx_db for m in metrics]),
         "los_bin_power_db": _stat([m.los_bin_power_db for m in metrics]),
         # tone-average caveat: with a large coherence bandwidth the number
         # of independent frequency samples is low, so the correlation
@@ -247,7 +273,3 @@ def stability_rows(report):
          "rel_phase_deg": float(report.rel_phase_deg[i])}
         for i in range(len(report.rel_amp_db))
     ]
-
-
-def route_rows(metrics):
-    return route_report(metrics)

@@ -110,6 +110,10 @@ class SnapshotMetrics:
     snapshot_index: int = 0
 
     @property
+    def p_rx_db(self):
+        return 10.0 * math.log10(self.p_rx) if self.p_rx > 0 else -math.inf
+
+    @property
     def eigen_span_db(self):
         e = self.eigenvalues
         if len(e) < 2 or e[0] <= 0 or e[-1] <= 0:
@@ -302,33 +306,3 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect"):
         column_power_db=columns,
         snapshot_index=cal.snapshot_index,
     )
-
-
-def route_report(metrics):
-    """Location-indexed route table.
-
-    One row per snapshot: pose, total power, delay spread, eigenvalue
-    ratios, the argmax V-polarization column and the per-column powers.
-    """
-    if not metrics:
-        raise ValueError("route report needs at least one snapshot")
-    rows = []
-    for i, m in enumerate(metrics):
-        row = {
-            "location": i,
-            "timestamp": m.timestamp,
-            "tx_x": float(m.tx_position[0]),
-            "tx_y": float(m.tx_position[1]),
-            "tx_z": float(m.tx_position[2]),
-            "p_rx": m.p_rx,
-            "p_rx_db": 10.0 * math.log10(m.p_rx) if m.p_rx > 0 else -math.inf,
-            "sigma_tau_dbs": m.sigma_tau_dbs,
-            "gamma12_db": m.gamma12_db,
-            "gamma14_db": m.gamma14_db,
-            "argmax_v_column": m.argmax_v_column,
-        }
-        for col in range(m.column_power_db.shape[0]):
-            row[f"col{col}_v_db"] = m.column_power_db[col, 0]
-            row[f"col{col}_h_db"] = m.column_power_db[col, 1]
-        rows.append(row)
-    return rows

@@ -75,16 +75,6 @@ class TonePlan:
         }
 
 
-def make_tone_plan(center, spacing, count, nominal_bandwidth=46e6):
-    """Build a TonePlan, rejecting grids that overflow the nominal bandwidth."""
-    return TonePlan(
-        center_frequency=center,
-        tone_spacing=spacing,
-        tone_count=count,
-        nominal_bandwidth=nominal_bandwidth,
-    )
-
-
 @dataclass(frozen=True)
 class TimingPlan:
     """Switch/burst timing. One SIMO snapshot sweeps every port once."""

@@ -8,7 +8,15 @@ import a2gsounder as a2g
 from a2gsounder.capture_file import (CaptureFileError, HashMismatch,
                                      read_capture, write_capture)
 from a2gsounder.cli import main as cli_main
-from a2gsounder.config import SchemaError, parse_scenario
+from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
+
+
+def _leaf_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
 
 
 class TestParseScenario:
@@ -73,6 +81,22 @@ class TestParseScenario:
         c = parse_scenario({"preset": "olin-static", "capture": {"snr_db": 31.0}})
         assert a.scenario_hash == b.scenario_hash
         assert a.scenario_hash != c.scenario_hash
+
+    @pytest.mark.parametrize("bad", ["x", True, [1]], ids=["str", "bool", "list"])
+    @pytest.mark.parametrize("path", list(_leaf_paths(DEFAULTS)))
+    def test_every_leaf_rejects_bad_values_with_its_path(self, path, bad):
+        *sections, leaf = path.split(".")
+        doc = node = {}
+        for key in sections:
+            node = node.setdefault(key, {})
+        node[leaf] = bad
+        with pytest.raises(SchemaError) as info:
+            parse_scenario(doc)
+        assert path in str(info.value)
+
+    def test_route_start_corner_rejected_with_path(self):
+        with pytest.raises(SchemaError, match="trajectory.start_corner"):
+            parse_scenario({"preset": "paper-route", "trajectory": {"start_corner": [1]}})
 
     def test_mounting_rotation_paper_orientation(self):
         config = parse_scenario({"preset": "olin-static"})
@@ -244,6 +268,32 @@ class TestCli:
                          "--out", str(tmp_path / "s.csv")]) == 4
         assert cli_main(["analyze", "--scenario", scenario,
                          "--out", str(tmp_path / "m.csv")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"not json",
+        lambda h: json.dumps({"snapshot_count": 1}).encode(),
+        lambda h: json.dumps({**h, "snapshot_count": -1}).encode(),
+        lambda h: json.dumps([h]).encode(),
+        lambda h: json.dumps({**h, "timestamps": h["timestamps"][:-1]}).encode(),
+    ], ids=["not-json", "missing-keys", "negative-count", "json-list", "short-list"])
+    def test_malformed_header_exit_code(self, tmp_path, edit):
+        scenario = self.scenario_file(tmp_path)
+        ref = tmp_path / "ref.bin"
+        assert cli_main(["b2b", "--scenario", scenario, "--out", str(ref)]) == 0
+        blob = ref.read_bytes()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = edit(json.loads(blob[12:end]))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[end:])
+        assert cli_main(["stability", "--ref", str(bad),
+                         "--out", str(tmp_path / "s.csv")]) == 4
+
+    def test_negative_stability_port_exit_code(self, tmp_path):
+        scenario = self.scenario_file(tmp_path)
+        ref = str(tmp_path / "ref.bin")
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        assert cli_main(["stability", "--ref", ref, "--port", "-1",
+                         "--out", str(tmp_path / "s.csv")]) == 5
 
     def test_strict_hash_mismatch_exit_code(self, tmp_path):
         s1 = self.scenario_file(tmp_path)

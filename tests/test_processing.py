@@ -6,9 +6,10 @@ from oracles import eigvals_charpoly_bisect
 
 import a2gsounder as a2g
 from a2gsounder.calibration import CalibratedResponse
+from a2gsounder.pipeline import route_rows
 from a2gsounder.processing import (GateConfig, GatedCIR, cir_from_tf,
                                    column_power_profile, correlation_and_eigen,
-                                   rms_delay_spread, route_report, rx_power,
+                                   rms_delay_spread, rx_power,
                                    threshold_and_gate)
 from a2gsounder.waveform import TonePlan
 
@@ -275,7 +276,7 @@ class TestRouteReport:
         ref = a2g.run_b2b(config, snapshot_count=2)
         cal = a2g.calibrate_records(recs, ref, config.attenuator)
         metrics = [a2g.snapshot_metrics(c, config.geometry, config.gate) for c in cal]
-        rows = route_report(metrics)
+        rows = route_rows(metrics)
         argmax = {row["argmax_v_column"] for row in rows}
         assert argmax == {4}  # the east-facing column under paper mounting
         assert rows[0]["location"] == 0
@@ -283,7 +284,7 @@ class TestRouteReport:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            route_report([])
+            route_rows([])
 
 
 class TestStaticScenarioDerivedValues:

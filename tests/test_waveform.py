@@ -1,42 +1,41 @@
 import numpy as np
 import pytest
 
-from a2gsounder.waveform import (TimingPlan, TonePlan, make_tone_plan,
-                                 snapshot_timestamps)
+from a2gsounder.waveform import TimingPlan, TonePlan, snapshot_timestamps
 
 
 class TestTonePlan:
     def test_default_grid_bandwidth_and_alias_range(self):
-        plan = make_tone_plan(3.5e9, 20e3, 1841)
+        plan = TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=1841)
         assert plan.occupied_bandwidth == pytest.approx(36.82e6, rel=1e-12)
         assert plan.max_unambiguous_delay == pytest.approx(50e-6, rel=1e-12)
         assert plan.delay_resolution == pytest.approx(1.0 / 36.82e6, rel=1e-12)
 
     def test_two_tone_symmetric_case(self):
-        plan = make_tone_plan(3.5e9, 20e3, 2)
+        plan = TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=2)
         np.testing.assert_allclose(plan.tone_frequencies,
                                    [3.5e9 - 10e3, 3.5e9 + 10e3], rtol=0)
 
     def test_bandwidth_overflow_rejected(self):
         # 2301 * 20 kHz = 46.02 MHz > 46 MHz nominal
         with pytest.raises(ValueError, match="exceeds"):
-            make_tone_plan(3.5e9, 20e3, 2301)
+            TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=2301)
         # 2300 tones exactly fills it
-        make_tone_plan(3.5e9, 20e3, 2300)
+        TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=2300)
 
     @pytest.mark.parametrize("count", [2, 3, 7, 128, 1841])
     def test_grid_symmetric_about_center(self, count):
-        plan = make_tone_plan(3.5e9, 20e3, count)
+        plan = TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=count)
         mean = plan.tone_frequencies.mean()
         assert abs(mean - 3.5e9) <= 1e-12 * 3.5e9
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            make_tone_plan(3.5e9, 20e3, 1)
+            TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=1)
         with pytest.raises(ValueError):
-            make_tone_plan(3.5e9, -20e3, 100)
+            TonePlan(center_frequency=3.5e9, tone_spacing=-20e3, tone_count=100)
         with pytest.raises(ValueError):
-            make_tone_plan(3.5e9, 0.0, 100)
+            TonePlan(center_frequency=3.5e9, tone_spacing=0.0, tone_count=100)
         with pytest.raises(ValueError):
             # center below half the occupied bandwidth
             TonePlan(center_frequency=5e5, tone_spacing=20e3, tone_count=100)
