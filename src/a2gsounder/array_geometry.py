@@ -121,29 +121,37 @@ class ArrayGeometry:
 
         Parameters
         ----------
-        directions : (P, 3) unit vectors in the array frame (toward source).
-        jones : (P, 2) complex (V, H) incident amplitudes.
+        directions : (P, 3) unit vectors in the array frame (toward
+            source) seen by every port, or (n_ports, P, 3) with one set
+            per port.
+        jones : (P, 2) or (n_ports, P, 2) complex (V, H) incident
+            amplitudes, matching ``directions``.
 
         Returns
         -------
-        (n_ports, P) complex gains, pattern amplitude included.
+        (n_ports, P) complex gains, pattern amplitude included. The
+        pattern is elementwise, so a port's gains do not depend on
+        which form carried its directions.
         """
         d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         j = np.atleast_2d(np.asarray(jones, dtype=np.complex128))
-        if d.shape[0] != j.shape[0]:
+        if d.shape[:-1] != j.shape[:-1]:
             raise ValueError("directions and jones must agree in path count")
+        if d.ndim == 3 and d.shape[0] != self.n_ports:
+            raise ValueError(f"per-port directions need {self.n_ports} rows, got {d.shape[0]}")
 
-        el = np.arcsin(np.clip(d[:, 2], -1.0, 1.0))
-        az = np.arctan2(d[:, 1], d[:, 0])
-        daz = az[np.newaxis, :] - self.boresights[:, np.newaxis]
+        el = np.arcsin(np.clip(d[..., 2], -1.0, 1.0))
+        az = np.arctan2(d[..., 1], d[..., 0])
+        daz = az - self.boresights[:, np.newaxis]
 
         p = self.pattern
         caz = np.maximum(np.cos(daz), 0.0)
-        cel = np.maximum(np.cos(el), 0.0)[np.newaxis, :]
+        cel = np.maximum(np.cos(el), 0.0)
         amp = np.maximum(caz ** p.q_azimuth * cel ** p.q_elevation, p.floor_amplitude)
 
-        co = np.where(self.pol_index[:, np.newaxis] == 0, j[:, 0], j[:, 1])
-        cross = np.where(self.pol_index[:, np.newaxis] == 0, j[:, 1], j[:, 0])
+        v_port = self.pol_index[:, np.newaxis] == 0
+        co = np.where(v_port, j[..., 0], j[..., 1])
+        cross = np.where(v_port, j[..., 1], j[..., 0])
         return amp * (co + p.cross_amplitude * cross)
 
     def content_hash(self):

@@ -104,6 +104,28 @@ _HEADER_KEYS = (("record_type", "config_hash", "geometry_hash", "tone_plan", "sn
                 + _COUNTS + _PER_SNAPSHOT)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_vector(length):
+    return lambda value: (isinstance(value, list) and len(value) == length
+                          and all(_is_number(v) for v in value))
+
+
+# per-snapshot list -> (element check, what the message says it must be)
+_ELEMENT_RULES = {
+    "timestamps": (_is_number, "a number"),
+    "tx_positions": (_is_vector(3), "a list of 3 numbers"),
+    "tx_tilts": (_is_vector(2), "a list of 2 numbers"),
+    "snapshot_indices": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+}
+
+
 def _parse_header(blob):
     """Decode the JSON header and check the fields read_capture relies on.
 
@@ -125,13 +147,21 @@ def _parse_header(blob):
             raise CaptureFileError(f"header {key} must be a string")
     for key in _COUNTS:
         value = header[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise CaptureFileError(f"header {key} must be a non-negative integer")
     for key in _PER_SNAPSHOT:
         value = header[key]
         if not isinstance(value, list) or len(value) != header["snapshot_count"]:
             raise CaptureFileError(
                 f"header {key} must list {header['snapshot_count']} snapshots")
+        check, expected = _ELEMENT_RULES[key]
+        for i, element in enumerate(value):
+            if not check(element):
+                raise CaptureFileError(f"header {key}[{i}] must be {expected}")
+    if not (header["snr_db"] is None or _is_number(header["snr_db"])):
+        raise CaptureFileError("header snr_db must be a number or null")
+    if not _is_int(header["seed"]):
+        raise CaptureFileError("header seed must be an integer")
     try:
         plan = TonePlan(**header["tone_plan"])
     except (TypeError, ValueError) as exc:

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._rng import (TAG_CHAIN, TAG_DRIFT_B2B, TAG_DRIFT_MEAS, TAG_NOISE,
                    TAG_PORT_GAIN, stream)
+from .channel_synth import SlotPaths
 from .waveform import SPEED_OF_LIGHT
 
 
@@ -189,7 +190,19 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     Plane-wave model: each path reaches port k with the element gain for
     its arrival direction and an extra phase 2*pi*f*(d . r_k)/c from the
     port's offset toward the source, on top of exp(-j*2*pi*f*delay).
+
+    ``paths`` is a PathSet seen by every port, or SlotPaths with one
+    slot per port (square route). Shared paths take one advance matmul
+    and one einsum over element pairs, so an element's V and H ports
+    share their tone phases; this form is kept for static and hover
+    because the per-row form rounds differently. Per-slot paths are
+    evaluated in one batched pass: one port_gains call over all ports,
+    then, for the slots sharing a path count, stacked matmuls of the
+    same shapes as port_response_row's, so every row equals
+    port_response_row bit for bit.
     """
+    if isinstance(paths, SlotPaths):
+        return _slot_stack_response(paths, geometry, tones, mounting_rotation)
     out = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
     if len(paths) == 0:
         return out
@@ -206,8 +219,33 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     return np.einsum("eqp,epn->eqn", paired, phases).reshape(out.shape)
 
 
+def _slot_stack_response(slots, geometry, tones, mounting_rotation):
+    if len(slots) != geometry.n_ports:
+        raise ValueError(
+            f"per-port path list has {len(slots)} entries for {geometry.n_ports} ports")
+    out = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
+    groups = [(count, np.flatnonzero(slots.counts == count))
+              for count in np.unique(slots.counts) if count > 0]
+    # rotate each group as (P, 3) blocks, the shape a single slot has
+    dirs = np.zeros_like(slots.directions)
+    for count, ports in groups:
+        dirs[ports, :count] = _rotate_z(slots.directions[ports, :count], -mounting_rotation)
+    gains = geometry.port_gains(dirs, slots.jones)  # (K, P), padding has zero gain
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("non-finite path gains")
+    for count, ports in groups:
+        group_dirs = dirs[ports, :count]
+        advance = (geometry.positions[ports, np.newaxis, :]
+                   @ group_dirs.swapaxes(1, 2))[:, 0, :] / SPEED_OF_LIGHT  # (G, P)
+        phases = _tone_phases(slots.delays[ports, :count] - advance, tones)  # (G, P, N)
+        out[ports] = (gains[ports, np.newaxis, :count] @ phases)[:, 0, :]
+        del phases  # one group's (G, P, N) temporary at a time
+    return out
+
+
 def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0):
-    """Single port's row of port_stack_response (for per-port path sets)."""
+    """Single port's row of port_stack_response for a PathSet seen by
+    that port alone (the reference the per-slot kernel reproduces)."""
     if len(paths) == 0:
         return np.zeros(tones.tone_count, dtype=np.complex128)
     dirs_array = _rotate_z(paths.directions(), -mounting_rotation)
@@ -237,27 +275,22 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
                       base_tf=None):
     """Capture one SIMO snapshot.
 
-    ``paths`` is a PathSet shared by all ports, or a sequence of one
-    PathSet per port when the transmitter moves within the snapshot
-    (square route: port k is captured at its own switch slot). Noise is
-    scaled to ``noise_snr_db`` below the strongest port's mean tone
-    power; None disables it. ``base_tf`` may carry a precomputed
-    noise-free antenna+channel response for this geometry (snapshots
-    with identical TX state can share it).
+    ``paths`` is a PathSet shared by all ports, or per-slot paths when
+    the transmitter moves within the snapshot (square route: port k is
+    captured at its own switch slot), given as SlotPaths or as a
+    sequence of one PathSet per port. Noise is scaled to
+    ``noise_snr_db`` below the strongest port's mean tone power; None
+    disables it. ``base_tf`` may carry the precomputed noise-free
+    port_stack_response for these paths (the pipeline computes it
+    once per distinct TX state).
     """
     if isinstance(paths, (list, tuple)):
         if len(paths) != geometry.n_ports:
             raise ValueError(
                 f"per-port path list has {len(paths)} entries for {geometry.n_ports} ports")
-        if base_tf is None:
-            base_tf = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
-            for k, pset in enumerate(paths):
-                base_tf[k] = port_response_row(pset, geometry, tones, k, mounting_rotation)
-        ref_paths = paths[0]
-    else:
-        if base_tf is None:
-            base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
-        ref_paths = paths
+        paths = SlotPaths.stack(paths)
+    if base_tf is None:
+        base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
     tf = base_tf
 
     drift = system.drift(snapshot_index, kind="meas")
@@ -265,7 +298,7 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     tf = _add_noise(tf, noise_snr_db, seed, snapshot_index)
 
     if tx_position is None:
-        tx_position = ref_paths.tx_position
+        tx_position = paths.tx_position
     return CaptureRecord(
         timestamp=timestamp,
         tx_position=np.asarray(tx_position, dtype=np.float64),

@@ -7,6 +7,13 @@ receiver and a (V, H) Jones amplitude excluding the receive element
 pattern. The transmit antenna is an ideal vertically polarized omni; a
 tilt rotates its polarization axis.
 
+The geometry is evaluated as array operations over a batch of TX
+positions. A moving TX is seen from a new position at every 50 us
+switch slot, so a square-route snapshot synthesizes all of its slots in
+one pass (``synthesize_slots``); ``synthesize_paths`` and
+``tx_position_at`` are the one-position cases of the same code and
+return the same bits.
+
 Drone motion is a trajectory: a fixed point, a hover with a truncated
 AR(1) wobble indexed per SIMO snapshot, or a square route walked at
 constant speed.
@@ -97,21 +104,48 @@ def _plane_of(corners, name):
     return normal, area
 
 
-def _point_in_polygon(point, corners, normal):
-    # project on the two dominant axes of the plane and run the even-odd rule
+def _dot(a, b):
+    """Dot product over the last axis, broadcast over the leading ones.
+
+    A stacked (1, 3) @ (3, 1) matmul runs the same dot kernel as
+    ``np.dot`` on one pair, so every slot gets the bits a scalar call
+    would; ``(a * b).sum(-1)`` and ``einsum`` round differently.
+    """
+    return (np.asarray(a)[..., np.newaxis, :] @ np.asarray(b)[..., :, np.newaxis])[..., 0, 0]
+
+
+def _norm(v):
+    return np.sqrt(_dot(v, v))
+
+
+def _cross(a, b):
+    """a x b over the last axis: the products and differences np.cross
+    computes, without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _in_polygon(points, corners, normal):
+    """Even-odd test of (S, 3) points lying on a facet's plane.
+
+    Points and corners are projected on the two dominant axes of the
+    plane; an edge toggles a point when the ray toward +x crosses it.
+    """
     drop = int(np.argmax(np.abs(normal)))
     keep = [i for i in range(3) if i != drop]
-    px, py = point[keep[0]], point[keep[1]]
+    px, py = points[:, keep[0]], points[:, keep[1]]
     xs, ys = corners[:, keep[0]], corners[:, keep[1]]
-    inside = False
+    inside = np.zeros(len(points), dtype=bool)
     m = len(xs)
     for i in range(m):
         x1, y1 = xs[i], ys[i]
         x2, y2 = xs[(i + 1) % m], ys[(i + 1) % m]
-        if (y1 > py) != (y2 > py):
-            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < x_cross:
-                inside = not inside
+        if y1 == y2:
+            continue  # a horizontal edge is never crossed
+        straddles = (y1 > py) != (y2 > py)
+        x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= straddles & (px < x_cross)
     return inside
 
 
@@ -179,19 +213,60 @@ class PathSet:
         return np.stack([p.arrival_direction for p in self.components])
 
 
+@dataclass(frozen=True)
+class SlotPaths:
+    """Paths of one snapshot whose TX moves between switch slots.
+
+    Slot k feeds port k. Row k of each array holds that slot's paths
+    sorted by delay; the first ``counts[k]`` entries are real and the
+    rest are padding (zero gain and direction, infinite delay).
+    """
+
+    delays: np.ndarray  # (S, P)
+    jones: np.ndarray  # (S, P, 2) complex
+    directions: np.ndarray  # (S, P, 3)
+    counts: np.ndarray  # (S,)
+    tx_positions: np.ndarray  # (S, 3)
+
+    def __len__(self):
+        return len(self.counts)
+
+    @property
+    def tx_position(self):
+        """TX position at the snapshot start (slot 0)."""
+        return self.tx_positions[0]
+
+    @classmethod
+    def stack(cls, path_sets):
+        """One slot per PathSet, in order."""
+        width = max(len(p) for p in path_sets)
+        slots = len(path_sets)
+        delays = np.full((slots, width), np.inf)
+        jones = np.zeros((slots, width, 2), dtype=np.complex128)
+        directions = np.zeros((slots, width, 3))
+        for k, paths in enumerate(path_sets):
+            if len(paths):
+                delays[k, :len(paths)] = paths.delays()
+                jones[k, :len(paths)] = paths.jones()
+                directions[k, :len(paths)] = paths.directions()
+        return cls(delays=delays, jones=jones, directions=directions,
+                   counts=np.array([len(p) for p in path_sets]),
+                   tx_positions=np.stack([p.tx_position for p in path_sets]))
+
+
 def _rx_polarization_basis(propagation):
-    """(e_v, e_h) basis for a wave traveling along ``propagation``.
+    """(e_v, e_h) basis for waves traveling along (S, 3) ``propagation``.
 
     e_h = p x z normalized, e_v = e_h x p; for horizontal propagation
     e_v is vertical. Exactly vertical propagation has no V/H split.
     """
-    p = propagation / np.linalg.norm(propagation)
-    e_h = np.cross(p, np.array([0.0, 0.0, 1.0]))
-    nh = np.linalg.norm(e_h)
-    if nh < 1e-12:
+    p = propagation / _norm(propagation)[:, np.newaxis]
+    e_h = _cross(p, np.array([0.0, 0.0, 1.0]))
+    nh = _norm(e_h)
+    if np.any(nh < 1e-12):
         raise SceneError("propagation is vertical: V/H polarization basis undefined")
-    e_h = e_h / nh
-    e_v = np.cross(e_h, p)
+    e_h = e_h / nh[:, np.newaxis]
+    e_v = _cross(e_h, p)
     return e_v, e_h
 
 
@@ -209,14 +284,111 @@ def _tx_axis(tilt):
 
 
 def _emitted_jones(tx_axis, propagation):
-    """Unit-amplitude (V, H) of an ideal polarized omni along ``propagation``."""
+    """Unit-amplitude (V, H) of an ideal polarized omni along each of the
+    (S, 3) ``propagation`` directions; returns (S, 2)."""
     e_v, e_h = _rx_polarization_basis(propagation)
-    e_field = tx_axis - np.dot(tx_axis, propagation) * propagation
-    ne = np.linalg.norm(e_field)
-    if ne < 1e-12:
+    e_field = tx_axis - _dot(tx_axis, propagation)[:, np.newaxis] * propagation
+    ne = _norm(e_field)
+    if np.any(ne < 1e-12):
         raise SceneError("propagation parallel to the TX polarization axis")
-    e_field = e_field / ne
-    return np.array([np.dot(e_field, e_v), np.dot(e_field, e_h)], dtype=np.complex128)
+    e_field = e_field / ne[:, np.newaxis]
+    return np.stack([_dot(e_field, e_v), _dot(e_field, e_h)], axis=-1).astype(np.complex128)
+
+
+def _image_sources(scene, tx, carrier_frequency, tx_tilt):
+    """LOS plus one image-source reflection per visible facet, for each
+    of the (S, 3) TX positions in one array pass.
+
+    Returns (delays, jones, directions, sources), each with one row per
+    TX and one column per candidate path, sorted by delay (stable, LOS
+    first on ties). Invisible paths carry an infinite delay and zero
+    gain and direction; ``sources`` is the facet index, -1 for LOS.
+    """
+    rx = scene.rx_position
+    slots = len(tx)
+    d_los = _norm(tx - rx)
+    if np.any(d_los < 1e-9):
+        raise SceneError("TX coincides with RX")
+    wavelength = SPEED_OF_LIGHT / carrier_frequency
+    axis = _tx_axis(tx_tilt)
+
+    width = 1 + len(scene.facets)
+    delays = np.full((slots, width), np.inf)
+    jones = np.zeros((slots, width, 2), dtype=np.complex128)
+    directions = np.zeros((slots, width, 3))
+
+    # line of sight
+    prop = (rx - tx) / d_los[:, np.newaxis]
+    jones[:, 0] = (_emitted_jones(axis, prop)
+                   * (wavelength / (4.0 * math.pi * d_los))[:, np.newaxis])
+    delays[:, 0] = d_los / SPEED_OF_LIGHT
+    directions[:, 0] = (tx - rx) / d_los[:, np.newaxis]
+
+    facets = scene.facets
+    if facets:
+        # every (slot, facet) pair at once; arrays below are (S, F, ...)
+        normals = np.array([f.normal for f in facets])
+        refs = np.array([f.corners[0] for f in facets])
+        dist_tx = _dot(tx[:, np.newaxis, :] - refs, normals)
+        dist_rx = _dot(rx - refs, normals)
+        on_plane = np.abs(dist_tx) < _PLANE_EPS
+        for f, facet in enumerate(facets):
+            if (abs(dist_rx[f]) < _PLANE_EPS
+                    or np.any(_in_polygon(tx[on_plane[:, f]], facet.corners, facet.normal))):
+                raise SceneError(f"TX or RX lies on the plane of facet '{facet.name}'")
+        # a TX on the plane but off the facet, or on the other side of
+        # it from the RX, has no specular bounce
+        seen = ~on_plane & ~(dist_tx * dist_rx < 0)
+
+        image = tx[:, np.newaxis, :] - 2.0 * dist_tx[..., np.newaxis] * normals
+        seg = image - rx
+        seg_len = _norm(seg)
+        denom = _dot(seg, normals)
+        seen &= ~(np.abs(denom) < _PLANE_EPS)
+        t = _dot(refs - rx, normals) / np.where(seen, denom, 1.0)
+        seen &= (0.0 < t) & (t < 1.0)
+        point = rx + t[..., np.newaxis] * seg
+        for f, facet in enumerate(facets):
+            seen[:, f] &= _in_polygon(point[:, f], facet.corners, facet.normal)
+
+        # emitted polarization along the TX -> specular point leg
+        leg1 = point - tx[:, np.newaxis, :]
+        leg1_len = _norm(leg1)
+        seen &= ~(leg1_len < _PLANE_EPS)
+        hit, face = np.nonzero(seen)  # slot and facet index of each bounce
+        jones_in = _emitted_jones(axis, leg1[hit, face] / leg1_len[hit, face, np.newaxis])
+
+        c = np.array([f.cross_pol for f in facets])[face]
+        s = np.sqrt(1.0 - c * c)
+        rotated_v = s * jones_in[:, 0] + c * jones_in[:, 1]
+        rotated_h = -c * jones_in[:, 0] + s * jones_in[:, 1]
+        bounced = np.stack([np.array([f.gamma_v for f in facets])[face] * rotated_v,
+                            np.array([f.gamma_h for f in facets])[face] * rotated_h], axis=-1)
+        length = seg_len[hit, face]
+        jones[hit, face + 1] = bounced * (wavelength / (4.0 * math.pi * length))[:, np.newaxis]
+        delays[hit, face + 1] = length / SPEED_OF_LIGHT
+        directions[hit, face + 1] = seg[hit, face] / length[:, np.newaxis]
+
+    order = np.argsort(delays, axis=1, kind="stable")
+    sources = np.broadcast_to(np.arange(-1, width - 1), (slots, width))
+    return (np.take_along_axis(delays, order, axis=1),
+            np.take_along_axis(jones, order[..., np.newaxis], axis=1),
+            np.take_along_axis(directions, order[..., np.newaxis], axis=1),
+            np.take_along_axis(sources, order, axis=1))
+
+
+def synthesize_slots(scene, tx_positions, carrier_frequency=3.5e9, tx_tilt=(0.0, 0.0)):
+    """Image-source paths for (S, 3) TX positions, one per switch slot.
+
+    Each slot gets exactly the paths ``synthesize_paths`` returns for
+    its position, with ``tx_tilt`` shared by every slot.
+    """
+    tx = np.asarray(tx_positions, dtype=np.float64)
+    delays, jones, directions, _ = _image_sources(scene, tx, carrier_frequency, tx_tilt)
+    counts = np.sum(np.isfinite(delays), axis=1)
+    width = int(counts.max())
+    return SlotPaths(delays=delays[:, :width], jones=jones[:, :width],
+                     directions=directions[:, :width], counts=counts, tx_positions=tx)
 
 
 def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 0.0)):
@@ -225,81 +397,24 @@ def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 
     Free-space amplitude is wavelength/(4*pi*d) over the total path
     length; reflections multiply the per-polarization coefficients after
     routing ``cross_pol`` between V and H. Paths are sorted by delay.
+    A TX on a facet's plane but outside the facet gets no reflection
+    from it; a TX on the facet itself, or an RX on its plane, is a
+    SceneError.
     """
     tx = np.asarray(tx_position, dtype=np.float64)
     rx = scene.rx_position
-    d_los = np.linalg.norm(tx - rx)
-    if d_los < 1e-9:
-        raise SceneError("TX coincides with RX")
-    wavelength = SPEED_OF_LIGHT / carrier_frequency
-    axis = _tx_axis(tx_tilt)
-
-    components = []
-
-    # line of sight
-    prop = (rx - tx) / d_los
-    jones = _emitted_jones(axis, prop) * (wavelength / (4.0 * math.pi * d_los))
-    components.append(PathComponent(
-        delay=d_los / SPEED_OF_LIGHT,
-        jones_gain=jones,
-        arrival_direction=(tx - rx) / d_los,
-        bounce_count=0,
-        facet_name="",
-    ))
-
-    for facet in scene.facets:
-        comp = _reflection(facet, tx, rx, axis, wavelength)
-        if comp is not None:
-            components.append(comp)
-
-    components.sort(key=lambda c: c.delay)
-    return PathSet(components=tuple(components), tx_position=tx, rx_position=rx.copy())
-
-
-def _reflection(facet, tx, rx, tx_axis, wavelength):
-    n = facet.normal
-    ref = facet.corners[0]
-    dist_tx = np.dot(tx - ref, n)
-    dist_rx = np.dot(rx - ref, n)
-    if abs(dist_tx) < _PLANE_EPS or abs(dist_rx) < _PLANE_EPS:
-        raise SceneError(f"TX or RX lies on the plane of facet '{facet.name}'")
-    if dist_tx * dist_rx < 0:
-        return None  # opposite sides: no specular bounce
-
-    image = tx - 2.0 * dist_tx * n
-    seg = image - rx
-    seg_len = np.linalg.norm(seg)
-    denom = np.dot(seg, n)
-    if abs(denom) < _PLANE_EPS:
-        return None
-    t = np.dot(ref - rx, n) / denom
-    if not 0.0 < t < 1.0:
-        return None
-    point = rx + t * seg
-    if not _point_in_polygon(point, facet.corners, n):
-        return None
-
-    # emitted polarization along the TX -> specular point leg
-    leg1 = point - tx
-    leg1_len = np.linalg.norm(leg1)
-    if leg1_len < _PLANE_EPS:
-        return None
-    jones_in = _emitted_jones(tx_axis, leg1 / leg1_len)
-
-    c = facet.cross_pol
-    s = math.sqrt(1.0 - c * c)
-    rotated = np.array([s * jones_in[0] + c * jones_in[1],
-                        -c * jones_in[0] + s * jones_in[1]])
-    jones = np.array([facet.gamma_v * rotated[0], facet.gamma_h * rotated[1]])
-    jones = jones * (wavelength / (4.0 * math.pi * seg_len))
-
-    return PathComponent(
-        delay=seg_len / SPEED_OF_LIGHT,
-        jones_gain=jones,
-        arrival_direction=seg / seg_len,
-        bounce_count=1,
-        facet_name=facet.name,
-    )
+    delays, jones, directions, sources = _image_sources(
+        scene, tx[np.newaxis, :], carrier_frequency, tx_tilt)
+    components = tuple(
+        PathComponent(
+            delay=delays[0, i],
+            jones_gain=jones[0, i],
+            arrival_direction=directions[0, i],
+            bounce_count=0 if sources[0, i] < 0 else 1,
+            facet_name="" if sources[0, i] < 0 else scene.facets[sources[0, i]].name,
+        )
+        for i in range(delays.shape[1]) if np.isfinite(delays[0, i]))
+    return PathSet(components=components, tx_position=tx, rx_position=rx.copy())
 
 
 @dataclass(frozen=True)
@@ -451,24 +566,30 @@ def wobble_index(trajectory, time):
     return int(math.floor(time * trajectory.wobble.snapshot_rate))
 
 
-def tx_position_at(trajectory, time):
-    """TX position at ``time`` seconds (time >= 0)."""
-    if time < 0:
+def tx_positions_at(trajectory, times):
+    """TX positions (S, 3) at each of the (S,) ``times`` seconds (>= 0)."""
+    times = np.asarray(times, dtype=np.float64)
+    if np.any(times < 0):
         raise ValueError("time must be >= 0")
     if trajectory.kind == "static_point":
-        return trajectory.position.copy()
+        return np.tile(trajectory.position, (len(times), 1))
     if trajectory.kind == "hover":
-        return trajectory.position + wobble_offset(trajectory.wobble,
-                                                   wobble_index(trajectory, time))
+        offsets = [wobble_offset(trajectory.wobble, wobble_index(trajectory, t)) for t in times]
+        return trajectory.position + np.reshape(offsets, (-1, 3))
     # square_route
-    corners = trajectory.corners()
-    perimeter = 4.0 * trajectory.side
-    s = (trajectory.speed * time) % perimeter
-    edge = int(s // trajectory.side)
+    corners = np.array(trajectory.corners())
+    s = np.remainder(trajectory.speed * times, 4.0 * trajectory.side)
+    edge = np.floor_divide(s, trajectory.side)
     frac = (s - edge * trajectory.side) / trajectory.side
+    edge = edge.astype(np.int64)
     a = corners[edge]
     b = corners[(edge + 1) % 4]
-    return a + frac * (b - a)
+    return a + frac[:, np.newaxis] * (b - a)
+
+
+def tx_position_at(trajectory, time):
+    """TX position at ``time`` seconds (time >= 0)."""
+    return tx_positions_at(trajectory, [time])[0]
 
 
 def tx_tilt_at(trajectory, time):

@@ -9,7 +9,8 @@ Subcommands:
   report     metrics CSV -> route table CSV
   selftest   run the built-in invariant suite
 
-Exit codes: 0 ok, 2 schema/config error, 3 missing input file,
+Exit codes: 0 ok, 2 schema/config error (including a scene whose
+geometry cannot be synthesized), 3 missing input file,
 4 malformed capture file, 5 dimension mismatch, 6 strict hash mismatch,
 1 unexpected error.
 """
@@ -24,6 +25,7 @@ from .calibration import (CalibratedResponse, CalibrationError,
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
                            write_capture)
 from .capture_sim import AttenuatorModel
+from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
 from .pipeline import (analyze_records, calibrate_records, metrics_rows,
                        report_rows, run_b2b, run_synthesis, stability_rows,
@@ -81,7 +83,10 @@ def _attenuator(args, config=None):
 
 def cmd_synth(args):
     config = _load_scenario(args.scenario, args.seed)
-    records = run_synthesis(config)
+    try:
+        records = run_synthesis(config)
+    except SceneError as exc:
+        raise _Exit(EXIT_SCHEMA, f"scene geometry: {exc}")
     write_capture(args.out, records, config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), record_type="MEAS")
     print(f"wrote {len(records)} snapshots to {args.out}")

@@ -16,8 +16,8 @@ import numpy as np
 from .calibration import calibrate
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
-from .channel_synth import (synthesize_paths, tx_position_at, tx_tilt_at,
-                            wobble_index)
+from .channel_synth import (synthesize_paths, synthesize_slots, tx_position_at,
+                            tx_positions_at, tx_tilt_at, wobble_index)
 from .processing import snapshot_metrics
 from .waveform import snapshot_timestamps
 
@@ -54,20 +54,22 @@ def system_for(config):
 
 
 def paths_for_snapshot(config, time):
-    """Path sets for one snapshot: shared for static/hover, per port for
-    a route (the TX advances between switch slots)."""
+    """Paths of one snapshot and its TX position and tilt.
+
+    Static and hover snapshots get one PathSet shared by every port. A
+    route snapshot gets SlotPaths: the TX advances between switch slots,
+    so port k sees the TX at time + k * t_siso. All slot positions and
+    their image-source paths are computed in one array pass.
+    """
     traj = config.trajectory
     fc = config.tone_plan.center_frequency
     if traj.kind in ("static_point", "hover"):
         tx = tx_position_at(traj, time)
         tilt = tx_tilt_at(traj, time)
         return synthesize_paths(config.scene, tx, fc, tx_tilt=tilt), tx, tilt
-    per_port = []
-    for k in range(config.geometry.n_ports):
-        t_port = time + k * config.timing.t_siso
-        tx_k = tx_position_at(traj, t_port)
-        per_port.append(synthesize_paths(config.scene, tx_k, fc))
-    return per_port, tx_position_at(traj, time), np.zeros(2)
+    slot_times = time + np.arange(config.geometry.n_ports) * config.timing.t_siso
+    slots = synthesize_slots(config.scene, tx_positions_at(traj, slot_times), fc)
+    return slots, slots.tx_position, np.zeros(2)
 
 
 def run_synthesis(config):
@@ -76,7 +78,8 @@ def run_synthesis(config):
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
 
     # static and hover TX states repeat across snapshots (hover is frozen
-    # per wobble index), so the noise-free response can be shared
+    # per wobble index), so their noise-free response is shared; a route
+    # snapshot's response is computed for it alone
     base_cache = {}
 
     def base_for(time):
@@ -87,14 +90,13 @@ def run_synthesis(config):
             key = wobble_index(traj, time)
         else:
             key = None
-        if key is not None and key in base_cache:
+        if key in base_cache:
             return base_cache[key]
         paths, tx, tilt = paths_for_snapshot(config, time)
-        entry = (paths, tx, tilt, None)
+        tf = port_stack_response(paths, config.geometry, config.tone_plan,
+                                 config.scene.rx_mounting_rotation)
+        entry = (paths, tx, tilt, tf)
         if key is not None:
-            tf = port_stack_response(paths, config.geometry, config.tone_plan,
-                                     config.scene.rx_mounting_rotation)
-            entry = (paths, tx, tilt, tf)
             base_cache[key] = entry
         return entry
 

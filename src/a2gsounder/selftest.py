@@ -105,13 +105,13 @@ def check_parseval(rng):
     return abs(a - b) <= 1e-12 * b, f"{a:.12g} vs {b:.12g}"
 
 
-def _tiny_scenario():
+def _tiny_scenario(preset="olin-static", burst_count=1):
     return parse_scenario({
-        "preset": "olin-static",
+        "preset": preset,
         "array": {"columns": 4, "rows": 2},
         "timing": {"ports_per_simo": 16},
         "tone_plan": {"tone_count": 64},
-        "capture": {"burst_count": 1, "b2b_snapshot_count": 2},
+        "capture": {"burst_count": burst_count, "b2b_snapshot_count": 2},
     })
 
 
@@ -135,18 +135,21 @@ def check_file_round_trip():
 
 def check_cross_run_determinism():
     config = _tiny_scenario()
+    # the route runs the per-slot kernel: the TX moves between switch slots
+    route = _tiny_scenario("paper-route", burst_count=2)
     first = run_synthesis(config)
-    second = run_synthesis(config)
-    for a, b in zip(first, second):
-        if not np.array_equal(a.tf, b.tf):
-            return False, "re-run produced different samples"
+    for name, cfg, records in (("static", config, first),
+                               ("route", route, run_synthesis(route))):
+        again = run_synthesis(cfg)
+        if not all(np.array_equal(a.tf, b.tf) for a, b in zip(records, again)):
+            return False, f"{name} re-run produced different samples"
     ref = run_b2b(config, snapshot_count=2)
     cal = calibrate_records(first, ref, config.attenuator)
     m1 = analyze_records(cal, config.geometry, config.gate)
     m2 = analyze_records(cal, config.geometry, config.gate)
     same = all(np.array_equal(x.column_power_db, y.column_power_db)
                and x.p_rx == y.p_rx for x, y in zip(m1, m2))
-    return same, "bit-identical captures and metrics across runs"
+    return same, "bit-identical static and route captures and metrics across runs"
 
 
 CHECKS = (

@@ -115,6 +115,22 @@ class TestPortGain:
             col_next = geom.port_gain(port_id_for(4, 1, "V"), d_rot, jones)
             assert col_c == pytest.approx(col_next, rel=1e-12)
 
+    def test_per_port_directions_match_shared_rows(self):
+        # port k given its own direction set gets exactly row k of the
+        # shared evaluation of that set
+        geom = default_array(q_azimuth=0.7, q_elevation=1.3)
+        rng = np.random.default_rng(4)
+        d = rng.standard_normal((geom.n_ports, 3, 3))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        shape = (geom.n_ports, 3, 2)
+        jones = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        per_port = geom.port_gains(d, jones)
+        assert per_port.shape == (geom.n_ports, 3)
+        for k in range(geom.n_ports):
+            assert np.array_equal(per_port[k], geom.port_gains(d[k], jones[k])[k])
+        with pytest.raises(ValueError, match="per-port"):
+            geom.port_gains(d[:5], jones[:5])
+
     def test_copol_never_below_crosspol(self):
         geom = default_array(xpd_db=12.0)
         rng = np.random.default_rng(3)

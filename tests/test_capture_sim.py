@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
 from a2gsounder.capture_sim import (AttenuatorModel, build_system_response,
-                                    ideal_system_response, simulate_b2b,
+                                    ideal_system_response, port_response_row,
+                                    port_stack_response, simulate_b2b,
                                     simulate_snapshot)
-from a2gsounder.channel_synth import Scene, synthesize_paths
+from a2gsounder.channel_synth import Scene, synthesize_paths, tx_position_at
+from a2gsounder.config import parse_scenario
+from a2gsounder.pipeline import paths_for_snapshot
 from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan
 
 PLAN = TonePlan(tone_count=128)
@@ -154,3 +158,82 @@ class TestMountingRotation:
         v_ports = [p.port_id for p in geom.ports if p.polarization == "V"]
         best = geom.port(v_ports[int(np.argmax(energy[v_ports]))])
         assert best.column == 2
+
+
+def glass_route_config():
+    """paper-route without the umbrella, plus a 10 m wide glass pane on
+    the plane x = 25 whose reflection the route sees only on parts of
+    its east and west edges."""
+    base = parse_scenario({"preset": "paper-route"})
+    facets = [f.to_dict() for f in base.scene.facets if f.name != "south-umbrella"]
+    facets.append({"name": "glass",
+                   "corners": [[25.0, -5.0, 0.0], [25.0, 5.0, 0.0],
+                               [25.0, 5.0, 60.0], [25.0, -5.0, 60.0]],
+                   "gamma_v": [0.5, 0.0], "gamma_h": [0.5, 0.0], "cross_pol": 0.02})
+    return parse_scenario({"preset": "paper-route", "scene": {"facets": facets}})
+
+
+T_SISO = 50e-6
+
+# (label, snapshot start, path counts its slots see, sha256 of the
+# noise-free ports x tones response as float64 bytes). The digests were
+# recorded from the per-slot loop (synthesize_paths + port_response_row
+# for each of the 128 slots) that computed route snapshots before the
+# batched kernel. They pin float64 bytes because the complex64 capture
+# files of the golden test round away last-bit changes. The glass
+# reflection appears or vanishes at t = 19, 26, 46 and 59 s, so the
+# snapshots starting 64 slots earlier mix 2- and 3-path slots; the one
+# before 15 s crosses the NE corner of the route.
+SLOT_RESPONSE_DIGESTS = [
+    ("glass-flip-19s", 19.0 - 64 * T_SISO, {2, 3},
+     "046cb3d5abb4293ec7d3d161e1daee53a76678775eac204afcd18769f49d4440"),
+    ("glass-flip-26s", 26.0 - 64 * T_SISO, {2, 3},
+     "0a6986b5a681149cb8d6b49ca8047fcaaa77e5feb1aa563886c22efb37e17e3e"),
+    ("glass-flip-46s", 46.0 - 64 * T_SISO, {2, 3},
+     "2e936816e985fe18ab7e6da7d2af54af8f5b2366659521ee46fac78a629d04fd"),
+    ("glass-flip-59s", 59.0 - 64 * T_SISO, {2, 3},
+     "6e9417327f4de00f934479cf8cb11e97104b1c41fb2b3aa2b295b1fd655c87f6"),
+    ("ne-corner", 15.0 - 64 * T_SISO, {2},
+     "a5a3621d52b1a23be2e3d1bd33b160b3d85d49ad08b41a47e00b33db7ec0b024"),
+    ("north-edge", 7.3, {2},
+     "bbafff9e8489eb9a45061a8427cfb00d26fc50e7823edc349f1170ef6d868126"),
+]
+
+
+class TestSlotResponse:
+    """The batched route response against the per-slot loop it replaced."""
+
+    @pytest.mark.parametrize("start,counts,digest",
+                             [case[1:] for case in SLOT_RESPONSE_DIGESTS],
+                             ids=[case[0] for case in SLOT_RESPONSE_DIGESTS])
+    def test_batched_route_response_is_byte_identical(self, start, counts, digest):
+        config = glass_route_config()
+        assert config.timing.t_siso == T_SISO
+        geom, plan = config.geometry, config.tone_plan
+        rotation = config.scene.rx_mounting_rotation
+        slots, _, _ = paths_for_snapshot(config, start)
+        assert set(slots.counts.tolist()) == counts
+        tf = port_stack_response(slots, geom, plan, rotation)
+        assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
+
+        loop = np.stack([
+            port_response_row(
+                synthesize_paths(config.scene,
+                                 tx_position_at(config.trajectory, start + k * T_SISO),
+                                 plan.center_frequency),
+                geom, plan, k, rotation)
+            for k in range(geom.n_ports)])
+        assert np.array_equal(tf, loop)
+
+    def test_path_list_and_slot_paths_give_the_same_capture(self):
+        config = glass_route_config()
+        slots, tx, _ = paths_for_snapshot(config, 19.0 - 64 * T_SISO)
+        listed = [synthesize_paths(config.scene, p, config.tone_plan.center_frequency)
+                  for p in slots.tx_positions]
+        system = ideal_system_response(config.tone_plan, config.geometry.n_ports)
+        a = simulate_snapshot(slots, config.geometry, config.tone_plan, system,
+                              mounting_rotation=config.scene.rx_mounting_rotation)
+        b = simulate_snapshot(listed, config.geometry, config.tone_plan, system,
+                              mounting_rotation=config.scene.rx_mounting_rotation)
+        assert np.array_equal(a.tf, b.tf)
+        np.testing.assert_array_equal(a.tx_position, tx)

@@ -5,7 +5,8 @@ import pytest
 
 from a2gsounder.channel_synth import (Facet, Scene, SceneError, Trajectory,
                                       WobbleParams, synthesize_paths,
-                                      tx_position_at, tx_tilt_at,
+                                      synthesize_slots, tx_position_at,
+                                      tx_positions_at, tx_tilt_at,
                                       wobble_offset)
 from a2gsounder.waveform import SPEED_OF_LIGHT
 
@@ -33,6 +34,24 @@ class TestTrajectories:
         # full perimeter wraps
         np.testing.assert_allclose(tx_position_at(traj, 60.0),
                                    tx_position_at(traj, 0.0), atol=1e-9)
+
+    def test_route_positions_batch_matches_single_times(self):
+        traj = Trajectory(kind="square_route", center=[2.0, -1.0], side=30.0,
+                          height=50.0, speed=2.0, start_corner="SE")
+        times = np.concatenate([np.random.default_rng(3).uniform(0, 500, 300),
+                                15.0 - 50e-6 * np.arange(-64, 64)])
+        batch = tx_positions_at(traj, times)
+        corners = traj.corners()
+        for t, p in zip(times, batch):
+            # the scalar walk along the perimeter, in Python floats
+            s = (traj.speed * float(t)) % (4.0 * traj.side)
+            edge = int(s // traj.side)
+            frac = (s - edge * traj.side) / traj.side
+            a, b = corners[edge], corners[(edge + 1) % 4]
+            assert np.array_equal(p, a + frac * (b - a))
+            assert np.array_equal(p, tx_position_at(traj, float(t)))
+        with pytest.raises(ValueError):
+            tx_positions_at(traj, [1.0, -1.0])
 
     def test_static_point_identity(self):
         traj = Trajectory(kind="static_point", position=[1.0, 2.0, 3.0])
@@ -162,6 +181,38 @@ class TestSynthesizePaths:
         on_plane = Scene(facets=(big_wall_x(5.0),), rx_position=[0.0, 0.0, 0.0])
         with pytest.raises(SceneError, match="plane"):
             synthesize_paths(on_plane, [5.0, 1.0, 0.0], 3.5e9)
+
+    def test_tx_on_extended_plane_of_small_facet(self):
+        # a 4 x 3 m panel on the plane y = -8, like the umbrella of the
+        # paper-route scene that the route crosses 50 m above it
+        panel = Facet(corners=[[4.0, -8.0, 0.0], [8.0, -8.0, 0.0],
+                               [8.0, -8.0, 3.0], [4.0, -8.0, 3.0]],
+                      gamma_v=0.15, gamma_h=0.15, name="panel")
+        scene = Scene(facets=(panel,), rx_position=[0.0, 0.0, 1.5])
+        above = synthesize_paths(scene, [15.0, -8.0, 50.0], 3.5e9)
+        assert [p.bounce_count for p in above] == [0]
+        with pytest.raises(SceneError, match="lies on the plane of facet 'panel'"):
+            synthesize_paths(scene, [6.0, -8.0, 1.0], 3.5e9)
+
+    def test_slots_match_single_position_synthesis(self):
+        facets = (big_wall_x(20.0, 0.6, span=30.0),
+                  Facet(corners=[[-30, -4, 0], [-30, 4, 0], [-30, 4, 40], [-30, -4, 40]],
+                        gamma_v=0.4 + 0.2j, gamma_h=-0.3j, cross_pol=0.1, name="pane"))
+        scene = Scene(facets=facets, rx_position=[0.0, 0.0, 1.5])
+        rng = np.random.default_rng(5)
+        tx = np.column_stack([rng.uniform(-25, 15, 200), rng.uniform(-40, 40, 200),
+                              rng.uniform(2, 60, 200)])
+        slots = synthesize_slots(scene, tx, 3.5e9, tx_tilt=(0.02, -0.01))
+        assert len(set(slots.counts.tolist())) > 1
+        for k in range(len(tx)):
+            single = synthesize_paths(scene, tx[k], 3.5e9, tx_tilt=(0.02, -0.01))
+            n = slots.counts[k]
+            assert len(single) == n
+            assert np.array_equal(slots.delays[k, :n], single.delays())
+            assert np.array_equal(slots.jones[k, :n], single.jones())
+            assert np.array_equal(slots.directions[k, :n], single.directions())
+            assert np.all(np.isinf(slots.delays[k, n:]))
+            assert not np.any(slots.jones[k, n:])
 
     def test_tilt_rotates_polarization(self):
         scene = Scene(facets=(), rx_position=[0.0, 0.0, 0.0])

@@ -288,6 +288,64 @@ class TestCli:
         assert cli_main(["stability", "--ref", str(bad),
                          "--out", str(tmp_path / "s.csv")]) == 4
 
+    @pytest.mark.parametrize("command", ["analyze", "calibrate"])
+    @pytest.mark.parametrize("key,value", [
+        ("timestamps", "x"),
+        ("timestamps", True),
+        ("tx_positions", [1, 2]),
+        ("tx_positions", "abc"),
+        ("tx_positions", [1, 2, "z"]),
+        ("tx_tilts", "ab"),
+        ("tx_tilts", [0.0, None]),
+        ("snapshot_indices", 1.5),
+        ("snapshot_indices", "q"),
+        ("snapshot_indices", -1),
+        ("snapshot_indices", False),
+        ("snr_db", "x"),
+        ("seed", 1.5),
+    ])
+    def test_malformed_header_element_exit_code(self, tmp_path, command, key, value):
+        scenario = self.scenario_file(tmp_path)
+        meas = tmp_path / "meas.bin"
+        ref = str(tmp_path / "ref.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", str(meas)]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        blob = meas.read_bytes()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:end])
+        if isinstance(header[key], list):
+            header[key][0] = value
+        else:
+            header[key] = value
+        edited = json.dumps(header).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:8] + len(edited).to_bytes(4, "little") + edited + blob[end:])
+        argv = {"analyze": ["analyze", "--scenario", scenario],
+                "calibrate": ["calibrate"]}[command]
+        assert cli_main(argv + ["--meas", str(bad), "--ref", ref,
+                                "--out", str(tmp_path / "out")]) == 4
+
+    def test_route_crossing_a_small_facet_plane_synthesizes(self, tmp_path):
+        # at t = 26.5 s the route is at (15, -8, 50): 50 m above the 4 x 3 m
+        # umbrella and on its plane y = -8
+        scenario = tmp_path / "route.json"
+        scenario.write_text(json.dumps({
+            "preset": "paper-route",
+            "timing": {"simos_per_burst": 1, "burst_rate": 0.037735849056603772},
+            "capture": {"burst_count": 2}}))
+        scenario = str(scenario)
+        meas = str(tmp_path / "meas.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        records, _ = read_capture(meas)
+        np.testing.assert_array_equal(records[1].tx_position, [15.0, -8.0, 50.0])
+
+    def test_tx_inside_a_facet_exit_code(self, tmp_path):
+        # olin-static's east facade spans y in [-15, 15], z in [0, 12] at x = 25
+        scenario = self.scenario_file(tmp_path, {
+            "trajectory": {"kind": "static_point", "position": [25.0, 0.0, 5.0]}})
+        assert cli_main(["synth", "--scenario", scenario,
+                         "--out", str(tmp_path / "meas.bin")]) == 2
+
     def test_negative_stability_port_exit_code(self, tmp_path):
         scenario = self.scenario_file(tmp_path)
         ref = str(tmp_path / "ref.bin")

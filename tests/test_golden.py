@@ -129,3 +129,11 @@ def test_hover_synth_is_thread_count_invariant(tmp_path, monkeypatch):
     meas = str(tmp_path / "meas.bin")
     _run("synth", "--scenario", scenario, "--out", meas)
     assert _sha256(meas) == GOLDEN["hover"]["synth"]
+
+
+def test_route_synth_is_thread_count_invariant(tmp_path, monkeypatch):
+    monkeypatch.setenv("A2GS_THREADS", "2")
+    scenario = _scenario(tmp_path, "route", BURSTS["route"])
+    meas = str(tmp_path / "meas.bin")
+    _run("synth", "--scenario", scenario, "--out", meas)
+    assert _sha256(meas) == GOLDEN["route"]["synth"]
