@@ -150,6 +150,7 @@ def cmd_analyze(args):
             cal = calibrate_records(meas, ref, attenuator)
         except CalibrationError as exc:
             raise _Exit(EXIT_DIMENSION, str(exc))
+        del meas, ref  # the raw captures are not needed past calibration
 
     if config is None:
         raise _Exit(EXIT_SCHEMA, "analyze needs --scenario for the array geometry and gate")

@@ -3,6 +3,19 @@
 Snapshot simulation and analysis are embarrassingly parallel; the
 A2GS_THREADS environment variable caps the worker count (default 1).
 Randomness is counter-based, so the thread count never changes results.
+
+What runs where in the pool:
+
+- synthesis: the noise-free base response of each distinct static or
+  hover TX state, then every snapshot's noise and capture, each pass
+  mapped over one shared pool;
+- calibration: every measurement's division by the reference;
+- analysis: only the BLAS-free per-snapshot chain (IFFT, gating, delay
+  spread, column profile). The correlation matrix and its eigenvalues
+  run first, for every snapshot in order, on the calling thread: BLAS
+  starts threads of its own, and nested inside pool workers they spin
+  against the other workers, so analysis at two threads ran slower
+  than at one.
 """
 
 import csv
@@ -10,6 +23,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,7 +32,7 @@ from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import (synthesize_paths, synthesize_slots, tx_position_at,
                             tx_positions_at, tx_tilt_at, wobble_index)
-from .processing import snapshot_metrics
+from .processing import correlation_and_eigen, snapshot_metrics
 from .waveform import snapshot_timestamps
 
 
@@ -30,12 +44,22 @@ def thread_count():
         return 1
 
 
-def _map_ordered(fn, items):
+@contextmanager
+def _ordered_pool():
+    """Yield map(fn, items) -> list in item order, run on up to
+    thread_count() worker threads; one pool serves every map inside the
+    block, so its worker threads are started once."""
     workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    if workers == 1:
+        yield lambda fn, items: [fn(x) for x in items]
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield lambda fn, items: list(pool.map(fn, items))
+
+
+def _map_ordered(fn, items):
+    with _ordered_pool() as map_ordered:
+        return map_ordered(fn, items)
 
 
 def system_for(config):
@@ -73,36 +97,41 @@ def paths_for_snapshot(config, time):
 
 
 def run_synthesis(config):
-    """Simulate every snapshot of the scenario; returns CaptureRecords."""
+    """Simulate every snapshot of the scenario; returns CaptureRecords.
+
+    Static and hover TX states repeat across snapshots (a static TX has
+    one state, a hover TX one per wobble index), so their noise-free
+    response is computed once per distinct state, at the state's first
+    snapshot time, in a first pool pass; no two workers ever compute
+    the same state. The second pass adds each snapshot's noise and
+    system response. A route snapshot's response is computed inside its
+    own task, so the route never holds more than one response per
+    worker.
+    """
     system = system_for(config)
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
+    traj = config.trajectory
+    if traj.kind == "static_point":
+        keys = [0] * len(times)
+    elif traj.kind == "hover":
+        keys = [wobble_index(traj, t) for t in times]
+    else:
+        keys = [None] * len(times)
+    first_times = {}
+    for key, time in zip(keys, times):
+        if key is not None:
+            first_times.setdefault(key, time)
 
-    # static and hover TX states repeat across snapshots (hover is frozen
-    # per wobble index), so their noise-free response is shared; a route
-    # snapshot's response is computed for it alone
-    base_cache = {}
-
-    def base_for(time):
-        traj = config.trajectory
-        if traj.kind == "static_point":
-            key = 0
-        elif traj.kind == "hover":
-            key = wobble_index(traj, time)
-        else:
-            key = None
-        if key in base_cache:
-            return base_cache[key]
+    def base_at(time):
         paths, tx, tilt = paths_for_snapshot(config, time)
         tf = port_stack_response(paths, config.geometry, config.tone_plan,
                                  config.scene.rx_mounting_rotation)
-        entry = (paths, tx, tilt, tf)
-        if key is not None:
-            base_cache[key] = entry
-        return entry
+        return paths, tx, tilt, tf
 
-    def one(args):
-        index, time = args
-        paths, tx, tilt, base_tf = base_for(time)
+    def one(index):
+        time = times[index]
+        key = keys[index]
+        paths, tx, tilt, base_tf = bases[key] if key is not None else base_at(time)
         return simulate_snapshot(
             paths,
             config.geometry,
@@ -118,7 +147,9 @@ def run_synthesis(config):
             base_tf=base_tf,
         )
 
-    return _map_ordered(one, list(enumerate(times)))
+    with _ordered_pool() as map_ordered:
+        bases = dict(zip(first_times, map_ordered(base_at, list(first_times.values()))))
+        return map_ordered(one, list(range(len(times))))
 
 
 def run_b2b(config, snapshot_count=None):
@@ -137,15 +168,31 @@ def run_b2b(config, snapshot_count=None):
 
 
 def calibrate_records(meas_records, ref_records, attenuator, reference_index=0):
-    """Calibrate every measurement against one B2B reference snapshot."""
+    """Calibrate every measurement against one B2B reference snapshot.
+
+    The measurements are divided in the pool; calibration is elementwise
+    numpy and starts no BLAS threads.
+    """
     ref = ref_records[reference_index]
     ref_median = float(np.median(np.abs(ref.tf)))
-    return [calibrate(m, ref, attenuator, ref_median=ref_median) for m in meas_records]
+    return _map_ordered(lambda m: calibrate(m, ref, attenuator, ref_median=ref_median),
+                        meas_records)
 
 
 def analyze_records(cal_records, geometry, gate, window="rect"):
-    """Per-snapshot metrics for a list of calibrated responses."""
-    return _map_ordered(lambda c: snapshot_metrics(c, geometry, gate, window), cal_records)
+    """Per-snapshot metrics for a list of calibrated responses.
+
+    correlation_and_eigen runs for every snapshot first, in order, on
+    the calling thread, where BLAS keeps its own threads as it does at
+    A2GS_THREADS=1; the rest of snapshot_metrics, which uses no BLAS,
+    then runs in the pool with the precomputed EigenReport. BLAS thus
+    never runs nested inside a pool worker, and the eigen columns are
+    the same bytes for any A2GS_THREADS.
+    """
+    eigen = [correlation_and_eigen(c) for c in cal_records]
+    return _map_ordered(
+        lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
+        list(zip(cal_records, eigen)))
 
 
 # One row per snapshot, in column order; CSV, JSON and the route report

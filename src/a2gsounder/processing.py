@@ -285,12 +285,16 @@ def los_bin_power_db(gated, strongest_port):
     return 10.0 * math.log10(peak) if peak > 0 else -math.inf
 
 
-def snapshot_metrics(cal, geometry, gate=None, window="rect"):
-    """Run the full per-snapshot pipeline on a calibrated response."""
+def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
+    """Run the full per-snapshot pipeline on a calibrated response.
+
+    ``eigen`` may carry correlation_and_eigen(cal) when the caller has
+    computed it already; None computes it here.
+    """
     raw = cir_from_tf(cal, window=window)
     gated = threshold_and_gate(raw, gate)
     spread = rms_delay_spread(gated)
-    eig = correlation_and_eigen(cal)
+    eig = eigen if eigen is not None else correlation_and_eigen(cal)
     columns = column_power_profile(gated, geometry)
     return SnapshotMetrics(
         timestamp=cal.timestamp,

@@ -15,7 +15,8 @@ import numpy as np
 from .calibration import CalibratedResponse
 from .capture_file import read_capture, write_capture
 from .config import parse_scenario
-from .pipeline import analyze_records, calibrate_records, run_b2b, run_synthesis
+from .pipeline import (analyze_records, calibrate_records, metrics_rows,
+                       run_b2b, run_synthesis)
 from .processing import (GateConfig, GatedCIR, cir_from_tf,
                          correlation_and_eigen, rms_delay_spread, rx_power,
                          threshold_and_gate)
@@ -145,11 +146,20 @@ def check_cross_run_determinism():
             return False, f"{name} re-run produced different samples"
     ref = run_b2b(config, snapshot_count=2)
     cal = calibrate_records(first, ref, config.attenuator)
-    m1 = analyze_records(cal, config.geometry, config.gate)
-    m2 = analyze_records(cal, config.geometry, config.gate)
-    same = all(np.array_equal(x.column_power_db, y.column_power_db)
-               and x.p_rx == y.p_rx for x, y in zip(m1, m2))
-    return same, "bit-identical static and route captures and metrics across runs"
+    rows1 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
+    rows2 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
+    same = len(rows1) == len(rows2) and all(
+        x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
+        for x, y in zip(rows1, rows2))
+    if not same:
+        return False, "metrics rows differ between two analyses of the same records"
+    return True, "bit-identical static and route captures and metrics rows across runs"
+
+
+def _same_value(a, b):
+    """Equality under which NaN equals NaN."""
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
 
 
 CHECKS = (

@@ -9,7 +9,8 @@ from a2gsounder.capture_sim import (AttenuatorModel, build_system_response,
                                     ideal_system_response, port_response_row,
                                     port_stack_response, simulate_b2b,
                                     simulate_snapshot)
-from a2gsounder.channel_synth import Scene, synthesize_paths, tx_position_at
+from a2gsounder.channel_synth import (Scene, synthesize_paths, tx_position_at,
+                                     wobble_index)
 from a2gsounder.config import parse_scenario
 from a2gsounder.pipeline import paths_for_snapshot
 from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan
@@ -237,3 +238,41 @@ class TestSlotResponse:
                               mounting_rotation=config.scene.rx_mounting_rotation)
         assert np.array_equal(a.tf, b.tf)
         np.testing.assert_array_equal(a.tx_position, tx)
+
+
+def tiny_config(preset):
+    return parse_scenario({"preset": preset, "array": {"columns": 4, "rows": 2},
+                           "timing": {"ports_per_simo": 16},
+                           "tone_plan": {"tone_count": 64}})
+
+
+# (label, preset, snapshot time, wobble index, sha256 of the noise-free
+# ports x tones response as float64 bytes) on a 4 x 2 array with 64
+# tones. Static and hover share one PathSet between all ports (one
+# advance matmul plus an einsum over element pairs). The golden capture
+# files are complex64 and round away last-bit float64 changes of that
+# contraction, so these digests pin its float64 bytes; a change that
+# moves them changes behaviour even when every golden digest holds.
+SHARED_RESPONSE_DIGESTS = [
+    ("olin-static", "olin-static", 0.0, 0,
+     "ba8d31f6a85d39d84ce4535cfc0aaa86a6d7185ffc15337ff13f207d916b47e9"),
+    ("olin-hover-wobble-3", "olin-hover", 0.05, 3,
+     "fe7d0046c1e86f47603046a8e1c389e0265a648dce62aff73bc06a0406278d5f"),
+    ("olin-hover-wobble-9", "olin-hover", 0.15, 9,
+     "aa2a7d2ba003dd5a0836e6b91bc2e5bab6042cc2314180b15b7d92e4ed3a06ef"),
+]
+
+
+class TestSharedResponse:
+    @pytest.mark.parametrize("preset,time,wobble,digest",
+                             [case[1:] for case in SHARED_RESPONSE_DIGESTS],
+                             ids=[case[0] for case in SHARED_RESPONSE_DIGESTS])
+    def test_shared_response_is_byte_identical(self, preset, time, wobble, digest):
+        config = tiny_config(preset)
+        if config.trajectory.kind == "hover":
+            assert wobble_index(config.trajectory, time) == wobble
+        paths, _, _ = paths_for_snapshot(config, time)
+        tf = port_stack_response(paths, config.geometry, config.tone_plan,
+                                 config.scene.rx_mounting_rotation)
+        assert tf.shape == (16, 64)
+        assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest

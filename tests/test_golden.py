@@ -137,3 +137,17 @@ def test_route_synth_is_thread_count_invariant(tmp_path, monkeypatch):
     meas = str(tmp_path / "meas.bin")
     _run("synth", "--scenario", scenario, "--out", meas)
     assert _sha256(meas) == GOLDEN["route"]["synth"]
+
+
+@pytest.mark.parametrize("name", ["hover", "route"])
+def test_analysis_is_thread_count_invariant(tmp_path, monkeypatch, name):
+    monkeypatch.setenv("A2GS_THREADS", "2")
+    scenario = _scenario(tmp_path, name, BURSTS[name])
+    meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+    csv_out, summary = str(tmp_path / "metrics.csv"), str(tmp_path / "summary.json")
+    _run("synth", "--scenario", scenario, "--out", meas)
+    _run("b2b", "--scenario", scenario, "--out", ref, "--snapshots", "2")
+    _run("analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+         "--out", csv_out, "--summary", summary)
+    assert _sha256(csv_out) == GOLDEN[name]["analyze_csv"]
+    assert _sha256(summary) == GOLDEN[name]["analyze_summary"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,24 @@ class TestColumnPowerProfile:
         profile = column_power_profile(g, geom)
         assert profile[0, 0] == pytest.approx(10 * math.log10(4.0))
         assert profile[1, 0] == -math.inf
+
+
+class TestSnapshotMetrics:
+    def test_precomputed_eigen_report_changes_nothing(self):
+        config = a2g.parse_scenario({"preset": "olin-hover",
+                                     "array": {"columns": 4, "rows": 2},
+                                     "timing": {"ports_per_simo": 16},
+                                     "tone_plan": {"tone_count": 64},
+                                     "capture": {"burst_count": 2}})
+        recs = a2g.run_synthesis(config)
+        ref = a2g.run_b2b(config, snapshot_count=2)
+        for c in a2g.calibrate_records(recs, ref, config.attenuator):
+            own = a2g.snapshot_metrics(c, config.geometry, config.gate)
+            given = a2g.snapshot_metrics(c, config.geometry, config.gate,
+                                         eigen=correlation_and_eigen(c))
+            for field in dataclasses.fields(own):
+                a, b = getattr(own, field.name), getattr(given, field.name)
+                assert np.array_equal(a, b, equal_nan=True), field.name
 
 
 class TestRouteReport:
