@@ -164,8 +164,11 @@ def _parse_header(blob):
         raise CaptureFileError("header seed must be an integer")
     try:
         plan = TonePlan(**header["tone_plan"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CaptureFileError(f"header tone_plan is malformed: {exc}") from exc
+    if plan.tone_count != header["tone_count"]:
+        raise CaptureFileError(f"header tone_plan has {plan.tone_count} tones, "
+                               f"tone_count is {header['tone_count']}")
     return header, plan
 
 

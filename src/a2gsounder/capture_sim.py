@@ -18,7 +18,6 @@ import numpy as np
 
 from ._rng import (TAG_CHAIN, TAG_DRIFT_B2B, TAG_DRIFT_MEAS, TAG_NOISE,
                    TAG_PORT_GAIN, stream)
-from .channel_synth import SlotPaths
 from .waveform import SPEED_OF_LIGHT
 
 
@@ -184,6 +183,23 @@ def _tone_phases(effective_delays, tones):
     return powers
 
 
+def _rows_shared(paths, geometry):
+    """True when one row of ``paths`` is seen by every port, False when
+    slot k feeds port k; any other row count is a ValueError."""
+    if len(paths) not in (1, geometry.n_ports):
+        raise ValueError(f"paths have {len(paths)} rows; {geometry.n_ports} ports "
+                         f"take 1 shared row or one row per port")
+    return len(paths) == 1
+
+
+def _slot_row(paths, slot, mounting_rotation):
+    """Delays, Jones amplitudes and array-frame directions of one slot's
+    real paths."""
+    count = paths.counts[slot]
+    return (paths.delays[slot, :count], paths.jones[slot, :count],
+            _rotate_z(paths.directions[slot, :count], -mounting_rotation))
+
+
 def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     """Noise-free antenna+channel transfer function, ports x tones.
 
@@ -191,38 +207,33 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     its arrival direction and an extra phase 2*pi*f*(d . r_k)/c from the
     port's offset toward the source, on top of exp(-j*2*pi*f*delay).
 
-    ``paths`` is a PathSet seen by every port, or SlotPaths with one
-    slot per port (square route). Shared paths take one advance matmul
+    ``paths`` is SlotPaths, and its row count picks the contraction. One
+    row (static or hover TX) is seen by every port: one advance matmul
     and one einsum over element pairs, so an element's V and H ports
-    share their tone phases; this form is kept for static and hover
-    because the per-row form rounds differently. Per-slot paths are
+    share their tone phases. One row per port (square route) is
     evaluated in one batched pass: one port_gains call over all ports,
     then, for the slots sharing a path count, stacked matmuls of the
     same shapes as port_response_row's, so every row equals
-    port_response_row bit for bit.
+    port_response_row bit for bit. The two stay separate because the
+    per-slot form computes each port's tone phases on its own, twice
+    the work for a shared row, and rounds the float64 response
+    differently.
     """
-    if isinstance(paths, SlotPaths):
+    if not _rows_shared(paths, geometry):
         return _slot_stack_response(paths, geometry, tones, mounting_rotation)
-    out = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
-    if len(paths) == 0:
-        return out
-    dirs_array = _rotate_z(paths.directions(), -mounting_rotation)
-    gains = geometry.port_gains(dirs_array, paths.jones())  # (K, P)
+    delays, jones, dirs = _slot_row(paths, 0, mounting_rotation)
+    gains = geometry.port_gains(dirs, jones)  # (K, P)
     if not np.all(np.isfinite(gains)):
         raise ValueError("non-finite path gains")
-    delays = paths.delays()
     # V and H ports share element positions, so phases are per element
     elem_pos = geometry.positions[0::2]
-    advance = (elem_pos @ dirs_array.T) / SPEED_OF_LIGHT  # (K/2, P)
+    advance = (elem_pos @ dirs.T) / SPEED_OF_LIGHT  # (K/2, P)
     phases = _tone_phases(delays[np.newaxis, :] - advance, tones)  # (K/2, P, N)
-    paired = gains.reshape(elem_pos.shape[0], 2, len(paths))
-    return np.einsum("eqp,epn->eqn", paired, phases).reshape(out.shape)
+    paired = gains.reshape(elem_pos.shape[0], 2, len(delays))
+    return np.einsum("eqp,epn->eqn", paired, phases).reshape(geometry.n_ports, tones.tone_count)
 
 
 def _slot_stack_response(slots, geometry, tones, mounting_rotation):
-    if len(slots) != geometry.n_ports:
-        raise ValueError(
-            f"per-port path list has {len(slots)} entries for {geometry.n_ports} ports")
     out = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
     groups = [(count, np.flatnonzero(slots.counts == count))
               for count in np.unique(slots.counts) if count > 0]
@@ -244,16 +255,16 @@ def _slot_stack_response(slots, geometry, tones, mounting_rotation):
 
 
 def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0):
-    """Single port's row of port_stack_response for a PathSet seen by
-    that port alone (the reference the per-slot kernel reproduces)."""
-    if len(paths) == 0:
-        return np.zeros(tones.tone_count, dtype=np.complex128)
-    dirs_array = _rotate_z(paths.directions(), -mounting_rotation)
-    gains = geometry.port_gains(dirs_array, paths.jones())[port_index]  # (P,)
+    """Row ``port_index`` of port_stack_response, computed for that port
+    alone from the row that feeds it (the reference the per-slot kernel
+    reproduces)."""
+    slot = 0 if _rows_shared(paths, geometry) else port_index
+    delays, jones, dirs = _slot_row(paths, slot, mounting_rotation)
+    gains = geometry.port_gains(dirs, jones)[port_index]  # (P,)
     if not np.all(np.isfinite(gains)):
         raise ValueError("non-finite path gains")
-    advance = (geometry.positions[port_index] @ dirs_array.T) / SPEED_OF_LIGHT
-    phases = _tone_phases(paths.delays() - advance, tones)  # (P, N)
+    advance = (geometry.positions[port_index] @ dirs.T) / SPEED_OF_LIGHT
+    phases = _tone_phases(delays - advance, tones)  # (P, N)
     return gains @ phases
 
 
@@ -270,25 +281,19 @@ def _add_noise(tf, snr_db, seed, snapshot_index):
 
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
-                      snapshot_index=0, timestamp=0.0, tx_position=None,
-                      tx_tilt=(0.0, 0.0), mounting_rotation=0.0, seed=0,
+                      snapshot_index=0, timestamp=0.0, mounting_rotation=0.0, seed=0,
                       base_tf=None):
-    """Capture one SIMO snapshot.
+    """Capture one SIMO snapshot of SlotPaths ``paths``.
 
-    ``paths`` is a PathSet shared by all ports, or per-slot paths when
-    the transmitter moves within the snapshot (square route: port k is
-    captured at its own switch slot), given as SlotPaths or as a
-    sequence of one PathSet per port. Noise is scaled to
+    One row is shared by all ports; one row per port means the
+    transmitter moves within the snapshot (square route: port k is
+    captured at its own switch slot). The record's TX position is slot
+    0's and its tilt the paths' tilt. Noise is scaled to
     ``noise_snr_db`` below the strongest port's mean tone power; None
     disables it. ``base_tf`` may carry the precomputed noise-free
     port_stack_response for these paths (the pipeline computes it
     once per distinct TX state).
     """
-    if isinstance(paths, (list, tuple)):
-        if len(paths) != geometry.n_ports:
-            raise ValueError(
-                f"per-port path list has {len(paths)} entries for {geometry.n_ports} ports")
-        paths = SlotPaths.stack(paths)
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
     tf = base_tf
@@ -297,12 +302,10 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     tf = tf * system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis] * drift
     tf = _add_noise(tf, noise_snr_db, seed, snapshot_index)
 
-    if tx_position is None:
-        tx_position = paths.tx_position
     return CaptureRecord(
         timestamp=timestamp,
-        tx_position=np.asarray(tx_position, dtype=np.float64),
-        tx_tilt=np.asarray(tx_tilt, dtype=np.float64),
+        tx_position=paths.tx_position,
+        tx_tilt=paths.tx_tilt,
         tf=tf,
         tone_plan=tones,
         snr_db=noise_snr_db,

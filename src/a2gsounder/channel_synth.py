@@ -8,11 +8,12 @@ pattern. The transmit antenna is an ideal vertically polarized omni; a
 tilt rotates its polarization axis.
 
 The geometry is evaluated as array operations over a batch of TX
-positions. A moving TX is seen from a new position at every 50 us
+positions, and every multipath result is a SlotPaths with one row per
+position. A moving TX is seen from a new position at every 50 us
 switch slot, so a square-route snapshot synthesizes all of its slots in
-one pass (``synthesize_slots``); ``synthesize_paths`` and
-``tx_position_at`` are the one-position cases of the same code and
-return the same bits.
+one pass (``synthesize_slots``); a static or hovering TX is synthesized
+once per snapshot, a one-row SlotPaths. ``synthesize_paths`` and
+``tx_position_at`` are the one-position calls of the same code.
 
 Drone motion is a trajectory: a fixed point, a hover with a truncated
 AR(1) wobble indexed per SIMO snapshot, or a square route walked at
@@ -176,57 +177,24 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """One multipath component as seen at the receiver.
-
-    ``jones_gain`` is the complex (V, H) amplitude excluding the receive
-    element pattern; ``arrival_direction`` is a unit vector from the
-    receiver toward the last interaction point (world frame).
-    """
-
-    delay: float
-    jones_gain: np.ndarray
-    arrival_direction: np.ndarray
-    bounce_count: int = 0
-    facet_name: str = ""
-
-
-@dataclass(frozen=True)
-class PathSet:
-    components: tuple
-    tx_position: np.ndarray
-    rx_position: np.ndarray
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def delays(self):
-        return np.array([p.delay for p in self.components])
-
-    def jones(self):
-        return np.stack([p.jones_gain for p in self.components])
-
-    def directions(self):
-        return np.stack([p.arrival_direction for p in self.components])
-
-
-@dataclass(frozen=True)
 class SlotPaths:
-    """Paths of one snapshot whose TX moves between switch slots.
+    """Paths of one snapshot, one row per TX position (switch slot).
 
-    Slot k feeds port k. Row k of each array holds that slot's paths
-    sorted by delay; the first ``counts[k]`` entries are real and the
-    rest are padding (zero gain and direction, infinite delay).
+    A static or hovering TX is frozen within a snapshot, so its one row
+    is seen by every port. A TX moving between switch slots has one row
+    per port, and slot k feeds port k. Row k holds that slot's paths
+    sorted by delay, the line of sight first: the first ``counts[k]``
+    entries are real and the rest are padding (zero gain and direction,
+    infinite delay). Every row was synthesized with the TX tilt
+    ``tx_tilt``.
     """
 
     delays: np.ndarray  # (S, P)
-    jones: np.ndarray  # (S, P, 2) complex
-    directions: np.ndarray  # (S, P, 3)
+    jones: np.ndarray  # (S, P, 2) complex (V, H) amplitude, receive pattern excluded
+    directions: np.ndarray  # (S, P, 3) world-frame unit vectors, RX toward last interaction
     counts: np.ndarray  # (S,)
     tx_positions: np.ndarray  # (S, 3)
+    tx_tilt: np.ndarray  # (2,)
 
     def __len__(self):
         return len(self.counts)
@@ -235,23 +203,6 @@ class SlotPaths:
     def tx_position(self):
         """TX position at the snapshot start (slot 0)."""
         return self.tx_positions[0]
-
-    @classmethod
-    def stack(cls, path_sets):
-        """One slot per PathSet, in order."""
-        width = max(len(p) for p in path_sets)
-        slots = len(path_sets)
-        delays = np.full((slots, width), np.inf)
-        jones = np.zeros((slots, width, 2), dtype=np.complex128)
-        directions = np.zeros((slots, width, 3))
-        for k, paths in enumerate(path_sets):
-            if len(paths):
-                delays[k, :len(paths)] = paths.delays()
-                jones[k, :len(paths)] = paths.jones()
-                directions[k, :len(paths)] = paths.directions()
-        return cls(delays=delays, jones=jones, directions=directions,
-                   counts=np.array([len(p) for p in path_sets]),
-                   tx_positions=np.stack([p.tx_position for p in path_sets]))
 
 
 def _rx_polarization_basis(propagation):
@@ -299,10 +250,10 @@ def _image_sources(scene, tx, carrier_frequency, tx_tilt):
     """LOS plus one image-source reflection per visible facet, for each
     of the (S, 3) TX positions in one array pass.
 
-    Returns (delays, jones, directions, sources), each with one row per
-    TX and one column per candidate path, sorted by delay (stable, LOS
-    first on ties). Invisible paths carry an infinite delay and zero
-    gain and direction; ``sources`` is the facet index, -1 for LOS.
+    Returns (delays, jones, directions), each with one row per TX and
+    one column per candidate path, sorted by delay (stable, LOS first on
+    ties). Invisible paths carry an infinite delay and zero gain and
+    direction.
     """
     rx = scene.rx_position
     slots = len(tx)
@@ -370,51 +321,34 @@ def _image_sources(scene, tx, carrier_frequency, tx_tilt):
         directions[hit, face + 1] = seg[hit, face] / length[:, np.newaxis]
 
     order = np.argsort(delays, axis=1, kind="stable")
-    sources = np.broadcast_to(np.arange(-1, width - 1), (slots, width))
     return (np.take_along_axis(delays, order, axis=1),
             np.take_along_axis(jones, order[..., np.newaxis], axis=1),
-            np.take_along_axis(directions, order[..., np.newaxis], axis=1),
-            np.take_along_axis(sources, order, axis=1))
+            np.take_along_axis(directions, order[..., np.newaxis], axis=1))
 
 
 def synthesize_slots(scene, tx_positions, carrier_frequency=3.5e9, tx_tilt=(0.0, 0.0)):
-    """Image-source paths for (S, 3) TX positions, one per switch slot.
-
-    Each slot gets exactly the paths ``synthesize_paths`` returns for
-    its position, with ``tx_tilt`` shared by every slot.
-    """
-    tx = np.asarray(tx_positions, dtype=np.float64)
-    delays, jones, directions, _ = _image_sources(scene, tx, carrier_frequency, tx_tilt)
-    counts = np.sum(np.isfinite(delays), axis=1)
-    width = int(counts.max())
-    return SlotPaths(delays=delays[:, :width], jones=jones[:, :width],
-                     directions=directions[:, :width], counts=counts, tx_positions=tx)
-
-
-def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 0.0)):
-    """LOS plus one image-source reflection per visible facet.
+    """LOS plus one image-source reflection per visible facet, for each
+    of the (S, 3) TX positions; returns SlotPaths with one row per
+    position, ``tx_tilt`` shared by every row.
 
     Free-space amplitude is wavelength/(4*pi*d) over the total path
     length; reflections multiply the per-polarization coefficients after
-    routing ``cross_pol`` between V and H. Paths are sorted by delay.
-    A TX on a facet's plane but outside the facet gets no reflection
-    from it; a TX on the facet itself, or an RX on its plane, is a
-    SceneError.
+    routing ``cross_pol`` between V and H. A TX on a facet's plane but
+    outside the facet gets no reflection from it; a TX on the facet
+    itself, or an RX on its plane, is a SceneError.
     """
-    tx = np.asarray(tx_position, dtype=np.float64)
-    rx = scene.rx_position
-    delays, jones, directions, sources = _image_sources(
-        scene, tx[np.newaxis, :], carrier_frequency, tx_tilt)
-    components = tuple(
-        PathComponent(
-            delay=delays[0, i],
-            jones_gain=jones[0, i],
-            arrival_direction=directions[0, i],
-            bounce_count=0 if sources[0, i] < 0 else 1,
-            facet_name="" if sources[0, i] < 0 else scene.facets[sources[0, i]].name,
-        )
-        for i in range(delays.shape[1]) if np.isfinite(delays[0, i]))
-    return PathSet(components=components, tx_position=tx, rx_position=rx.copy())
+    tx = np.asarray(tx_positions, dtype=np.float64)
+    delays, jones, directions = _image_sources(scene, tx, carrier_frequency, tx_tilt)
+    counts = np.sum(np.isfinite(delays), axis=1)
+    width = int(counts.max())
+    return SlotPaths(delays=delays[:, :width], jones=jones[:, :width],
+                     directions=directions[:, :width], counts=counts, tx_positions=tx,
+                     tx_tilt=np.asarray(tx_tilt, dtype=np.float64))
+
+
+def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 0.0)):
+    """Paths from one TX position: the one-row SlotPaths of synthesize_slots."""
+    return synthesize_slots(scene, [tx_position], carrier_frequency, tx_tilt)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,14 @@ def _load_scenario(path, seed_override=None):
         raise _Exit(EXIT_MISSING_FILE, f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _Exit(EXIT_SCHEMA, f"scenario file is not valid JSON: {exc}")
-    if seed_override is not None:
-        document.setdefault("capture", {})["noise_seed"] = seed_override
-        document["capture"]["b2b_noise_seed"] = seed_override + 1
-        document.setdefault("system", {})["seed"] = seed_override + 2
+    if seed_override is not None and isinstance(document, dict):
+        seeds = {"capture": {"noise_seed": seed_override,
+                             "b2b_noise_seed": seed_override + 1},
+                 "system": {"seed": seed_override + 2}}
+        for section, values in seeds.items():
+            # a section that is not an object is left for parse_scenario to reject
+            if isinstance(document.setdefault(section, {}), dict):
+                document[section].update(values)
     return parse_scenario(document)
 
 
@@ -94,6 +98,8 @@ def cmd_synth(args):
 
 
 def cmd_b2b(args):
+    if args.snapshots is not None and args.snapshots < 1:
+        raise _Exit(EXIT_SCHEMA, f"--snapshots must be >= 1, got {args.snapshots}")
     config = _load_scenario(args.scenario, args.seed)
     records = run_b2b(config, snapshot_count=args.snapshots)
     write_capture(args.out, records, config_hash=config.scenario_hash,
@@ -112,15 +118,28 @@ def _check_same_hash(meas_header, ref_header, strict):
         print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_calibrate(args):
-    meas, meas_header = _read(args.meas, strict=args.strict_hash)
+def _calibrated(args, config=None, expected_hash=None):
+    """Read --meas and --ref, check that one config produced both, and
+    divide out the reference; returns (calibrated records, meas header)."""
+    meas, meas_header = _read(args.meas, expected_hash=expected_hash, strict=args.strict_hash)
     ref, ref_header = _read(args.ref, strict=args.strict_hash)
     _check_same_hash(meas_header, ref_header, args.strict_hash)
-    attenuator = _attenuator(args)
+    attenuator = _attenuator(args, config)
     try:
-        cal = calibrate_records(meas, ref, attenuator)
+        return calibrate_records(meas, ref, attenuator), meas_header
     except CalibrationError as exc:
         raise _Exit(EXIT_DIMENSION, str(exc))
+
+
+def _write_rows(args, rows, config_hash):
+    if args.format == "json":
+        write_rows_json(args.out, rows)
+    else:
+        write_rows_csv(args.out, rows, config_hash=config_hash)
+
+
+def cmd_calibrate(args):
+    cal, meas_header = _calibrated(args)
     write_capture(args.out, cal, config_hash=meas_header["config_hash"],
                   geometry_hash=meas_header["geometry_hash"], record_type="CAL")
     print(f"wrote {len(cal)} calibrated snapshots to {args.out}")
@@ -128,8 +147,8 @@ def cmd_calibrate(args):
 
 
 def cmd_analyze(args):
-    config = _load_scenario(args.scenario) if args.scenario else None
-    expected = config.scenario_hash if config else None
+    config = _load_scenario(args.scenario)
+    expected = config.scenario_hash
 
     if args.cal:
         cal_records, header = _read(args.cal, expected_hash=expected, strict=args.strict_hash)
@@ -142,31 +161,17 @@ def cmd_analyze(args):
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
-        meas, meas_header = _read(args.meas, expected_hash=expected, strict=args.strict_hash)
-        ref, ref_header = _read(args.ref, strict=args.strict_hash)
-        _check_same_hash(meas_header, ref_header, args.strict_hash)
-        attenuator = _attenuator(args, config)
-        try:
-            cal = calibrate_records(meas, ref, attenuator)
-        except CalibrationError as exc:
-            raise _Exit(EXIT_DIMENSION, str(exc))
-        del meas, ref  # the raw captures are not needed past calibration
+        cal, _ = _calibrated(args, config, expected_hash=expected)
 
-    if config is None:
-        raise _Exit(EXIT_SCHEMA, "analyze needs --scenario for the array geometry and gate")
     try:
         metrics = analyze_records(cal, config.geometry, config.gate, window=args.window)
     except ValueError as exc:
         raise _Exit(EXIT_DIMENSION, str(exc))
 
-    rows = metrics_rows(metrics)
-    if args.format == "json":
-        write_rows_json(args.out, rows)
-    else:
-        write_rows_csv(args.out, rows, config_hash=expected)
+    _write_rows(args, metrics_rows(metrics), expected)
     if args.summary:
         with open(args.summary, "w") as fh:
-            json.dump(summarize(metrics, config_hash=expected or ""), fh, indent=2)
+            json.dump(summarize(metrics, config_hash=expected), fh, indent=2)
             fh.write("\n")
     print(f"analyzed {len(metrics)} snapshots -> {args.out}")
     return EXIT_OK
@@ -178,11 +183,7 @@ def cmd_stability(args):
         report = stability_stats(records, port=args.port)
     except CalibrationError as exc:
         raise _Exit(EXIT_DIMENSION, str(exc))
-    rows = stability_rows(report)
-    if args.format == "json":
-        write_rows_json(args.out, rows)
-    else:
-        write_rows_csv(args.out, rows, config_hash=header.get("config_hash") or None)
+    _write_rows(args, stability_rows(report), header.get("config_hash") or None)
     print(f"amplitude std {report.amplitude_std_db:.6f} dB, "
           f"phase std {report.phase_std_deg:.6f} deg -> {args.out}")
     return EXIT_OK
@@ -205,10 +206,7 @@ def cmd_report(args):
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has no rows")
 
     out_rows = report_rows(rows)
-    if args.format == "json":
-        write_rows_json(args.out, out_rows)
-    else:
-        write_rows_csv(args.out, out_rows, config_hash=config_hash)
+    _write_rows(args, out_rows, config_hash)
     print(f"wrote route table with {len(out_rows)} locations to {args.out}")
     return EXIT_OK
 

@@ -30,8 +30,7 @@ import numpy as np
 from .calibration import calibrate
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
-from .channel_synth import (synthesize_paths, synthesize_slots, tx_position_at,
-                            tx_positions_at, tx_tilt_at, wobble_index)
+from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .processing import correlation_and_eigen, snapshot_metrics
 from .waveform import snapshot_timestamps
 
@@ -63,37 +62,24 @@ def _map_ordered(fn, items):
 
 
 def system_for(config):
-    sy = config.system
-    return build_system_response(
-        config.tone_plan,
-        config.geometry.n_ports,
-        seed=sy["seed"],
-        ripple_db=sy["ripple_db"],
-        ripple_components=sy["ripple_components"],
-        phase_span_deg=sy["phase_span_deg"],
-        port_gain_spread_db=sy["port_gain_spread_db"],
-        phase_drift_deg=sy["phase_drift_deg"],
-        amplitude_jitter_db=sy["amplitude_jitter_db"],
-    )
+    return build_system_response(config.tone_plan, config.geometry.n_ports, **config.system)
 
 
 def paths_for_snapshot(config, time):
-    """Paths of one snapshot and its TX position and tilt.
+    """SlotPaths of the snapshot that starts at ``time``.
 
-    Static and hover snapshots get one PathSet shared by every port. A
-    route snapshot gets SlotPaths: the TX advances between switch slots,
-    so port k sees the TX at time + k * t_siso. All slot positions and
-    their image-source paths are computed in one array pass.
+    A static or hover TX is frozen within a snapshot: it is synthesized
+    once, at ``time``, and every port shares that row. A route TX
+    advances between switch slots: it is synthesized at each slot time
+    time + k * t_siso, and port k sees row k. One synthesize_slots call
+    computes the image-source paths of every position in one array
+    pass.
     """
     traj = config.trajectory
-    fc = config.tone_plan.center_frequency
-    if traj.kind in ("static_point", "hover"):
-        tx = tx_position_at(traj, time)
-        tilt = tx_tilt_at(traj, time)
-        return synthesize_paths(config.scene, tx, fc, tx_tilt=tilt), tx, tilt
-    slot_times = time + np.arange(config.geometry.n_ports) * config.timing.t_siso
-    slots = synthesize_slots(config.scene, tx_positions_at(traj, slot_times), fc)
-    return slots, slots.tx_position, np.zeros(2)
+    slots = config.geometry.n_ports if traj.kind == "square_route" else 1
+    times = time + np.arange(slots) * config.timing.t_siso
+    return synthesize_slots(config.scene, tx_positions_at(traj, times),
+                            config.tone_plan.center_frequency, tx_tilt=tx_tilt_at(traj, time))
 
 
 def run_synthesis(config):
@@ -123,15 +109,14 @@ def run_synthesis(config):
             first_times.setdefault(key, time)
 
     def base_at(time):
-        paths, tx, tilt = paths_for_snapshot(config, time)
-        tf = port_stack_response(paths, config.geometry, config.tone_plan,
-                                 config.scene.rx_mounting_rotation)
-        return paths, tx, tilt, tf
+        paths = paths_for_snapshot(config, time)
+        return paths, port_stack_response(paths, config.geometry, config.tone_plan,
+                                          config.scene.rx_mounting_rotation)
 
     def one(index):
         time = times[index]
         key = keys[index]
-        paths, tx, tilt, base_tf = bases[key] if key is not None else base_at(time)
+        paths, base_tf = bases[key] if key is not None else base_at(time)
         return simulate_snapshot(
             paths,
             config.geometry,
@@ -140,8 +125,6 @@ def run_synthesis(config):
             noise_snr_db=config.capture["snr_db"],
             snapshot_index=index,
             timestamp=float(time),
-            tx_position=tx,
-            tx_tilt=tilt,
             mounting_rotation=config.scene.rx_mounting_rotation,
             seed=config.capture["noise_seed"],
             base_tf=base_tf,
@@ -155,12 +138,13 @@ def run_synthesis(config):
 def run_b2b(config, snapshot_count=None):
     """Simulate a back-to-back reference series for the scenario."""
     system = system_for(config)
-    count = snapshot_count or config.capture["b2b_snapshot_count"]
+    if snapshot_count is None:
+        snapshot_count = config.capture["b2b_snapshot_count"]
     return simulate_b2b(
         config.tone_plan,
         system,
         config.attenuator,
-        snapshot_count=count,
+        snapshot_count=snapshot_count,
         seed=config.capture["b2b_noise_seed"],
         noise_snr_db=config.capture["b2b_snr_db"],
         snapshot_period=1.0 / config.timing.burst_rate,

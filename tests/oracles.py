@@ -72,7 +72,8 @@ def eigvals_charpoly_bisect(r, grid_points=4001, iterations=120):
 
 
 def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
-    """Direct path-sum transfer function, scalar math per port and path.
+    """Direct path-sum transfer function, scalar math per port and path,
+    of the one-row SlotPaths ``paths`` that every port sees.
 
     Independent of the library's vectorized response evaluation: port
     positions are rebuilt from the cylinder formula, pattern and
@@ -88,12 +89,12 @@ def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
 
     out = np.zeros((columns * rows * 2, tones.tone_count), dtype=np.complex128)
     cr, sr = math.cos(-mounting_rotation), math.sin(-mounting_rotation)
-    for comp in paths:
-        dw = comp.arrival_direction
+    for i in range(paths.counts[0]):
+        dw = paths.directions[0, i]
         d = (cr * dw[0] - sr * dw[1], sr * dw[0] + cr * dw[1], dw[2])
         az = math.atan2(d[1], d[0])
         el = math.asin(max(-1.0, min(1.0, d[2])))
-        jv, jh = comp.jones_gain[0], comp.jones_gain[1]
+        jv, jh = paths.jones[0, i]
         for column in range(columns):
             boresight = 2.0 * math.pi * column / columns
             amp = (max(math.cos(az - boresight), 0.0) ** pat.q_azimuth
@@ -104,7 +105,7 @@ def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
             for row in range(rows):
                 pz = (row - (rows - 1) / 2.0) * dz
                 advance = (px * d[0] + py * d[1] + pz * d[2]) / SPEED_OF_LIGHT
-                phase = np.exp(-2j * math.pi * freqs * (comp.delay - advance))
+                phase = np.exp(-2j * math.pi * freqs * (paths.delays[0, i] - advance))
                 base = column * rows * 2 + row * 2
                 out[base] += amp * (jv + leak * jh) * phase
                 out[base + 1] += amp * (jh + leak * jv) * phase

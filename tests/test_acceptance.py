@@ -76,7 +76,7 @@ def test_criterion_02_calibration_oracle():
         cal = a2g.calibrate_records(records, ref, config.attenuator)[0]
 
         from a2gsounder.pipeline import paths_for_snapshot
-        paths, _, _ = paths_for_snapshot(config, 0.0)
+        paths = paths_for_snapshot(config, 0.0)
         truth = transfer_function_oracle(paths, config.geometry, config.tone_plan,
                                          config.scene.rx_mounting_rotation)
         err = np.max(np.abs(cal.h_f - truth) / np.abs(truth))

@@ -1,0 +1,60 @@
+"""Property: a corrupted capture file fails closed.
+
+Any truncation or single-byte change of a valid file either raises
+CaptureFileError or still reads as records whose transfer functions
+have the shape the header declares. Payload bytes may hold any float,
+so a change there can read back without error.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from a2gsounder.capture_file import CaptureFileError, read_capture, write_capture
+from a2gsounder.capture_sim import CaptureRecord
+from a2gsounder.waveform import TonePlan
+
+
+def tiny_capture(path):
+    plan = TonePlan(tone_count=4)
+    rng = np.random.default_rng(0)
+    records = [CaptureRecord(timestamp=0.05 * s, tx_position=[12.0, 0.0, 1.5 + s],
+                             tx_tilt=[0.01, -0.02], tone_plan=plan, snr_db=30.0, seed=7,
+                             snapshot_index=s,
+                             tf=rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+               for s in range(2)]
+    write_capture(path, records, config_hash="c" * 64, geometry_hash="g" * 64)
+    return path.read_bytes()
+
+
+def corruptions(size):
+    truncated = st.integers(0, size - 1).map(lambda n: ("truncate", n, 0))
+    flipped = st.tuples(st.just("flip"), st.integers(0, size - 1), st.integers(1, 255))
+    return st.one_of(truncated, flipped)
+
+
+def corrupt(blob, edit):
+    kind, at, mask = edit
+    if kind == "truncate":
+        return blob[:at]
+    return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+
+
+def test_corrupted_capture_raises_or_reads_declared_shape(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("corrupt")
+    blob = tiny_capture(folder / "valid.bin")
+    path = folder / "corrupt.bin"
+
+    @settings(max_examples=200, deadline=None)
+    @given(corruptions(len(blob)))
+    def check(edit):
+        path.write_bytes(corrupt(blob, edit))
+        try:
+            records, header = read_capture(path)
+        except CaptureFileError:
+            return
+        assert len(records) == header["snapshot_count"]
+        for record in records:
+            assert record.tf.shape == (header["port_count"], record.tone_plan.tone_count)
+
+    check()

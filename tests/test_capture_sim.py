@@ -9,8 +9,8 @@ from a2gsounder.capture_sim import (AttenuatorModel, build_system_response,
                                     ideal_system_response, port_response_row,
                                     port_stack_response, simulate_b2b,
                                     simulate_snapshot)
-from a2gsounder.channel_synth import (Scene, synthesize_paths, tx_position_at,
-                                     wobble_index)
+from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
+                                     tx_position_at, wobble_index)
 from a2gsounder.config import parse_scenario
 from a2gsounder.pipeline import paths_for_snapshot
 from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan
@@ -52,12 +52,12 @@ class TestSimulateSnapshot:
         paths = los_paths(9.0)
         system = ideal_system_response(PLAN, geom.n_ports)
         rec = simulate_snapshot(paths, geom, PLAN, system)
-        los = paths.components[0]
+        delay, jones, direction = paths.delays[0, 0], paths.jones[0, 0], paths.directions[0, 0]
         freqs = PLAN.tone_frequencies
         for k in range(geom.n_ports):
-            gain = geom.port_gain(k, los.arrival_direction, los.jones_gain)
-            advance = np.dot(geom.port_phase_center(k), los.arrival_direction) / SPEED_OF_LIGHT
-            expected = gain * np.exp(-2j * math.pi * freqs * (los.delay - advance))
+            gain = geom.port_gain(k, direction, jones)
+            advance = np.dot(geom.port_phase_center(k), direction) / SPEED_OF_LIGHT
+            expected = gain * np.exp(-2j * math.pi * freqs * (delay - advance))
             np.testing.assert_allclose(rec.tf[k], expected, rtol=0, atol=5e-13 * abs(gain))
 
     def test_identical_ports_identical_rows(self):
@@ -88,19 +88,24 @@ class TestSimulateSnapshot:
                               snapshot_index=3, seed=7)
         np.testing.assert_array_equal(a.tf, b.tf)
 
-    def test_per_port_path_list_length_checked(self):
+    def test_slot_row_count_checked(self):
         geom = build_cylindrical_array(2, 2, 0.1, 0.04)
-        with pytest.raises(ValueError, match="per-port"):
-            simulate_snapshot([los_paths()] * 3, geom, PLAN,
-                              ideal_system_response(PLAN, geom.n_ports))
-
-    def test_per_port_list_matches_shared_when_static(self):
-        geom = build_cylindrical_array(4, 1, 0.1, 0.04)
-        paths = los_paths()
+        scene = Scene(facets=(), rx_position=[0.0, 0.0, 0.0])
+        three = synthesize_slots(scene, [[12.0, 0.0, 0.0]] * 3, 3.5e9)
         system = ideal_system_response(PLAN, geom.n_ports)
-        shared = simulate_snapshot(paths, geom, PLAN, system)
-        listed = simulate_snapshot([paths] * geom.n_ports, geom, PLAN, system)
-        np.testing.assert_allclose(listed.tf, shared.tf, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="paths have 3 rows; 8 ports"):
+            simulate_snapshot(three, geom, PLAN, system)
+        with pytest.raises(ValueError, match="paths have 3 rows; 8 ports"):
+            port_response_row(three, geom, PLAN, 0)
+
+    def test_per_port_rows_match_shared_when_static(self):
+        geom = build_cylindrical_array(4, 1, 0.1, 0.04)
+        scene = Scene(facets=(), rx_position=[0.0, 0.0, 0.0])
+        per_port = synthesize_slots(scene, [[12.0, 0.0, 0.0]] * geom.n_ports, 3.5e9)
+        system = ideal_system_response(PLAN, geom.n_ports)
+        shared = simulate_snapshot(los_paths(), geom, PLAN, system)
+        np.testing.assert_allclose(simulate_snapshot(per_port, geom, PLAN, system).tf,
+                                   shared.tf, rtol=0, atol=1e-15)
 
 
 class TestSimulateB2B:
@@ -212,7 +217,8 @@ class TestSlotResponse:
         assert config.timing.t_siso == T_SISO
         geom, plan = config.geometry, config.tone_plan
         rotation = config.scene.rx_mounting_rotation
-        slots, _, _ = paths_for_snapshot(config, start)
+        slots = paths_for_snapshot(config, start)
+        assert len(slots) == geom.n_ports
         assert set(slots.counts.tolist()) == counts
         tf = port_stack_response(slots, geom, plan, rotation)
         assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
@@ -226,18 +232,21 @@ class TestSlotResponse:
             for k in range(geom.n_ports)])
         assert np.array_equal(tf, loop)
 
-    def test_path_list_and_slot_paths_give_the_same_capture(self):
+    def test_port_response_row_reads_the_row_of_its_port(self):
         config = glass_route_config()
-        slots, tx, _ = paths_for_snapshot(config, 19.0 - 64 * T_SISO)
-        listed = [synthesize_paths(config.scene, p, config.tone_plan.center_frequency)
-                  for p in slots.tx_positions]
-        system = ideal_system_response(config.tone_plan, config.geometry.n_ports)
-        a = simulate_snapshot(slots, config.geometry, config.tone_plan, system,
-                              mounting_rotation=config.scene.rx_mounting_rotation)
-        b = simulate_snapshot(listed, config.geometry, config.tone_plan, system,
-                              mounting_rotation=config.scene.rx_mounting_rotation)
-        assert np.array_equal(a.tf, b.tf)
-        np.testing.assert_array_equal(a.tx_position, tx)
+        geom, plan = config.geometry, config.tone_plan
+        rotation = config.scene.rx_mounting_rotation
+        start = 19.0 - 64 * T_SISO
+        slots = paths_for_snapshot(config, start)
+        tf = port_stack_response(slots, geom, plan, rotation)
+        for k in (0, 63, 64, 127):  # both sides of the glass flip
+            assert np.array_equal(port_response_row(slots, geom, plan, k, rotation), tf[k])
+        np.testing.assert_array_equal(slots.tx_position,
+                                      tx_position_at(config.trajectory, start))
+        system = ideal_system_response(plan, geom.n_ports)
+        rec = simulate_snapshot(slots, geom, plan, system, mounting_rotation=rotation)
+        np.testing.assert_array_equal(rec.tx_position, slots.tx_positions[0])
+        np.testing.assert_array_equal(rec.tx_tilt, [0.0, 0.0])
 
 
 def tiny_config(preset):
@@ -248,7 +257,7 @@ def tiny_config(preset):
 
 # (label, preset, snapshot time, wobble index, sha256 of the noise-free
 # ports x tones response as float64 bytes) on a 4 x 2 array with 64
-# tones. Static and hover share one PathSet between all ports (one
+# tones. Static and hover share one path row between all ports (one
 # advance matmul plus an einsum over element pairs). The golden capture
 # files are complex64 and round away last-bit float64 changes of that
 # contraction, so these digests pin its float64 bytes; a change that
@@ -271,7 +280,8 @@ class TestSharedResponse:
         config = tiny_config(preset)
         if config.trajectory.kind == "hover":
             assert wobble_index(config.trajectory, time) == wobble
-        paths, _, _ = paths_for_snapshot(config, time)
+        paths = paths_for_snapshot(config, time)
+        assert len(paths) == 1
         tf = port_stack_response(paths, config.geometry, config.tone_plan,
                                  config.scene.rx_mounting_rotation)
         assert tf.shape == (16, 64)

@@ -269,13 +269,38 @@ class TestCli:
         assert cli_main(["analyze", "--scenario", scenario,
                          "--out", str(tmp_path / "m.csv")]) == 2
 
+    @pytest.mark.parametrize("document,argv,names", [
+        ([1, 2], ["synth", "--seed", "4"], "scenario: expected a JSON object"),
+        ({"preset": "olin-static", "capture": 5}, ["synth", "--seed", "4"],
+         "scenario.capture: expected an object"),
+        ({"preset": "olin-static", "system": [1]}, ["b2b", "--seed", "4"],
+         "scenario.system: expected an object"),
+        (None, ["b2b", "--snapshots", "0"], "--snapshots must be >= 1"),
+        (None, ["b2b", "--snapshots", "-2"], "--snapshots must be >= 1"),
+    ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
+            "zero-b2b-snapshots", "negative-b2b-snapshots"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
+        scenario = self.scenario_file(tmp_path)  # None: the valid test scenario
+        if document is not None:
+            with open(scenario, "w") as fh:
+                json.dump(document, fh)
+        out = tmp_path / "out.bin"
+        assert cli_main(argv + ["--scenario", str(scenario), "--out", str(out)]) == 2
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda h: b"not json",
         lambda h: json.dumps({"snapshot_count": 1}).encode(),
         lambda h: json.dumps({**h, "snapshot_count": -1}).encode(),
         lambda h: json.dumps([h]).encode(),
         lambda h: json.dumps({**h, "timestamps": h["timestamps"][:-1]}).encode(),
-    ], ids=["not-json", "missing-keys", "negative-count", "json-list", "short-list"])
+        lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
+                                                 "tone_count": h["tone_count"] // 2}}).encode(),
+        lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
+                                                 "tone_count": math.inf}}).encode(),
+    ], ids=["not-json", "missing-keys", "negative-count", "json-list", "short-list",
+            "tone-plan-count", "infinite-tone-count"])
     def test_malformed_header_exit_code(self, tmp_path, edit):
         scenario = self.scenario_file(tmp_path)
         ref = tmp_path / "ref.bin"
