@@ -7,33 +7,13 @@ series to one relative amplitude/phase sample per snapshot against the
 first snapshot.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 class CalibrationError(ValueError):
     pass
-
-
-@dataclass
-class CalibratedResponse:
-    """Antenna+channel transfer function, ports x tones."""
-
-    h_f: np.ndarray
-    tone_plan: object
-    timestamp: float = 0.0
-    tx_position: np.ndarray = None
-    tx_tilt: np.ndarray = None
-    snapshot_index: int = 0
-
-    @property
-    def n_ports(self):
-        return self.h_f.shape[0]
-
-    @property
-    def n_tones(self):
-        return self.h_f.shape[1]
 
 
 @dataclass
@@ -49,19 +29,22 @@ class StabilityReport:
 def calibrate(meas, ref, attenuator, reference_floor_db=120.0, ref_median=None):
     """Antenna+channel response: meas / ref times the attenuator response.
 
+    Returns ``meas``'s CaptureRecord with the calibrated ``h_f`` as a CAL
+    record, which carries no SNR and seed 0.
+
     A reference tone more than ``reference_floor_db`` below the
     reference's median magnitude indicates corrupt calibration data and
     raises, naming the port and tone, rather than being regularized.
-    ``ref_median`` may carry a precomputed median of |ref.tf| when many
+    ``ref_median`` may carry a precomputed median of |ref.h_f| when many
     measurements share one reference.
     """
-    if meas.tf.shape != ref.tf.shape:
+    if meas.h_f.shape != ref.h_f.shape:
         raise CalibrationError(
-            f"measurement {meas.tf.shape} and reference {ref.tf.shape} dimensions differ")
+            f"measurement {meas.h_f.shape} and reference {ref.h_f.shape} dimensions differ")
     if meas.tone_plan.to_dict() != ref.tone_plan.to_dict():
         raise CalibrationError("measurement and reference tone plans differ")
 
-    ref_mag = np.abs(ref.tf)
+    ref_mag = np.abs(ref.h_f)
     if ref_median is None:
         ref_median = float(np.median(ref_mag))
     floor = ref_median * 10.0 ** (-reference_floor_db / 20.0)
@@ -73,15 +56,8 @@ def calibrate(meas, ref, attenuator, reference_floor_db=120.0, ref_median=None):
             f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
 
     g_att = attenuator.response(meas.tone_plan)
-    h = meas.tf / ref.tf * g_att[np.newaxis, :]
-    return CalibratedResponse(
-        h_f=h,
-        tone_plan=meas.tone_plan,
-        timestamp=meas.timestamp,
-        tx_position=meas.tx_position,
-        tx_tilt=meas.tx_tilt,
-        snapshot_index=meas.snapshot_index,
-    )
+    h = meas.h_f / ref.h_f * g_att[np.newaxis, :]
+    return replace(meas, h_f=h, snr_db=None, seed=0, record_type="CAL")
 
 
 def stability_stats(b2b_series, port=0):
@@ -93,21 +69,21 @@ def stability_stats(b2b_series, port=0):
     """
     if len(b2b_series) < 2:
         raise CalibrationError("stability analysis needs at least 2 snapshots")
-    n_ports = b2b_series[0].tf.shape[0]
+    n_ports = b2b_series[0].h_f.shape[0]
     if not 0 <= port < n_ports:
         raise CalibrationError(f"port {port} out of range for {n_ports} ports")
-    first = b2b_series[0].tf[port]
+    first = b2b_series[0].h_f[port]
     if np.any(np.abs(first) == 0.0):
         raise CalibrationError(f"first snapshot has a zero tone at port {port}")
 
-    # tf/first evaluated as tf*conj(first)/|first|^2 in explicit real
+    # h_f/first evaluated as h_f*conj(first)/|first|^2 in explicit real
     # arithmetic: identical snapshots divide to exactly 1 (no fused
     # multiply-add residue), so an unchanged series reports exactly 0
     fr, fi = first.real, first.imag
     denom = fr * fr + fi * fi
     ratios = np.empty(len(b2b_series), dtype=np.complex128)
     for s, rec in enumerate(b2b_series):
-        tr, ti = rec.tf[port].real, rec.tf[port].imag
+        tr, ti = rec.h_f[port].real, rec.h_f[port].imag
         re = (tr * fr + ti * fi) / denom
         im = (ti * fr - tr * fi) / denom
         ratios[s] = complex(np.mean(re), np.mean(im))

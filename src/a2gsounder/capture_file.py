@@ -22,7 +22,6 @@ import warnings
 
 import numpy as np
 
-from .calibration import CalibratedResponse
 from .capture_sim import CaptureRecord
 from .waveform import TonePlan
 
@@ -40,7 +39,8 @@ class HashMismatch(CaptureFileError):
 
 
 def write_capture(path, records, config_hash="", geometry_hash="", record_type=None):
-    """Write records (CaptureRecord or CalibratedResponse) to ``path``.
+    """Write CaptureRecords to ``path``; ``record_type`` None takes the
+    first record's.
 
     All records must share dimensions and tone plan. Complex samples are
     quantized to float32 pairs; a second write of the read-back file is
@@ -50,17 +50,15 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         raise ValueError("no records to write")
     first = records[0]
     if record_type is None:
-        record_type = getattr(first, "record_type", "CAL")
+        record_type = first.record_type
     if record_type not in RECORD_TYPES:
         raise ValueError(f"record_type must be one of {RECORD_TYPES}")
 
-    tfs = [_tf_of(r) for r in records]
-    shape = tfs[0].shape
-    for i, tf in enumerate(tfs):
-        if tf.shape != shape:
-            raise ValueError(f"record {i} shape {tf.shape} differs from {shape}")
+    shape = first.h_f.shape
+    for i, r in enumerate(records):
+        if r.h_f.shape != shape:
+            raise ValueError(f"record {i} shape {r.h_f.shape} differs from {shape}")
 
-    plan = first.tone_plan
     header = {
         "record_type": record_type,
         "config_hash": config_hash,
@@ -68,13 +66,13 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         "snapshot_count": len(records),
         "port_count": int(shape[0]),
         "tone_count": int(shape[1]),
-        "tone_plan": plan.to_dict(),
-        "timestamps": [float(getattr(r, "timestamp", 0.0)) for r in records],
-        "tx_positions": [_vec(getattr(r, "tx_position", None), 3) for r in records],
-        "tx_tilts": [_vec(getattr(r, "tx_tilt", None), 2) for r in records],
-        "snapshot_indices": [int(getattr(r, "snapshot_index", i)) for i, r in enumerate(records)],
-        "snr_db": getattr(first, "snr_db", None),
-        "seed": int(getattr(first, "seed", 0)),
+        "tone_plan": first.tone_plan.to_dict(),
+        "timestamps": [float(r.timestamp) for r in records],
+        "tx_positions": [np.asarray(r.tx_position, dtype=float).tolist() for r in records],
+        "tx_tilts": [np.asarray(r.tx_tilt, dtype=float).tolist() for r in records],
+        "snapshot_indices": [int(r.snapshot_index) for r in records],
+        "snr_db": first.snr_db,
+        "seed": int(first.seed),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -83,19 +81,8 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for tf in tfs:
-            fh.write(tf.astype("<c8").tobytes())
-
-
-def _tf_of(record):
-    tf = record.h_f if isinstance(record, CalibratedResponse) else record.tf
-    return np.asarray(tf)
-
-
-def _vec(value, length):
-    if value is None:
-        return [0.0] * length
-    return [float(v) for v in np.asarray(value).ravel()[:length]]
+        for r in records:
+            fh.write(r.h_f.astype("<c8").tobytes())
 
 
 _COUNTS = ("snapshot_count", "port_count", "tone_count")
@@ -177,8 +164,8 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
 
     Returns (records, header). A config-hash mismatch against
     ``expected_config_hash`` warns by default and raises with
-    ``strict_hash``. Calibrated (CAL) files are returned as records too;
-    the caller decides how to interpret them via header["record_type"].
+    ``strict_hash``. Every record carries the header's record_type
+    (MEAS, B2B or CAL).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -221,11 +208,11 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
     records = []
     for s in range(snapshots):
         records.append(CaptureRecord(
+            h_f=data[s],
+            tone_plan=plan,
             timestamp=header["timestamps"][s],
             tx_position=np.array(header["tx_positions"][s]),
             tx_tilt=np.array(header["tx_tilts"][s]),
-            tf=data[s],
-            tone_plan=plan,
             snr_db=header["snr_db"],
             seed=header["seed"],
             snapshot_index=header["snapshot_indices"][s],

@@ -12,7 +12,7 @@ simulated in any order or in parallel with bit-identical results.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,8 +114,9 @@ class AttenuatorModel:
     ripple_cycles: float = 1.0
 
     def __post_init__(self):
-        if self.nominal_loss_db <= 0:
-            raise ValueError("attenuator loss must be positive (dB)")
+        if not 0 < self.nominal_loss_db < math.inf:
+            raise ValueError(f"attenuator loss must be a positive finite number of dB, "
+                             f"got {self.nominal_loss_db}")
 
     def response(self, tones):
         """Complex response on the tone grid, 10^(-loss/20) times the ripple."""
@@ -126,35 +127,22 @@ class AttenuatorModel:
         ripple = 10.0 ** (self.ripple_db * np.cos(2.0 * math.pi * self.ripple_cycles * u) / 20.0)
         return (base * ripple).astype(np.complex128)
 
-    def to_dict(self):
-        return {
-            "nominal_loss_db": self.nominal_loss_db,
-            "ripple_db": self.ripple_db,
-            "ripple_cycles": self.ripple_cycles,
-        }
-
 
 @dataclass
 class CaptureRecord:
-    """One SIMO snapshot of measured transfer functions, ports x tones."""
+    """One SIMO snapshot, ports x tones: a measured (MEAS) or
+    back-to-back (B2B) capture, or a calibrated antenna+channel response
+    (CAL). A B2B capture has no TX, so its pose stays at zeros."""
 
-    timestamp: float
-    tx_position: np.ndarray
-    tx_tilt: np.ndarray
-    tf: np.ndarray
+    h_f: np.ndarray
     tone_plan: object
+    timestamp: float = 0.0
+    tx_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    tx_tilt: np.ndarray = field(default_factory=lambda: np.zeros(2))
     snr_db: float = None
     seed: int = 0
     snapshot_index: int = 0
     record_type: str = "MEAS"
-
-    @property
-    def n_ports(self):
-        return self.tf.shape[0]
-
-    @property
-    def n_tones(self):
-        return self.tf.shape[1]
 
 
 def _rotate_z(vectors, angle):
@@ -303,15 +291,14 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     tf = _add_noise(tf, noise_snr_db, seed, snapshot_index)
 
     return CaptureRecord(
+        h_f=tf,
+        tone_plan=tones,
         timestamp=timestamp,
         tx_position=paths.tx_position,
         tx_tilt=paths.tx_tilt,
-        tf=tf,
-        tone_plan=tones,
         snr_db=noise_snr_db,
         seed=seed,
         snapshot_index=snapshot_index,
-        record_type="MEAS",
     )
 
 
@@ -329,11 +316,9 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
         tf = base * system.drift(s, kind="b2b")
         tf = _add_noise(tf, noise_snr_db, seed, s)
         records.append(CaptureRecord(
-            timestamp=s * snapshot_period,
-            tx_position=np.zeros(3),
-            tx_tilt=np.zeros(2),
-            tf=tf,
+            h_f=tf,
             tone_plan=tones,
+            timestamp=s * snapshot_period,
             snr_db=noise_snr_db,
             seed=seed,
             snapshot_index=s,

@@ -16,8 +16,13 @@ once per snapshot, a one-row SlotPaths. ``synthesize_paths`` and
 ``tx_position_at`` are the one-position calls of the same code.
 
 Drone motion is a trajectory: a fixed point, a hover with a truncated
-AR(1) wobble indexed per SIMO snapshot, or a square route walked at
-constant speed.
+AR(1) wobble, or a square route walked at constant speed. The wobble
+is not indexed per SIMO snapshot: the state at time t is number
+floor(t * snapshot_rate), with snapshot_rate = burst_rate *
+simos_per_burst, and the SIMO snapshots sit back to back at the start
+of each burst. With the default timing (three 6.4 ms snapshots per
+50 ms burst, 60 Hz) the snapshots of a burst share one state and only
+every third state is observed.
 """
 
 import math
@@ -72,15 +77,6 @@ class Facet:
     @property
     def area(self):
         return self._area
-
-    def to_dict(self):
-        return {
-            "corners": self.corners.tolist(),
-            "gamma_v": [self.gamma_v.real, self.gamma_v.imag],
-            "gamma_h": [self.gamma_h.real, self.gamma_h.imag],
-            "cross_pol": self.cross_pol,
-            "name": self.name,
-        }
 
 
 def _plane_of(corners, name):
@@ -167,13 +163,6 @@ class Scene:
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "rx_position",
                            np.asarray(self.rx_position, dtype=np.float64))
-
-    def to_dict(self):
-        return {
-            "facets": [f.to_dict() for f in self.facets],
-            "rx_position": self.rx_position.tolist(),
-            "rx_mounting_rotation": self.rx_mounting_rotation,
-        }
 
 
 @dataclass(frozen=True)
@@ -353,7 +342,8 @@ def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 
 
 @dataclass(frozen=True)
 class WobbleParams:
-    """Truncated AR(1) jitter of hover position and TX tilt, per snapshot."""
+    """Truncated AR(1) jitter of hover position and TX tilt, one state
+    per 1/snapshot_rate seconds."""
 
     sigma_pos: float = 0.08
     sigma_angle: float = math.radians(1.0)
@@ -366,14 +356,6 @@ class WobbleParams:
             raise ValueError("rho must be in [0, 1)")
         if self.sigma_pos < 0 or self.sigma_angle < 0:
             raise ValueError("wobble sigmas must be non-negative")
-
-    def to_dict(self):
-        return {
-            "sigma_pos": self.sigma_pos,
-            "sigma_angle": self.sigma_angle,
-            "rho": self.rho,
-            "seed": self.seed,
-        }
 
 
 _INNOVATION_CACHE = {}
@@ -477,22 +459,6 @@ class Trajectory:
         ]
         k = _CORNER_ORDER[self.start_corner]
         return base[k:] + base[:k]
-
-    def to_dict(self):
-        doc = {"kind": self.kind}
-        if self.kind in ("static_point", "hover"):
-            doc["position"] = self.position.tolist()
-        if self.kind == "hover":
-            doc["wobble"] = self.wobble.to_dict()
-        if self.kind == "square_route":
-            doc.update({
-                "center": self.center.tolist(),
-                "side": self.side,
-                "height": self.height,
-                "speed": self.speed,
-                "start_corner": self.start_corner,
-            })
-        return doc
 
 
 def wobble_index(trajectory, time):

@@ -20,8 +20,7 @@ import csv
 import json
 import sys
 
-from .calibration import (CalibratedResponse, CalibrationError,
-                          stability_stats)
+from .calibration import CalibrationError, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
                            write_capture)
 from .capture_sim import AttenuatorModel
@@ -78,11 +77,12 @@ def _read(path, expected_hash=None, strict=False):
 
 
 def _attenuator(args, config=None):
-    if args.attenuator_db is not None:
+    if args.attenuator_db is None:
+        return config.attenuator if config is not None else AttenuatorModel()
+    try:
         return AttenuatorModel(nominal_loss_db=args.attenuator_db)
-    if config is not None:
-        return config.attenuator
-    return AttenuatorModel()
+    except ValueError as exc:
+        raise _Exit(EXIT_SCHEMA, f"--attenuator-db: {exc}")
 
 
 def cmd_synth(args):
@@ -151,13 +151,9 @@ def cmd_analyze(args):
     expected = config.scenario_hash
 
     if args.cal:
-        cal_records, header = _read(args.cal, expected_hash=expected, strict=args.strict_hash)
+        cal, header = _read(args.cal, expected_hash=expected, strict=args.strict_hash)
         if header["record_type"] != "CAL":
             raise _Exit(EXIT_FORMAT, f"{args.cal} is a {header['record_type']} file, expected CAL")
-        cal = [CalibratedResponse(h_f=r.tf, tone_plan=r.tone_plan, timestamp=r.timestamp,
-                                  tx_position=r.tx_position, tx_tilt=r.tx_tilt,
-                                  snapshot_index=r.snapshot_index)
-               for r in cal_records]
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")

@@ -194,6 +194,8 @@ def _number(minimum=None, above=None, maximum=None, nullable=False):
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
+        if math.isnan(value):
+            raise SchemaError(f"{path}: expected a number, got NaN")
         if above is not None and value <= above:
             raise SchemaError(f"{path}: must be > {above}, got {value}")
         if minimum is not None and value < minimum:

@@ -151,14 +151,14 @@ def run_b2b(config, snapshot_count=None):
     )
 
 
-def calibrate_records(meas_records, ref_records, attenuator, reference_index=0):
-    """Calibrate every measurement against one B2B reference snapshot.
+def calibrate_records(meas_records, ref_records, attenuator):
+    """Calibrate every measurement against the first B2B reference snapshot.
 
     The measurements are divided in the pool; calibration is elementwise
     numpy and starts no BLAS threads.
     """
-    ref = ref_records[reference_index]
-    ref_median = float(np.median(np.abs(ref.tf)))
+    ref = ref_records[0]
+    ref_median = float(np.median(np.abs(ref.h_f)))
     return _map_ordered(lambda m: calibrate(m, ref, attenuator, ref_median=ref_median),
                         meas_records)
 

@@ -38,14 +38,6 @@ class GateConfig:
         if not 0.0 < self.noise_window_fraction < 1.0:
             raise ValueError("noise_window_fraction must be in (0, 1)")
 
-    def to_dict(self):
-        return {
-            "noise_margin_db": self.noise_margin_db,
-            "peak_margin_db": self.peak_margin_db,
-            "delay_gate": self.delay_gate,
-            "noise_window_fraction": self.noise_window_fraction,
-        }
-
 
 @dataclass
 class RawCIR:
@@ -298,7 +290,7 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
     columns = column_power_profile(gated, geometry)
     return SnapshotMetrics(
         timestamp=cal.timestamp,
-        tx_position=np.asarray(cal.tx_position) if cal.tx_position is not None else np.zeros(3),
+        tx_position=np.asarray(cal.tx_position),
         p_rx=rx_power(gated),
         sigma_tau_s=spread.sigma_tau_s,
         sigma_tau_dbs=spread.sigma_tau_dbs,

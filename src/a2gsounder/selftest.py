@@ -12,8 +12,8 @@ import tempfile
 
 import numpy as np
 
-from .calibration import CalibratedResponse
 from .capture_file import read_capture, write_capture
+from .capture_sim import CaptureRecord
 from .config import parse_scenario
 from .pipeline import (analyze_records, calibrate_records, metrics_rows,
                        run_b2b, run_synthesis)
@@ -28,7 +28,7 @@ def _random_cal(rng, ports=8, tones=64):
     h = rng.standard_normal((ports, tones)) + 1j * rng.standard_normal((ports, tones))
     # add a dominant path so gating has structure
     h += 10.0 * np.exp(-2j * math.pi * plan.tone_frequencies * plan.delay_bins[3])
-    return CalibratedResponse(h_f=h, tone_plan=plan)
+    return CaptureRecord(h_f=h, tone_plan=plan, record_type="CAL")
 
 
 def check_gating_monotonicity(rng):
@@ -130,7 +130,7 @@ def check_file_round_trip():
                       record_type=header["record_type"])
         with open(path1, "rb") as f1, open(path2, "rb") as f2:
             same = f1.read() == f2.read()
-    expected_payload = len(records) * records[0].tf.size * 8
+    expected_payload = len(records) * records[0].h_f.size * 8
     return same, f"round trip bytes identical, payload {expected_payload} B/snapshot-set"
 
 
@@ -142,7 +142,7 @@ def check_cross_run_determinism():
     for name, cfg, records in (("static", config, first),
                                ("route", route, run_synthesis(route))):
         again = run_synthesis(cfg)
-        if not all(np.array_equal(a.tf, b.tf) for a, b in zip(records, again)):
+        if not all(np.array_equal(a.h_f, b.h_f) for a, b in zip(records, again)):
             return False, f"{name} re-run produced different samples"
     ref = run_b2b(config, snapshot_count=2)
     cal = calibrate_records(first, ref, config.attenuator)

@@ -8,6 +8,7 @@ the SISO signal duration. Defaults reproduce the 3.5 GHz / 20 kHz /
 snapshot, 3 snapshots per burst at 20 Hz.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,9 @@ class TonePlan:
     nominal_bandwidth: float = 46e6
 
     def __post_init__(self):
+        for name in ("center_frequency", "tone_spacing", "tone_count", "nominal_bandwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if int(self.tone_count) != self.tone_count or self.tone_count < 2:
             raise ValueError(f"tone_count must be an integer >= 2, got {self.tone_count}")
         if self.tone_spacing <= 0:
@@ -107,14 +111,6 @@ class TimingPlan:
     def snapshot_rate(self):
         """Nominal snapshot index rate used by the hover wobble process."""
         return self.burst_rate * self.simos_per_burst
-
-    def to_dict(self):
-        return {
-            "t_siso": self.t_siso,
-            "ports_per_simo": self.ports_per_simo,
-            "simos_per_burst": self.simos_per_burst,
-            "burst_rate": self.burst_rate,
-        }
 
 
 def snapshot_timestamps(timing, burst_count):

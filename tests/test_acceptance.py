@@ -208,7 +208,7 @@ def test_criterion_10_eigen_brute_force():
         for trial in range(1000):
             tones = int(rng.integers(4, 9))
             h = rng.standard_normal((4, tones)) + 1j * rng.standard_normal((4, tones))
-            cal = a2g.CalibratedResponse(
+            cal = a2g.CaptureRecord(
                 h_f=h, tone_plan=a2g.TonePlan(tone_count=tones))
             report = a2g.correlation_and_eigen(cal)
             r = report.correlation

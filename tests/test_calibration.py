@@ -16,10 +16,8 @@ from a2gsounder.waveform import TonePlan
 PLAN = TonePlan(tone_count=128)
 
 
-def record(tf, plan=PLAN, record_type="MEAS"):
-    return CaptureRecord(timestamp=0.0, tx_position=np.zeros(3),
-                         tx_tilt=np.zeros(2), tf=np.asarray(tf, complex),
-                         tone_plan=plan, record_type=record_type)
+def record(h_f, plan=PLAN, record_type="MEAS"):
+    return CaptureRecord(h_f=np.asarray(h_f, complex), tone_plan=plan, record_type=record_type)
 
 
 class FlatAttenuator:
@@ -38,6 +36,19 @@ class TestCalibrate:
         ref = record(np.full((4, PLAN.tone_count), 4.0), record_type="B2B")
         cal = calibrate(meas, ref, FlatAttenuator(0.5))
         np.testing.assert_allclose(cal.h_f, 0.25, rtol=1e-15)
+
+    def test_returns_the_measurement_as_a_cal_record(self):
+        meas = CaptureRecord(h_f=np.full((2, PLAN.tone_count), 2.0 + 0j), tone_plan=PLAN,
+                             timestamp=0.25, tx_position=np.array([12.0, 1.0, 1.8]),
+                             tx_tilt=np.array([0.01, -0.02]), snr_db=30.0, seed=7,
+                             snapshot_index=5)
+        ref = record(np.full((2, PLAN.tone_count), 4.0), record_type="B2B")
+        cal = calibrate(meas, ref, FlatAttenuator(0.5))
+        assert (cal.record_type, cal.snr_db, cal.seed) == ("CAL", None, 0)
+        assert (cal.timestamp, cal.snapshot_index, cal.tone_plan) == (0.25, 5, PLAN)
+        assert cal.tx_position is meas.tx_position and cal.tx_tilt is meas.tx_tilt
+        np.testing.assert_array_equal(cal.h_f, 0.25)
+        assert meas.record_type == "MEAS"  # the measurement itself is not changed
 
     def test_identity(self):
         tf = np.exp(1j * np.linspace(0, 3, PLAN.tone_count))[np.newaxis, :] * np.ones((3, 1))

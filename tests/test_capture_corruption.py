@@ -21,7 +21,7 @@ def tiny_capture(path):
     records = [CaptureRecord(timestamp=0.05 * s, tx_position=[12.0, 0.0, 1.5 + s],
                              tx_tilt=[0.01, -0.02], tone_plan=plan, snr_db=30.0, seed=7,
                              snapshot_index=s,
-                             tf=rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+                             h_f=rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
                for s in range(2)]
     write_capture(path, records, config_hash="c" * 64, geometry_hash="g" * 64)
     return path.read_bytes()
@@ -55,6 +55,6 @@ def test_corrupted_capture_raises_or_reads_declared_shape(tmp_path_factory):
             return
         assert len(records) == header["snapshot_count"]
         for record in records:
-            assert record.tf.shape == (header["port_count"], record.tone_plan.tone_count)
+            assert record.h_f.shape == (header["port_count"], record.tone_plan.tone_count)
 
     check()

@@ -58,14 +58,14 @@ class TestSimulateSnapshot:
             gain = geom.port_gain(k, direction, jones)
             advance = np.dot(geom.port_phase_center(k), direction) / SPEED_OF_LIGHT
             expected = gain * np.exp(-2j * math.pi * freqs * (delay - advance))
-            np.testing.assert_allclose(rec.tf[k], expected, rtol=0, atol=5e-13 * abs(gain))
+            np.testing.assert_allclose(rec.h_f[k], expected, rtol=0, atol=5e-13 * abs(gain))
 
     def test_identical_ports_identical_rows(self):
         # one element, XPD 0 dB: both polarization ports respond equally
         geom = build_cylindrical_array(1, 1, 0.05, 0.04, PatternParams(xpd_db=0.0))
         rec = simulate_snapshot(los_paths(), geom, PLAN,
                                 ideal_system_response(PLAN, 2))
-        np.testing.assert_array_equal(rec.tf[0], rec.tf[1])
+        np.testing.assert_array_equal(rec.h_f[0], rec.h_f[1])
 
     def test_noise_variance_matches_snr_definition(self):
         geom = build_cylindrical_array(4, 2, 0.1091, 0.0429)
@@ -74,8 +74,8 @@ class TestSimulateSnapshot:
         clean = simulate_snapshot(los_paths(), geom, plan, system)
         noisy = simulate_snapshot(los_paths(), geom, plan, system,
                                   noise_snr_db=30.0, seed=5)
-        peak_power = np.max(np.mean(np.abs(clean.tf) ** 2, axis=1))
-        noise = noisy.tf - clean.tf
+        peak_power = np.max(np.mean(np.abs(clean.h_f) ** 2, axis=1))
+        noise = noisy.h_f - clean.h_f
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(peak_power / 1e3, rel=0.05)
 
@@ -86,7 +86,7 @@ class TestSimulateSnapshot:
                               snapshot_index=3, seed=7)
         b = simulate_snapshot(los_paths(), geom, PLAN, system, noise_snr_db=20,
                               snapshot_index=3, seed=7)
-        np.testing.assert_array_equal(a.tf, b.tf)
+        np.testing.assert_array_equal(a.h_f, b.h_f)
 
     def test_slot_row_count_checked(self):
         geom = build_cylindrical_array(2, 2, 0.1, 0.04)
@@ -104,8 +104,8 @@ class TestSimulateSnapshot:
         per_port = synthesize_slots(scene, [[12.0, 0.0, 0.0]] * geom.n_ports, 3.5e9)
         system = ideal_system_response(PLAN, geom.n_ports)
         shared = simulate_snapshot(los_paths(), geom, PLAN, system)
-        np.testing.assert_allclose(simulate_snapshot(per_port, geom, PLAN, system).tf,
-                                   shared.tf, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(simulate_snapshot(per_port, geom, PLAN, system).h_f,
+                                   shared.h_f, rtol=0, atol=1e-15)
 
 
 class TestSimulateB2B:
@@ -113,14 +113,14 @@ class TestSimulateB2B:
         system = ideal_system_response(PLAN, 8)
         records = simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=4)
         for rec in records[1:]:
-            np.testing.assert_array_equal(rec.tf, records[0].tf)
+            np.testing.assert_array_equal(rec.h_f, records[0].h_f)
         assert all(r.record_type == "B2B" for r in records)
 
     def test_attenuation_arithmetic(self):
         system = ideal_system_response(PLAN, 8)
         rec = simulate_b2b(PLAN, system, AttenuatorModel(nominal_loss_db=30.0),
                            snapshot_count=1)[0]
-        np.testing.assert_allclose(np.abs(rec.tf), 10 ** -1.5, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(rec.h_f), 10 ** -1.5, rtol=1e-12)
 
     def test_chain_and_port_gains_enter_b2b(self):
         system = build_system_response(PLAN, 8, seed=2, phase_drift_deg=0.0,
@@ -129,7 +129,7 @@ class TestSimulateB2B:
                            snapshot_count=1)[0]
         expected = (system.common_chain[np.newaxis, :]
                     * system.per_port_gain[:, np.newaxis] * 0.1)
-        np.testing.assert_allclose(rec.tf, expected, rtol=1e-12)
+        np.testing.assert_allclose(rec.h_f, expected, rtol=1e-12)
 
     def test_snapshot_count_validated(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestMountingRotation:
         # which is column 2 of 8
         rec = simulate_snapshot(paths, geom, plan, system,
                                 mounting_rotation=-math.pi / 2)
-        energy = np.sum(np.abs(rec.tf) ** 2, axis=1)
+        energy = np.sum(np.abs(rec.h_f) ** 2, axis=1)
         v_ports = [p.port_id for p in geom.ports if p.polarization == "V"]
         best = geom.port(v_ports[int(np.argmax(energy[v_ports]))])
         assert best.column == 2
@@ -171,7 +171,7 @@ def glass_route_config():
     the plane x = 25 whose reflection the route sees only on parts of
     its east and west edges."""
     base = parse_scenario({"preset": "paper-route"})
-    facets = [f.to_dict() for f in base.scene.facets if f.name != "south-umbrella"]
+    facets = [f for f in base.resolved["scene"]["facets"] if f["name"] != "south-umbrella"]
     facets.append({"name": "glass",
                    "corners": [[25.0, -5.0, 0.0], [25.0, 5.0, 0.0],
                                [25.0, 5.0, 60.0], [25.0, -5.0, 60.0]],

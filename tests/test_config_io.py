@@ -82,7 +82,8 @@ class TestParseScenario:
         assert a.scenario_hash == b.scenario_hash
         assert a.scenario_hash != c.scenario_hash
 
-    @pytest.mark.parametrize("bad", ["x", True, [1]], ids=["str", "bool", "list"])
+    @pytest.mark.parametrize("bad", ["x", True, [1], math.nan],
+                             ids=["str", "bool", "list", "nan"])
     @pytest.mark.parametrize("path", list(_leaf_paths(DEFAULTS)))
     def test_every_leaf_rejects_bad_values_with_its_path(self, path, bad):
         *sections, leaf = path.split(".")
@@ -91,6 +92,19 @@ class TestParseScenario:
             node = node.setdefault(key, {})
         node[leaf] = bad
         with pytest.raises(SchemaError) as info:
+            parse_scenario(doc)
+        assert path in str(info.value)
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"trajectory": {"position": [math.nan, 0.0, 1.8]}}, "trajectory.position[0]"),
+        ({"scene": {"rx_position": [0.0, math.nan, 1.5]}}, "scene.rx_position[1]"),
+        ({"scene": {"facets": [{"corners": [[0, 0, 0], [1, 0, 0], [1, 1, math.nan]]}]}},
+         "scene.facets[0].corners[2][2]"),
+        ({"scene": {"facets": [{"corners": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
+                                "gamma_v": [0.1, math.nan]}]}}, "scene.facets[0].gamma_v[1]"),
+    ], ids=["position", "rx-position", "facet-corner", "facet-gamma"])
+    def test_nan_inside_a_vector_rejected_with_path(self, doc, path):
+        with pytest.raises(SchemaError, match="NaN") as info:
             parse_scenario(doc)
         assert path in str(info.value)
 
@@ -181,9 +195,8 @@ class TestCaptureFile:
     def test_mixed_dimensions_rejected(self, tmp_path):
         config = tiny_config()
         records = a2g.run_synthesis(config)
-        clone = a2g.CaptureRecord(
-            timestamp=0.0, tx_position=np.zeros(3), tx_tilt=np.zeros(2),
-            tf=records[0].tf[:, :10].copy(), tone_plan=records[0].tone_plan)
+        clone = a2g.CaptureRecord(h_f=records[0].h_f[:, :10].copy(),
+                                  tone_plan=records[0].tone_plan)
         with pytest.raises(ValueError, match="shape"):
             write_capture(tmp_path / "m.bin", [records[0], clone])
 
@@ -202,7 +215,7 @@ class TestDeterminism:
         monkeypatch.setenv("A2GS_THREADS", "2")
         threaded = a2g.run_synthesis(config)
         for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.tf, b.tf)
+            np.testing.assert_array_equal(a.h_f, b.h_f)
 
 
 class TestCli:
@@ -277,8 +290,10 @@ class TestCli:
          "scenario.system: expected an object"),
         (None, ["b2b", "--snapshots", "0"], "--snapshots must be >= 1"),
         (None, ["b2b", "--snapshots", "-2"], "--snapshots must be >= 1"),
+        ({"preset": "olin-static", "gate": {"delay_gate": math.nan}}, ["synth"],
+         "gate.delay_gate: expected a number, got NaN"),
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
-            "zero-b2b-snapshots", "negative-b2b-snapshots"])
+            "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
         scenario = self.scenario_file(tmp_path)  # None: the valid test scenario
         if document is not None:
@@ -299,8 +314,13 @@ class TestCli:
                                                  "tone_count": h["tone_count"] // 2}}).encode(),
         lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
                                                  "tone_count": math.inf}}).encode(),
+        lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
+                                                 "center_frequency": math.nan}}).encode(),
+        lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
+                                                 "nominal_bandwidth": math.inf}}).encode(),
     ], ids=["not-json", "missing-keys", "negative-count", "json-list", "short-list",
-            "tone-plan-count", "infinite-tone-count"])
+            "tone-plan-count", "infinite-tone-count", "nan-center-frequency",
+            "infinite-bandwidth"])
     def test_malformed_header_exit_code(self, tmp_path, edit):
         scenario = self.scenario_file(tmp_path)
         ref = tmp_path / "ref.bin"
@@ -328,6 +348,8 @@ class TestCli:
         ("snapshot_indices", False),
         ("snr_db", "x"),
         ("seed", 1.5),
+        ("tone_plan", {"center_frequency": math.nan, "tone_spacing": 20e3,
+                       "tone_count": 32, "nominal_bandwidth": 46e6}),
     ])
     def test_malformed_header_element_exit_code(self, tmp_path, command, key, value):
         scenario = self.scenario_file(tmp_path)
@@ -349,6 +371,21 @@ class TestCli:
                 "calibrate": ["calibrate"]}[command]
         assert cli_main(argv + ["--meas", str(bad), "--ref", ref,
                                 "--out", str(tmp_path / "out")]) == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "calibrate"])
+    @pytest.mark.parametrize("loss", ["0", "-3", "nan", "inf"])
+    def test_bad_attenuator_exit_code(self, tmp_path, capsys, command, loss):
+        scenario = self.scenario_file(tmp_path)
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        out = tmp_path / "out"
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        argv = {"analyze": ["analyze", "--scenario", scenario],
+                "calibrate": ["calibrate"]}[command]
+        assert cli_main(argv + ["--meas", meas, "--ref", ref, "--out", str(out),
+                                "--attenuator-db", loss]) == 2
+        assert "--attenuator-db" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_route_crossing_a_small_facet_plane_synthesizes(self, tmp_path):
         # at t = 26.5 s the route is at (15, -8, 50): 50 m above the 4 x 3 m
@@ -432,4 +469,4 @@ class TestCli:
         cli_main(["synth", "--scenario", scenario, "--out", b, "--seed", "2"])
         ra, _ = read_capture(a)
         rb, _ = read_capture(b)
-        assert not np.array_equal(ra[0].tf, rb[0].tf)
+        assert not np.array_equal(ra[0].h_f, rb[0].h_f)

@@ -27,6 +27,7 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
+        "analyze_cal_csv": "c8de2809b8c0936bd62add7005c84e3e74e637d37ceaf50f4148c71710604be2",
         "analyze_csv": "d059adae7320fca49947e189f0a99d628ee159118208cc19c0d9dfd75b3d047f",
         "analyze_json": "6bcd1c84fc86dedda6999d67ab0980c4d207f1bbe9a49e8fd559ce99b7f58934",
         "analyze_summary": "0d505685cec7c35d6f3e7929d0e79769ef6364fe006e5c4c535d94d7d4e36806",
@@ -36,6 +37,7 @@ GOLDEN = {
         "synth": "2fad6e4611bb50d9849a6ddb770bdd7b65347ceb227aba5577360829937e5fda",
     },
     "hover": {
+        "analyze_cal_csv": "e772571a4274f9f6bfcb5a44f9da9bc012c34c7c5fa4277a4eb8437b0a2d5e0c",
         "analyze_csv": "712c53b5612a6560d5987844e55d640e755df0de30a6baf3656207abeeb7754c",
         "analyze_json": "c1c8d5fa0a6b7c2520a9ed4abe96b260d47055ce5a8a77ebf40ffd4c056b217c",
         "analyze_summary": "e1a0a54110f923cf15bbb781e852eb335eec126e5d1d764ffce43d3ab116a620",
@@ -45,6 +47,7 @@ GOLDEN = {
         "synth": "76254beef4da29b47402478f4522036c059ead445e5228ea7c23ec85f46dbbd2",
     },
     "route": {
+        "analyze_cal_csv": "9c73658b58d48407339c669421287e7fd2c29bbe66492f20246045e6275dd295",
         "analyze_csv": "7192306a518d7d88e380686081eff0937d7acde58e49f672740319fc0de18436",
         "analyze_json": "13f2b261d87d81fa3039ae268e2450a96cb18fb3640e42c806bcf4c238b68449",
         "analyze_summary": "d5a02a74c332834a5eb6a6c50b89be879bf8faea43a5bb0c7954f4556ae06072",
@@ -78,12 +81,14 @@ def _run(*argv):
 
 
 def _measurement_flow(tmp_path, name):
-    """synth, b2b, calibrate, analyze (CSV, JSON, summary) and report."""
+    """synth, b2b, calibrate, analyze (CSV, JSON, summary, and CSV from
+    the CAL file) and report."""
     scenario = _scenario(tmp_path, name, BURSTS[name])
     out = {key: str(tmp_path / file) for key, file in (
         ("synth", "meas.bin"), ("b2b", "ref.bin"), ("calibrate", "cal.bin"),
         ("analyze_csv", "metrics.csv"), ("analyze_json", "metrics.json"),
-        ("analyze_summary", "summary.json"), ("report", "route.csv"))}
+        ("analyze_summary", "summary.json"), ("analyze_cal_csv", "metrics_cal.csv"),
+        ("report", "route.csv"))}
     _run("synth", "--scenario", scenario, "--out", out["synth"])
     _run("b2b", "--scenario", scenario, "--out", out["b2b"], "--snapshots", "2")
     _run("calibrate", "--meas", out["synth"], "--ref", out["b2b"],
@@ -92,6 +97,8 @@ def _measurement_flow(tmp_path, name):
          "--out", out["analyze_csv"], "--summary", out["analyze_summary"])
     _run("analyze", "--scenario", scenario, "--meas", out["synth"], "--ref", out["b2b"],
          "--out", out["analyze_json"], "--format", "json")
+    _run("analyze", "--scenario", scenario, "--cal", out["calibrate"],
+         "--out", out["analyze_cal_csv"])
     _run("report", "--metrics", out["analyze_csv"], "--out", out["report"])
     return out
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import eigvals_charpoly_bisect
 
 import a2gsounder as a2g
-from a2gsounder.calibration import CalibratedResponse
+from a2gsounder.capture_sim import CaptureRecord
 from a2gsounder.pipeline import route_rows
 from a2gsounder.processing import (GateConfig, GatedCIR, cir_from_tf,
                                    column_power_profile, correlation_and_eigen,
@@ -18,7 +18,7 @@ PLAN = TonePlan(tone_count=128)
 
 
 def cal_of(h, plan=PLAN):
-    return CalibratedResponse(h_f=np.asarray(h, complex), tone_plan=plan)
+    return CaptureRecord(h_f=np.asarray(h, complex), tone_plan=plan)
 
 
 def gated_of(amps, delays):

@@ -6,6 +6,7 @@ them breaks every traced run. This test reads the table from that file
 and checks each name against the package.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,6 +32,15 @@ def test_every_traced_name_resolves():
             if not callable(owner):
                 missing.append(f"{module_name}.{function}")
     assert not missing, f"traced names missing from a2gsounder: {missing}"
+
+
+def test_capture_record_has_the_field_the_tracer_reads():
+    # spans._extra reads args[0].h_f of cir_from_tf and
+    # correlation_and_eigen, whose first argument is a CaptureRecord
+    from a2gsounder.capture_sim import CaptureRecord
+
+    assert "h_f" in {f.name for f in dataclasses.fields(CaptureRecord)}
+    assert "args[0].h_f" in SPANS.read_text()
 
 
 def test_traced_commands_are_dispatched():

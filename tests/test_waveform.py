@@ -29,6 +29,13 @@ class TestTonePlan:
         mean = plan.tone_frequencies.mean()
         assert abs(mean - 3.5e9) <= 1e-12 * 3.5e9
 
+    @pytest.mark.parametrize("field", ["center_frequency", "tone_spacing",
+                                       "tone_count", "nominal_bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TonePlan(**{field: value})
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             TonePlan(center_frequency=3.5e9, tone_spacing=20e3, tone_count=1)
