@@ -23,6 +23,8 @@ import warnings
 import numpy as np
 
 from .capture_sim import CaptureRecord
+from .config import (DEFAULTS, SCHEMA, SchemaError, _integer, _merge, _number,
+                     _one_of, _section, _text, _vector)
 from .waveform import TonePlan
 
 MAGIC = b"A2GS"
@@ -85,31 +87,30 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
             fh.write(r.h_f.astype("<c8").tobytes())
 
 
-_COUNTS = ("snapshot_count", "port_count", "tone_count")
-_PER_SNAPSHOT = ("timestamps", "tx_positions", "tx_tilts", "snapshot_indices")
-_HEADER_KEYS = (("record_type", "config_hash", "geometry_hash", "tone_plan", "snr_db", "seed")
-                + _COUNTS + _PER_SNAPSHOT)
+def _tone_plan(value, path):
+    """Rule: a tone plan object, checked by the scenario's tone_plan rules."""
+    plan = _merge(DEFAULTS["tone_plan"], value, path)
+    return _section(SCHEMA["tone_plan"], plan, path, TonePlan)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_vector(length):
-    return lambda value: (isinstance(value, list) and len(value) == length
-                          and all(_is_number(v) for v in value))
-
-
-# per-snapshot list -> (element check, what the message says it must be)
-_ELEMENT_RULES = {
-    "timestamps": (_is_number, "a number"),
-    "tx_positions": (_is_vector(3), "a list of 3 numbers"),
-    "tx_tilts": (_is_vector(2), "a list of 2 numbers"),
-    "snapshot_indices": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+# Rule of every header field, from the scenario rules; each list of
+# _PER_SNAPSHOT holds one element per snapshot.
+_HEADER = {
+    "record_type": _one_of(*RECORD_TYPES),
+    "config_hash": _text,
+    "geometry_hash": _text,
+    "snapshot_count": _integer(minimum=0),
+    "port_count": _integer(minimum=0),
+    "tone_count": _integer(minimum=0),
+    "tone_plan": _tone_plan,
+    "snr_db": _number(nullable=True),
+    "seed": _integer(),
+}
+_PER_SNAPSHOT = {
+    "timestamps": _number(),
+    "tx_positions": _vector(3),
+    "tx_tilts": _vector(2),
+    "snapshot_indices": _integer(minimum=0),
 }
 
 
@@ -120,39 +121,20 @@ def _parse_header(blob):
     """
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON, an oversized integer
         raise CaptureFileError(f"header is not UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CaptureFileError("header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing = [key for key in (*_HEADER, *_PER_SNAPSHOT) if key not in header]
     if missing:
         raise CaptureFileError(f"header lacks {missing}")
-    if header["record_type"] not in RECORD_TYPES:
-        raise CaptureFileError(f"header record_type must be one of {RECORD_TYPES}")
-    for key in ("config_hash", "geometry_hash"):
-        if not isinstance(header[key], str):
-            raise CaptureFileError(f"header {key} must be a string")
-    for key in _COUNTS:
-        value = header[key]
-        if not _is_int(value) or value < 0:
-            raise CaptureFileError(f"header {key} must be a non-negative integer")
-    for key in _PER_SNAPSHOT:
-        value = header[key]
-        if not isinstance(value, list) or len(value) != header["snapshot_count"]:
-            raise CaptureFileError(
-                f"header {key} must list {header['snapshot_count']} snapshots")
-        check, expected = _ELEMENT_RULES[key]
-        for i, element in enumerate(value):
-            if not check(element):
-                raise CaptureFileError(f"header {key}[{i}] must be {expected}")
-    if not (header["snr_db"] is None or _is_number(header["snr_db"])):
-        raise CaptureFileError("header snr_db must be a number or null")
-    if not _is_int(header["seed"]):
-        raise CaptureFileError("header seed must be an integer")
     try:
-        plan = TonePlan(**header["tone_plan"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CaptureFileError(f"header tone_plan is malformed: {exc}") from exc
+        checked = {key: rule(header[key], key) for key, rule in _HEADER.items()}
+        for key, rule in _PER_SNAPSHOT.items():
+            _vector(header["snapshot_count"], rule)(header[key], key)
+    except SchemaError as exc:
+        raise CaptureFileError(f"header {exc}") from exc
+    plan = checked["tone_plan"]
     if plan.tone_count != header["tone_count"]:
         raise CaptureFileError(f"header tone_plan has {plan.tone_count} tones, "
                                f"tone_count is {header['tone_count']}")

@@ -10,8 +10,9 @@ Subcommands:
   selftest   run the built-in invariant suite
 
 Exit codes: 0 ok, 2 schema/config error (including a scene whose
-geometry cannot be synthesized), 3 missing input file,
-4 malformed capture file, 5 dimension mismatch, 6 strict hash mismatch,
+geometry cannot be synthesized and flags that conflict with --cal),
+3 missing input file, 4 malformed capture file or a metrics file that
+is not UTF-8, 5 dimension mismatch, 6 strict hash mismatch,
 1 unexpected error.
 """
 
@@ -46,7 +47,7 @@ def _load_scenario(path, seed_override=None):
             document = json.load(fh)
     except FileNotFoundError:
         raise _Exit(EXIT_MISSING_FILE, f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise _Exit(EXIT_SCHEMA, f"scenario file is not valid JSON: {exc}")
     if seed_override is not None and isinstance(document, dict):
         seeds = {"capture": {"noise_seed": seed_override,
@@ -151,6 +152,11 @@ def cmd_analyze(args):
     expected = config.scenario_hash
 
     if args.cal:
+        for flag in ("meas", "ref", "attenuator_db"):
+            if getattr(args, flag) is not None:
+                option = "--" + flag.replace("_", "-")
+                raise _Exit(EXIT_SCHEMA, f"{option} cannot be used with --cal, "
+                                         "whose file is already calibrated")
         cal, header = _read(args.cal, expected_hash=expected, strict=args.strict_hash)
         if header["record_type"] != "CAL":
             raise _Exit(EXIT_FORMAT, f"{args.cal} is a {header['record_type']} file, expected CAL")
@@ -188,7 +194,7 @@ def cmd_stability(args):
 def cmd_report(args):
     config_hash = None
     try:
-        with open(args.metrics) as fh:
+        with open(args.metrics, encoding="utf-8") as fh:
             first = fh.readline()
             if first.startswith("# config_hash:"):
                 config_hash = first.split(":", 1)[1].strip()
@@ -198,6 +204,8 @@ def cmd_report(args):
             rows = list(reader)
     except FileNotFoundError:
         raise _Exit(EXIT_MISSING_FILE, f"metrics file not found: {args.metrics}")
+    except UnicodeDecodeError as exc:
+        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} is not UTF-8: {exc}")
     if not rows:
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has no rows")
 

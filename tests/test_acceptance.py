@@ -187,7 +187,7 @@ def test_criterion_08_route_rotation(monkeypatch):
         seen = set()
         for m in metrics:
             bearing = math.atan2(m.tx_position[1], m.tx_position[0])
-            expected, dist = bearing_to_column(bearing, config.mounting_rotation)
+            expected, dist = bearing_to_column(bearing, config.scene.rx_mounting_rotation)
             seen.add(m.argmax_v_column)
             if sector / 2 - dist < math.radians(3.0):
                 continue  # too close to a sector boundary for the pattern to decide

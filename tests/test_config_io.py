@@ -63,6 +63,11 @@ class TestParseScenario:
             parse_scenario({"timing": {"burst_rate": "fast"}})
         with pytest.raises(SchemaError, match="tone_plan.tone_count"):
             parse_scenario({"tone_plan": {"tone_count": 10.5}})
+        with pytest.raises(SchemaError, match="capture.snr_db: expected a finite number"):
+            parse_scenario({"capture": {"snr_db": 10 ** 400}})
+        with pytest.raises(SchemaError, match=r"scene.facets\[0\].name"):
+            parse_scenario({"scene": {"facets": [
+                {"corners": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], "name": 5}]}})
 
     def test_ports_must_match_array(self):
         with pytest.raises(SchemaError, match="does not match"):
@@ -82,8 +87,20 @@ class TestParseScenario:
         assert a.scenario_hash == b.scenario_hash
         assert a.scenario_hash != c.scenario_hash
 
-    @pytest.mark.parametrize("bad", ["x", True, [1], math.nan],
-                             ids=["str", "bool", "list", "nan"])
+    @pytest.mark.parametrize("preset,digest", [
+        (None, "f7ffe4423c8ce1593902fe17768e836ddbfc5ec33a50401be4fd25035c8d4259"),
+        ("olin-static", "9d90f70e70d9759e587de07826a5b883c1590fb20207d171af0d545970ad8a6f"),
+        ("olin-hover", "7e0413f3e7977c88a28f6c17bb5a4055b0971e02a85d12c475f71ace83245d59"),
+        ("paper-route", "d948456117793dd4a33681436450852a685f0610d14b1d81199f87e766de459c"),
+    ], ids=["defaults", "olin-static", "olin-hover", "paper-route"])
+    def test_resolved_scenario_hash_pinned(self, preset, digest):
+        # the resolved document, hence every provenance hash, is part of
+        # the output contract: the bare defaults and each preset are pinned
+        document = {} if preset is None else {"preset": preset}
+        assert parse_scenario(document).scenario_hash == digest
+
+    @pytest.mark.parametrize("bad", ["x", True, [1], math.nan, -math.inf],
+                             ids=["str", "bool", "list", "nan", "neg-inf"])
     @pytest.mark.parametrize("path", list(_leaf_paths(DEFAULTS)))
     def test_every_leaf_rejects_bad_values_with_its_path(self, path, bad):
         *sections, leaf = path.split(".")
@@ -114,7 +131,7 @@ class TestParseScenario:
 
     def test_mounting_rotation_paper_orientation(self):
         config = parse_scenario({"preset": "olin-static"})
-        assert config.mounting_rotation == pytest.approx(-math.pi / 2)
+        assert config.scene.rx_mounting_rotation == pytest.approx(-math.pi / 2)
 
 
 def tiny_config(**extra):
@@ -292,8 +309,17 @@ class TestCli:
         (None, ["b2b", "--snapshots", "-2"], "--snapshots must be >= 1"),
         ({"preset": "olin-static", "gate": {"delay_gate": math.nan}}, ["synth"],
          "gate.delay_gate: expected a number, got NaN"),
+        ({"preset": "olin-static", "capture": {"snr_db": -math.inf}}, ["synth"],
+         "capture.snr_db: expected a finite number"),
+        ({"preset": "olin-static", "trajectory": {"position": [math.inf, 0, 1.8]}},
+         ["synth"], "trajectory.position[0]: expected a finite number"),
+        (None, ["analyze", "--cal", "cal.bin", "--attenuator-db", "10"], "--attenuator-db"),
+        (None, ["analyze", "--cal", "cal.bin", "--meas", "meas.bin"], "--meas"),
+        (None, ["analyze", "--cal", "cal.bin", "--ref", "ref.bin"], "--ref"),
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
-            "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number"])
+            "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number",
+            "infinite-snr", "infinite-position", "cal-with-attenuator", "cal-with-meas",
+            "cal-with-ref"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
         scenario = self.scenario_file(tmp_path)  # None: the valid test scenario
         if document is not None:
@@ -318,9 +344,14 @@ class TestCli:
                                                  "center_frequency": math.nan}}).encode(),
         lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"],
                                                  "nominal_bandwidth": math.inf}}).encode(),
+        lambda h: json.dumps({**h, "tone_plan": {**h["tone_plan"], "shiny": 1}}).encode(),
+        lambda h: json.dumps({**h, "tone_plan": [1]}).encode(),
+        # beyond the default limit of Python's int parser
+        lambda h: json.dumps(h).replace('"seed":', '"seed":' + "9" * 5000 + ',"x":').encode(),
     ], ids=["not-json", "missing-keys", "negative-count", "json-list", "short-list",
             "tone-plan-count", "infinite-tone-count", "nan-center-frequency",
-            "infinite-bandwidth"])
+            "infinite-bandwidth", "tone-plan-unknown-key", "tone-plan-list",
+            "oversized-integer"])
     def test_malformed_header_exit_code(self, tmp_path, edit):
         scenario = self.scenario_file(tmp_path)
         ref = tmp_path / "ref.bin"
@@ -337,9 +368,11 @@ class TestCli:
     @pytest.mark.parametrize("key,value", [
         ("timestamps", "x"),
         ("timestamps", True),
+        ("timestamps", math.nan),
         ("tx_positions", [1, 2]),
         ("tx_positions", "abc"),
         ("tx_positions", [1, 2, "z"]),
+        ("tx_positions", [math.inf, 0, 0]),
         ("tx_tilts", "ab"),
         ("tx_tilts", [0.0, None]),
         ("snapshot_indices", 1.5),
@@ -385,6 +418,16 @@ class TestCli:
         assert cli_main(argv + ["--meas", meas, "--ref", ref, "--out", str(out),
                                 "--attenuator-db", loss]) == 2
         assert "--attenuator-db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"", "# config_hash: \u00e9\n".encode("latin-1")],
+                             ids=["no-rows", "not-utf8"])
+    def test_unreadable_metrics_exit_code(self, tmp_path, capsys, content):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(content)
+        out = tmp_path / "route.csv"
+        assert cli_main(["report", "--metrics", str(metrics), "--out", str(out)]) == 4
+        assert str(metrics) in capsys.readouterr().err
         assert not out.exists()
 
     def test_route_crossing_a_small_facet_plane_synthesizes(self, tmp_path):
