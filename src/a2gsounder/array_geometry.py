@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-POL_V = "V"
-POL_H = "H"
-_POL_INDEX = {POL_V: 0, POL_H: 1}
+_POL_INDEX = {"V": 0, "H": 1}
 
 
 @dataclass(frozen=True)
@@ -63,42 +61,51 @@ class PatternParams:
 
 
 @dataclass(frozen=True)
-class PortDescriptor:
-    port_id: int
-    column: int
-    row: int
-    polarization: str
-    position: np.ndarray
-    boresight_azimuth: float
-
-
-@dataclass(frozen=True)
 class ArrayGeometry:
-    """Immutable port table plus pattern parameters."""
+    """Immutable port table plus pattern parameters.
+
+    Ports are the rows of three dense arrays, indexed by port id =
+    (column * rows + row) * 2 + pol with V = 0 and H = 1 (see port_id):
+    ``positions`` (n_ports, 3) element phase centers in the array frame,
+    meters, shared by an element's two ports; ``boresights`` (n_ports,)
+    column azimuths, radians; ``pol_index`` (n_ports,) 0 for V, 1 for H.
+    """
 
     radius: float
     vertical_spacing: float
     columns: int
     rows: int
-    ports: tuple
     pattern: PatternParams
-    # cached dense views for vectorized evaluation
-    positions: np.ndarray = field(repr=False, default=None)
-    boresights: np.ndarray = field(repr=False, default=None)
-    pol_index: np.ndarray = field(repr=False, default=None)
+    positions: np.ndarray = field(repr=False)
+    boresights: np.ndarray = field(repr=False)
+    pol_index: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        n = 2 * self.columns * self.rows
+        if (np.shape(self.positions) != (n, 3) or np.shape(self.boresights) != (n,)
+                or np.shape(self.pol_index) != (n,)):
+            raise ValueError(f"port arrays need {n} rows (columns*rows*2)")
 
     @property
     def n_ports(self):
-        return len(self.ports)
+        return len(self.positions)
 
-    def port(self, port_id):
-        if not 0 <= port_id < self.n_ports:
-            raise KeyError(f"unknown port_id {port_id}")
-        return self.ports[port_id]
+    def port_id(self, column, row, polarization):
+        """Port id of an element's "V" or "H" port."""
+        if not (0 <= column < self.columns and 0 <= row < self.rows):
+            raise KeyError(f"no element at column {column}, row {row}")
+        return (column * self.rows + row) * 2 + _POL_INDEX[polarization]
 
-    def port_phase_center(self, port_id):
-        """Position of the port's element in the array frame, meters."""
-        return self.port(port_id).position
+    def column_means(self, values):
+        """Mean of per-port ``values`` over each column's rows, (columns, 2),
+        V first.
+
+        Each mean reduces a contiguous copy of the column's rows, which
+        sums them in the same order as a mean of the selected ports; a
+        strided view rounds differently from 8 rows on.
+        """
+        by_column = np.asarray(values).reshape(self.columns, self.rows, 2).transpose(0, 2, 1)
+        return np.ascontiguousarray(by_column).mean(axis=-1)
 
     def port_gain(self, port_id, arrival_direction, incident_jones):
         """Complex voltage gain of one port for a plane wave.
@@ -109,7 +116,8 @@ class ArrayGeometry:
         pattern response times the co-polarized amplitude plus the
         XPD-attenuated cross-polarized leakage.
         """
-        self.port(port_id)
+        if not 0 <= port_id < self.n_ports:
+            raise KeyError(f"unknown port_id {port_id}")
         d = np.asarray(arrival_direction, dtype=np.float64)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise ValueError("arrival_direction must be unit norm")
@@ -168,11 +176,6 @@ class ArrayGeometry:
         }
 
 
-def port_id_for(column, row, polarization, rows=4):
-    """port_id = column * (2 * rows) + row * 2 + pol index (V=0, H=1)."""
-    return column * rows * 2 + row * 2 + _POL_INDEX[polarization]
-
-
 def build_cylindrical_array(columns=16, rows=4, radius=0.1091, vertical_spacing=0.0429,
                             pattern=None):
     """Place columns*rows dual-polarized elements on a cylinder.
@@ -189,36 +192,22 @@ def build_cylindrical_array(columns=16, rows=4, radius=0.1091, vertical_spacing=
         raise ValueError("radius and vertical_spacing must be positive")
     pattern = pattern or PatternParams()
 
-    ports = []
+    positions, boresights = [], []
     for column in range(columns):
         azimuth = 2.0 * math.pi * column / columns
         x = radius * math.cos(azimuth)
         y = radius * math.sin(azimuth)
         for row in range(rows):
             z = (row - (rows - 1) / 2.0) * vertical_spacing
-            position = np.array([x, y, z], dtype=np.float64)
-            for pol in (POL_V, POL_H):
-                ports.append(PortDescriptor(
-                    port_id=port_id_for(column, row, pol, rows),
-                    column=column,
-                    row=row,
-                    polarization=pol,
-                    position=position,
-                    boresight_azimuth=azimuth,
-                ))
-    ports.sort(key=lambda p: p.port_id)
-
-    positions = np.stack([p.position for p in ports])
-    boresights = np.array([p.boresight_azimuth for p in ports])
-    pol_index = np.array([_POL_INDEX[p.polarization] for p in ports], dtype=np.int64)
+            positions += [(x, y, z)] * 2  # V then H port of one element
+            boresights += [azimuth] * 2
     return ArrayGeometry(
         radius=radius,
         vertical_spacing=vertical_spacing,
         columns=columns,
         rows=rows,
-        ports=tuple(ports),
         pattern=pattern,
-        positions=positions,
-        boresights=boresights,
-        pol_index=pol_index,
+        positions=np.array(positions, dtype=np.float64),
+        boresights=np.array(boresights),
+        pol_index=np.tile(np.array([0, 1], dtype=np.int64), columns * rows),
     )

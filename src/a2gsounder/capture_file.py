@@ -99,8 +99,8 @@ _HEADER = {
     "record_type": _one_of(*RECORD_TYPES),
     "config_hash": _text,
     "geometry_hash": _text,
-    "snapshot_count": _integer(minimum=0),
-    "port_count": _integer(minimum=0),
+    "snapshot_count": _integer(minimum=1),
+    "port_count": _integer(minimum=1),
     "tone_count": _integer(minimum=0),
     "tone_plan": _tone_plan,
     "snr_db": _number(nullable=True),

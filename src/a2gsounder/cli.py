@@ -11,9 +11,9 @@ Subcommands:
 
 Exit codes: 0 ok, 2 schema/config error (including a scene whose
 geometry cannot be synthesized and flags that conflict with --cal),
-3 missing input file, 4 malformed capture file or a metrics file that
-is not UTF-8, 5 dimension mismatch, 6 strict hash mismatch,
-1 unexpected error.
+3 missing input file, 4 malformed capture file (or one of the wrong
+record type) or metrics file, 5 dimension mismatch, 6 strict hash
+mismatch, 1 unexpected error.
 """
 
 import argparse
@@ -27,9 +27,10 @@ from .capture_file import (CaptureFileError, HashMismatch, read_capture,
 from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
-from .pipeline import (analyze_records, calibrate_records, metrics_rows,
-                       report_rows, run_b2b, run_synthesis, stability_rows,
-                       summarize, write_rows_csv, write_rows_json)
+from .pipeline import (REPORT_FIELDS, analyze_records, calibrate_records,
+                       metrics_rows, report_rows, run_b2b, run_synthesis,
+                       stability_rows, summarize, write_rows_csv,
+                       write_rows_json)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -66,15 +67,21 @@ class _Exit(Exception):
         self.code = code
 
 
-def _read(path, expected_hash=None, strict=False):
+def _read(path, record_type, expected_hash=None, strict=False):
+    """Read a capture file whose header must carry ``record_type``."""
     try:
-        return read_capture(path, expected_config_hash=expected_hash, strict_hash=strict)
+        records, header = read_capture(path, expected_config_hash=expected_hash,
+                                       strict_hash=strict)
     except FileNotFoundError:
         raise _Exit(EXIT_MISSING_FILE, f"capture file not found: {path}")
     except HashMismatch as exc:
         raise _Exit(EXIT_HASH, str(exc))
     except CaptureFileError as exc:
         raise _Exit(EXIT_FORMAT, str(exc))
+    if header["record_type"] != record_type:
+        raise _Exit(EXIT_FORMAT, f"{path} is a {header['record_type']} file, "
+                                 f"expected {record_type}")
+    return records, header
 
 
 def _attenuator(args, config=None):
@@ -122,8 +129,9 @@ def _check_same_hash(meas_header, ref_header, strict):
 def _calibrated(args, config=None, expected_hash=None):
     """Read --meas and --ref, check that one config produced both, and
     divide out the reference; returns (calibrated records, meas header)."""
-    meas, meas_header = _read(args.meas, expected_hash=expected_hash, strict=args.strict_hash)
-    ref, ref_header = _read(args.ref, strict=args.strict_hash)
+    meas, meas_header = _read(args.meas, "MEAS", expected_hash=expected_hash,
+                              strict=args.strict_hash)
+    ref, ref_header = _read(args.ref, "B2B", strict=args.strict_hash)
     _check_same_hash(meas_header, ref_header, args.strict_hash)
     attenuator = _attenuator(args, config)
     try:
@@ -157,9 +165,7 @@ def cmd_analyze(args):
                 option = "--" + flag.replace("_", "-")
                 raise _Exit(EXIT_SCHEMA, f"{option} cannot be used with --cal, "
                                          "whose file is already calibrated")
-        cal, header = _read(args.cal, expected_hash=expected, strict=args.strict_hash)
-        if header["record_type"] != "CAL":
-            raise _Exit(EXIT_FORMAT, f"{args.cal} is a {header['record_type']} file, expected CAL")
+        cal, _ = _read(args.cal, "CAL", expected_hash=expected, strict=args.strict_hash)
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
@@ -180,7 +186,7 @@ def cmd_analyze(args):
 
 
 def cmd_stability(args):
-    records, header = _read(args.ref, strict=args.strict_hash)
+    records, header = _read(args.ref, "B2B", strict=args.strict_hash)
     try:
         report = stability_stats(records, port=args.port)
     except CalibrationError as exc:
@@ -202,12 +208,21 @@ def cmd_report(args):
                 fh.seek(0)
             reader = csv.DictReader(fh)
             rows = list(reader)
+            columns = reader.fieldnames
     except FileNotFoundError:
         raise _Exit(EXIT_MISSING_FILE, f"metrics file not found: {args.metrics}")
     except UnicodeDecodeError as exc:
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} is not UTF-8: {exc}")
     if not rows:
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has no rows")
+    missing = [key for key in REPORT_FIELDS if key not in columns]
+    if missing:
+        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} is not a metrics table: "
+                                 f"it lacks columns {missing}")
+    ragged = [i for i, row in enumerate(rows, 1) if None in row or None in row.values()]
+    if ragged:
+        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} rows {ragged} do not have "
+                                 "one cell per column")
 
     out_rows = report_rows(rows)
     _write_rows(args, out_rows, config_hash)

@@ -221,15 +221,15 @@ def report_rows(rows):
     """Location-indexed route table projected from metrics rows.
 
     ``rows`` are metrics_rows() dicts or the same rows read back from a
-    metrics CSV; values pass through untouched and a missing report
-    field becomes "".
+    metrics CSV, all carrying REPORT_FIELDS; values pass through
+    untouched.
     """
     if not rows:
         raise ValueError("route report needs at least one snapshot")
     out = []
     for i, row in enumerate(rows):
         entry = {"location": i}
-        entry.update((key, row.get(key, "")) for key in REPORT_FIELDS)
+        entry.update((key, row[key]) for key in REPORT_FIELDS)
         entry.update((key, value) for key, value in row.items() if key.startswith("col"))
         out.append(entry)
     return out

@@ -258,16 +258,9 @@ def column_power_profile(gated, geometry):
     if gated.n_ports != geometry.n_ports:
         raise ValueError(
             f"gated CIR has {gated.n_ports} ports but geometry has {geometry.n_ports}")
-    energy = gated.port_energy()
-    out = np.zeros((geometry.columns, 2))
-    for col in range(geometry.columns):
-        for pol in (0, 1):
-            ids = [p.port_id for p in geometry.ports
-                   if p.column == col and (0 if p.polarization == "V" else 1) == pol]
-            mean = float(np.mean(energy[ids]))
-            with np.errstate(divide="ignore"):
-                out[col, pol] = 10.0 * np.log10(mean) if mean > 0 else -math.inf
-    return out
+    means = geometry.column_means(gated.port_energy())
+    with np.errstate(divide="ignore"):
+        return np.where(means > 0, 10.0 * np.log10(means), -math.inf)
 
 
 def los_bin_power_db(gated, strongest_port):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from a2gsounder.array_geometry import (PatternParams, build_cylindrical_array,
-                                       port_id_for)
+from a2gsounder.array_geometry import (ArrayGeometry, PatternParams,
+                                       build_cylindrical_array)
 
 
 def default_array(**pattern_kwargs):
@@ -16,22 +16,22 @@ class TestConstruction:
     def test_full_array_port_count_and_indexing(self):
         geom = default_array()
         assert geom.n_ports == 128
-        assert port_id_for(4, 0, "V") == 32
-        port = geom.port(32)
-        assert (port.column, port.row, port.polarization) == (4, 0, "V")
+        assert geom.port_id(4, 0, "V") == 32
+        assert geom.boresights[32] == pytest.approx(2 * math.pi * 4 / 16)  # column 4
+        assert geom.positions[32][2] == pytest.approx(-1.5 * 0.0429)  # row 0
+        assert geom.pol_index[32] == 0  # V
 
     def test_degenerate_single_element(self):
         geom = build_cylindrical_array(1, 1, 0.05, 0.04)
         assert geom.n_ports == 2
-        np.testing.assert_array_equal(geom.ports[0].position, geom.ports[1].position)
-        assert geom.ports[0].polarization == "V"
-        assert geom.ports[1].polarization == "H"
+        np.testing.assert_array_equal(geom.positions[0], geom.positions[1])
+        assert list(geom.pol_index) == [0, 1]  # V, then H
 
     def test_port0_position_and_row_stacking(self):
         geom = default_array()
-        np.testing.assert_allclose(geom.port_phase_center(0),
+        np.testing.assert_allclose(geom.positions[0],
                                    [0.1091, 0.0, -1.5 * 0.0429], atol=1e-15)
-        zs = sorted({geom.port_phase_center(port_id_for(0, r, "V"))[2] for r in range(4)})
+        zs = sorted({geom.positions[geom.port_id(0, r, "V")][2] for r in range(4)})
         np.testing.assert_allclose(zs, np.array([-1.5, -0.5, 0.5, 1.5]) * 0.0429,
                                    atol=1e-15)
 
@@ -42,9 +42,20 @@ class TestConstruction:
 
     def test_boresight_per_column(self):
         geom = default_array()
-        for port in geom.ports:
-            assert port.boresight_azimuth == pytest.approx(
-                2 * math.pi * port.column / 16)
+        ids = []
+        for column in range(16):
+            for row in range(4):
+                for pol, index in (("V", 0), ("H", 1)):
+                    k = geom.port_id(column, row, pol)
+                    assert geom.boresights[k] == pytest.approx(2 * math.pi * column / 16)
+                    assert geom.pol_index[k] == index
+                    ids.append(k)
+        assert sorted(ids) == list(range(geom.n_ports))
+
+    def test_port_id_uses_the_arrays_rows(self):
+        geom = build_cylindrical_array(3, 9, 0.1, 0.04)
+        assert geom.port_id(1, 0, "V") == 18
+        assert geom.port_id(2, 8, "H") == geom.n_ports - 1
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -52,21 +63,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_cylindrical_array(16, 4, -0.1, 0.04)
 
+    def test_port_arrays_required(self):
+        geom = build_cylindrical_array(2, 1, 0.05, 0.04)
+        with pytest.raises(TypeError):
+            ArrayGeometry(0.05, 0.04, 2, 1, geom.pattern)
+        with pytest.raises(ValueError, match="4 rows"):
+            ArrayGeometry(0.05, 0.04, 2, 1, geom.pattern, positions=None,
+                          boresights=geom.boresights, pol_index=geom.pol_index)
+        with pytest.raises(ValueError, match="4 rows"):
+            ArrayGeometry(0.05, 0.04, 2, 1, geom.pattern, positions=geom.positions[:2],
+                          boresights=geom.boresights, pol_index=geom.pol_index)
+
 
 class TestPhaseCenterLookup:
     def test_indexing_examples(self):
         geom = default_array()
-        assert geom.port(8).column == 1 and geom.port(8).row == 0
-        p127 = geom.port(127)
-        assert (p127.column, p127.row, p127.polarization) == (15, 3, "H")
-        np.testing.assert_array_equal(geom.port_phase_center(0), geom.ports[0].position)
+        assert geom.port_id(1, 0, "V") == 8
+        assert geom.port_id(15, 3, "H") == 127
+        np.testing.assert_array_equal(geom.positions[127], geom.positions[126])
+        assert geom.positions[127][2] == pytest.approx(1.5 * 0.0429)  # row 3
+        assert geom.boresights[127] == pytest.approx(2 * math.pi * 15 / 16)
+        assert geom.pol_index[127] == 1
 
     def test_unknown_port_rejected(self):
         geom = default_array()
         with pytest.raises(KeyError):
-            geom.port_phase_center(128)
+            geom.port_gain(128, [1, 0, 0], [1, 0])
         with pytest.raises(KeyError):
             geom.port_gain(-1, [1, 0, 0], [1, 0])
+        for column, row, pol in ((16, 0, "V"), (0, 4, "V"), (-1, 0, "V"), (0, 0, "X")):
+            with pytest.raises(KeyError):
+                geom.port_id(column, row, pol)
 
 
 class TestPortGain:
@@ -111,8 +138,8 @@ class TestPortGain:
                               math.cos(el) * math.sin(az + step),
                               math.sin(el)])
             jones = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            col_c = geom.port_gain(port_id_for(3, 1, "V"), d, jones)
-            col_next = geom.port_gain(port_id_for(4, 1, "V"), d_rot, jones)
+            col_c = geom.port_gain(geom.port_id(3, 1, "V"), d, jones)
+            col_next = geom.port_gain(geom.port_id(4, 1, "V"), d_rot, jones)
             assert col_c == pytest.approx(col_next, rel=1e-12)
 
     def test_per_port_directions_match_shared_rows(self):
@@ -152,6 +179,6 @@ class TestPortGain:
         worst = math.cos(math.pi / 16) ** 0.5
         for az in np.linspace(0, 2 * math.pi, 73):
             d = [math.cos(az), math.sin(az), 0.0]
-            best = max(abs(geom.port_gain(port_id_for(c, 0, "V"), d, [1.0, 0.0]))
+            best = max(abs(geom.port_gain(geom.port_id(c, 0, "V"), d, [1.0, 0.0]))
                        for c in range(16))
             assert best >= worst - 1e-12

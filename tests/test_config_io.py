@@ -10,6 +10,9 @@ from a2gsounder.capture_file import (CaptureFileError, HashMismatch,
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
 
+# the columns `report` projects, as the header of a hand-made metrics CSV
+_REPORT_HEADER = (b"timestamp,tx_x,tx_y,tx_z,p_rx_db,sigma_tau_dbs,gamma12_db,"
+                  b"gamma14_db,argmax_v_column\n")
 
 def _leaf_paths(doc, prefix=""):
     for key, value in doc.items():
@@ -405,6 +408,59 @@ class TestCli:
         assert cli_main(argv + ["--meas", str(bad), "--ref", ref,
                                 "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("count", ["snapshot_count", "port_count"])
+    @pytest.mark.parametrize("command", ["stability", "analyze-meas", "analyze-ref",
+                                         "calibrate"])
+    def test_zero_count_header_exit_code(self, tmp_path, command, count):
+        # a header that declares no snapshots (or no ports) and no payload
+        scenario = self.scenario_file(tmp_path)
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        source = ref if command in ("stability", "analyze-ref") else meas
+        blob = open(source, "rb").read()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:end])
+        header[count] = 0
+        if count == "snapshot_count":
+            for key in ("timestamps", "tx_positions", "tx_tilts", "snapshot_indices"):
+                header[key] = []
+        edited = json.dumps(header).encode()
+        bad = str(tmp_path / "bad.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob[:8] + len(edited).to_bytes(4, "little") + edited)
+        argv = {"stability": ["stability", "--ref", bad],
+                "analyze-meas": ["analyze", "--scenario", scenario, "--meas", bad, "--ref", ref],
+                "analyze-ref": ["analyze", "--scenario", scenario, "--meas", meas, "--ref", bad],
+                "calibrate": ["calibrate", "--meas", bad, "--ref", ref]}[command]
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 4
+
+    @pytest.mark.parametrize("argv,wrong", [
+        (["calibrate", "--meas", "ref.bin", "--ref", "meas.bin"], "is a B2B file, expected MEAS"),
+        (["calibrate", "--meas", "meas.bin", "--ref", "meas.bin"], "is a MEAS file, expected B2B"),
+        (["analyze", "--meas", "ref.bin", "--ref", "meas.bin"], "is a B2B file, expected MEAS"),
+        (["analyze", "--meas", "meas.bin", "--ref", "cal.bin"], "is a CAL file, expected B2B"),
+        (["analyze", "--cal", "meas.bin"], "is a MEAS file, expected CAL"),
+        (["stability", "--ref", "meas.bin"], "is a MEAS file, expected B2B"),
+        (["stability", "--ref", "cal.bin"], "is a CAL file, expected B2B"),
+    ], ids=["calibrate-swapped", "calibrate-meas-as-ref", "analyze-swapped",
+            "analyze-cal-as-ref", "analyze-meas-as-cal", "stability-meas", "stability-cal"])
+    def test_wrong_record_type_exit_code(self, tmp_path, capsys, argv, wrong):
+        scenario = self.scenario_file(tmp_path)
+        files = {name: str(tmp_path / name) for name in ("meas.bin", "ref.bin", "cal.bin")}
+        assert cli_main(["synth", "--scenario", scenario, "--out", files["meas.bin"]]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", files["ref.bin"]]) == 0
+        assert cli_main(["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
+                         "--out", files["cal.bin"]]) == 0
+        capsys.readouterr()
+        argv = [files.get(arg, arg) for arg in argv]
+        if argv[0] == "analyze":
+            argv += ["--scenario", scenario]
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 4
+        assert wrong in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "calibrate"])
     @pytest.mark.parametrize("loss", ["0", "-3", "nan", "inf"])
     def test_bad_attenuator_exit_code(self, tmp_path, capsys, command, loss):
@@ -420,14 +476,32 @@ class TestCli:
         assert "--attenuator-db" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [b"", "# config_hash: \u00e9\n".encode("latin-1")],
-                             ids=["no-rows", "not-utf8"])
+    @pytest.mark.parametrize("content", [b"", "# config_hash: \u00e9\n".encode("latin-1"),
+                                         "analyze-json", "stability-csv",
+                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8,9\n",
+                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8\n0,1\n"],
+                             ids=["no-rows", "not-utf8", "analyze-json", "stability-csv",
+                                  "long-row", "short-row"])
     def test_unreadable_metrics_exit_code(self, tmp_path, capsys, content):
         metrics = tmp_path / "metrics.csv"
-        metrics.write_bytes(content)
+        if isinstance(content, bytes):
+            metrics.write_bytes(content)
+        else:
+            scenario = self.scenario_file(tmp_path)
+            meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+            assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+            assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+            argv = {"analyze-json": ["analyze", "--scenario", scenario, "--meas", meas,
+                                     "--ref", ref, "--format", "json"],
+                    "stability-csv": ["stability", "--ref", ref]}[content]
+            assert cli_main(argv + ["--out", str(metrics)]) == 0
+            capsys.readouterr()
         out = tmp_path / "route.csv"
         assert cli_main(["report", "--metrics", str(metrics), "--out", str(out)]) == 4
-        assert str(metrics) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(metrics) in err
+        if not isinstance(content, bytes):
+            assert "lacks columns" in err and "p_rx_db" in err
         assert not out.exists()
 
     def test_route_crossing_a_small_facet_plane_synthesizes(self, tmp_path):

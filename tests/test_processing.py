@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -245,7 +246,30 @@ class TestCorrelationAndEigen:
         assert math.isnan(report.gamma14_db)
 
 
+# (columns, rows, sha256 of column_power_profile as float64 bytes) on
+# random gated energies near 1, where the dB values keep the last bits of
+# each mean. The golden gate runs 16 x 4 arrays only; from 8 rows on, a
+# mean over a strided view of the ports sums in another order than a mean
+# over the selected ports, and the 3 x 9 digest moves.
+COLUMN_PROFILE_DIGESTS = [
+    (16, 4, "072c345d30064670f289fb92fbf24d190cd7a775857c9ec495bbb1407df8dde3"),
+    (3, 9, "c217eb5d72161bb4a30c8943391861387c7417b8ee324a129c4e26ef2842a3e1"),
+]
+
+
 class TestColumnPowerProfile:
+    @pytest.mark.parametrize("columns,rows,digest", COLUMN_PROFILE_DIGESTS,
+                             ids=[f"{c}x{r}" for c, r, _ in COLUMN_PROFILE_DIGESTS])
+    def test_profile_is_byte_identical(self, columns, rows, digest):
+        geom = a2g.build_cylindrical_array(columns, rows, 0.1, 0.04)
+        rng = np.random.default_rng(1000 * columns + rows)
+        shape = (geom.n_ports, 32)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 8.0
+        h[:, rng.random(32) < 0.5] = 0
+        profile = column_power_profile(gated_of(h, np.arange(32) * 1e-9), geom)
+        assert profile.shape == (columns, 2)
+        assert hashlib.sha256(np.ascontiguousarray(profile, "<f8").tobytes()).hexdigest() == digest
+
     def test_uniform_energy(self):
         geom = a2g.build_cylindrical_array(4, 2, 0.1, 0.04)
         h = np.ones((geom.n_ports, 8), complex)  # per-port energy 8
