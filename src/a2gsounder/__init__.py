@@ -1,7 +1,7 @@
 """Virtual air-to-ground massive-MIMO channel sounder and analysis toolkit."""
 
 from .array_geometry import build_cylindrical_array
-from .calibration import calibrate, stability_stats
+from .calibration import Reference, calibrate, stability_stats
 from .capture_sim import CaptureRecord, simulate_snapshot
 from .channel_synth import synthesize_paths
 from .config import parse_scenario

@@ -2,11 +2,13 @@
 
 Calibration divides each measured transfer function by the back-to-back
 reference and multiplies by the known attenuator response, leaving the
-antenna+channel response per port. Stability statistics reduce a B2B
-series to one relative amplitude/phase sample per snapshot against the
-first snapshot.
+antenna+channel response per port; a Reference checks the reference
+and computes the attenuator response once for every measurement.
+Stability statistics reduce a B2B series to one relative
+amplitude/phase sample per snapshot against the first snapshot.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,37 +28,43 @@ class StabilityReport:
     rel_phase_deg: np.ndarray
 
 
-def calibrate(meas, ref, attenuator, reference_floor_db=120.0, ref_median=None):
-    """Antenna+channel response: meas / ref times the attenuator response.
-
-    Returns ``meas``'s CaptureRecord with the calibrated ``h_f`` as a CAL
-    record, which carries no SNR and seed 0.
+class Reference:
+    """A back-to-back reference snapshot checked once for any number of
+    measurements, with the attenuator response on its tone grid.
 
     A reference tone more than ``reference_floor_db`` below the
     reference's median magnitude indicates corrupt calibration data and
     raises, naming the port and tone, rather than being regularized.
-    ``ref_median`` may carry a precomputed median of |ref.h_f| when many
-    measurements share one reference.
     """
-    if meas.h_f.shape != ref.h_f.shape:
+
+    def __init__(self, ref, attenuator, reference_floor_db=120.0):
+        ref_mag = np.abs(ref.h_f)
+        floor = float(np.median(ref_mag)) * 10.0 ** (-reference_floor_db / 20.0)
+        bad = np.argwhere(ref_mag <= floor)
+        if bad.size:
+            port, tone = bad[0]
+            raise CalibrationError(
+                f"reference tone below floor at port {port}, tone {tone} "
+                f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
+        self.h_f = ref.h_f
+        self.tone_plan = ref.tone_plan.to_dict()
+        self.attenuation = attenuator.response(ref.tone_plan)[np.newaxis, :]
+
+
+def calibrate(meas, reference):
+    """Antenna+channel response: meas / ref times the attenuator response.
+
+    ``reference`` is a Reference. Returns ``meas``'s CaptureRecord with
+    the calibrated ``h_f`` as a CAL record, which carries no SNR and
+    seed 0.
+    """
+    if meas.h_f.shape != reference.h_f.shape:
         raise CalibrationError(
-            f"measurement {meas.h_f.shape} and reference {ref.h_f.shape} dimensions differ")
-    if meas.tone_plan.to_dict() != ref.tone_plan.to_dict():
+            f"measurement {meas.h_f.shape} and reference {reference.h_f.shape} "
+            "dimensions differ")
+    if meas.tone_plan.to_dict() != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
-
-    ref_mag = np.abs(ref.h_f)
-    if ref_median is None:
-        ref_median = float(np.median(ref_mag))
-    floor = ref_median * 10.0 ** (-reference_floor_db / 20.0)
-    bad = np.argwhere(ref_mag <= floor)
-    if bad.size:
-        port, tone = bad[0]
-        raise CalibrationError(
-            f"reference tone below floor at port {port}, tone {tone} "
-            f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
-
-    g_att = attenuator.response(meas.tone_plan)
-    h = meas.h_f / ref.h_f * g_att[np.newaxis, :]
+    h = meas.h_f / reference.h_f * reference.attenuation
     return replace(meas, h_f=h, snr_db=None, seed=0, record_type="CAL")
 
 
@@ -66,13 +74,17 @@ def stability_stats(b2b_series, port=0):
     Each snapshot is reduced to the mean over tones of the complex ratio
     against the first snapshot (the noise-optimal scalar); amplitude is
     reported as 20*log10 magnitude and phase as the argument in degrees.
+    ``b2b_series`` is a sequence of CaptureRecords; from a CaptureFile
+    only row ``port`` of each snapshot is read, one row at a time.
     """
     if len(b2b_series) < 2:
         raise CalibrationError("stability analysis needs at least 2 snapshots")
-    n_ports = b2b_series[0].h_f.shape[0]
+    layout = getattr(b2b_series, "layout", None)
+    n_ports = layout.port_count if layout else b2b_series[0].h_f.shape[0]
     if not 0 <= port < n_ports:
         raise CalibrationError(f"port {port} out of range for {n_ports} ports")
-    first = b2b_series[0].h_f[port]
+    rows = iter(b2b_series.port_rows(port) if layout else (r.h_f[port] for r in b2b_series))
+    first = next(rows)
     if np.any(np.abs(first) == 0.0):
         raise CalibrationError(f"first snapshot has a zero tone at port {port}")
 
@@ -82,8 +94,8 @@ def stability_stats(b2b_series, port=0):
     fr, fi = first.real, first.imag
     denom = fr * fr + fi * fi
     ratios = np.empty(len(b2b_series), dtype=np.complex128)
-    for s, rec in enumerate(b2b_series):
-        tr, ti = rec.h_f[port].real, rec.h_f[port].imag
+    for s, row in enumerate(itertools.chain([first], rows)):
+        tr, ti = row.real, row.imag
         re = (tr * fr + ti * fi) / denom
         im = (ti * fr - tr * fi) / denom
         ratios[s] = complex(np.mean(re), np.mean(im))

@@ -13,12 +13,21 @@ Layout (all little-endian regardless of host):
 The header carries the record type (MEAS, B2B or CAL for calibrated
 responses), config and geometry hashes, counts, the tone plan and the
 per-snapshot metadata. Payload length is snapshots*ports*tones*8 bytes.
+
+Neither direction holds the series: write_capture writes the header
+from a Layout and then each snapshot as it arrives, and read_capture
+checks the header and size and returns a CaptureFile that reads a
+snapshot, or one port's rows, only when asked.
 """
 
+import contextlib
 import json
+import operator
 import os
 import struct
 import warnings
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,51 +49,149 @@ class HashMismatch(CaptureFileError):
     """Embedded provenance hash does not match the expected one."""
 
 
-def write_capture(path, records, config_hash="", geometry_hash="", record_type=None):
-    """Write CaptureRecords to ``path``; ``record_type`` None takes the
-    first record's.
+@dataclass(frozen=True)
+class Layout:
+    """Every header field but the two hashes: the record type, tone plan
+    and port count, the SNR and seed, and per snapshot its timestamp,
+    slot-0 TX position, tilt and index.
 
-    All records must share dimensions and tone plan. Complex samples are
-    quantized to float32 pairs; a second write of the read-back file is
-    byte-identical.
+    A scenario fixes all of them before the first snapshot is computed,
+    so write_capture can write the header first and then stream the
+    payload.
     """
-    if not records:
-        raise ValueError("no records to write")
-    first = records[0]
+
+    record_type: str
+    tone_plan: TonePlan
+    port_count: int
+    timestamps: Sequence
+    tx_positions: Sequence
+    tx_tilts: Sequence
+    snapshot_indices: Sequence
+    snr_db: float = None
+    seed: int = 0
+
+    @classmethod
+    def of(cls, records):
+        """The layout of a list of CaptureRecords; tone plan, port count,
+        record type, SNR and seed are the first record's."""
+        if not records:
+            raise ValueError("no records to write")
+        first = records[0]
+        return cls(first.record_type, first.tone_plan, first.h_f.shape[0],
+                   [r.timestamp for r in records], [r.tx_position for r in records],
+                   [r.tx_tilt for r in records], [r.snapshot_index for r in records],
+                   first.snr_db, first.seed)
+
+    def header(self, record_type, config_hash, geometry_hash):
+        """The header object write_capture writes, before JSON encoding."""
+        return {
+            "record_type": record_type,
+            "config_hash": config_hash,
+            "geometry_hash": geometry_hash,
+            "snapshot_count": len(self.timestamps),
+            "port_count": int(self.port_count),
+            "tone_count": int(self.tone_plan.tone_count),
+            "tone_plan": self.tone_plan.to_dict(),
+            "timestamps": [float(t) for t in self.timestamps],
+            "tx_positions": [_floats(p) for p in self.tx_positions],
+            "tx_tilts": [_floats(t) for t in self.tx_tilts],
+            "snapshot_indices": [int(i) for i in self.snapshot_indices],
+            "snr_db": self.snr_db,
+            "seed": int(self.seed),
+        }
+
+    def record(self, s, h_f):
+        """Snapshot ``s`` as a CaptureRecord carrying ``h_f``."""
+        return CaptureRecord(
+            h_f=h_f,
+            tone_plan=self.tone_plan,
+            timestamp=self.timestamps[s],
+            tx_position=np.array(self.tx_positions[s]),
+            tx_tilt=np.array(self.tx_tilts[s]),
+            snr_db=self.snr_db,
+            seed=self.seed,
+            snapshot_index=self.snapshot_indices[s],
+            record_type=self.record_type,
+        )
+
+
+def _floats(vector):
+    return np.asarray(vector, dtype=float).tolist()
+
+
+def _check_record(record, s, header):
+    """ValueError unless ``record`` is snapshot ``s`` as ``header`` describes it."""
+    shape = (header["port_count"], header["tone_count"])
+    if record.h_f.shape != shape:
+        raise ValueError(f"record {s} shape {record.h_f.shape} differs from {shape}")
+    fields = {
+        "tone_plan": (record.tone_plan.to_dict(), header["tone_plan"]),
+        "snr_db": (record.snr_db, header["snr_db"]),
+        "seed": (int(record.seed), header["seed"]),
+        "timestamp": (float(record.timestamp), header["timestamps"][s]),
+        "tx_position": (_floats(record.tx_position), header["tx_positions"][s]),
+        "tx_tilt": (_floats(record.tx_tilt), header["tx_tilts"][s]),
+        "snapshot_index": (int(record.snapshot_index), header["snapshot_indices"][s]),
+    }
+    for name, (got, written) in fields.items():
+        if got != written:
+            raise ValueError(f"record {s} {name} {got} differs from the header's {written}")
+
+
+def write_capture(path, records, config_hash="", geometry_hash="", record_type=None,
+                  layout=None):
+    """Write CaptureRecords to ``path``: the header, then each record's
+    payload as ``records`` yields it.
+
+    ``layout`` carries the header fields, so ``records`` may be any
+    iterable, such as a generator that computes each snapshot as it is
+    written, and the series is never held. Without it the fields come
+    from ``records``: a CaptureFile's own, or those of the records,
+    which are then all taken first. ``record_type`` None takes the
+    layout's. Each record must match the header written before it.
+    Complex samples are quantized to float32 pairs; a second write of
+    the read-back file is byte-identical.
+
+    The file is written under a temporary name beside ``path`` and
+    renamed at the end, so any error, whether a record that disagrees
+    with the header or one raised while ``records`` computes a
+    snapshot, leaves no file at ``path`` and is raised again.
+    """
+    if layout is None:
+        layout = getattr(records, "layout", None)
+    if layout is None:
+        records = list(records)
+        layout = Layout.of(records)
     if record_type is None:
-        record_type = first.record_type
+        record_type = layout.record_type
     if record_type not in RECORD_TYPES:
         raise ValueError(f"record_type must be one of {RECORD_TYPES}")
-
-    shape = first.h_f.shape
-    for i, r in enumerate(records):
-        if r.h_f.shape != shape:
-            raise ValueError(f"record {i} shape {r.h_f.shape} differs from {shape}")
-
-    header = {
-        "record_type": record_type,
-        "config_hash": config_hash,
-        "geometry_hash": geometry_hash,
-        "snapshot_count": len(records),
-        "port_count": int(shape[0]),
-        "tone_count": int(shape[1]),
-        "tone_plan": first.tone_plan.to_dict(),
-        "timestamps": [float(r.timestamp) for r in records],
-        "tx_positions": [np.asarray(r.tx_position, dtype=float).tolist() for r in records],
-        "tx_tilts": [np.asarray(r.tx_tilt, dtype=float).tolist() for r in records],
-        "snapshot_indices": [int(r.snapshot_index) for r in records],
-        "snr_db": first.snr_db,
-        "seed": int(first.seed),
-    }
+    header = layout.header(record_type, config_hash, geometry_hash)
+    count = header["snapshot_count"]
+    if count == 0:
+        raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for r in records:
-            fh.write(r.h_f.astype("<c8").tobytes())
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            written = 0
+            for written, record in enumerate(records, 1):
+                if written > count:
+                    raise ValueError(f"more records than the header's {count} snapshots")
+                _check_record(record, written - 1, header)
+                fh.write(np.ascontiguousarray(record.h_f, dtype="<c8"))
+            if written < count:
+                raise ValueError(f"{written} records for a header of {count} snapshots")
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _tone_plan(value, path):
@@ -141,13 +248,71 @@ def _parse_header(blob):
     return header, plan
 
 
-def read_capture(path, expected_config_hash=None, strict_hash=False):
-    """Read a capture file back into CaptureRecords.
+class CaptureFile(Sequence):
+    """The snapshots of a capture file whose header and size read_capture
+    has checked, as a sequence of CaptureRecords.
 
-    Returns (records, header). A config-hash mismatch against
-    ``expected_config_hash`` warns by default and raises with
-    ``strict_hash``. Every record carries the header's record_type
-    (MEAS, B2B or CAL).
+    Nothing of the payload is held: indexing reads that one snapshot,
+    and port_rows one port's row of each snapshot, from the file at its
+    offset. The reads are plain positioned reads, not a memory map, so a
+    file that loses bytes after it was opened raises CaptureFileError
+    rather than a bus error.
+    """
+
+    def __init__(self, path, layout, payload_offset):
+        self.path = path
+        self.layout = layout
+        self._offset = payload_offset
+
+    def __len__(self):
+        return len(self.layout.timestamps)
+
+    def __getitem__(self, index):
+        s = range(len(self))[operator.index(index)]
+        ports, tones = self.layout.port_count, self.layout.tone_plan.tone_count
+        with self._open() as fh:
+            h_f = self._read(fh, s, 0, ports * tones).reshape(ports, tones)
+        return self.layout.record(s, h_f)
+
+    def port_rows(self, port):
+        """Row ``port`` of every snapshot in time order, each a complex128
+        tone vector; no other bytes of the payload are read."""
+        if not 0 <= port < self.layout.port_count:
+            raise IndexError(f"port {port} out of range for {self.layout.port_count} ports")
+        with self._open() as fh:
+            for s in range(len(self)):
+                yield self._read(fh, s, port, self.layout.tone_plan.tone_count)
+
+    def _open(self):
+        try:
+            return open(self.path, "rb")
+        except OSError as exc:
+            raise CaptureFileError(f"cannot reopen {self.path}: {exc}") from exc
+
+    def _read(self, fh, s, port, count):
+        """``count`` samples of snapshot ``s`` from ``port``'s first tone on."""
+        tones = self.layout.tone_plan.tone_count
+        data = np.empty(count, "<c8")
+        try:
+            fh.seek(self._offset + (s * self.layout.port_count + port) * tones * 8)
+            got = fh.readinto(data)
+        except OSError as exc:
+            raise CaptureFileError(f"cannot read snapshot {s} of {self.path}: {exc}") from exc
+        if got != data.nbytes:
+            raise CaptureFileError(f"{self.path} is truncated at snapshot {s}, port {port}: "
+                                   "it lost bytes after it was opened")
+        return data.astype(np.complex128)
+
+
+def read_capture(path, expected_config_hash=None, strict_hash=False):
+    """Open a capture file; returns (records, header).
+
+    The header and the payload size are checked here, so a malformed
+    file raises now; ``records`` is a CaptureFile, which reads each
+    snapshot from the file only when it is asked for. A config-hash
+    mismatch against ``expected_config_hash`` warns by default and
+    raises with ``strict_hash``. Every record carries the header's
+    record_type (MEAS, B2B or CAL).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -164,18 +329,15 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
             raise CaptureFileError("truncated header JSON")
         header, plan = _parse_header(blob)
 
-        snapshots = header["snapshot_count"]
-        ports = header["port_count"]
-        tones = header["tone_count"]
-        expected = snapshots * ports * tones * 8
-        # sized from the file, so a corrupt count cannot trigger a huge read
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = header["snapshot_count"] * header["port_count"] * header["tone_count"] * 8
+        offset = fh.tell()
+        # sized from the file, so every later snapshot read lies inside it
+        available = os.fstat(fh.fileno()).st_size - offset
         if available < expected:
             raise CaptureFileError(
                 f"truncated payload: expected {expected} bytes, got {available}")
         if available > expected:
             raise CaptureFileError("trailing bytes after payload")
-        payload = fh.read(expected)
 
     if expected_config_hash is not None and header["config_hash"] != expected_config_hash:
         message = (f"config hash mismatch: file has {header['config_hash'][:12]}..., "
@@ -184,20 +346,7 @@ def read_capture(path, expected_config_hash=None, strict_hash=False):
             raise HashMismatch(message)
         warnings.warn(message)
 
-    data = np.frombuffer(payload, "<c8").astype(np.complex128)
-    data = data.reshape(snapshots, ports, tones)
-
-    records = []
-    for s in range(snapshots):
-        records.append(CaptureRecord(
-            h_f=data[s],
-            tone_plan=plan,
-            timestamp=header["timestamps"][s],
-            tx_position=np.array(header["tx_positions"][s]),
-            tx_tilt=np.array(header["tx_tilts"][s]),
-            snr_db=header["snr_db"],
-            seed=header["seed"],
-            snapshot_index=header["snapshot_indices"][s],
-            record_type=header["record_type"],
-        ))
-    return records, header
+    layout = Layout(header["record_type"], plan, header["port_count"], header["timestamps"],
+                    header["tx_positions"], header["tx_tilts"], header["snapshot_indices"],
+                    header["snr_db"], header["seed"])
+    return CaptureFile(path, layout, offset), header

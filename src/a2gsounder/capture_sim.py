@@ -305,23 +305,23 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
 def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
                  noise_snr_db=None, snapshot_period=0.05):
     """Back-to-back capture series: chain and switch paths through the
-    attenuator, no channel and no antenna pattern."""
+    attenuator, no channel and no antenna pattern. Returns an ordered
+    iterator of B2B CaptureRecords, each computed as it is taken."""
     if snapshot_count < 1:
         raise ValueError("snapshot_count must be >= 1")
     att = attenuator.response(tones)
-    n_ports = len(system.per_port_gain)
     base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis] * att[np.newaxis, :]
-    records = []
-    for s in range(int(snapshot_count)):
+
+    def snapshot(s):
         tf = base * system.drift(s, kind="b2b")
-        tf = _add_noise(tf, noise_snr_db, seed, s)
-        records.append(CaptureRecord(
-            h_f=tf,
+        return CaptureRecord(
+            h_f=_add_noise(tf, noise_snr_db, seed, s),
             tone_plan=tones,
             timestamp=s * snapshot_period,
             snr_db=noise_snr_db,
             seed=seed,
             snapshot_index=s,
             record_type="B2B",
-        ))
-    return records
+        )
+
+    return map(snapshot, range(int(snapshot_count)))

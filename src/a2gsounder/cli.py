@@ -11,9 +11,12 @@ Subcommands:
 
 Exit codes: 0 ok, 2 schema/config error (including a scene whose
 geometry cannot be synthesized and flags that conflict with --cal),
-3 missing input file, 4 malformed capture file (or one of the wrong
-record type) or metrics file, 5 dimension mismatch, 6 strict hash
-mismatch, 1 unexpected error.
+3 missing input file, 4 malformed capture file (one of the wrong record
+type, or one that loses bytes after it was opened) or metrics file, 5
+dimension mismatch, 6 strict hash mismatch, 1 unexpected error.
+
+Capture files are written and read one snapshot at a time, and a
+command that fails partway leaves no output file.
 """
 
 import argparse
@@ -27,9 +30,10 @@ from .capture_file import (CaptureFileError, HashMismatch, read_capture,
 from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
-from .pipeline import (REPORT_FIELDS, analyze_records, calibrate_records,
-                       metrics_rows, report_rows, run_b2b, run_synthesis,
-                       stability_rows, summarize, write_rows_csv,
+from .pipeline import (REPORT_FIELDS, analyze_records, b2b_layout,
+                       calibrate_records, calibrated_layout, metrics_rows,
+                       report_rows, run_b2b, run_synthesis, stability_rows,
+                       summarize, synthesis_layout, write_rows_csv,
                        write_rows_json)
 from .selftest import run_selftest
 
@@ -68,7 +72,8 @@ class _Exit(Exception):
 
 
 def _read(path, record_type, expected_hash=None, strict=False):
-    """Read a capture file whose header must carry ``record_type``."""
+    """Open a capture file whose header must carry ``record_type``; its
+    snapshots are read later, as they are used."""
     try:
         records, header = read_capture(path, expected_config_hash=expected_hash,
                                        strict_hash=strict)
@@ -95,13 +100,13 @@ def _attenuator(args, config=None):
 
 def cmd_synth(args):
     config = _load_scenario(args.scenario, args.seed)
+    layout = synthesis_layout(config)
     try:
-        records = run_synthesis(config)
+        write_capture(args.out, run_synthesis(config), config_hash=config.scenario_hash,
+                      geometry_hash=config.geometry.content_hash(), layout=layout)
     except SceneError as exc:
         raise _Exit(EXIT_SCHEMA, f"scene geometry: {exc}")
-    write_capture(args.out, records, config_hash=config.scenario_hash,
-                  geometry_hash=config.geometry.content_hash(), record_type="MEAS")
-    print(f"wrote {len(records)} snapshots to {args.out}")
+    print(f"wrote {len(layout.timestamps)} snapshots to {args.out}")
     return EXIT_OK
 
 
@@ -109,10 +114,11 @@ def cmd_b2b(args):
     if args.snapshots is not None and args.snapshots < 1:
         raise _Exit(EXIT_SCHEMA, f"--snapshots must be >= 1, got {args.snapshots}")
     config = _load_scenario(args.scenario, args.seed)
-    records = run_b2b(config, snapshot_count=args.snapshots)
-    write_capture(args.out, records, config_hash=config.scenario_hash,
-                  geometry_hash=config.geometry.content_hash(), record_type="B2B")
-    print(f"wrote {len(records)} B2B snapshots to {args.out}")
+    layout = b2b_layout(config, snapshot_count=args.snapshots)
+    write_capture(args.out, run_b2b(config, snapshot_count=args.snapshots),
+                  config_hash=config.scenario_hash,
+                  geometry_hash=config.geometry.content_hash(), layout=layout)
+    print(f"wrote {len(layout.timestamps)} B2B snapshots to {args.out}")
     return EXIT_OK
 
 
@@ -127,15 +133,17 @@ def _check_same_hash(meas_header, ref_header, strict):
 
 
 def _calibrated(args, config=None, expected_hash=None):
-    """Read --meas and --ref, check that one config produced both, and
-    divide out the reference; returns (calibrated records, meas header)."""
+    """Open --meas and --ref, check that one config produced both, and
+    check the reference; returns (an ordered iterator of calibrated
+    records, the --meas CaptureFile, its header). A measurement that
+    does not fit the reference raises CalibrationError as it is taken."""
     meas, meas_header = _read(args.meas, "MEAS", expected_hash=expected_hash,
                               strict=args.strict_hash)
     ref, ref_header = _read(args.ref, "B2B", strict=args.strict_hash)
     _check_same_hash(meas_header, ref_header, args.strict_hash)
     attenuator = _attenuator(args, config)
     try:
-        return calibrate_records(meas, ref, attenuator), meas_header
+        return calibrate_records(meas, ref, attenuator), meas, meas_header
     except CalibrationError as exc:
         raise _Exit(EXIT_DIMENSION, str(exc))
 
@@ -148,10 +156,14 @@ def _write_rows(args, rows, config_hash):
 
 
 def cmd_calibrate(args):
-    cal, meas_header = _calibrated(args)
-    write_capture(args.out, cal, config_hash=meas_header["config_hash"],
-                  geometry_hash=meas_header["geometry_hash"], record_type="CAL")
-    print(f"wrote {len(cal)} calibrated snapshots to {args.out}")
+    cal, meas, meas_header = _calibrated(args)
+    try:
+        write_capture(args.out, cal, config_hash=meas_header["config_hash"],
+                      geometry_hash=meas_header["geometry_hash"],
+                      layout=calibrated_layout(meas.layout))
+    except CalibrationError as exc:
+        raise _Exit(EXIT_DIMENSION, str(exc))
+    print(f"wrote {len(meas)} calibrated snapshots to {args.out}")
     return EXIT_OK
 
 
@@ -169,11 +181,13 @@ def cmd_analyze(args):
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
-        cal, _ = _calibrated(args, config, expected_hash=expected)
+        cal, _, _ = _calibrated(args, config, expected_hash=expected)
 
     try:
-        metrics = analyze_records(cal, config.geometry, config.gate, window=args.window)
-    except ValueError as exc:
+        metrics = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
+    except CaptureFileError:
+        raise
+    except ValueError as exc:  # CalibrationError included
         raise _Exit(EXIT_DIMENSION, str(exc))
 
     _write_rows(args, metrics_rows(metrics), expected)
@@ -316,6 +330,9 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except CaptureFileError as exc:  # a snapshot read after the file was opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except Exception as exc:
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

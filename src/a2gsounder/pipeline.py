@@ -4,35 +4,48 @@ Snapshot simulation and analysis are embarrassingly parallel; the
 A2GS_THREADS environment variable caps the worker count (default 1).
 Randomness is counter-based, so the thread count never changes results.
 
-What runs where in the pool:
+Every stage is an ordered iterator, so a command holds a bounded number
+of snapshots whatever the series length: the CLI writes each snapshot
+as it is synthesized or calibrated, and analysis works in chunks. A
+pool map keeps at most two tasks per worker in flight beyond the
+result being taken. What runs where:
 
 - synthesis: the noise-free base response of each distinct static or
-  hover TX state, then every snapshot's noise and capture, each pass
-  mapped over one shared pool;
-- calibration: every measurement's division by the reference;
-- analysis: only the BLAS-free per-snapshot chain (IFFT, gating, delay
-  spread, column profile). The correlation matrix and its eigenvalues
-  run first, for every snapshot in order, on the calling thread: BLAS
-  starts threads of its own, and nested inside pool workers they spin
-  against the other workers, so analysis at two threads ran slower
-  than at one.
+  hover TX state, computed in the pool before the first snapshot is
+  returned and held for the whole run; then every snapshot's noise and
+  capture, in the pool as the snapshots are taken;
+- calibration: every measurement's division by the reference, in the
+  pool, as the measurements are read;
+- analysis: chunks of CHUNK_PER_WORKER * A2GS_THREADS calibrated
+  records. Each chunk's correlation matrices and eigenvalues run first,
+  in order, on the calling thread: BLAS starts threads of its own, and
+  nested inside pool workers they spin against the other workers, so
+  analysis at two threads ran slower than at one. Only the BLAS-free
+  rest of each snapshot (IFFT, gating, delay spread, column profile)
+  then runs in the pool.
 """
 
 import csv
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
-from .calibration import calibrate
+from .calibration import CalibrationError, Reference, calibrate
+from .capture_file import Layout
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .processing import correlation_and_eigen, snapshot_metrics
 from .waveform import snapshot_timestamps
+
+# calibrated records per worker thread in one analysis chunk
+CHUNK_PER_WORKER = 8
 
 
 def thread_count():
@@ -43,22 +56,22 @@ def thread_count():
         return 1
 
 
-@contextmanager
-def _ordered_pool():
-    """Yield map(fn, items) -> list in item order, run on up to
-    thread_count() worker threads; one pool serves every map inside the
-    block, so its worker threads are started once."""
+def _map_ordered(fn, items):
+    """Ordered iterator of fn(item), run on up to thread_count() worker
+    threads with at most two tasks per worker submitted ahead of the
+    result being taken; ``items`` is consumed as tasks are submitted."""
     workers = thread_count()
     if workers == 1:
-        yield lambda fn, items: [fn(x) for x in items]
+        yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, items: list(pool.map(fn, items))
-
-
-def _map_ordered(fn, items):
-    with _ordered_pool() as map_ordered:
-        return map_ordered(fn, items)
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def system_for(config):
@@ -82,17 +95,28 @@ def paths_for_snapshot(config, time):
                             config.tone_plan.center_frequency, tx_tilt=tx_tilt_at(traj, time))
 
 
+def synthesis_layout(config):
+    """Capture-file Layout of run_synthesis(config), from the trajectory
+    alone: each snapshot's start time, slot-0 TX position and tilt."""
+    times = snapshot_timestamps(config.timing, config.capture["burst_count"])
+    traj = config.trajectory
+    return Layout("MEAS", config.tone_plan, config.geometry.n_ports, times,
+                  tx_positions_at(traj, times), [tx_tilt_at(traj, t) for t in times],
+                  range(len(times)), config.capture["snr_db"], config.capture["noise_seed"])
+
+
 def run_synthesis(config):
-    """Simulate every snapshot of the scenario; returns CaptureRecords.
+    """Simulate every snapshot of the scenario; an ordered iterator of
+    CaptureRecords.
 
     Static and hover TX states repeat across snapshots (a static TX has
     one state, a hover TX one per wobble index), so their noise-free
     response is computed once per distinct state, at the state's first
-    snapshot time, in a first pool pass; no two workers ever compute
-    the same state. The second pass adds each snapshot's noise and
-    system response. A route snapshot's response is computed inside its
-    own task, so the route never holds more than one response per
-    worker.
+    snapshot time, in a pool pass before this returns; no two workers
+    ever compute the same state. Each snapshot's noise and system
+    response are added as the iterator is taken. A route snapshot's
+    response is computed inside its own task, so the route never holds
+    more than one response per task in flight.
     """
     system = system_for(config)
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
@@ -130,53 +154,79 @@ def run_synthesis(config):
             base_tf=base_tf,
         )
 
-    with _ordered_pool() as map_ordered:
-        bases = dict(zip(first_times, map_ordered(base_at, list(first_times.values()))))
-        return map_ordered(one, list(range(len(times))))
+    bases = dict(zip(first_times, _map_ordered(base_at, list(first_times.values()))))
+    return _map_ordered(one, range(len(times)))
+
+
+def _b2b_count(config, snapshot_count):
+    return config.capture["b2b_snapshot_count"] if snapshot_count is None else snapshot_count
+
+
+def b2b_layout(config, snapshot_count=None):
+    """Capture-file Layout of run_b2b(config, snapshot_count)."""
+    count = _b2b_count(config, snapshot_count)
+    period = 1.0 / config.timing.burst_rate
+    return Layout("B2B", config.tone_plan, config.geometry.n_ports,
+                  [s * period for s in range(count)], [np.zeros(3)] * count,
+                  [np.zeros(2)] * count, range(count),
+                  config.capture["b2b_snr_db"], config.capture["b2b_noise_seed"])
 
 
 def run_b2b(config, snapshot_count=None):
-    """Simulate a back-to-back reference series for the scenario."""
-    system = system_for(config)
-    if snapshot_count is None:
-        snapshot_count = config.capture["b2b_snapshot_count"]
+    """Simulate a back-to-back reference series for the scenario; an
+    ordered iterator of B2B CaptureRecords."""
     return simulate_b2b(
         config.tone_plan,
-        system,
+        system_for(config),
         config.attenuator,
-        snapshot_count=snapshot_count,
+        snapshot_count=_b2b_count(config, snapshot_count),
         seed=config.capture["b2b_noise_seed"],
         noise_snr_db=config.capture["b2b_snr_db"],
         snapshot_period=1.0 / config.timing.burst_rate,
     )
 
 
-def calibrate_records(meas_records, ref_records, attenuator):
-    """Calibrate every measurement against the first B2B reference snapshot.
+def calibrated_layout(layout):
+    """Layout of calibrate_records' output for measurements of ``layout``:
+    calibrate makes each one a CAL record with no SNR and seed 0."""
+    return replace(layout, record_type="CAL", snr_db=None, seed=0)
 
-    The measurements are divided in the pool; calibration is elementwise
-    numpy and starts no BLAS threads.
+
+def calibrate_records(meas_records, ref_records, attenuator):
+    """Calibrate every measurement against the first B2B reference
+    snapshot; an ordered iterator of CAL records.
+
+    The reference is checked, and the attenuator response computed, once
+    here. The measurements are then divided in the pool as they are
+    taken; calibration is elementwise numpy and starts no BLAS threads.
     """
-    ref = ref_records[0]
-    ref_median = float(np.median(np.abs(ref.h_f)))
-    return _map_ordered(lambda m: calibrate(m, ref, attenuator, ref_median=ref_median),
-                        meas_records)
+    ref = next(iter(ref_records), None)
+    if ref is None:
+        raise CalibrationError("calibration needs a reference snapshot")
+    reference = Reference(ref, attenuator)
+    return _map_ordered(lambda m: calibrate(m, reference), meas_records)
 
 
 def analyze_records(cal_records, geometry, gate, window="rect"):
-    """Per-snapshot metrics for a list of calibrated responses.
+    """Per-snapshot metrics of calibrated records; an ordered iterator.
 
-    correlation_and_eigen runs for every snapshot first, in order, on
-    the calling thread, where BLAS keeps its own threads as it does at
-    A2GS_THREADS=1; the rest of snapshot_metrics, which uses no BLAS,
-    then runs in the pool with the precomputed EigenReport. BLAS thus
-    never runs nested inside a pool worker, and the eigen columns are
-    the same bytes for any A2GS_THREADS.
+    The records are taken in chunks of CHUNK_PER_WORKER * thread_count().
+    correlation_and_eigen runs for every record of a chunk first, in
+    order, on the calling thread, where BLAS keeps its own threads as it
+    does at A2GS_THREADS=1; the rest of snapshot_metrics, which uses no
+    BLAS, then runs for the chunk in the pool with the precomputed
+    EigenReport. BLAS thus never runs nested inside a pool worker, the
+    eigen columns are the same bytes for any A2GS_THREADS, and no more
+    than one chunk of records is held.
     """
-    eigen = [correlation_and_eigen(c) for c in cal_records]
-    return _map_ordered(
-        lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
-        list(zip(cal_records, eigen)))
+    records = iter(cal_records)
+    size = CHUNK_PER_WORKER * thread_count()
+    while chunk := list(islice(records, size)):
+        eigen = [correlation_and_eigen(c) for c in chunk]
+        yield from _map_ordered(
+            lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
+            zip(chunk, eigen))
+        del chunk, eigen  # the next chunk replaces this one rather than joins it
 
 
 # One row per snapshot, in column order; CSV, JSON and the route report

@@ -118,7 +118,7 @@ def _tiny_scenario(preset="olin-static", burst_count=1):
 
 def check_file_round_trip():
     config = _tiny_scenario()
-    records = run_synthesis(config)
+    records = list(run_synthesis(config))
     with tempfile.TemporaryDirectory() as tmp:
         path1 = os.path.join(tmp, "a.bin")
         path2 = os.path.join(tmp, "b.bin")
@@ -138,14 +138,14 @@ def check_cross_run_determinism():
     config = _tiny_scenario()
     # the route runs the per-slot kernel: the TX moves between switch slots
     route = _tiny_scenario("paper-route", burst_count=2)
-    first = run_synthesis(config)
+    first = list(run_synthesis(config))
     for name, cfg, records in (("static", config, first),
                                ("route", route, run_synthesis(route))):
         again = run_synthesis(cfg)
         if not all(np.array_equal(a.h_f, b.h_f) for a, b in zip(records, again)):
             return False, f"{name} re-run produced different samples"
     ref = run_b2b(config, snapshot_count=2)
-    cal = calibrate_records(first, ref, config.attenuator)
+    cal = list(calibrate_records(first, ref, config.attenuator))
     rows1 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
     rows2 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
     same = len(rows1) == len(rows2) and all(

@@ -71,9 +71,9 @@ def test_criterion_02_calibration_oracle():
             "system": {"phase_drift_deg": 0.0, "amplitude_jitter_db": 0.0},
             "capture": {"burst_count": 1, "snr_db": None, "b2b_snr_db": None},
         })
-        records = a2g.run_synthesis(config)[:1]
+        records = list(a2g.run_synthesis(config))[:1]
         ref = a2g.run_b2b(config, snapshot_count=1)
-        cal = a2g.calibrate_records(records, ref, config.attenuator)[0]
+        cal = next(a2g.calibrate_records(records, ref, config.attenuator))
 
         from a2gsounder.pipeline import paths_for_snapshot
         paths = paths_for_snapshot(config, 0.0)
@@ -89,7 +89,7 @@ def test_criterion_03_stability_recovery():
             "preset": "olin-static",
             "capture": {"b2b_snapshot_count": 400, "b2b_snr_db": None},
         })
-        records = a2g.run_b2b(config)
+        records = list(a2g.run_b2b(config))
         report = a2g.stability_stats(records, port=0)
         assert report.amplitude_std_db == pytest.approx(0.0071, rel=0.10), \
             f"amplitude std {report.amplitude_std_db:.5f} dB"
@@ -120,9 +120,9 @@ def test_criterion_04_hover_vs_static(monkeypatch):
 def test_criterion_05_los_eigen_structure():
     with criterion(5, "static LOS: gamma12 >= 15 dB, gamma14 >= gamma12, span 40..60 dB"):
         config = static_config(burst_count=1)
-        records = a2g.run_synthesis(config)[:1]
+        records = list(a2g.run_synthesis(config))[:1]
         ref = a2g.run_b2b(config, snapshot_count=2)
-        cal = a2g.calibrate_records(records, ref, config.attenuator)[0]
+        cal = next(a2g.calibrate_records(records, ref, config.attenuator))
         metrics = a2g.snapshot_metrics(cal, config.geometry, config.gate)
         assert metrics.gamma12_db >= 15.0, f"gamma12 {metrics.gamma12_db:.2f} dB"
         assert metrics.gamma14_db >= metrics.gamma12_db
@@ -150,9 +150,9 @@ def test_criterion_06_delay_spread_oracle():
 def test_criterion_07_polarization_gap():
     with criterion(7, "argmax-column V power exceeds H by 12 +- 1.5 dB (XPD 12 dB)"):
         config = static_config(burst_count=1)
-        records = a2g.run_synthesis(config)[:1]
+        records = list(a2g.run_synthesis(config))[:1]
         ref = a2g.run_b2b(config, snapshot_count=2)
-        cal = a2g.calibrate_records(records, ref, config.attenuator)[0]
+        cal = next(a2g.calibrate_records(records, ref, config.attenuator))
         metrics = a2g.snapshot_metrics(cal, config.geometry, config.gate)
         col = metrics.argmax_v_column
         gap = metrics.column_power_db[col, 0] - metrics.column_power_db[col, 1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from a2gsounder.calibration import (CalibrationError, calibrate,
+from a2gsounder.calibration import (CalibrationError, Reference, calibrate,
                                     stability_stats)
 from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord,
                                     build_system_response,
@@ -34,7 +34,7 @@ class TestCalibrate:
     def test_flat_arithmetic(self):
         meas = record(np.full((4, PLAN.tone_count), 2.0))
         ref = record(np.full((4, PLAN.tone_count), 4.0), record_type="B2B")
-        cal = calibrate(meas, ref, FlatAttenuator(0.5))
+        cal = calibrate(meas, Reference(ref, FlatAttenuator(0.5)))
         np.testing.assert_allclose(cal.h_f, 0.25, rtol=1e-15)
 
     def test_returns_the_measurement_as_a_cal_record(self):
@@ -43,7 +43,7 @@ class TestCalibrate:
                              tx_tilt=np.array([0.01, -0.02]), snr_db=30.0, seed=7,
                              snapshot_index=5)
         ref = record(np.full((2, PLAN.tone_count), 4.0), record_type="B2B")
-        cal = calibrate(meas, ref, FlatAttenuator(0.5))
+        cal = calibrate(meas, Reference(ref, FlatAttenuator(0.5)))
         assert (cal.record_type, cal.snr_db, cal.seed) == ("CAL", None, 0)
         assert (cal.timestamp, cal.snapshot_index, cal.tone_plan) == (0.25, 5, PLAN)
         assert cal.tx_position is meas.tx_position and cal.tx_tilt is meas.tx_tilt
@@ -52,7 +52,7 @@ class TestCalibrate:
 
     def test_identity(self):
         tf = np.exp(1j * np.linspace(0, 3, PLAN.tone_count))[np.newaxis, :] * np.ones((3, 1))
-        cal = calibrate(record(tf), record(tf, record_type="B2B"), FlatAttenuator(1.0))
+        cal = calibrate(record(tf), Reference(record(tf, record_type="B2B"), FlatAttenuator(1.0)))
         np.testing.assert_allclose(cal.h_f, 1.0, rtol=1e-14)
 
     def test_linearity_in_measurement(self):
@@ -60,16 +60,17 @@ class TestCalibrate:
         tf = rng.standard_normal((3, PLAN.tone_count)) + 1j * rng.standard_normal((3, PLAN.tone_count))
         ref = rng.standard_normal((3, PLAN.tone_count)) + 1j * rng.standard_normal((3, PLAN.tone_count)) + 3.0
         alpha = 2.5 - 1.5j
-        one = calibrate(record(tf), record(ref, record_type="B2B"), FlatAttenuator(0.7))
-        two = calibrate(record(alpha * tf), record(ref, record_type="B2B"), FlatAttenuator(0.7))
+        reference = Reference(record(ref, record_type="B2B"), FlatAttenuator(0.7))
+        one = calibrate(record(tf), reference)
+        two = calibrate(record(alpha * tf), reference)
         np.testing.assert_allclose(two.h_f, alpha * one.h_f, rtol=1e-12)
 
     def test_b2b_self_calibration_returns_attenuator(self):
         system = build_system_response(PLAN, 8, seed=3, phase_drift_deg=0.0,
                                        amplitude_jitter_db=0.0)
         att = AttenuatorModel(nominal_loss_db=30.0, ripple_db=0.3)
-        b2b = simulate_b2b(PLAN, system, att, snapshot_count=1)[0]
-        cal = calibrate(b2b, b2b, att)
+        b2b = next(simulate_b2b(PLAN, system, att, snapshot_count=1))
+        cal = calibrate(b2b, Reference(b2b, att))
         expected = np.broadcast_to(att.response(PLAN), cal.h_f.shape)
         np.testing.assert_allclose(cal.h_f, expected, rtol=1e-12)
 
@@ -78,12 +79,12 @@ class TestCalibrate:
         ref[2, 17] = 1e-9
         with pytest.raises(CalibrationError, match=r"port 2, tone 17"):
             calibrate(record(np.ones((4, PLAN.tone_count))),
-                      record(ref, record_type="B2B"), FlatAttenuator(1.0))
+                      Reference(record(ref, record_type="B2B"), FlatAttenuator(1.0)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(CalibrationError, match="dimensions"):
             calibrate(record(np.ones((4, PLAN.tone_count))),
-                      record(np.ones((3, PLAN.tone_count))), FlatAttenuator(1.0))
+                      Reference(record(np.ones((3, PLAN.tone_count))), FlatAttenuator(1.0)))
 
     def test_noiseless_pipeline_recovers_ground_truth(self):
         # ripple-heavy chain and per-port gains divide out exactly
@@ -97,8 +98,8 @@ class TestCalibrate:
                                        phase_drift_deg=0.0, amplitude_jitter_db=0.0)
         att = AttenuatorModel(nominal_loss_db=30.0, ripple_db=0.2)
         meas = simulate_snapshot(paths, geom, PLAN, system)
-        ref = simulate_b2b(PLAN, system, att, snapshot_count=1)[0]
-        cal = calibrate(meas, ref, att)
+        ref = next(simulate_b2b(PLAN, system, att, snapshot_count=1))
+        cal = calibrate(meas, Reference(ref, att))
         truth = port_stack_response(paths, geom, PLAN)
         err = np.abs(cal.h_f - truth) / np.max(np.abs(truth))
         assert np.max(err) < 1e-10
@@ -126,7 +127,7 @@ class TestStabilityStats:
         system = build_system_response(PLAN, 4, seed=21,
                                        phase_drift_deg=0.6,
                                        amplitude_jitter_db=0.0071)
-        records = simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=400)
+        records = list(simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=400))
         report = stability_stats(records, port=0)
         assert report.amplitude_std_db == pytest.approx(0.0071, rel=0.10)
         assert report.phase_std_deg == pytest.approx(0.6, rel=0.10)

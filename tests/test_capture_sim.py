@@ -111,22 +111,22 @@ class TestSimulateSnapshot:
 class TestSimulateB2B:
     def test_no_stochastic_terms_means_identical_snapshots(self):
         system = ideal_system_response(PLAN, 8)
-        records = simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=4)
+        records = list(simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=4))
         for rec in records[1:]:
             np.testing.assert_array_equal(rec.h_f, records[0].h_f)
         assert all(r.record_type == "B2B" for r in records)
 
     def test_attenuation_arithmetic(self):
         system = ideal_system_response(PLAN, 8)
-        rec = simulate_b2b(PLAN, system, AttenuatorModel(nominal_loss_db=30.0),
-                           snapshot_count=1)[0]
+        rec = next(simulate_b2b(PLAN, system, AttenuatorModel(nominal_loss_db=30.0),
+                                snapshot_count=1))
         np.testing.assert_allclose(np.abs(rec.h_f), 10 ** -1.5, rtol=1e-12)
 
     def test_chain_and_port_gains_enter_b2b(self):
         system = build_system_response(PLAN, 8, seed=2, phase_drift_deg=0.0,
                                        amplitude_jitter_db=0.0)
-        rec = simulate_b2b(PLAN, system, AttenuatorModel(nominal_loss_db=20.0),
-                           snapshot_count=1)[0]
+        rec = next(simulate_b2b(PLAN, system, AttenuatorModel(nominal_loss_db=20.0),
+                                snapshot_count=1))
         expected = (system.common_chain[np.newaxis, :]
                     * system.per_port_gain[:, np.newaxis] * 0.1)
         np.testing.assert_allclose(rec.h_f, expected, rtol=1e-12)

@@ -153,7 +153,7 @@ def tiny_config(**extra):
 class TestCaptureFile:
     def test_payload_size_for_full_array(self, tmp_path):
         config = a2g.parse_scenario({"preset": "olin-static"})
-        records = a2g.run_synthesis(config)[:1]
+        records = list(a2g.run_synthesis(config))[:1]
         path = tmp_path / "one.bin"
         write_capture(path, records, config_hash=config.scenario_hash)
         with open(path, "rb") as fh:
@@ -164,7 +164,7 @@ class TestCaptureFile:
 
     def test_round_trip_preserves_payload_bits(self, tmp_path):
         config = tiny_config()
-        records = a2g.run_synthesis(config)
+        records = list(a2g.run_synthesis(config))
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         write_capture(p1, records, config_hash=config.scenario_hash)
         back, header = read_capture(p1)
@@ -183,7 +183,7 @@ class TestCaptureFile:
 
     def test_truncated_payload_rejected(self, tmp_path):
         config = tiny_config()
-        records = a2g.run_synthesis(config)
+        records = list(a2g.run_synthesis(config))
         path = tmp_path / "t.bin"
         write_capture(path, records)
         blob = path.read_bytes()
@@ -193,7 +193,7 @@ class TestCaptureFile:
 
     def test_unsupported_version_rejected(self, tmp_path):
         config = tiny_config()
-        records = a2g.run_synthesis(config)
+        records = list(a2g.run_synthesis(config))
         path = tmp_path / "v.bin"
         write_capture(path, records)
         blob = bytearray(path.read_bytes())
@@ -204,7 +204,7 @@ class TestCaptureFile:
 
     def test_hash_mismatch_warns_then_strict_raises(self, tmp_path):
         config = tiny_config()
-        records = a2g.run_synthesis(config)
+        records = list(a2g.run_synthesis(config))
         path = tmp_path / "h.bin"
         write_capture(path, records, config_hash="aaaa")
         with pytest.warns(UserWarning, match="hash"):
@@ -214,7 +214,7 @@ class TestCaptureFile:
 
     def test_mixed_dimensions_rejected(self, tmp_path):
         config = tiny_config()
-        records = a2g.run_synthesis(config)
+        records = list(a2g.run_synthesis(config))
         clone = a2g.CaptureRecord(h_f=records[0].h_f[:, :10].copy(),
                                   tone_plan=records[0].tone_plan)
         with pytest.raises(ValueError, match="shape"):
@@ -231,9 +231,9 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
         config = tiny_config(capture={"burst_count": 2})
-        serial = a2g.run_synthesis(config)
+        serial = list(a2g.run_synthesis(config))
         monkeypatch.setenv("A2GS_THREADS", "2")
-        threaded = a2g.run_synthesis(config)
+        threaded = list(a2g.run_synthesis(config))
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.h_f, b.h_f)
 

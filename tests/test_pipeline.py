@@ -39,7 +39,7 @@ def test_hover_base_response_computed_once_per_wobble_state(two_threads, monkeyp
     calls = []
     monkeypatch.setattr(pipeline, "port_stack_response",
                         recording(calls, pipeline.port_stack_response))
-    records = pipeline.run_synthesis(config)
+    records = list(pipeline.run_synthesis(config))
     assert len(records) == len(times)
     assert len(calls) == len(states)
 
@@ -48,7 +48,7 @@ def test_correlation_runs_on_the_calling_thread(two_threads, monkeypatch):
     config = tiny_hover(burst_count=3)
     records = pipeline.run_synthesis(config)
     ref = pipeline.run_b2b(config, snapshot_count=2)
-    cal = pipeline.calibrate_records(records, ref, config.attenuator)
+    cal = list(pipeline.calibrate_records(records, ref, config.attenuator))
     eigen_threads, metric_threads = [], []
     # pipeline imports both names; processing.snapshot_metrics would call
     # its own module's correlation_and_eigen if no report were passed in
@@ -57,7 +57,7 @@ def test_correlation_runs_on_the_calling_thread(two_threads, monkeypatch):
                             recording(eigen_threads, processing.correlation_and_eigen))
     monkeypatch.setattr(pipeline, "snapshot_metrics",
                         recording(metric_threads, processing.snapshot_metrics))
-    metrics = pipeline.analyze_records(cal, config.geometry, config.gate)
+    metrics = list(pipeline.analyze_records(cal, config.geometry, config.gate))
     caller = threading.get_ident()
     assert len(metrics) == len(cal) == len(eigen_threads) == len(metric_threads)
     assert set(eigen_threads) == {caller}

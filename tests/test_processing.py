@@ -337,8 +337,8 @@ class TestStaticScenarioDerivedValues:
         config = a2g.parse_scenario({"preset": "olin-static"})
         recs = a2g.run_synthesis(config)
         ref = a2g.run_b2b(config, snapshot_count=2)
-        cal = a2g.calibrate_records(recs, ref, config.attenuator)
-        m = a2g.snapshot_metrics(cal[0], config.geometry, config.gate)
+        cal = next(a2g.calibrate_records(recs, ref, config.attenuator))
+        m = a2g.snapshot_metrics(cal, config.geometry, config.gate)
         # hand two-path oracle: LOS plus the facade behind the TX
         d_los = math.dist((12.0, 0.0, 1.8), (0.0, 0.0, 1.5))
         d_refl = math.dist((38.0, 0.0, 1.8), (0.0, 0.0, 1.5))  # image in x=25

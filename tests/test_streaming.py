@@ -1,0 +1,207 @@
+"""Streaming capture path: bounded memory, lazy reads that fail closed,
+and failed writes that leave no file behind."""
+
+import json
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from a2gsounder import cli, pipeline
+from a2gsounder.calibration import stability_stats
+from a2gsounder.capture_file import CaptureFileError, Layout, read_capture, write_capture
+from a2gsounder.capture_sim import CaptureRecord
+from a2gsounder.cli import main as cli_main
+from a2gsounder.config import parse_scenario
+from a2gsounder.processing import snapshot_metrics
+from a2gsounder.waveform import TonePlan
+
+
+def series(count, ports, tones, fail_at=None):
+    """(Layout, generator) of a B2B series; the generator raises at
+    record ``fail_at``."""
+    plan = TonePlan(tone_count=tones)
+    times = [0.05 * s for s in range(count)]
+    layout = Layout("B2B", plan, ports, times, [np.zeros(3)] * count,
+                    [np.zeros(2)] * count, range(count))
+
+    def records():
+        for s in range(count):
+            if s == fail_at:
+                raise RuntimeError(f"synthesis failed at record {s}")
+            h_f = np.full((ports, tones), complex(1.0 + 0.01 * s, 0.02 * s))
+            h_f[:, 0] += 0.5j  # a tone that differs from the others
+            yield CaptureRecord(h_f=h_f, tone_plan=plan, timestamp=times[s],
+                                snapshot_index=s, record_type="B2B")
+    return layout, records()
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def tiny(preset="olin-static", **sections):
+    doc = {"preset": preset, "array": {"columns": 4, "rows": 2},
+           "timing": {"ports_per_simo": 16}, "tone_plan": {"tone_count": 32},
+           "capture": {"burst_count": 1, "b2b_snapshot_count": 3}}
+    for key, value in sections.items():
+        doc.setdefault(key, {}).update(value)
+    return doc
+
+
+def scenario_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    def test_error_in_the_records_leaves_no_file(self, tmp_path, fail_at):
+        path = tmp_path / "b2b.bin"
+        layout, records = series(5, 4, 8, fail_at=fail_at)
+        with pytest.raises(RuntimeError, match=f"record {fail_at}"):
+            write_capture(path, records, layout=layout)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_an_existing_file(self, tmp_path):
+        path = tmp_path / "b2b.bin"
+        path.write_bytes(b"earlier output")
+        layout, records = series(5, 4, 8, fail_at=2)
+        with pytest.raises(RuntimeError):
+            write_capture(path, records, layout=layout)
+        assert path.read_bytes() == b"earlier output"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: setattr(r, "timestamp", 9.0), "timestamp"),
+        (lambda r: setattr(r, "snapshot_index", 7), "snapshot_index"),
+        (lambda r: setattr(r, "h_f", r.h_f[:3]), "shape"),
+        (lambda r: setattr(r, "seed", 5), "seed"),
+    ])
+    def test_record_that_disagrees_with_the_header(self, tmp_path, change, message):
+        layout, records = series(4, 4, 8)
+
+        def altered():
+            for s, record in enumerate(records):
+                if s == 2:
+                    change(record)
+                yield record
+        with pytest.raises(ValueError, match=message):
+            write_capture(tmp_path / "b2b.bin", altered(), layout=layout)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_record_count_must_match_the_header(self, tmp_path, count):
+        layout, _ = series(4, 4, 8)
+        _, records = series(count, 4, 8)
+        with pytest.raises(ValueError, match="records"):
+            write_capture(tmp_path / "b2b.bin", records, layout=layout)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scene_error_partway_through_a_route_exits_2(self, tmp_path):
+        # the RX sits where the route's second snapshot puts the TX
+        scenario = scenario_file(tmp_path, "route.json", tiny(
+            "paper-route", timing={"simos_per_burst": 1, "burst_rate": 0.1},
+            scene={"rx_position": [5.0, 15.0, 50.0]}, capture={"burst_count": 3}))
+        config = parse_scenario(json.loads(open(scenario).read()))
+        records = pipeline.run_synthesis(config)
+        assert next(records).snapshot_index == 0
+        assert cli_main(["synth", "--scenario", scenario,
+                         "--out", str(tmp_path / "meas.bin")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["route.json"]
+
+    def test_calibration_error_while_writing_exits_5(self, tmp_path):
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        small = tiny(array={"columns": 2, "rows": 2}, timing={"ports_per_simo": 8})
+        assert cli_main(["synth", "--scenario", scenario_file(tmp_path, "a.json", tiny()),
+                         "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario_file(tmp_path, "b.json", small),
+                         "--out", ref]) == 0
+        cal = tmp_path / "cal.bin"
+        assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", str(cal)]) == 5
+        assert not cal.exists()
+        assert not (tmp_path / "cal.bin.partial").exists()
+
+
+class TestLazyRead:
+    def test_reads_fail_closed_after_truncation(self, tmp_path):
+        path = tmp_path / "b2b.bin"
+        layout, records = series(3, 4, 8)
+        write_capture(path, records, layout=layout)
+        back, header = read_capture(path)
+        os.truncate(path, path.stat().st_size - 8)  # the last port's last tone
+        assert back[0].h_f.shape == (4, 8)
+        with pytest.raises(CaptureFileError, match="truncated"):
+            back[2]
+        with pytest.raises(CaptureFileError, match="truncated"):
+            list(back.port_rows(3))
+        assert len(list(back.port_rows(2))) == 3
+        path.unlink()
+        with pytest.raises(CaptureFileError):
+            back[0]
+
+    @pytest.mark.parametrize("command", ["stability", "analyze", "calibrate"])
+    def test_cli_exits_4_when_the_file_shrinks_after_open(self, tmp_path, monkeypatch, command):
+        scenario = scenario_file(tmp_path, "s.json", tiny())
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+
+        def shrinking(path, *args, **kwargs):
+            opened = read_capture(path, *args, **kwargs)
+            os.truncate(path, os.path.getsize(path) - 8)
+            return opened
+        monkeypatch.setattr(cli, "read_capture", shrinking)
+        out = tmp_path / "out"
+        argv = {"stability": ["stability", "--ref", ref, "--port", "15"],
+                "analyze": ["analyze", "--scenario", scenario, "--meas", meas, "--ref", ref],
+                "calibrate": ["calibrate", "--meas", meas, "--ref", ref]}[command]
+        assert cli_main(argv + ["--out", str(out)]) == 4
+        assert not out.exists()
+
+
+class TestBoundedMemory:
+    def test_streamed_write_peak_does_not_grow_with_the_series(self, tmp_path):
+        ports, tones = 64, 512
+        record_bytes = ports * tones * 16
+        for count in (4, 32):
+            layout, records = series(count, ports, tones)
+            peak = peak_bytes(lambda: write_capture(tmp_path / "b2b.bin", records,
+                                                    layout=layout))
+            assert peak < 3 * record_bytes, (count, peak)
+
+    def test_open_and_stability_read_one_port_only(self, tmp_path):
+        ports, tones, count = 64, 256, 40
+        path = tmp_path / "b2b.bin"
+        layout, records = series(count, ports, tones)
+        write_capture(path, records, layout=layout)
+        reports = []
+        peak = peak_bytes(lambda: reports.append(
+            stability_stats(read_capture(path)[0], port=ports - 1)))
+        assert peak < ports * tones * 16  # one complex128 snapshot
+        listed = stability_stats(list(read_capture(path)[0]), port=ports - 1)
+        np.testing.assert_array_equal(reports[0].rel_amp_db, listed.rel_amp_db)
+        np.testing.assert_array_equal(reports[0].rel_phase_deg, listed.rel_phase_deg)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunked_analysis_matches_the_list_results(self, tmp_path, monkeypatch, threads):
+        # 21 snapshots: more than one chunk at either thread count
+        config = parse_scenario(tiny("olin-hover", tone_plan={"tone_count": 64},
+                                     capture={"burst_count": 7}))
+        cal = list(pipeline.calibrate_records(pipeline.run_synthesis(config),
+                                              pipeline.run_b2b(config), config.attenuator))
+        assert len(cal) > pipeline.CHUNK_PER_WORKER * int(threads)
+        listed = [snapshot_metrics(c, config.geometry, config.gate) for c in cal]
+        monkeypatch.setenv("A2GS_THREADS", threads)
+        chunked = pipeline.analyze_records(iter(cal), config.geometry, config.gate)
+        paths = tmp_path / "listed.csv", tmp_path / "chunked.csv"
+        for path, metrics in zip(paths, (listed, chunked)):
+            pipeline.write_rows_csv(path, pipeline.metrics_rows(metrics))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
