@@ -14,6 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+# a reference tone this far below the reference's median magnitude
+# indicates corrupt calibration data
+REFERENCE_FLOOR_DB = 120.0
+
+
 class CalibrationError(ValueError):
     pass
 
@@ -32,14 +37,14 @@ class Reference:
     """A back-to-back reference snapshot checked once for any number of
     measurements, with the attenuator response on its tone grid.
 
-    A reference tone more than ``reference_floor_db`` below the
-    reference's median magnitude indicates corrupt calibration data and
-    raises, naming the port and tone, rather than being regularized.
+    A reference tone more than REFERENCE_FLOOR_DB below the reference's
+    median magnitude raises, naming the port and tone, rather than being
+    regularized.
     """
 
-    def __init__(self, ref, attenuator, reference_floor_db=120.0):
+    def __init__(self, ref, attenuator):
         ref_mag = np.abs(ref.h_f)
-        floor = float(np.median(ref_mag)) * 10.0 ** (-reference_floor_db / 20.0)
+        floor = float(np.median(ref_mag)) * 10.0 ** (-REFERENCE_FLOOR_DB / 20.0)
         bad = np.argwhere(ref_mag <= floor)
         if bad.size:
             port, tone = bad[0]

@@ -66,17 +66,11 @@ class Facet:
             raise SceneError(f"facet '{self.name}': |reflection coefficient| must be <= 1")
         if not 0.0 <= self.cross_pol < 1.0:
             raise SceneError(f"facet '{self.name}': cross_pol must be in [0, 1)")
-        n, area = _plane_of(corners, self.name)
-        object.__setattr__(self, "_normal", n)
-        object.__setattr__(self, "_area", area)
+        object.__setattr__(self, "_normal", _plane_of(corners, self.name))
 
     @property
     def normal(self):
         return self._normal
-
-    @property
-    def area(self):
-        return self._area
 
 
 def _plane_of(corners, name):
@@ -98,7 +92,7 @@ def _plane_of(corners, name):
             raise SceneError(f"facet '{name}': corners are not coplanar")
     if area <= _PLANE_EPS:
         raise SceneError(f"facet '{name}': degenerate (zero area)")
-    return normal, area
+    return normal
 
 
 def _dot(a, b):

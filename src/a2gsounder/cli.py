@@ -6,14 +6,15 @@ Subcommands:
   calibrate  meas + ref + attenuator -> calibrated (CAL) file
   analyze    meas + ref (or CAL file) -> per-snapshot metrics + summary
   stability  B2B series -> relative amplitude/phase CSV
-  report     metrics CSV -> route table CSV
+  report     metrics CSV -> route table CSV or JSON
   selftest   run the built-in invariant suite
 
 Exit codes: 0 ok, 2 schema/config error (including a scene whose
 geometry cannot be synthesized and flags that conflict with --cal),
 3 missing input file, 4 malformed capture file (one of the wrong record
-type, or one that loses bytes after it was opened) or metrics file, 5
-dimension mismatch, 6 strict hash mismatch, 1 unexpected error.
+type, or one that loses bytes after it was opened) or metrics file (one
+with a cell that is not a number), 5 dimension mismatch, 6 strict hash
+mismatch, 1 unexpected error.
 
 Capture files are written and read one snapshot at a time, and a
 command that fails partway leaves no output file.
@@ -31,10 +32,9 @@ from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
 from .pipeline import (REPORT_FIELDS, analyze_records, b2b_layout,
-                       calibrate_records, calibrated_layout, metrics_rows,
-                       report_rows, run_b2b, run_synthesis, stability_rows,
-                       summarize, synthesis_layout, write_rows_csv,
-                       write_rows_json)
+                       calibrate_records, calibrated_layout, report_rows,
+                       run_b2b, run_synthesis, stability_rows, summarize,
+                       synthesis_layout, write_rows_csv, write_rows_json)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -184,18 +184,18 @@ def cmd_analyze(args):
         cal, _, _ = _calibrated(args, config, expected_hash=expected)
 
     try:
-        metrics = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
+        rows = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
     except CaptureFileError:
         raise
     except ValueError as exc:  # CalibrationError included
         raise _Exit(EXIT_DIMENSION, str(exc))
 
-    _write_rows(args, metrics_rows(metrics), expected)
+    _write_rows(args, rows, expected)
     if args.summary:
         with open(args.summary, "w") as fh:
-            json.dump(summarize(metrics, config_hash=expected), fh, indent=2)
+            json.dump(summarize(rows, config_hash=expected), fh, indent=2)
             fh.write("\n")
-    print(f"analyzed {len(metrics)} snapshots -> {args.out}")
+    print(f"analyzed {len(rows)} snapshots -> {args.out}")
     return EXIT_OK
 
 
@@ -209,6 +209,14 @@ def cmd_stability(args):
     print(f"amplitude std {report.amplitude_std_db:.6f} dB, "
           f"phase std {report.phase_std_deg:.6f} deg -> {args.out}")
     return EXIT_OK
+
+
+def _number(cell):
+    """A metrics CSV cell as the int or float that was written to it."""
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
 
 
 def cmd_report(args):
@@ -237,6 +245,11 @@ def cmd_report(args):
     if ragged:
         raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} rows {ragged} do not have "
                                  "one cell per column")
+    try:
+        rows = [{key: _number(cell) for key, cell in row.items()} for row in rows]
+    except ValueError as exc:
+        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has a cell that is not "
+                                 f"a number: {exc}")
 
     out_rows = report_rows(rows)
     _write_rows(args, out_rows, config_hash)

@@ -208,46 +208,33 @@ def calibrate_records(meas_records, ref_records, attenuator):
 
 
 def analyze_records(cal_records, geometry, gate, window="rect"):
-    """Per-snapshot metrics of calibrated records; an ordered iterator.
+    """Metrics rows (see snapshot_metrics) of calibrated records; an
+    ordered iterator.
 
-    The records are taken in chunks of CHUNK_PER_WORKER * thread_count().
-    correlation_and_eigen runs for every record of a chunk first, in
-    order, on the calling thread, where BLAS keeps its own threads as it
-    does at A2GS_THREADS=1; the rest of snapshot_metrics, which uses no
-    BLAS, then runs for the chunk in the pool with the precomputed
-    EigenReport. BLAS thus never runs nested inside a pool worker, the
-    eigen columns are the same bytes for any A2GS_THREADS, and no more
-    than one chunk of records is held.
+    The records are taken in chunks of CHUNK_PER_WORKER * thread_count(),
+    each analyzed by metrics_rows, so no more than one chunk of records
+    is held.
     """
     records = iter(cal_records)
     size = CHUNK_PER_WORKER * thread_count()
     while chunk := list(islice(records, size)):
-        eigen = [correlation_and_eigen(c) for c in chunk]
-        yield from _map_ordered(
-            lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
-            zip(chunk, eigen))
-        del chunk, eigen  # the next chunk replaces this one rather than joins it
+        rows = metrics_rows(chunk, geometry, gate, window)
+        del chunk  # the next chunk replaces this one rather than joins it
+        yield from rows
 
 
-# One row per snapshot, in column order; CSV, JSON and the route report
-# are all projections of these rows.
-METRIC_FIELDS = {
-    "snapshot_index": lambda m: m.snapshot_index,
-    "timestamp": lambda m: m.timestamp,
-    "tx_x": lambda m: float(m.tx_position[0]),
-    "tx_y": lambda m: float(m.tx_position[1]),
-    "tx_z": lambda m: float(m.tx_position[2]),
-    "p_rx": lambda m: m.p_rx,
-    "p_rx_db": lambda m: m.p_rx_db,
-    "sigma_tau_s": lambda m: m.sigma_tau_s,
-    "sigma_tau_dbs": lambda m: m.sigma_tau_dbs,
-    "strongest_port": lambda m: m.strongest_port,
-    "los_bin_power_db": lambda m: m.los_bin_power_db,
-    "gamma12_db": lambda m: m.gamma12_db,
-    "gamma14_db": lambda m: m.gamma14_db,
-    "eigen_span_db": lambda m: m.eigen_span_db,
-    "argmax_v_column": lambda m: m.argmax_v_column,
-}
+def metrics_rows(cal_records, geometry, gate, window="rect"):
+    """Metrics rows of a list of calibrated records, in order: every
+    record's correlation_and_eigen on the calling thread first, then the
+    rest of snapshot_metrics, which uses no BLAS, in the pool with the
+    precomputed EigenReport (see the module docstring). The eigen
+    columns are thus the same bytes for any A2GS_THREADS.
+    """
+    eigen = [correlation_and_eigen(c) for c in cal_records]
+    return list(_map_ordered(
+        lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
+        zip(cal_records, eigen)))
+
 
 # route table columns after "location"; the per-column col{c}_{v,h}_db
 # powers follow them
@@ -255,24 +242,11 @@ REPORT_FIELDS = ("timestamp", "tx_x", "tx_y", "tx_z", "p_rx_db", "sigma_tau_dbs"
                  "gamma12_db", "gamma14_db", "argmax_v_column")
 
 
-def metrics_rows(metrics):
-    """Per-snapshot rows: METRIC_FIELDS, then col{c}_v_db/col{c}_h_db per column."""
-    rows = []
-    for m in metrics:
-        row = {name: value(m) for name, value in METRIC_FIELDS.items()}
-        for col in range(m.column_power_db.shape[0]):
-            row[f"col{col}_v_db"] = m.column_power_db[col, 0]
-            row[f"col{col}_h_db"] = m.column_power_db[col, 1]
-        rows.append(row)
-    return rows
-
-
 def report_rows(rows):
     """Location-indexed route table projected from metrics rows.
 
-    ``rows`` are metrics_rows() dicts or the same rows read back from a
-    metrics CSV, all carrying REPORT_FIELDS; values pass through
-    untouched.
+    ``rows`` are snapshot_metrics rows or the same rows read back from a
+    metrics CSV, all carrying REPORT_FIELDS.
     """
     if not rows:
         raise ValueError("route report needs at least one snapshot")
@@ -283,11 +257,6 @@ def report_rows(rows):
         entry.update((key, value) for key, value in row.items() if key.startswith("col"))
         out.append(entry)
     return out
-
-
-def route_rows(metrics):
-    """Route table of SnapshotMetrics: report_rows(metrics_rows(metrics))."""
-    return report_rows(metrics_rows(metrics))
 
 
 def write_rows_csv(path, rows, config_hash=None):
@@ -332,16 +301,15 @@ def _stat(values):
     }
 
 
-def summarize(metrics, config_hash=""):
-    """Scenario summary: means and stds of the headline metrics."""
+def summarize(rows, config_hash=""):
+    """Scenario summary of metrics rows: means and stds of the headline
+    metrics."""
     return {
-        "snapshots": len(metrics),
+        "snapshots": len(rows),
         "config_hash": config_hash,
-        "gamma12_db": _stat([m.gamma12_db for m in metrics]),
-        "gamma14_db": _stat([m.gamma14_db for m in metrics]),
-        "sigma_tau_dbs": _stat([m.sigma_tau_dbs for m in metrics]),
-        "p_rx_db": _stat([m.p_rx_db for m in metrics]),
-        "los_bin_power_db": _stat([m.los_bin_power_db for m in metrics]),
+        **{key: _stat([row[key] for row in rows])
+           for key in ("gamma12_db", "gamma14_db", "sigma_tau_dbs", "p_rx_db",
+                       "los_bin_power_db")},
         # tone-average caveat: with a large coherence bandwidth the number
         # of independent frequency samples is low, so the correlation
         # matrix summarizes diversity rather than true second-order stats

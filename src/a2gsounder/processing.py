@@ -45,7 +45,6 @@ class RawCIR:
 
     h: np.ndarray          # ports x delay bins, complex
     delays: np.ndarray     # seconds, one per bin
-    window: str = "rect"
 
 
 @dataclass
@@ -84,39 +83,6 @@ class EigenReport:
     gamma14_db: float
 
 
-@dataclass
-class SnapshotMetrics:
-    """Everything the reports need for one snapshot."""
-
-    timestamp: float
-    tx_position: np.ndarray
-    p_rx: float
-    sigma_tau_s: float
-    sigma_tau_dbs: float
-    strongest_port: int
-    los_bin_power_db: float
-    gamma12_db: float
-    gamma14_db: float
-    eigenvalues: np.ndarray
-    column_power_db: np.ndarray   # columns x 2 (V, H)
-    snapshot_index: int = 0
-
-    @property
-    def p_rx_db(self):
-        return 10.0 * math.log10(self.p_rx) if self.p_rx > 0 else -math.inf
-
-    @property
-    def eigen_span_db(self):
-        e = self.eigenvalues
-        if len(e) < 2 or e[0] <= 0 or e[-1] <= 0:
-            return math.inf
-        return 10.0 * math.log10(e[0] / e[-1])
-
-    @property
-    def argmax_v_column(self):
-        return int(np.argmax(self.column_power_db[:, 0]))
-
-
 _WINDOWS = ("rect", "hann")
 
 
@@ -140,7 +106,7 @@ def cir_from_tf(cal, window="rect"):
     if window == "hann":
         h_f = h_f * np.hanning(plan.tone_count)[np.newaxis, :]
     h = np.fft.ifft(h_f, axis=1, norm="ortho")
-    return RawCIR(h=h, delays=plan.delay_bins, window=window)
+    return RawCIR(h=h, delays=plan.delay_bins)
 
 
 def threshold_and_gate(raw, gate=None):
@@ -271,7 +237,16 @@ def los_bin_power_db(gated, strongest_port):
 
 
 def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
-    """Run the full per-snapshot pipeline on a calibrated response.
+    """Run the full per-snapshot pipeline on a calibrated response; returns
+    the snapshot's metrics row.
+
+    The row is a dict in column order: index, time and slot-0 TX
+    position, received power (linear and dB), delay spread (s and dBs),
+    strongest port, LOS bin power, the eigenvalue ratios and the span
+    of the first to the last eigenvalue (+inf when either is not
+    positive), the column of strongest V power, then col{c}_v_db and
+    col{c}_h_db per column. CSV, JSON, the summary and the route report
+    all read these rows.
 
     ``eigen`` may carry correlation_and_eigen(cal) when the caller has
     computed it already; None computes it here.
@@ -281,17 +256,27 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
     spread = rms_delay_spread(gated)
     eig = eigen if eigen is not None else correlation_and_eigen(cal)
     columns = column_power_profile(gated, geometry)
-    return SnapshotMetrics(
-        timestamp=cal.timestamp,
-        tx_position=np.asarray(cal.tx_position),
-        p_rx=rx_power(gated),
-        sigma_tau_s=spread.sigma_tau_s,
-        sigma_tau_dbs=spread.sigma_tau_dbs,
-        strongest_port=spread.strongest_port,
-        los_bin_power_db=los_bin_power_db(gated, spread.strongest_port),
-        gamma12_db=eig.gamma12_db,
-        gamma14_db=eig.gamma14_db,
-        eigenvalues=eig.eigenvalues,
-        column_power_db=columns,
-        snapshot_index=cal.snapshot_index,
-    )
+    p_rx = rx_power(gated)
+    e = eig.eigenvalues
+    row = {
+        "snapshot_index": cal.snapshot_index,
+        "timestamp": cal.timestamp,
+        "tx_x": float(cal.tx_position[0]),
+        "tx_y": float(cal.tx_position[1]),
+        "tx_z": float(cal.tx_position[2]),
+        "p_rx": p_rx,
+        "p_rx_db": 10.0 * math.log10(p_rx) if p_rx > 0 else -math.inf,
+        "sigma_tau_s": spread.sigma_tau_s,
+        "sigma_tau_dbs": spread.sigma_tau_dbs,
+        "strongest_port": spread.strongest_port,
+        "los_bin_power_db": los_bin_power_db(gated, spread.strongest_port),
+        "gamma12_db": eig.gamma12_db,
+        "gamma14_db": eig.gamma14_db,
+        "eigen_span_db": (math.inf if len(e) < 2 or e[0] <= 0 or e[-1] <= 0
+                          else 10.0 * math.log10(e[0] / e[-1])),
+        "argmax_v_column": int(np.argmax(columns[:, 0])),
+    }
+    for col, (v_db, h_db) in enumerate(columns):
+        row[f"col{col}_v_db"] = v_db
+        row[f"col{col}_h_db"] = h_db
+    return row

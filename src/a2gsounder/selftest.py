@@ -15,8 +15,8 @@ import numpy as np
 from .capture_file import read_capture, write_capture
 from .capture_sim import CaptureRecord
 from .config import parse_scenario
-from .pipeline import (analyze_records, calibrate_records, metrics_rows,
-                       run_b2b, run_synthesis)
+from .pipeline import (analyze_records, calibrate_records, run_b2b,
+                       run_synthesis)
 from .processing import (GateConfig, GatedCIR, cir_from_tf,
                          correlation_and_eigen, rms_delay_spread, rx_power,
                          threshold_and_gate)
@@ -146,8 +146,8 @@ def check_cross_run_determinism():
             return False, f"{name} re-run produced different samples"
     ref = run_b2b(config, snapshot_count=2)
     cal = list(calibrate_records(first, ref, config.attenuator))
-    rows1 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
-    rows2 = metrics_rows(analyze_records(cal, config.geometry, config.gate))
+    rows1 = list(analyze_records(cal, config.geometry, config.gate))
+    rows2 = list(analyze_records(cal, config.geometry, config.gate))
     same = len(rows1) == len(rows2) and all(
         x.keys() == y.keys() and all(_same_value(x[k], y[k]) for k in x)
         for x, y in zip(rows1, rows2))

@@ -56,10 +56,6 @@ class TonePlan:
         """Alias range of the inverse transform, 1/spacing."""
         return 1.0 / self.tone_spacing
 
-    @property
-    def wavelength(self):
-        return SPEED_OF_LIGHT / self.center_frequency
-
     @cached_property
     def tone_frequencies(self):
         n = np.arange(self.tone_count, dtype=np.float64)

@@ -123,11 +123,11 @@ def test_criterion_05_los_eigen_structure():
         records = list(a2g.run_synthesis(config))[:1]
         ref = a2g.run_b2b(config, snapshot_count=2)
         cal = next(a2g.calibrate_records(records, ref, config.attenuator))
-        metrics = a2g.snapshot_metrics(cal, config.geometry, config.gate)
-        assert metrics.gamma12_db >= 15.0, f"gamma12 {metrics.gamma12_db:.2f} dB"
-        assert metrics.gamma14_db >= metrics.gamma12_db
-        assert 40.0 <= metrics.eigen_span_db <= 60.0, \
-            f"eigen span {metrics.eigen_span_db:.2f} dB"
+        row = a2g.snapshot_metrics(cal, config.geometry, config.gate)
+        assert row["gamma12_db"] >= 15.0, f"gamma12 {row['gamma12_db']:.2f} dB"
+        assert row["gamma14_db"] >= row["gamma12_db"]
+        assert 40.0 <= row["eigen_span_db"] <= 60.0, \
+            f"eigen span {row['eigen_span_db']:.2f} dB"
 
 
 def test_criterion_06_delay_spread_oracle():
@@ -153,9 +153,9 @@ def test_criterion_07_polarization_gap():
         records = list(a2g.run_synthesis(config))[:1]
         ref = a2g.run_b2b(config, snapshot_count=2)
         cal = next(a2g.calibrate_records(records, ref, config.attenuator))
-        metrics = a2g.snapshot_metrics(cal, config.geometry, config.gate)
-        col = metrics.argmax_v_column
-        gap = metrics.column_power_db[col, 0] - metrics.column_power_db[col, 1]
+        row = a2g.snapshot_metrics(cal, config.geometry, config.gate)
+        col = row["argmax_v_column"]
+        gap = row[f"col{col}_v_db"] - row[f"col{col}_h_db"]
         assert 10.5 <= gap <= 13.5, f"V-H gap {gap:.2f} dB at column {col}"
 
 
@@ -181,19 +181,19 @@ def test_criterion_08_route_rotation(monkeypatch):
         records = a2g.run_synthesis(config)
         ref = a2g.run_b2b(config, snapshot_count=2)
         cal = a2g.calibrate_records(records, ref, config.attenuator)
-        metrics = a2g.analyze_records(cal, config.geometry, config.gate)
+        rows = a2g.analyze_records(cal, config.geometry, config.gate)
 
         sector = 2.0 * math.pi / 16
         seen = set()
-        for m in metrics:
-            bearing = math.atan2(m.tx_position[1], m.tx_position[0])
+        for row in rows:
+            bearing = math.atan2(row["tx_y"], row["tx_x"])
             expected, dist = bearing_to_column(bearing, config.scene.rx_mounting_rotation)
-            seen.add(m.argmax_v_column)
+            seen.add(row["argmax_v_column"])
             if sector / 2 - dist < math.radians(3.0):
                 continue  # too close to a sector boundary for the pattern to decide
-            assert m.argmax_v_column == expected, (
-                f"t={m.timestamp:.1f}s bearing {math.degrees(bearing):.1f} deg: "
-                f"argmax {m.argmax_v_column}, oracle {expected}")
+            assert row["argmax_v_column"] == expected, (
+                f"t={row['timestamp']:.1f}s bearing {math.degrees(bearing):.1f} deg: "
+                f"argmax {row['argmax_v_column']}, oracle {expected}")
         assert seen == set(range(16)), f"columns seen: {sorted(seen)}"
 
 

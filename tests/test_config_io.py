@@ -9,6 +9,7 @@ from a2gsounder.capture_file import (CaptureFileError, HashMismatch,
                                      read_capture, write_capture)
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
+from a2gsounder.pipeline import REPORT_FIELDS
 
 # the columns `report` projects, as the header of a hand-made metrics CSV
 _REPORT_HEADER = (b"timestamp,tx_x,tx_y,tx_z,p_rx_db,sigma_tau_dbs,gamma12_db,"
@@ -283,7 +284,19 @@ class TestCli:
         assert len(lines) == 5  # provenance comment + header + 3 snapshots
         assert lines[0].startswith("# config_hash:")
         assert doc["config_hash"] in lines[0]
-        assert lines[1].startswith("snapshot_index,timestamp")
+        # the header is the metrics row's keys: 15 named columns, then the
+        # per-column powers
+        config = parse_scenario(json.load(open(scenario)))
+        cal = next(a2g.calibrate_records(a2g.run_synthesis(config), a2g.run_b2b(config),
+                                         config.attenuator))
+        header = lines[1].split(",")
+        assert header == list(a2g.snapshot_metrics(cal, config.geometry, config.gate))
+        assert header[:15] == [
+            "snapshot_index", "timestamp", "tx_x", "tx_y", "tx_z", "p_rx", "p_rx_db",
+            "sigma_tau_s", "sigma_tau_dbs", "strongest_port", "los_bin_power_db",
+            "gamma12_db", "gamma14_db", "eigen_span_db", "argmax_v_column"]
+        assert header[15:] == [f"col{c}_{pol}_db" for c in range(config.geometry.columns)
+                               for pol in ("v", "h")]
         route_lines = open(route).read().splitlines()
         assert route_lines[0] == lines[0]  # hash propagates to the route table
 
@@ -479,9 +492,11 @@ class TestCli:
     @pytest.mark.parametrize("content", [b"", "# config_hash: \u00e9\n".encode("latin-1"),
                                          "analyze-json", "stability-csv",
                                          _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8,9\n",
-                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8\n0,1\n"],
+                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8\n0,1\n",
+                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,7,x\n",
+                                         _REPORT_HEADER + b"0,1,2,3,4,5,6,,8\n"],
                              ids=["no-rows", "not-utf8", "analyze-json", "stability-csv",
-                                  "long-row", "short-row"])
+                                  "long-row", "short-row", "not-a-number", "empty-cell"])
     def test_unreadable_metrics_exit_code(self, tmp_path, capsys, content):
         metrics = tmp_path / "metrics.csv"
         if isinstance(content, bytes):
@@ -560,6 +575,30 @@ class TestCli:
         rows = json.load(open(out))
         assert len(rows) == 3
         assert "gamma12_db" in rows[0]
+
+    @pytest.mark.parametrize("doc", [None, {"preset": "paper-route"}], ids=["static", "route"])
+    def test_report_json_is_the_analyze_json_projected(self, tmp_path, doc):
+        scenario = self.scenario_file(tmp_path, doc)
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        paths = {name: str(tmp_path / name) for name in ("m.csv", "m.json", "r.json")}
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        for out, fmt in (("m.csv", "csv"), ("m.json", "json")):
+            assert cli_main(["analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+                             "--out", paths[out], "--format", fmt]) == 0
+        assert cli_main(["report", "--metrics", paths["m.csv"], "--out", paths["r.json"],
+                         "--format", "json"]) == 0
+        analyzed = json.load(open(paths["m.json"]))
+        reported = json.load(open(paths["r.json"]))
+        expected = [{"location": i, **{key: row[key] for key in REPORT_FIELDS},
+                     **{key: value for key, value in row.items() if key.startswith("col")}}
+                    for i, row in enumerate(analyzed)]
+        assert reported == expected
+        # == holds between 1 and 1.0 but not between "1" and 1: compare types too
+        assert [{k: type(v) for k, v in row.items()} for row in reported] == \
+            [{k: type(v) for k, v in row.items()} for row in expected]
+        assert isinstance(reported[0]["argmax_v_column"], int)
+        assert isinstance(reported[0]["timestamp"], float)
 
     def test_selftest_command(self):
         assert cli_main(["selftest"]) == 0

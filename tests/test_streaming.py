@@ -202,6 +202,6 @@ class TestBoundedMemory:
         monkeypatch.setenv("A2GS_THREADS", threads)
         chunked = pipeline.analyze_records(iter(cal), config.geometry, config.gate)
         paths = tmp_path / "listed.csv", tmp_path / "chunked.csv"
-        for path, metrics in zip(paths, (listed, chunked)):
-            pipeline.write_rows_csv(path, pipeline.metrics_rows(metrics))
+        for path, rows in zip(paths, (listed, chunked)):
+            pipeline.write_rows_csv(path, list(rows))
         assert paths[0].read_bytes() == paths[1].read_bytes()
