@@ -10,7 +10,8 @@ Subcommands:
   selftest   run the built-in invariant suite
 
 Exit codes: 0 ok, 2 schema/config error (including a scene whose
-geometry cannot be synthesized and flags that conflict with --cal),
+geometry cannot be synthesized, flags that conflict with --cal and an
+A2GS_THREADS that is not an integer >= 1),
 3 missing input file, 4 malformed capture file (one of the wrong record
 type, or one that loses bytes after it was opened) or metrics file (one
 with a cell that is not a number), 5 dimension mismatch, 6 strict hash
@@ -34,7 +35,7 @@ from .config import SchemaError, parse_scenario
 from .pipeline import (REPORT_FIELDS, analyze_records, b2b_layout,
                        calibrate_records, calibrated_layout, report_rows,
                        run_b2b, run_synthesis, stability_rows, summarize,
-                       synthesis_layout, write_rows_csv, write_rows_json)
+                       synthesis_layout, thread_count, write_rows_csv, write_rows_json)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -336,6 +337,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_count()  # a bad A2GS_THREADS stops every command before it starts
         return _COMMANDS[args.command](args)
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)

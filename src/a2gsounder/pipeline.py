@@ -4,35 +4,25 @@ Snapshot simulation and analysis are embarrassingly parallel; the
 A2GS_THREADS environment variable caps the worker count (default 1).
 Randomness is counter-based, so the thread count never changes results.
 
-Every stage is an ordered iterator, so a command holds a bounded number
-of snapshots whatever the series length: the CLI writes each snapshot
-as it is synthesized or calibrated, and analysis works in chunks. A
-pool map keeps at most two tasks per worker in flight beyond the
-result being taken. What runs where:
-
-- synthesis: the noise-free base response of each distinct static or
-  hover TX state, computed in the pool before the first snapshot is
-  returned and held for the whole run; then every snapshot's noise and
-  capture, in the pool as the snapshots are taken;
-- calibration: every measurement's division by the reference, in the
-  pool, as the measurements are read;
-- analysis: chunks of CHUNK_PER_WORKER * A2GS_THREADS calibrated
-  records. Each chunk's correlation matrices and eigenvalues run first,
-  in order, on the calling thread: BLAS starts threads of its own, and
-  nested inside pool workers they spin against the other workers, so
-  analysis at two threads ran slower than at one. Only the BLAS-free
-  rest of each snapshot (IFFT, gating, delay spread, column profile)
-  then runs in the pool.
+Every stage is an ordered iterator over a pool map that keeps at most
+two tasks per worker in flight beyond the result being taken, so a
+command holds a bounded number of snapshots whatever the series length.
+Synthesis first computes, in the pool, the noise-free response of each
+distinct static or hover TX state and holds it for the run; calibration
+divides each measurement by the reference; analysis runs each
+snapshot's whole snapshot_metrics as one task, with numpy's OpenBLAS
+held at one thread (see analyze_records).
 """
 
 import csv
+import ctypes
 import json
 import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import islice
+from functools import cache
 
 import numpy as np
 
@@ -41,19 +31,27 @@ from .capture_file import Layout
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
-from .processing import correlation_and_eigen, snapshot_metrics
+from .config import SchemaError
+from .processing import snapshot_metrics
 from .waveform import snapshot_timestamps
-
-# calibrated records per worker thread in one analysis chunk
-CHUNK_PER_WORKER = 8
 
 
 def thread_count():
-    value = os.environ.get("A2GS_THREADS", "1")
+    """A2GS_THREADS as an integer >= 1; 1 when unset or empty."""
+    value = os.environ.get("A2GS_THREADS", "").strip() or "1"
+    if not value.isdecimal() or int(value) < 1:
+        raise SchemaError(f"A2GS_THREADS must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS."""
     try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # another BLAS build: a pair that does nothing
+        return (lambda: None), (lambda count: None)
 
 
 def _map_ordered(fn, items):
@@ -209,31 +207,25 @@ def calibrate_records(meas_records, ref_records, attenuator):
 
 def analyze_records(cal_records, geometry, gate, window="rect"):
     """Metrics rows (see snapshot_metrics) of calibrated records; an
-    ordered iterator.
-
-    The records are taken in chunks of CHUNK_PER_WORKER * thread_count(),
-    each analyzed by metrics_rows, so no more than one chunk of records
-    is held.
+    ordered iterator, one pool task per record. numpy's OpenBLAS is held
+    at one thread from the first row until the iterator ends, is closed
+    or raises: BLAS threads nested in the pool spin against its workers,
+    and their count changes the eigen columns' last digits. Another BLAS
+    build runs with its own threading.
     """
-    records = iter(cal_records)
-    size = CHUNK_PER_WORKER * thread_count()
-    while chunk := list(islice(records, size)):
-        rows = metrics_rows(chunk, geometry, gate, window)
-        del chunk  # the next chunk replaces this one rather than joins it
-        yield from rows
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(1)
+    try:
+        yield from _map_ordered(lambda cal: snapshot_metrics(cal, geometry, gate, window),
+                                cal_records)
+    finally:
+        set_(before)
 
 
 def metrics_rows(cal_records, geometry, gate, window="rect"):
-    """Metrics rows of a list of calibrated records, in order: every
-    record's correlation_and_eigen on the calling thread first, then the
-    rest of snapshot_metrics, which uses no BLAS, in the pool with the
-    precomputed EigenReport (see the module docstring). The eigen
-    columns are thus the same bytes for any A2GS_THREADS.
-    """
-    eigen = [correlation_and_eigen(c) for c in cal_records]
-    return list(_map_ordered(
-        lambda pair: snapshot_metrics(pair[0], geometry, gate, window, eigen=pair[1]),
-        zip(cal_records, eigen)))
+    """Metrics rows of calibrated records, as a list."""
+    return list(analyze_records(cal_records, geometry, gate, window))
 
 
 # route table columns after "location"; the per-column col{c}_{v,h}_db

@@ -17,6 +17,7 @@ Delay spreads are quoted in dBs, decibels relative to one second
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,15 @@ class GatedCIR:
     def n_ports(self):
         return self.h_tau.shape[0]
 
+    @cached_property
+    def power(self):
+        """Gated power per port and delay bin."""
+        return np.abs(self.h_tau) ** 2
+
+    @cached_property
     def port_energy(self):
         """Gated energy per port."""
-        return np.sum(np.abs(self.h_tau) ** 2, axis=1)
+        return np.sum(self.power, axis=1)
 
 
 @dataclass
@@ -151,7 +158,7 @@ def threshold_and_gate(raw, gate=None):
 def rx_power(gated):
     """Total received power: non-coherent sum of gated energy over all
     ports and delay bins."""
-    return float(np.sum(np.abs(gated.h_tau) ** 2))
+    return float(np.sum(gated.power))
 
 
 def rms_delay_spread(gated):
@@ -161,14 +168,12 @@ def rms_delay_spread(gated):
     port id). A single-bin profile yields sigma 0 and a -inf dBs
     sentinel, flagged via ``single_bin``.
     """
-    energy = gated.port_energy()
-    for k in gated.all_zero_ports:
-        energy[k] = -1.0
+    energy = gated.port_energy  # exactly 0 at each of all_zero_ports
     if np.all(energy <= 0.0):
         raise ValueError("no port has surviving bins")
     strongest = int(np.argmax(energy))
 
-    pdp = np.abs(gated.h_tau[strongest]) ** 2
+    pdp = gated.power[strongest]
     nz = np.nonzero(pdp)[0]
     if nz.size == 1:
         return DelaySpread(0.0, -math.inf, strongest, single_bin=True)
@@ -186,17 +191,19 @@ def rms_delay_spread(gated):
 def correlation_and_eigen(cal):
     """Tone-averaged correlation matrix of the stacked port responses.
 
-    R = mean over tones of H(f) H(f)^dagger (ports x ports). Eigenvalues
-    are computed on the Hermitian-symmetrized matrix and sorted
-    descending; gamma12 and gamma14 are the dB ratios of the first to
-    the second and fourth. Ratios degenerate to +inf when the divisor
-    eigenvalue vanishes (rank-deficient response) and gamma14 is NaN
-    with fewer than 4 ports.
+    R = mean over tones of H(f) H(f)^dagger (ports x ports), in complex128
+    from real products at half the complex flops: Re R = X X^T of the
+    float64 view X of H, Im R = C - C^T with C = Im H Re H^T, so R is
+    exactly Hermitian. Eigenvalues are sorted descending; gamma12 and
+    gamma14 are the dB ratios of the first to the second and fourth.
+    Ratios degenerate to +inf when the divisor eigenvalue vanishes
+    (rank-deficient response) and gamma14 is NaN with fewer than 4 ports.
     """
-    h = cal.h_f
+    h = np.ascontiguousarray(cal.h_f, np.complex128)
     n_ports, n_tones = h.shape
-    r = (h @ h.conj().T) / n_tones
-    r = 0.5 * (r + r.conj().T)
+    x = h.view(np.float64)
+    c = h.imag @ h.real.T
+    r = (x @ x.T + 1j * (c - c.T)) / n_tones
     eig = np.linalg.eigvalsh(r)[::-1].copy()
 
     trace = float(np.sum(eig))
@@ -224,19 +231,18 @@ def column_power_profile(gated, geometry):
     if gated.n_ports != geometry.n_ports:
         raise ValueError(
             f"gated CIR has {gated.n_ports} ports but geometry has {geometry.n_ports}")
-    means = geometry.column_means(gated.port_energy())
+    means = geometry.column_means(gated.port_energy)
     with np.errstate(divide="ignore"):
         return np.where(means > 0, 10.0 * np.log10(means), -math.inf)
 
 
 def los_bin_power_db(gated, strongest_port):
     """Power of the strongest gated bin of the strongest port, dB."""
-    pdp = np.abs(gated.h_tau[strongest_port]) ** 2
-    peak = float(np.max(pdp))
+    peak = float(np.max(gated.power[strongest_port]))
     return 10.0 * math.log10(peak) if peak > 0 else -math.inf
 
 
-def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
+def snapshot_metrics(cal, geometry, gate=None, window="rect"):
     """Run the full per-snapshot pipeline on a calibrated response; returns
     the snapshot's metrics row.
 
@@ -247,14 +253,13 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect", eigen=None):
     positive), the column of strongest V power, then col{c}_v_db and
     col{c}_h_db per column. CSV, JSON, the summary and the route report
     all read these rows.
-
-    ``eigen`` may carry correlation_and_eigen(cal) when the caller has
-    computed it already; None computes it here.
     """
+    # the correlation first: run after the gating, its product's temporaries
+    # made glibc return and re-fault ~7 MB of pages per snapshot
+    eig = correlation_and_eigen(cal)
     raw = cir_from_tf(cal, window=window)
     gated = threshold_and_gate(raw, gate)
     spread = rms_delay_spread(gated)
-    eig = eigen if eigen is not None else correlation_and_eigen(cal)
     columns = column_power_profile(gated, geometry)
     p_rx = rx_power(gated)
     e = eig.eigenvalues

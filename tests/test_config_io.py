@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +315,22 @@ class TestCli:
                          "--out", str(tmp_path / "s.csv")]) == 4
         assert cli_main(["analyze", "--scenario", scenario,
                          "--out", str(tmp_path / "m.csv")]) == 2
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+    @pytest.mark.parametrize("command", ["synth", "report", "selftest"])
+    def test_bad_thread_count_exit_code(self, tmp_path, capsys, monkeypatch, command, value):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setenv("A2GS_THREADS", value)
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--scenario", self.scenario_file(tmp_path),
+                          "--out", str(out)],
+                "report": ["report", "--metrics", str(tmp_path / "m.csv"), "--out", str(out)],
+                "selftest": ["selftest"]}[command]
+        assert cli_main(argv) == 2
+        assert f"A2GS_THREADS must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("document,argv,names", [
         ([1, 2], ["synth", "--seed", "4"], "scenario: expected a JSON object"),

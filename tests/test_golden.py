@@ -27,33 +27,33 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "c8de2809b8c0936bd62add7005c84e3e74e637d37ceaf50f4148c71710604be2",
-        "analyze_csv": "d059adae7320fca49947e189f0a99d628ee159118208cc19c0d9dfd75b3d047f",
-        "analyze_json": "6bcd1c84fc86dedda6999d67ab0980c4d207f1bbe9a49e8fd559ce99b7f58934",
-        "analyze_summary": "0d505685cec7c35d6f3e7929d0e79769ef6364fe006e5c4c535d94d7d4e36806",
+        "analyze_cal_csv": "5032e6446d706fa34e9690c28decc82ff6da88b2ec1f8d3e5795e82ef3b2dfa4",
+        "analyze_csv": "7b5832eb153b1430a1f3b39d6720a8364f5a3817479111cec6c4fe59e0a52ec3",
+        "analyze_json": "01b275165254d3d1d0ddc144f69e7dc9da98a62e32d5f84aaa4c559daf2ebbad",
+        "analyze_summary": "db3208bf0a3bb7c260a655ed67aa8a67cf5c741bac2063d0ad14e48c9e64a89d",
         "b2b": "0f57311e12858768a4e2978fd6e951b75fd49368b2d35e89299ab61304c49e1f",
         "calibrate": "3cd1d5a2a00f47e6ef0fee932a365601b6b8cc7569452d49d8c48df84ea9f5e3",
-        "report": "91d8d3f6bdbd61dcbab4647296ed0ce9a0b2e320438f101f52a96f42758128dc",
+        "report": "660c4e06b3abed169018bee2220dbedc20f5d5b0be9b4a3f84390b83cff3023c",
         "synth": "2fad6e4611bb50d9849a6ddb770bdd7b65347ceb227aba5577360829937e5fda",
     },
     "hover": {
-        "analyze_cal_csv": "e772571a4274f9f6bfcb5a44f9da9bc012c34c7c5fa4277a4eb8437b0a2d5e0c",
-        "analyze_csv": "712c53b5612a6560d5987844e55d640e755df0de30a6baf3656207abeeb7754c",
-        "analyze_json": "c1c8d5fa0a6b7c2520a9ed4abe96b260d47055ce5a8a77ebf40ffd4c056b217c",
-        "analyze_summary": "e1a0a54110f923cf15bbb781e852eb335eec126e5d1d764ffce43d3ab116a620",
+        "analyze_cal_csv": "1b7fb0f3f3d7af51e3d3a6ea16c6d0453db7f37b386904b5f81419f6bd5fee0f",
+        "analyze_csv": "2380820aa3a2fc1b90701d727ab7a3d5bc41d391c677c4c23a5104318055c8f8",
+        "analyze_json": "66c4f9894a0c7fed73726d5e0ad16ff69801ab81cd1f887df9cdeddede3b08cf",
+        "analyze_summary": "4aa9d7197ef695718c77f97c8d9cbb92eebf4a3c72dcbc911a557b1ebbe328b8",
         "b2b": "275704e22bd675147d9cd3ff3cc75606aa077aac311661f26f01460f9d4e849e",
         "calibrate": "a32ffb546028ce19b3d8e0ea4a52889b78ad6c5276c5da1d21bee8f633ba662c",
-        "report": "479f79ee06ec017fdd9d4ed28bd4c70ab384f07763c52786de1d7745bc5a0e79",
+        "report": "16c1b9c11874d477964d3df3738417943d4c3143f57c355d6bce4d0eef8dacbd",
         "synth": "76254beef4da29b47402478f4522036c059ead445e5228ea7c23ec85f46dbbd2",
     },
     "route": {
-        "analyze_cal_csv": "9c73658b58d48407339c669421287e7fd2c29bbe66492f20246045e6275dd295",
-        "analyze_csv": "7192306a518d7d88e380686081eff0937d7acde58e49f672740319fc0de18436",
-        "analyze_json": "13f2b261d87d81fa3039ae268e2450a96cb18fb3640e42c806bcf4c238b68449",
-        "analyze_summary": "d5a02a74c332834a5eb6a6c50b89be879bf8faea43a5bb0c7954f4556ae06072",
+        "analyze_cal_csv": "a4ca8ef47eaaafddb116c9158ed67edb38efb3f39f3482b0d08ccf124704986c",
+        "analyze_csv": "9dee4a21009931ddc7f8bb0c916c3040a62aff939a32f316de4520f39e5f360d",
+        "analyze_json": "896b138fd4a5aac8281653c38344935194d81b9655d1d7b13d89a8aa956aecec",
+        "analyze_summary": "96b402fccc01925dd8b769854d2a0e66cf130eb3d8f59611c567678f28c808ef",
         "b2b": "437d1c7359c6ae4b84116429b130ffd8a365c0cab73d2e826ca1cffcf22383e3",
         "calibrate": "ab2a06c348b6b70a528f3487cbec3c00291361f22abc392e245497d064874b56",
-        "report": "8d65561551eb41b12516ca3be01d0bfd098090808a821194ba4a8e7957a49b12",
+        "report": "833cdebcd58badd30ed05819489423b7b7b2a0c138528411ffbc11affbb2650b",
         "synth": "4a06b6b5ab1c44a07d6794632784ec990f5e51896cb1431bb3f3361a7952579c",
     },
     "b2b-stability": {

@@ -1,13 +1,22 @@
-"""Where the pipeline runs its work when A2GS_THREADS > 1."""
+"""Where the pipeline runs its work when A2GS_THREADS > 1, and how it
+holds BLAS at one thread for the analysis."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+import test_golden as golden
 
 from a2gsounder import pipeline, processing
 from a2gsounder.channel_synth import wobble_index
-from a2gsounder.config import parse_scenario
+from a2gsounder.cli import main as cli_main
+from a2gsounder.config import SchemaError, parse_scenario
 from a2gsounder.waveform import snapshot_timestamps
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def tiny_hover(burst_count):
@@ -44,21 +53,115 @@ def test_hover_base_response_computed_once_per_wobble_state(two_threads, monkeyp
     assert len(calls) == len(states)
 
 
-def test_correlation_runs_on_the_calling_thread(two_threads, monkeypatch):
-    config = tiny_hover(burst_count=3)
-    records = pipeline.run_synthesis(config)
+def tiny_cal(burst_count=3):
+    config = tiny_hover(burst_count)
     ref = pipeline.run_b2b(config, snapshot_count=2)
-    cal = list(pipeline.calibrate_records(records, ref, config.attenuator))
-    eigen_threads, metric_threads = [], []
-    # pipeline imports both names; processing.snapshot_metrics would call
-    # its own module's correlation_and_eigen if no report were passed in
-    for module in (pipeline, processing):
-        monkeypatch.setattr(module, "correlation_and_eigen",
-                            recording(eigen_threads, processing.correlation_and_eigen))
-    monkeypatch.setattr(pipeline, "snapshot_metrics",
-                        recording(metric_threads, processing.snapshot_metrics))
-    metrics = list(pipeline.analyze_records(cal, config.geometry, config.gate))
-    caller = threading.get_ident()
-    assert len(metrics) == len(cal) == len(eigen_threads) == len(metric_threads)
-    assert set(eigen_threads) == {caller}
-    assert caller not in metric_threads
+    return config, list(pipeline.calibrate_records(pipeline.run_synthesis(config), ref,
+                                                   config.attenuator))
+
+
+@pytest.mark.parametrize("value,count", [(None, 1), ("", 1), ("1", 1), ("3", 3)])
+def test_thread_count_is_a_positive_integer_and_one_when_unset(monkeypatch, value, count):
+    if value is None:
+        monkeypatch.delenv("A2GS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("A2GS_THREADS", value)
+    assert pipeline.thread_count() == count
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_thread_count_rejects_a_value_that_is_not_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("A2GS_THREADS", value)
+    with pytest.raises(SchemaError, match="A2GS_THREADS"):
+        pipeline.thread_count()
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set), its count set to 3 for the test."""
+    get, set_ = pipeline._openblas_threads()
+    if get() is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    before = get()
+    set_(3)
+    yield get
+    set_(before)
+
+
+def test_analysis_runs_on_one_blas_thread_and_restores_the_count(two_threads, blas_threads,
+                                                                   monkeypatch):
+    config, cal = tiny_cal()
+    counts = []
+
+    def metrics(*args):
+        counts.append(blas_threads())
+        return processing.snapshot_metrics(*args)
+    monkeypatch.setattr(pipeline, "snapshot_metrics", metrics)
+    rows = list(pipeline.analyze_records(cal, config.geometry, config.gate))
+    assert [row["snapshot_index"] for row in rows] == [c.snapshot_index for c in cal]
+    assert counts == [1] * len(cal)
+    assert blas_threads() == 3
+
+
+def test_closing_the_analysis_partway_restores_the_blas_count(two_threads, blas_threads):
+    config, cal = tiny_cal()
+    rows = pipeline.analyze_records(cal, config.geometry, config.gate)
+    next(rows)
+    assert blas_threads() == 1
+    rows.close()
+    assert blas_threads() == 3
+
+
+def test_a_raising_record_restores_the_blas_count(two_threads, blas_threads):
+    config, cal = tiny_cal()
+
+    def records():
+        yield from cal[:2]
+        raise RuntimeError("record 2 is unreadable")
+    with pytest.raises(RuntimeError, match="record 2"):
+        list(pipeline.analyze_records(records(), config.geometry, config.gate))
+    assert blas_threads() == 3
+
+
+def test_a_blas_without_the_setter_still_yields_every_row(two_threads, monkeypatch):
+    class OtherBlas:  # a shared library that exports no OpenBLAS thread setter
+        def __init__(self, path):
+            pass
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", OtherBlas)
+    unpinned = pipeline._openblas_threads.__wrapped__()
+    assert unpinned[0]() is None
+    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: unpinned)
+    config, cal = tiny_cal()
+    rows = list(pipeline.analyze_records(cal, config.geometry, config.gate))
+    assert [row["snapshot_index"] for row in rows] == [c.snapshot_index for c in cal]
+
+
+@pytest.fixture(scope="module")
+def golden_captures(tmp_path_factory):
+    """The golden hover and route measurement and reference files."""
+    out = {}
+    for name in ("hover", "route"):
+        tmp = tmp_path_factory.mktemp(name)
+        scenario = golden._scenario(tmp, name, golden.BURSTS[name])
+        meas, ref = str(tmp / "meas.bin"), str(tmp / "ref.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario, "--out", ref, "--snapshots", "2"]) == 0
+        out[name] = scenario, meas, ref
+    return out
+
+
+@pytest.mark.parametrize("blas", ["1", "2", "4"])
+@pytest.mark.parametrize("name", ["hover", "route"])
+def test_golden_analysis_does_not_depend_on_the_blas_thread_count(golden_captures, tmp_path,
+                                                                   name, blas):
+    scenario, meas, ref = golden_captures[name]
+    csv_out, summary = tmp_path / "metrics.csv", tmp_path / "summary.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, A2GS_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "a2gsounder", "analyze", "--scenario", scenario,
+                           "--meas", meas, "--ref", ref, "--out", str(csv_out),
+                           "--summary", str(summary)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert golden._sha256(csv_out) == golden.GOLDEN[name]["analyze_csv"]
+    assert golden._sha256(summary) == golden.GOLDEN[name]["analyze_summary"]

@@ -14,7 +14,6 @@ from a2gsounder.capture_file import CaptureFileError, Layout, read_capture, writ
 from a2gsounder.capture_sim import CaptureRecord
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
-from a2gsounder.processing import snapshot_metrics
 from a2gsounder.waveform import TonePlan
 
 
@@ -190,18 +189,23 @@ class TestBoundedMemory:
         np.testing.assert_array_equal(reports[0].rel_amp_db, listed.rel_amp_db)
         np.testing.assert_array_equal(reports[0].rel_phase_deg, listed.rel_phase_deg)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_chunked_analysis_matches_the_list_results(self, tmp_path, monkeypatch, threads):
-        # 21 snapshots: more than one chunk at either thread count
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_analysis_pulls_a_bounded_lookahead(self, monkeypatch, threads):
         config = parse_scenario(tiny("olin-hover", tone_plan={"tone_count": 64},
                                      capture={"burst_count": 7}))
         cal = list(pipeline.calibrate_records(pipeline.run_synthesis(config),
                                               pipeline.run_b2b(config), config.attenuator))
-        assert len(cal) > pipeline.CHUNK_PER_WORKER * int(threads)
-        listed = [snapshot_metrics(c, config.geometry, config.gate) for c in cal]
-        monkeypatch.setenv("A2GS_THREADS", threads)
-        chunked = pipeline.analyze_records(iter(cal), config.geometry, config.gate)
-        paths = tmp_path / "listed.csv", tmp_path / "chunked.csv"
-        for path, rows in zip(paths, (listed, chunked)):
-            pipeline.write_rows_csv(path, list(rows))
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        pulled = 0
+
+        def records():
+            nonlocal pulled
+            for record in cal:
+                pulled += 1
+                yield record
+        monkeypatch.setenv("A2GS_THREADS", str(threads))
+        rows = []
+        for row in pipeline.analyze_records(records(), config.geometry, config.gate):
+            rows.append(row)
+            assert pulled - len(rows) <= 2 * threads + 1, (len(rows), pulled)
+        assert len(cal) > 2 * (2 * threads + 1)
+        assert rows == pipeline.metrics_rows(cal, config.geometry, config.gate)
