@@ -268,6 +268,8 @@ class CaptureFile(Sequence):
         return len(self.layout.timestamps)
 
     def __getitem__(self, index):
+        if isinstance(index, slice):  # a list of the records, as a list slice
+            return [self[s] for s in range(len(self))[index]]
         s = range(len(self))[operator.index(index)]
         ports, tones = self.layout.port_count, self.layout.tone_plan.tone_count
         with self._open() as fh:

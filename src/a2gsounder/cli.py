@@ -9,13 +9,8 @@ Subcommands:
   report     metrics CSV -> route table CSV or JSON
   selftest   run the built-in invariant suite
 
-Exit codes: 0 ok, 2 schema/config error (including a scene whose
-geometry cannot be synthesized, flags that conflict with --cal and an
-A2GS_THREADS that is not an integer >= 1),
-3 missing input file, 4 malformed capture file (one of the wrong record
-type, or one that loses bytes after it was opened) or metrics file (one
-with a cell that is not a number), 5 dimension mismatch, 6 strict hash
-mismatch, 1 unexpected error.
+Exit codes: _EXIT_CODES gives a library error's code by its type, _Exit
+carries the code of what the CLI checks itself; README lists them all.
 
 Capture files are written and read one snapshot at a time, and a
 command that fails partway leaves no output file.
@@ -46,6 +41,15 @@ EXIT_FORMAT = 4
 EXIT_DIMENSION = 5
 EXIT_HASH = 6
 
+# Library error types and their exit codes; the first type that matches wins.
+_EXIT_CODES = (
+    (HashMismatch, EXIT_HASH),
+    (CaptureFileError, EXIT_FORMAT),
+    (SchemaError, EXIT_SCHEMA),
+    (SceneError, EXIT_SCHEMA),
+    (CalibrationError, EXIT_DIMENSION),
+)
+
 
 def _load_scenario(path, seed_override=None):
     try:
@@ -67,9 +71,18 @@ def _load_scenario(path, seed_override=None):
 
 
 class _Exit(Exception):
+    """An error whose exit code the CLI sets itself, not by its type."""
+
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+
+
+def _exit_code(exc):
+    """The exit code of an error main reports as ``error: ...``, else None."""
+    if isinstance(exc, _Exit):
+        return exc.code
+    return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), None)
 
 
 def _read(path, record_type, expected_hash=None, strict=False):
@@ -80,13 +93,9 @@ def _read(path, record_type, expected_hash=None, strict=False):
                                        strict_hash=strict)
     except FileNotFoundError:
         raise _Exit(EXIT_MISSING_FILE, f"capture file not found: {path}")
-    except HashMismatch as exc:
-        raise _Exit(EXIT_HASH, str(exc))
-    except CaptureFileError as exc:
-        raise _Exit(EXIT_FORMAT, str(exc))
     if header["record_type"] != record_type:
-        raise _Exit(EXIT_FORMAT, f"{path} is a {header['record_type']} file, "
-                                 f"expected {record_type}")
+        raise CaptureFileError(f"{path} is a {header['record_type']} file, "
+                               f"expected {record_type}")
     return records, header
 
 
@@ -102,11 +111,8 @@ def _attenuator(args, config=None):
 def cmd_synth(args):
     config = _load_scenario(args.scenario, args.seed)
     layout = synthesis_layout(config)
-    try:
-        write_capture(args.out, run_synthesis(config), config_hash=config.scenario_hash,
-                      geometry_hash=config.geometry.content_hash(), layout=layout)
-    except SceneError as exc:
-        raise _Exit(EXIT_SCHEMA, f"scene geometry: {exc}")
+    write_capture(args.out, run_synthesis(config), config_hash=config.scenario_hash,
+                  geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} snapshots to {args.out}")
     return EXIT_OK
 
@@ -123,30 +129,16 @@ def cmd_b2b(args):
     return EXIT_OK
 
 
-def _check_same_hash(meas_header, ref_header, strict):
-    if meas_header["config_hash"] != ref_header["config_hash"]:
-        message = ("measurement and reference were produced by different configs "
-                   f"({meas_header['config_hash'][:12]}... vs "
-                   f"{ref_header['config_hash'][:12]}...)")
-        if strict:
-            raise _Exit(EXIT_HASH, message)
-        print(f"warning: {message}", file=sys.stderr)
-
-
 def _calibrated(args, config=None, expected_hash=None):
-    """Open --meas and --ref, check that one config produced both, and
+    """Open --meas, then --ref against the measurement's config hash, and
     check the reference; returns (an ordered iterator of calibrated
     records, the --meas CaptureFile, its header). A measurement that
     does not fit the reference raises CalibrationError as it is taken."""
     meas, meas_header = _read(args.meas, "MEAS", expected_hash=expected_hash,
                               strict=args.strict_hash)
-    ref, ref_header = _read(args.ref, "B2B", strict=args.strict_hash)
-    _check_same_hash(meas_header, ref_header, args.strict_hash)
-    attenuator = _attenuator(args, config)
-    try:
-        return calibrate_records(meas, ref, attenuator), meas, meas_header
-    except CalibrationError as exc:
-        raise _Exit(EXIT_DIMENSION, str(exc))
+    ref, _ = _read(args.ref, "B2B", expected_hash=meas_header["config_hash"],
+                   strict=args.strict_hash)
+    return calibrate_records(meas, ref, _attenuator(args, config)), meas, meas_header
 
 
 def _write_rows(args, rows, config_hash):
@@ -158,12 +150,9 @@ def _write_rows(args, rows, config_hash):
 
 def cmd_calibrate(args):
     cal, meas, meas_header = _calibrated(args)
-    try:
-        write_capture(args.out, cal, config_hash=meas_header["config_hash"],
-                      geometry_hash=meas_header["geometry_hash"],
-                      layout=calibrated_layout(meas.layout))
-    except CalibrationError as exc:
-        raise _Exit(EXIT_DIMENSION, str(exc))
+    write_capture(args.out, cal, config_hash=meas_header["config_hash"],
+                  geometry_hash=meas_header["geometry_hash"],
+                  layout=calibrated_layout(meas.layout))
     print(f"wrote {len(meas)} calibrated snapshots to {args.out}")
     return EXIT_OK
 
@@ -186,9 +175,9 @@ def cmd_analyze(args):
 
     try:
         rows = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
-    except CaptureFileError:
-        raise
-    except ValueError as exc:  # CalibrationError included
+    except ValueError as exc:  # processing's port-count and delay-gate checks
+        if _exit_code(exc) is not None:
+            raise
         raise _Exit(EXIT_DIMENSION, str(exc))
 
     _write_rows(args, rows, expected)
@@ -202,10 +191,7 @@ def cmd_analyze(args):
 
 def cmd_stability(args):
     records, header = _read(args.ref, "B2B", strict=args.strict_hash)
-    try:
-        report = stability_stats(records, port=args.port)
-    except CalibrationError as exc:
-        raise _Exit(EXIT_DIMENSION, str(exc))
+    report = stability_stats(records, port=args.port)
     _write_rows(args, stability_rows(report), header.get("config_hash") or None)
     print(f"amplitude std {report.amplitude_std_db:.6f} dB, "
           f"phase std {report.phase_std_deg:.6f} deg -> {args.out}")
@@ -339,18 +325,13 @@ def main(argv=None):
     try:
         thread_count()  # a bad A2GS_THREADS stops every command before it starts
         return _COMMANDS[args.command](args)
-    except _Exit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except CaptureFileError as exc:  # a snapshot read after the file was opened
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except Exception as exc:
-        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        code = _exit_code(exc)
+        if code is None:
+            print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_UNEXPECTED
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ class GatedCIR:
     """Impulse response after noise thresholding and delay gating."""
 
     h_tau: np.ndarray        # gated, zeroed bins are exactly zero
-    raw: np.ndarray          # pre-gating impulse response
     delays: np.ndarray
     noise_floor: np.ndarray  # linear power per port
     threshold: np.ndarray    # applied P_lambda per port
@@ -147,7 +146,6 @@ def threshold_and_gate(raw, gate=None):
     gated[~any_kept] = 0.0
     return GatedCIR(
         h_tau=gated,
-        raw=raw.h,
         delays=raw.delays,
         noise_floor=noise_floor,
         threshold=threshold,

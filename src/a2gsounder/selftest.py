@@ -47,7 +47,6 @@ def check_phase_rotation_invariance(rng):
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, gated.n_ports))
     rotated = GatedCIR(
         h_tau=gated.h_tau * phases[:, np.newaxis],
-        raw=gated.raw,
         delays=gated.delays,
         noise_floor=gated.noise_floor,
         threshold=gated.threshold,
@@ -60,8 +59,7 @@ def check_phase_rotation_invariance(rng):
 def _two_tap_gated(delays, amps):
     delays = np.asarray(delays, dtype=np.float64)
     h = np.asarray(amps, dtype=np.complex128)[np.newaxis, :]
-    return GatedCIR(h_tau=h, raw=h.copy(), delays=delays,
-                    noise_floor=np.zeros(1), threshold=np.zeros(1))
+    return GatedCIR(h_tau=h, delays=delays, noise_floor=np.zeros(1), threshold=np.zeros(1))
 
 
 def check_delay_spread_invariances(rng):

@@ -1,13 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import a2gsounder as a2g
+from a2gsounder import cli
+from a2gsounder.calibration import CalibrationError
 from a2gsounder.capture_file import (CaptureFileError, HashMismatch,
                                      read_capture, write_capture)
+from a2gsounder.channel_synth import SceneError
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
 from a2gsounder.pipeline import REPORT_FIELDS
@@ -579,6 +586,45 @@ class TestCli:
         # without strict it proceeds with a warning
         assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
                          "--out", str(tmp_path / "c.bin")]) == 0
+
+    def test_hash_mismatch_without_strict_warns(self, tmp_path):
+        s1 = self.scenario_file(tmp_path)
+        s2 = tmp_path / "other.json"
+        doc = json.loads(open(s1).read())
+        doc["capture"]["snr_db"] = 12.0
+        s2.write_text(json.dumps(doc))
+        meas, ref = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        assert cli_main(["synth", "--scenario", s1, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", str(s2), "--out", ref]) == 0
+        with pytest.warns(UserWarning, match="config hash mismatch"):
+            assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+                             "--out", str(tmp_path / "c.bin")]) == 0
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (SchemaError, 2, "error: "), (SceneError, 2, "error: "), (HashMismatch, 6, "error: "),
+        (CaptureFileError, 4, "error: "), (CalibrationError, 5, "error: "),
+        (ValueError, 1, "unexpected error: "), (RuntimeError, 1, "unexpected error: ")],
+        ids=lambda value: value.__name__ if isinstance(value, type) else None)
+    def test_exit_code_table(self, monkeypatch, capsys, error, code, prefix):
+        def fail(args):
+            raise error("boom")
+        monkeypatch.setitem(cli._COMMANDS, "report", fail)
+        assert cli_main(["report", "--metrics", "m.csv", "--out", "r.csv"]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_exit_codes_through_the_process(self, tmp_path):
+        scenario = self.scenario_file(tmp_path)
+        meas = str(tmp_path / "meas.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(a2g.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        for ref, code in ((str(tmp_path / "missing.bin"), 3), (meas, 4)):
+            done = subprocess.run([sys.executable, "-m", "a2gsounder", "calibrate",
+                                   "--meas", meas, "--ref", ref,
+                                   "--out", str(tmp_path / "cal.bin")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+            assert done.stderr.startswith("error: ")
 
     def test_json_output_format(self, tmp_path):
         scenario = self.scenario_file(tmp_path)

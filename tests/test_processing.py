@@ -23,7 +23,7 @@ def cal_of(h, plan=PLAN):
 
 def gated_of(amps, delays):
     h = np.atleast_2d(np.asarray(amps, complex))
-    return GatedCIR(h_tau=h, raw=h.copy(), delays=np.asarray(delays, float),
+    return GatedCIR(h_tau=h, delays=np.asarray(delays, float),
                     noise_floor=np.zeros(h.shape[0]), threshold=np.zeros(h.shape[0]))
 
 

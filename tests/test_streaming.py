@@ -1,6 +1,7 @@
 """Streaming capture path: bounded memory, lazy reads that fail closed,
 and failed writes that leave no file behind."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -145,6 +146,23 @@ class TestLazyRead:
         path.unlink()
         with pytest.raises(CaptureFileError):
             back[0]
+
+    @pytest.mark.parametrize("window", [slice(1, 3), slice(None, None, -1), slice(-2, None)],
+                             ids=["1:3", "::-1", "-2:"])
+    def test_slice_is_the_list_slice(self, tmp_path, window):
+        path = tmp_path / "b2b.bin"
+        layout, records = series(5, 4, 8)
+        write_capture(path, records, layout=layout)
+        back, _ = read_capture(path)
+        got, expected = back[window], list(back)[window]
+        assert isinstance(got, list)
+        assert [r.snapshot_index for r in got] == [r.snapshot_index for r in expected]
+        for a, b in zip(got, expected):
+            for name in (f.name for f in dataclasses.fields(CaptureRecord)):
+                if isinstance(getattr(a, name), np.ndarray):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                else:
+                    assert getattr(a, name) == getattr(b, name), name
 
     @pytest.mark.parametrize("command", ["stability", "analyze", "calibrate"])
     def test_cli_exits_4_when_the_file_shrinks_after_open(self, tmp_path, monkeypatch, command):
