@@ -12,7 +12,7 @@ positions, and every multipath result is a SlotPaths with one row per
 position. A moving TX is seen from a new position at every 50 us
 switch slot, so a square-route snapshot synthesizes all of its slots in
 one pass (``synthesize_slots``); a static or hovering TX is synthesized
-once per snapshot, a one-row SlotPaths. ``synthesize_paths`` and
+once per TX state, a one-row SlotPaths. ``synthesize_paths`` and
 ``tx_position_at`` are the one-position calls of the same code.
 
 Drone motion is a trajectory: a fixed point, a hover with a truncated
@@ -25,6 +25,7 @@ of each burst. With the default timing (three 6.4 ms snapshots per
 every third state is observed.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -352,18 +353,10 @@ class WobbleParams:
             raise ValueError("wobble sigmas must be non-negative")
 
 
-_INNOVATION_CACHE = {}
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def _innovation(seed, tag, k, dims):
-    key = (seed, tag, k, dims)
-    xi = _INNOVATION_CACHE.get(key)
-    if xi is None:
-        xi = stream(seed, tag, k).standard_normal(dims)
-        xi.setflags(write=False)
-        if len(_INNOVATION_CACHE) > 1 << 16:
-            _INNOVATION_CACHE.clear()
-        _INNOVATION_CACHE[key] = xi
+    xi = stream(seed, tag, k).standard_normal(dims)
+    xi.setflags(write=False)
     return xi
 
 
@@ -456,8 +449,10 @@ class Trajectory:
 
 
 def wobble_index(trajectory, time):
-    """Hover wobble state at ``time``: floor(time * snapshot_rate)."""
-    return int(math.floor(time * trajectory.wobble.snapshot_rate))
+    """Hover wobble state at ``time``: floor(time * snapshot_rate), with
+    a 1e-9 state tolerance so that a product that rounds just below a
+    boundary (2.05 * 60 = 122.99999999999999) still gets that state."""
+    return int(math.floor(time * trajectory.wobble.snapshot_rate + 1e-9))
 
 
 def tx_positions_at(trajectory, times):

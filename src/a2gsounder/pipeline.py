@@ -7,11 +7,11 @@ Randomness is counter-based, so the thread count never changes results.
 Every stage is an ordered iterator over a pool map that keeps at most
 two tasks per worker in flight beyond the result being taken, so a
 command holds a bounded number of snapshots whatever the series length.
-Synthesis first computes, in the pool, the noise-free response of each
-distinct static or hover TX state and holds it for the run; calibration
-divides each measurement by the reference; analysis runs each
-snapshot's whole snapshot_metrics as one task, with numpy's OpenBLAS
-held at one thread (see analyze_records).
+Synthesis streams TX states: the noise-free response of each run of
+snapshots that share a state is computed as the run is reached and
+dropped after it; calibration divides each measurement by the
+reference; analysis runs each snapshot's whole snapshot_metrics as one
+task, with numpy's OpenBLAS held at one thread (see analyze_records).
 """
 
 import csv
@@ -23,6 +23,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -107,53 +108,51 @@ def run_synthesis(config):
     """Simulate every snapshot of the scenario; an ordered iterator of
     CaptureRecords.
 
-    Static and hover TX states repeat across snapshots (a static TX has
-    one state, a hover TX one per wobble index), so their noise-free
-    response is computed once per distinct state, at the state's first
-    snapshot time, in a pool pass before this returns; no two workers
-    ever compute the same state. Each snapshot's noise and system
-    response are added as the iterator is taken. A route snapshot's
-    response is computed inside its own task, so the route never holds
-    more than one response per task in flight.
+    Consecutive snapshots that share a TX state form a run: one run for
+    a static TX, one per wobble index for a hover, one per snapshot for
+    a route. A run's noise-free response is computed once, at its first
+    snapshot time, in the pool as its snapshots are taken, and dropped
+    after its last one; a second pool adds each snapshot's system
+    response and noise.
+
+    A SceneError surfaces when its run is pulled into the pool: at one
+    thread after every earlier record, at A2GS_THREADS >= 2 up to
+    2 * workers + 1 snapshots ahead of the record being taken.
     """
     system = system_for(config)
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
     traj = config.trajectory
-    if traj.kind == "static_point":
-        keys = [0] * len(times)
-    elif traj.kind == "hover":
-        keys = [wobble_index(traj, t) for t in times]
-    else:
-        keys = [None] * len(times)
-    first_times = {}
-    for key, time in zip(keys, times):
-        if key is not None:
-            first_times.setdefault(key, time)
 
-    def base_at(time):
-        paths = paths_for_snapshot(config, time)
+    def state(index):
+        if traj.kind == "hover":
+            return wobble_index(traj, times[index])
+        return 0 if traj.kind == "static_point" else index
+
+    runs = [list(run) for _, run in groupby(range(len(times)), key=state)]
+
+    def base_at(run):
+        paths = paths_for_snapshot(config, times[run[0]])
         return paths, port_stack_response(paths, config.geometry, config.tone_plan,
                                           config.scene.rx_mounting_rotation)
 
-    def one(index):
-        time = times[index]
-        key = keys[index]
-        paths, base_tf = bases[key] if key is not None else base_at(time)
-        return simulate_snapshot(
-            paths,
-            config.geometry,
-            config.tone_plan,
-            system,
-            noise_snr_db=config.capture["snr_db"],
-            snapshot_index=index,
-            timestamp=float(time),
-            mounting_rotation=config.scene.rx_mounting_rotation,
-            seed=config.capture["noise_seed"],
-            base_tf=base_tf,
-        )
+    def snapshots():
+        bases = _map_ordered(base_at, runs)
+        for run in runs:
+            # a loop variable would keep the last run's response alive during next()
+            base = next(bases)
+            for index in run:
+                yield index, base
+            del base
 
-    bases = dict(zip(first_times, _map_ordered(base_at, list(first_times.values()))))
-    return _map_ordered(one, range(len(times)))
+    def one(item):
+        index, (paths, base_tf) = item
+        return simulate_snapshot(paths, config.geometry, config.tone_plan, system,
+                                 noise_snr_db=config.capture["snr_db"], snapshot_index=index,
+                                 timestamp=float(times[index]),
+                                 mounting_rotation=config.scene.rx_mounting_rotation,
+                                 seed=config.capture["noise_seed"], base_tf=base_tf)
+
+    return _map_ordered(one, snapshots())
 
 
 def _b2b_count(config, snapshot_count):

@@ -7,8 +7,8 @@ from a2gsounder.channel_synth import (Facet, Scene, SceneError, Trajectory,
                                       WobbleParams, synthesize_paths,
                                       synthesize_slots, tx_position_at,
                                       tx_positions_at, tx_tilt_at,
-                                      wobble_offset)
-from a2gsounder.waveform import SPEED_OF_LIGHT
+                                      wobble_index, wobble_offset)
+from a2gsounder.waveform import SPEED_OF_LIGHT, TimingPlan, snapshot_timestamps
 
 WAVELENGTH = SPEED_OF_LIGHT / 3.5e9
 
@@ -100,6 +100,17 @@ class TestTrajectories:
         np.testing.assert_array_equal(p0, p2)
         p_next = tx_position_at(traj, 0.05)
         assert not np.array_equal(p0, p_next)
+
+    def test_every_snapshot_of_a_burst_gets_the_burst_state(self):
+        timing = TimingPlan()
+        traj = Trajectory(kind="hover", position=[12.0, 0.0, 1.8],
+                          wobble=WobbleParams(snapshot_rate=timing.snapshot_rate))
+        bursts = snapshot_timestamps(timing, 5000).reshape(5000, timing.simos_per_burst)
+        states = [[wobble_index(traj, t) for t in burst] for burst in bursts]
+        # 2.05 s * 60 Hz rounds to 122.99999999999999: burst 41's first
+        # snapshot fell one state below its other two
+        assert states[41] == [123, 123, 123]
+        assert [b for b, burst in enumerate(states) if burst != [3 * b] * 3] == []
 
     def test_invalid_kind_and_negative_time(self):
         with pytest.raises(ValueError):

@@ -130,20 +130,13 @@ def test_b2b_stability_outputs_are_pinned(tmp_path):
     _check("b2b-stability", _stability_flow(tmp_path))
 
 
-def test_hover_synth_is_thread_count_invariant(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted(BURSTS))
+def test_synth_is_thread_count_invariant(tmp_path, monkeypatch, name):
     monkeypatch.setenv("A2GS_THREADS", "2")
-    scenario = _scenario(tmp_path, "hover", BURSTS["hover"])
+    scenario = _scenario(tmp_path, name, BURSTS[name])
     meas = str(tmp_path / "meas.bin")
     _run("synth", "--scenario", scenario, "--out", meas)
-    assert _sha256(meas) == GOLDEN["hover"]["synth"]
-
-
-def test_route_synth_is_thread_count_invariant(tmp_path, monkeypatch):
-    monkeypatch.setenv("A2GS_THREADS", "2")
-    scenario = _scenario(tmp_path, "route", BURSTS["route"])
-    meas = str(tmp_path / "meas.bin")
-    _run("synth", "--scenario", scenario, "--out", meas)
-    assert _sha256(meas) == GOLDEN["route"]["synth"]
+    assert _sha256(meas) == GOLDEN[name]["synth"]
 
 
 @pytest.mark.parametrize("name", ["hover", "route"])

@@ -19,8 +19,8 @@ from a2gsounder.waveform import snapshot_timestamps
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def tiny_hover(burst_count):
-    return parse_scenario({"preset": "olin-hover", "array": {"columns": 4, "rows": 2},
+def tiny(burst_count, preset="olin-hover"):
+    return parse_scenario({"preset": preset, "array": {"columns": 4, "rows": 2},
                            "timing": {"ports_per_simo": 16},
                            "tone_plan": {"tone_count": 64},
                            "capture": {"burst_count": burst_count,
@@ -40,21 +40,37 @@ def two_threads(monkeypatch):
     monkeypatch.setenv("A2GS_THREADS", "2")
 
 
-def test_hover_base_response_computed_once_per_wobble_state(two_threads, monkeypatch):
-    config = tiny_hover(burst_count=6)
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("preset", ["olin-static", "olin-hover", "paper-route"])
+def test_base_response_computed_once_per_tx_state(monkeypatch, preset, threads):
+    monkeypatch.setenv("A2GS_THREADS", threads)
+    config = tiny(burst_count=6, preset=preset)
     times = snapshot_timestamps(config.timing, 6)
-    states = {wobble_index(config.trajectory, t) for t in times}
-    assert len(states) < len(times)
+    if preset == "olin-hover":
+        states = len({wobble_index(config.trajectory, t) for t in times})
+        assert 1 < states < len(times)
+    else:  # a static TX has one state, a route TX one per snapshot
+        states = 1 if preset == "olin-static" else len(times)
     calls = []
     monkeypatch.setattr(pipeline, "port_stack_response",
                         recording(calls, pipeline.port_stack_response))
     records = list(pipeline.run_synthesis(config))
-    assert len(records) == len(times)
-    assert len(calls) == len(states)
+    assert [r.snapshot_index for r in records] == list(range(len(times)))
+    assert len(calls) == states
+
+
+def test_closing_the_synthesis_partway_shuts_both_pools_down(two_threads):
+    before = threading.active_count()
+    records = pipeline.run_synthesis(tiny(burst_count=6))
+    next(records)
+    next(records)
+    assert threading.active_count() > before
+    records.close()
+    assert threading.active_count() == before
 
 
 def tiny_cal(burst_count=3):
-    config = tiny_hover(burst_count)
+    config = tiny(burst_count)
     ref = pipeline.run_b2b(config, snapshot_count=2)
     return config, list(pipeline.calibrate_records(pipeline.run_synthesis(config), ref,
                                                    config.attenuator))

@@ -12,7 +12,8 @@ import pytest
 from a2gsounder import cli, pipeline
 from a2gsounder.calibration import stability_stats
 from a2gsounder.capture_file import CaptureFileError, Layout, read_capture, write_capture
-from a2gsounder.capture_sim import CaptureRecord
+from a2gsounder.capture_sim import CaptureRecord, port_stack_response
+from a2gsounder.channel_synth import wobble_index
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
 from a2gsounder.waveform import TonePlan
@@ -105,17 +106,19 @@ class TestFailedWrite:
             write_capture(tmp_path / "b2b.bin", records, layout=layout)
         assert list(tmp_path.iterdir()) == []
 
-    def test_scene_error_partway_through_a_route_exits_2(self, tmp_path):
+    def test_scene_error_partway_through_a_route_exits_2(self, tmp_path, monkeypatch):
         # the RX sits where the route's second snapshot puts the TX
         scenario = scenario_file(tmp_path, "route.json", tiny(
             "paper-route", timing={"simos_per_burst": 1, "burst_rate": 0.1},
             scene={"rx_position": [5.0, 15.0, 50.0]}, capture={"burst_count": 3}))
         config = parse_scenario(json.loads(open(scenario).read()))
-        records = pipeline.run_synthesis(config)
-        assert next(records).snapshot_index == 0
-        assert cli_main(["synth", "--scenario", scenario,
-                         "--out", str(tmp_path / "meas.bin")]) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["route.json"]
+        monkeypatch.setenv("A2GS_THREADS", "1")
+        assert next(pipeline.run_synthesis(config)).snapshot_index == 0
+        for threads in ("1", "2"):
+            monkeypatch.setenv("A2GS_THREADS", threads)
+            assert cli_main(["synth", "--scenario", scenario,
+                             "--out", str(tmp_path / "meas.bin")]) == 2
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["route.json"]
 
     def test_calibration_error_while_writing_exits_5(self, tmp_path):
         meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
@@ -206,6 +209,22 @@ class TestBoundedMemory:
         listed = stability_stats(list(read_capture(path)[0]), port=ports - 1)
         np.testing.assert_array_equal(reports[0].rel_amp_db, listed.rel_amp_db)
         np.testing.assert_array_equal(reports[0].rel_phase_deg, listed.rel_phase_deg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_synthesis_computes_a_bounded_number_of_states_ahead(self, monkeypatch, threads):
+        config = parse_scenario(tiny("olin-hover", capture={"burst_count": 24}))
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return port_stack_response(*args)
+        monkeypatch.setattr(pipeline, "port_stack_response", counted)
+        monkeypatch.setenv("A2GS_THREADS", str(threads))
+        taken = set()
+        for record in pipeline.run_synthesis(config):
+            taken.add(wobble_index(config.trajectory, record.timestamp))
+            assert len(calls) - len(taken) <= 2 * (2 * threads + 1), (len(taken), len(calls))
+        assert len(taken) == len(calls) == 24
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_analysis_pulls_a_bounded_lookahead(self, monkeypatch, threads):
