@@ -107,23 +107,6 @@ class ArrayGeometry:
         by_column = np.asarray(values).reshape(self.columns, self.rows, 2).transpose(0, 2, 1)
         return np.ascontiguousarray(by_column).mean(axis=-1)
 
-    def port_gain(self, port_id, arrival_direction, incident_jones):
-        """Complex voltage gain of one port for a plane wave.
-
-        ``arrival_direction`` is a unit 3-vector in the array frame
-        pointing from the array toward the source; ``incident_jones`` is
-        the (V, H) complex field at the array. Returns co-polarized
-        pattern response times the co-polarized amplitude plus the
-        XPD-attenuated cross-polarized leakage.
-        """
-        if not 0 <= port_id < self.n_ports:
-            raise KeyError(f"unknown port_id {port_id}")
-        d = np.asarray(arrival_direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("arrival_direction must be unit norm")
-        gains = self.port_gains(d[np.newaxis, :], np.asarray(incident_jones, dtype=np.complex128)[np.newaxis, :])
-        return complex(gains[port_id, 0])
-
     def port_gains(self, directions, jones):
         """Vectorized port responses.
 

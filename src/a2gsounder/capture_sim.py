@@ -94,17 +94,6 @@ def build_system_response(tones, n_ports, seed=0, ripple_db=1.5, ripple_componen
     )
 
 
-def ideal_system_response(tones, n_ports):
-    """Flat chain, unity port gains, no drift. Useful for oracles."""
-    return SystemResponse(
-        common_chain=np.ones(tones.tone_count, dtype=np.complex128),
-        per_port_gain=np.ones(n_ports, dtype=np.complex128),
-        phase_drift_deg=0.0,
-        amplitude_jitter_db=0.0,
-        seed=0,
-    )
-
-
 @dataclass(frozen=True)
 class AttenuatorModel:
     """Characterized attenuator inserted for back-to-back runs."""

@@ -4,14 +4,16 @@ Snapshot simulation and analysis are embarrassingly parallel; the
 A2GS_THREADS environment variable caps the worker count (default 1).
 Randomness is counter-based, so the thread count never changes results.
 
-Every stage is an ordered iterator over a pool map that keeps at most
-two tasks per worker in flight beyond the result being taken, so a
-command holds a bounded number of snapshots whatever the series length.
-Synthesis streams TX states: the noise-free response of each run of
-snapshots that share a state is computed as the run is reached and
-dropped after it; calibration divides each measurement by the
-reference; analysis runs each snapshot's whole snapshot_metrics as one
-task, with numpy's OpenBLAS held at one thread (see analyze_records).
+Every stage is an ordered iterator, so a command holds a bounded number
+of snapshots whatever the series length. A command runs at most one
+pool, on its heavy per-snapshot stage: the noise step of run_synthesis
+or the metrics of analyze_records, with at most two tasks per worker in
+flight beyond the result being taken. What feeds that pool runs in
+order in the feeding thread: synthesis computes the noise-free response
+of each run of snapshots that share a TX state as the run is reached
+and drops it after the run, and calibration divides each measurement by
+the reference as it is taken. run_b2b runs in order with no pool.
+Analysis holds numpy's OpenBLAS at one thread (see analyze_records).
 """
 
 import csv
@@ -111,13 +113,13 @@ def run_synthesis(config):
     Consecutive snapshots that share a TX state form a run: one run for
     a static TX, one per wobble index for a hover, one per snapshot for
     a route. A run's noise-free response is computed once, at its first
-    snapshot time, in the pool as its snapshots are taken, and dropped
-    after its last one; a second pool adds each snapshot's system
-    response and noise.
+    snapshot time, in the thread that feeds the pool as the run is
+    reached, and dropped after its last snapshot; the pool adds each
+    snapshot's system response and noise.
 
-    A SceneError surfaces when its run is pulled into the pool: at one
-    thread after every earlier record, at A2GS_THREADS >= 2 up to
-    2 * workers + 1 snapshots ahead of the record being taken.
+    A SceneError surfaces when its run is reached: at one thread after
+    every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1
+    snapshots ahead of the record being taken.
     """
     system = system_for(config)
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
@@ -128,21 +130,15 @@ def run_synthesis(config):
             return wobble_index(traj, times[index])
         return 0 if traj.kind == "static_point" else index
 
-    runs = [list(run) for _, run in groupby(range(len(times)), key=state)]
-
-    def base_at(run):
-        paths = paths_for_snapshot(config, times[run[0]])
-        return paths, port_stack_response(paths, config.geometry, config.tone_plan,
-                                          config.scene.rx_mounting_rotation)
-
     def snapshots():
-        bases = _map_ordered(base_at, runs)
-        for run in runs:
-            # a loop variable would keep the last run's response alive during next()
-            base = next(bases)
+        for _, run in groupby(range(len(times)), key=state):
+            run = list(run)
+            paths = paths_for_snapshot(config, times[run[0]])
+            base = paths, port_stack_response(paths, config.geometry, config.tone_plan,
+                                              config.scene.rx_mounting_rotation)
             for index in run:
                 yield index, base
-            del base
+            del paths, base  # before the next run's response is computed
 
     def one(item):
         index, (paths, base_tf) = item
@@ -194,14 +190,15 @@ def calibrate_records(meas_records, ref_records, attenuator):
     snapshot; an ordered iterator of CAL records.
 
     The reference is checked, and the attenuator response computed, once
-    here. The measurements are then divided in the pool as they are
-    taken; calibration is elementwise numpy and starts no BLAS threads.
+    here. Each measurement is then divided as it is taken, in the taking
+    thread: under analyze_records that is the thread that feeds the
+    analysis pool, so no command nests a second pool.
     """
     ref = next(iter(ref_records), None)
     if ref is None:
         raise CalibrationError("calibration needs a reference snapshot")
     reference = Reference(ref, attenuator)
-    return _map_ordered(lambda m: calibrate(m, reference), meas_records)
+    return map(lambda m: calibrate(m, reference), meas_records)
 
 
 def analyze_records(cal_records, geometry, gate, window="rect"):

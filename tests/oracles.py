@@ -1,16 +1,43 @@
-"""Independent oracles shared by the unit and acceptance tests.
+"""Independent oracles and single-item references shared by the unit
+and acceptance tests.
 
-These deliberately avoid the library's own code paths: the eigenvalue
-oracle goes through the characteristic polynomial and bisection instead
-of LAPACK, and the transfer-function oracle evaluates the path sum with
-its own scalar trigonometry.
+The oracles deliberately avoid the library's own code paths: the
+eigenvalue oracle goes through the characteristic polynomial and
+bisection instead of LAPACK, and the transfer-function oracle evaluates
+the path sum with its own scalar trigonometry. The references are
+one-item views of the library that the library itself never needs: one
+port's gain for one plane wave, and a system response that changes
+nothing.
 """
 
 import math
 
 import numpy as np
 
+from a2gsounder.capture_sim import SystemResponse
+
 SPEED_OF_LIGHT = 299_792_458.0
+
+
+def port_gain(geometry, port_id, arrival_direction, incident_jones):
+    """Complex voltage gain of one port of ``geometry`` for one plane wave:
+    row ``port_id`` of ArrayGeometry.port_gains for that single path.
+
+    ``arrival_direction`` is a unit 3-vector in the array frame pointing
+    toward the source; ``incident_jones`` is the (V, H) field at the array.
+    """
+    return complex(geometry.port_gains([arrival_direction], [incident_jones])[port_id, 0])
+
+
+def ideal_system_response(tones, n_ports):
+    """Flat chain, unity port gains, no drift."""
+    return SystemResponse(
+        common_chain=np.ones(tones.tone_count, dtype=np.complex128),
+        per_port_gain=np.ones(n_ports, dtype=np.complex128),
+        phase_drift_deg=0.0,
+        amplitude_jitter_db=0.0,
+        seed=0,
+    )
 
 
 def charpoly_coefficients(r):

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ideal_system_response, port_gain
 
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
 from a2gsounder.capture_sim import (AttenuatorModel, build_system_response,
-                                    ideal_system_response, port_response_row,
-                                    port_stack_response, simulate_b2b,
-                                    simulate_snapshot)
+                                    port_response_row, port_stack_response,
+                                    simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
                                      tx_position_at, wobble_index)
 from a2gsounder.config import parse_scenario
@@ -55,7 +55,7 @@ class TestSimulateSnapshot:
         delay, jones, direction = paths.delays[0, 0], paths.jones[0, 0], paths.directions[0, 0]
         freqs = PLAN.tone_frequencies
         for k in range(geom.n_ports):
-            gain = geom.port_gain(k, direction, jones)
+            gain = port_gain(geom, k, direction, jones)
             advance = np.dot(geom.positions[k], direction) / SPEED_OF_LIGHT
             expected = gain * np.exp(-2j * math.pi * freqs * (delay - advance))
             np.testing.assert_allclose(rec.h_f[k], expected, rtol=0, atol=5e-13 * abs(gain))

@@ -151,3 +151,8 @@ def test_analysis_is_thread_count_invariant(tmp_path, monkeypatch, name):
          "--out", csv_out, "--summary", summary)
     assert _sha256(csv_out) == GOLDEN[name]["analyze_csv"]
     assert _sha256(summary) == GOLDEN[name]["analyze_summary"]
+    cal, cal_csv = str(tmp_path / "cal.bin"), str(tmp_path / "metrics_cal.csv")
+    _run("calibrate", "--meas", meas, "--ref", ref, "--out", cal, "--strict-hash")
+    _run("analyze", "--scenario", scenario, "--cal", cal, "--out", cal_csv)
+    assert _sha256(cal) == GOLDEN[name]["calibrate"]
+    assert _sha256(cal_csv) == GOLDEN[name]["analyze_cal_csv"]

@@ -59,13 +59,26 @@ def test_base_response_computed_once_per_tx_state(monkeypatch, preset, threads):
     assert len(calls) == states
 
 
-def test_closing_the_synthesis_partway_shuts_both_pools_down(two_threads):
+def test_closing_the_synthesis_partway_shuts_its_pool_down(two_threads):
     before = threading.active_count()
     records = pipeline.run_synthesis(tiny(burst_count=6))
     next(records)
     next(records)
-    assert threading.active_count() > before
+    assert before < threading.active_count() <= before + 2  # one pool of two workers
     records.close()
+    assert threading.active_count() == before
+
+
+def test_analysis_of_calibrated_records_runs_one_pool(two_threads):
+    config = tiny(burst_count=6)
+    meas = list(pipeline.run_synthesis(config))
+    ref = pipeline.run_b2b(config, snapshot_count=2)
+    before = threading.active_count()
+    rows = pipeline.analyze_records(pipeline.calibrate_records(meas, ref, config.attenuator),
+                                    config.geometry, config.gate)
+    next(rows)
+    assert before < threading.active_count() <= before + 2  # calibration runs in this thread
+    rows.close()
     assert threading.active_count() == before
 
 

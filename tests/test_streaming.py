@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from a2gsounder import cli, pipeline
-from a2gsounder.calibration import stability_stats
+from a2gsounder.calibration import calibrate, stability_stats
 from a2gsounder.capture_file import CaptureFileError, Layout, read_capture, write_capture
 from a2gsounder.capture_sim import CaptureRecord, port_stack_response
 from a2gsounder.channel_synth import wobble_index
@@ -211,8 +211,11 @@ class TestBoundedMemory:
         np.testing.assert_array_equal(reports[0].rel_phase_deg, listed.rel_phase_deg)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_synthesis_computes_a_bounded_number_of_states_ahead(self, monkeypatch, threads):
-        config = parse_scenario(tiny("olin-hover", capture={"burst_count": 24}))
+    @pytest.mark.parametrize("preset,bursts", [("olin-hover", 24), ("paper-route", 8)])
+    def test_synthesis_computes_a_bounded_number_of_states_ahead(self, monkeypatch, preset,
+                                                                 bursts, threads):
+        # 24 TX states each: one per wobble index, or one per route snapshot
+        config = parse_scenario(tiny(preset, capture={"burst_count": bursts}))
         calls = []
 
         def counted(*args):
@@ -222,26 +225,38 @@ class TestBoundedMemory:
         monkeypatch.setenv("A2GS_THREADS", str(threads))
         taken = set()
         for record in pipeline.run_synthesis(config):
-            taken.add(wobble_index(config.trajectory, record.timestamp))
-            assert len(calls) - len(taken) <= 2 * (2 * threads + 1), (len(taken), len(calls))
+            taken.add(wobble_index(config.trajectory, record.timestamp)
+                      if preset == "olin-hover" else record.snapshot_index)
+            assert len(calls) - len(taken) <= 2 * threads + 1, (len(taken), len(calls))
         assert len(taken) == len(calls) == 24
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_analysis_pulls_a_bounded_lookahead(self, monkeypatch, threads):
+    @pytest.mark.parametrize("fed_by", ["records", "calibrate_records"])
+    def test_analysis_pulls_a_bounded_lookahead(self, monkeypatch, fed_by, threads):
         config = parse_scenario(tiny("olin-hover", tone_plan={"tone_count": 64},
                                      capture={"burst_count": 7}))
-        cal = list(pipeline.calibrate_records(pipeline.run_synthesis(config),
-                                              pipeline.run_b2b(config), config.attenuator))
-        pulled = 0
+        meas, ref = list(pipeline.run_synthesis(config)), list(pipeline.run_b2b(config))
+        cal = list(pipeline.calibrate_records(meas, ref, config.attenuator))
+        pulled = 0  # CAL records taken from the list, or calibrate calls
 
         def records():
             nonlocal pulled
             for record in cal:
                 pulled += 1
                 yield record
+
+        def counted(*args):
+            nonlocal pulled
+            pulled += 1
+            return calibrate(*args)
+        if fed_by == "records":
+            feed = records()
+        else:
+            monkeypatch.setattr(pipeline, "calibrate", counted)
+            feed = pipeline.calibrate_records(meas, ref, config.attenuator)
         monkeypatch.setenv("A2GS_THREADS", str(threads))
         rows = []
-        for row in pipeline.analyze_records(records(), config.geometry, config.gate):
+        for row in pipeline.analyze_records(feed, config.geometry, config.gate):
             rows.append(row)
             assert pulled - len(rows) <= 2 * threads + 1, (len(rows), pulled)
         assert len(cal) > 2 * (2 * threads + 1)
