@@ -3,7 +3,7 @@
 from .array_geometry import build_cylindrical_array
 from .calibration import Reference, calibrate, stability_stats
 from .capture_sim import CaptureRecord, simulate_snapshot
-from .channel_synth import synthesize_paths
+from .channel_synth import synthesize_paths, synthesize_slots
 from .config import parse_scenario
 from .pipeline import (analyze_records, calibrate_records, run_b2b,
                        run_synthesis, summarize)

@@ -8,7 +8,6 @@ Stability statistics reduce a B2B series to one relative
 amplitude/phase sample per snapshot against the first snapshot.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,37 +72,33 @@ def calibrate(meas, reference):
     return replace(meas, h_f=h, snr_db=None, seed=0, record_type="CAL")
 
 
-def stability_stats(b2b_series, port=0):
-    """Snapshot-to-snapshot stability of a B2B series at one port.
+def stability_stats(rows):
+    """Snapshot-to-snapshot stability of one port of a B2B series.
 
-    Each snapshot is reduced to the mean over tones of the complex ratio
-    against the first snapshot (the noise-optimal scalar); amplitude is
-    reported as 20*log10 magnitude and phase as the argument in degrees.
-    ``b2b_series`` is a sequence of CaptureRecords; from a CaptureFile
-    only row ``port`` of each snapshot is read, one row at a time.
+    ``rows`` is that port's tone vector of each snapshot in time order,
+    any iterable such as ``CaptureFile.port_rows(k)`` or
+    ``(r.h_f[k] for r in records)``; it is read one row at a time. Each
+    row is reduced to the mean over tones of the complex ratio against
+    the first row (the noise-optimal scalar); amplitude is reported as
+    20*log10 magnitude and phase as the argument in degrees.
     """
-    if len(b2b_series) < 2:
-        raise CalibrationError("stability analysis needs at least 2 snapshots")
-    layout = getattr(b2b_series, "layout", None)
-    n_ports = layout.port_count if layout else b2b_series[0].h_f.shape[0]
-    if not 0 <= port < n_ports:
-        raise CalibrationError(f"port {port} out of range for {n_ports} ports")
-    rows = iter(b2b_series.port_rows(port) if layout else (r.h_f[port] for r in b2b_series))
-    first = next(rows)
-    if np.any(np.abs(first) == 0.0):
-        raise CalibrationError(f"first snapshot has a zero tone at port {port}")
-
-    # h_f/first evaluated as h_f*conj(first)/|first|^2 in explicit real
-    # arithmetic: identical snapshots divide to exactly 1 (no fused
-    # multiply-add residue), so an unchanged series reports exactly 0
-    fr, fi = first.real, first.imag
-    denom = fr * fr + fi * fi
-    ratios = np.empty(len(b2b_series), dtype=np.complex128)
-    for s, row in enumerate(itertools.chain([first], rows)):
+    ratios = []
+    for row in rows:
+        if not ratios:
+            if np.any(np.abs(row) == 0.0):
+                raise CalibrationError("first snapshot has a zero tone")
+            # row/first evaluated as row*conj(first)/|first|^2 in explicit
+            # real arithmetic: identical snapshots divide to exactly 1 (no
+            # fused multiply-add residue), so an unchanged series reports 0
+            fr, fi = row.real, row.imag
+            denom = fr * fr + fi * fi
         tr, ti = row.real, row.imag
         re = (tr * fr + ti * fi) / denom
         im = (ti * fr - tr * fi) / denom
-        ratios[s] = complex(np.mean(re), np.mean(im))
+        ratios.append(complex(np.mean(re), np.mean(im)))
+    if len(ratios) < 2:
+        raise CalibrationError("stability analysis needs at least 2 snapshots")
+    ratios = np.array(ratios)
     rel_amp_db = 20.0 * np.log10(np.abs(ratios))
     rel_phase_deg = np.degrees(np.angle(ratios))
     return StabilityReport(

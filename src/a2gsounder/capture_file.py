@@ -42,7 +42,7 @@ RECORD_TYPES = ("MEAS", "B2B", "CAL")
 
 
 class CaptureFileError(ValueError):
-    """Malformed capture file (magic, version, header, truncation)."""
+    """Malformed capture file (magic, version, header, size, a non-finite sample)."""
 
 
 class HashMismatch(CaptureFileError):
@@ -256,7 +256,8 @@ class CaptureFile(Sequence):
     and port_rows one port's row of each snapshot, from the file at its
     offset. The reads are plain positioned reads, not a memory map, so a
     file that loses bytes after it was opened raises CaptureFileError
-    rather than a bus error.
+    rather than a bus error. So does a sample that is not a finite
+    number, when it is read.
     """
 
     def __init__(self, path, layout, payload_offset):
@@ -303,6 +304,8 @@ class CaptureFile(Sequence):
         if got != data.nbytes:
             raise CaptureFileError(f"{self.path} is truncated at snapshot {s}, port {port}: "
                                    "it lost bytes after it was opened")
+        if not np.isfinite(data.view("<f4")).all():
+            raise CaptureFileError(f"{self.path} snapshot {s} has a sample that is not finite")
         return data.astype(np.complex128)
 
 

@@ -31,6 +31,7 @@ from .pipeline import (REPORT_FIELDS, analyze_records, b2b_layout,
                        calibrate_records, calibrated_layout, report_rows,
                        run_b2b, run_synthesis, stability_rows, summarize,
                        synthesis_layout, thread_count, write_rows_csv, write_rows_json)
+from .processing import AnalysisError
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -48,6 +49,7 @@ _EXIT_CODES = (
     (SchemaError, EXIT_SCHEMA),
     (SceneError, EXIT_SCHEMA),
     (CalibrationError, EXIT_DIMENSION),
+    (AnalysisError, EXIT_DIMENSION),
 )
 
 
@@ -76,13 +78,6 @@ class _Exit(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-
-
-def _exit_code(exc):
-    """The exit code of an error main reports as ``error: ...``, else None."""
-    if isinstance(exc, _Exit):
-        return exc.code
-    return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), None)
 
 
 def _read(path, record_type, expected_hash=None, strict=False):
@@ -173,13 +168,7 @@ def cmd_analyze(args):
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
         cal, _, _ = _calibrated(args, config, expected_hash=expected)
 
-    try:
-        rows = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
-    except ValueError as exc:  # processing's port-count and delay-gate checks
-        if _exit_code(exc) is not None:
-            raise
-        raise _Exit(EXIT_DIMENSION, str(exc))
-
+    rows = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
     _write_rows(args, rows, expected)
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -191,7 +180,10 @@ def cmd_analyze(args):
 
 def cmd_stability(args):
     records, header = _read(args.ref, "B2B", strict=args.strict_hash)
-    report = stability_stats(records, port=args.port)
+    ports = records.layout.port_count
+    if not 0 <= args.port < ports:
+        raise CalibrationError(f"port {args.port} out of range for {ports} ports")
+    report = stability_stats(records.port_rows(args.port))
     _write_rows(args, stability_rows(report), header.get("config_hash") or None)
     print(f"amplitude std {report.amplitude_std_db:.6f} dB, "
           f"phase std {report.phase_std_deg:.6f} deg -> {args.out}")
@@ -326,7 +318,8 @@ def main(argv=None):
         thread_count()  # a bad A2GS_THREADS stops every command before it starts
         return _COMMANDS[args.command](args)
     except Exception as exc:
-        code = _exit_code(exc)
+        code = exc.code if isinstance(exc, _Exit) else next(
+            (code for kind, code in _EXIT_CODES if isinstance(exc, kind)), None)
         if code is None:
             print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_UNEXPECTED

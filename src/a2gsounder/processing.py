@@ -13,6 +13,11 @@ polarization.
 
 Delay spreads are quoted in dBs, decibels relative to one second
 (-90 dBs is 1 ns).
+
+A response the metrics cannot be computed from raises AnalysisError:
+a port count that differs from the geometry's, a delay gate that
+reaches the tone plan's unambiguous delay, or no port keeping a bin.
+The tone grid is not checked: TonePlan builds it uniform.
 """
 
 import math
@@ -20,6 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+class AnalysisError(ValueError):
+    """A calibrated response the metrics cannot be computed from."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +112,6 @@ def cir_from_tf(cal, window="rect"):
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     plan = cal.tone_plan
-    freqs = plan.tone_frequencies
-    spacing = np.diff(freqs)
-    if spacing.size and (np.max(spacing) - np.min(spacing)) > 1e-6 * plan.tone_spacing:
-        raise ValueError("tone grid must be uniform")
-
     h_f = cal.h_f
     if window == "hann":
         h_f = h_f * np.hanning(plan.tone_count)[np.newaxis, :]
@@ -128,7 +132,7 @@ def threshold_and_gate(raw, gate=None):
     if raw.h.size == 0:
         raise ValueError("empty impulse response")
     if gate.delay_gate >= raw.delays[-1] + (raw.delays[1] - raw.delays[0] if len(raw.delays) > 1 else 0):
-        raise ValueError("delay_gate must be below the maximum unambiguous delay")
+        raise AnalysisError("delay_gate must be below the maximum unambiguous delay")
 
     power = np.abs(raw.h) ** 2
     n_ports, n_bins = power.shape
@@ -168,7 +172,7 @@ def rms_delay_spread(gated):
     """
     energy = gated.port_energy  # exactly 0 at each of all_zero_ports
     if np.all(energy <= 0.0):
-        raise ValueError("no port has surviving bins")
+        raise AnalysisError("no port has surviving bins")
     strongest = int(np.argmax(energy))
 
     pdp = gated.power[strongest]
@@ -227,7 +231,7 @@ def column_power_profile(gated, geometry):
     per-port gated energies for one polarization (V first).
     """
     if gated.n_ports != geometry.n_ports:
-        raise ValueError(
+        raise AnalysisError(
             f"gated CIR has {gated.n_ports} ports but geometry has {geometry.n_ports}")
     means = geometry.column_means(gated.port_energy)
     with np.errstate(divide="ignore"):

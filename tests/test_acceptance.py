@@ -89,8 +89,7 @@ def test_criterion_03_stability_recovery():
             "preset": "olin-static",
             "capture": {"b2b_snapshot_count": 400, "b2b_snr_db": None},
         })
-        records = list(a2g.run_b2b(config))
-        report = a2g.stability_stats(records, port=0)
+        report = a2g.stability_stats(r.h_f[0] for r in a2g.run_b2b(config))
         assert report.amplitude_std_db == pytest.approx(0.0071, rel=0.10), \
             f"amplitude std {report.amplitude_std_db:.5f} dB"
         assert report.phase_std_deg == pytest.approx(0.6, rel=0.10), \

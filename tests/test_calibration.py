@@ -109,7 +109,7 @@ class TestStabilityStats:
     def test_identical_snapshots_zero_stds(self):
         tf = np.exp(1j * np.linspace(0, 1, PLAN.tone_count))[np.newaxis, :]
         series = [record(tf, record_type="B2B") for _ in range(5)]
-        report = stability_stats(series, port=0)
+        report = stability_stats(r.h_f[0] for r in series)
         assert report.amplitude_std_db == 0.0
         assert report.phase_std_deg == 0.0
         assert report.rel_amp_db[0] == 0.0
@@ -119,7 +119,7 @@ class TestStabilityStats:
         base = np.ones((1, PLAN.tone_count), complex)
         series = [record(base * np.exp(1j * math.radians(k)), record_type="B2B")
                   for k in range(5)]
-        report = stability_stats(series, port=0)
+        report = stability_stats(r.h_f[0] for r in series)
         np.testing.assert_allclose(report.rel_phase_deg, [0, 1, 2, 3, 4], atol=1e-9)
         np.testing.assert_allclose(report.rel_amp_db, 0.0, atol=1e-9)
 
@@ -128,11 +128,11 @@ class TestStabilityStats:
                                        phase_drift_deg=0.6,
                                        amplitude_jitter_db=0.0071)
         records = list(simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=400))
-        report = stability_stats(records, port=0)
+        report = stability_stats(r.h_f[0] for r in records)
         assert report.amplitude_std_db == pytest.approx(0.0071, rel=0.10)
         assert report.phase_std_deg == pytest.approx(0.6, rel=0.10)
 
     def test_short_series_rejected(self):
         tf = np.ones((1, PLAN.tone_count))
         with pytest.raises(CalibrationError):
-            stability_stats([record(tf)], port=0)
+            stability_stats([record(tf).h_f[0]])

@@ -3,11 +3,13 @@
 Any truncation or single-byte change of a valid file either raises
 CaptureFileError when it is opened or still reads, snapshot by
 snapshot and port by port, as records whose transfer functions have
-the shape the header declares. Payload bytes may hold any float,
-so a change there can read back without error.
+the shape the header declares. Payload bytes may hold any finite
+float, so a change there can read back without error; one that makes
+a sample NaN or infinite raises CaptureFileError when it is read.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,8 +57,14 @@ def test_corrupted_capture_raises_or_reads_declared_shape(tmp_path_factory):
         except CaptureFileError:
             return
         # read_capture checked the header and the size, so every lazy
-        # read of the payload, by snapshot or by port, must succeed
+        # read of a finite payload, by snapshot or by port, must succeed
         assert len(records) == header["snapshot_count"]
+        size = header["snapshot_count"] * header["port_count"] * header["tone_count"] * 8
+        if not np.isfinite(np.frombuffer(path.read_bytes()[-size:], "<f4")).all():
+            with pytest.raises(CaptureFileError, match="not finite"):
+                for s in range(len(records)):
+                    records[s]
+            return
         for s in range(len(records)):
             record = records[s]
             assert record.h_f.shape == (header["port_count"], record.tone_plan.tone_count)

@@ -18,6 +18,7 @@ from a2gsounder.channel_synth import SceneError
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
 from a2gsounder.pipeline import REPORT_FIELDS
+from a2gsounder.processing import AnalysisError
 
 # the columns `report` projects, as the header of a hand-made metrics CSV
 _REPORT_HEADER = (b"timestamp,tx_x,tx_y,tx_z,p_rx_db,sigma_tau_dbs,gamma12_db,"
@@ -146,6 +147,19 @@ class TestParseScenario:
         assert config.scene.rx_mounting_rotation == pytest.approx(-math.pi / 2)
 
 
+def overwrite_payload(path, samples, snapshot=0, port=0):
+    """Write complex ``samples`` into a capture file's payload from the
+    first tone of ``port`` in ``snapshot`` on."""
+    _, header = read_capture(path)
+    blob = bytearray(Path(path).read_bytes())
+    ports, tones = header["port_count"], header["tone_count"]
+    at = len(blob) - header["snapshot_count"] * ports * tones * 8  # payload start
+    at += (snapshot * ports + port) * tones * 8
+    data = np.asarray(samples, "<c8").tobytes()
+    blob[at:at + len(data)] = data
+    Path(path).write_bytes(blob)
+
+
 def tiny_config(**extra):
     doc = {
         "preset": "olin-static",
@@ -210,6 +224,19 @@ class TestCaptureFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(CaptureFileError, match="version"):
             read_capture(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises_when_read(self, tmp_path, value):
+        path = tmp_path / "n.bin"
+        write_capture(path, list(a2g.run_b2b(tiny_config())))
+        overwrite_payload(path, [complex(0.0, value)], snapshot=1, port=3)
+        records, _ = read_capture(path)  # the header and size are sound
+        assert records[0].h_f.shape == (16, 32)
+        assert len(list(records.port_rows(2))) == 2
+        with pytest.raises(CaptureFileError, match="snapshot 1 has a sample that is not finite"):
+            records[1]
+        with pytest.raises(CaptureFileError, match="not finite"):
+            list(records.port_rows(3))
 
     def test_hash_mismatch_warns_then_strict_raises(self, tmp_path):
         config = tiny_config()
@@ -571,6 +598,76 @@ class TestCli:
         assert cli_main(["stability", "--ref", ref, "--port", "-1",
                          "--out", str(tmp_path / "s.csv")]) == 5
 
+    def captures(self, tmp_path, doc=None):
+        """The synth, b2b and calibrate files of scenario_file's scenario
+        with ``doc``'s sections updated; returns their paths."""
+        document = json.loads(open(self.scenario_file(tmp_path)).read())
+        for key, value in (doc or {}).items():
+            document.setdefault(key, {}).update(value)
+        source = tmp_path / "captured.json"
+        source.write_text(json.dumps(document))
+        meas, ref, cal = (str(tmp_path / name) for name in ("meas.bin", "ref.bin", "cal.bin"))
+        assert cli_main(["synth", "--scenario", str(source), "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", str(source), "--out", ref]) == 0
+        assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", cal]) == 0
+        return meas, ref, cal
+
+    @pytest.mark.parametrize("command", ["calibrate", "analyze-meas", "analyze-cal",
+                                         "stability"])
+    def test_non_finite_sample_exit_code(self, tmp_path, capsys, command):
+        meas, ref, cal = self.captures(tmp_path)
+        scenario = self.scenario_file(tmp_path)
+        poisoned, argv = {
+            "calibrate": (meas, ["calibrate", "--meas", meas, "--ref", ref]),
+            "analyze-meas": (meas, ["analyze", "--scenario", scenario,
+                                    "--meas", meas, "--ref", ref]),
+            "analyze-cal": (cal, ["analyze", "--scenario", scenario, "--cal", cal]),
+            "stability": (ref, ["stability", "--ref", ref, "--port", "5"]),
+        }[command]
+        # the last snapshot, so rows before it are computed and written first
+        last = read_capture(poisoned)[1]["snapshot_count"] - 1
+        overwrite_payload(poisoned, [complex(math.nan, 0.0)], snapshot=last, port=5)
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {poisoned} snapshot {last} ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cal.bin", "captured.json", "meas.bin", "ref.bin", "scenario.json"]
+
+    def test_unexpected_analysis_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        meas, ref, _ = self.captures(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr(a2g.pipeline, "snapshot_metrics", fail)
+        capsys.readouterr()
+        assert cli_main(["analyze", "--scenario", self.scenario_file(tmp_path), "--meas", meas,
+                         "--ref", ref, "--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err.startswith("unexpected error: ValueError: boom")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"array": {"columns": 2}, "timing": {"ports_per_simo": 8}},
+         "gated CIR has 8 ports but geometry has 16"),
+        ({"tone_plan": {"tone_spacing": 1e6}, "gate": {"delay_gate": 0.5e-6}},
+         "delay_gate must be below the maximum unambiguous delay")],
+        ids=["port-count", "delay-gate"])
+    def test_file_of_another_scenario_exit_code(self, tmp_path, capsys, doc, message):
+        _, _, cal = self.captures(tmp_path, doc)
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="config hash mismatch"):
+            assert cli_main(["analyze", "--scenario", self.scenario_file(tmp_path),
+                             "--cal", cal, "--out", str(tmp_path / "m.csv")]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_all_zero_cal_payload_exit_code(self, tmp_path, capsys):
+        _, _, cal = self.captures(tmp_path)
+        _, header = read_capture(cal)
+        overwrite_payload(cal, np.zeros(header["port_count"] * header["tone_count"]))
+        capsys.readouterr()
+        assert cli_main(["analyze", "--scenario", self.scenario_file(tmp_path), "--cal", cal,
+                         "--out", str(tmp_path / "m.csv")]) == 5
+        assert capsys.readouterr().err == "error: no port has surviving bins\n"
+
     def test_strict_hash_mismatch_exit_code(self, tmp_path):
         s1 = self.scenario_file(tmp_path)
         s2 = tmp_path / "other.json"
@@ -603,6 +700,7 @@ class TestCli:
     @pytest.mark.parametrize("error,code,prefix", [
         (SchemaError, 2, "error: "), (SceneError, 2, "error: "), (HashMismatch, 6, "error: "),
         (CaptureFileError, 4, "error: "), (CalibrationError, 5, "error: "),
+        (AnalysisError, 5, "error: "),
         (ValueError, 1, "unexpected error: "), (RuntimeError, 1, "unexpected error: ")],
         ids=lambda value: value.__name__ if isinstance(value, type) else None)
     def test_exit_code_table(self, monkeypatch, capsys, error, code, prefix):

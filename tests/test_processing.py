@@ -8,7 +8,7 @@ from oracles import eigvals_charpoly_bisect
 import a2gsounder as a2g
 from a2gsounder.capture_sim import CaptureRecord
 from a2gsounder.pipeline import report_rows
-from a2gsounder.processing import (GateConfig, GatedCIR, cir_from_tf,
+from a2gsounder.processing import (AnalysisError, GateConfig, GatedCIR, cir_from_tf,
                                    column_power_profile, correlation_and_eigen,
                                    rms_delay_spread, rx_power,
                                    threshold_and_gate)
@@ -62,6 +62,15 @@ class TestCirFromTf:
     def test_unknown_window_rejected(self):
         with pytest.raises(ValueError):
             cir_from_tf(cal_of(np.ones((1, PLAN.tone_count))), window="kaiser")
+
+    @pytest.mark.parametrize("plan", [TonePlan(3.5e9, 0.1, 1840), TonePlan(6e9, 0.01, 1840)],
+                             ids=["3.5GHz-0.1Hz", "6GHz-0.01Hz"])
+    def test_fine_spacing_at_a_high_center(self, plan):
+        # the absolute tone frequencies of these plans round unevenly; the
+        # transform reads only the tone count and spacing
+        raw = cir_from_tf(cal_of(np.ones((2, plan.tone_count)), plan))
+        assert np.argmax(np.abs(raw.h[0])) == 0 and np.argmax(np.abs(raw.h[1])) == 0
+        np.testing.assert_array_equal(raw.delays, plan.delay_bins)
 
 
 class TestThresholdAndGate:
@@ -128,6 +137,11 @@ class TestThresholdAndGate:
         spread = rms_delay_spread(gated)
         assert spread.strongest_port == 0
 
+    def test_gate_at_the_unambiguous_delay_rejected(self):
+        raw = cir_from_tf(cal_of(np.ones((1, PLAN.tone_count))))
+        with pytest.raises(AnalysisError, match="unambiguous delay"):
+            threshold_and_gate(raw, GateConfig(delay_gate=PLAN.max_unambiguous_delay))
+
 
 class TestRxPower:
     def test_non_coherent_sum(self):
@@ -185,6 +199,10 @@ class TestRmsDelaySpread:
         scaled = rms_delay_spread(gated_of(amps * 0.01, delays)).sigma_tau_s
         assert shifted == pytest.approx(base, rel=1e-6)
         assert scaled == pytest.approx(base, rel=1e-12)
+
+    def test_no_surviving_port_rejected(self):
+        with pytest.raises(AnalysisError, match="no port has surviving bins"):
+            rms_delay_spread(gated_of(np.zeros((2, 4)), np.arange(4) * 1e-9))
 
 
 class TestCorrelationAndEigen:
@@ -292,7 +310,7 @@ class TestColumnPowerProfile:
     def test_dimension_checked(self):
         geom = a2g.build_cylindrical_array(4, 2, 0.1, 0.04)
         g = gated_of(np.ones((4, 8)), np.arange(8) * 1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(AnalysisError, match="4 ports but geometry has 16"):
             column_power_profile(g, geom)
 
     def test_zero_column_is_minus_inf(self):
