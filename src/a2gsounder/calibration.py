@@ -1,9 +1,10 @@
 """Back-to-back calibration and sounder stability analysis.
 
-Calibration divides each measured transfer function by the back-to-back
-reference and multiplies by the known attenuator response, leaving the
-antenna+channel response per port; a Reference checks the reference
-and computes the attenuator response once for every measurement.
+Calibration multiplies each measured transfer function by attenuation /
+reference, the known attenuator response over the back-to-back
+reference, leaving the antenna+channel response per port; a Reference
+checks the reference and computes that factor once for every
+measurement.
 Stability statistics reduce a B2B series to one relative
 amplitude/phase sample per snapshot against the first snapshot.
 """
@@ -34,7 +35,8 @@ class StabilityReport:
 
 class Reference:
     """A back-to-back reference snapshot checked once for any number of
-    measurements, with the attenuator response on its tone grid.
+    measurements, held as the complex128 factor attenuation / reference
+    on its tone grid, computed once.
 
     A reference tone more than REFERENCE_FLOOR_DB below the reference's
     median magnitude raises, naming the port and tone, rather than being
@@ -50,26 +52,27 @@ class Reference:
             raise CalibrationError(
                 f"reference tone below floor at port {port}, tone {tone} "
                 f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
-        self.h_f = ref.h_f
         self.tone_plan = ref.tone_plan.to_dict()
-        self.attenuation = attenuator.response(ref.tone_plan)[np.newaxis, :]
+        # complex128 attenuation over a complex64 or complex128 reference
+        self.factor = attenuator.response(ref.tone_plan)[np.newaxis, :] / ref.h_f
 
 
 def calibrate(meas, reference):
-    """Antenna+channel response: meas / ref times the attenuator response.
+    """Antenna+channel response: meas multiplied by attenuation / ref,
+    the factor the Reference computed once.
 
     ``reference`` is a Reference. Returns ``meas``'s CaptureRecord with
     the calibrated ``h_f`` as a CAL record, which carries no SNR and
     seed 0.
     """
-    if meas.h_f.shape != reference.h_f.shape:
+    if meas.h_f.shape != reference.factor.shape:
         raise CalibrationError(
-            f"measurement {meas.h_f.shape} and reference {reference.h_f.shape} "
+            f"measurement {meas.h_f.shape} and reference {reference.factor.shape} "
             "dimensions differ")
     if meas.tone_plan.to_dict() != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
-    h = meas.h_f / reference.h_f * reference.attenuation
-    return replace(meas, h_f=h, snr_db=None, seed=0, record_type="CAL")
+    return replace(meas, h_f=meas.h_f * reference.factor, snr_db=None, seed=0,
+                   record_type="CAL")
 
 
 def stability_stats(rows):

@@ -11,8 +11,8 @@ or the metrics of analyze_records, with at most two tasks per worker in
 flight beyond the result being taken. What feeds that pool runs in
 order in the feeding thread: synthesis computes the noise-free response
 of each run of snapshots that share a TX state as the run is reached
-and drops it after the run, and calibration divides each measurement by
-the reference as it is taken. run_b2b runs in order with no pool.
+and drops it after the run, and calibration multiplies each measurement
+by the reference's factor as it is taken. run_b2b runs in order with no pool.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records).
 """
 
@@ -189,10 +189,11 @@ def calibrate_records(meas_records, ref_records, attenuator):
     """Calibrate every measurement against the first B2B reference
     snapshot; an ordered iterator of CAL records.
 
-    The reference is checked, and the attenuator response computed, once
-    here. Each measurement is then divided as it is taken, in the taking
-    thread: under analyze_records that is the thread that feeds the
-    analysis pool, so no command nests a second pool.
+    The reference is checked, and its factor attenuation / reference
+    computed, once here. Each measurement is then multiplied by that
+    factor as it is taken, in the taking thread: under analyze_records
+    that is the thread that feeds the analysis pool, so no command nests
+    a second pool.
     """
     ref = next(iter(ref_records), None)
     if ref is None:

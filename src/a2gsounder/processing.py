@@ -1,7 +1,8 @@
 """Per-snapshot channel metrics.
 
 Pipeline, per calibrated SIMO snapshot: the impulse response is the
-unitary inverse DFT of each port's transfer function; a dual noise
+unitary inverse DFT of each port's transfer function, taken in
+complex64, whose power is taken once, in float64; a dual noise
 threshold (the larger of noise floor + 6 dB and peak - 20 dB) and a
 2 us delay gate anchored at the first surviving bin clean it; total
 received power adds the gated energies of all ports non-coherently; the
@@ -21,7 +22,7 @@ The tone grid is not checked: TonePlan builds it uniform.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -57,24 +58,33 @@ class RawCIR:
     delays: np.ndarray     # seconds, one per bin
 
 
+def _power(h):
+    """|h|**2 in float64, for complex64 or complex128 ``h``."""
+    return np.abs(h.astype(np.complex128, copy=False)) ** 2
+
+
 @dataclass
 class GatedCIR:
-    """Impulse response after noise thresholding and delay gating."""
+    """Impulse response after noise thresholding and delay gating.
+
+    ``power`` is the gated power per port and delay bin in float64;
+    threshold_and_gate fills it, and it defaults to |h_tau|**2.
+    """
 
     h_tau: np.ndarray        # gated, zeroed bins are exactly zero
     delays: np.ndarray
     noise_floor: np.ndarray  # linear power per port
     threshold: np.ndarray    # applied P_lambda per port
     all_zero_ports: tuple = ()
+    power: np.ndarray = None
+
+    def __post_init__(self):
+        if self.power is None:
+            self.power = _power(self.h_tau)
 
     @property
     def n_ports(self):
         return self.h_tau.shape[0]
-
-    @cached_property
-    def power(self):
-        """Gated power per port and delay bin."""
-        return np.abs(self.h_tau) ** 2
 
     @cached_property
     def port_energy(self):
@@ -108,13 +118,19 @@ def cir_from_tf(cal, window="rect"):
     window tapers the band edges before the transform; note the usual
     trade: it lowers delay sidelobes but widens (scallops) each path's
     main lobe, spreading energy to neighboring bins.
+
+    The transform runs in the precision of ``cal.h_f``: complex64 in,
+    complex64 out; complex128 in, complex128 out. snapshot_metrics hands
+    it complex64: the capture file already quantizes every sample to
+    float32, and the float32 transform adds rounding about 140 dB below
+    the peak, where the gate's threshold sits at most 20 dB below it.
     """
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     plan = cal.tone_plan
     h_f = cal.h_f
-    if window == "hann":
-        h_f = h_f * np.hanning(plan.tone_count)[np.newaxis, :]
+    if window == "hann":  # a taper of h_f's real dtype does not widen h_f
+        h_f = h_f * np.hanning(plan.tone_count).astype(h_f.real.dtype)[np.newaxis, :]
     h = np.fft.ifft(h_f, axis=1, norm="ortho")
     return RawCIR(h=h, delays=plan.delay_bins)
 
@@ -126,7 +142,8 @@ def threshold_and_gate(raw, gate=None):
     delay axis; P_lambda is the larger of noise floor + noise margin and
     peak - peak margin; bins below P_lambda are zeroed, then bins later
     than the first surviving bin plus the delay gate are zeroed. Ports
-    where nothing survives are reported, not fatal.
+    where nothing survives are reported, not fatal. The float64 power is
+    computed once and handed on, gated, as GatedCIR.power.
     """
     gate = gate or GateConfig()
     if raw.h.size == 0:
@@ -134,7 +151,7 @@ def threshold_and_gate(raw, gate=None):
     if gate.delay_gate >= raw.delays[-1] + (raw.delays[1] - raw.delays[0] if len(raw.delays) > 1 else 0):
         raise AnalysisError("delay_gate must be below the maximum unambiguous delay")
 
-    power = np.abs(raw.h) ** 2
+    power = _power(raw.h)
     n_ports, n_bins = power.shape
     tail = max(1, int(math.ceil(gate.noise_window_fraction * n_bins)))
     noise_floor = np.mean(power[:, n_bins - tail:], axis=1)
@@ -146,14 +163,15 @@ def threshold_and_gate(raw, gate=None):
     any_kept = keep.any(axis=1) & (peak > 0.0)
     first_delay = raw.delays[np.argmax(keep, axis=1)]  # undefined rows masked below
     late = raw.delays[np.newaxis, :] > (first_delay[:, np.newaxis] + gate.delay_gate)
-    gated = np.where(keep & ~late, raw.h, 0.0)
-    gated[~any_kept] = 0.0
+    kept = keep & ~late
+    kept[~any_kept] = False
     return GatedCIR(
-        h_tau=gated,
+        h_tau=np.where(kept, raw.h, 0.0),
         delays=raw.delays,
         noise_floor=noise_floor,
         threshold=threshold,
         all_zero_ports=tuple(np.nonzero(~any_kept)[0].tolist()),
+        power=np.where(kept, power, 0.0),
     )
 
 
@@ -259,7 +277,7 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect"):
     # the correlation first: run after the gating, its product's temporaries
     # made glibc return and re-fault ~7 MB of pages per snapshot
     eig = correlation_and_eigen(cal)
-    raw = cir_from_tf(cal, window=window)
+    raw = cir_from_tf(replace(cal, h_f=cal.h_f.astype(np.complex64)), window=window)
     gated = threshold_and_gate(raw, gate)
     spread = rms_delay_spread(gated)
     columns = column_power_profile(gated, geometry)

@@ -7,14 +7,17 @@ bisection instead of LAPACK, and the transfer-function oracle evaluates
 the path sum with its own scalar trigonometry. The references are
 one-item views of the library that the library itself never needs: one
 port's gain for one plane wave, and a system response that changes
-nothing.
+nothing. ``complex128_metrics`` is the analysis front end as it ran
+before the complex64 delay domain, the reference that one is held to.
 """
 
 import math
 
 import numpy as np
 
-from a2gsounder.capture_sim import SystemResponse
+from a2gsounder.capture_sim import CaptureRecord, SystemResponse
+from a2gsounder.processing import (GatedCIR, column_power_profile, correlation_and_eigen,
+                                   los_bin_power_db, rms_delay_spread, rx_power)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -137,3 +140,54 @@ def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
                 out[base] += amp * (jv + leak * jh) * phase
                 out[base + 1] += amp * (jh + leak * jv) * phase
     return out
+
+
+def complex128_metrics(meas, ref, attenuation, geometry, gate):
+    """Metric columns of one snapshot by the complex128 front end.
+
+    The measurement is divided by the reference and multiplied by the
+    attenuator response, transformed by a complex128 unitary inverse
+    DFT, and gated on the power np.abs(h)**2 by the dual threshold and
+    delay gate of processing.threshold_and_gate. The gated response,
+    whose power GatedCIR squares again, feeds processing's reductions.
+    Returns snapshot_metrics' columns from p_rx on.
+    """
+    h_f = meas.h_f / ref.h_f * attenuation
+    h = np.fft.ifft(h_f, axis=1, norm="ortho")
+    power = np.abs(h) ** 2
+    n_bins = power.shape[1]
+    tail = max(1, int(math.ceil(gate.noise_window_fraction * n_bins)))
+    noise_floor = np.mean(power[:, n_bins - tail:], axis=1)
+    peak = np.max(power, axis=1)
+    threshold = np.maximum(noise_floor * 10.0 ** (gate.noise_margin_db / 10.0),
+                           peak * 10.0 ** (-gate.peak_margin_db / 10.0))
+    delays = meas.tone_plan.delay_bins
+    keep = power >= threshold[:, np.newaxis]
+    first = delays[np.argmax(keep, axis=1)]
+    gated = np.where(keep & (delays[np.newaxis, :] <= first[:, np.newaxis] + gate.delay_gate),
+                     h, 0.0)
+    gated[~(keep.any(axis=1) & (peak > 0.0))] = 0.0
+    cir = GatedCIR(h_tau=gated, delays=delays, noise_floor=noise_floor, threshold=threshold)
+
+    spread = rms_delay_spread(cir)
+    columns = column_power_profile(cir, geometry)
+    eig = correlation_and_eigen(CaptureRecord(h_f=h_f, tone_plan=meas.tone_plan))
+    e = eig.eigenvalues
+    p_rx = rx_power(cir)
+    row = {
+        "p_rx": p_rx,
+        "p_rx_db": 10.0 * math.log10(p_rx) if p_rx > 0 else -math.inf,
+        "sigma_tau_s": spread.sigma_tau_s,
+        "sigma_tau_dbs": spread.sigma_tau_dbs,
+        "strongest_port": spread.strongest_port,
+        "los_bin_power_db": los_bin_power_db(cir, spread.strongest_port),
+        "gamma12_db": eig.gamma12_db,
+        "gamma14_db": eig.gamma14_db,
+        "eigen_span_db": (math.inf if len(e) < 2 or e[0] <= 0 or e[-1] <= 0
+                          else 10.0 * math.log10(e[0] / e[-1])),
+        "argmax_v_column": int(np.argmax(columns[:, 0])),
+    }
+    for col, (v_db, h_db) in enumerate(columns):
+        row[f"col{col}_v_db"] = v_db
+        row[f"col{col}_h_db"] = h_db
+    return row

@@ -27,33 +27,33 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "5032e6446d706fa34e9690c28decc82ff6da88b2ec1f8d3e5795e82ef3b2dfa4",
-        "analyze_csv": "7b5832eb153b1430a1f3b39d6720a8364f5a3817479111cec6c4fe59e0a52ec3",
-        "analyze_json": "01b275165254d3d1d0ddc144f69e7dc9da98a62e32d5f84aaa4c559daf2ebbad",
-        "analyze_summary": "db3208bf0a3bb7c260a655ed67aa8a67cf5c741bac2063d0ad14e48c9e64a89d",
+        "analyze_cal_csv": "b8f15e17455f3e806dde72a49340b984898c33b56417d3f63276d4e7548c82a8",
+        "analyze_csv": "dce351d2ce0aedb99f2c9e9cbc8c5be59b71dbbf4b9ff0ed63e4e15a7dc9bed0",
+        "analyze_json": "3fb6b62548d47afb53dc625b5a2276ce76ab32cb862c61f74c7c092e02a4eb25",
+        "analyze_summary": "00274c767f609999cab41a9543f3d8ee5abc40f9774dd441ed6b70d3fa4225bf",
         "b2b": "0f57311e12858768a4e2978fd6e951b75fd49368b2d35e89299ab61304c49e1f",
         "calibrate": "3cd1d5a2a00f47e6ef0fee932a365601b6b8cc7569452d49d8c48df84ea9f5e3",
-        "report": "660c4e06b3abed169018bee2220dbedc20f5d5b0be9b4a3f84390b83cff3023c",
+        "report": "593f117af8dc55ecdeb758a80adea3a95380020c40f80928742a1e8760e02311",
         "synth": "2fad6e4611bb50d9849a6ddb770bdd7b65347ceb227aba5577360829937e5fda",
     },
     "hover": {
-        "analyze_cal_csv": "1b7fb0f3f3d7af51e3d3a6ea16c6d0453db7f37b386904b5f81419f6bd5fee0f",
-        "analyze_csv": "2380820aa3a2fc1b90701d727ab7a3d5bc41d391c677c4c23a5104318055c8f8",
-        "analyze_json": "66c4f9894a0c7fed73726d5e0ad16ff69801ab81cd1f887df9cdeddede3b08cf",
-        "analyze_summary": "4aa9d7197ef695718c77f97c8d9cbb92eebf4a3c72dcbc911a557b1ebbe328b8",
+        "analyze_cal_csv": "6dbb8451916f5da1393550f5aa0885146a7f37356a2f4eabc74d89b86d7237d1",
+        "analyze_csv": "1d6840996a6adb7db01105805d6ec7aaa6601765227c3f417852897c1f4749bb",
+        "analyze_json": "d05e716c370ee91a6378a82c9dd74c71315cdb4c0e7d47010f8cda1399363912",
+        "analyze_summary": "2f667ca826238795cb207846ac01c551114a17dc92f94be46e803d1a593298cf",
         "b2b": "275704e22bd675147d9cd3ff3cc75606aa077aac311661f26f01460f9d4e849e",
         "calibrate": "a32ffb546028ce19b3d8e0ea4a52889b78ad6c5276c5da1d21bee8f633ba662c",
-        "report": "16c1b9c11874d477964d3df3738417943d4c3143f57c355d6bce4d0eef8dacbd",
+        "report": "58f4d79b113c99948c819bf6d45c53da7bf3dae3d684d647ce46c565466c769f",
         "synth": "76254beef4da29b47402478f4522036c059ead445e5228ea7c23ec85f46dbbd2",
     },
     "route": {
-        "analyze_cal_csv": "a4ca8ef47eaaafddb116c9158ed67edb38efb3f39f3482b0d08ccf124704986c",
-        "analyze_csv": "9dee4a21009931ddc7f8bb0c916c3040a62aff939a32f316de4520f39e5f360d",
-        "analyze_json": "896b138fd4a5aac8281653c38344935194d81b9655d1d7b13d89a8aa956aecec",
-        "analyze_summary": "96b402fccc01925dd8b769854d2a0e66cf130eb3d8f59611c567678f28c808ef",
+        "analyze_cal_csv": "0dec79d3a6b2da275011ca0bc1a4f1664ea5cb8119ce7d47e63f74e5e48d603b",
+        "analyze_csv": "52de569e857737d7541f1a3fddba6f98e0321ddc1bfd0afcad22395cac0bb544",
+        "analyze_json": "d46b1384fb00e34271eaf698554f2f4a9777c430488ac23dd3677ce260cb50a9",
+        "analyze_summary": "aef9ebb262a73871f452bc2d7a5e4bf919e1d71294d3a9048407ff5cae777067",
         "b2b": "437d1c7359c6ae4b84116429b130ffd8a365c0cab73d2e826ca1cffcf22383e3",
         "calibrate": "ab2a06c348b6b70a528f3487cbec3c00291361f22abc392e245497d064874b56",
-        "report": "833cdebcd58badd30ed05819489423b7b7b2a0c138528411ffbc11affbb2650b",
+        "report": "aa13b3cb4e35966277403290dfc451a3b00ead292c96203443f5484713b96ae7",
         "synth": "4a06b6b5ab1c44a07d6794632784ec990f5e51896cb1431bb3f3361a7952579c",
     },
     "b2b-stability": {

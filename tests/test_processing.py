@@ -51,6 +51,30 @@ class TestCirFromTf:
         b = np.sum(np.abs(h) ** 2)
         assert abs(a - b) <= 1e-12 * b
 
+    @pytest.mark.parametrize("window", ["rect", "hann"])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_transform_keeps_the_input_precision(self, dtype, window):
+        h = np.ones((2, PLAN.tone_count), dtype)
+        raw = cir_from_tf(CaptureRecord(h_f=h, tone_plan=PLAN), window=window)
+        assert raw.h.dtype == dtype
+
+    def test_parseval_identity_in_complex64(self):
+        # A radix-2 FFT of n points in unit roundoff u errs in norm by at
+        # most about log2(n) * eta, eta = u + gamma_4 * sqrt(2) ~ 6.7 u
+        # (Higham, Accuracy and Stability of Numerical Algorithms, thm
+        # 24.2); the orthonormal scale adds one rounding. Energy is the
+        # squared norm, so its relative error is at most about twice that:
+        # 2 * (6.7 * 7 + 1) * 2**-24 ~ 5.7e-6 at n = 128.
+        n = PLAN.tone_count
+        bound = 2.0 * (6.7 * math.log2(n) + 1.0) * 2.0 ** -24
+        rng = np.random.default_rng(1)
+        h = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        h = h.astype(np.complex64)
+        raw = cir_from_tf(CaptureRecord(h_f=h, tone_plan=PLAN))
+        a = np.sum(np.abs(raw.h.astype(np.complex128)) ** 2)
+        b = np.sum(np.abs(h.astype(np.complex128)) ** 2)
+        assert abs(a - b) <= bound * b
+
     def test_hann_window_spreads_mainlobe(self):
         tau = PLAN.delay_bins[40] + 0.5 * PLAN.delay_resolution  # worst-case straddle
         h = np.exp(-2j * math.pi * PLAN.tone_frequencies * tau)[np.newaxis, :]
@@ -136,6 +160,19 @@ class TestThresholdAndGate:
         assert gated.all_zero_ports == (1,)
         spread = rms_delay_spread(gated)
         assert spread.strongest_port == 0
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_carried_power_is_the_float64_power_of_the_gated_response(self, dtype):
+        rng = np.random.default_rng(4)
+        h = 0.01 * (rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64)))
+        h[:, 5] += 3.0
+        h[2] = 0.0
+        gated = threshold_and_gate(a2g.RawCIR(h=h.astype(dtype), delays=np.arange(64) * 1e-7),
+                                   GateConfig(delay_gate=1e-6))
+        assert gated.h_tau.dtype == dtype and gated.power.dtype == np.float64
+        np.testing.assert_array_equal(
+            gated.power, np.abs(gated.h_tau.astype(np.complex128)) ** 2)
+        assert gated.all_zero_ports == (2,)
 
     def test_gate_at_the_unambiguous_delay_rejected(self):
         raw = cir_from_tf(cal_of(np.ones((1, PLAN.tone_count))))
