@@ -14,7 +14,7 @@ handled by the capture simulator).
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,14 +50,6 @@ class PatternParams:
         if math.isinf(self.xpd_db):
             return 0.0
         return 10.0 ** (-self.xpd_db / 20.0)
-
-    def to_dict(self):
-        return {
-            "q_azimuth": self.q_azimuth,
-            "q_elevation": self.q_elevation,
-            "xpd_db": self.xpd_db,
-            "backlobe_floor_db": self.backlobe_floor_db,
-        }
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ class ArrayGeometry:
             "vertical_spacing": self.vertical_spacing,
             "columns": self.columns,
             "rows": self.rows,
-            "pattern": self.pattern.to_dict(),
+            "pattern": asdict(self.pattern),
         }
 
 

@@ -52,7 +52,7 @@ class Reference:
             raise CalibrationError(
                 f"reference tone below floor at port {port}, tone {tone} "
                 f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
-        self.tone_plan = ref.tone_plan.to_dict()
+        self.tone_plan = ref.tone_plan
         # complex128 attenuation over a complex64 or complex128 reference
         self.factor = attenuator.response(ref.tone_plan)[np.newaxis, :] / ref.h_f
 
@@ -69,7 +69,7 @@ def calibrate(meas, reference):
         raise CalibrationError(
             f"measurement {meas.h_f.shape} and reference {reference.factor.shape} "
             "dimensions differ")
-    if meas.tone_plan.to_dict() != reference.tone_plan:
+    if meas.tone_plan != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
     return replace(meas, h_f=meas.h_f * reference.factor, snr_db=None, seed=0,
                    record_type="CAL")

@@ -27,7 +27,7 @@ import os
 import struct
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class Layout:
             "snapshot_count": len(self.timestamps),
             "port_count": int(self.port_count),
             "tone_count": int(self.tone_plan.tone_count),
-            "tone_plan": self.tone_plan.to_dict(),
+            "tone_plan": asdict(self.tone_plan),
             "timestamps": [float(t) for t in self.timestamps],
             "tx_positions": [_floats(p) for p in self.tx_positions],
             "tx_tilts": [_floats(t) for t in self.tx_tilts],
@@ -125,7 +125,7 @@ def _check_record(record, s, header):
     if record.h_f.shape != shape:
         raise ValueError(f"record {s} shape {record.h_f.shape} differs from {shape}")
     fields = {
-        "tone_plan": (record.tone_plan.to_dict(), header["tone_plan"]),
+        "tone_plan": (asdict(record.tone_plan), header["tone_plan"]),
         "snr_db": (record.snr_db, header["snr_db"]),
         "seed": (int(record.seed), header["seed"]),
         "timestamp": (float(record.timestamp), header["timestamps"][s]),
@@ -136,6 +136,21 @@ def _check_record(record, s, header):
     for name, (got, written) in fields.items():
         if got != written:
             raise ValueError(f"record {s} {name} {got} differs from the header's {written}")
+
+
+@contextlib.contextmanager
+def replacing(path, mode="w"):
+    """A temporary file beside ``path``, named anew on each call and open in
+    ``mode`` (text: no newline translation), renamed to ``path`` when the block
+    ends; an error removes it, leaving any earlier file at ``path`` untouched."""
+    partial = f"{os.fspath(path)}.{os.urandom(4).hex()}.partial"
+    try:
+        with open(partial, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:  # after an error; after the rename there is nothing to remove
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
 
 
 def write_capture(path, records, config_hash="", geometry_hash="", record_type=None,
@@ -152,10 +167,10 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     Complex samples are quantized to float32 pairs; a second write of
     the read-back file is byte-identical.
 
-    The file is written under a temporary name beside ``path`` and
-    renamed at the end, so any error, whether a record that disagrees
-    with the header or one raised while ``records`` computes a
-    snapshot, leaves no file at ``path`` and is raised again.
+    The file is written through replacing(), so any error, whether a
+    record that disagrees with the header or one raised while
+    ``records`` computes a snapshot, leaves no file at ``path`` and is
+    raised again.
     """
     if layout is None:
         layout = getattr(records, "layout", None)
@@ -172,26 +187,19 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    partial = f"{os.fspath(path)}.partial"
-    try:
-        with open(partial, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            written = 0
-            for written, record in enumerate(records, 1):
-                if written > count:
-                    raise ValueError(f"more records than the header's {count} snapshots")
-                _check_record(record, written - 1, header)
-                fh.write(np.ascontiguousarray(record.h_f, dtype="<c8"))
-            if written < count:
-                raise ValueError(f"{written} records for a header of {count} snapshots")
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        written = 0
+        for written, record in enumerate(records, 1):
+            if written > count:
+                raise ValueError(f"more records than the header's {count} snapshots")
+            _check_record(record, written - 1, header)
+            fh.write(np.ascontiguousarray(record.h_f, dtype="<c8"))
+        if written < count:
+            raise ValueError(f"{written} records for a header of {count} snapshots")
 
 
 def _tone_plan(value, path):

@@ -12,23 +12,25 @@ Subcommands:
 Exit codes: _EXIT_CODES gives a library error's code by its type, _Exit
 carries the code of what the CLI checks itself; README lists them all.
 
-Capture files are written and read one snapshot at a time, and a
-command that fails partway leaves no output file.
+Snapshots and rows stream: no command holds a series. Every output file
+goes through capture_file.replacing, so a failed command leaves none.
 """
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import json
 import sys
+from array import array
 
 from .calibration import CalibrationError, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
-                           write_capture)
+                           replacing, write_capture)
 from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
-from .pipeline import (REPORT_FIELDS, analyze_records, b2b_layout,
+from .pipeline import (REPORT_FIELDS, SUMMARY_FIELDS, analyze_records, b2b_layout,
                        calibrate_records, calibrated_layout, report_rows,
                        run_b2b, run_synthesis, stability_rows, summarize,
                        synthesis_layout, thread_count, write_rows_csv, write_rows_json)
@@ -192,13 +194,22 @@ def cmd_analyze(args):
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
         cal, _, _ = _calibrated(args, config, expected_hash=expected)
 
-    rows = list(analyze_records(cal, config.geometry, config.gate, window=args.window))
-    _write_rows(args, rows, expected)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summarize(rows, config_hash=expected), fh, indent=2)
-            fh.write("\n")
-    print(f"analyzed {len(rows)} snapshots -> {args.out}")
+    kept = {key: array("d") for key in SUMMARY_FIELDS}  # 40 B a row, for the summary
+
+    def rows():
+        for row in analyze_records(cal, config.geometry, config.gate, window=args.window):
+            for key, column in kept.items():
+                column.append(row[key])
+            yield row
+
+    # the summary's file is opened first: a bad --summary path fails before any row
+    with replacing(args.summary) if args.summary else contextlib.nullcontext() as fh:
+        _write_rows(args, rows(), expected)
+        summary = summarize((dict(zip(kept, values)) for values in zip(*kept.values())),
+                            config_hash=expected)
+        if fh:
+            fh.write(json.dumps(summary, indent=2) + "\n")
+    print(f"analyzed {summary['snapshots']} snapshots -> {args.out}")
     return EXIT_OK
 
 
@@ -223,40 +234,44 @@ def _number(cell):
 
 
 def cmd_report(args):
-    config_hash = None
+    name = f"metrics file {args.metrics}"
     try:
-        with open(args.metrics, encoding="utf-8") as fh:
+        fh = open(args.metrics, encoding="utf-8")
+    except FileNotFoundError:
+        raise _Exit(EXIT_MISSING_FILE, f"metrics file not found: {args.metrics}")
+    count = 0
+
+    def rows(reader):  # each row checked as the writer takes it
+        nonlocal count
+        for count, row in enumerate(reader, 1):
+            if None in row or None in row.values():
+                raise _Exit(EXIT_FORMAT, f"{name} row {count} does not have one cell per "
+                                         "column")
+            try:
+                numbers = {key: _number(cell) for key, cell in row.items()}
+            except ValueError as exc:
+                raise _Exit(EXIT_FORMAT, f"{name} has a cell that is not a number: {exc}")
+            yield numbers
+        if not count:
+            raise _Exit(EXIT_FORMAT, f"{name} has no rows")
+
+    with fh:
+        try:
             first = fh.readline()
+            config_hash = None
             if first.startswith("# config_hash:"):
                 config_hash = first.split(":", 1)[1].strip()
             else:
                 fh.seek(0)
             reader = csv.DictReader(fh)
-            rows = list(reader)
-            columns = reader.fieldnames
-    except FileNotFoundError:
-        raise _Exit(EXIT_MISSING_FILE, f"metrics file not found: {args.metrics}")
-    except UnicodeDecodeError as exc:
-        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} is not UTF-8: {exc}")
-    if not rows:
-        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has no rows")
-    missing = [key for key in REPORT_FIELDS if key not in columns]
-    if missing:
-        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} is not a metrics table: "
-                                 f"it lacks columns {missing}")
-    ragged = [i for i, row in enumerate(rows, 1) if None in row or None in row.values()]
-    if ragged:
-        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} rows {ragged} do not have "
-                                 "one cell per column")
-    try:
-        rows = [{key: _number(cell) for key, cell in row.items()} for row in rows]
-    except ValueError as exc:
-        raise _Exit(EXIT_FORMAT, f"metrics file {args.metrics} has a cell that is not "
-                                 f"a number: {exc}")
-
-    out_rows = report_rows(rows)
-    _write_rows(args, out_rows, config_hash)
-    print(f"wrote route table with {len(out_rows)} locations to {args.out}")
+            missing = [key for key in REPORT_FIELDS if key not in (reader.fieldnames or ())]
+            if missing:
+                raise _Exit(EXIT_FORMAT, f"{name} is not a metrics table: it lacks columns "
+                                         f"{missing}")
+            _write_rows(args, report_rows(rows(reader)), config_hash)
+        except UnicodeDecodeError as exc:
+            raise _Exit(EXIT_FORMAT, f"{name} is not UTF-8: {exc}")
+    print(f"wrote route table with {count} locations to {args.out}")
     return EXIT_OK
 
 

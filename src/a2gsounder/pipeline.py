@@ -4,15 +4,12 @@ Snapshot simulation and analysis are embarrassingly parallel; the
 A2GS_THREADS environment variable caps the worker count (default 1).
 Randomness is counter-based, so the thread count never changes results.
 
-Every stage is an ordered iterator, so a command holds a bounded number
-of snapshots whatever the series length. A command runs at most one
-pool, on its heavy per-snapshot stage: the noise step of run_synthesis
-or the metrics of analyze_records, with at most two tasks per worker in
-flight beyond the result being taken. What feeds that pool runs in
-order in the feeding thread: synthesis computes the noise-free response
-of each run of snapshots that share a TX state as the run is reached
-and drops it after the run, and calibration multiplies each measurement
-by the reference's factor as it is taken. run_b2b runs in order with no pool.
+Every stage is an ordered iterator and the row writers take each row as
+it comes, so memory is bounded whatever the series length. The process
+runs one pool at a time (see _map_ordered), on the noise step of
+run_synthesis or the metrics of analyze_records. What feeds it runs in
+the feeding thread: the noise-free response of each run of snapshots
+that share a TX state, and calibration. run_b2b runs with no pool.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records).
 """
 
@@ -21,16 +18,18 @@ import ctypes
 import json
 import math
 import os
+import threading
+from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
 from .calibration import CalibrationError, Reference, calibrate
-from .capture_file import Layout
+from .capture_file import Layout, replacing
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
@@ -57,22 +56,33 @@ def _openblas_threads():
         return (lambda: None), (lambda count: None)
 
 
+_POOL_RUNNING = threading.Lock()
+
+
 def _map_ordered(fn, items):
     """Ordered iterator of fn(item), run on up to thread_count() worker
     threads with at most two tasks per worker submitted ahead of the
-    result being taken; ``items`` is consumed as tasks are submitted."""
+    result being taken; ``items`` is consumed as tasks are submitted.
+
+    While another call's pool runs (it holds _POOL_RUNNING until its
+    iterator ends or is closed), as when this stage feeds that pool, it
+    maps in the taking thread: A2GS_THREADS caps the whole process.
+    """
     workers = thread_count()
-    if workers == 1:
+    if workers == 1 or not _POOL_RUNNING.acquire(blocking=False):
         yield from map(fn, items)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > 2 * workers:
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    finally:
+        _POOL_RUNNING.release()
 
 
 def system_for(config):
@@ -192,8 +202,7 @@ def calibrate_records(meas_records, ref_records, attenuator):
     The reference is checked, and its factor attenuation / reference
     computed, once here. Each measurement is then multiplied by that
     factor as it is taken, in the taking thread: under analyze_records
-    that is the thread that feeds the analysis pool, so no command nests
-    a second pool.
+    that is the thread that feeds the analysis pool.
     """
     ref = next(iter(ref_records), None)
     if ref is None:
@@ -232,39 +241,42 @@ REPORT_FIELDS = ("timestamp", "tx_x", "tx_y", "tx_z", "p_rx_db", "sigma_tau_dbs"
 
 
 def report_rows(rows):
-    """Location-indexed route table projected from metrics rows.
+    """Location-indexed route table projected from metrics rows, an iterator.
 
     ``rows`` are snapshot_metrics rows or the same rows read back from a
     metrics CSV, all carrying REPORT_FIELDS.
     """
-    if not rows:
-        raise ValueError("route report needs at least one snapshot")
-    out = []
     for i, row in enumerate(rows):
         entry = {"location": i}
         entry.update((key, row[key]) for key in REPORT_FIELDS)
         entry.update((key, value) for key, value in row.items() if key.startswith("col"))
-        out.append(entry)
-    return out
+        yield entry
 
 
 def write_rows_csv(path, rows, config_hash=None):
-    """Write rows as CSV; the provenance hash rides in a '#' comment line
-    that pandas/gnuplot-style readers skip."""
-    if not rows:
-        raise ValueError("no rows to write")
-    with open(path, "w", newline="") as fh:
+    """Write rows, any iterable, as CSV with the first row's keys as header;
+    the provenance hash rides in a '#' line that CSV readers can skip."""
+    rows = iter(rows)
+    with replacing(path) as fh:
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("no rows to write")
         if config_hash:
             fh.write(f"# config_hash: {config_hash}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(first))
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(chain([first], rows))
 
 
 def write_rows_json(path, rows):
-    with open(path, "w") as fh:
-        json.dump([_jsonable(r) for r in rows], fh, indent=2)
-        fh.write("\n")
+    """Write rows, any iterable, as json.dump(list(rows), indent=2) and a
+    newline would, one row at a time; non-finite floats become strings."""
+    with replacing(path) as fh:
+        sep = "["
+        for row in rows:
+            fh.write(sep + "\n  " + json.dumps(_jsonable(row), indent=2).replace("\n", "\n  "))
+            sep = ","
+        fh.write("[]\n" if sep == "[" else "\n]\n")
 
 
 def _jsonable(row):
@@ -279,6 +291,9 @@ def _jsonable(row):
     return out
 
 
+SUMMARY_FIELDS = ("gamma12_db", "gamma14_db", "sigma_tau_dbs", "p_rx_db", "los_bin_power_db")
+
+
 def _stat(values):
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
@@ -291,14 +306,17 @@ def _stat(values):
 
 
 def summarize(rows, config_hash=""):
-    """Scenario summary of metrics rows: means and stds of the headline
-    metrics."""
+    """Scenario summary of metrics rows, any iterable: means and stds of
+    the SUMMARY_FIELDS, of which it keeps 40 B a row."""
+    columns = {key: array("d") for key in SUMMARY_FIELDS}
+    count = 0
+    for count, row in enumerate(rows, 1):
+        for key, column in columns.items():
+            column.append(row[key])
     return {
-        "snapshots": len(rows),
+        "snapshots": count,
         "config_hash": config_hash,
-        **{key: _stat([row[key] for row in rows])
-           for key in ("gamma12_db", "gamma14_db", "sigma_tau_dbs", "p_rx_db",
-                       "los_bin_power_db")},
+        **{key: _stat(column) for key, column in columns.items()},
         # tone-average caveat: with a large coherence bandwidth the number
         # of independent frequency samples is low, so the correlation
         # matrix summarizes diversity rather than true second-order stats

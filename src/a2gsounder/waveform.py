@@ -66,14 +66,6 @@ class TonePlan:
         """Delay axis of the unitary inverse DFT over the tone index."""
         return np.arange(self.tone_count, dtype=np.float64) * self.delay_resolution
 
-    def to_dict(self):
-        return {
-            "center_frequency": self.center_frequency,
-            "tone_spacing": self.tone_spacing,
-            "tone_count": self.tone_count,
-            "nominal_bandwidth": self.nominal_bandwidth,
-        }
-
 
 @dataclass(frozen=True)
 class TimingPlan:

@@ -540,14 +540,16 @@ class TestCli:
         assert "--attenuator-db" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [b"", "# config_hash: \u00e9\n".encode("latin-1"),
+    @pytest.mark.parametrize("content", [b"", _REPORT_HEADER,
+                                         "# config_hash: \u00e9\n".encode("latin-1"),
                                          "analyze-json", "stability-csv",
                                          _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8,9\n",
                                          _REPORT_HEADER + b"0,1,2,3,4,5,6,7,8\n0,1\n",
                                          _REPORT_HEADER + b"0,1,2,3,4,5,6,7,x\n",
                                          _REPORT_HEADER + b"0,1,2,3,4,5,6,,8\n"],
-                             ids=["no-rows", "not-utf8", "analyze-json", "stability-csv",
-                                  "long-row", "short-row", "not-a-number", "empty-cell"])
+                             ids=["no-rows", "header-only", "not-utf8", "analyze-json",
+                                  "stability-csv", "long-row", "short-row", "not-a-number",
+                                  "empty-cell"])
     def test_unreadable_metrics_exit_code(self, tmp_path, capsys, content):
         metrics = tmp_path / "metrics.csv"
         if isinstance(content, bytes):
@@ -568,6 +570,8 @@ class TestCli:
         assert str(metrics) in err
         if not isinstance(content, bytes):
             assert "lacks columns" in err and "p_rx_db" in err
+        if content == _REPORT_HEADER:  # the CLI, not report_rows, rejects an empty table
+            assert "has no rows" in err
         assert not out.exists()
 
     def test_route_crossing_a_small_facet_plane_synthesizes(self, tmp_path):

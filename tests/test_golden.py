@@ -34,6 +34,7 @@ GOLDEN = {
         "b2b": "0f57311e12858768a4e2978fd6e951b75fd49368b2d35e89299ab61304c49e1f",
         "calibrate": "3cd1d5a2a00f47e6ef0fee932a365601b6b8cc7569452d49d8c48df84ea9f5e3",
         "report": "593f117af8dc55ecdeb758a80adea3a95380020c40f80928742a1e8760e02311",
+        "report_json": "d82e2ffc3e25d2299dd59c2b90896ff371ee3645169d0fdbbbb30a7a65a3eb7a",
         "synth": "2fad6e4611bb50d9849a6ddb770bdd7b65347ceb227aba5577360829937e5fda",
     },
     "hover": {
@@ -44,6 +45,7 @@ GOLDEN = {
         "b2b": "275704e22bd675147d9cd3ff3cc75606aa077aac311661f26f01460f9d4e849e",
         "calibrate": "a32ffb546028ce19b3d8e0ea4a52889b78ad6c5276c5da1d21bee8f633ba662c",
         "report": "58f4d79b113c99948c819bf6d45c53da7bf3dae3d684d647ce46c565466c769f",
+        "report_json": "8725f25cb32bd7a11ea52c8c838613ab7ac43aa56185021c27ccff20200181a8",
         "synth": "76254beef4da29b47402478f4522036c059ead445e5228ea7c23ec85f46dbbd2",
     },
     "route": {
@@ -54,11 +56,13 @@ GOLDEN = {
         "b2b": "437d1c7359c6ae4b84116429b130ffd8a365c0cab73d2e826ca1cffcf22383e3",
         "calibrate": "ab2a06c348b6b70a528f3487cbec3c00291361f22abc392e245497d064874b56",
         "report": "aa13b3cb4e35966277403290dfc451a3b00ead292c96203443f5484713b96ae7",
+        "report_json": "20858fdb612b675c81308329f214b577e1063aa808d35b8ac14b54e6044ee77c",
         "synth": "4a06b6b5ab1c44a07d6794632784ec990f5e51896cb1431bb3f3361a7952579c",
     },
     "b2b-stability": {
         "b2b": "56d83d8d23105764ae57f19525e52d7d8a1dca55f59848e92a07bb9428899fe8",
         "stability": "ec89a34e3af62a19500ab3d1e378b43ca32df6f37f3c9f426e1bada90a804d93",
+        "stability_json": "9bee1e4f84064918840dc354edb1a3fcb367f5dc0976e592ee9d53fd9f69de21",
     },
 }
 
@@ -82,13 +86,13 @@ def _run(*argv):
 
 def _measurement_flow(tmp_path, name):
     """synth, b2b, calibrate, analyze (CSV, JSON, summary, and CSV from
-    the CAL file) and report."""
+    the CAL file) and report (CSV and JSON)."""
     scenario = _scenario(tmp_path, name, BURSTS[name])
     out = {key: str(tmp_path / file) for key, file in (
         ("synth", "meas.bin"), ("b2b", "ref.bin"), ("calibrate", "cal.bin"),
         ("analyze_csv", "metrics.csv"), ("analyze_json", "metrics.json"),
         ("analyze_summary", "summary.json"), ("analyze_cal_csv", "metrics_cal.csv"),
-        ("report", "route.csv"))}
+        ("report", "route.csv"), ("report_json", "route.json"))}
     _run("synth", "--scenario", scenario, "--out", out["synth"])
     _run("b2b", "--scenario", scenario, "--out", out["b2b"], "--snapshots", "2")
     _run("calibrate", "--meas", out["synth"], "--ref", out["b2b"],
@@ -100,16 +104,21 @@ def _measurement_flow(tmp_path, name):
     _run("analyze", "--scenario", scenario, "--cal", out["calibrate"],
          "--out", out["analyze_cal_csv"])
     _run("report", "--metrics", out["analyze_csv"], "--out", out["report"])
+    _run("report", "--metrics", out["analyze_csv"], "--out", out["report_json"],
+         "--format", "json")
     return out
 
 
 def _stability_flow(tmp_path):
-    """b2b series plus stability at port 0."""
+    """b2b series plus stability at port 0, as CSV and JSON."""
     scenario = _scenario(tmp_path, "b2b-stability")
-    out = {"b2b": str(tmp_path / "ref.bin"), "stability": str(tmp_path / "stab.csv")}
+    out = {"b2b": str(tmp_path / "ref.bin"), "stability": str(tmp_path / "stab.csv"),
+           "stability_json": str(tmp_path / "stab.json")}
     _run("b2b", "--scenario", scenario, "--out", out["b2b"],
          "--snapshots", str(B2B_STABILITY_SNAPSHOTS))
     _run("stability", "--ref", out["b2b"], "--port", "0", "--out", out["stability"])
+    _run("stability", "--ref", out["b2b"], "--port", "0", "--out", out["stability_json"],
+         "--format", "json")
     return out
 
 

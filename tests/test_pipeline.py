@@ -1,6 +1,7 @@
 """Where the pipeline runs its work when A2GS_THREADS > 1, and how it
 holds BLAS at one thread for the analysis."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import test_golden as golden
 
 from a2gsounder import pipeline, processing
+from a2gsounder.capture_file import write_capture
 from a2gsounder.channel_synth import wobble_index
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import SchemaError, parse_scenario
@@ -80,6 +82,105 @@ def test_analysis_of_calibrated_records_runs_one_pool(two_threads):
     assert before < threading.active_count() <= before + 2  # calibration runs in this thread
     rows.close()
     assert threading.active_count() == before
+
+
+def test_readme_chain_runs_one_pool_in_the_process(two_threads):
+    config = tiny(burst_count=6)
+    before = threading.active_count()
+    rows = pipeline.analyze_records(
+        pipeline.calibrate_records(pipeline.run_synthesis(config),
+                                   pipeline.run_b2b(config, snapshot_count=2), config.attenuator),
+        config.geometry, config.gate)
+    most = before
+    for _ in rows:
+        most = max(most, threading.active_count())
+    assert before < most <= before + 2  # the parent's nested pools made it before + 4
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_chain_matches_the_cli_and_the_stages_run_apart(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("A2GS_THREADS", threads)
+    doc = {"preset": "olin-hover", "array": {"columns": 4, "rows": 2},
+           "timing": {"ports_per_simo": 16}, "tone_plan": {"tone_count": 64},
+           "capture": {"burst_count": 3}}
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    config = parse_scenario(doc)
+    synthesized = []
+
+    def kept(records):
+        for record in records:
+            synthesized.append(record)
+            yield record
+    ref = list(pipeline.run_b2b(config, snapshot_count=2))
+    chain = list(pipeline.analyze_records(
+        pipeline.calibrate_records(kept(pipeline.run_synthesis(config)), ref, config.attenuator),
+        config.geometry, config.gate))
+    # synthesis under the analysis pool, in its feeding thread and BLAS hold,
+    # writes the bytes of the synth command
+    write_capture(tmp_path / "chain.bin", synthesized, config_hash=config.scenario_hash,
+                  geometry_hash=config.geometry.content_hash(),
+                  layout=pipeline.synthesis_layout(config))
+    assert cli_main(["synth", "--scenario", str(scenario), "--out", str(tmp_path / "m.bin")]) == 0
+    assert (tmp_path / "chain.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()
+    apart = list(pipeline.run_synthesis(config))
+    assert chain == pipeline.metrics_rows(
+        pipeline.calibrate_records(apart, ref, config.attenuator), config.geometry, config.gate)
+
+
+@pytest.mark.parametrize("end", ["close", "drop"])
+def test_ending_a_suspended_stage_lets_the_next_start_a_pool(two_threads, end):
+    config = tiny(burst_count=6)
+    before = threading.active_count()
+    first = pipeline.run_synthesis(config)
+    next(first)
+    second = pipeline.run_synthesis(config)
+    next(second)  # maps in this thread while the first stage holds the pool
+    assert threading.active_count() == before + 2
+    if end == "close":
+        first.close()
+    else:
+        del first
+    assert threading.active_count() == before
+    third = pipeline.run_synthesis(config)
+    next(third)
+    assert threading.active_count() == before + 2
+    assert [r.snapshot_index for r in third] == list(range(1, 18))
+    assert threading.active_count() == before
+    second.close()
+
+
+def test_concurrent_stages_run_one_pool_at_a_time(two_threads):
+    config = tiny(burst_count=4)
+    expected = [r.h_f for r in pipeline.run_synthesis(config)]
+    consumers, before = 4, threading.active_count()
+    counts, failures = [], []
+
+    def consume():
+        try:
+            got = []
+            for record in pipeline.run_synthesis(config):
+                got.append(record.h_f)
+                counts.append(threading.active_count())
+            assert len(got) == len(expected)
+            assert all((a == b).all() for a, b in zip(got, expected))
+        except BaseException as exc:  # handed to the test thread below
+            failures.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume) for _ in range(consumers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert max(counts) <= before + consumers + 2  # one pool of two workers at a time
+    assert not pipeline._POOL_RUNNING.locked()
 
 
 def tiny_cal(burst_count=3):

@@ -1,21 +1,27 @@
-"""Streaming capture path: bounded memory, lazy reads that fail closed,
-and failed writes that leave no file behind."""
+"""Streaming capture and row paths: bounded memory, lazy reads that
+fail closed, and failed writes that leave no file behind."""
 
+import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from a2gsounder import cli, pipeline
 from a2gsounder.calibration import calibrate, stability_stats
-from a2gsounder.capture_file import CaptureFileError, Layout, read_capture, write_capture
+from a2gsounder.capture_file import (CaptureFileError, Layout, read_capture, replacing,
+                                     write_capture)
 from a2gsounder.capture_sim import CaptureRecord, port_stack_response
 from a2gsounder.channel_synth import wobble_index
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
+from a2gsounder.processing import AnalysisError
 from a2gsounder.waveform import TonePlan
 
 
@@ -129,8 +135,8 @@ class TestFailedWrite:
                          "--out", ref]) == 0
         cal = tmp_path / "cal.bin"
         assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", str(cal)]) == 5
-        assert not cal.exists()
-        assert not (tmp_path / "cal.bin.partial").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "meas.bin",
+                                                              "ref.bin"]
 
 
 class TestLazyRead:
@@ -261,3 +267,198 @@ class TestBoundedMemory:
             assert pulled - len(rows) <= 2 * threads + 1, (len(rows), pulled)
         assert len(cal) > 2 * (2 * threads + 1)
         assert rows == pipeline.metrics_rows(cal, config.geometry, config.gate)
+
+
+# a metrics row's 47 columns: 15 named ones, then two powers per array column
+METRICS_COLUMNS = (
+    "snapshot_index", "timestamp", "tx_x", "tx_y", "tx_z", "p_rx", "p_rx_db", "sigma_tau_s",
+    "sigma_tau_dbs", "strongest_port", "los_bin_power_db", "gamma12_db", "gamma14_db",
+    "eigen_span_db", "argmax_v_column",
+    *(f"col{c}_{pol}_db" for c in range(16) for pol in ("v", "h")))
+
+
+def cheap_rows(count, fail_at=None):
+    """``count`` metrics rows that cost nothing to compute; raises
+    AnalysisError in place of row ``fail_at``."""
+    template = {key: -i for i, key in enumerate(METRICS_COLUMNS)}  # int cells read fast
+    for s in range(count):
+        if s == fail_at:
+            raise AnalysisError(f"analysis failed at row {s}")
+        yield {**template, "snapshot_index": s, "argmax_v_column": s % 16}
+
+
+@pytest.fixture
+def fake_analysis(tmp_path, monkeypatch):
+    """Run ``analyze --cal`` on cheap rows: returns run(count, *argv,
+    fail_at=None) -> exit code, and a list of the rows' start flags."""
+    scenario = scenario_file(tmp_path, "s.json", tiny())
+    started = []
+
+    def analyze_records(*args, **kwargs):
+        started.append(True)
+        yield from monkeypatch.rows
+    monkeypatch.setattr(cli, "_read", lambda *args, **kwargs: (None, None))
+    monkeypatch.setattr(cli, "analyze_records", analyze_records)
+
+    def run(count, *argv, fail_at=None):
+        monkeypatch.rows = cheap_rows(count, fail_at)
+        return cli_main(["analyze", "--scenario", scenario, "--cal", "cal.bin", *argv])
+    return run, started
+
+
+def metrics_file(path, count):
+    pipeline.write_rows_csv(path, cheap_rows(count), config_hash="abc")
+    return str(path)
+
+
+def slope(peak_of, small=1000, large=10000):
+    """Peak traced bytes per extra row between ``small`` and ``large`` rows."""
+    before = peak_of(small)
+    return (peak_of(large) - before) / (large - small)
+
+
+class TestRowsStream:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_analyze_holds_only_the_summary_columns(self, tmp_path, fake_analysis, fmt):
+        run, _ = fake_analysis
+        out, summary = str(tmp_path / "m.out"), str(tmp_path / "summary.json")
+
+        def peak_of(count):
+            return peak_bytes(lambda: run(count, "--out", out, "--summary", summary,
+                                          "--format", fmt))
+        per_row = slope(peak_of)
+        print(f"analyze {fmt}: {per_row:.1f} B per extra row")
+        assert per_row <= 256, per_row
+        assert json.loads(Path(summary).read_text())["snapshots"] == 10000
+
+    def test_report_holds_no_row(self, tmp_path):
+        # JSON rows are written by the same write_rows_json as analyze's
+        out = str(tmp_path / "route.csv")
+        metrics = {count: metrics_file(tmp_path / f"m{count}.csv", count)
+                   for count in (1000, 10000)}
+
+        def peak_of(count):
+            return peak_bytes(lambda: cli_main(["report", "--metrics", metrics[count],
+                                                "--out", out]))
+        per_row = slope(peak_of)
+        print(f"report: {per_row:.1f} B per extra row")
+        assert per_row <= 64, per_row
+        with open(out) as fh:
+            assert len(fh.readlines()) == 10000 + 2  # the hash comment and the header
+
+    def test_summary_of_an_iterator_is_the_summary_of_the_list(self):
+        rows = list(cheap_rows(5))
+        rows[1]["gamma12_db"], rows[3]["sigma_tau_dbs"] = math.inf, math.nan
+        assert pipeline.summarize(iter(rows), "h") == pipeline.summarize(rows, "h")
+        assert pipeline.summarize(rows)["sigma_tau_dbs"]["count"] == 4
+        assert pipeline.summarize([])["snapshots"] == 0
+
+
+class TestFailedRows:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fail_at", [1, 4])
+    def test_analysis_error_partway_leaves_no_output(self, tmp_path, fake_analysis, fmt,
+                                                    fail_at):
+        run, _ = fake_analysis
+        out, summary = tmp_path / "m.out", tmp_path / "summary.json"
+        out.write_bytes(b"earlier metrics")
+        assert run(6, "--out", str(out), "--format", fmt, "--summary", str(summary),
+                   fail_at=fail_at) == 5
+        assert out.read_bytes() == b"earlier metrics"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.out", "s.json"]
+
+    def test_bad_summary_path_fails_before_any_row(self, tmp_path, fake_analysis):
+        run, started = fake_analysis
+        out = tmp_path / "metrics.csv"
+        assert run(3, "--out", str(out), "--summary", str(tmp_path / "nodir" / "s.json")) == 1
+        assert not out.exists()
+        assert not started
+        assert run(3, "--out", str(out), "--summary", str(tmp_path / "summary.json")) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["snapshots"] == 3
+
+    def test_writers_of_one_path_do_not_share_a_file(self, tmp_path, fake_analysis):
+        path = tmp_path / "out.txt"
+        with replacing(path) as outer:
+            with replacing(path) as inner:
+                inner.write("inner")
+            outer.write("outer")
+        assert path.read_text() == "outer"
+        # the summary, written last, is the file, as when the writers opened it in turn
+        run, _ = fake_analysis
+        assert run(3, "--out", str(path), "--summary", str(path)) == 0
+        assert json.loads(path.read_text())["snapshots"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "s.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad_row,cell", [(2, "x"), (5, ""), (3, None)],
+                             ids=["not-a-number", "empty", "short-row"])
+    def test_bad_report_row_partway_leaves_no_output(self, tmp_path, capsys, fmt, bad_row,
+                                                    cell):
+        metrics = Path(metrics_file(tmp_path / "m.csv", 6))
+        lines = metrics.read_text().splitlines(keepends=True)
+        line = 2 + bad_row  # after the hash comment and the header
+        cells = lines[line].rstrip("\r\n").split(",")
+        cells = cells[:-1] if cell is None else [*cells[:3], cell, *cells[4:]]
+        lines[line] = ",".join(cells) + "\r\n"
+        metrics.write_text("".join(lines), newline="")
+        out = tmp_path / "route.out"
+        out.write_bytes(b"earlier route")
+        assert cli_main(["report", "--metrics", str(metrics), "--out", str(out),
+                         "--format", fmt]) == 4
+        assert "metrics file" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier route"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "route.out"]
+
+
+def jsonable(row):
+    return {key: str(value) if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in row.items()}
+
+
+def analyzed_rows():
+    config = parse_scenario(tiny(capture={"burst_count": 1}))
+    ref = pipeline.run_b2b(config, snapshot_count=2)
+    rows = pipeline.metrics_rows(pipeline.calibrate_records(pipeline.run_synthesis(config),
+                                                            ref, config.attenuator),
+                                 config.geometry, config.gate)
+    rows[0]["gamma12_db"], rows[1]["eigen_span_db"], rows[2]["sigma_tau_dbs"] = (
+        math.inf, -math.inf, math.nan)
+    return rows
+
+
+def stability_rows():
+    _, records = series(4, 2, 8)
+    return pipeline.stability_rows(stability_stats(r.h_f[1] for r in records))
+
+
+class TestRowWriters:
+    @pytest.mark.parametrize("rows", [
+        analyzed_rows, lambda: list(pipeline.report_rows(analyzed_rows())), stability_rows,
+        lambda: analyzed_rows()[:1], lambda: []],
+        ids=["analyze-non-finite", "report", "stability", "one-row", "empty"])
+    def test_json_of_an_iterator_is_json_dump_of_the_list(self, tmp_path, rows):
+        rows = rows()
+        pipeline.write_rows_json(tmp_path / "rows.json", iter(rows))
+        expected = json.dumps([jsonable(row) for row in rows], indent=2,
+                              default=lambda value: value.item()) + "\n"
+        assert (tmp_path / "rows.json").read_text() == expected
+        assert list(tmp_path.iterdir()) == [tmp_path / "rows.json"]
+
+    def test_empty_json_is_an_empty_array(self, tmp_path):
+        pipeline.write_rows_json(tmp_path / "rows.json", iter(()))
+        assert (tmp_path / "rows.json").read_bytes() == b"[]\n"
+
+    def test_csv_of_an_iterator_is_the_csv_of_the_list(self, tmp_path):
+        rows = analyzed_rows()
+        pipeline.write_rows_csv(tmp_path / "rows.csv", iter(rows), config_hash="abc")
+        expected = io.StringIO(newline="")
+        expected.write("# config_hash: abc\n")
+        writer = csv.DictWriter(expected, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_csv_of_no_rows_raises_and_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows"):
+            pipeline.write_rows_csv(tmp_path / "rows.csv", iter(()))
+        assert list(tmp_path.iterdir()) == []
