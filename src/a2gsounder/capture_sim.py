@@ -1,11 +1,15 @@
 """Receiver-chain and fast-switching capture emulation.
 
-One shared downconversion chain (a smooth random ripple over the tone
-grid) feeds per-port scalar switch-path gains, mirroring a switched
-single-chain architecture. A per-snapshot complex drift factor models
-clock stability; additive white Gaussian noise is injected per tone in
-the frequency domain. Back-to-back captures replace the antenna with an
-attenuator so the same chain can be divided out later.
+The noise-free antenna+channel response is a path sum over the tone
+grid (port_stack_response), evaluated by one block-factored kernel for
+a shared path row and for one row per switch slot alike. One shared
+downconversion chain (a smooth random ripple over the tone grid) feeds
+per-port scalar switch-path gains, mirroring a switched single-chain
+architecture. A per-snapshot complex drift factor models clock
+stability; additive white Gaussian noise is injected per tone in the
+frequency domain. Both are applied in place on one fresh array per
+snapshot. Back-to-back captures replace the antenna with an attenuator
+so the same chain can be divided out later.
 
 All randomness is counter-based (see _rng), so snapshots can be
 simulated in any order or in parallel with bit-identical results.
@@ -140,24 +144,32 @@ def _rotate_z(vectors, angle):
     return vectors @ rot.T
 
 
-def _tone_phases(effective_delays, tones):
-    """exp(-j*2*pi*f_n*T) for every entry of ``effective_delays``.
+# Tones per block of _path_sum: tone n = a * _BLOCK + b is block a, offset b.
+_BLOCK = 64
 
-    The tone grid is uniform, so the phase over n is a geometric
-    sequence: one exp for the first tone and one for the per-tone step,
-    then a cumulative product along the tone axis (the unit-modulus
-    rounding drift over 1841 steps is ~1e-13, far below the oracle
-    tolerances).
+
+def _path_sum(gains, delays, advance, tones):
+    """sum_p gains[r, q, p] * exp(-j*2*pi*f_n*(delays[r, p] - advance[r, p]/c))
+    for every row r, gain set q and tone n: (R, Q, N) from (R, Q, P)
+    gains and (R, P) delays and advances (m, toward the source). A padded
+    path, with infinite delay, must have zero gain.
+
+    Tone n = a*B + b is at f_n = f_(aB) + b*spacing, so each phase factor
+    splits into a coarse factor per block a, folded into the gains, and a
+    fine factor per offset b; one batched (R, Q*A, P) @ (R, P, B) matmul
+    then sums the paths for every tone. The exps cost (Q*A + B) * P per
+    row instead of N * P. Returns a view into the (R, Q, A*B) block grid.
     """
-    t = np.asarray(effective_delays)
-    f0 = tones.tone_frequencies[0]
-    base = np.exp(-2j * math.pi * f0 * t)
-    step = np.exp(-2j * math.pi * tones.tone_spacing * t)
-    powers = np.empty(t.shape + (tones.tone_count,), dtype=np.complex128)
-    powers[..., 0] = base
-    powers[..., 1:] = step[..., np.newaxis]
-    np.cumprod(powers, axis=-1, out=powers)
-    return powers
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("non-finite path gains")
+    t = np.where(np.isfinite(delays), delays - advance / SPEED_OF_LIGHT, 0.0)
+    rows, sets, count = gains.shape
+    coarse_f = tones.tone_frequencies[::_BLOCK]  # (A,)
+    coarse = gains[:, :, np.newaxis, :] * np.exp(
+        -2j * math.pi * coarse_f[:, np.newaxis] * t[:, np.newaxis, :])[:, np.newaxis]
+    fine = np.exp(-2j * math.pi * t[:, :, np.newaxis] * (tones.tone_spacing * np.arange(_BLOCK)))
+    sums = coarse.reshape(rows, sets * len(coarse_f), count) @ fine  # (R, Q*A, B)
+    return sums.reshape(rows, sets, -1)[:, :, :tones.tone_count]
 
 
 def _rows_shared(paths, geometry):
@@ -169,14 +181,6 @@ def _rows_shared(paths, geometry):
     return len(paths) == 1
 
 
-def _slot_row(paths, slot, mounting_rotation):
-    """Delays, Jones amplitudes and array-frame directions of one slot's
-    real paths."""
-    count = paths.counts[slot]
-    return (paths.delays[slot, :count], paths.jones[slot, :count],
-            _rotate_z(paths.directions[slot, :count], -mounting_rotation))
-
-
 def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     """Noise-free antenna+channel transfer function, ports x tones.
 
@@ -184,77 +188,53 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     its arrival direction and an extra phase 2*pi*f*(d . r_k)/c from the
     port's offset toward the source, on top of exp(-j*2*pi*f*delay).
 
-    ``paths`` is SlotPaths, and its row count picks the contraction. One
-    row (static or hover TX) is seen by every port: one advance matmul
-    and one einsum over element pairs, so an element's V and H ports
-    share their tone phases. One row per port (square route) is
-    evaluated in one batched pass: one port_gains call over all ports,
-    then, for the slots sharing a path count, stacked matmuls of the
-    same shapes as port_response_row's, so every row equals
-    port_response_row bit for bit. The two stay separate because the
-    per-slot form computes each port's tone phases on its own, twice
-    the work for a shared row, and rounds the float64 response
-    differently.
+    ``paths`` is SlotPaths, and both forms are one _path_sum call. One
+    row (static or hover TX) is seen by every port: the sum runs per
+    element, whose V and H gains share its tone phases. One row per port
+    (square route) runs per port, padded paths with zero gain, and every
+    row equals port_response_row bit for bit. The result is a view whose
+    rows lie whole tone blocks apart.
     """
-    if not _rows_shared(paths, geometry):
-        return _slot_stack_response(paths, geometry, tones, mounting_rotation)
-    delays, jones, dirs = _slot_row(paths, 0, mounting_rotation)
-    gains = geometry.port_gains(dirs, jones)  # (K, P)
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("non-finite path gains")
-    # V and H ports share element positions, so phases are per element
-    elem_pos = geometry.positions[0::2]
-    advance = (elem_pos @ dirs.T) / SPEED_OF_LIGHT  # (K/2, P)
-    phases = _tone_phases(delays[np.newaxis, :] - advance, tones)  # (K/2, P, N)
-    paired = gains.reshape(elem_pos.shape[0], 2, len(delays))
-    return np.einsum("eqp,epn->eqn", paired, phases).reshape(geometry.n_ports, tones.tone_count)
-
-
-def _slot_stack_response(slots, geometry, tones, mounting_rotation):
-    out = np.zeros((geometry.n_ports, tones.tone_count), dtype=np.complex128)
-    groups = [(count, np.flatnonzero(slots.counts == count))
-              for count in np.unique(slots.counts) if count > 0]
-    # rotate each group as (P, 3) blocks, the shape a single slot has
-    dirs = np.zeros_like(slots.directions)
-    for count, ports in groups:
-        dirs[ports, :count] = _rotate_z(slots.directions[ports, :count], -mounting_rotation)
-    gains = geometry.port_gains(dirs, slots.jones)  # (K, P), padding has zero gain
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("non-finite path gains")
-    for count, ports in groups:
-        group_dirs = dirs[ports, :count]
-        advance = (geometry.positions[ports, np.newaxis, :]
-                   @ group_dirs.swapaxes(1, 2))[:, 0, :] / SPEED_OF_LIGHT  # (G, P)
-        phases = _tone_phases(slots.delays[ports, :count] - advance, tones)  # (G, P, N)
-        out[ports] = (gains[ports, np.newaxis, :count] @ phases)[:, 0, :]
-        del phases  # one group's (G, P, N) temporary at a time
-    return out
+    shared = _rows_shared(paths, geometry)
+    row = 0 if shared else slice(None)
+    dirs = _rotate_z(paths.directions[row], -mounting_rotation)
+    gains = geometry.port_gains(dirs, paths.jones[row])  # (K, P)
+    if shared:  # V and H ports share element positions
+        advance = geometry.positions[0::2] @ dirs.T  # (K/2, P)
+    else:
+        advance = (geometry.positions[:, np.newaxis, :] @ dirs.swapaxes(1, 2))[:, 0, :]
+    gains = gains.reshape(len(advance), -1, gains.shape[-1])  # (K/2, 2, P) or (K, 1, P)
+    tf = _path_sum(gains, paths.delays[row], advance, tones)
+    return tf.reshape(geometry.n_ports, tones.tone_count)
 
 
 def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0):
     """Row ``port_index`` of port_stack_response, computed for that port
-    alone from the row that feeds it (the reference the per-slot kernel
-    reproduces)."""
+    alone from the row that feeds it (the reference the per-slot rows of
+    port_stack_response reproduce bit for bit)."""
     slot = 0 if _rows_shared(paths, geometry) else port_index
-    delays, jones, dirs = _slot_row(paths, slot, mounting_rotation)
-    gains = geometry.port_gains(dirs, jones)[port_index]  # (P,)
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("non-finite path gains")
-    advance = (geometry.positions[port_index] @ dirs.T) / SPEED_OF_LIGHT
-    phases = _tone_phases(delays - advance, tones)  # (P, N)
-    return gains @ phases
+    dirs = _rotate_z(paths.directions[slot], -mounting_rotation)
+    gains = geometry.port_gains(dirs, paths.jones[slot])[port_index]  # (P,)
+    advance = geometry.positions[port_index] @ dirs.T
+    return _path_sum(gains[np.newaxis, np.newaxis], paths.delays[slot:slot + 1],
+                     advance[np.newaxis], tones)[0, 0]
 
 
 def _add_noise(tf, snr_db, seed, snapshot_index):
+    """Add white Gaussian noise to the complex128 ``tf`` in place,
+    ``snr_db`` below its strongest port's mean tone power, and return
+    it; None or +inf adds none. Port k's draws are its tones' real
+    parts, then their imaginary parts."""
     if snr_db is None or snr_db == math.inf:
         return tf
     ref_power = float(np.max(np.mean(np.abs(tf) ** 2, axis=1)))
-    sigma2 = ref_power * 10.0 ** (-snr_db / 10.0)
-    scale = math.sqrt(sigma2 / 2.0)
     n_ports, n_tones = tf.shape
     # one counter block per snapshot; ports are laid out in fixed order
-    draws = stream(seed, TAG_NOISE, snapshot_index).standard_normal((n_ports, 2 * n_tones))
-    return tf + scale * (draws[:, :n_tones] + 1j * draws[:, n_tones:])
+    draws = stream(seed, TAG_NOISE, snapshot_index).standard_normal((n_ports, 2, n_tones))
+    draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    tf.real += draws[:, 0]
+    tf.imag += draws[:, 1]
+    return tf
 
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
@@ -269,15 +249,15 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     ``noise_snr_db`` below the strongest port's mean tone power; None
     disables it. ``base_tf`` may carry the precomputed noise-free
     port_stack_response for these paths (the pipeline computes it
-    once per distinct TX state).
+    once per distinct TX state); it is read, never written. The chain,
+    the per-port gain times the drift, and the noise go in place into
+    one fresh array, the record's ``h_f``.
     """
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
-    tf = base_tf
-
-    drift = system.drift(snapshot_index, kind="meas")
-    tf = tf * system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis] * drift
-    tf = _add_noise(tf, noise_snr_db, seed, snapshot_index)
+    tf = base_tf * system.common_chain
+    tf *= (system.per_port_gain * system.drift(snapshot_index, kind="meas"))[:, np.newaxis]
+    _add_noise(tf, noise_snr_db, seed, snapshot_index)
 
     return CaptureRecord(
         h_f=tf,

@@ -100,15 +100,16 @@ def _read(path, record_type, expected_hash=None, strict=False):
 def _keep_heap_mapped():
     """Keep freed heap memory mapped for the rest of the process.
 
-    Each snapshot of calibrate and analyze allocates and frees ~9 MB of
-    temporaries; by default glibc hands them back to the kernel and the
-    next snapshot faults every page in again. It takes both settings:
-    setting either one stops glibc's dynamic adjustment of the other, so
-    a raised trim threshold alone leaves every array of 128 KiB or more
-    to its own mmap and munmap, and a raised mmap threshold alone puts
-    those arrays on the heap, whose top is still given back whenever
-    more than 128 KiB of it is free. A no-op where the C library is not
-    glibc. Only the CLI calls it, because it owns its process.
+    Each snapshot of synth, calibrate and analyze allocates and frees
+    several 3.8 MB ports x tones arrays; by default glibc hands them
+    back to the kernel and the next snapshot faults every page in again.
+    It takes both settings: setting either one stops glibc's dynamic
+    adjustment of the other, so a raised trim threshold alone leaves
+    every array of 128 KiB or more to its own mmap and munmap, and a
+    raised mmap threshold alone puts those arrays on the heap, whose top
+    is still given back whenever more than 128 KiB of it is free. A no-op
+    where the C library is not glibc. Only the CLI calls it, because it
+    owns its process.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -128,6 +129,7 @@ def _attenuator(args, config=None):
 
 
 def cmd_synth(args):
+    _keep_heap_mapped()
     config = _load_scenario(args.scenario, args.seed)
     layout = synthesis_layout(config)
     write_capture(args.out, run_synthesis(config), config_hash=config.scenario_hash,

@@ -220,6 +220,18 @@ def _facets(value, path):
     return tuple(facets)
 
 
+# Lowest SNR a capture may carry. Noise is drawn 10^(-snr_db/20) times
+# the strongest port's rms amplitude, and captures are complex64, whose
+# largest finite magnitude, 3.4e38, is 770 dB. A standard normal draw
+# stays below 10 (20 dB). A path's gain, its free-space amplitude
+# wavelength/(4*pi*d), is below 1 (0 dB) unless the TX is within
+# wavelength/(4*pi), under 1 cm at 3.5 GHz, of the RX. At -300 dB every
+# sample stays finite until the path, chain and switch gains together
+# pass 770 - 300 - 20 = 450 dB. Lower values add nothing but, far
+# enough down, overflow: at -900 dB complex64 samples are infinite, and
+# at -5000 dB the float64 noise power is.
+MIN_SNR_DB = -300.0
+
 # The scenario schema: every leaf is a (default, rule) pair and every
 # object a nested node. A rule checks a value at its dotted path and
 # returns it typed, or raises SchemaError naming the path.
@@ -294,10 +306,10 @@ SCHEMA = {
     "capture": {
         "burst_count": (1, _integer(minimum=1)),
         # null: no noise
-        "snr_db": (30.0, _number(nullable=True)),
+        "snr_db": (30.0, _number(minimum=MIN_SNR_DB, nullable=True)),
         "noise_seed": (3, _integer()),
         "b2b_snapshot_count": (400, _integer(minimum=1)),
-        "b2b_snr_db": (60.0, _number(nullable=True)),
+        "b2b_snr_db": (60.0, _number(minimum=MIN_SNR_DB, nullable=True)),
         "b2b_noise_seed": (5, _integer()),
     },
 }

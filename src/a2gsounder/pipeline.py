@@ -10,7 +10,8 @@ runs one pool at a time (see _map_ordered), on the noise step of
 run_synthesis or the metrics of analyze_records. What feeds it runs in
 the feeding thread: the noise-free response of each run of snapshots
 that share a TX state, and calibration. run_b2b runs with no pool.
-Analysis holds numpy's OpenBLAS at one thread (see analyze_records).
+Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
+synthesis leaves it at its own count, and its bytes do not depend on it.
 """
 
 import csv
@@ -122,10 +123,11 @@ def run_synthesis(config):
 
     Consecutive snapshots that share a TX state form a run: one run for
     a static TX, one per wobble index for a hover, one per snapshot for
-    a route. A run's noise-free response is computed once, at its first
-    snapshot time, in the thread that feeds the pool as the run is
-    reached, and dropped after its last snapshot; the pool adds each
-    snapshot's system response and noise.
+    a route. A run's noise-free response (port_stack_response, whose
+    path-sum matmuls use BLAS at its own thread count) is computed once,
+    at its first snapshot time, in the thread that feeds the pool as the
+    run is reached, and dropped after its last snapshot; the pool adds
+    each snapshot's system response and noise into a fresh array.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1

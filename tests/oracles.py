@@ -102,13 +102,14 @@ def eigvals_charpoly_bisect(r, grid_points=4001, iterations=120):
 
 
 def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
-    """Direct path-sum transfer function, scalar math per port and path,
-    of the one-row SlotPaths ``paths`` that every port sees.
+    """Direct path-sum transfer function, scalar math per port and path.
 
-    Independent of the library's vectorized response evaluation: port
-    positions are rebuilt from the cylinder formula, pattern and
-    polarization handling use local scalar trig, and tone phases use a
-    plain exp over the frequency vector.
+    ``paths`` is SlotPaths: a one-row SlotPaths is seen by every port,
+    and with one row per port, row k feeds port k. Independent of the
+    library's vectorized response evaluation: port positions are rebuilt
+    from the cylinder formula, pattern and polarization handling use
+    local scalar trig, and tone phases use a plain exp over the
+    frequency vector.
     """
     freqs = np.asarray(tones.tone_frequencies)
     columns, rows = geometry.columns, geometry.rows
@@ -118,27 +119,31 @@ def transfer_function_oracle(paths, geometry, tones, mounting_rotation=0.0):
     leak = 0.0 if math.isinf(pat.xpd_db) else 10.0 ** (-pat.xpd_db / 20.0)
 
     out = np.zeros((columns * rows * 2, tones.tone_count), dtype=np.complex128)
+    if len(paths) not in (1, len(out)):
+        raise ValueError(f"{len(paths)} path rows for {len(out)} ports")
     cr, sr = math.cos(-mounting_rotation), math.sin(-mounting_rotation)
-    for i in range(paths.counts[0]):
-        dw = paths.directions[0, i]
-        d = (cr * dw[0] - sr * dw[1], sr * dw[0] + cr * dw[1], dw[2])
-        az = math.atan2(d[1], d[0])
-        el = math.asin(max(-1.0, min(1.0, d[2])))
-        jv, jh = paths.jones[0, i]
-        for column in range(columns):
-            boresight = 2.0 * math.pi * column / columns
-            amp = (max(math.cos(az - boresight), 0.0) ** pat.q_azimuth
-                   * max(math.cos(el), 0.0) ** pat.q_elevation)
-            amp = max(amp, floor)
-            px = radius * math.cos(boresight)
-            py = radius * math.sin(boresight)
-            for row in range(rows):
-                pz = (row - (rows - 1) / 2.0) * dz
-                advance = (px * d[0] + py * d[1] + pz * d[2]) / SPEED_OF_LIGHT
-                phase = np.exp(-2j * math.pi * freqs * (paths.delays[0, i] - advance))
-                base = column * rows * 2 + row * 2
-                out[base] += amp * (jv + leak * jh) * phase
-                out[base + 1] += amp * (jh + leak * jv) * phase
+    for column in range(columns):
+        boresight = 2.0 * math.pi * column / columns
+        px = radius * math.cos(boresight)
+        py = radius * math.sin(boresight)
+        for row in range(rows):
+            pz = (row - (rows - 1) / 2.0) * dz
+            for pol in (0, 1):  # V, H
+                port = column * rows * 2 + row * 2 + pol
+                slot = 0 if len(paths) == 1 else port
+                for i in range(paths.counts[slot]):
+                    dw = paths.directions[slot, i]
+                    d = (cr * dw[0] - sr * dw[1], sr * dw[0] + cr * dw[1], dw[2])
+                    az = math.atan2(d[1], d[0])
+                    el = math.asin(max(-1.0, min(1.0, d[2])))
+                    amp = (max(math.cos(az - boresight), 0.0) ** pat.q_azimuth
+                           * max(math.cos(el), 0.0) ** pat.q_elevation)
+                    amp = max(amp, floor)
+                    jv, jh = paths.jones[slot, i]
+                    co, cross = (jv, jh) if pol == 0 else (jh, jv)
+                    advance = (px * d[0] + py * d[1] + pz * d[2]) / SPEED_OF_LIGHT
+                    out[port] += amp * (co + leak * cross) * np.exp(
+                        -2j * math.pi * freqs * (paths.delays[slot, i] - advance))
     return out
 
 

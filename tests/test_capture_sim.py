@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import ideal_system_response, port_gain
+from oracles import ideal_system_response, port_gain, transfer_function_oracle
 
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, build_system_response,
+from a2gsounder.capture_sim import (AttenuatorModel, _add_noise, build_system_response,
                                     port_response_row, port_stack_response,
                                     simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
@@ -78,6 +78,26 @@ class TestSimulateSnapshot:
         noise = noisy.h_f - clean.h_f
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(peak_power / 1e3, rel=0.05)
+
+    # (SNR dB, seed, snapshot index, sha256 of the noisy response as
+    # complex128 bytes). Each draw of a snapshot's counter block lands on
+    # a fixed (port, tone, re/im), so these bytes, and with them every
+    # B2B digest of the golden gate, hold however the noise is added.
+    @pytest.mark.parametrize("snr_db,seed,index,digest", [
+        (20.0, 5, 7, "11fa9e15a1a0b0017c129e540f12254f8dcbffcdf46290adefa3fe3b827f1c8a"),
+        (-30.0, 1, 0, "08d28b8c7c451362b257663e85a20b038fc9ddec7516f7e380fb8c08450d9f29"),
+    ])
+    def test_noise_bytes_are_pinned(self, snr_db, seed, index, digest):
+        system = build_system_response(TonePlan(tone_count=64), 8, seed=3)
+        tf = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
+        noisy = _add_noise(tf, snr_db, seed, index)
+        assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == digest
+
+    def test_noise_is_added_in_place(self):
+        tf = np.ones((4, 16), dtype=np.complex128)
+        assert _add_noise(tf, 10.0, 1, 2) is tf
+        assert np.all(tf != 1.0)
+        assert _add_noise(tf, None, 1, 2) is tf
 
     def test_deterministic_given_seeds(self):
         geom = build_cylindrical_array(2, 2, 0.1, 0.04)
@@ -182,31 +202,46 @@ T_SISO = 50e-6
 
 # (label, snapshot start, path counts its slots see, sha256 of the
 # noise-free ports x tones response as float64 bytes). The digests were
-# recorded from the per-slot loop (synthesize_paths + port_response_row
-# for each of the 128 slots) that computed route snapshots before the
-# batched kernel. They pin float64 bytes because the complex64 capture
-# files of the golden test round away last-bit changes. The glass
-# reflection appears or vanishes at t = 19, 26, 46 and 59 s, so the
-# snapshots starting 64 slots earlier mix 2- and 3-path slots; the one
-# before 15 s crosses the NE corner of the route.
+# recorded from the block-factored path sum, whose every row equals the
+# per-slot loop (synthesize_paths + port_response_row for each of the
+# 128 slots) bit for bit. They pin float64 bytes because the complex64
+# capture files of the golden test round away last-bit changes; the
+# oracle check beside each one holds the response to the direct path
+# sum. The glass reflection appears or vanishes at t = 19, 26, 46 and
+# 59 s, so the snapshots starting 64 slots earlier mix 2- and 3-path
+# slots; the one before 15 s crosses the NE corner of the route.
 SLOT_RESPONSE_DIGESTS = [
     ("glass-flip-19s", 19.0 - 64 * T_SISO, {2, 3},
-     "046cb3d5abb4293ec7d3d161e1daee53a76678775eac204afcd18769f49d4440"),
+     "f2b119c0e247738f4e36b679efb2255043f40426279386c64d297554f57b5db0"),
     ("glass-flip-26s", 26.0 - 64 * T_SISO, {2, 3},
-     "0a6986b5a681149cb8d6b49ca8047fcaaa77e5feb1aa563886c22efb37e17e3e"),
+     "2cba9a013bd2444858ab6ec32e0c9a30f036ea28e96dfb4db2914ca99ecb626a"),
     ("glass-flip-46s", 46.0 - 64 * T_SISO, {2, 3},
-     "2e936816e985fe18ab7e6da7d2af54af8f5b2366659521ee46fac78a629d04fd"),
+     "08d13ae805621772eca3ed301fe4f3a865f7899ba702fe9be87c1122a9d99eff"),
     ("glass-flip-59s", 59.0 - 64 * T_SISO, {2, 3},
-     "6e9417327f4de00f934479cf8cb11e97104b1c41fb2b3aa2b295b1fd655c87f6"),
+     "366cfb1bd47c8b3a1875eb655e54443baad95bc901f45c3617afd2a38abba6ec"),
     ("ne-corner", 15.0 - 64 * T_SISO, {2},
-     "a5a3621d52b1a23be2e3d1bd33b160b3d85d49ad08b41a47e00b33db7ec0b024"),
+     "9d8e37965b36654cf690c4d7452dac598bd3ddc3cf06f4dfad04b72cb8762f4d"),
     ("north-edge", 7.3, {2},
-     "bbafff9e8489eb9a45061a8427cfb00d26fc50e7823edc349f1170ef6d868126"),
+     "b6cf403a6dc11367fdd3b810e56458c3e1b787d693de4c0be8e6057c5543e657"),
 ]
 
 
+# Largest |kernel - oracle| over the largest |oracle| of one response.
+# Both evaluate phases of up to ~5,000 rad in float64 (2*pi*f*delay at
+# 3.5 GHz and ~70 m), whose argument rounds at ~1e-12 rad; the cases
+# below measure under 1e-12.
+ORACLE_RTOL = 1e-11
+
+
+def assert_matches_oracle(tf, paths, config):
+    truth = transfer_function_oracle(paths, config.geometry, config.tone_plan,
+                                     config.scene.rx_mounting_rotation)
+    assert np.max(np.abs(tf - truth)) <= ORACLE_RTOL * np.max(np.abs(truth))
+
+
 class TestSlotResponse:
-    """The batched route response against the per-slot loop it replaced."""
+    """The batched route response against the per-slot loop and the
+    direct path sum."""
 
     @pytest.mark.parametrize("start,counts,digest",
                              [case[1:] for case in SLOT_RESPONSE_DIGESTS],
@@ -221,6 +256,7 @@ class TestSlotResponse:
         assert set(slots.counts.tolist()) == counts
         tf = port_stack_response(slots, geom, plan, rotation)
         assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
+        assert_matches_oracle(tf, slots, config)
 
         loop = np.stack([
             port_response_row(
@@ -256,18 +292,18 @@ def tiny_config(preset):
 
 # (label, preset, snapshot time, wobble index, sha256 of the noise-free
 # ports x tones response as float64 bytes) on a 4 x 2 array with 64
-# tones. Static and hover share one path row between all ports (one
-# advance matmul plus an einsum over element pairs). The golden capture
-# files are complex64 and round away last-bit float64 changes of that
-# contraction, so these digests pin its float64 bytes; a change that
-# moves them changes behaviour even when every golden digest holds.
+# tones. Static and hover share one path row between all ports (the
+# path sum runs per element, V and H gains sharing its phases). The
+# golden capture files are complex64 and round away last-bit float64
+# changes of that sum, so these digests pin its float64 bytes; a change
+# that moves them changes behaviour even when every golden digest holds.
 SHARED_RESPONSE_DIGESTS = [
     ("olin-static", "olin-static", 0.0, 0,
-     "ba8d31f6a85d39d84ce4535cfc0aaa86a6d7185ffc15337ff13f207d916b47e9"),
+     "4c6275f4e945d112111b698e9f4758b7d9a396dbdc898255b9fffd7fdf5e3eeb"),
     ("olin-hover-wobble-3", "olin-hover", 0.05, 3,
-     "fe7d0046c1e86f47603046a8e1c389e0265a648dce62aff73bc06a0406278d5f"),
+     "3d67b68b99883cc967a696321f039bcf74cb6cf78f945492540131c0ba2d6e6b"),
     ("olin-hover-wobble-9", "olin-hover", 0.15, 9,
-     "aa2a7d2ba003dd5a0836e6b91bc2e5bab6042cc2314180b15b7d92e4ed3a06ef"),
+     "b2ee76faef5f58a25913ced231d1e65335e572fdc0c22397f61328e3142a5a81"),
 ]
 
 
@@ -285,3 +321,12 @@ class TestSharedResponse:
                                  config.scene.rx_mounting_rotation)
         assert tf.shape == (16, 64)
         assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
+        assert_matches_oracle(tf, paths, config)
+
+    def test_full_size_static_response_matches_the_oracle(self):
+        # 1841 tones: 28 whole tone blocks and a partial one
+        config = parse_scenario({"preset": "olin-static"})
+        paths = paths_for_snapshot(config, 0.0)
+        assert_matches_oracle(port_stack_response(paths, config.geometry, config.tone_plan,
+                                                  config.scene.rx_mounting_rotation),
+                              paths, config)

@@ -16,7 +16,7 @@ from a2gsounder.capture_file import (CaptureFileError, HashMismatch,
                                      read_capture, write_capture)
 from a2gsounder.channel_synth import SceneError
 from a2gsounder.cli import main as cli_main
-from a2gsounder.config import DEFAULTS, SchemaError, parse_scenario
+from a2gsounder.config import DEFAULTS, MIN_SNR_DB, SchemaError, parse_scenario
 from a2gsounder.pipeline import REPORT_FIELDS
 from a2gsounder.processing import AnalysisError
 
@@ -137,6 +137,12 @@ class TestParseScenario:
         with pytest.raises(SchemaError, match="NaN") as info:
             parse_scenario(doc)
         assert path in str(info.value)
+
+    @pytest.mark.parametrize("leaf", ["snr_db", "b2b_snr_db"])
+    def test_snr_has_a_lower_bound(self, leaf):
+        assert parse_scenario({"capture": {leaf: MIN_SNR_DB}}).capture[leaf] == MIN_SNR_DB
+        with pytest.raises(SchemaError, match=f"capture.{leaf}: must be >= -300.0"):
+            parse_scenario({"capture": {leaf: MIN_SNR_DB - 0.5}})
 
     def test_route_start_corner_rejected_with_path(self):
         with pytest.raises(SchemaError, match="trajectory.start_corner"):
@@ -315,13 +321,13 @@ class TestCli:
             doc = json.load(fh)
         assert doc["snapshots"] == 3
         assert doc["config_hash"]
-        lines = open(metrics).read().splitlines()
+        lines = Path(metrics).read_text().splitlines()
         assert len(lines) == 5  # provenance comment + header + 3 snapshots
         assert lines[0].startswith("# config_hash:")
         assert doc["config_hash"] in lines[0]
         # the header is the metrics row's keys: 15 named columns, then the
         # per-column powers
-        config = parse_scenario(json.load(open(scenario)))
+        config = parse_scenario(json.loads(Path(scenario).read_text()))
         cal = next(a2g.calibrate_records(a2g.run_synthesis(config), a2g.run_b2b(config),
                                          config.attenuator))
         header = lines[1].split(",")
@@ -332,7 +338,7 @@ class TestCli:
             "gamma12_db", "gamma14_db", "eigen_span_db", "argmax_v_column"]
         assert header[15:] == [f"col{c}_{pol}_db" for c in range(config.geometry.columns)
                                for pol in ("v", "h")]
-        route_lines = open(route).read().splitlines()
+        route_lines = Path(route).read_text().splitlines()
         assert route_lines[0] == lines[0]  # hash propagates to the route table
 
     def test_exit_codes(self, tmp_path):
@@ -378,6 +384,12 @@ class TestCli:
          "gate.delay_gate: expected a number, got NaN"),
         ({"preset": "olin-static", "capture": {"snr_db": -math.inf}}, ["synth"],
          "capture.snr_db: expected a finite number"),
+        ({"preset": "olin-static", "capture": {"snr_db": -5000}}, ["synth"],
+         "capture.snr_db: must be >= -300.0, got -5000.0"),
+        ({"preset": "olin-static", "capture": {"snr_db": -900}}, ["synth"],
+         "capture.snr_db: must be >= -300.0, got -900.0"),
+        ({"preset": "olin-static", "capture": {"b2b_snr_db": -5000}}, ["b2b"],
+         "capture.b2b_snr_db: must be >= -300.0, got -5000.0"),
         ({"preset": "olin-static", "trajectory": {"position": [math.inf, 0, 1.8]}},
          ["synth"], "trajectory.position[0]: expected a finite number"),
         (None, ["analyze", "--cal", "cal.bin", "--attenuator-db", "10"], "--attenuator-db"),
@@ -385,7 +397,8 @@ class TestCli:
         (None, ["analyze", "--cal", "cal.bin", "--ref", "ref.bin"], "--ref"),
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
             "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number",
-            "infinite-snr", "infinite-position", "cal-with-attenuator", "cal-with-meas",
+            "infinite-snr", "overflowing-snr", "non-finite-capture-snr",
+            "overflowing-b2b-snr", "infinite-position", "cal-with-attenuator", "cal-with-meas",
             "cal-with-ref"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
         scenario = self.scenario_file(tmp_path)  # None: the valid test scenario
@@ -482,7 +495,7 @@ class TestCli:
         assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
         source = ref if command in ("stability", "analyze-ref") else meas
-        blob = open(source, "rb").read()
+        blob = Path(source).read_bytes()
         end = 12 + int.from_bytes(blob[8:12], "little")
         header = json.loads(blob[12:end])
         header[count] = 0
@@ -605,7 +618,7 @@ class TestCli:
     def captures(self, tmp_path, doc=None):
         """The synth, b2b and calibrate files of scenario_file's scenario
         with ``doc``'s sections updated; returns their paths."""
-        document = json.loads(open(self.scenario_file(tmp_path)).read())
+        document = json.loads(Path(self.scenario_file(tmp_path)).read_text())
         for key, value in (doc or {}).items():
             document.setdefault(key, {}).update(value)
         source = tmp_path / "captured.json"
@@ -615,6 +628,16 @@ class TestCli:
         assert cli_main(["b2b", "--scenario", str(source), "--out", ref]) == 0
         assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", cal]) == 0
         return meas, ref, cal
+
+    def test_lowest_snr_writes_captures_that_analyze(self, tmp_path):
+        # every sample of each file is checked for finiteness as it is read
+        meas, ref, cal = self.captures(
+            tmp_path, {"capture": {"snr_db": MIN_SNR_DB, "b2b_snr_db": MIN_SNR_DB}})
+        scenario = str(tmp_path / "captured.json")
+        assert cli_main(["analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        assert cli_main(["analyze", "--scenario", scenario, "--cal", cal,
+                         "--out", str(tmp_path / "c.csv")]) == 0
 
     @pytest.mark.parametrize("command", ["calibrate", "analyze-meas", "analyze-cal",
                                          "stability"])
@@ -675,7 +698,7 @@ class TestCli:
     def test_strict_hash_mismatch_exit_code(self, tmp_path):
         s1 = self.scenario_file(tmp_path)
         s2 = tmp_path / "other.json"
-        doc = json.loads(open(s1).read())
+        doc = json.loads(Path(s1).read_text())
         doc["capture"]["snr_db"] = 12.0
         s2.write_text(json.dumps(doc))
         meas = str(tmp_path / "a.bin")
@@ -691,7 +714,7 @@ class TestCli:
     def test_hash_mismatch_without_strict_warns(self, tmp_path):
         s1 = self.scenario_file(tmp_path)
         s2 = tmp_path / "other.json"
-        doc = json.loads(open(s1).read())
+        doc = json.loads(Path(s1).read_text())
         doc["capture"]["snr_db"] = 12.0
         s2.write_text(json.dumps(doc))
         meas, ref = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -737,7 +760,7 @@ class TestCli:
         cli_main(["b2b", "--scenario", scenario, "--out", ref])
         assert cli_main(["analyze", "--scenario", scenario, "--meas", meas,
                          "--ref", ref, "--out", out, "--format", "json"]) == 0
-        rows = json.load(open(out))
+        rows = json.loads(Path(out).read_text())
         assert len(rows) == 3
         assert "gamma12_db" in rows[0]
 
@@ -753,8 +776,8 @@ class TestCli:
                              "--out", paths[out], "--format", fmt]) == 0
         assert cli_main(["report", "--metrics", paths["m.csv"], "--out", paths["r.json"],
                          "--format", "json"]) == 0
-        analyzed = json.load(open(paths["m.json"]))
-        reported = json.load(open(paths["r.json"]))
+        analyzed = json.loads(Path(paths["m.json"]).read_text())
+        reported = json.loads(Path(paths["r.json"]).read_text())
         expected = [{"location": i, **{key: row[key] for key in REPORT_FIELDS},
                      **{key: value for key, value in row.items() if key.startswith("col")}}
                     for i, row in enumerate(analyzed)]
@@ -778,7 +801,7 @@ class TestCli:
         out = str(tmp_path / "quiet.csv")
         assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
         assert cli_main(["stability", "--ref", ref, "--out", out]) == 0
-        rows = [line.split(",") for line in open(out).read().splitlines()
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()
                 if not line.startswith("#")][1:]
         assert len(rows) == 5
         assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)

@@ -1,6 +1,6 @@
 """The analysis front end: the complex64 delay domain held to the
 complex128 reference chain, and the heap setting of the commands that
-analyze.
+synthesize or analyze.
 
 The reference chain is ``oracles.complex128_metrics``. On every row of
 the reduced golden route and hover presets, each dB column stays within
@@ -110,16 +110,17 @@ def test_analyze_without_the_heap_setting_writes_the_same_bytes(golden_flows, tm
     assert out.read_bytes() == Path(metrics).read_bytes()
 
 
-def test_only_calibrate_and_analyze_set_the_heap(tmp_path, monkeypatch):
+def test_only_synth_calibrate_and_analyze_set_the_heap(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_keep_heap_mapped", lambda: calls.append(True))
     scenario = golden._scenario(tmp_path, "static", golden.BURSTS["static"])
     meas, ref, cal = (str(tmp_path / file) for file in ("meas.bin", "ref.bin", "cal.bin"))
     golden._run("synth", "--scenario", scenario, "--out", meas)
-    golden._run("b2b", "--scenario", scenario, "--out", ref, "--snapshots", "2")
-    assert calls == []
-    golden._run("calibrate", "--meas", meas, "--ref", ref, "--out", cal)
     assert len(calls) == 1
+    golden._run("b2b", "--scenario", scenario, "--out", ref, "--snapshots", "2")
+    assert len(calls) == 1
+    golden._run("calibrate", "--meas", meas, "--ref", ref, "--out", cal)
+    assert len(calls) == 2
     golden._run("analyze", "--scenario", scenario, "--cal", cal,
                 "--out", str(tmp_path / "metrics.csv"))
-    assert len(calls) == 2
+    assert len(calls) == 3

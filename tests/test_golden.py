@@ -27,37 +27,37 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "b8f15e17455f3e806dde72a49340b984898c33b56417d3f63276d4e7548c82a8",
-        "analyze_csv": "dce351d2ce0aedb99f2c9e9cbc8c5be59b71dbbf4b9ff0ed63e4e15a7dc9bed0",
-        "analyze_json": "3fb6b62548d47afb53dc625b5a2276ce76ab32cb862c61f74c7c092e02a4eb25",
-        "analyze_summary": "00274c767f609999cab41a9543f3d8ee5abc40f9774dd441ed6b70d3fa4225bf",
+        "analyze_cal_csv": "d3569e7aebc58e50716069f2a03002bcda742dca849a1e6efd397e0dd02a7331",
+        "analyze_csv": "079fffc67dcc8d3d99f23d5f0b4306b886e8b2f711f43ad2500adfcd322f1c19",
+        "analyze_json": "dde0a8c45976c61f0361aaf0e11a63e24d230c4565dc8c9e14750b852fd68623",
+        "analyze_summary": "3f754c8caf6be0cd4bf16015624816f701dc399c32e996780cd6d5a5e197eba1",
         "b2b": "0f57311e12858768a4e2978fd6e951b75fd49368b2d35e89299ab61304c49e1f",
-        "calibrate": "3cd1d5a2a00f47e6ef0fee932a365601b6b8cc7569452d49d8c48df84ea9f5e3",
-        "report": "593f117af8dc55ecdeb758a80adea3a95380020c40f80928742a1e8760e02311",
-        "report_json": "d82e2ffc3e25d2299dd59c2b90896ff371ee3645169d0fdbbbb30a7a65a3eb7a",
-        "synth": "2fad6e4611bb50d9849a6ddb770bdd7b65347ceb227aba5577360829937e5fda",
+        "calibrate": "89b5e3b8ee5abcb955e08dcc137b960353c769ff36418bd1fbde155c381a907b",
+        "report": "3731feafd54cac4d6b03154a3df128eff569d9b0eb45b0c28c0bd5fa436ef124",
+        "report_json": "4153bd5f033e16995f25bdf920951bd409222bad3e08d867148a0bbe92caf55c",
+        "synth": "ee4689609c9dd3333085c78a2e3b399333665f426c53b1523e38fc5f73bc21c6",
     },
     "hover": {
-        "analyze_cal_csv": "6dbb8451916f5da1393550f5aa0885146a7f37356a2f4eabc74d89b86d7237d1",
-        "analyze_csv": "1d6840996a6adb7db01105805d6ec7aaa6601765227c3f417852897c1f4749bb",
-        "analyze_json": "d05e716c370ee91a6378a82c9dd74c71315cdb4c0e7d47010f8cda1399363912",
-        "analyze_summary": "2f667ca826238795cb207846ac01c551114a17dc92f94be46e803d1a593298cf",
+        "analyze_cal_csv": "575ef8f7994b05d730ac74876009d934f0b444ed7a3ed8cc41b264ef66f302f3",
+        "analyze_csv": "d73186bf7fe443f9393aab414f14d4c995770816bee47b4c1ec10a9249a9c7c3",
+        "analyze_json": "2b48c48ae2953852d2093074762e0f60b1f0a4e69611b9721f825dca21cbf87a",
+        "analyze_summary": "0eb45c3166866b515c31985e02ac537683148cf8223b9400efa0dd63dd3580e0",
         "b2b": "275704e22bd675147d9cd3ff3cc75606aa077aac311661f26f01460f9d4e849e",
-        "calibrate": "a32ffb546028ce19b3d8e0ea4a52889b78ad6c5276c5da1d21bee8f633ba662c",
-        "report": "58f4d79b113c99948c819bf6d45c53da7bf3dae3d684d647ce46c565466c769f",
-        "report_json": "8725f25cb32bd7a11ea52c8c838613ab7ac43aa56185021c27ccff20200181a8",
-        "synth": "76254beef4da29b47402478f4522036c059ead445e5228ea7c23ec85f46dbbd2",
+        "calibrate": "9254264bed230decb7959630b64882b5617ab6d9b1a107715039eaf70fa680b9",
+        "report": "b51d73789fc121914f8f4aa3ac44cb22895a21de525c1dac54b88dde09bc5d66",
+        "report_json": "e01a7c84b3a2eb1df3b0a187baac83b246084df0b27995a537fbc31f85c0dcd7",
+        "synth": "08cb6fcf3aedaddfdd2f2b3b9461e899c37a4e2eadc1bf6393b7ce435bc469fd",
     },
     "route": {
-        "analyze_cal_csv": "0dec79d3a6b2da275011ca0bc1a4f1664ea5cb8119ce7d47e63f74e5e48d603b",
-        "analyze_csv": "52de569e857737d7541f1a3fddba6f98e0321ddc1bfd0afcad22395cac0bb544",
-        "analyze_json": "d46b1384fb00e34271eaf698554f2f4a9777c430488ac23dd3677ce260cb50a9",
-        "analyze_summary": "aef9ebb262a73871f452bc2d7a5e4bf919e1d71294d3a9048407ff5cae777067",
+        "analyze_cal_csv": "7a8b25a048d5b93b818366cf11891e22cda3863a19530753042ac246b8a572db",
+        "analyze_csv": "8f3df7dd4357d81b07de760f2eebfaf42e4f59ba0924cff25bc6ab050d212327",
+        "analyze_json": "ad3cc720d0a231c6585005d22fd3e0107262f4dda2b4ccc5b7e393f1d0070eca",
+        "analyze_summary": "e8d406a0faa0e33586836de53b93696cfcfea2274056bce3882dce2e3aee7f62",
         "b2b": "437d1c7359c6ae4b84116429b130ffd8a365c0cab73d2e826ca1cffcf22383e3",
-        "calibrate": "ab2a06c348b6b70a528f3487cbec3c00291361f22abc392e245497d064874b56",
-        "report": "aa13b3cb4e35966277403290dfc451a3b00ead292c96203443f5484713b96ae7",
-        "report_json": "20858fdb612b675c81308329f214b577e1063aa808d35b8ac14b54e6044ee77c",
-        "synth": "4a06b6b5ab1c44a07d6794632784ec990f5e51896cb1431bb3f3361a7952579c",
+        "calibrate": "00e5010aa79e826c30cfae0fb08196ba994d4280818f2e106099d18bcccf5cfc",
+        "report": "d63f9821faddbfbe48baf0ec7eb5a027ff18222b8a98af2c56ee75444689e818",
+        "report_json": "04fdce6cc0f17395876e1241b04f3645017ff0345798e29d8257d0f8f92ba8c9",
+        "synth": "a8e05c306a0e5d263f49cb441f3bdafb81608900ac5250b94a51c128df5b902d",
     },
     "b2b-stability": {
         "b2b": "56d83d8d23105764ae57f19525e52d7d8a1dca55f59848e92a07bb9428899fe8",

@@ -280,18 +280,34 @@ def golden_captures(tmp_path_factory):
     return out
 
 
+def _a2gs_at_blas(blas, *argv):
+    """Run the CLI in a fresh process with OpenBLAS at ``blas`` threads
+    and A2GS_THREADS=2; the command must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, A2GS_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "a2gsounder", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("blas", ["1", "2", "4"])
 @pytest.mark.parametrize("name", ["hover", "route"])
 def test_golden_analysis_does_not_depend_on_the_blas_thread_count(golden_captures, tmp_path,
                                                                    name, blas):
     scenario, meas, ref = golden_captures[name]
     csv_out, summary = tmp_path / "metrics.csv", tmp_path / "summary.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, A2GS_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "a2gsounder", "analyze", "--scenario", scenario,
-                           "--meas", meas, "--ref", ref, "--out", str(csv_out),
-                           "--summary", str(summary)],
-                          env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _a2gs_at_blas(blas, "analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+                  "--out", str(csv_out), "--summary", str(summary))
     assert golden._sha256(csv_out) == golden.GOLDEN[name]["analyze_csv"]
     assert golden._sha256(summary) == golden.GOLDEN[name]["analyze_summary"]
+
+
+@pytest.mark.parametrize("blas", ["1", "2", "4"])
+@pytest.mark.parametrize("name", sorted(golden.BURSTS))
+def test_golden_synthesis_does_not_depend_on_the_blas_thread_count(tmp_path, name, blas):
+    # the path-sum matmuls of port_stack_response run with BLAS at its
+    # own thread count: only analyze_records holds it at one
+    scenario = golden._scenario(tmp_path, name, golden.BURSTS[name])
+    meas = tmp_path / "meas.bin"
+    _a2gs_at_blas(blas, "synth", "--scenario", scenario, "--out", str(meas))
+    assert golden._sha256(meas) == golden.GOLDEN[name]["synth"]

@@ -117,7 +117,7 @@ class TestFailedWrite:
         scenario = scenario_file(tmp_path, "route.json", tiny(
             "paper-route", timing={"simos_per_burst": 1, "burst_rate": 0.1},
             scene={"rx_position": [5.0, 15.0, 50.0]}, capture={"burst_count": 3}))
-        config = parse_scenario(json.loads(open(scenario).read()))
+        config = parse_scenario(json.loads(Path(scenario).read_text()))
         monkeypatch.setenv("A2GS_THREADS", "1")
         assert next(pipeline.run_synthesis(config)).snapshot_index == 0
         for threads in ("1", "2"):
