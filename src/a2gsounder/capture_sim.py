@@ -114,8 +114,6 @@ class AttenuatorModel:
     def response(self, tones):
         """Complex response on the tone grid, 10^(-loss/20) times the ripple."""
         base = 10.0 ** (-self.nominal_loss_db / 20.0)
-        if self.ripple_db == 0.0:
-            return np.full(tones.tone_count, base, dtype=np.complex128)
         u = np.linspace(0.0, 1.0, tones.tone_count)
         ripple = 10.0 ** (self.ripple_db * np.cos(2.0 * math.pi * self.ripple_cycles * u) / 20.0)
         return (base * ripple).astype(np.complex128)
@@ -224,16 +222,19 @@ def _add_noise(tf, snr_db, seed, snapshot_index):
     """Add white Gaussian noise to the complex128 ``tf`` in place,
     ``snr_db`` below its strongest port's mean tone power, and return
     it; None or +inf adds none. Port k's draws are its tones' real
-    parts, then their imaginary parts."""
+    parts, then their imaginary parts. Taking 16 ports at a time keeps
+    every temporary small, and with it synth's peak RSS."""
     if snr_db is None or snr_db == math.inf:
         return tf
-    ref_power = float(np.max(np.mean(np.abs(tf) ** 2, axis=1)))
-    n_ports, n_tones = tf.shape
-    # one counter block per snapshot; ports are laid out in fixed order
-    draws = stream(seed, TAG_NOISE, snapshot_index).standard_normal((n_ports, 2, n_tones))
-    draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
-    tf.real += draws[:, 0]
-    tf.imag += draws[:, 1]
+    blocks = [tf[k:k + 16] for k in range(0, len(tf), 16)]
+    ref_power = float(np.max(np.concatenate([np.mean(np.abs(b) ** 2, axis=1) for b in blocks])))
+    # one counter block per snapshot, drawn in port order
+    rng = stream(seed, TAG_NOISE, snapshot_index)
+    for b in blocks:
+        draws = rng.standard_normal((len(b), 2, tf.shape[1]))
+        draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+        b.real += draws[:, 0]
+        b.imag += draws[:, 1]
     return tf
 
 

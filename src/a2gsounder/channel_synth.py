@@ -36,8 +36,11 @@ from .waveform import SPEED_OF_LIGHT
 
 _PLANE_EPS = 1e-9
 # AR(1) wobble is evaluated as a windowed moving sum so any snapshot
-# index is computable independently; rho**512 < 1e-23 for rho <= 0.9.
+# index is computable independently. Each step past index 511 swaps the
+# window's oldest term (weight rho**511, error ~rho**511 sigma), which
+# float64 rounding hides while rho**511 <= 2**-53: rho <= 2**(-53/511).
 _WOBBLE_WINDOW = 512
+WOBBLE_RHO_MAX = 2.0 ** (-53 / (_WOBBLE_WINDOW - 1))  # ~0.9306
 
 
 class SceneError(ValueError):
@@ -347,8 +350,8 @@ class WobbleParams:
     snapshot_rate: float = 60.0
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
+        if not 0.0 <= self.rho <= WOBBLE_RHO_MAX:
+            raise ValueError(f"rho must be in [0, {WOBBLE_RHO_MAX}]")
         if self.sigma_pos < 0 or self.sigma_angle < 0:
             raise ValueError("wobble sigmas must be non-negative")
 

@@ -159,7 +159,9 @@ def _calibrated(args, config=None, expected_hash=None):
                               strict=args.strict_hash)
     ref, _ = _read(args.ref, "B2B", expected_hash=meas_header["config_hash"],
                    strict=args.strict_hash)
-    return calibrate_records(meas, ref, _attenuator(args, config)), meas, meas_header
+    cal = calibrate_records(meas, ref, _attenuator(args, config))
+    print(f"reference: B2B snapshot 0 of {len(ref)}")
+    return cal, meas, meas_header
 
 
 def _write_rows(args, rows, config_hash):

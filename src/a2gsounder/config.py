@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .array_geometry import PatternParams, build_cylindrical_array
 from .capture_sim import AttenuatorModel
-from .channel_synth import Facet, Scene, Trajectory, WobbleParams
+from .channel_synth import WOBBLE_RHO_MAX, Facet, Scene, Trajectory, WobbleParams
 from .processing import GateConfig
 from .waveform import TimingPlan, TonePlan
 
@@ -272,7 +272,7 @@ SCHEMA = {
         "wobble": {
             "sigma_pos": (0.08, _number(minimum=0.0)),
             "sigma_angle_deg": (1.0, _number(minimum=0.0)),
-            "rho": (0.9, _number(minimum=0.0, maximum=0.999999)),
+            "rho": (0.9, _number(minimum=0.0, maximum=WOBBLE_RHO_MAX)),
             "seed": (7, _integer()),
         },
         "center": ([0.0, 0.0], _vector(2)),
@@ -397,9 +397,9 @@ def parse_scenario(document):
         raise SchemaError("scenario: expected a JSON object")
 
     document = dict(document)
-    preset_name = document.pop("preset", None)
     base = DEFAULTS
-    if preset_name is not None:
+    if "preset" in document:
+        preset_name = _text(document.pop("preset"), "scenario.preset")
         if preset_name not in PRESETS:
             raise SchemaError(
                 f"scenario.preset: unknown preset '{preset_name}' "
@@ -421,11 +421,13 @@ def _build(resolved):
     timing = section("timing", TimingPlan)
 
     pattern = section("array.pattern", PatternParams)
-    geometry = section("array", build_cylindrical_array, pattern=pattern)
-    if geometry.n_ports != timing.ports_per_simo:
+    array = section("array", dict, pattern=pattern)  # counted before it is built
+    n_ports = 2 * array["columns"] * array["rows"]
+    if n_ports != timing.ports_per_simo:
         raise SchemaError(
             f"timing.ports_per_simo: {timing.ports_per_simo} does not match the "
-            f"{geometry.n_ports}-port array (columns*rows*2)")
+            f"{n_ports}-port array (columns*rows*2)")
+    geometry = build_cylindrical_array(**array)
 
     scene = section("scene", _scene)
 

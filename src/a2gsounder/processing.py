@@ -58,33 +58,20 @@ class RawCIR:
     delays: np.ndarray     # seconds, one per bin
 
 
-def _power(h):
-    """|h|**2 in float64, for complex64 or complex128 ``h``."""
-    return np.abs(h.astype(np.complex128, copy=False)) ** 2
-
-
 @dataclass
 class GatedCIR:
-    """Impulse response after noise thresholding and delay gating.
+    """Impulse response after noise thresholding and delay gating, as
+    float64 power: a bin is nonzero exactly when it is kept."""
 
-    ``power`` is the gated power per port and delay bin in float64;
-    threshold_and_gate fills it, and it defaults to |h_tau|**2.
-    """
-
-    h_tau: np.ndarray        # gated, zeroed bins are exactly zero
+    power: np.ndarray        # ports x delay bins, float64; zeroed bins exactly zero
     delays: np.ndarray
     noise_floor: np.ndarray  # linear power per port
     threshold: np.ndarray    # applied P_lambda per port
     all_zero_ports: tuple = ()
-    power: np.ndarray = None
-
-    def __post_init__(self):
-        if self.power is None:
-            self.power = _power(self.h_tau)
 
     @property
     def n_ports(self):
-        return self.h_tau.shape[0]
+        return self.power.shape[0]
 
     @cached_property
     def port_energy(self):
@@ -143,7 +130,8 @@ def threshold_and_gate(raw, gate=None):
     peak - peak margin; bins below P_lambda are zeroed, then bins later
     than the first surviving bin plus the delay gate are zeroed. Ports
     where nothing survives are reported, not fatal. The float64 power is
-    computed once and handed on, gated, as GatedCIR.power.
+    computed once and handed on, gated, as GatedCIR.power; the complex
+    values of the kept bins stay in ``raw.h``.
     """
     gate = gate or GateConfig()
     if raw.h.size == 0:
@@ -151,7 +139,7 @@ def threshold_and_gate(raw, gate=None):
     if gate.delay_gate >= raw.delays[-1] + (raw.delays[1] - raw.delays[0] if len(raw.delays) > 1 else 0):
         raise AnalysisError("delay_gate must be below the maximum unambiguous delay")
 
-    power = _power(raw.h)
+    power = np.abs(raw.h.astype(np.complex128, copy=False)) ** 2
     n_ports, n_bins = power.shape
     tail = max(1, int(math.ceil(gate.noise_window_fraction * n_bins)))
     noise_floor = np.mean(power[:, n_bins - tail:], axis=1)
@@ -165,14 +153,9 @@ def threshold_and_gate(raw, gate=None):
     late = raw.delays[np.newaxis, :] > (first_delay[:, np.newaxis] + gate.delay_gate)
     kept = keep & ~late
     kept[~any_kept] = False
-    return GatedCIR(
-        h_tau=np.where(kept, raw.h, 0.0),
-        delays=raw.delays,
-        noise_floor=noise_floor,
-        threshold=threshold,
-        all_zero_ports=tuple(np.nonzero(~any_kept)[0].tolist()),
-        power=np.where(kept, power, 0.0),
-    )
+    return GatedCIR(power=np.where(kept, power, 0.0), delays=raw.delays,
+                    noise_floor=noise_floor, threshold=threshold,
+                    all_zero_ports=tuple(np.nonzero(~any_kept)[0].tolist()))
 
 
 def rx_power(gated):

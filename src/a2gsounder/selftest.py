@@ -9,6 +9,7 @@ verify itself.
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,24 +43,16 @@ def check_gating_monotonicity(rng):
 
 def check_phase_rotation_invariance(rng):
     cal = _random_cal(rng)
-    gated = threshold_and_gate(cir_from_tf(cal))
-    p0 = rx_power(gated)
-    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, gated.n_ports))
-    rotated = GatedCIR(
-        h_tau=gated.h_tau * phases[:, np.newaxis],
-        delays=gated.delays,
-        noise_floor=gated.noise_floor,
-        threshold=gated.threshold,
-        all_zero_ports=gated.all_zero_ports,
-    )
-    p1 = rx_power(rotated)
+    p0 = rx_power(threshold_and_gate(cir_from_tf(cal)))
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, cal.h_f.shape[0]))
+    rotated = replace(cal, h_f=cal.h_f * phases[:, np.newaxis])
+    p1 = rx_power(threshold_and_gate(cir_from_tf(rotated)))
     return abs(p0 - p1) <= 1e-9 * p0, f"{p0:.12g} vs {p1:.12g}"
 
 
 def _two_tap_gated(delays, amps):
-    delays = np.asarray(delays, dtype=np.float64)
-    h = np.asarray(amps, dtype=np.complex128)[np.newaxis, :]
-    return GatedCIR(h_tau=h, delays=delays, noise_floor=np.zeros(1), threshold=np.zeros(1))
+    return GatedCIR(power=np.abs(amps)[np.newaxis, :] ** 2, delays=delays,
+                    noise_floor=np.zeros(1), threshold=np.zeros(1))
 
 
 def check_delay_spread_invariances(rng):

@@ -153,8 +153,9 @@ def complex128_metrics(meas, ref, attenuation, geometry, gate):
     The measurement is divided by the reference and multiplied by the
     attenuator response, transformed by a complex128 unitary inverse
     DFT, and gated on the power np.abs(h)**2 by the dual threshold and
-    delay gate of processing.threshold_and_gate. The gated response,
-    whose power GatedCIR squares again, feeds processing's reductions.
+    delay gate of processing.threshold_and_gate. The gated response's
+    power np.abs(gated)**2, carried by a GatedCIR, feeds processing's
+    reductions.
     Returns snapshot_metrics' columns from p_rx on.
     """
     h_f = meas.h_f / ref.h_f * attenuation
@@ -172,7 +173,8 @@ def complex128_metrics(meas, ref, attenuation, geometry, gate):
     gated = np.where(keep & (delays[np.newaxis, :] <= first[:, np.newaxis] + gate.delay_gate),
                      h, 0.0)
     gated[~(keep.any(axis=1) & (peak > 0.0))] = 0.0
-    cir = GatedCIR(h_tau=gated, delays=delays, noise_floor=noise_floor, threshold=threshold)
+    cir = GatedCIR(power=np.abs(gated) ** 2, delays=delays, noise_floor=noise_floor,
+                   threshold=threshold)
 
     spread = rms_delay_spread(cir)
     columns = column_power_profile(cir, geometry)

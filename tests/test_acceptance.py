@@ -131,15 +131,15 @@ def test_criterion_05_los_eigen_structure():
 
 def test_criterion_06_delay_spread_oracle():
     with criterion(6, "two-tap delay spreads exact: 50 ns = -73.01 dBs, 1 ns = -90 dBs"):
-        h = np.array([[1.0, 1.0]], dtype=complex)
-        g = a2g.GatedCIR(h_tau=h, delays=np.array([0.0, 100e-9]),
+        power = np.array([[1.0, 1.0]])
+        g = a2g.GatedCIR(power=power, delays=np.array([0.0, 100e-9]),
                          noise_floor=np.zeros(1), threshold=np.zeros(1))
         spread = rms_delay_spread(g)
         assert abs(spread.sigma_tau_s - 50e-9) <= 1e-12 * 50e-9
         assert spread.sigma_tau_dbs == pytest.approx(10 * math.log10(50e-9), rel=1e-12)
         assert spread.sigma_tau_dbs == pytest.approx(-73.0103, abs=5e-5)
 
-        g1 = a2g.GatedCIR(h_tau=h, delays=np.array([0.0, 2e-9]),
+        g1 = a2g.GatedCIR(power=power, delays=np.array([0.0, 2e-9]),
                           noise_floor=np.zeros(1), threshold=np.zeros(1))
         spread1 = rms_delay_spread(g1)
         assert abs(spread1.sigma_tau_s - 1e-9) <= 1e-12 * 1e-9

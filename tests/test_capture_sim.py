@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ class TestSimulateSnapshot:
         tf = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
         noisy = _add_noise(tf, snr_db, seed, index)
         assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == digest
+
+    def test_noise_bytes_across_port_blocks_are_pinned(self):
+        # 40 ports: two whole blocks of 16 ports and a partial one; the
+        # digest was recorded from the one-array noise step
+        system = build_system_response(TonePlan(tone_count=64), 40, seed=3)
+        tf = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
+        noisy = _add_noise(tf, 20.0, 5, 7)
+        assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == \
+            "e9228627faec7ed65eb3d841775065cb1c2dfa9e422dbb19a067f071bf272cbc"
+
+    def test_noise_makes_no_full_size_temporary(self):
+        tf = np.ones((128, 1841), dtype=np.complex128)
+        _add_noise(tf, 30.0, 1, 1)  # one-time allocations are not the noise step's
+        tracemalloc.start()
+        try:
+            _add_noise(tf, 30.0, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tf.nbytes / 2
 
     def test_noise_is_added_in_place(self):
         tf = np.ones((4, 16), dtype=np.complex128)

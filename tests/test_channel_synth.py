@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from a2gsounder.channel_synth import (Facet, Scene, SceneError, Trajectory,
-                                      WobbleParams, synthesize_paths,
+from a2gsounder.channel_synth import (WOBBLE_RHO_MAX, Facet, Scene, SceneError,
+                                      Trajectory, WobbleParams, synthesize_paths,
                                       synthesize_slots, tx_position_at,
                                       tx_positions_at, tx_tilt_at,
                                       wobble_index, wobble_offset)
@@ -88,6 +88,20 @@ class TestTrajectories:
         wob = WobbleParams(sigma_pos=0.05, rho=0.9, seed=9, snapshot_rate=60.0)
         samples = np.array([wobble_offset(wob, 7 * i) for i in range(400)])
         assert np.std(samples, axis=0) == pytest.approx(0.05, rel=0.2)
+
+    def test_wobble_steps_stay_ar1_past_the_window_at_the_largest_rho(self):
+        # past index 511 the 512-term window slides; at the largest admitted
+        # rho each step still has the AR(1) rms sqrt(2 (1 - rho)) sigma
+        wob = WobbleParams(sigma_pos=1.0, rho=WOBBLE_RHO_MAX, seed=1)
+        states = np.array([wobble_offset(wob, i) for i in range(512, 812)])
+        step_rms = math.sqrt(np.mean(np.diff(states, axis=0) ** 2))
+        assert step_rms == pytest.approx(math.sqrt(2.0 * (1.0 - WOBBLE_RHO_MAX)), rel=0.1)
+
+    def test_rho_beyond_the_window_bound_rejected(self):
+        assert WOBBLE_RHO_MAX ** 511 <= 2.0 ** -53 < WOBBLE_RHO_MAX ** 510
+        WobbleParams(rho=WOBBLE_RHO_MAX)
+        with pytest.raises(ValueError, match="rho"):
+            WobbleParams(rho=0.999)
 
     def test_snapshot_index_freezes_within_burst(self):
         wob = WobbleParams(sigma_pos=0.05, seed=1, snapshot_rate=60.0)

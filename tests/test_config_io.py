@@ -89,6 +89,14 @@ class TestParseScenario:
                                  "timing": {"ports_per_simo": 64}})
         assert config.geometry.n_ports == 64
 
+    def test_port_count_checked_before_the_array_is_built(self, monkeypatch):
+        def must_not_build(**_):
+            raise AssertionError("array built before the port count was checked")
+        monkeypatch.setattr("a2gsounder.config.build_cylindrical_array", must_not_build)
+        with pytest.raises(SchemaError, match="timing.ports_per_simo: 128 does not match the "
+                                              "16000000-port array"):
+            parse_scenario({"array": {"columns": 2000000}})
+
     def test_unknown_preset(self):
         with pytest.raises(SchemaError, match="unknown preset"):
             parse_scenario({"preset": "mars-rover"})
@@ -307,12 +315,17 @@ class TestCli:
 
         assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
+        capsys.readouterr()
         assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
                          "--out", cal, "--strict-hash"]) == 0
+        # one of the three B2B snapshots is the reference, and both commands say so
+        assert "reference: B2B snapshot 0 of 3\n" in capsys.readouterr().out
         assert cli_main(["analyze", "--scenario", scenario, "--meas", meas,
                          "--ref", ref, "--out", metrics, "--summary", summary]) == 0
+        assert "reference: B2B snapshot 0 of 3\n" in capsys.readouterr().out
         assert cli_main(["analyze", "--scenario", scenario, "--cal", cal,
                          "--out", str(tmp_path / "m2.csv")]) == 0
+        assert "reference" not in capsys.readouterr().out
         assert cli_main(["stability", "--ref", ref, "--port", "0",
                          "--out", stability]) == 0
         assert cli_main(["report", "--metrics", metrics, "--out", route]) == 0
@@ -395,11 +408,17 @@ class TestCli:
         (None, ["analyze", "--cal", "cal.bin", "--attenuator-db", "10"], "--attenuator-db"),
         (None, ["analyze", "--cal", "cal.bin", "--meas", "meas.bin"], "--meas"),
         (None, ["analyze", "--cal", "cal.bin", "--ref", "ref.bin"], "--ref"),
+        ({"preset": []}, ["synth"], "scenario.preset: expected a string"),
+        ({"preset": {}}, ["synth"], "scenario.preset: expected a string"),
+        ({"preset": None}, ["synth"], "scenario.preset: expected a string"),
+        ({"preset": "olin-hover", "trajectory": {"wobble": {"rho": 0.999}}}, ["synth"],
+         "trajectory.wobble.rho: must be <="),
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
             "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number",
             "infinite-snr", "overflowing-snr", "non-finite-capture-snr",
             "overflowing-b2b-snr", "infinite-position", "cal-with-attenuator", "cal-with-meas",
-            "cal-with-ref"])
+            "cal-with-ref", "list-preset", "object-preset", "null-preset",
+            "wobble-rho-beyond-window"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
         scenario = self.scenario_file(tmp_path)  # None: the valid test scenario
         if document is not None:
@@ -708,8 +727,9 @@ class TestCli:
         assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
                          "--out", str(tmp_path / "c.bin"), "--strict-hash"]) == 6
         # without strict it proceeds with a warning
-        assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
-                         "--out", str(tmp_path / "c.bin")]) == 0
+        with pytest.warns(UserWarning, match="config hash mismatch"):
+            assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+                             "--out", str(tmp_path / "c.bin")]) == 0
 
     def test_hash_mismatch_without_strict_warns(self, tmp_path):
         s1 = self.scenario_file(tmp_path)

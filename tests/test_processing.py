@@ -22,9 +22,9 @@ def cal_of(h, plan=PLAN):
 
 
 def gated_of(amps, delays):
-    h = np.atleast_2d(np.asarray(amps, complex))
-    return GatedCIR(h_tau=h, delays=np.asarray(delays, float),
-                    noise_floor=np.zeros(h.shape[0]), threshold=np.zeros(h.shape[0]))
+    power = np.abs(np.atleast_2d(np.asarray(amps, complex))) ** 2
+    return GatedCIR(power=power, delays=np.asarray(delays, float),
+                    noise_floor=np.zeros(power.shape[0]), threshold=np.zeros(power.shape[0]))
 
 
 class TestCirFromTf:
@@ -108,9 +108,9 @@ class TestThresholdAndGate:
         h[0, 11] = 10 ** (-71 / 20.0)   # below -70: zeroed
         gated = threshold_and_gate(a2g.RawCIR(h=h, delays=delays), gate)
         assert gated.threshold[0] == pytest.approx(1e-7, rel=1e-9)
-        assert gated.h_tau[0, 3] != 0
-        assert gated.h_tau[0, 10] != 0
-        assert gated.h_tau[0, 11] == 0
+        assert gated.power[0, 3] != 0
+        assert gated.power[0, 10] != 0
+        assert gated.power[0, 11] == 0
 
     def test_noise_margin_governs(self):
         # noise floor -60 dB, peak -50 dB: threshold = max(-54, -70) = -54
@@ -120,14 +120,14 @@ class TestThresholdAndGate:
         gated = threshold_and_gate(a2g.RawCIR(h=h, delays=delays), GateConfig())
         assert gated.threshold[0] == pytest.approx(10 ** -5.4, rel=1e-9)
         # every -60 dB bin is below -54 dB: only the peak survives
-        assert np.count_nonzero(gated.h_tau[0]) == 1
+        assert np.count_nonzero(gated.power[0]) == 1
 
     def test_noiseless_single_path_single_bin(self):
         tau = PLAN.delay_bins[5]
         h = np.exp(-2j * math.pi * PLAN.tone_frequencies * tau)[np.newaxis, :]
         gated = threshold_and_gate(cir_from_tf(cal_of(h)), GateConfig())
-        assert np.count_nonzero(gated.h_tau[0]) == 1
-        assert np.abs(gated.h_tau[0, 5]) > 0
+        assert np.count_nonzero(gated.power[0]) == 1
+        assert gated.power[0, 5] > 0
 
     def test_delay_gate_anchored_at_first_survivor(self):
         delays = PLAN.delay_bins
@@ -137,9 +137,9 @@ class TestThresholdAndGate:
         h[0, 25] = 0.5
         h[0, 31] = 0.5   # 11 bins after the first survivor: gated out
         gated = threshold_and_gate(a2g.RawCIR(h=h, delays=delays), gate)
-        assert gated.h_tau[0, 20] != 0
-        assert gated.h_tau[0, 25] != 0
-        assert gated.h_tau[0, 31] == 0
+        assert gated.power[0, 20] != 0
+        assert gated.power[0, 25] != 0
+        assert gated.power[0, 31] == 0
 
     def test_retained_bins_meet_threshold_invariant(self):
         rng = np.random.default_rng(7)
@@ -148,7 +148,7 @@ class TestThresholdAndGate:
             h[1, 7] = 5.0
             raw = a2g.RawCIR(h=h.astype(complex), delays=PLAN.delay_bins)
             gated = threshold_and_gate(raw, GateConfig())
-            power = np.abs(gated.h_tau) ** 2
+            power = gated.power
             for k in range(3):
                 kept = power[k][power[k] > 0]
                 assert np.all(kept >= gated.threshold[k])
@@ -167,11 +167,13 @@ class TestThresholdAndGate:
         h = 0.01 * (rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64)))
         h[:, 5] += 3.0
         h[2] = 0.0
-        gated = threshold_and_gate(a2g.RawCIR(h=h.astype(dtype), delays=np.arange(64) * 1e-7),
-                                   GateConfig(delay_gate=1e-6))
-        assert gated.h_tau.dtype == dtype and gated.power.dtype == np.float64
+        raw = a2g.RawCIR(h=h.astype(dtype), delays=np.arange(64) * 1e-7)
+        gated = threshold_and_gate(raw, GateConfig(delay_gate=1e-6))
+        assert gated.power.dtype == np.float64
+        kept = gated.power > 0
         np.testing.assert_array_equal(
-            gated.power, np.abs(gated.h_tau.astype(np.complex128)) ** 2)
+            gated.power, np.where(kept, np.abs(raw.h.astype(np.complex128)) ** 2, 0.0))
+        assert kept[:, 5].sum() == 5 and not kept[2].any()
         assert gated.all_zero_ports == (2,)
 
     def test_gate_at_the_unambiguous_delay_rejected(self):
