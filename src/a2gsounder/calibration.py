@@ -44,7 +44,7 @@ class Reference:
     """
 
     def __init__(self, ref, attenuator):
-        ref_mag = np.abs(ref.h_f)
+        ref_mag = np.absolute(ref.h_f, dtype=np.float64)  # float64 of a complex64 read too
         floor = float(np.median(ref_mag)) * 10.0 ** (-REFERENCE_FLOOR_DB / 20.0)
         bad = np.argwhere(ref_mag <= floor)
         if bad.size:
@@ -57,13 +57,14 @@ class Reference:
         self.factor = attenuator.response(ref.tone_plan)[np.newaxis, :] / ref.h_f
 
 
-def calibrate(meas, reference):
+def calibrate(meas, reference, out=None):
     """Antenna+channel response: meas multiplied by attenuation / ref,
     the factor the Reference computed once.
 
     ``reference`` is a Reference. Returns ``meas``'s CaptureRecord with
-    the calibrated ``h_f`` as a CAL record, which carries no SNR and
-    seed 0.
+    the calibrated complex128 ``h_f`` as a CAL record, which carries no
+    SNR and seed 0. ``out``, a complex128 array of the factor's shape,
+    receives the product in place of a fresh array.
     """
     if meas.h_f.shape != reference.factor.shape:
         raise CalibrationError(
@@ -71,8 +72,8 @@ def calibrate(meas, reference):
             "dimensions differ")
     if meas.tone_plan != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
-    return replace(meas, h_f=meas.h_f * reference.factor, snr_db=None, seed=0,
-                   record_type="CAL")
+    return replace(meas, h_f=np.multiply(meas.h_f, reference.factor, out=out), snr_db=None,
+                   seed=0, record_type="CAL")
 
 
 def stability_stats(rows):
@@ -87,6 +88,7 @@ def stability_stats(rows):
     """
     ratios = []
     for row in rows:
+        row = np.asarray(row, np.complex128)  # float64 arithmetic on a complex64 read too
         if not ratios:
             if np.any(np.abs(row) == 0.0):
                 raise CalibrationError("first snapshot has a zero tone")

@@ -262,10 +262,12 @@ class CaptureFile(Sequence):
 
     Nothing of the payload is held: indexing reads that one snapshot,
     and port_rows one port's row of each snapshot, from the file at its
-    offset. The reads are plain positioned reads, not a memory map, so a
-    file that loses bytes after it was opened raises CaptureFileError
-    rather than a bus error. So does a sample that is not a finite
-    number, when it is read.
+    offset. A record's ``h_f`` is the complex64 payload as read, half
+    the bytes of a complex128 copy; its consumers compute in complex128
+    or float64 from it. The reads are plain positioned reads, not a
+    memory map, so a file that loses bytes after it was opened raises
+    CaptureFileError rather than a bus error. So does a sample that is
+    not a finite number, when it is read.
     """
 
     def __init__(self, path, layout, payload_offset):
@@ -292,7 +294,8 @@ class CaptureFile(Sequence):
             raise IndexError(f"port {port} out of range for {self.layout.port_count} ports")
         with self._open() as fh:
             for s in range(len(self)):
-                yield self._read(fh, s, port, self.layout.tone_plan.tone_count)
+                yield self._read(fh, s, port, self.layout.tone_plan.tone_count).astype(
+                    np.complex128)
 
     def _open(self):
         try:
@@ -314,7 +317,7 @@ class CaptureFile(Sequence):
                                    "it lost bytes after it was opened")
         if not np.isfinite(data.view("<f4")).all():
             raise CaptureFileError(f"{self.path} snapshot {s} has a sample that is not finite")
-        return data.astype(np.complex128)
+        return data
 
 
 def read_capture(path, expected_config_hash=None, strict_hash=False):

@@ -7,9 +7,10 @@ downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
 stability; additive white Gaussian noise is injected per tone in the
-frequency domain. Both are applied in place on one fresh array per
-snapshot. Back-to-back captures replace the antenna with an attenuator
-so the same chain can be divided out later.
+frequency domain. The gains and drift scale one fresh array per
+snapshot and the noise is added to it in place. Back-to-back captures
+replace the antenna with an attenuator so the same chain can be
+divided out later.
 
 All randomness is counter-based (see _rng), so snapshots can be
 simulated in any order or in parallel with bit-identical results.
@@ -249,15 +250,16 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     0's and its tilt the paths' tilt. Noise is scaled to
     ``noise_snr_db`` below the strongest port's mean tone power; None
     disables it. ``base_tf`` may carry the precomputed noise-free
-    port_stack_response for these paths (the pipeline computes it
-    once per distinct TX state); it is read, never written. The chain,
-    the per-port gain times the drift, and the noise go in place into
-    one fresh array, the record's ``h_f``.
+    port_stack_response for these paths times ``system.common_chain``
+    (the pipeline computes it once per distinct TX state); it is read,
+    never written. The per-port gain times the drift goes into one fresh
+    array, the record's ``h_f``, and the noise in place.
     """
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
-    tf = base_tf * system.common_chain
-    tf *= (system.per_port_gain * system.drift(snapshot_index, kind="meas"))[:, np.newaxis]
+        base_tf *= system.common_chain
+    gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
+    tf = base_tf * gain[:, np.newaxis]
     _add_noise(tf, noise_snr_db, seed, snapshot_index)
 
     return CaptureRecord(

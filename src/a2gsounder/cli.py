@@ -24,14 +24,14 @@ import json
 import sys
 from array import array
 
-from .calibration import CalibrationError, stability_stats
+from .calibration import CalibrationError, calibrate, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
                            replacing, write_capture)
 from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
 from .pipeline import (REPORT_FIELDS, SUMMARY_FIELDS, analyze_records, b2b_layout,
-                       calibrate_records, calibrated_layout, report_rows,
+                       calibrated_layout, first_reference, report_rows,
                        run_b2b, run_synthesis, stability_rows, summarize,
                        synthesis_layout, thread_count, write_rows_csv, write_rows_json)
 from .processing import AnalysisError
@@ -100,9 +100,11 @@ def _read(path, record_type, expected_hash=None, strict=False):
 def _keep_heap_mapped():
     """Keep freed heap memory mapped for the rest of the process.
 
-    Each snapshot of synth, calibrate and analyze allocates and frees
-    several 3.8 MB ports x tones arrays; by default glibc hands them
-    back to the kernel and the next snapshot faults every page in again.
+    Each snapshot of synth and calibrate allocates and frees several
+    3.8 MB ports x tones arrays; by default glibc hands them back to the
+    kernel and the next snapshot faults every page in again. analyze
+    needs no such setting: it writes each snapshot into workspaces that
+    live for the whole run (see pipeline.analyze_records).
     It takes both settings: setting either one stops glibc's dynamic
     adjustment of the other, so a raised trim threshold alone leaves
     every array of 128 KiB or more to its own mmap and munmap, and a
@@ -150,18 +152,18 @@ def cmd_b2b(args):
     return EXIT_OK
 
 
-def _calibrated(args, config=None, expected_hash=None):
+def _measured(args, config=None, expected_hash=None):
     """Open --meas, then --ref against the measurement's config hash, and
-    check the reference; returns (an ordered iterator of calibrated
-    records, the --meas CaptureFile, its header). A measurement that
-    does not fit the reference raises CalibrationError as it is taken."""
+    check the reference; returns (the --meas CaptureFile, its header, the
+    Reference). A measurement that does not fit the reference raises
+    CalibrationError when it is calibrated."""
     meas, meas_header = _read(args.meas, "MEAS", expected_hash=expected_hash,
                               strict=args.strict_hash)
     ref, _ = _read(args.ref, "B2B", expected_hash=meas_header["config_hash"],
                    strict=args.strict_hash)
-    cal = calibrate_records(meas, ref, _attenuator(args, config))
+    reference = first_reference(ref, _attenuator(args, config))
     print(f"reference: B2B snapshot 0 of {len(ref)}")
-    return cal, meas, meas_header
+    return meas, meas_header, reference
 
 
 def _write_rows(args, rows, config_hash):
@@ -173,7 +175,8 @@ def _write_rows(args, rows, config_hash):
 
 def cmd_calibrate(args):
     _keep_heap_mapped()
-    cal, meas, meas_header = _calibrated(args)
+    meas, meas_header, reference = _measured(args)
+    cal = (calibrate(m, reference) for m in meas)
     write_capture(args.out, cal, config_hash=meas_header["config_hash"],
                   geometry_hash=meas_header["geometry_hash"],
                   layout=calibrated_layout(meas.layout))
@@ -182,7 +185,6 @@ def cmd_calibrate(args):
 
 
 def cmd_analyze(args):
-    _keep_heap_mapped()
     config = _load_scenario(args.scenario)
     expected = config.scenario_hash
 
@@ -192,16 +194,18 @@ def cmd_analyze(args):
                 option = "--" + flag.replace("_", "-")
                 raise _Exit(EXIT_SCHEMA, f"{option} cannot be used with --cal, "
                                          "whose file is already calibrated")
-        cal, _ = _read(args.cal, "CAL", expected_hash=expected, strict=args.strict_hash)
+        records, _ = _read(args.cal, "CAL", expected_hash=expected, strict=args.strict_hash)
+        reference = None
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
-        cal, _, _ = _calibrated(args, config, expected_hash=expected)
+        records, _, reference = _measured(args, config, expected_hash=expected)
 
     kept = {key: array("d") for key in SUMMARY_FIELDS}  # 40 B a row, for the summary
 
     def rows():
-        for row in analyze_records(cal, config.geometry, config.gate, window=args.window):
+        for row in analyze_records(records, config.geometry, config.gate, window=args.window,
+                                   reference=reference):
             for key, column in kept.items():
                 column.append(row[key])
             yield row

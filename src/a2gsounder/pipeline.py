@@ -7,9 +7,10 @@ Randomness is counter-based, so the thread count never changes results.
 Every stage is an ordered iterator and the row writers take each row as
 it comes, so memory is bounded whatever the series length. The process
 runs one pool at a time (see _map_ordered), on the noise step of
-run_synthesis or the metrics of analyze_records. What feeds it runs in
-the feeding thread: the noise-free response of each run of snapshots
-that share a TX state, and calibration. run_b2b runs with no pool.
+run_synthesis or the calibration and metrics of analyze_records. What
+feeds it runs in the feeding thread: the noise-free response of each
+run of snapshots that share a TX state, and the capture reads. run_b2b
+runs with no pool.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
 synthesis leaves it at its own count, and its bytes do not depend on it.
 """
@@ -35,7 +36,7 @@ from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .config import SchemaError
-from .processing import snapshot_metrics
+from .processing import Workspace, snapshot_metrics
 from .waveform import snapshot_timestamps
 
 
@@ -124,10 +125,11 @@ def run_synthesis(config):
     Consecutive snapshots that share a TX state form a run: one run for
     a static TX, one per wobble index for a hover, one per snapshot for
     a route. A run's noise-free response (port_stack_response, whose
-    path-sum matmuls use BLAS at its own thread count) is computed once,
-    at its first snapshot time, in the thread that feeds the pool as the
-    run is reached, and dropped after its last snapshot; the pool adds
-    each snapshot's system response and noise into a fresh array.
+    path-sum matmuls use BLAS at its own thread count) times the common
+    chain is computed once, at its first snapshot time, in the thread
+    that feeds the pool as the run is reached, and dropped after its
+    last snapshot; the pool multiplies it by each snapshot's port gains
+    and drift into a fresh array and adds the noise.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1
@@ -146,11 +148,12 @@ def run_synthesis(config):
         for _, run in groupby(range(len(times)), key=state):
             run = list(run)
             paths = paths_for_snapshot(config, times[run[0]])
-            base = paths, port_stack_response(paths, config.geometry, config.tone_plan,
-                                              config.scene.rx_mounting_rotation)
+            response = port_stack_response(paths, config.geometry, config.tone_plan,
+                                           config.scene.rx_mounting_rotation)
+            response *= system.common_chain  # in place: no second response at a run's start
             for index in run:
-                yield index, base
-            del paths, base  # before the next run's response is computed
+                yield index, (paths, response)
+            del paths, response  # before the next run's response is computed
 
     def one(item):
         index, (paths, base_tf) = item
@@ -197,36 +200,62 @@ def calibrated_layout(layout):
     return replace(layout, record_type="CAL", snr_db=None, seed=0)
 
 
+def first_reference(ref_records, attenuator):
+    """The Reference of the first B2B snapshot of ``ref_records``, checked
+    and its factor attenuation / reference computed."""
+    ref = next(iter(ref_records), None)
+    if ref is None:
+        raise CalibrationError("calibration needs a reference snapshot")
+    return Reference(ref, attenuator)
+
+
 def calibrate_records(meas_records, ref_records, attenuator):
     """Calibrate every measurement against the first B2B reference
     snapshot; an ordered iterator of CAL records.
 
-    The reference is checked, and its factor attenuation / reference
-    computed, once here. Each measurement is then multiplied by that
-    factor as it is taken, in the taking thread: under analyze_records
-    that is the thread that feeds the analysis pool.
+    The reference is checked, and its factor computed, once here. Each
+    measurement is then multiplied by that factor as it is taken, in
+    the taking thread, into a fresh complex128 array.
     """
-    ref = next(iter(ref_records), None)
-    if ref is None:
-        raise CalibrationError("calibration needs a reference snapshot")
-    reference = Reference(ref, attenuator)
+    reference = first_reference(ref_records, attenuator)
     return map(lambda m: calibrate(m, reference), meas_records)
 
 
-def analyze_records(cal_records, geometry, gate, window="rect"):
-    """Metrics rows (see snapshot_metrics) of calibrated records; an
-    ordered iterator, one pool task per record. numpy's OpenBLAS is held
-    at one thread from the first row until the iterator ends, is closed
-    or raises: BLAS threads nested in the pool spin against its workers,
-    and their count changes the eigen columns' last digits. Another BLAS
-    build runs with its own threading.
+def analyze_records(records, geometry, gate, window="rect", reference=None):
+    """Metrics rows (see snapshot_metrics) of calibrated records, or of
+    measurements calibrated against ``reference`` (a Reference); an
+    ordered iterator, one pool task per record.
+
+    A task takes its record as read and ends with its row. Each worker
+    thread owns one processing.Workspace, reused for every record it
+    takes: the calibrated response (the product with the reference's
+    factor, or a calibrated record cast to complex128) is written into
+    it, and every later step too. Memory is then the workspaces plus the
+    records in flight, whatever the series length.
+
+    numpy's OpenBLAS is held at one thread from the first row until the
+    iterator ends, is closed or raises: BLAS threads nested in the pool
+    spin against its workers, and their count changes the eigen columns'
+    last digits. Another BLAS build runs with its own threading.
     """
+    local = threading.local()
+
+    def one(record):
+        ws = getattr(local, "workspace", None)
+        if ws is None or ws.shape != record.h_f.shape:
+            ws = local.workspace = Workspace(record.h_f.shape)
+        if reference is None:
+            np.copyto(ws.response, record.h_f)
+            cal = replace(record, h_f=ws.response)
+        else:
+            cal = calibrate(record, reference, out=ws.response)
+        return snapshot_metrics(cal, geometry, gate, window, ws)
+
     get, set_ = _openblas_threads()
     before = get()
     set_(1)
     try:
-        yield from _map_ordered(lambda cal: snapshot_metrics(cal, geometry, gate, window),
-                                cal_records)
+        yield from _map_ordered(one, records)
     finally:
         set_(before)
 

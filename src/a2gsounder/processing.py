@@ -10,7 +10,8 @@ RMS delay spread is computed from the strongest port's gated power
 delay profile; the correlation matrix is the tone-averaged outer
 product of the stacked port responses, summarized by eigenvalue ratios;
 and the angular picture is the mean gated energy per column and
-polarization.
+polarization. snapshot_metrics runs every ports x tones step in one
+Workspace, which a caller reuses from snapshot to snapshot.
 
 Delay spreads are quoted in dBs, decibels relative to one second
 (-90 dBs is 1 ns).
@@ -95,10 +96,24 @@ class EigenReport:
     gamma14_db: float
 
 
+class Workspace:
+    """The arrays one snapshot's analysis writes into, reused for every
+    snapshot one thread analyzes: the complex128 calibrated ``response``,
+    the complex64 ``delay`` domain, the float64 ``power`` and the bool
+    ``mask``, each ports x tones (7.9 MB at 128 x 1841)."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.response = np.empty(shape, np.complex128)
+        self.delay = np.empty(shape, np.complex64)
+        self.power = np.empty(shape, np.float64)
+        self.mask = np.empty(shape, bool)
+
+
 _WINDOWS = ("rect", "hann")
 
 
-def cir_from_tf(cal, window="rect"):
+def cir_from_tf(cal, window="rect", out=None):
     """Unitary inverse DFT of each port's transfer function.
 
     Delay bins are spaced 1/(tone_count*tone_spacing). A non-rectangular
@@ -111,18 +126,20 @@ def cir_from_tf(cal, window="rect"):
     it complex64: the capture file already quantizes every sample to
     float32, and the float32 transform adds rounding about 140 dB below
     the peak, where the gate's threshold sits at most 20 dB below it.
+    ``out``, an array of ``cal.h_f``'s shape and dtype that may be
+    ``cal.h_f`` itself, receives the taper and the transform in place.
     """
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     plan = cal.tone_plan
     h_f = cal.h_f
     if window == "hann":  # a taper of h_f's real dtype does not widen h_f
-        h_f = h_f * np.hanning(plan.tone_count).astype(h_f.real.dtype)[np.newaxis, :]
-    h = np.fft.ifft(h_f, axis=1, norm="ortho")
+        h_f = np.multiply(h_f, np.hanning(plan.tone_count).astype(h_f.real.dtype), out=out)
+    h = np.fft.ifft(h_f, axis=1, norm="ortho", out=out)
     return RawCIR(h=h, delays=plan.delay_bins)
 
 
-def threshold_and_gate(raw, gate=None):
+def threshold_and_gate(raw, gate=None, out=None, keep=None):
     """Apply the dual noise threshold and the excess-delay gate.
 
     Per port: the noise floor is the mean power over the tail of the
@@ -132,6 +149,10 @@ def threshold_and_gate(raw, gate=None):
     where nothing survives are reported, not fatal. The float64 power is
     computed once and handed on, gated, as GatedCIR.power; the complex
     values of the kept bins stay in ``raw.h``.
+
+    ``out`` (float64) and ``keep`` (bool), arrays of ``raw.h``'s shape,
+    receive the power and the keep mask in place of fresh arrays; the
+    returned GatedCIR.power is then ``out``.
     """
     gate = gate or GateConfig()
     if raw.h.size == 0:
@@ -139,7 +160,8 @@ def threshold_and_gate(raw, gate=None):
     if gate.delay_gate >= raw.delays[-1] + (raw.delays[1] - raw.delays[0] if len(raw.delays) > 1 else 0):
         raise AnalysisError("delay_gate must be below the maximum unambiguous delay")
 
-    power = np.abs(raw.h.astype(np.complex128, copy=False)) ** 2
+    power = np.absolute(raw.h, out=out, dtype=np.float64)
+    np.square(power, out=power)
     n_ports, n_bins = power.shape
     tail = max(1, int(math.ceil(gate.noise_window_fraction * n_bins)))
     noise_floor = np.mean(power[:, n_bins - tail:], axis=1)
@@ -147,13 +169,17 @@ def threshold_and_gate(raw, gate=None):
     threshold = np.maximum(noise_floor * 10.0 ** (gate.noise_margin_db / 10.0),
                            peak * 10.0 ** (-gate.peak_margin_db / 10.0))
 
-    keep = power >= threshold[:, np.newaxis]
+    keep = np.greater_equal(power, threshold[:, np.newaxis], out=keep)
     any_kept = keep.any(axis=1) & (peak > 0.0)
-    first_delay = raw.delays[np.argmax(keep, axis=1)]  # undefined rows masked below
-    late = raw.delays[np.newaxis, :] > (first_delay[:, np.newaxis] + gate.delay_gate)
-    kept = keep & ~late
-    kept[~any_kept] = False
-    return GatedCIR(power=np.where(kept, power, 0.0), delays=raw.delays,
+    first_delay = raw.delays[np.argmax(keep, axis=1)]  # undefined rows cut whole below
+    # the delays ascend, so each port keeps a prefix: the bins up to first + gate
+    cuts = np.searchsorted(raw.delays, first_delay + gate.delay_gate, "right")
+    cuts[~any_kept] = 0
+    for port, cut in enumerate(cuts):
+        keep[port, cut:] = False
+    # power is finite and non-negative, so a dropped bin becomes exactly +0.0
+    np.multiply(power, keep, out=power)
+    return GatedCIR(power=power, delays=raw.delays,
                     noise_floor=noise_floor, threshold=threshold,
                     all_zero_ports=tuple(np.nonzero(~any_kept)[0].tolist()))
 
@@ -191,7 +217,7 @@ def rms_delay_spread(gated):
     return DelaySpread(sigma, dbs, strongest, single_bin=sigma == 0.0)
 
 
-def correlation_and_eigen(cal):
+def correlation_and_eigen(cal, planes=None):
     """Tone-averaged correlation matrix of the stacked port responses.
 
     R = mean over tones of H(f) H(f)^dagger (ports x ports), in complex128
@@ -201,11 +227,17 @@ def correlation_and_eigen(cal):
     gamma14 are the dB ratios of the first to the second and fourth.
     Ratios degenerate to +inf when the divisor eigenvalue vanishes
     (rank-deficient response) and gamma14 is NaN with fewer than 4 ports.
+
+    ``planes``, two float64 arrays of ``cal.h_f``'s shape, receive the
+    contiguous Re H and Im H the product C reads, in place of fresh ones.
     """
     h = np.ascontiguousarray(cal.h_f, np.complex128)
     n_ports, n_tones = h.shape
     x = h.view(np.float64)
-    c = h.imag @ h.real.T
+    re, im = np.empty((2, n_ports, n_tones)) if planes is None else planes
+    np.copyto(re, h.real)
+    np.copyto(im, h.imag)
+    c = im @ re.T
     r = (x @ x.T + 1j * (c - c.T)) / n_tones
     eig = np.linalg.eigvalsh(r)[::-1].copy()
 
@@ -245,7 +277,7 @@ def los_bin_power_db(gated, strongest_port):
     return 10.0 * math.log10(peak) if peak > 0 else -math.inf
 
 
-def snapshot_metrics(cal, geometry, gate=None, window="rect"):
+def snapshot_metrics(cal, geometry, gate=None, window="rect", workspace=None):
     """Run the full per-snapshot pipeline on a calibrated response; returns
     the snapshot's metrics row.
 
@@ -256,12 +288,19 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect"):
     positive), the column of strongest V power, then col{c}_v_db and
     col{c}_h_db per column. CSV, JSON, the summary and the route report
     all read these rows.
+
+    Every ports x tones step writes into ``workspace`` (a Workspace of
+    ``cal.h_f``'s shape; a fresh one when None), so a caller that passes
+    the same one for each snapshot allocates no large array per snapshot.
+    ``cal.h_f`` may be its ``response``.
     """
-    # the correlation first: run after the gating, its product's temporaries
-    # made glibc return and re-fault ~7 MB of pages per snapshot
-    eig = correlation_and_eigen(cal)
-    raw = cir_from_tf(replace(cal, h_f=cal.h_f.astype(np.complex64)), window=window)
-    gated = threshold_and_gate(raw, gate)
+    ws = workspace or Workspace(cal.h_f.shape)
+    # the correlation first: its Re/Im planes borrow the power and delay
+    # buffers, which the delay domain then overwrites
+    eig = correlation_and_eigen(cal, (ws.power, ws.delay.view(np.float64)))
+    np.copyto(ws.delay, cal.h_f)
+    raw = cir_from_tf(replace(cal, h_f=ws.delay), window=window, out=ws.delay)
+    gated = threshold_and_gate(raw, gate, out=ws.power, keep=ws.mask)
     spread = rms_delay_spread(gated)
     columns = column_power_profile(gated, geometry)
     p_rx = rx_power(gated)

@@ -1,6 +1,6 @@
 """The analysis front end: the complex64 delay domain held to the
 complex128 reference chain, and the heap setting of the commands that
-synthesize or analyze.
+synthesize or calibrate, which analyze does without.
 
 The reference chain is ``oracles.complex128_metrics``. On every row of
 the reduced golden route and hover presets, each dB column stays within
@@ -78,7 +78,7 @@ def test_rows_match_the_complex128_chain(golden_flows, name):
     assert worst <= DB_TOLERANCE, f"largest dB difference {worst:.3g}"
 
 
-# analyze in a fresh process whose C library loader finds no glibc
+# calibrate in a fresh process whose C library loader finds no glibc
 # (OSError) or a library without mallopt, so the heap is never set
 WITHOUT_HEAP_SETTING = """
 import sys, types
@@ -97,20 +97,40 @@ sys.exit(cli.main(sys.argv[2:]))
 
 
 @pytest.mark.parametrize("loader", ["OSError", "no-mallopt"])
-def test_analyze_without_the_heap_setting_writes_the_same_bytes(golden_flows, tmp_path,
-                                                                loader):
+def test_calibrate_without_the_heap_setting_writes_the_golden_bytes(golden_flows, tmp_path,
+                                                                    loader):
     scenario, meas, ref, metrics = golden_flows["route"]
-    out = tmp_path / "metrics.csv"
+    out = tmp_path / "cal.bin"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", WITHOUT_HEAP_SETTING, loader, "analyze",
-                           "--scenario", scenario, "--meas", meas, "--ref", ref,
-                           "--out", str(out)], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", WITHOUT_HEAP_SETTING, loader, "calibrate",
+                           "--meas", meas, "--ref", ref, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert out.read_bytes() == Path(metrics).read_bytes()
+    assert golden._sha256(out) == golden.GOLDEN["route"]["calibrate"]
 
 
-def test_only_synth_calibrate_and_analyze_set_the_heap(tmp_path, monkeypatch):
+@pytest.mark.parametrize("source", ["meas", "cal"])
+def test_analyze_never_sets_the_heap_and_writes_the_golden_bytes(golden_flows, tmp_path,
+                                                                 monkeypatch, source):
+    # analyze writes every snapshot into workspaces that live for the run,
+    # so it has no freed arrays for the heap setting to keep mapped
+    scenario, meas, ref, metrics = golden_flows["route"]
+    inputs = ["--meas", meas, "--ref", ref]
+    if source == "cal":
+        cal = str(tmp_path / "cal.bin")
+        golden._run("calibrate", *inputs, "--out", cal)
+        inputs = ["--cal", cal]
+    calls = []
+    monkeypatch.setattr(cli, "_keep_heap_mapped", lambda: calls.append(True))
+    out = tmp_path / "metrics.csv"
+    golden._run("analyze", "--scenario", scenario, *inputs, "--out", str(out))
+    assert calls == []
+    digest = "analyze_csv" if source == "meas" else "analyze_cal_csv"
+    assert golden._sha256(out) == golden.GOLDEN["route"][digest]
+
+
+def test_only_synth_and_calibrate_set_the_heap(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_keep_heap_mapped", lambda: calls.append(True))
     scenario = golden._scenario(tmp_path, "static", golden.BURSTS["static"])
@@ -123,4 +143,6 @@ def test_only_synth_calibrate_and_analyze_set_the_heap(tmp_path, monkeypatch):
     assert len(calls) == 2
     golden._run("analyze", "--scenario", scenario, "--cal", cal,
                 "--out", str(tmp_path / "metrics.csv"))
-    assert len(calls) == 3
+    golden._run("analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+                "--out", str(tmp_path / "metrics.csv"))
+    assert len(calls) == 2
