@@ -278,13 +278,23 @@ class CaptureFile(Sequence):
     def __len__(self):
         return len(self.layout.timestamps)
 
+    @property
+    def shape(self):
+        """(ports, tones) of every snapshot."""
+        return self.layout.port_count, self.layout.tone_plan.tone_count
+
     def __getitem__(self, index):
         if isinstance(index, slice):  # a list of the records, as a list slice
             return [self[s] for s in range(len(self))[index]]
-        s = range(len(self))[operator.index(index)]
-        ports, tones = self.layout.port_count, self.layout.tone_plan.tone_count
+        return self.read(range(len(self))[operator.index(index)])
+
+    def read(self, s, out=None):
+        """Snapshot ``s`` (0 <= s < len) as a CaptureRecord whose ``h_f`` is
+        its payload read into ``out``, a C-contiguous little-endian
+        complex64 array of ``shape``, or into a fresh array."""
+        ports, tones = self.shape
         with self._open() as fh:
-            h_f = self._read(fh, s, 0, ports * tones).reshape(ports, tones)
+            h_f = self._read(fh, s, 0, ports * tones, out).reshape(ports, tones)
         return self.layout.record(s, h_f)
 
     def port_rows(self, port):
@@ -303,10 +313,11 @@ class CaptureFile(Sequence):
         except OSError as exc:
             raise CaptureFileError(f"cannot reopen {self.path}: {exc}") from exc
 
-    def _read(self, fh, s, port, count):
-        """``count`` samples of snapshot ``s`` from ``port``'s first tone on."""
+    def _read(self, fh, s, port, count, out=None):
+        """``count`` samples of snapshot ``s`` from ``port``'s first tone on,
+        in ``out`` when it is a ``<c8`` array of them (see read)."""
         tones = self.layout.tone_plan.tone_count
-        data = np.empty(count, "<c8")
+        data = np.empty(count, "<c8") if out is None or out.dtype != "<c8" else out.reshape(count)
         try:
             fh.seek(self._offset + (s * self.layout.port_count + port) * tones * 8)
             got = fh.readinto(data)

@@ -7,10 +7,10 @@ Randomness is counter-based, so the thread count never changes results.
 Every stage is an ordered iterator and the row writers take each row as
 it comes, so memory is bounded whatever the series length. The process
 runs one pool at a time (see _map_ordered), on the noise step of
-run_synthesis or the calibration and metrics of analyze_records. What
-feeds it runs in the feeding thread: the noise-free response of each
-run of snapshots that share a TX state, and the capture reads. run_b2b
-runs with no pool.
+run_synthesis or the capture reads, calibration and metrics of
+analyze_records. What feeds it runs in the feeding thread: the
+noise-free response of each run of snapshots that share a TX state.
+run_b2b runs with no pool.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
 synthesis leaves it at its own count, and its bytes do not depend on it.
 """
@@ -31,7 +31,7 @@ from itertools import chain, groupby
 import numpy as np
 
 from .calibration import CalibrationError, Reference, calibrate
-from .capture_file import Layout, replacing
+from .capture_file import CaptureFile, Layout, replacing
 from .capture_sim import (build_system_response, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
@@ -226,12 +226,15 @@ def analyze_records(records, geometry, gate, window="rect", reference=None):
     measurements calibrated against ``reference`` (a Reference); an
     ordered iterator, one pool task per record.
 
-    A task takes its record as read and ends with its row. Each worker
-    thread owns one processing.Workspace, reused for every record it
-    takes: the calibrated response (the product with the reference's
-    factor, or a calibrated record cast to complex128) is written into
-    it, and every later step too. Memory is then the workspaces plus the
-    records in flight, whatever the series length.
+    A task ends with its record's row. Each worker thread owns one
+    processing.Workspace, reused for every record it takes, and every
+    step writes into it: the calibrated response (the product with the
+    reference's factor, or a calibrated record cast to complex128) and
+    all that follows. When ``records`` is a CaptureFile, a task also
+    reads its snapshot's payload, into the workspace; otherwise the
+    records are taken in the thread that feeds the pool. Memory is then
+    the workspaces plus any records in flight, whatever the series
+    length.
 
     numpy's OpenBLAS is held at one thread from the first row until the
     iterator ends, is closed or raises: BLAS threads nested in the pool
@@ -239,11 +242,14 @@ def analyze_records(records, geometry, gate, window="rect", reference=None):
     last digits. Another BLAS build runs with its own threading.
     """
     local = threading.local()
+    from_file = isinstance(records, CaptureFile)
 
-    def one(record):
+    def one(item):
+        shape = records.shape if from_file else item.h_f.shape
         ws = getattr(local, "workspace", None)
-        if ws is None or ws.shape != record.h_f.shape:
-            ws = local.workspace = Workspace(record.h_f.shape)
+        if ws is None or ws.shape != shape:
+            ws = local.workspace = Workspace(shape)
+        record = records.read(item, out=ws.delay) if from_file else item
         if reference is None:
             np.copyto(ws.response, record.h_f)
             cal = replace(record, h_f=ws.response)
@@ -255,7 +261,7 @@ def analyze_records(records, geometry, gate, window="rect", reference=None):
     before = get()
     set_(1)
     try:
-        yield from _map_ordered(one, records)
+        yield from _map_ordered(one, range(len(records)) if from_file else records)
     finally:
         set_(before)
 

@@ -99,13 +99,14 @@ class EigenReport:
 class Workspace:
     """The arrays one snapshot's analysis writes into, reused for every
     snapshot one thread analyzes: the complex128 calibrated ``response``,
-    the complex64 ``delay`` domain, the float64 ``power`` and the bool
-    ``mask``, each ports x tones (7.9 MB at 128 x 1841)."""
+    the complex64 ``delay`` domain (little-endian, so a capture payload
+    can be read into it before calibration), the float64 ``power`` and
+    the bool ``mask``, each ports x tones (7.8 MB at 128 x 1841)."""
 
     def __init__(self, shape):
         self.shape = tuple(shape)
         self.response = np.empty(shape, np.complex128)
-        self.delay = np.empty(shape, np.complex64)
+        self.delay = np.empty(shape, "<c8")
         self.power = np.empty(shape, np.float64)
         self.mask = np.empty(shape, bool)
 

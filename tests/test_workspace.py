@@ -3,9 +3,9 @@ the common chain once per run.
 
 Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays. The memory of analyze_records is bounded by
-its workspaces and the records in flight, whatever the series length,
-and a fresh ``a2gs analyze`` process takes no page faults per extra
-snapshot beyond a small bound.
+its workspaces and the records in flight (none when it reads a capture
+file), whatever the series length, and a fresh ``a2gs analyze`` process
+takes no page faults per extra snapshot beyond a small bound.
 """
 
 import collections
@@ -23,6 +23,7 @@ import test_golden as golden
 
 from a2gsounder import pipeline
 from a2gsounder.calibration import Reference, calibrate
+from a2gsounder.capture_file import read_capture, write_capture
 from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _add_noise,
                                     port_stack_response, simulate_snapshot)
 from a2gsounder.config import parse_scenario
@@ -150,33 +151,46 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
 
 # Peak traced bytes per worker beyond its workspace and the payloads in
 # flight: the ports x ports correlation and eigen arrays, the per-port
-# vectors and the row (0.8 MB measured at 128 x 1841).
+# vectors, the finiteness check of a read and the row (0.8 MB measured
+# at 128 x 1841).
 SLACK_PER_WORKER = 3 << 19
 # At one worker the peaks over two series lengths agree to within bytes.
 # At more, whether one worker's transients coincide with another's peak
 # varies from run to run (by up to 0.53 MB seen at two workers), so each
 # worker past the first adds its slack.
 SERIES_TOLERANCE = 1 << 16
+# Six snapshots fill the pool's lookahead of 2 * workers + 1 records at
+# up to two workers; four would not at two (24.2 against 26.1 MB).
+SHORT, LONG = 6, 32
 
 
 @pytest.fixture(scope="module")
-def full_size():
-    """A 128-port, 1841-tone scenario, its Reference and one measured
-    complex64 record, analyzed once so that lazily built state (the
-    FFT's plan cache) is in place before any peak is traced."""
+def full_size(tmp_path_factory):
+    """A 128-port, 1841-tone scenario, its Reference, one measured
+    complex64 record, and capture files of SHORT and LONG copies of it.
+    The record is analyzed once so that lazily built state (the FFT's
+    plan cache) is in place before any peak is traced."""
     config = parse_scenario({"preset": "olin-static"})
     reference = Reference(next(pipeline.run_b2b(config, 1)), config.attenuator)
     record = next(pipeline.run_synthesis(config))
     record = replace(record, h_f=record.h_f.astype(np.complex64))
     pipeline.metrics_rows([calibrate(record, reference)], config.geometry, config.gate)
-    return config, reference, record
+    files = {}
+    for count in (SHORT, LONG):
+        path = tmp_path_factory.mktemp("capture") / "meas.bin"
+        write_capture(path, [replace(record, snapshot_index=s) for s in range(count)])
+        files[count] = read_capture(path)[0]
+    return config, reference, record, files
 
 
-def analysis_peak(full_size, count):
-    """Peak traced bytes of analyze_records over ``count`` snapshots, each
-    read (copied) from the payload as it is taken, as CaptureFile does."""
-    config, reference, record = full_size
-    records = (replace(record, h_f=record.h_f.copy(), snapshot_index=s) for s in range(count))
+def analysis_peak(full_size, count, source):
+    """Peak traced bytes of analyze_records over ``count`` snapshots: a
+    capture file whose tasks read their own payloads ("file"), or
+    records whose payloads are copied in the feeding thread as they are
+    taken ("records")."""
+    config, reference, record, files = full_size
+    records = files[count] if source == "file" else (
+        replace(record, h_f=record.h_f.copy(), snapshot_index=s) for s in range(count))
     tracemalloc.start()
     try:
         collections.deque(pipeline.analyze_records(records, config.geometry, config.gate,
@@ -186,33 +200,28 @@ def analysis_peak(full_size, count):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("source", ["file", "records"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monkeypatch,
-                                                                  workers):
+                                                                  workers, source):
     monkeypatch.setenv("A2GS_THREADS", str(workers))
-    # the shorter series is the first to fill the pool's lookahead of
-    # 2 * workers + 1 records
-    short = analysis_peak(full_size, 2 * workers + 2)
-    long = analysis_peak(full_size, 32)
+    short, long = analysis_peak(full_size, SHORT, source), analysis_peak(full_size, LONG, source)
     shape = full_size[2].h_f.shape
     workspace = sum(a.nbytes for a in vars(Workspace(shape)).values()
                     if isinstance(a, np.ndarray))
-    payload = full_size[2].h_f.nbytes
-    bound = workers * (workspace + SLACK_PER_WORKER) + (2 * workers + 1) * payload
+    in_flight = 0 if source == "file" else (2 * workers + 1) * full_size[2].h_f.nbytes
+    bound = workers * (workspace + SLACK_PER_WORKER) + in_flight
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
     assert long <= bound, (long, bound)
 
 
-# Minor faults a fresh analyze process may take per extra snapshot, by
-# worker count. One 1.9 MB array given back to the kernel and faulted in
-# again each snapshot costs ~460, and analysis that allocates its arrays
-# per snapshot, as it did before its workspaces, ~2,100 without a heap
-# setting. At one worker a run takes ~0.3 per snapshot. At two, the
-# main heap is now and then trimmed and grown again by two payloads
-# (~1,000 faults, up to three times in 99 snapshots, seen), depending
-# on how the threads interleave; the bound leaves room for that.
-FAULTS_PER_SNAPSHOT = {1: 20, 2: 250}
+# Minor faults a fresh analyze process may take per extra snapshot. One
+# 1.9 MB array given back to the kernel and faulted in again each
+# snapshot costs ~460, and analysis that allocates its arrays per
+# snapshot, as it did before its workspaces, ~2,100 without a heap
+# setting. A run takes under 2 per snapshot at one or two workers.
+FAULTS_PER_SNAPSHOT = 20
 
 
 def analyze_faults(scenario, meas, ref, out, workers):
@@ -253,7 +262,7 @@ def test_analyze_takes_no_page_faults_per_extra_snapshot(static_series, tmp_path
     faults = {count: analyze_faults(*files, str(tmp_path / f"m{count}.csv"), workers)
               for count, files in static_series.items()}
     (short, few), (long, many) = sorted(faults.items())
-    assert (many - few) / (long - short) <= FAULTS_PER_SNAPSHOT[workers], faults
+    assert (many - few) / (long - short) <= FAULTS_PER_SNAPSHOT, faults
 
 
 def test_workers_never_share_a_workspace(monkeypatch):
