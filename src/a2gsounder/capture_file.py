@@ -260,9 +260,9 @@ class CaptureFile(Sequence):
     """The snapshots of a capture file whose header and size read_capture
     has checked, as a sequence of CaptureRecords.
 
-    Nothing of the payload is held: indexing reads that one snapshot,
-    and port_rows one port's row of each snapshot, from the file at its
-    offset. A record's ``h_f`` is the complex64 payload as read, half
+    Nothing of the payload is held: indexing (or read, into a given
+    array) reads that one snapshot, and port_rows one port's row of each
+    snapshot, from the file at its offset. A record's ``h_f`` is the complex64 payload as read, half
     the bytes of a complex128 copy; its consumers compute in complex128
     or float64 from it. The reads are plain positioned reads, not a
     memory map, so a file that loses bytes after it was opened raises
