@@ -15,17 +15,21 @@ responses), config and geometry hashes, counts, the tone plan and the
 per-snapshot metadata. Payload length is snapshots*ports*tones*8 bytes.
 
 Neither direction holds the series: write_capture writes the header
-from a Layout and then each snapshot as it arrives, and read_capture
-checks the header and size and returns a CaptureFile that reads a
-snapshot, or one port's rows, only when asked.
+from a Layout and then each snapshot at its own offset, from whichever
+thread made it, and read_capture checks the header and size and returns
+a CaptureFile that reads a snapshot, or one port's rows, only when
+asked.
 """
 
 import contextlib
+import itertools
 import json
 import operator
 import os
 import struct
+import threading
 import warnings
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -156,16 +160,21 @@ def replacing(path, mode="w"):
 def write_capture(path, records, config_hash="", geometry_hash="", record_type=None,
                   layout=None):
     """Write CaptureRecords to ``path``: the header, then each record's
-    payload as ``records`` yields it.
+    payload at its snapshot's offset.
 
-    ``layout`` carries the header fields, so ``records`` may be any
-    iterable, such as a generator that computes each snapshot as it is
-    written, and the series is never held. Without it the fields come
-    from ``records``: a CaptureFile's own, or those of the records,
-    which are then all taken first. ``record_type`` None takes the
-    layout's. Each record must match the header written before it.
-    Complex samples are quantized to float32 pairs; a second write of
-    the read-back file is byte-identical.
+    ``records`` is an iterable of the records in snapshot order, or a
+    producer: a function that write_capture calls once with its
+    ``put(s, record)`` and that puts every snapshot once, from any
+    threads, before it returns. ``layout`` carries the header fields, so
+    neither form need hold the series. Without it the fields come from
+    ``records``: a CaptureFile's own, or those of the records, which are
+    then all taken first. ``record_type`` None takes the layout's.
+
+    put checks the record against the header, casts its ``h_f`` into the
+    calling thread's ``<c8`` buffer (a C-contiguous ``<c8`` ``h_f`` is
+    written as it is) and writes it under one lock; a snapshot put twice
+    or never raises ValueError. Complex samples are quantized to float32
+    pairs; a second write of the read-back file is byte-identical.
 
     The file is written through replacing(), so any error, whether a
     record that disagrees with the header or one raised while
@@ -175,6 +184,8 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     if layout is None:
         layout = getattr(records, "layout", None)
     if layout is None:
+        if callable(records):
+            raise ValueError("a producer needs a layout")
         records = list(records)
         layout = Layout.of(records)
     if record_type is None:
@@ -186,20 +197,40 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     if count == 0:
         raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    shape = (header["port_count"], header["tone_count"])
+    written = bytearray(count)  # 1 once a snapshot's payload is written
+    lock, local = threading.Lock(), threading.local()
 
     with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        written = 0
-        for written, record in enumerate(records, 1):
-            if written > count:
+        offset = fh.tell()
+
+        def put(s, record):
+            if not 0 <= s < count:
                 raise ValueError(f"more records than the header's {count} snapshots")
-            _check_record(record, written - 1, header)
-            fh.write(np.ascontiguousarray(record.h_f, dtype="<c8"))
-        if written < count:
-            raise ValueError(f"{written} records for a header of {count} snapshots")
+            _check_record(record, s, header)
+            payload = record.h_f
+            if payload.dtype != np.dtype("<c8") or not payload.flags.c_contiguous:
+                payload = getattr(local, "payload", None)
+                if payload is None:
+                    payload = local.payload = np.empty(shape, "<c8")
+                np.copyto(payload, record.h_f)
+            with lock:
+                if written[s]:
+                    raise ValueError(f"snapshot {s} is written twice")
+                written[s] = 1
+                fh.seek(offset + s * payload.nbytes)
+                fh.write(payload)
+
+        if callable(records):
+            records(put)
+        else:  # map keeps no record while the next is computed, as enumerate's tuple would
+            deque(map(put, itertools.count(), records), maxlen=0)
+        if not all(written):
+            raise ValueError(f"{sum(written)} records for a header of {count} snapshots")
 
 
 def _tone_plan(value, path):

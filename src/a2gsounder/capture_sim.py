@@ -7,8 +7,9 @@ downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
 stability; additive white Gaussian noise is injected per tone in the
-frequency domain. The gains and drift scale one fresh array per
-snapshot and the noise is added to it in place. Back-to-back captures
+frequency domain. The gains and drift scale the response into a given
+array (or a fresh one) and the noise is added to it in place, through one
+small scratch block. Back-to-back captures
 replace the antenna with an attenuator so the same chain can be
 divided out later.
 
@@ -219,20 +220,38 @@ def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0)
                      advance[np.newaxis], tones)[0, 0]
 
 
-def _add_noise(tf, snr_db, seed, snapshot_index):
+# Ports per noise block: _add_noise's temporaries are 16 ports in size.
+_NOISE_PORTS = 16
+
+
+def noise_scratch(tones):
+    """A float64 scratch block for _add_noise on a response of ``tones`` tones."""
+    return np.empty(2 * _NOISE_PORTS * tones)
+
+
+def _add_noise(tf, snr_db, seed, snapshot_index, scratch=None):
     """Add white Gaussian noise to the complex128 ``tf`` in place,
     ``snr_db`` below its strongest port's mean tone power, and return
     it; None or +inf adds none. Port k's draws are its tones' real
-    parts, then their imaginary parts. Taking 16 ports at a time keeps
-    every temporary small, and with it synth's peak RSS."""
+    parts, then their imaginary parts. It takes 16 ports at a time, and
+    each block's |tf|^2 and draws go into ``scratch`` (noise_scratch of
+    the tone count; a fresh one without it), so no temporary is larger
+    than that block."""
     if snr_db is None or snr_db == math.inf:
         return tf
-    blocks = [tf[k:k + 16] for k in range(0, len(tf), 16)]
-    ref_power = float(np.max(np.concatenate([np.mean(np.abs(b) ** 2, axis=1) for b in blocks])))
+    if scratch is None:
+        scratch = noise_scratch(tf.shape[1])
+    blocks = [tf[k:k + _NOISE_PORTS] for k in range(0, len(tf), _NOISE_PORTS)]
+
+    def strongest(b):  # the largest mean tone power of the block's ports
+        power = np.absolute(b, out=scratch[:b.size].reshape(b.shape))
+        return np.max(np.mean(np.square(power, out=power), axis=1))
+    ref_power = float(max(strongest(b) for b in blocks))
     # one counter block per snapshot, drawn in port order
     rng = stream(seed, TAG_NOISE, snapshot_index)
     for b in blocks:
-        draws = rng.standard_normal((len(b), 2, tf.shape[1]))
+        draws = scratch[:2 * b.size].reshape(len(b), 2, tf.shape[1])
+        rng.standard_normal(out=draws)
         draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
         b.real += draws[:, 0]
         b.imag += draws[:, 1]
@@ -241,7 +260,7 @@ def _add_noise(tf, snr_db, seed, snapshot_index):
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
                       snapshot_index=0, timestamp=0.0, mounting_rotation=0.0, seed=0,
-                      base_tf=None):
+                      base_tf=None, out=None, scratch=None):
     """Capture one SIMO snapshot of SlotPaths ``paths``.
 
     One row is shared by all ports; one row per port means the
@@ -252,15 +271,17 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     disables it. ``base_tf`` may carry the precomputed noise-free
     port_stack_response for these paths times ``system.common_chain``
     (the pipeline computes it once per distinct TX state); it is read,
-    never written. The per-port gain times the drift goes into one fresh
-    array, the record's ``h_f``, and the noise in place.
+    never written. The per-port gain times the drift goes into ``out``,
+    a complex128 ports x tones array, or a fresh one, which becomes the
+    record's ``h_f``; the noise is added to it in place through
+    ``scratch`` (see _add_noise).
     """
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
         base_tf *= system.common_chain
     gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
-    tf = base_tf * gain[:, np.newaxis]
-    _add_noise(tf, noise_snr_db, seed, snapshot_index)
+    tf = np.multiply(base_tf, gain[:, np.newaxis], out=out)
+    _add_noise(tf, noise_snr_db, seed, snapshot_index, scratch)
 
     return CaptureRecord(
         h_f=tf,

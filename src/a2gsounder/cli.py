@@ -19,10 +19,13 @@ goes through capture_file.replacing, so a failed command leaves none.
 import argparse
 import contextlib
 import csv
-import ctypes
 import json
 import sys
 from array import array
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
 
 from .calibration import CalibrationError, calibrate, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
@@ -97,30 +100,6 @@ def _read(path, record_type, expected_hash=None, strict=False):
     return records, header
 
 
-def _keep_heap_mapped():
-    """Keep freed heap memory mapped for the rest of the process.
-
-    Each snapshot of synth and calibrate allocates and frees several
-    3.8 MB ports x tones arrays; by default glibc hands them back to the
-    kernel and the next snapshot faults every page in again. analyze
-    needs no such setting: it writes each snapshot into workspaces that
-    live for the whole run (see pipeline.analyze_records).
-    It takes both settings: setting either one stops glibc's dynamic
-    adjustment of the other, so a raised trim threshold alone leaves
-    every array of 128 KiB or more to its own mmap and munmap, and a
-    raised mmap threshold alone puts those arrays on the heap, whose top
-    is still given back whenever more than 128 KiB of it is free. A no-op
-    where the C library is not glibc. Only the CLI calls it, because it
-    owns its process.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (AttributeError, OSError):  # not glibc
-        return
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's documented 64-bit maximum
-
-
 def _attenuator(args, config=None):
     if args.attenuator_db is None:
         return config.attenuator if config is not None else AttenuatorModel()
@@ -131,10 +110,10 @@ def _attenuator(args, config=None):
 
 
 def cmd_synth(args):
-    _keep_heap_mapped()
     config = _load_scenario(args.scenario, args.seed)
     layout = synthesis_layout(config)
-    write_capture(args.out, run_synthesis(config), config_hash=config.scenario_hash,
+    # the pool's tasks write their snapshots themselves (run_synthesis's put)
+    write_capture(args.out, partial(run_synthesis, config), config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} snapshots to {args.out}")
     return EXIT_OK
@@ -174,10 +153,15 @@ def _write_rows(args, rows, config_hash):
 
 
 def cmd_calibrate(args):
-    _keep_heap_mapped()
     meas, meas_header, reference = _measured(args)
-    cal = (calibrate(m, reference) for m in meas)
-    write_capture(args.out, cal, config_hash=meas_header["config_hash"],
+    payload, response = np.empty(meas.shape, "<c8"), np.empty(meas.shape, complex)
+
+    def cal():  # each snapshot read, calibrated and written through the same two arrays
+        for s in range(len(meas)):
+            record = calibrate(meas.read(s, out=payload), reference, out=response)
+            np.copyto(payload, response)
+            yield replace(record, h_f=payload)
+    write_capture(args.out, cal(), config_hash=meas_header["config_hash"],
                   geometry_hash=meas_header["geometry_hash"],
                   layout=calibrated_layout(meas.layout))
     print(f"wrote {len(meas)} calibrated snapshots to {args.out}")

@@ -6,11 +6,11 @@ Randomness is counter-based, so the thread count never changes results.
 
 Every stage is an ordered iterator and the row writers take each row as
 it comes, so memory is bounded whatever the series length. The process
-runs one pool at a time (see _map_ordered), on the noise step of
-run_synthesis or the capture reads, calibration and metrics of
-analyze_records. What feeds it runs in the feeding thread: the
-noise-free response of each run of snapshots that share a TX state.
-run_b2b runs with no pool.
+runs one pool at a time (see _map_ordered), on the noise step (and,
+for the synth command, the capture write) of run_synthesis or the
+capture reads, calibration and metrics of analyze_records. What feeds
+it runs in the feeding thread: the noise-free response of each run of
+snapshots that share a TX state. run_b2b runs with no pool.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
 synthesis leaves it at its own count, and its bytes do not depend on it.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from .calibration import CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
-from .capture_sim import (build_system_response, port_stack_response,
+from .capture_sim import (build_system_response, noise_scratch, port_stack_response,
                           simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .config import SchemaError
@@ -77,12 +77,16 @@ def _map_ordered(fn, items):
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque()
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) > 2 * workers:
+            try:
+                for item in items:
+                    pending.append(pool.submit(fn, item))
+                    if len(pending) > 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
                     yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
+            finally:  # after an error or an early close: run no queued task
+                for future in pending:
+                    future.cancel()
     finally:
         _POOL_RUNNING.release()
 
@@ -118,9 +122,11 @@ def synthesis_layout(config):
                   range(len(times)), config.capture["snr_db"], config.capture["noise_seed"])
 
 
-def run_synthesis(config):
-    """Simulate every snapshot of the scenario; an ordered iterator of
-    CaptureRecords.
+def run_synthesis(config, put=None):
+    """Simulate every snapshot of the scenario: an ordered iterator of
+    fresh CaptureRecords, or, given ``put`` (write_capture's; see its
+    producer), every snapshot handed to put(index, record) from the
+    pool's tasks, returning once the last is put and the pool is done.
 
     Consecutive snapshots that share a TX state form a run: one run for
     a static TX, one per wobble index for a hover, one per snapshot for
@@ -128,8 +134,13 @@ def run_synthesis(config):
     path-sum matmuls use BLAS at its own thread count) times the common
     chain is computed once, at its first snapshot time, in the thread
     that feeds the pool as the run is reached, and dropped after its
-    last snapshot; the pool multiplies it by each snapshot's port gains
-    and drift into a fresh array and adds the noise.
+    last snapshot. A pool task multiplies it by its snapshot's port
+    gains and drift and adds the noise, through its worker thread's
+    noise scratch block, into a fresh array, or with ``put`` into its
+    worker's one response array, which put writes before the task ends.
+    Such a task returns its index and its run's state, so the response
+    is dropped by the thread that takes the results, not by a worker,
+    and the pool's lookahead holds no ports x tones array of its own.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1
@@ -138,6 +149,7 @@ def run_synthesis(config):
     system = system_for(config)
     times = snapshot_timestamps(config.timing, config.capture["burst_count"])
     traj = config.trajectory
+    local = threading.local()
 
     def state(index):
         if traj.kind == "hover":
@@ -157,13 +169,24 @@ def run_synthesis(config):
 
     def one(item):
         index, (paths, base_tf) = item
-        return simulate_snapshot(paths, config.geometry, config.tone_plan, system,
-                                 noise_snr_db=config.capture["snr_db"], snapshot_index=index,
-                                 timestamp=float(times[index]),
-                                 mounting_rotation=config.scene.rx_mounting_rotation,
-                                 seed=config.capture["noise_seed"], base_tf=base_tf)
+        if not hasattr(local, "scratch"):
+            local.scratch = noise_scratch(base_tf.shape[1])
+            local.out = None if put is None else np.empty(base_tf.shape, complex)
+        record = simulate_snapshot(paths, config.geometry, config.tone_plan, system,
+                                   noise_snr_db=config.capture["snr_db"], snapshot_index=index,
+                                   timestamp=float(times[index]),
+                                   mounting_rotation=config.scene.rx_mounting_rotation,
+                                   seed=config.capture["noise_seed"], base_tf=base_tf,
+                                   out=local.out, scratch=local.scratch)
+        if put is None:
+            return record
+        put(index, record)
+        return item
 
-    return _map_ordered(one, snapshots())
+    done = _map_ordered(one, snapshots())
+    if put is None:
+        return done
+    deque(done, maxlen=0)
 
 
 def _b2b_count(config, snapshot_count):

@@ -1,20 +1,28 @@
-"""Analysis in one fixed workspace per worker, and synthesis that applies
-the common chain once per run.
+"""Analysis and synthesis in one fixed workspace per worker, and the
+capture writer that each synthesis task writes its snapshot through.
 
 Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays. The memory of analyze_records is bounded by
 its workspaces and the records in flight (none when it reads a capture
-file), whatever the series length, and a fresh ``a2gs analyze`` process
-takes no page faults per extra snapshot beyond a small bound.
+file), and that of the synth command's write by its workspaces and the
+TX-state responses in flight, whatever the series length; a fresh
+``a2gs analyze``, ``synth`` or ``calibrate`` process takes no page
+faults per extra snapshot beyond a small bound. The writer's put fails
+closed: an error in any task leaves no file, and a snapshot put twice or
+never raises.
 """
 
 import collections
+import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +30,12 @@ import pytest
 import test_golden as golden
 
 from a2gsounder import pipeline
+from a2gsounder._rng import TAG_NOISE, stream
 from a2gsounder.calibration import Reference, calibrate
-from a2gsounder.capture_file import read_capture, write_capture
-from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _add_noise,
+from a2gsounder.capture_file import Layout, read_capture, write_capture
+from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _add_noise, noise_scratch,
                                     port_stack_response, simulate_snapshot)
+from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
 from a2gsounder.processing import (GateConfig, RawCIR, Workspace, cir_from_tf,
                                    correlation_and_eigen, threshold_and_gate)
@@ -149,6 +159,52 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
         assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, expected)
 
 
+def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index):
+    """_add_noise as it was: a fresh |b|^2 and fresh draws per 16-port block."""
+    blocks = [tf[k:k + 16] for k in range(0, len(tf), 16)]
+    ref_power = float(np.max(np.concatenate([np.mean(np.abs(b) ** 2, axis=1) for b in blocks])))
+    rng = stream(seed, TAG_NOISE, snapshot_index)
+    for b in blocks:
+        draws = rng.standard_normal((len(b), 2, tf.shape[1]))
+        draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+        b.real += draws[:, 0]
+        b.imag += draws[:, 1]
+    return tf
+
+
+@pytest.mark.parametrize("ports", [128, 40])  # 40: two whole blocks and a short last one
+@pytest.mark.parametrize("seed", range(3))
+def test_noise_through_the_scratch_block_gives_the_fresh_draw_bytes(ports, seed):
+    tf = random_response(seed, ports, dtype=np.complex128)
+    expected = noise_by_fresh_draws(tf.copy(), 20.0, seed, 7)
+    scratch = noise_scratch(tf.shape[1])
+    scratch[:] = np.nan  # what an earlier snapshot left there must not leak in
+    assert same_bytes(_add_noise(tf.copy(), 20.0, seed, 7, scratch), expected)
+    assert same_bytes(_add_noise(tf.copy(), 20.0, seed, 7), expected)
+
+
+def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
+    # records put from several threads in reverse order, one of them a
+    # strided view, and one with float32 subnormal, underflowing and
+    # near-maximum samples
+    arrays = [random_response(s, 16, 64, np.complex128) for s in range(3)]
+    arrays[0][0, :3] = [1e-42, 1e-50j, 3.4e38 - 3.4e38j]
+    arrays.append(random_response(3, 16, 128, np.complex128)[:, ::2])
+    count = len(arrays)
+    layout = Layout("B2B", TonePlan(tone_count=64), 16, [0.05 * s for s in range(count)],
+                    [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
+
+    def produce(put):
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            for future in [pool.submit(put, s, layout.record(s, arrays[s]))
+                           for s in reversed(range(count))]:
+                future.result()
+    write_capture(tmp_path / "cast.bin", produce, layout=layout)
+    back, _ = read_capture(tmp_path / "cast.bin")
+    for s, h_f in enumerate(arrays):
+        assert back.read(s).h_f.tobytes() == np.ascontiguousarray(h_f, "<c8").tobytes()
+
+
 # Peak traced bytes per worker beyond its workspace and the payloads in
 # flight: the ports x ports correlation and eigen arrays, the per-port
 # vectors, the finiteness check of a read and the row (0.8 MB measured
@@ -216,26 +272,70 @@ def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monke
     assert long <= bound, (long, bound)
 
 
-# Minor faults a fresh analyze process may take per extra snapshot. One
+def synthesis_write_peak(tmp_path, preset, count):
+    """Peak traced bytes of the synth command's write of ``count``
+    snapshots, one per burst: each pool task puts its own snapshot."""
+    config = parse_scenario({"preset": preset, "timing": {"simos_per_burst": 1},
+                             "capture": {"burst_count": count}})
+    layout = pipeline.synthesis_layout(config)
+    tracemalloc.start()
+    try:
+        write_capture(tmp_path / "meas.bin", partial(pipeline.run_synthesis, config),
+                      layout=layout)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# olin-static has one TX state for the whole series; olin-hover at one
+# snapshot per burst a state per snapshot, so at two workers the pool's
+# 2 * workers + 1 tasks in flight each hold a different response.
+@pytest.mark.parametrize("preset", ["olin-static", "olin-hover"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path, monkeypatch,
+                                                                       workers, preset):
+    monkeypatch.setenv("A2GS_THREADS", str(workers))
+    synthesis_write_peak(tmp_path, preset, SHORT)  # one-time allocations are not the run's
+    short = synthesis_write_peak(tmp_path, preset, SHORT)
+    long = synthesis_write_peak(tmp_path, preset, LONG)
+    ports, tones = 128, PLAN.tone_count
+    # a worker's response array, noise scratch block and <c8 write buffer
+    per_worker = ports * tones * 16 + noise_scratch(tones).nbytes + ports * tones * 8
+    response = ports * 1856 * 16  # port_stack_response's view of whole 64-tone blocks
+    in_flight = 1 if preset == "olin-static" or workers == 1 else 2 * workers + 1
+    bound = workers * (per_worker + SLACK_PER_WORKER) + in_flight * response
+    assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
+        (short, long)
+    assert long <= bound, (long, bound)
+
+
+# Minor faults a fresh a2gs process may take per extra snapshot. One
 # 1.9 MB array given back to the kernel and faulted in again each
 # snapshot costs ~460, and analysis that allocates its arrays per
 # snapshot, as it did before its workspaces, ~2,100 without a heap
 # setting. A run takes under 2 per snapshot at one or two workers.
 FAULTS_PER_SNAPSHOT = 20
+linux_only = pytest.mark.skipif(not hasattr(os, "wait4") or not sys.platform.startswith("linux"),
+                                reason="minor fault counts of a child process are read on Linux")
 
 
-def analyze_faults(scenario, meas, ref, out, workers):
-    """Minor page faults of one ``a2gs analyze`` child process."""
+def cli_faults(workers, *argv):
+    """Minor page faults of one ``a2gs`` child process."""
     env = dict(os.environ, A2GS_THREADS=str(workers), PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen([sys.executable, "-m", "a2gsounder", "analyze", "--scenario",
-                              scenario, "--meas", meas, "--ref", ref, "--out", out],
+    child = subprocess.Popen([sys.executable, "-m", "a2gsounder", *argv],
                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     assert child.returncode == 0, child.stderr.read().decode()
     child.stderr.close()
     return usage.ru_minflt
+
+
+def faults_per_extra_snapshot(faults):
+    """Slope of {snapshot count: faults} between its two counts."""
+    (short, few), (long, many) = sorted(faults.items())
+    return (many - few) / (long - short)
 
 
 @pytest.fixture(scope="module")
@@ -255,14 +355,117 @@ def static_series(tmp_path_factory):
     return out
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4") or not sys.platform.startswith("linux"),
-                    reason="minor fault counts of a child process are read on Linux")
+@linux_only
 @pytest.mark.parametrize("workers", [1, 2])
 def test_analyze_takes_no_page_faults_per_extra_snapshot(static_series, tmp_path, workers):
-    faults = {count: analyze_faults(*files, str(tmp_path / f"m{count}.csv"), workers)
-              for count, files in static_series.items()}
-    (short, few), (long, many) = sorted(faults.items())
-    assert (many - few) / (long - short) <= FAULTS_PER_SNAPSHOT, faults
+    faults = {count: cli_faults(workers, "analyze", "--scenario", scenario, "--meas", meas,
+                                "--ref", ref, "--out", str(tmp_path / f"m{count}.csv"))
+              for count, (scenario, meas, ref) in static_series.items()}
+    assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
+
+
+@linux_only
+def test_calibrate_takes_no_page_faults_per_extra_snapshot(static_series, tmp_path):
+    faults = {count: cli_faults(1, "calibrate", "--meas", meas, "--ref", ref,
+                                "--out", str(tmp_path / f"cal{count}.bin"))
+              for count, (_, meas, ref) in static_series.items()}
+    assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
+
+
+@linux_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_takes_no_page_faults_per_extra_snapshot(tmp_path, workers):
+    # olin-hover has a TX state per burst. At two workers the heap grows
+    # by one response (~930 faults) each time more states' responses are
+    # alive at once than before, up to 2 * workers + 1; that can happen
+    # after a few dozen snapshots, so the series are 36 and 102 long
+    faults = {}
+    for bursts in (12, 34):
+        scenario = golden._scenario(tmp_path, "hover", bursts)
+        faults[3 * bursts] = cli_faults(workers, "synth", "--scenario", scenario,
+                                        "--out", str(tmp_path / "meas.bin"))
+    assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
+
+
+def small_hover(tmp_path):
+    """A 16-port, 64-tone olin-hover scenario file of 8 bursts."""
+    path = tmp_path / "small-hover.json"
+    path.write_text(json.dumps({"preset": "olin-hover", "array": {"columns": 4, "rows": 2},
+                                "timing": {"ports_per_simo": 16},
+                                "tone_plan": {"tone_count": 64}, "capture": {"burst_count": 8}}))
+    return str(path)
+
+
+def test_a_failed_synthesis_task_leaves_no_file_and_the_earlier_one(tmp_path, monkeypatch):
+    scenario = small_hover(tmp_path)
+    out = tmp_path / "meas.bin"
+    out.write_bytes(b"earlier output")
+    original = pipeline.simulate_snapshot
+
+    def failing(*args, **kwargs):
+        if kwargs["snapshot_index"] == 4:
+            raise RuntimeError("synthesis failed at snapshot 4")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "simulate_snapshot", failing)
+    monkeypatch.setenv("A2GS_THREADS", "2")
+    threads = threading.active_count()
+    assert cli_main(["synth", "--scenario", scenario, "--out", str(out)]) == 1
+    # the pool is drained inside the file's block: no worker is left to write
+    assert threading.active_count() == threads
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.bin", "small-hover.json"]
+    assert out.read_bytes() == b"earlier output"
+
+
+def test_a_streamed_write_holds_one_record_and_the_buffer(tmp_path):
+    # a record is dropped before the next is computed, so the peak is one
+    # complex128 record and the writer's <c8 buffer, not two records
+    ports, tones, count = 64, 512, 8
+    layout = Layout("B2B", TonePlan(tone_count=tones), ports, [0.05 * s for s in range(count)],
+                    [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
+    records = (layout.record(s, np.full((ports, tones), complex(1.0, 0.01 * s)))
+               for s in range(count))
+    tracemalloc.start()
+    try:
+        write_capture(tmp_path / "b2b.bin", records, layout=layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = ports * tones * 16
+    assert peak <= record + record // 2 + (1 << 16), peak
+
+
+@pytest.mark.parametrize("order, message", [((0, 1, 1, 2), "snapshot 1 is written twice"),
+                                            ((0, 2), "2 records for a header of 3")],
+                         ids=["twice", "never"])
+def test_a_snapshot_put_twice_or_never_raises(tmp_path, order, message):
+    plan = TonePlan(tone_count=8)
+    layout = Layout("B2B", plan, 4, [0.0, 0.05, 0.1], [np.zeros(3)] * 3, [np.zeros(2)] * 3,
+                    range(3))
+
+    def produce(put):
+        for s in order:
+            put(s, layout.record(s, np.ones((4, 8), complex)))
+    with pytest.raises(ValueError, match=message):
+        write_capture(tmp_path / "b2b.bin", produce, layout=layout)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synthesis_workers_never_share_a_workspace_or_a_write(tmp_path, monkeypatch):
+    # six workers on the synth command's write, interleaved finely: a
+    # shared workspace, buffer or file position would change the bytes
+    scenario = small_hover(tmp_path)
+
+    def synth(workers, out):
+        monkeypatch.setenv("A2GS_THREADS", str(workers))
+        assert cli_main(["synth", "--scenario", scenario, "--out", str(out)]) == 0
+        return out.read_bytes()
+    expected = synth(1, tmp_path / "one.bin")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert synth(6, tmp_path / "six.bin") == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_workers_never_share_a_workspace(monkeypatch):
