@@ -24,6 +24,7 @@ asked.
 import contextlib
 import itertools
 import json
+import math
 import operator
 import os
 import struct
@@ -357,7 +358,8 @@ class CaptureFile(Sequence):
         if got != data.nbytes:
             raise CaptureFileError(f"{self.path} is truncated at snapshot {s}, port {port}: "
                                    "it lost bytes after it was opened")
-        if not np.isfinite(data.view("<f4")).all():
+        floats = data.view("<f4")  # NaN propagates through min and max, +-inf shows in one
+        if not (math.isfinite(floats.min()) and math.isfinite(floats.max())):
             raise CaptureFileError(f"{self.path} snapshot {s} has a sample that is not finite")
         return data
 

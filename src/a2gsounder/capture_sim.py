@@ -7,9 +7,9 @@ downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
 stability; additive white Gaussian noise is injected per tone in the
-frequency domain. The gains and drift scale the response into a given
-array (or a fresh one) and the noise is added to it in place, through one
-small scratch block. Back-to-back captures
+frequency domain. The gains, drift and noise go 16 ports at a time,
+through one small scratch block, into a given array of any complex
+dtype (or a fresh complex128 one). Back-to-back captures
 replace the antenna with an attenuator so the same chain can be
 divided out later.
 
@@ -220,42 +220,70 @@ def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0)
                      advance[np.newaxis], tones)[0, 0]
 
 
-# Ports per noise block: _add_noise's temporaries are 16 ports in size.
-_NOISE_PORTS = 16
+# Ports per block of _gain_and_noise: its temporaries are 16 ports in size.
+_BLOCK_PORTS = 16
 
 
 def noise_scratch(tones):
-    """A float64 scratch block for _add_noise on a response of ``tones`` tones."""
-    return np.empty(2 * _NOISE_PORTS * tones)
+    """Scratch for _gain_and_noise on a response of ``tones`` tones, one
+    float64 array: a 16-port complex128 block, then a float64 block of
+    the same size (0.47 MB each at 1841 tones)."""
+    return np.empty(4 * _BLOCK_PORTS * tones)
 
 
-def _add_noise(tf, snr_db, seed, snapshot_index, scratch=None):
-    """Add white Gaussian noise to the complex128 ``tf`` in place,
-    ``snr_db`` below its strongest port's mean tone power, and return
-    it; None or +inf adds none. Port k's draws are its tones' real
-    parts, then their imaginary parts. It takes 16 ports at a time, and
-    each block's |tf|^2 and draws go into ``scratch`` (noise_scratch of
-    the tone count; a fresh one without it), so no temporary is larger
-    than that block."""
-    if snr_db is None or snr_db == math.inf:
-        return tf
+def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=None):
+    """base_tf * gain[:, None] plus white Gaussian noise, written into
+    ``out`` (a ports x tones array of any complex dtype, or a fresh
+    complex128 one when None) and returned; ``base_tf`` is only read.
+    The noise lies ``snr_db`` below the product's strongest port's mean
+    tone power; None or +inf adds none. Port k's draws are its tones'
+    real parts, then their imaginary parts, from one counter block per
+    snapshot in port order.
+
+    It takes 16 ports at a time, in two passes: the first forms each
+    block's product and its ports' mean |.|^2 for the reference power;
+    the second forms the product again, adds the block's draws and
+    copies the block into ``out``. The product sits in out's own rows
+    when ``out`` is complex128, else in the complex128 block of
+    ``scratch`` (noise_scratch of the tone count; a fresh one without
+    it), and |.|^2 and the draws in its float64 block.
+    """
+    ports, tones = base_tf.shape
+    if out is None:
+        out = np.empty(base_tf.shape, np.complex128)
     if scratch is None:
-        scratch = noise_scratch(tf.shape[1])
-    blocks = [tf[k:k + _NOISE_PORTS] for k in range(0, len(tf), _NOISE_PORTS)]
+        scratch = noise_scratch(tones)
+    spare = scratch[:2 * _BLOCK_PORTS * tones].view(np.complex128).reshape(-1, tones)
+    floats = scratch[2 * _BLOCK_PORTS * tones:]
+    in_place = out.dtype == np.complex128
+    blocks = range(0, ports, _BLOCK_PORTS)
 
-    def strongest(b):  # the largest mean tone power of the block's ports
-        power = np.absolute(b, out=scratch[:b.size].reshape(b.shape))
+    def product(k):
+        base = base_tf[k:k + _BLOCK_PORTS]
+        b = out[k:k + _BLOCK_PORTS] if in_place else spare[:len(base)]
+        return np.multiply(base, gain[k:k + _BLOCK_PORTS, np.newaxis], out=b)
+
+    def strongest(k):  # the largest mean tone power of the block's ports
+        b = product(k)
+        power = np.absolute(b, out=floats[:b.size].reshape(b.shape))
         return np.max(np.mean(np.square(power, out=power), axis=1))
-    ref_power = float(max(strongest(b) for b in blocks))
-    # one counter block per snapshot, drawn in port order
-    rng = stream(seed, TAG_NOISE, snapshot_index)
-    for b in blocks:
-        draws = scratch[:2 * b.size].reshape(len(b), 2, tf.shape[1])
-        rng.standard_normal(out=draws)
-        draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
-        b.real += draws[:, 0]
-        b.imag += draws[:, 1]
-    return tf
+
+    noisy = snr_db is not None and snr_db != math.inf
+    if noisy:
+        ref_power = float(max(map(strongest, blocks)))
+        sigma = math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+        rng = stream(seed, TAG_NOISE, snapshot_index)
+    for k in blocks:
+        b = product(k)
+        if noisy:
+            draws = floats[:2 * b.size].reshape(len(b), 2, tones)
+            rng.standard_normal(out=draws)
+            draws *= sigma
+            b.real += draws[:, 0]
+            b.imag += draws[:, 1]
+        if not in_place:
+            out[k:k + _BLOCK_PORTS] = b
+    return out
 
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
@@ -271,20 +299,19 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     disables it. ``base_tf`` may carry the precomputed noise-free
     port_stack_response for these paths times ``system.common_chain``
     (the pipeline computes it once per distinct TX state); it is read,
-    never written. The per-port gain times the drift goes into ``out``,
-    a complex128 ports x tones array, or a fresh one, which becomes the
-    record's ``h_f``; the noise is added to it in place through
-    ``scratch`` (see _add_noise).
+    never written. The response times the per-port gain and the drift,
+    plus the noise, goes 16 ports at a time through ``scratch`` into
+    ``out`` (see _gain_and_noise), which becomes the record's ``h_f``: a
+    ports x tones array of any complex dtype, such as a capture file's
+    ``<c8`` payload, or a fresh complex128 one.
     """
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
         base_tf *= system.common_chain
     gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
-    tf = np.multiply(base_tf, gain[:, np.newaxis], out=out)
-    _add_noise(tf, noise_snr_db, seed, snapshot_index, scratch)
 
     return CaptureRecord(
-        h_f=tf,
+        h_f=_gain_and_noise(out, base_tf, gain, noise_snr_db, seed, snapshot_index, scratch),
         tone_plan=tones,
         timestamp=timestamp,
         tx_position=paths.tx_position,
@@ -296,19 +323,28 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
 
 
 def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
-                 noise_snr_db=None, snapshot_period=0.05):
+                 noise_snr_db=None, snapshot_period=0.05, out=None):
     """Back-to-back capture series: chain and switch paths through the
     attenuator, no channel and no antenna pattern. Returns an ordered
-    iterator of B2B CaptureRecords, each computed as it is taken."""
+    iterator of B2B CaptureRecords, each computed as it is taken.
+
+    The base response, chain times port gain times attenuator, is built
+    once, in place. Each snapshot is the base times its drift, plus the
+    noise, made 16 ports at a time through one noise_scratch block (see
+    _gain_and_noise) into ``out``, a ports x tones array of any complex
+    dtype that every record then carries and the next one overwrites,
+    or into a fresh complex128 array per record.
+    """
     if snapshot_count < 1:
         raise ValueError("snapshot_count must be >= 1")
-    att = attenuator.response(tones)
-    base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis] * att[np.newaxis, :]
+    scratch = noise_scratch(tones.tone_count)
+    base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
+    base *= attenuator.response(tones)  # in place: no second ports x tones array
 
     def snapshot(s):
-        tf = base * system.drift(s, kind="b2b")
+        drift = np.full(len(base), system.drift(s, kind="b2b"))
         return CaptureRecord(
-            h_f=_add_noise(tf, noise_snr_db, seed, s),
+            h_f=_gain_and_noise(out, base, drift, noise_snr_db, seed, s, scratch),
             tone_plan=tones,
             timestamp=s * snapshot_period,
             snr_db=noise_snr_db,

@@ -124,7 +124,8 @@ def cmd_b2b(args):
         raise _Exit(EXIT_SCHEMA, f"--snapshots must be >= 1, got {args.snapshots}")
     config = _load_scenario(args.scenario, args.seed)
     layout = b2b_layout(config, snapshot_count=args.snapshots)
-    write_capture(args.out, run_b2b(config, snapshot_count=args.snapshots),
+    # run_b2b puts each snapshot from its one <c8 payload
+    write_capture(args.out, partial(run_b2b, config, args.snapshots),
                   config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} B2B snapshots to {args.out}")

@@ -135,12 +135,13 @@ def run_synthesis(config, put=None):
     chain is computed once, at its first snapshot time, in the thread
     that feeds the pool as the run is reached, and dropped after its
     last snapshot. A pool task multiplies it by its snapshot's port
-    gains and drift and adds the noise, through its worker thread's
-    noise scratch block, into a fresh array, or with ``put`` into its
-    worker's one response array, which put writes before the task ends.
-    Such a task returns its index and its run's state, so the response
-    is dropped by the thread that takes the results, not by a worker,
-    and the pool's lookahead holds no ports x tones array of its own.
+    gains and drift and adds the noise, 16 ports at a time through its
+    worker thread's noise scratch block, into a fresh complex128 array,
+    or with ``put`` straight into its worker's one ``<c8`` payload,
+    which put writes as it is before the task ends. Such a task returns
+    its index and its run's state, so the response is dropped by the
+    thread that takes the results, not by a worker, and the pool's
+    lookahead holds no ports x tones array of its own.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1
@@ -171,7 +172,7 @@ def run_synthesis(config, put=None):
         index, (paths, base_tf) = item
         if not hasattr(local, "scratch"):
             local.scratch = noise_scratch(base_tf.shape[1])
-            local.out = None if put is None else np.empty(base_tf.shape, complex)
+            local.out = None if put is None else np.empty(base_tf.shape, "<c8")
         record = simulate_snapshot(paths, config.geometry, config.tone_plan, system,
                                    noise_snr_db=config.capture["snr_db"], snapshot_index=index,
                                    timestamp=float(times[index]),
@@ -203,10 +204,15 @@ def b2b_layout(config, snapshot_count=None):
                   config.capture["b2b_snr_db"], config.capture["b2b_noise_seed"])
 
 
-def run_b2b(config, snapshot_count=None):
-    """Simulate a back-to-back reference series for the scenario; an
-    ordered iterator of B2B CaptureRecords."""
-    return simulate_b2b(
+def run_b2b(config, snapshot_count=None, put=None):
+    """Simulate a back-to-back reference series for the scenario: an
+    ordered iterator of fresh complex128 B2B CaptureRecords, or, given
+    ``put`` (write_capture's; see its producer), every snapshot made
+    into one ``<c8`` payload and handed to put(index, record) in order,
+    returning after the last. Either way it holds the series' base
+    response and one noise scratch block (see simulate_b2b)."""
+    shape = (config.geometry.n_ports, config.tone_plan.tone_count)
+    records = simulate_b2b(
         config.tone_plan,
         system_for(config),
         config.attenuator,
@@ -214,7 +220,12 @@ def run_b2b(config, snapshot_count=None):
         seed=config.capture["b2b_noise_seed"],
         noise_snr_db=config.capture["b2b_snr_db"],
         snapshot_period=1.0 / config.timing.burst_rate,
+        out=None if put is None else np.empty(shape, "<c8"),
     )
+    if put is None:
+        return records
+    for index, record in enumerate(records):
+        put(index, record)
 
 
 def calibrated_layout(layout):

@@ -7,7 +7,7 @@ import pytest
 from oracles import ideal_system_response, port_gain, transfer_function_oracle
 
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, _add_noise, build_system_response,
+from a2gsounder.capture_sim import (AttenuatorModel, _gain_and_noise, build_system_response,
                                     port_response_row, port_stack_response,
                                     simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
@@ -45,6 +45,14 @@ class TestSystemResponse:
                                          phase_drift_deg=1.0, amplitude_jitter_db=0.01)
         assert sys_resp.drift(3, "meas") != sys_resp.drift(3, "b2b")
         assert sys_resp.drift(3, "meas") == sys_resp.drift(3, "meas")
+
+
+def chain_times_gain(ports, snr_db, seed, index):
+    """The chain times the port gains of a seeded 64-tone system, plus noise."""
+    system = build_system_response(TonePlan(tone_count=64), ports, seed=3)
+    chain = np.broadcast_to(system.common_chain, (ports, 64))
+    return _gain_and_noise(np.empty((ports, 64), np.complex128), chain, system.per_port_gain,
+                           snr_db, seed, index)
 
 
 class TestSimulateSnapshot:
@@ -89,36 +97,37 @@ class TestSimulateSnapshot:
         (-30.0, 1, 0, "08d28b8c7c451362b257663e85a20b038fc9ddec7516f7e380fb8c08450d9f29"),
     ])
     def test_noise_bytes_are_pinned(self, snr_db, seed, index, digest):
-        system = build_system_response(TonePlan(tone_count=64), 8, seed=3)
-        tf = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
-        noisy = _add_noise(tf, snr_db, seed, index)
+        noisy = chain_times_gain(8, snr_db, seed, index)
         assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == digest
 
     def test_noise_bytes_across_port_blocks_are_pinned(self):
         # 40 ports: two whole blocks of 16 ports and a partial one; the
         # digest was recorded from the one-array noise step
-        system = build_system_response(TonePlan(tone_count=64), 40, seed=3)
-        tf = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
-        noisy = _add_noise(tf, 20.0, 5, 7)
+        noisy = chain_times_gain(40, 20.0, 5, 7)
         assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == \
             "e9228627faec7ed65eb3d841775065cb1c2dfa9e422dbb19a067f071bf272cbc"
 
-    def test_noise_makes_no_full_size_temporary(self):
-        tf = np.ones((128, 1841), dtype=np.complex128)
-        _add_noise(tf, 30.0, 1, 1)  # one-time allocations are not the noise step's
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_noise_makes_no_full_size_temporary(self, dtype):
+        base, gain = np.ones((128, 1841), np.complex128), np.ones(128, np.complex128)
+        out = np.empty(base.shape, dtype)
+        _gain_and_noise(out, base, gain, 30.0, 1, 1)  # one-time allocations are not the kernel's
         tracemalloc.start()
         try:
-            _add_noise(tf, 30.0, 1, 2)
+            _gain_and_noise(out, base, gain, 30.0, 1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < tf.nbytes / 2
+        assert peak < base.nbytes / 2
 
-    def test_noise_is_added_in_place(self):
-        tf = np.ones((4, 16), dtype=np.complex128)
-        assert _add_noise(tf, 10.0, 1, 2) is tf
-        assert np.all(tf != 1.0)
-        assert _add_noise(tf, None, 1, 2) is tf
+    def test_noise_is_written_into_out(self):
+        base = np.ones((4, 16), np.complex128)
+        out = np.empty_like(base)
+        assert _gain_and_noise(out, base, np.full(4, 2.0 + 0j), 10.0, 1, 2) is out
+        assert np.all(out != 2.0)
+        assert np.all(base == 1.0)
+        assert _gain_and_noise(out, base, np.full(4, 2.0 + 0j), None, 1, 2) is out
+        assert np.all(out == 2.0)
 
     def test_deterministic_given_seeds(self):
         geom = build_cylindrical_array(2, 2, 0.1, 0.04)

@@ -680,6 +680,26 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cal.bin", "captured.json", "meas.bin", "ref.bin", "scenario.json"]
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_at_either_end_exit_code(self, tmp_path, capsys, value, where):
+        # a read checks the min and max of its floats: the payload's first
+        # sample (a real part) and its last (an imaginary part) count too
+        meas, ref, _ = self.captures(tmp_path)
+        header = read_capture(meas)[1]
+        if where == "first":
+            snapshot, port, samples = 0, 0, [complex(value, 0.0)]
+        else:
+            snapshot, port = header["snapshot_count"] - 1, header["port_count"] - 1
+            samples = [0j] * (header["tone_count"] - 1) + [complex(0.0, value)]
+        overwrite_payload(meas, samples, snapshot=snapshot, port=port)
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: {meas} snapshot {snapshot} has a sample that is not finite")
+        assert not out.exists()
+
     def test_unexpected_analysis_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         meas, ref, _ = self.captures(tmp_path)
 

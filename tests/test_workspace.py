@@ -4,12 +4,13 @@ capture writer that each synthesis task writes its snapshot through.
 Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays. The memory of analyze_records is bounded by
 its workspaces and the records in flight (none when it reads a capture
-file), and that of the synth command's write by its workspaces and the
-TX-state responses in flight, whatever the series length; a fresh
-``a2gs analyze``, ``synth`` or ``calibrate`` process takes no page
-faults per extra snapshot beyond a small bound. The writer's put fails
-closed: an error in any task leaves no file, and a snapshot put twice or
-never raises.
+file), that of the synth command's write by its workspaces and the
+TX-state responses in flight, and that of the b2b command's write by
+its base response, payload and scratch, whatever the series length; a
+fresh ``a2gs analyze``, ``synth``, ``calibrate`` or ``b2b`` process
+takes no page faults per extra snapshot beyond a small bound. The
+writer's put fails closed: an error in any task leaves no file, and a
+snapshot put twice or never raises.
 """
 
 import collections
@@ -33,8 +34,8 @@ from a2gsounder import pipeline
 from a2gsounder._rng import TAG_NOISE, stream
 from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
-from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _add_noise, noise_scratch,
-                                    port_stack_response, simulate_snapshot)
+from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _gain_and_noise,
+                                    noise_scratch, port_stack_response, simulate_snapshot)
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
 from a2gsounder.processing import (GateConfig, RawCIR, Workspace, cir_from_tf,
@@ -153,14 +154,15 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
         # the per-snapshot form it replaced: chain, then gains and drift in place
         expected = base * system.common_chain
         expected *= (system.per_port_gain * system.drift(index))[:, np.newaxis]
-        _add_noise(expected, 30.0, 7, index)
+        noise_by_fresh_draws(expected, 30.0, 7, index)
         kwargs = dict(noise_snr_db=30.0, snapshot_index=index, seed=7)
         assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, expected)
         assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, expected)
 
 
 def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index):
-    """_add_noise as it was: a fresh |b|^2 and fresh draws per 16-port block."""
+    """The noise step as it was: ``tf`` plus noise in place, through a
+    fresh |b|^2 and fresh draws per 16-port block."""
     blocks = [tf[k:k + 16] for k in range(0, len(tf), 16)]
     ref_power = float(np.max(np.concatenate([np.mean(np.abs(b) ** 2, axis=1) for b in blocks])))
     rng = stream(seed, TAG_NOISE, snapshot_index)
@@ -172,15 +174,25 @@ def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index):
     return tf
 
 
+@pytest.mark.parametrize("snr_db", [20.0, None])
 @pytest.mark.parametrize("ports", [128, 40])  # 40: two whole blocks and a short last one
 @pytest.mark.parametrize("seed", range(3))
-def test_noise_through_the_scratch_block_gives_the_fresh_draw_bytes(ports, seed):
-    tf = random_response(seed, ports, dtype=np.complex128)
-    expected = noise_by_fresh_draws(tf.copy(), 20.0, seed, 7)
-    scratch = noise_scratch(tf.shape[1])
-    scratch[:] = np.nan  # what an earlier snapshot left there must not leak in
-    assert same_bytes(_add_noise(tf.copy(), 20.0, seed, 7, scratch), expected)
-    assert same_bytes(_add_noise(tf.copy(), 20.0, seed, 7), expected)
+def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_db):
+    # the base is a view whose rows lie whole tone blocks apart, as
+    # port_stack_response's; out, block and scratch start full of NaN,
+    # as an earlier snapshot may leave them, which must not leak in
+    base = random_response(seed, ports, 1856, np.complex128)[:, :PLAN.tone_count]
+    gain = random_response(seed + 10, ports, 1, np.complex128)[:, 0]
+    expected = base * gain[:, np.newaxis]
+    if snr_db is not None:
+        noise_by_fresh_draws(expected, snr_db, seed, 7)
+    untouched = base.copy()
+    for want in (expected, np.ascontiguousarray(expected, "<c8")):
+        for scratch in (np.full(noise_scratch(PLAN.tone_count).shape, np.nan), None):
+            out = np.full(base.shape, np.nan, want.dtype)
+            got = _gain_and_noise(out, base, gain, snr_db, seed, 7, scratch)
+            assert got is out and same_bytes(out, want)
+    assert same_bytes(base, untouched)
 
 
 def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
@@ -207,8 +219,7 @@ def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
 
 # Peak traced bytes per worker beyond its workspace and the payloads in
 # flight: the ports x ports correlation and eigen arrays, the per-port
-# vectors, the finiteness check of a read and the row (0.8 MB measured
-# at 128 x 1841).
+# vectors and the row (0.8 MB measured at 128 x 1841).
 SLACK_PER_WORKER = 3 << 19
 # At one worker the peaks over two series lengths agree to within bytes.
 # At more, whether one worker's transients coincide with another's peak
@@ -299,14 +310,53 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
     short = synthesis_write_peak(tmp_path, preset, SHORT)
     long = synthesis_write_peak(tmp_path, preset, LONG)
     ports, tones = 128, PLAN.tone_count
-    # a worker's response array, noise scratch block and <c8 write buffer
-    per_worker = ports * tones * 16 + noise_scratch(tones).nbytes + ports * tones * 8
+    # a worker's <c8 payload and its noise scratch: the 16-port complex128
+    # block and the float64 block
+    per_worker = ports * tones * 8 + noise_scratch(tones).nbytes
     response = ports * 1856 * 16  # port_stack_response's view of whole 64-tone blocks
     in_flight = 1 if preset == "olin-static" or workers == 1 else 2 * workers + 1
     bound = workers * (per_worker + SLACK_PER_WORKER) + in_flight * response
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
     assert long <= bound, (long, bound)
+
+
+def b2b_write_peak(tmp_path, count):
+    """Peak traced bytes of the b2b command's write of ``count`` snapshots."""
+    config = parse_scenario({"preset": "olin-static"})
+    layout = pipeline.b2b_layout(config, count)
+    tracemalloc.start()
+    try:
+        write_capture(tmp_path / "ref.bin", partial(pipeline.run_b2b, config, count),
+                      layout=layout)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_b2b_write_memory_is_fixed_by_the_base_not_the_series(tmp_path):
+    b2b_write_peak(tmp_path, SHORT)  # one-time allocations are not the run's
+    short, long = b2b_write_peak(tmp_path, SHORT), b2b_write_peak(tmp_path, LONG)
+    ports, tones = 128, PLAN.tone_count
+    # the base response, built in place, the <c8 payload and the noise scratch
+    bound = ports * tones * 16 + ports * tones * 8 + noise_scratch(tones).nbytes \
+        + SLACK_PER_WORKER
+    assert abs(long - short) <= SERIES_TOLERANCE, (short, long)
+    assert long <= bound, (long, bound)
+
+
+def test_a_read_into_a_buffer_allocates_no_payload(full_size):
+    # the payload and its finiteness check go through the buffer alone
+    files = full_size[3]
+    buf = np.empty(files[SHORT].shape, "<c8")
+    files[SHORT].read(0, out=buf)  # one-time allocations are not the read's
+    tracemalloc.start()
+    try:
+        assert files[SHORT].read(1, out=buf).h_f.base is buf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 # Minor faults a fresh a2gs process may take per extra snapshot. One
@@ -384,6 +434,15 @@ def test_synth_takes_no_page_faults_per_extra_snapshot(tmp_path, workers):
         scenario = golden._scenario(tmp_path, "hover", bursts)
         faults[3 * bursts] = cli_faults(workers, "synth", "--scenario", scenario,
                                         "--out", str(tmp_path / "meas.bin"))
+    assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
+
+
+@linux_only
+def test_b2b_takes_no_page_faults_per_extra_snapshot(tmp_path):
+    scenario = golden._scenario(tmp_path, "static")
+    faults = {count: cli_faults(1, "b2b", "--scenario", scenario, "--snapshots", str(count),
+                                "--out", str(tmp_path / "ref.bin"))
+              for count in (12, 48)}
     assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
 
 
