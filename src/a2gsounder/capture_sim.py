@@ -243,10 +243,9 @@ def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=No
     It takes 16 ports at a time, in two passes: the first forms each
     block's product and its ports' mean |.|^2 for the reference power;
     the second forms the product again, adds the block's draws and
-    copies the block into ``out``. The product sits in out's own rows
-    when ``out`` is complex128, else in the complex128 block of
-    ``scratch`` (noise_scratch of the tone count; a fresh one without
-    it), and |.|^2 and the draws in its float64 block.
+    copies the block into ``out``. The product sits in the complex128
+    block of ``scratch`` (noise_scratch of the tone count; a fresh one
+    without it), and |.|^2 and the draws in its float64 block.
     """
     ports, tones = base_tf.shape
     if out is None:
@@ -255,13 +254,11 @@ def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=No
         scratch = noise_scratch(tones)
     spare = scratch[:2 * _BLOCK_PORTS * tones].view(np.complex128).reshape(-1, tones)
     floats = scratch[2 * _BLOCK_PORTS * tones:]
-    in_place = out.dtype == np.complex128
     blocks = range(0, ports, _BLOCK_PORTS)
 
     def product(k):
         base = base_tf[k:k + _BLOCK_PORTS]
-        b = out[k:k + _BLOCK_PORTS] if in_place else spare[:len(base)]
-        return np.multiply(base, gain[k:k + _BLOCK_PORTS, np.newaxis], out=b)
+        return np.multiply(base, gain[k:k + _BLOCK_PORTS, np.newaxis], out=spare[:len(base)])
 
     def strongest(k):  # the largest mean tone power of the block's ports
         b = product(k)
@@ -281,8 +278,7 @@ def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=No
             draws *= sigma
             b.real += draws[:, 0]
             b.imag += draws[:, 1]
-        if not in_place:
-            out[k:k + _BLOCK_PORTS] = b
+        out[k:k + _BLOCK_PORTS] = b
     return out
 
 
