@@ -18,6 +18,9 @@ import numpy as np
 # indicates corrupt calibration data
 REFERENCE_FLOOR_DB = 120.0
 
+# the fields that make a record, or a capture Layout, calibrated
+CAL_FIELDS = {"record_type": "CAL", "snr_db": None, "seed": 0}
+
 
 class CalibrationError(ValueError):
     pass
@@ -62,9 +65,9 @@ def calibrate(meas, reference, out=None):
     the factor the Reference computed once.
 
     ``reference`` is a Reference. Returns ``meas``'s CaptureRecord with
-    the calibrated complex128 ``h_f`` as a CAL record, which carries no
-    SNR and seed 0. ``out``, a complex128 array of the factor's shape,
-    receives the product in place of a fresh array.
+    the calibrated ``h_f`` as a CAL record (CAL_FIELDS). The complex128
+    product goes into a fresh array or ``out`` of the factor's shape:
+    complex128, or the ``<c8`` payload ``meas.h_f`` was read into.
     """
     if meas.h_f.shape != reference.factor.shape:
         raise CalibrationError(
@@ -72,8 +75,7 @@ def calibrate(meas, reference, out=None):
             "dimensions differ")
     if meas.tone_plan != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
-    return replace(meas, h_f=np.multiply(meas.h_f, reference.factor, out=out), snr_db=None,
-                   seed=0, record_type="CAL")
+    return replace(meas, h_f=np.multiply(meas.h_f, reference.factor, out=out), **CAL_FIELDS)
 
 
 def stability_stats(rows):

@@ -124,6 +124,11 @@ def _floats(vector):
     return np.asarray(vector, dtype=float).tolist()
 
 
+def _is_payload(array):
+    """Whether ``array`` holds its samples as a payload does: C-contiguous ``<c8``."""
+    return array.dtype == np.dtype("<c8") and array.flags.c_contiguous
+
+
 def _check_record(record, s, header):
     """ValueError unless ``record`` is snapshot ``s`` as ``header`` describes it."""
     shape = (header["port_count"], header["tone_count"])
@@ -163,7 +168,8 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     """Write CaptureRecords to ``path``: the header, then each record's
     payload at its snapshot's offset.
 
-    ``records`` is an iterable of the records in snapshot order, or a
+    ``records`` is an iterable of the records in snapshot order, or,
+    for a writer whose snapshots are made on several threads, a
     producer: a function that write_capture calls once with its
     ``put(s, record)`` and that puts every snapshot once, from any
     threads, before it returns. ``layout`` carries the header fields, so
@@ -214,7 +220,7 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
                 raise ValueError(f"more records than the header's {count} snapshots")
             _check_record(record, s, header)
             payload = record.h_f
-            if payload.dtype != np.dtype("<c8") or not payload.flags.c_contiguous:
+            if not _is_payload(payload):
                 payload = getattr(local, "payload", None)
                 if payload is None:
                     payload = local.payload = np.empty(shape, "<c8")
@@ -323,7 +329,10 @@ class CaptureFile(Sequence):
     def read(self, s, out=None):
         """Snapshot ``s`` (0 <= s < len) as a CaptureRecord whose ``h_f`` is
         its payload read into ``out``, a C-contiguous little-endian
-        complex64 array of ``shape``, or into a fresh array."""
+        complex64 array of ``shape`` (any other raises ValueError), or a
+        fresh array."""
+        if out is not None and not (_is_payload(out) and out.shape == self.shape):
+            raise ValueError(f"out must be a C-contiguous <c8 array of shape {self.shape}")
         ports, tones = self.shape
         with self._open() as fh:
             h_f = self._read(fh, s, 0, ports * tones, out).reshape(ports, tones)
@@ -347,9 +356,9 @@ class CaptureFile(Sequence):
 
     def _read(self, fh, s, port, count, out=None):
         """``count`` samples of snapshot ``s`` from ``port``'s first tone on,
-        in ``out`` when it is a ``<c8`` array of them (see read)."""
+        in ``out`` (see read) or a fresh array."""
         tones = self.layout.tone_plan.tone_count
-        data = np.empty(count, "<c8") if out is None or out.dtype != "<c8" else out.reshape(count)
+        data = np.empty(count, "<c8") if out is None else out.reshape(count)
         try:
             fh.seek(self._offset + (s * self.layout.port_count + port) * tones * 8)
             got = fh.readinto(data)

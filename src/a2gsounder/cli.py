@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 from array import array
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -124,8 +123,8 @@ def cmd_b2b(args):
         raise _Exit(EXIT_SCHEMA, f"--snapshots must be >= 1, got {args.snapshots}")
     config = _load_scenario(args.scenario, args.seed)
     layout = b2b_layout(config, snapshot_count=args.snapshots)
-    # run_b2b puts each snapshot from its one <c8 payload
-    write_capture(args.out, partial(run_b2b, config, args.snapshots),
+    payload = np.empty((layout.port_count, layout.tone_plan.tone_count), "<c8")
+    write_capture(args.out, run_b2b(config, args.snapshots, out=payload),
                   config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} B2B snapshots to {args.out}")
@@ -155,14 +154,10 @@ def _write_rows(args, rows, config_hash):
 
 def cmd_calibrate(args):
     meas, meas_header, reference = _measured(args)
-    payload, response = np.empty(meas.shape, "<c8"), np.empty(meas.shape, complex)
-
-    def cal():  # each snapshot read, calibrated and written through the same two arrays
-        for s in range(len(meas)):
-            record = calibrate(meas.read(s, out=payload), reference, out=response)
-            np.copyto(payload, response)
-            yield replace(record, h_f=payload)
-    write_capture(args.out, cal(), config_hash=meas_header["config_hash"],
+    payload = np.empty(meas.shape, "<c8")  # each snapshot read, calibrated and written in it
+    cal = (calibrate(meas.read(s, out=payload), reference, out=payload)
+           for s in range(len(meas)))
+    write_capture(args.out, cal, config_hash=meas_header["config_hash"],
                   geometry_hash=meas_header["geometry_hash"],
                   layout=calibrated_layout(meas.layout))
     print(f"wrote {len(meas)} calibrated snapshots to {args.out}")
@@ -207,7 +202,7 @@ def cmd_analyze(args):
 
 
 def cmd_stability(args):
-    records, header = _read(args.ref, "B2B", strict=args.strict_hash)
+    records, header = _read(args.ref, "B2B")
     ports = records.layout.port_count
     if not 0 <= args.port < ports:
         raise CalibrationError(f"port {args.port} out of range for {ports} ports")
@@ -284,8 +279,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--strict-hash", action="store_true",
-                       help="escalate provenance hash mismatches to errors")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("synth", help="simulate a measurement capture")
@@ -315,6 +308,8 @@ def build_parser():
     p.add_argument("--summary")
     p.add_argument("--attenuator-db", type=float, default=None)
     p.add_argument("--window", choices=("rect", "hann"), default="rect")
+    p.add_argument("--strict-hash", action="store_true",
+                   help="escalate provenance hash mismatches to errors")
     add_common(p)
 
     p = sub.add_parser("stability", help="B2B stability statistics")

@@ -30,7 +30,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .calibration import CalibrationError, Reference, calibrate
+from .calibration import CAL_FIELDS, CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
 from .capture_sim import (build_system_response, noise_scratch, port_stack_response,
                           simulate_b2b, simulate_snapshot)
@@ -204,34 +204,24 @@ def b2b_layout(config, snapshot_count=None):
                   config.capture["b2b_snr_db"], config.capture["b2b_noise_seed"])
 
 
-def run_b2b(config, snapshot_count=None, put=None):
+def run_b2b(config, snapshot_count=None, out=None):
     """Simulate a back-to-back reference series for the scenario: an
-    ordered iterator of fresh complex128 B2B CaptureRecords, or, given
-    ``put`` (write_capture's; see its producer), every snapshot made
-    into one ``<c8`` payload and handed to put(index, record) in order,
-    returning after the last. Either way it holds the series' base
-    response and one noise scratch block (see simulate_b2b)."""
-    shape = (config.geometry.n_ports, config.tone_plan.tone_count)
-    records = simulate_b2b(
-        config.tone_plan,
-        system_for(config),
-        config.attenuator,
-        snapshot_count=_b2b_count(config, snapshot_count),
-        seed=config.capture["b2b_noise_seed"],
-        noise_snr_db=config.capture["b2b_snr_db"],
-        snapshot_period=1.0 / config.timing.burst_rate,
-        out=None if put is None else np.empty(shape, "<c8"),
-    )
-    if put is None:
-        return records
-    for index, record in enumerate(records):
-        put(index, record)
+    ordered iterator of B2B CaptureRecords, each made as it is taken
+    into a fresh complex128 array or into ``out``, such as the ``<c8``
+    payload that write_capture writes as it is, which every record then
+    carries (see simulate_b2b, whose base response and noise scratch
+    block it holds)."""
+    return simulate_b2b(config.tone_plan, system_for(config), config.attenuator,
+                        snapshot_count=_b2b_count(config, snapshot_count),
+                        seed=config.capture["b2b_noise_seed"],
+                        noise_snr_db=config.capture["b2b_snr_db"],
+                        snapshot_period=1.0 / config.timing.burst_rate, out=out)
 
 
 def calibrated_layout(layout):
     """Layout of calibrate_records' output for measurements of ``layout``:
-    calibrate makes each one a CAL record with no SNR and seed 0."""
-    return replace(layout, record_type="CAL", snr_db=None, seed=0)
+    calibrate gives each one the CAL_FIELDS."""
+    return replace(layout, **CAL_FIELDS)
 
 
 def first_reference(ref_records, attenuator):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -353,6 +354,53 @@ class TestCli:
                                for pol in ("v", "h")]
         route_lines = Path(route).read_text().splitlines()
         assert route_lines[0] == lines[0]  # hash propagates to the route table
+
+    @pytest.mark.parametrize("loss", [10.0, 20.0])
+    def test_calibrate_divides_by_the_flag_attenuator_not_the_scenario_one(self, tmp_path,
+                                                                            loss):
+        # calibrate takes no scenario: without --attenuator-db it divides by
+        # the 30 dB default, so its p_rx_db and other absolute powers read
+        # 30 - loss dB below those of analyze --meas --ref, which divides by
+        # the scenario's attenuator; the ratio columns do not move
+        scenario = self.scenario_file(tmp_path, {"attenuator": {"nominal_loss_db": loss}})
+        files = {name: str(tmp_path / name) for name in (
+            "meas.bin", "ref.bin", "cal.bin", "cal30.bin", "m.csv", "cal.csv", "cal30.csv")}
+        for argv in (["synth", "--scenario", scenario, "--out", files["meas.bin"]],
+                     ["b2b", "--scenario", scenario, "--out", files["ref.bin"]],
+                     ["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
+                      "--out", files["cal.bin"], "--attenuator-db", str(loss)],
+                     ["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
+                      "--out", files["cal30.bin"]],
+                     ["analyze", "--scenario", scenario, "--meas", files["meas.bin"],
+                      "--ref", files["ref.bin"], "--out", files["m.csv"]],
+                     ["analyze", "--scenario", scenario, "--cal", files["cal.bin"],
+                      "--out", files["cal.csv"]],
+                     ["analyze", "--scenario", scenario, "--cal", files["cal30.bin"],
+                      "--out", files["cal30.csv"]]):
+            assert cli_main(argv) == 0, argv
+
+        def rows(name):
+            with open(files[name]) as fh:
+                fh.readline()  # the config hash
+                return [{key: float(cell) for key, cell in row.items()}
+                        for row in csv.DictReader(fh)]
+
+        measured, flagged, default = rows("m.csv"), rows("cal.csv"), rows("cal30.csv")
+        assert len(measured) == len(flagged) == len(default) == 3
+        for want, got, off in zip(measured, flagged, default):
+            for key, value in want.items():
+                if key.endswith(("_db", "_dbs")) and math.isfinite(value):
+                    low = 30.0 - loss if key.startswith(("p_rx", "los_bin", "col")) else 0.0
+                    assert abs(got[key] - value) <= 1e-4, (key, got[key], value)
+                    assert abs(off[key] - (value - low)) <= 1e-4, (key, off[key], value)
+            assert want["p_rx_db"] - off["p_rx_db"] == pytest.approx(30.0 - loss, abs=1e-4)
+
+    @pytest.mark.parametrize("command", [["report", "--metrics", "m.csv"],
+                                         ["stability", "--ref", "ref.bin"]])
+    def test_only_commands_that_check_a_hash_take_strict_hash(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([*command, "--out", str(tmp_path / "out.csv"), "--strict-hash"])
+        assert exit_.value.code == 2
 
     def test_exit_codes(self, tmp_path):
         scenario = self.scenario_file(tmp_path)

@@ -5,10 +5,12 @@ Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays. The memory of analyze_records is bounded by
 its workspaces and the records in flight (none when it reads a capture
 file), that of the synth command's write by its workspaces and the
-TX-state responses in flight, and that of the b2b command's write by
-its base response, payload and scratch, whatever the series length; a
-fresh ``a2gs analyze``, ``synth``, ``calibrate`` or ``b2b`` process
-takes no page faults per extra snapshot beyond a small bound. The
+TX-state responses in flight, that of the b2b command's write by its
+base response, payload and scratch, and that of the calibrate command
+by its one payload, whatever the series length; a read into a buffer
+that is not a payload raises; a fresh ``a2gs analyze``, ``synth``,
+``calibrate`` or ``b2b`` process takes no page faults per extra
+snapshot beyond a small bound. The
 writer's put fails closed: an error in any task leaves no file, and a
 snapshot put twice or never raises.
 """
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 import test_golden as golden
 
-from a2gsounder import pipeline
+from a2gsounder import cli, pipeline
 from a2gsounder._rng import TAG_NOISE, stream
 from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
@@ -129,6 +131,10 @@ class TestInPlaceKernels:
         assert same_bytes(out, expected)
         assert same_bytes(calibrate(CaptureRecord(h_f=payload, tone_plan=PLAN), reference).h_f,
                           expected)
+        # in place, as the calibrate command does: the complex128 product cast
+        cal = calibrate(CaptureRecord(h_f=payload, tone_plan=PLAN), reference, out=payload)
+        assert cal.h_f is payload
+        assert same_bytes(payload, expected.astype("<c8"))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_correlation_from_contiguous_planes_gives_the_strided_product_bytes(self, seed):
@@ -322,12 +328,14 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
 
 
 def b2b_write_peak(tmp_path, count):
-    """Peak traced bytes of the b2b command's write of ``count`` snapshots."""
+    """Peak traced bytes of the b2b command's write of ``count`` snapshots,
+    each made into one <c8 payload."""
     config = parse_scenario({"preset": "olin-static"})
     layout = pipeline.b2b_layout(config, count)
     tracemalloc.start()
     try:
-        write_capture(tmp_path / "ref.bin", partial(pipeline.run_b2b, config, count),
+        payload = np.empty((layout.port_count, layout.tone_plan.tone_count), "<c8")
+        write_capture(tmp_path / "ref.bin", pipeline.run_b2b(config, count, out=payload),
                       layout=layout)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -345,6 +353,41 @@ def test_b2b_write_memory_is_fixed_by_the_base_not_the_series(tmp_path):
     assert long <= bound, (long, bound)
 
 
+@pytest.fixture(scope="module")
+def full_size_ref(full_size, tmp_path_factory):
+    """A one-snapshot B2B file of the full_size scenario."""
+    path = tmp_path_factory.mktemp("ref") / "ref.bin"
+    write_capture(path, pipeline.run_b2b(full_size[0], 1))
+    return str(path)
+
+
+def calibrate_peak(full_size, full_size_ref, tmp_path, count):
+    """Peak traced bytes of the calibrate command over ``count`` snapshots;
+    its Reference is full_size's, built before tracing starts."""
+    meas = str(full_size[3][count].path)
+    tracemalloc.start()
+    try:
+        assert cli_main(["calibrate", "--meas", meas, "--ref", full_size_ref,
+                         "--out", str(tmp_path / "cal.bin")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibrate_memory_is_one_payload_whatever_the_series(full_size, full_size_ref,
+                                                             tmp_path, monkeypatch):
+    # each snapshot is read, calibrated and written in the one <c8 payload
+    # (a 2.2 MB peak measured at 128 x 1841); a complex128 product array
+    # beside it, 3.8 MB, would break the bound
+    reference = full_size[1]
+    monkeypatch.setattr(cli, "first_reference", lambda ref, attenuator: reference)
+    calibrate_peak(full_size, full_size_ref, tmp_path, SHORT)  # one-time allocations
+    payload = reference.factor.size * 8
+    for count in (SHORT, LONG):
+        peak = calibrate_peak(full_size, full_size_ref, tmp_path, count)
+        assert peak <= payload + SLACK_PER_WORKER, (count, peak)
+
+
 def test_a_read_into_a_buffer_allocates_no_payload(full_size):
     # the payload and its finiteness check go through the buffer alone
     files = full_size[3]
@@ -357,6 +400,16 @@ def test_a_read_into_a_buffer_allocates_no_payload(full_size):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16, peak
+
+
+@pytest.mark.parametrize("dtype,tones,step", [(np.complex128, 1841, 1), ("<c8", 3682, 2),
+                                              ("<c8", 1840, 1)],
+                         ids=["complex128", "strided", "shape"])
+def test_a_read_into_another_buffer_raises(full_size, dtype, tones, step):
+    # such a buffer would be left as it was, under a fresh array's record
+    buf = np.empty((128, tones), dtype)[:, ::step]
+    with pytest.raises(ValueError, match="out must be a C-contiguous <c8 array"):
+        full_size[3][SHORT].read(0, out=buf)
 
 
 # Minor faults a fresh a2gs process may take per extra snapshot. One
