@@ -62,9 +62,9 @@ _POOL_RUNNING = threading.Lock()
 
 
 def _map_ordered(fn, items):
-    """Ordered iterator of fn(item), run on up to thread_count() worker
-    threads with at most two tasks per worker submitted ahead of the
-    result being taken; ``items`` is consumed as tasks are submitted.
+    """Ordered iterator of fn(item) on up to thread_count() worker threads,
+    at most workers + 1 tasks (every worker busy, one queued) ahead of
+    the result being taken; ``items`` is consumed as tasks are submitted.
 
     While another call's pool runs (it holds _POOL_RUNNING until its
     iterator ends or is closed), as when this stage feeds that pool, it
@@ -80,7 +80,7 @@ def _map_ordered(fn, items):
             try:
                 for item in items:
                     pending.append(pool.submit(fn, item))
-                    if len(pending) > 2 * workers:
+                    if len(pending) > workers:
                         yield pending.popleft().result()
                 while pending:
                     yield pending.popleft().result()
@@ -144,7 +144,7 @@ def run_synthesis(config, put=None):
     lookahead holds no ports x tones array of its own.
 
     A SceneError surfaces when its run is reached: at one thread after
-    every earlier record, at A2GS_THREADS >= 2 up to 2 * workers + 1
+    every earlier record, at A2GS_THREADS >= 2 up to workers + 1
     snapshots ahead of the record being taken.
     """
     system = system_for(config)

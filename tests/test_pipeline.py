@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -151,7 +152,55 @@ def test_ending_a_suspended_stage_lets_the_next_start_a_pool(two_threads, end):
     second.close()
 
 
-def test_concurrent_stages_run_one_pool_at_a_time(two_threads):
+def counted(count, pulled):
+    """range(count), each item appended to ``pulled`` as it is taken."""
+    for item in range(count):
+        pulled.append(item)
+        yield item
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_ordered_yields_in_item_order_at_most_workers_plus_one_ahead(monkeypatch, workers):
+    monkeypatch.setenv("A2GS_THREADS", str(workers))
+    pulled, ahead, got = [], [], []
+
+    def later_first(item):  # every third item is slow, so later ones finish first
+        time.sleep(0.003 if item % 3 == 0 else 0)
+        return item
+    for result in pipeline._map_ordered(later_first, counted(30, pulled)):
+        ahead.append(len(pulled) - len(got))
+        got.append(result)
+    assert got == list(range(30))
+    # the result being taken, then every worker busy and one task queued
+    assert max(ahead) == (1 if workers == 1 else workers + 1), ahead
+
+
+def test_closing_map_ordered_early_starts_no_further_task_and_frees_the_pool(two_threads):
+    pulled, started = [], []
+    release = threading.Event()
+
+    def held(item):
+        started.append(item)
+        if item:
+            release.wait(timeout=60)
+        return item
+    before = threading.active_count()
+    results = pipeline._map_ordered(held, counted(10, pulled))
+    assert next(results) == 0
+    assert pulled == [0, 1, 2]
+    timer = threading.Timer(0.1, release.set)
+    timer.start()
+    results.close()  # returns once the tasks that had started have ended
+    timer.join()
+    assert pulled == [0, 1, 2]
+    assert set(started) <= {0, 1, 2}
+    assert threading.active_count() == before
+    assert not pipeline._POOL_RUNNING.locked()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_concurrent_stages_run_one_pool_at_a_time(monkeypatch, workers):
+    monkeypatch.setenv("A2GS_THREADS", str(workers))
     config = tiny(burst_count=4)
     expected = [r.h_f for r in pipeline.run_synthesis(config)]
     consumers, before = 4, threading.active_count()
@@ -179,7 +228,7 @@ def test_concurrent_stages_run_one_pool_at_a_time(two_threads):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
-    assert max(counts) <= before + consumers + 2  # one pool of two workers at a time
+    assert max(counts) <= before + consumers + workers  # one pool at a time
     assert not pipeline._POOL_RUNNING.locked()
 
 

@@ -232,8 +232,9 @@ SLACK_PER_WORKER = 3 << 19
 # varies from run to run (by up to 0.53 MB seen at two workers), so each
 # worker past the first adds its slack.
 SERIES_TOLERANCE = 1 << 16
-# Six snapshots fill the pool's lookahead of 2 * workers + 1 records at
-# up to two workers; four would not at two (24.2 against 26.1 MB).
+# Six snapshots fill the pool's lookahead of workers + 1 records at up
+# to three workers; three would not at three (30.1 against 32.7 MB
+# traced in analysis, 20.5 against 25.1 MB in the synth write).
 SHORT, LONG = 6, 32
 
 
@@ -274,7 +275,7 @@ def analysis_peak(full_size, count, source):
 
 
 @pytest.mark.parametrize("source", ["file", "records"])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monkeypatch,
                                                                   workers, source):
     monkeypatch.setenv("A2GS_THREADS", str(workers))
@@ -282,7 +283,7 @@ def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monke
     shape = full_size[2].h_f.shape
     workspace = sum(a.nbytes for a in vars(Workspace(shape)).values()
                     if isinstance(a, np.ndarray))
-    in_flight = 0 if source == "file" else (2 * workers + 1) * full_size[2].h_f.nbytes
+    in_flight = 0 if source == "file" else (workers + 1) * full_size[2].h_f.nbytes
     bound = workers * (workspace + SLACK_PER_WORKER) + in_flight
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
@@ -305,10 +306,10 @@ def synthesis_write_peak(tmp_path, preset, count):
 
 
 # olin-static has one TX state for the whole series; olin-hover at one
-# snapshot per burst a state per snapshot, so at two workers the pool's
-# 2 * workers + 1 tasks in flight each hold a different response.
+# snapshot per burst a state per snapshot, so at two or more workers the
+# pool's workers + 1 tasks in flight each hold a different response.
 @pytest.mark.parametrize("preset", ["olin-static", "olin-hover"])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path, monkeypatch,
                                                                        workers, preset):
     monkeypatch.setenv("A2GS_THREADS", str(workers))
@@ -320,7 +321,7 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
     # block and the float64 block
     per_worker = ports * tones * 8 + noise_scratch(tones).nbytes
     response = ports * 1856 * 16  # port_stack_response's view of whole 64-tone blocks
-    in_flight = 1 if preset == "olin-static" or workers == 1 else 2 * workers + 1
+    in_flight = 1 if preset == "olin-static" or workers == 1 else workers + 1
     bound = workers * (per_worker + SLACK_PER_WORKER) + in_flight * response
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
@@ -480,7 +481,7 @@ def test_calibrate_takes_no_page_faults_per_extra_snapshot(static_series, tmp_pa
 def test_synth_takes_no_page_faults_per_extra_snapshot(tmp_path, workers):
     # olin-hover has a TX state per burst. At two workers the heap grows
     # by one response (~930 faults) each time more states' responses are
-    # alive at once than before, up to 2 * workers + 1; that can happen
+    # alive at once than before, up to workers + 1; that can happen
     # after a few dozen snapshots, so the series are 36 and 102 long
     faults = {}
     for bursts in (12, 34):
