@@ -82,11 +82,12 @@ def stability_stats(rows):
     """Snapshot-to-snapshot stability of one port of a B2B series.
 
     ``rows`` is that port's tone vector of each snapshot in time order,
-    any iterable such as ``CaptureFile.port_rows(k)`` or
-    ``(r.h_f[k] for r in records)``; it is read one row at a time. Each
-    row is reduced to the mean over tones of the complex ratio against
-    the first row (the noise-optimal scalar); amplitude is reported as
-    20*log10 magnitude and phase as the argument in degrees.
+    any iterable such as ``CaptureFile.port_rows(k)`` (``<c8`` rows as
+    read) or ``(r.h_f[k] for r in records)``; it is read one row at a
+    time. Each row is taken to complex128 once and reduced to the mean
+    over tones of the complex ratio against the first row (the
+    noise-optimal scalar); amplitude is reported as 20*log10 magnitude
+    and phase as the argument in degrees.
     """
     ratios = []
     for row in rows:

@@ -32,7 +32,7 @@ import threading
 import warnings
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -87,10 +87,10 @@ class Layout:
                    [r.tx_tilt for r in records], [r.snapshot_index for r in records],
                    first.snr_db, first.seed)
 
-    def header(self, record_type, config_hash, geometry_hash):
-        """The header object write_capture writes, before JSON encoding."""
+    def header(self, config_hash, geometry_hash):
+        """This layout's fields and the two hashes: the header object write_capture encodes."""
         return {
-            "record_type": record_type,
+            "record_type": self.record_type,
             "config_hash": config_hash,
             "geometry_hash": geometry_hash,
             "snapshot_count": len(self.timestamps),
@@ -124,27 +124,17 @@ def _floats(vector):
     return np.asarray(vector, dtype=float).tolist()
 
 
-def _is_payload(array):
-    """Whether ``array`` holds its samples as a payload does: C-contiguous ``<c8``."""
-    return array.dtype == np.dtype("<c8") and array.flags.c_contiguous
-
-
-def _check_record(record, s, header):
-    """ValueError unless ``record`` is snapshot ``s`` as ``header`` describes it."""
-    shape = (header["port_count"], header["tone_count"])
+def _check_record(record, s, layout):
+    """ValueError unless ``record`` is snapshot ``s`` of ``layout``, whatever its record type."""
+    shape = (layout.port_count, layout.tone_plan.tone_count)
     if record.h_f.shape != shape:
         raise ValueError(f"record {s} shape {record.h_f.shape} differs from {shape}")
-    fields = {
-        "tone_plan": (asdict(record.tone_plan), header["tone_plan"]),
-        "snr_db": (record.snr_db, header["snr_db"]),
-        "seed": (int(record.seed), header["seed"]),
-        "timestamp": (float(record.timestamp), header["timestamps"][s]),
-        "tx_position": (_floats(record.tx_position), header["tx_positions"][s]),
-        "tx_tilt": (_floats(record.tx_tilt), header["tx_tilts"][s]),
-        "snapshot_index": (int(record.snapshot_index), header["snapshot_indices"][s]),
-    }
-    for name, (got, written) in fields.items():
-        if got != written:
+    for name, written in vars(layout.record(s, record.h_f)).items():
+        if name in ("h_f", "record_type"):  # the payload; a type record_type= may replace
+            continue
+        got = getattr(record, name)
+        # as Python values, as the header holds them: a vector as a list
+        if np.asarray(got).tolist() != np.asarray(written).tolist():
             raise ValueError(f"record {s} {name} {got} differs from the header's {written}")
 
 
@@ -175,13 +165,14 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     threads, before it returns. ``layout`` carries the header fields, so
     neither form need hold the series. Without it the fields come from
     ``records``: a CaptureFile's own, or those of the records, which are
-    then all taken first. ``record_type`` None takes the layout's.
+    then all taken first. A ``record_type`` replaces the layout's.
 
-    put checks the record against the header, casts its ``h_f`` into the
-    calling thread's ``<c8`` buffer (a C-contiguous ``<c8`` ``h_f`` is
-    written as it is) and writes it under one lock; a snapshot put twice
-    or never raises ValueError. Complex samples are quantized to float32
-    pairs; a second write of the read-back file is byte-identical.
+    put checks the record against the layout, casts its ``h_f`` to a
+    C-contiguous ``<c8`` array (a ``<c8`` payload is written as it is, a
+    complex128 ``h_f`` is copied) and writes it under one lock; a
+    snapshot put twice or never raises ValueError. Complex samples are
+    quantized to float32 pairs; a second write of the read-back file is
+    byte-identical.
 
     The file is written through replacing(), so any error, whether a
     record that disagrees with the header or one raised while
@@ -195,18 +186,17 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
             raise ValueError("a producer needs a layout")
         records = list(records)
         layout = Layout.of(records)
-    if record_type is None:
-        record_type = layout.record_type
-    if record_type not in RECORD_TYPES:
+    if record_type is not None:
+        layout = replace(layout, record_type=record_type)
+    if layout.record_type not in RECORD_TYPES:
         raise ValueError(f"record_type must be one of {RECORD_TYPES}")
-    header = layout.header(record_type, config_hash, geometry_hash)
+    header = layout.header(config_hash, geometry_hash)
     count = header["snapshot_count"]
     if count == 0:
         raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    shape = (header["port_count"], header["tone_count"])
     written = bytearray(count)  # 1 once a snapshot's payload is written
-    lock, local = threading.Lock(), threading.local()
+    lock = threading.Lock()
 
     with replacing(path, "wb") as fh:
         fh.write(MAGIC)
@@ -218,13 +208,8 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         def put(s, record):
             if not 0 <= s < count:
                 raise ValueError(f"more records than the header's {count} snapshots")
-            _check_record(record, s, header)
-            payload = record.h_f
-            if not _is_payload(payload):
-                payload = getattr(local, "payload", None)
-                if payload is None:
-                    payload = local.payload = np.empty(shape, "<c8")
-                np.copyto(payload, record.h_f)
+            _check_record(record, s, layout)
+            payload = np.ascontiguousarray(record.h_f, "<c8")
             with lock:
                 if written[s]:
                     raise ValueError(f"snapshot {s} is written twice")
@@ -300,12 +285,13 @@ class CaptureFile(Sequence):
 
     Nothing of the payload is held: indexing (or read, into a given
     array) reads that one snapshot, and port_rows one port's row of each
-    snapshot, from the file at its offset. A record's ``h_f`` is the complex64 payload as read, half
-    the bytes of a complex128 copy; its consumers compute in complex128
-    or float64 from it. The reads are plain positioned reads, not a
-    memory map, so a file that loses bytes after it was opened raises
-    CaptureFileError rather than a bus error. So does a sample that is
-    not a finite number, when it is read.
+    snapshot, from the file at its offset. A record's ``h_f``, like a
+    port row, is the ``<c8`` payload as read, half the bytes of a
+    complex128 copy; its consumers compute in complex128 or float64 from
+    it. The reads are plain positioned reads, not a memory map, so a
+    file that loses bytes after it was opened raises CaptureFileError
+    rather than a bus error. So does a sample that is not a finite
+    number, when it is read.
     """
 
     def __init__(self, path, layout, payload_offset):
@@ -331,7 +317,8 @@ class CaptureFile(Sequence):
         its payload read into ``out``, a C-contiguous little-endian
         complex64 array of ``shape`` (any other raises ValueError), or a
         fresh array."""
-        if out is not None and not (_is_payload(out) and out.shape == self.shape):
+        if out is not None and not (out.dtype == np.dtype("<c8") and out.flags.c_contiguous
+                                    and out.shape == self.shape):
             raise ValueError(f"out must be a C-contiguous <c8 array of shape {self.shape}")
         ports, tones = self.shape
         with self._open() as fh:
@@ -339,14 +326,13 @@ class CaptureFile(Sequence):
         return self.layout.record(s, h_f)
 
     def port_rows(self, port):
-        """Row ``port`` of every snapshot in time order, each a complex128
-        tone vector; no other bytes of the payload are read."""
+        """Row ``port`` of every snapshot in time order, each a ``<c8`` tone
+        vector as read; no other bytes of the payload are read."""
         if not 0 <= port < self.layout.port_count:
             raise IndexError(f"port {port} out of range for {self.layout.port_count} ports")
         with self._open() as fh:
             for s in range(len(self)):
-                yield self._read(fh, s, port, self.layout.tone_plan.tone_count).astype(
-                    np.complex128)
+                yield self._read(fh, s, port, self.layout.tone_plan.tone_count)
 
     def _open(self):
         try:

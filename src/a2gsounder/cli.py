@@ -22,20 +22,21 @@ import csv
 import json
 import sys
 from array import array
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
-from .calibration import CalibrationError, calibrate, stability_stats
+from .calibration import CAL_FIELDS, CalibrationError, calibrate, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
                            replacing, write_capture)
 from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
 from .pipeline import (REPORT_FIELDS, SUMMARY_FIELDS, analyze_records, b2b_layout,
-                       calibrated_layout, first_reference, report_rows,
-                       run_b2b, run_synthesis, stability_rows, summarize,
-                       synthesis_layout, thread_count, write_rows_csv, write_rows_json)
+                       first_reference, report_rows, run_b2b, run_synthesis,
+                       stability_rows, summarize, synthesis_layout, thread_count,
+                       write_rows_csv, write_rows_json)
 from .processing import AnalysisError
 from .selftest import run_selftest
 
@@ -159,7 +160,7 @@ def cmd_calibrate(args):
            for s in range(len(meas)))
     write_capture(args.out, cal, config_hash=meas_header["config_hash"],
                   geometry_hash=meas_header["geometry_hash"],
-                  layout=calibrated_layout(meas.layout))
+                  layout=replace(meas.layout, **CAL_FIELDS))
     print(f"wrote {len(meas)} calibrated snapshots to {args.out}")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .calibration import CAL_FIELDS, CalibrationError, Reference, calibrate
+from .calibration import CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
 from .capture_sim import (build_system_response, noise_scratch, port_stack_response,
                           simulate_b2b, simulate_snapshot)
@@ -216,12 +216,6 @@ def run_b2b(config, snapshot_count=None, out=None):
                         seed=config.capture["b2b_noise_seed"],
                         noise_snr_db=config.capture["b2b_snr_db"],
                         snapshot_period=1.0 / config.timing.burst_rate, out=out)
-
-
-def calibrated_layout(layout):
-    """Layout of calibrate_records' output for measurements of ``layout``:
-    calibrate gives each one the CAL_FIELDS."""
-    return replace(layout, **CAL_FIELDS)
 
 
 def first_reference(ref_records, attenuator):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import ideal_system_response, port_gain, transfer_function_oracle
 
+from a2gsounder._rng import TAG_DRIFT_B2B, TAG_NOISE, stream
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
 from a2gsounder.capture_sim import (AttenuatorModel, _gain_and_noise, build_system_response,
                                     port_response_row, port_stack_response,
@@ -22,6 +23,22 @@ PLAN = TonePlan(tone_count=128)
 def los_paths(distance=12.0):
     scene = Scene(facets=(), rx_position=[0.0, 0.0, 0.0])
     return synthesize_paths(scene, [distance, 0.0, 0.0], 3.5e9)
+
+
+@pytest.mark.parametrize("seed, tag, index", [
+    (7, TAG_NOISE, None), (-3, TAG_DRIFT_B2B, 5), (11, TAG_NOISE, (1 << 64) + 9),
+    (11, TAG_NOISE, (1 << 64) - 3)],
+    ids=["no-index", "negative-seed", "index-past-2**64", "index-word-past-2**63"])
+def test_stream_is_philox_keyed_on_seed_and_tag_counting_the_index(seed, tag, index):
+    # the layout stated independently of the package: key
+    # [seed mod 2**64, tag], counter [0, index mod 2**64, 0, 0], as uint64
+    # words (a -3 seed is the word 2**64 - 3, not 0)
+    got = stream(seed, tag) if index is None else stream(seed, tag, index)
+    word = 0 if index is None else index % (1 << 64)
+    want = np.random.Generator(np.random.Philox(
+        key=np.array([seed % (1 << 64), tag], np.uint64),
+        counter=np.array([0, word, 0, 0], np.uint64)))
+    assert got.standard_normal(8).tobytes() == want.standard_normal(8).tobytes()
 
 
 class TestSystemResponse:

@@ -91,6 +91,8 @@ class TestFailedWrite:
         (lambda r: setattr(r, "snapshot_index", 7), "snapshot_index"),
         (lambda r: setattr(r, "h_f", r.h_f[:3]), "shape"),
         (lambda r: setattr(r, "seed", 5), "seed"),
+        (lambda r: setattr(r, "seed", 0.5), "seed"),
+        (lambda r: setattr(r, "snapshot_index", 2.5), "snapshot_index"),
     ])
     def test_record_that_disagrees_with_the_header(self, tmp_path, change, message):
         layout, records = series(4, 4, 8)

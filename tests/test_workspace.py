@@ -204,23 +204,36 @@ def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_d
 def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
     # records put from several threads in reverse order, one of them a
     # strided view, and one with float32 subnormal, underflowing and
-    # near-maximum samples
+    # near-maximum samples; then a C-contiguous <c8 payload, which put
+    # writes as it is, without a copy
     arrays = [random_response(s, 16, 64, np.complex128) for s in range(3)]
     arrays[0][0, :3] = [1e-42, 1e-50j, 3.4e38 - 3.4e38j]
     arrays.append(random_response(3, 16, 128, np.complex128)[:, ::2])
+    payload = random_response(4, 16, 64)
+    arrays.append(payload)
     count = len(arrays)
     layout = Layout("B2B", TonePlan(tone_count=64), 16, [0.05 * s for s in range(count)],
                     [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
+    peaks = []
 
     def produce(put):
         with ThreadPoolExecutor(max_workers=count) as pool:
             for future in [pool.submit(put, s, layout.record(s, arrays[s]))
-                           for s in reversed(range(count))]:
+                           for s in reversed(range(count - 1))]:
                 future.result()
+        record = layout.record(count - 1, payload)
+        tracemalloc.start()
+        try:
+            put(count - 1, record)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     write_capture(tmp_path / "cast.bin", produce, layout=layout)
     back, _ = read_capture(tmp_path / "cast.bin")
     for s, h_f in enumerate(arrays):
         assert back.read(s).h_f.tobytes() == np.ascontiguousarray(h_f, "<c8").tobytes()
+    assert back.read(count - 1).h_f.tobytes() == payload.tobytes()
+    assert peaks[0] < payload.nbytes // 8, peaks
 
 
 # Peak traced bytes per worker beyond its workspace and the payloads in
@@ -531,7 +544,7 @@ def test_a_failed_synthesis_task_leaves_no_file_and_the_earlier_one(tmp_path, mo
 
 def test_a_streamed_write_holds_one_record_and_the_buffer(tmp_path):
     # a record is dropped before the next is computed, so the peak is one
-    # complex128 record and the writer's <c8 buffer, not two records
+    # complex128 record and its <c8 cast, not two records
     ports, tones, count = 64, 512, 8
     layout = Layout("B2B", TonePlan(tone_count=tones), ports, [0.05 * s for s in range(count)],
                     [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
