@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .processing import cast_by_blocks
+
 
 # a reference tone this far below the reference's median magnitude
 # indicates corrupt calibration data
@@ -66,8 +68,10 @@ def calibrate(meas, reference, out=None):
 
     ``reference`` is a Reference. Returns ``meas``'s CaptureRecord with
     the calibrated ``h_f`` as a CAL record (CAL_FIELDS). The complex128
-    product goes into a fresh array or ``out`` of the factor's shape:
-    complex128, or the ``<c8`` payload ``meas.h_f`` was read into.
+    product goes, 16 ports at a time (cast_by_blocks), into a fresh
+    array or ``out`` of the factor's shape: complex128, such as the
+    response of the Workspace whose payload ``meas.h_f`` was read into,
+    or that ``<c8`` payload itself.
     """
     if meas.h_f.shape != reference.factor.shape:
         raise CalibrationError(
@@ -75,7 +79,9 @@ def calibrate(meas, reference, out=None):
             "dimensions differ")
     if meas.tone_plan != reference.tone_plan:
         raise CalibrationError("measurement and reference tone plans differ")
-    return replace(meas, h_f=np.multiply(meas.h_f, reference.factor, out=out), **CAL_FIELDS)
+    if out is None:
+        out = np.empty(reference.factor.shape, np.complex128)
+    return replace(meas, h_f=cast_by_blocks(out, meas.h_f, reference.factor), **CAL_FIELDS)
 
 
 def stability_stats(rows):

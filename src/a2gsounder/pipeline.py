@@ -24,7 +24,6 @@ import threading
 from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from functools import cache
 from itertools import chain, groupby
 
@@ -246,13 +245,13 @@ def analyze_records(records, geometry, gate, window="rect", reference=None):
 
     A task ends with its record's row. Each worker thread owns one
     processing.Workspace, reused for every record it takes, and every
-    step writes into it: the calibrated response (the product with the
-    reference's factor, or a calibrated record cast to complex128) and
-    all that follows. When ``records`` is a CaptureFile, a task also
-    reads its snapshot's payload, into the workspace; otherwise the
-    records are taken in the thread that feeds the pool. Memory is then
-    the workspaces plus any records in flight, whatever the series
-    length.
+    step writes into it: the calibrated response (calibrate's product
+    with the reference's factor, or snapshot_metrics' cast of a
+    calibrated record) and all that follows. When ``records`` is a
+    CaptureFile, a task also reads its snapshot's payload, into the
+    workspace's payload half; otherwise the records are taken in the
+    thread that feeds the pool. Memory is then the workspaces plus any
+    records in flight, whatever the series length.
 
     numpy's OpenBLAS is held at one thread from the first row until the
     iterator ends, is closed or raises: BLAS threads nested in the pool
@@ -267,12 +266,8 @@ def analyze_records(records, geometry, gate, window="rect", reference=None):
         ws = getattr(local, "workspace", None)
         if ws is None or ws.shape != shape:
             ws = local.workspace = Workspace(shape)
-        record = records.read(item, out=ws.delay) if from_file else item
-        if reference is None:
-            np.copyto(ws.response, record.h_f)
-            cal = replace(record, h_f=ws.response)
-        else:
-            cal = calibrate(record, reference, out=ws.response)
+        record = records.read(item, out=ws.payload) if from_file else item
+        cal = record if reference is None else calibrate(record, reference, out=ws.response)
         return snapshot_metrics(cal, geometry, gate, window, ws)
 
     get, set_ = _openblas_threads()

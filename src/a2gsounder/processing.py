@@ -11,7 +11,10 @@ delay profile; the correlation matrix is the tone-averaged outer
 product of the stacked port responses, summarized by eigenvalue ratios;
 and the angular picture is the mean gated energy per column and
 polarization. snapshot_metrics runs every ports x tones step in one
-Workspace, which a caller reuses from snapshot to snapshot.
+Workspace, which a caller reuses from snapshot to snapshot: one
+complex128 buffer that holds, in turn, the capture payload (its second
+half), the calibrated response, per-row Re/Im planes, the complex64
+delay domain (its first half) and the float64 power (its second half).
 
 Delay spreads are quoted in dBs, decibels relative to one second
 (-90 dBs is 1 ns).
@@ -96,19 +99,94 @@ class EigenReport:
     gamma14_db: float
 
 
+# Ports per block of the Workspace's in-place passes: each copies one
+# block at a time through its 16-port block (or, where numpy copies an
+# operand that overlaps the output, through a block-sized temporary).
+_BLOCK_PORTS = 16
+
+
+def cast_by_blocks(out, h_f, factor=None):
+    """``out`` = ``h_f``, times ``factor`` when given, in ``out``'s dtype,
+    16 ports at a time; returns ``out``.
+
+    ``h_f`` is an array apart from ``out`` or, as a capture read leaves
+    it, the payload in the second half of a Workspace's buffer with
+    ``out`` its response: the blocks go in port order, so no row is
+    written before it is read, and where a block of ``h_f`` overlaps the
+    rows written numpy copies that one block.
+    """
+    for k in range(0, len(out), _BLOCK_PORTS):
+        rows = slice(k, k + _BLOCK_PORTS)
+        if factor is None:
+            np.copyto(out[rows], h_f[rows])
+        else:
+            np.multiply(h_f[rows], factor[rows], out=out[rows])
+    return out
+
+
 class Workspace:
-    """The arrays one snapshot's analysis writes into, reused for every
-    snapshot one thread analyzes: the complex128 calibrated ``response``,
-    the complex64 ``delay`` domain (little-endian, so a capture payload
-    can be read into it before calibration), the float64 ``power`` and
-    the bool ``mask``, each ports x tones (7.8 MB at 128 x 1841)."""
+    """The memory one snapshot's analysis runs in, reused for every
+    snapshot one thread analyzes: one C-contiguous complex128 ports x
+    tones buffer, the bool ``mask`` and a 16-port complex128 ``block``
+    (4.5 MB at 128 x 1841). Views of the buffer take each role in turn:
+
+    - ``payload``, the little-endian complex64 second half, receives the
+      capture read;
+    - ``response``, the whole buffer, receives the calibrated response
+      (calibrate's product with the payload, or the payload cast by
+      cast_by_blocks), which the correlation reads interleaved;
+    - ``re`` and ``im``, the two halves of each row's float64 view: the
+      correlation de-interleaves the response into them (``planes``);
+    - ``delay``, the complex64 first half, receives those planes cast to
+      the delay domain (``delay_domain``), and the IFFT runs in place;
+    - ``power``, the float64 second half, receives the gated power.
+
+    Every pass goes 16 ports at a time, in port order; the two that move
+    rows within the buffer (``planes`` and ``delay_domain``) go through
+    ``block``.
+    """
 
     def __init__(self, shape):
-        self.shape = tuple(shape)
-        self.response = np.empty(shape, np.complex128)
-        self.delay = np.empty(shape, "<c8")
-        self.power = np.empty(shape, np.float64)
-        self.mask = np.empty(shape, bool)
+        ports, tones = self.shape = tuple(shape)
+        self.response = np.empty(self.shape, np.complex128)
+        self.mask = np.empty(self.shape, bool)
+        self.block = np.empty((min(ports, _BLOCK_PORTS), tones), np.complex128)
+        flat = self.response.reshape(-1)
+        self.delay, self.payload = (half.reshape(self.shape)
+                                    for half in np.split(flat.view("<c8"), 2))
+        self.power = np.split(flat.view(np.float64), 2)[1].reshape(self.shape)
+        self.re, self.im = np.split(self.response.view(np.float64), 2, axis=1)
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays that own their memory, each counted once."""
+        return sum(a.nbytes for a in vars(self).values()
+                   if isinstance(a, np.ndarray) and a.base is None)
+
+    def _blocks(self):
+        """(rows, the block's first len(rows) rows) in port order."""
+        ports = self.shape[0]
+        for k in range(0, ports, _BLOCK_PORTS):
+            yield slice(k, k + _BLOCK_PORTS), self.block[:min(_BLOCK_PORTS, ports - k)]
+
+    def planes(self):
+        """De-interleave ``response`` in place into per-row [Re | Im]
+        planes; returns the views (``re``, ``im``)."""
+        for rows, block in self._blocks():
+            np.copyto(block, self.response[rows])
+            np.copyto(self.re[rows], block.real)
+            np.copyto(self.im[rows], block.imag)
+        return self.re, self.im
+
+    def delay_domain(self):
+        """Cast the planes into ``delay``; returns it. A delay row lies
+        over plane rows of at most its own index, so the rows go in
+        order, each block whole in ``block`` before it is written."""
+        for rows, block in self._blocks():
+            np.copyto(block.real, self.re[rows])
+            np.copyto(block.imag, self.im[rows])
+            np.copyto(self.delay[rows], block)
+        return self.delay
 
 
 _WINDOWS = ("rect", "hann")
@@ -218,7 +296,7 @@ def rms_delay_spread(gated):
     return DelaySpread(sigma, dbs, strongest, single_bin=sigma == 0.0)
 
 
-def correlation_and_eigen(cal, planes=None):
+def correlation_and_eigen(cal, workspace=None):
     """Tone-averaged correlation matrix of the stacked port responses.
 
     R = mean over tones of H(f) H(f)^dagger (ports x ports), in complex128
@@ -229,17 +307,25 @@ def correlation_and_eigen(cal, planes=None):
     Ratios degenerate to +inf when the divisor eigenvalue vanishes
     (rank-deficient response) and gamma14 is NaN with fewer than 4 ports.
 
-    ``planes``, two float64 arrays of ``cal.h_f``'s shape, receive the
-    contiguous Re H and Im H the product C reads, in place of fresh ones.
+    It runs in ``workspace`` (a Workspace of ``cal.h_f``'s shape; a
+    fresh one when None). A ``cal.h_f`` other than its ``response`` (its
+    ``payload``, or an array apart from it) is first copied into the
+    response by cast_by_blocks and never written. X X^T reads the
+    response interleaved; then it is de-interleaved in place into
+    per-row [Re | Im] planes (Workspace.planes), which C reads as
+    strided views (unit inner stride, row stride 2 * tones) and which
+    stay there for the delay domain.
     """
-    h = np.ascontiguousarray(cal.h_f, np.complex128)
+    ws = workspace or Workspace(cal.h_f.shape)
+    h = ws.response
+    if cal.h_f is not h:
+        cast_by_blocks(h, cal.h_f)
     n_ports, n_tones = h.shape
     x = h.view(np.float64)
-    re, im = np.empty((2, n_ports, n_tones)) if planes is None else planes
-    np.copyto(re, h.real)
-    np.copyto(im, h.imag)
+    xx = x @ x.T
+    re, im = ws.planes()
     c = im @ re.T
-    r = (x @ x.T + 1j * (c - c.T)) / n_tones
+    r = (xx + 1j * (c - c.T)) / n_tones
     eig = np.linalg.eigvalsh(r)[::-1].copy()
 
     trace = float(np.sum(eig))
@@ -293,14 +379,14 @@ def snapshot_metrics(cal, geometry, gate=None, window="rect", workspace=None):
     Every ports x tones step writes into ``workspace`` (a Workspace of
     ``cal.h_f``'s shape; a fresh one when None), so a caller that passes
     the same one for each snapshot allocates no large array per snapshot.
-    ``cal.h_f`` may be its ``response``.
+    ``cal.h_f`` may be its ``response``, which is then used as it is;
+    any other ``cal.h_f`` is copied into the response and never written
+    (see correlation_and_eigen). The response is then overwritten in the
+    order Workspace describes.
     """
     ws = workspace or Workspace(cal.h_f.shape)
-    # the correlation first: its Re/Im planes borrow the power and delay
-    # buffers, which the delay domain then overwrites
-    eig = correlation_and_eigen(cal, (ws.power, ws.delay.view(np.float64)))
-    np.copyto(ws.delay, cal.h_f)
-    raw = cir_from_tf(replace(cal, h_f=ws.delay), window=window, out=ws.delay)
+    eig = correlation_and_eigen(cal, ws)
+    raw = cir_from_tf(replace(cal, h_f=ws.delay_domain()), window=window, out=ws.delay)
     gated = threshold_and_gate(raw, gate, out=ws.power, keep=ws.mask)
     spread = rms_delay_spread(gated)
     columns = column_power_profile(gated, geometry)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import host_class
 import numpy as np
 import pytest
 from oracles import ideal_system_response, port_gain, transfer_function_oracle
@@ -115,14 +116,16 @@ class TestSimulateSnapshot:
     ])
     def test_noise_bytes_are_pinned(self, snr_db, seed, index, digest):
         noisy = chain_times_gain(8, snr_db, seed, index)
-        assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == digest
+        got = hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest()
+        assert got == digest, host_class.note()
 
     def test_noise_bytes_across_port_blocks_are_pinned(self):
         # 40 ports: two whole blocks of 16 ports and a partial one; the
         # digest was recorded from the one-array noise step
         noisy = chain_times_gain(40, 20.0, 5, 7)
-        assert hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest() == \
-            "e9228627faec7ed65eb3d841775065cb1c2dfa9e422dbb19a067f071bf272cbc"
+        got = hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest()
+        assert got == "e9228627faec7ed65eb3d841775065cb1c2dfa9e422dbb19a067f071bf272cbc", \
+            host_class.note()
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_noise_makes_no_full_size_temporary(self, dtype):
@@ -302,7 +305,8 @@ class TestSlotResponse:
         assert len(slots) == geom.n_ports
         assert set(slots.counts.tolist()) == counts
         tf = port_stack_response(slots, geom, plan, rotation)
-        assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
+        got = hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest()
+        assert got == digest, host_class.note()
         assert_matches_oracle(tf, slots, config)
 
         loop = np.stack([
@@ -367,7 +371,8 @@ class TestSharedResponse:
         tf = port_stack_response(paths, config.geometry, config.tone_plan,
                                  config.scene.rx_mounting_rotation)
         assert tf.shape == (16, 64)
-        assert hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest() == digest
+        got = hashlib.sha256(np.ascontiguousarray(tf, "<c16").tobytes()).hexdigest()
+        assert got == digest, host_class.note()
         assert_matches_oracle(tf, paths, config)
 
     def test_full_size_static_response_matches_the_oracle(self):

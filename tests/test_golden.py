@@ -15,6 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import host_class
 import pytest
 
 from a2gsounder.cli import main as cli_main
@@ -127,7 +128,8 @@ def _check(name, outputs):
     if actual != GOLDEN[name]:
         table = "\n".join(f'        "{key}": "{digest}",'
                           for key, digest in sorted(actual.items()))
-        pytest.fail(f"golden digests of '{name}' changed; actual:\n{table}")
+        pytest.fail(f"golden digests of '{name}' changed; actual:\n{table}\n"
+                    f"{host_class.note()}")
 
 
 @pytest.mark.parametrize("name", sorted(BURSTS))
@@ -145,7 +147,7 @@ def test_synth_is_thread_count_invariant(tmp_path, monkeypatch, name):
     scenario = _scenario(tmp_path, name, BURSTS[name])
     meas = str(tmp_path / "meas.bin")
     _run("synth", "--scenario", scenario, "--out", meas)
-    assert _sha256(meas) == GOLDEN[name]["synth"]
+    assert _sha256(meas) == GOLDEN[name]["synth"], host_class.note()
 
 
 @pytest.mark.parametrize("name", ["hover", "route"])
@@ -158,10 +160,24 @@ def test_analysis_is_thread_count_invariant(tmp_path, monkeypatch, name):
     _run("b2b", "--scenario", scenario, "--out", ref, "--snapshots", "2")
     _run("analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
          "--out", csv_out, "--summary", summary)
-    assert _sha256(csv_out) == GOLDEN[name]["analyze_csv"]
-    assert _sha256(summary) == GOLDEN[name]["analyze_summary"]
+    assert _sha256(csv_out) == GOLDEN[name]["analyze_csv"], host_class.note()
+    assert _sha256(summary) == GOLDEN[name]["analyze_summary"], host_class.note()
     cal, cal_csv = str(tmp_path / "cal.bin"), str(tmp_path / "metrics_cal.csv")
     _run("calibrate", "--meas", meas, "--ref", ref, "--out", cal, "--strict-hash")
     _run("analyze", "--scenario", scenario, "--cal", cal, "--out", cal_csv)
-    assert _sha256(cal) == GOLDEN[name]["calibrate"]
-    assert _sha256(cal_csv) == GOLDEN[name]["analyze_cal_csv"]
+    assert _sha256(cal) == GOLDEN[name]["calibrate"], host_class.note()
+    assert _sha256(cal_csv) == GOLDEN[name]["analyze_cal_csv"], host_class.note()
+
+
+def test_a_failing_digest_names_the_host_class(tmp_path, monkeypatch):
+    # the digests hold on the class of host they were recorded on; a
+    # mismatch says which class it ran on, beside that one
+    path = tmp_path / "meas.bin"
+    path.write_bytes(b"not the pinned bytes")
+    monkeypatch.setitem(GOLDEN, "static", {"synth": GOLDEN["static"]["synth"]})
+    with pytest.raises(pytest.fail.Exception) as failed:
+        _check("static", {"synth": str(path)})
+    message = str(failed.value)
+    assert (f"this host: OpenBLAS core {host_class.openblas_core()}, "
+            f"numpy dispatch {host_class.numpy_dispatch()}") in message
+    assert f"pins recorded on: {host_class.RECORDED}" in message

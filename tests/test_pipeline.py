@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import host_class
 import pytest
 import test_golden as golden
 
@@ -347,8 +348,9 @@ def test_golden_analysis_does_not_depend_on_the_blas_thread_count(golden_capture
     csv_out, summary = tmp_path / "metrics.csv", tmp_path / "summary.json"
     _a2gs_at_blas(blas, "analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
                   "--out", str(csv_out), "--summary", str(summary))
-    assert golden._sha256(csv_out) == golden.GOLDEN[name]["analyze_csv"]
-    assert golden._sha256(summary) == golden.GOLDEN[name]["analyze_summary"]
+    assert golden._sha256(csv_out) == golden.GOLDEN[name]["analyze_csv"], host_class.note()
+    assert golden._sha256(summary) == golden.GOLDEN[name]["analyze_summary"], \
+        host_class.note()
 
 
 @pytest.mark.parametrize("blas", ["1", "2", "4"])
@@ -359,4 +361,4 @@ def test_golden_synthesis_does_not_depend_on_the_blas_thread_count(tmp_path, nam
     scenario = golden._scenario(tmp_path, name, golden.BURSTS[name])
     meas = tmp_path / "meas.bin"
     _a2gs_at_blas(blas, "synth", "--scenario", scenario, "--out", str(meas))
-    assert golden._sha256(meas) == golden.GOLDEN[name]["synth"]
+    assert golden._sha256(meas) == golden.GOLDEN[name]["synth"], host_class.note()

@@ -142,6 +142,33 @@ class TestFailedWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "meas.bin",
                                                               "ref.bin"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("ref_sections, message", [
+        ({"array": {"columns": 2, "rows": 2}, "timing": {"ports_per_simo": 8}},
+         "measurement (16, 32) and reference (8, 32) dimensions differ"),
+        ({"tone_plan": {"tone_count": 16}},
+         "measurement (16, 32) and reference (16, 16) dimensions differ"),
+        ({"tone_plan": {"tone_spacing": 10e3}}, "measurement and reference tone plans differ"),
+    ], ids=["ports", "tones", "plan"])
+    def test_analyze_of_a_reference_that_does_not_fit_exits_5(self, tmp_path, monkeypatch,
+                                                              capsys, ref_sections, message,
+                                                              threads):
+        # calibrate's own check stops analyze, before any product of the two
+        scenario = scenario_file(tmp_path, "a.json", tiny())
+        meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+        assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
+        assert cli_main(["b2b", "--scenario", scenario_file(tmp_path, "b.json",
+                                                            tiny(**ref_sections)),
+                         "--out", ref]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("A2GS_THREADS", threads)
+        out = tmp_path / "metrics.csv"
+        with pytest.warns(UserWarning, match="config hash mismatch"):
+            assert cli_main(["analyze", "--scenario", scenario, "--meas", meas, "--ref", ref,
+                             "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestLazyRead:
     def test_reads_fail_closed_after_truncation(self, tmp_path):

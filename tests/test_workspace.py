@@ -2,8 +2,15 @@
 capture writer that each synthesis task writes its snapshot through.
 
 Each in-place kernel is held byte for byte to the allocating form it
-replaced, on random arrays. The memory of analyze_records is bounded by
-its workspaces and the records in flight (none when it reads a capture
+replaced, on random arrays. An analysis Workspace is one complex128
+buffer (plus the keep mask and a 16-port block, 4.48 MB at 128 x 1841)
+whose views take each role in turn: the payload in its second half,
+the calibrated response over all of it, per-row [Re | Im] planes, the
+complex64 delay domain in its first half and the float64 power in its
+second; snapshot_metrics in it is held byte for byte to the allocating
+kernels at port counts that are not whole 16-port blocks. The memory
+of analyze_records is bounded by its workspaces, each owning buffer
+counted once, and the records in flight (none when it reads a capture
 file), that of the synth command's write by its workspaces and the
 TX-state responses in flight, that of the b2b command's write by its
 base response, payload and scratch, and that of the calibrate command
@@ -32,7 +39,7 @@ import numpy as np
 import pytest
 import test_golden as golden
 
-from a2gsounder import cli, pipeline
+from a2gsounder import cli, pipeline, processing
 from a2gsounder._rng import TAG_NOISE, stream
 from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
@@ -41,7 +48,8 @@ from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _gain_and_no
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
 from a2gsounder.processing import (GateConfig, RawCIR, Workspace, cir_from_tf,
-                                   correlation_and_eigen, threshold_and_gate)
+                                   correlation_and_eigen, snapshot_metrics,
+                                   threshold_and_gate)
 from a2gsounder.waveform import TonePlan
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -136,16 +144,116 @@ class TestInPlaceKernels:
         assert cal.h_f is payload
         assert same_bytes(payload, expected.astype("<c8"))
 
+    @pytest.mark.parametrize("ports", [1, 3, 40, 128])
+    def test_calibrating_the_payload_into_its_own_workspace_gives_the_copy_bytes(self, ports):
+        # the payload lies in the second half of the response it is
+        # calibrated into; a stale response must not leak in
+        ref = CaptureRecord(h_f=random_response(10, ports), tone_plan=PLAN, record_type="B2B")
+        reference = Reference(ref, AttenuatorModel())
+        ws = Workspace((ports, PLAN.tone_count))
+        ws.response.fill(np.nan)
+        payload = random_response(0, ports)
+        np.copyto(ws.payload, payload)
+        cal = calibrate(CaptureRecord(h_f=ws.payload, tone_plan=PLAN), reference,
+                        out=ws.response)
+        assert cal.h_f is ws.response
+        assert same_bytes(ws.response, payload.astype(np.complex128) * reference.factor)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_correlation_from_contiguous_planes_gives_the_strided_product_bytes(self, seed):
         h = random_response(seed, dtype=np.complex128)
-        x = h.view(np.float64)
-        c = h.imag @ h.real.T
-        expected = (x @ x.T + 1j * (c - c.T)) / h.shape[1]
-        planes = np.empty((2, *h.shape))
-        for got in (correlation_and_eigen(CaptureRecord(h_f=h, tone_plan=PLAN)),
-                    correlation_and_eigen(CaptureRecord(h_f=h, tone_plan=PLAN), planes)):
-            assert same_bytes(got.correlation, expected)
+        expected = correlation_by_planes(h)
+        ws = Workspace(h.shape)
+        np.copyto(ws.response, h)
+        for cal, workspace in ((CaptureRecord(h_f=h, tone_plan=PLAN), None),
+                               (CaptureRecord(h_f=ws.response, tone_plan=PLAN), ws)):
+            assert same_bytes(correlation_and_eigen(cal, workspace).correlation, expected)
+        # the response is left as [Re | Im] planes, row by row
+        assert same_bytes(ws.response.view(np.float64), np.hstack([h.real, h.imag]))
+
+    def test_product_of_the_strided_planes_allocates_only_its_result(self):
+        ws = Workspace((128, PLAN.tone_count))
+        np.copyto(ws.response, random_response(0, 128, dtype=np.complex128))
+        re, im = ws.planes()
+        assert re.strides == im.strides == (2 * PLAN.tone_count * 8, 8)
+        im @ re.T  # one-time allocations are not the product's
+        tracemalloc.start()
+        try:
+            c = im @ re.T
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of either plane would be 1.9 MB
+        assert peak <= c.nbytes + (1 << 12), peak
+
+
+def correlation_by_planes(h):
+    """The correlation as the allocating kernel forms it: C from fresh
+    contiguous Re and Im planes of the complex128 response."""
+    h = h.astype(np.complex128)
+    x = h.view(np.float64)
+    c = np.ascontiguousarray(h.imag) @ np.ascontiguousarray(h.real).T
+    return (x @ x.T + 1j * (c - c.T)) / h.shape[1]
+
+
+class ColumnPerPort:
+    """A geometry stub for any port count: one column per port, whose V
+    and H means are that port's energy."""
+
+    def __init__(self, ports):
+        self.n_ports = ports
+
+    def column_means(self, energy):
+        return np.stack([energy, energy], axis=1)
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("ports", [1, 3, 40, 128])  # none a whole number of 16-port blocks
+def test_one_buffer_analysis_gives_the_allocating_bytes(monkeypatch, ports, dtype, window):
+    # snapshot_metrics in one Workspace reused across snapshots of
+    # different content, against the allocating kernels: the correlation
+    # from contiguous planes, and fresh delay and power arrays. A complex64
+    # snapshot is analyzed from an array apart from the workspace and from
+    # its payload half, as a capture read leaves it.
+    gate = GateConfig()
+    seen = {}
+    picks = {"correlation_and_eigen": lambda result: result.correlation,
+             "cir_from_tf": lambda result: result.h.copy(),
+             "threshold_and_gate": lambda result: result.power.copy()}
+
+    def spy(name, fn):
+        def traced(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen[name] = picks[name](result)
+            return result
+        return traced
+    for name in picks:
+        monkeypatch.setattr(processing, name, spy(name, getattr(processing, name)))
+    ws = Workspace((ports, PLAN.tone_count))
+    ws.response.fill(np.nan)
+    sources = ["apart", "payload"] if dtype == np.complex64 else ["apart"]
+    for seed in range(3):
+        h = random_response(seed, ports, dtype=dtype)
+        raw = cir_from_tf(CaptureRecord(h_f=h.astype(np.complex64), tone_plan=PLAN),
+                          window=window)
+        expected = {"correlation_and_eigen": correlation_by_planes(h), "cir_from_tf": raw.h,
+                    "threshold_and_gate": threshold_and_gate(raw, gate).power}
+        rows = []
+        for source in sources:
+            if source == "payload":
+                h_f = ws.payload
+                np.copyto(h_f, h)
+            else:
+                h_f = h.copy()
+            seen.clear()
+            rows.append(snapshot_metrics(CaptureRecord(h_f=h_f, tone_plan=PLAN),
+                                         ColumnPerPort(ports), gate, window, ws))
+            if source == "apart":
+                assert same_bytes(h_f, h)  # the caller's response is not written
+            for name, want in expected.items():
+                assert same_bytes(seen[name], want), (source, name)
+        assert repr(rows[0]) == repr(rows[-1])
 
 
 def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
@@ -293,9 +401,10 @@ def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monke
                                                                   workers, source):
     monkeypatch.setenv("A2GS_THREADS", str(workers))
     short, long = analysis_peak(full_size, SHORT, source), analysis_peak(full_size, LONG, source)
-    shape = full_size[2].h_f.shape
-    workspace = sum(a.nbytes for a in vars(Workspace(shape)).values()
-                    if isinstance(a, np.ndarray))
+    # each array that owns its memory, once: the buffer, the mask and
+    # the block (4.48 MB at 128 x 1841; its views would count it again)
+    workspace = Workspace(full_size[2].h_f.shape).nbytes
+    assert workspace <= 4.6e6, workspace
     in_flight = 0 if source == "file" else (workers + 1) * full_size[2].h_f.nbytes
     bound = workers * (workspace + SLACK_PER_WORKER) + in_flight
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
