@@ -7,11 +7,13 @@ downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
 stability; additive white Gaussian noise is injected per tone in the
-frequency domain. The gains, drift and noise go 16 ports at a time,
+frequency domain. A snapshot never holds its whole noise-free
+response: it is expanded from the path-sum factors (FactoredResponse)
+16 ports at a time, times the chain, gains and drift, plus the noise,
 through one small scratch block, into a given array of any complex
-dtype (or a fresh complex128 one). Back-to-back captures
-replace the antenna with an attenuator so the same chain can be
-divided out later.
+dtype (or a fresh complex128 one). Back-to-back captures replace the
+antenna with an attenuator so the same chain can be divided out later;
+their base response is one array (WholeResponse).
 
 All randomness is counter-based (see _rng), so snapshots can be
 simulated in any order or in parallel with bit-identical results.
@@ -148,6 +150,41 @@ def _rotate_z(vectors, angle):
 _BLOCK = 64
 
 
+def _path_factors(gains, delays, advance, tones, take=None):
+    """The two factors of _path_sum for (R, Q, P) ``gains`` and (R, P)
+    ``delays`` and ``advances``: the coarse one, one per tone block with
+    the gains folded in, (R, Q*A, P), and the fine one, one per offset in
+    a block, (R, P, B). Their batched matmul sums the paths for every
+    tone of the (R, Q*A, B) block grid.
+
+    Both are views, after an (R, A, P) phase scratch, of one flat
+    complex128 array of the three's size, take(size) (a fresh one
+    without it), written by out= ufuncs in the order of the expressions
+    they replaced, so their bytes do not depend on the array.
+    """
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("non-finite path gains")
+    t = np.where(np.isfinite(delays), delays - advance / SPEED_OF_LIGHT, 0.0)
+    rows, sets, count = gains.shape
+    coarse_f = tones.tone_frequencies[::_BLOCK]  # (A,)
+    blocks = len(coarse_f)
+    phase_end = rows * blocks * count
+    coarse_end = phase_end * (1 + sets)
+    size = coarse_end + rows * count * _BLOCK
+    flat = np.empty(size, np.complex128) if take is None else take(size)
+    phase, coarse, fine = np.split(flat, [phase_end, coarse_end])
+    phase = np.multiply(-2j * math.pi * coarse_f[:, np.newaxis], t[:, np.newaxis, :],
+                        out=phase.reshape(rows, blocks, count))
+    np.exp(phase, out=phase)
+    coarse = np.multiply(gains[:, :, np.newaxis, :], phase[:, np.newaxis],
+                         out=coarse.reshape(rows, sets, blocks, count))
+    fine = np.multiply(-2j * math.pi * t[:, :, np.newaxis],
+                       tones.tone_spacing * np.arange(_BLOCK),
+                       out=fine.reshape(rows, count, _BLOCK))
+    np.exp(fine, out=fine)
+    return coarse.reshape(rows, sets * blocks, count), fine
+
+
 def _path_sum(gains, delays, advance, tones):
     """sum_p gains[r, q, p] * exp(-j*2*pi*f_n*(delays[r, p] - advance[r, p]/c))
     for every row r, gain set q and tone n: (R, Q, N) from (R, Q, P)
@@ -156,20 +193,14 @@ def _path_sum(gains, delays, advance, tones):
 
     Tone n = a*B + b is at f_n = f_(aB) + b*spacing, so each phase factor
     splits into a coarse factor per block a, folded into the gains, and a
-    fine factor per offset b; one batched (R, Q*A, P) @ (R, P, B) matmul
-    then sums the paths for every tone. The exps cost (Q*A + B) * P per
-    row instead of N * P. Returns a view into the (R, Q, A*B) block grid.
+    fine factor per offset b (_path_factors); one batched
+    (R, Q*A, P) @ (R, P, B) matmul then sums the paths for every tone.
+    The exps cost (Q*A + B) * P per row instead of N * P. Returns a view
+    into the (R, Q, A*B) block grid.
     """
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("non-finite path gains")
-    t = np.where(np.isfinite(delays), delays - advance / SPEED_OF_LIGHT, 0.0)
-    rows, sets, count = gains.shape
-    coarse_f = tones.tone_frequencies[::_BLOCK]  # (A,)
-    coarse = gains[:, :, np.newaxis, :] * np.exp(
-        -2j * math.pi * coarse_f[:, np.newaxis] * t[:, np.newaxis, :])[:, np.newaxis]
-    fine = np.exp(-2j * math.pi * t[:, :, np.newaxis] * (tones.tone_spacing * np.arange(_BLOCK)))
-    sums = coarse.reshape(rows, sets * len(coarse_f), count) @ fine  # (R, Q*A, B)
-    return sums.reshape(rows, sets, -1)[:, :, :tones.tone_count]
+    coarse, fine = _path_factors(gains, delays, advance, tones)
+    rows, sets = gains.shape[:2]
+    return (coarse @ fine).reshape(rows, sets, -1)[:, :, :tones.tone_count]
 
 
 def _rows_shared(paths, geometry):
@@ -179,6 +210,22 @@ def _rows_shared(paths, geometry):
         raise ValueError(f"paths have {len(paths)} rows; {geometry.n_ports} ports "
                          f"take 1 shared row or one row per port")
     return len(paths) == 1
+
+
+def _path_terms(paths, geometry, mounting_rotation):
+    """The gains, delays and advances of _path_sum for SlotPaths ``paths``
+    (see port_stack_response): rows are elements with their V and H gain
+    sets for a shared row, ports with one gain set for one row per port."""
+    shared = _rows_shared(paths, geometry)
+    row = 0 if shared else slice(None)
+    dirs = _rotate_z(paths.directions[row], -mounting_rotation)
+    gains = geometry.port_gains(dirs, paths.jones[row])  # (K, P)
+    if shared:  # V and H ports share element positions
+        advance = geometry.positions[0::2] @ dirs.T  # (K/2, P)
+    else:
+        advance = (geometry.positions[:, np.newaxis, :] @ dirs.swapaxes(1, 2))[:, 0, :]
+    gains = gains.reshape(len(advance), -1, gains.shape[-1])  # (K/2, 2, P) or (K, 1, P)
+    return gains, paths.delays[row], advance
 
 
 def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
@@ -195,16 +242,7 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     row equals port_response_row bit for bit. The result is a view whose
     rows lie whole tone blocks apart.
     """
-    shared = _rows_shared(paths, geometry)
-    row = 0 if shared else slice(None)
-    dirs = _rotate_z(paths.directions[row], -mounting_rotation)
-    gains = geometry.port_gains(dirs, paths.jones[row])  # (K, P)
-    if shared:  # V and H ports share element positions
-        advance = geometry.positions[0::2] @ dirs.T  # (K/2, P)
-    else:
-        advance = (geometry.positions[:, np.newaxis, :] @ dirs.swapaxes(1, 2))[:, 0, :]
-    gains = gains.reshape(len(advance), -1, gains.shape[-1])  # (K/2, 2, P) or (K, 1, P)
-    tf = _path_sum(gains, paths.delays[row], advance, tones)
+    tf = _path_sum(*_path_terms(paths, geometry, mounting_rotation), tones)
     return tf.reshape(geometry.n_ports, tones.tone_count)
 
 
@@ -224,32 +262,98 @@ def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0)
 _BLOCK_PORTS = 16
 
 
+class WholeResponse:
+    """A noise-free ports x tones response held as one array (simulate_b2b's
+    base); product() writes its rows times their gains."""
+
+    def __init__(self, array):
+        self.array = array
+        self.shape = array.shape
+
+    def product(self, k, gain, out, work):
+        """Ports k, k+1, ... of the response times ``gain`` (one per port),
+        written into ``out``; ``work`` is not used."""
+        return np.multiply(self.array[k:k + len(gain)], gain[:, np.newaxis], out=out)
+
+
+class FactoredResponse:
+    """The noise-free response of one TX state (port_stack_response) times
+    the common chain, held as its path-sum factors (see _path_factors) in
+    one grow-only complex128 buffer and expanded 16 ports at a time by
+    product(). A synthesis worker keeps one for every snapshot it takes:
+    load() builds the factors of a new state in the buffer, 0.50 MB for
+    a route state (2 paths a slot) and 0.93 MB for a hover one (6 paths)
+    at 128 x 1841.
+    """
+
+    def __init__(self, geometry, tones, chain, mounting_rotation=0.0):
+        self.shape = (geometry.n_ports, tones.tone_count)
+        self._geometry, self._tones, self._chain = geometry, tones, chain
+        self._rotation = mounting_rotation
+        self._buffer = np.empty(0, np.complex128)
+        self._key = None
+
+    def _take(self, size):
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, np.complex128)
+        return self._buffer[:size]
+
+    def load(self, paths, key=None):
+        """Build the factors of SlotPaths ``paths``, unless ``key`` is not
+        None and names the state built last; returns self."""
+        if key is None or key != self._key:
+            terms = _path_terms(paths, self._geometry, self._rotation)
+            self._coarse, self._fine = _path_factors(*terms, self._tones, self._take)
+            self._key = key
+        return self
+
+    def product(self, k, gain, out, work):
+        """Ports k, k+1, ... of the chained response times ``gain`` (one
+        per port), written into ``out``: the block's rows of the factors
+        are multiplied into ``work`` (a flat float64 array of at least
+        len(gain) x A*B complex values), that times the chain into
+        ``out``, then ``out`` times the gains, the operations of
+        (port_stack_response * chain) * gain in their order."""
+        sets = self.shape[0] // len(self._coarse)
+        rows = slice(k // sets, (k + len(gain)) // sets)
+        coarse, fine = self._coarse[rows], self._fine[rows]
+        shape = (len(coarse), coarse.shape[1], _BLOCK)
+        sums = work[:2 * math.prod(shape)].view(np.complex128).reshape(shape)
+        np.matmul(coarse, fine, out=sums)
+        np.multiply(sums.reshape(len(gain), -1)[:, :self.shape[1]], self._chain, out=out)
+        out *= gain[:, np.newaxis]
+        return out
+
+
 def noise_scratch(tones):
     """Scratch for _gain_and_noise on a response of ``tones`` tones, one
-    float64 array: a 16-port complex128 block, then a float64 block of
-    the same size (0.47 MB each at 1841 tones)."""
-    return np.empty(4 * _BLOCK_PORTS * tones)
+    float64 array: a 16-port complex128 block (0.47 MB at 1841 tones),
+    then a float64 block the size of a 16-port complex128 block of whole
+    64-tone blocks (0.48 MB), where FactoredResponse.product sums the
+    paths."""
+    return np.empty(2 * _BLOCK_PORTS * (tones + -(-tones // _BLOCK) * _BLOCK))
 
 
-def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=None):
-    """base_tf * gain[:, None] plus white Gaussian noise, written into
-    ``out`` (a ports x tones array of any complex dtype, or a fresh
-    complex128 one when None) and returned; ``base_tf`` is only read.
-    The noise lies ``snr_db`` below the product's strongest port's mean
-    tone power; None or +inf adds none. Port k's draws are its tones'
-    real parts, then their imaginary parts, from one counter block per
-    snapshot in port order.
+def _gain_and_noise(out, base, gain, snr_db, seed, snapshot_index, scratch=None):
+    """``base`` (a WholeResponse or FactoredResponse) times gain[:, None]
+    plus white Gaussian noise, written into ``out`` (a ports x tones
+    array of any complex dtype, or a fresh complex128 one when None) and
+    returned; ``base`` is only read. The noise lies ``snr_db`` below the
+    product's strongest port's mean tone power; None or +inf adds none.
+    Port k's draws are its tones' real parts, then their imaginary
+    parts, from one counter block per snapshot in port order.
 
     It takes 16 ports at a time, in two passes: the first forms each
     block's product and its ports' mean |.|^2 for the reference power;
     the second forms the product again, adds the block's draws and
     copies the block into ``out``. The product sits in the complex128
     block of ``scratch`` (noise_scratch of the tone count; a fresh one
-    without it), and |.|^2 and the draws in its float64 block.
+    without it), and the base's work, |.|^2 and the draws in its
+    float64 block.
     """
-    ports, tones = base_tf.shape
+    ports, tones = base.shape
     if out is None:
-        out = np.empty(base_tf.shape, np.complex128)
+        out = np.empty(base.shape, np.complex128)
     if scratch is None:
         scratch = noise_scratch(tones)
     spare = scratch[:2 * _BLOCK_PORTS * tones].view(np.complex128).reshape(-1, tones)
@@ -257,8 +361,8 @@ def _gain_and_noise(out, base_tf, gain, snr_db, seed, snapshot_index, scratch=No
     blocks = range(0, ports, _BLOCK_PORTS)
 
     def product(k):
-        base = base_tf[k:k + _BLOCK_PORTS]
-        return np.multiply(base, gain[k:k + _BLOCK_PORTS, np.newaxis], out=spare[:len(base)])
+        g = gain[k:k + _BLOCK_PORTS]
+        return base.product(k, g, spare[:len(g)], floats)
 
     def strongest(k):  # the largest mean tone power of the block's ports
         b = product(k)
@@ -292,18 +396,18 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     captured at its own switch slot). The record's TX position is slot
     0's and its tilt the paths' tilt. Noise is scaled to
     ``noise_snr_db`` below the strongest port's mean tone power; None
-    disables it. ``base_tf`` may carry the precomputed noise-free
-    port_stack_response for these paths times ``system.common_chain``
-    (the pipeline computes it once per distinct TX state); it is read,
-    never written. The response times the per-port gain and the drift,
-    plus the noise, goes 16 ports at a time through ``scratch`` into
-    ``out`` (see _gain_and_noise), which becomes the record's ``h_f``: a
-    ports x tones array of any complex dtype, such as a capture file's
-    ``<c8`` payload, or a fresh complex128 one.
+    disables it. ``base_tf`` may carry the FactoredResponse of these
+    paths and ``system.common_chain``, already loaded (a synthesis
+    worker keeps one and rebuilds it only for a new TX state); without
+    it a fresh one is built. The response times the per-port gain and
+    the drift, plus the noise, is expanded 16 ports at a time through
+    ``scratch`` into ``out`` (see _gain_and_noise), which becomes the
+    record's ``h_f``: a ports x tones array of any complex dtype, such
+    as a capture file's ``<c8`` payload, or a fresh complex128 one.
     """
     if base_tf is None:
-        base_tf = port_stack_response(paths, geometry, tones, mounting_rotation)
-        base_tf *= system.common_chain
+        base_tf = FactoredResponse(geometry, tones, system.common_chain,
+                                   mounting_rotation).load(paths)
     gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
 
     return CaptureRecord(
@@ -336,9 +440,10 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
     scratch = noise_scratch(tones.tone_count)
     base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
     base *= attenuator.response(tones)  # in place: no second ports x tones array
+    base = WholeResponse(base)
 
     def snapshot(s):
-        drift = np.full(len(base), system.drift(s, kind="b2b"))
+        drift = np.full(base.shape[0], system.drift(s, kind="b2b"))
         return CaptureRecord(
             h_f=_gain_and_noise(out, base, drift, noise_snr_db, seed, s, scratch),
             tone_plan=tones,

@@ -9,9 +9,9 @@ from oracles import ideal_system_response, port_gain, transfer_function_oracle
 
 from a2gsounder._rng import TAG_DRIFT_B2B, TAG_NOISE, stream
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, _gain_and_noise, build_system_response,
-                                    port_response_row, port_stack_response,
-                                    simulate_b2b, simulate_snapshot)
+from a2gsounder.capture_sim import (AttenuatorModel, WholeResponse, _gain_and_noise,
+                                    build_system_response, port_response_row,
+                                    port_stack_response, simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
                                      tx_position_at, wobble_index)
 from a2gsounder.config import parse_scenario
@@ -69,8 +69,8 @@ def chain_times_gain(ports, snr_db, seed, index):
     """The chain times the port gains of a seeded 64-tone system, plus noise."""
     system = build_system_response(TonePlan(tone_count=64), ports, seed=3)
     chain = np.broadcast_to(system.common_chain, (ports, 64))
-    return _gain_and_noise(np.empty((ports, 64), np.complex128), chain, system.per_port_gain,
-                           snr_db, seed, index)
+    return _gain_and_noise(np.empty((ports, 64), np.complex128), WholeResponse(chain),
+                           system.per_port_gain, snr_db, seed, index)
 
 
 class TestSimulateSnapshot:
@@ -129,7 +129,8 @@ class TestSimulateSnapshot:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_noise_makes_no_full_size_temporary(self, dtype):
-        base, gain = np.ones((128, 1841), np.complex128), np.ones(128, np.complex128)
+        base = WholeResponse(np.ones((128, 1841), np.complex128))
+        gain = np.ones(128, np.complex128)
         out = np.empty(base.shape, dtype)
         _gain_and_noise(out, base, gain, 30.0, 1, 1)  # one-time allocations are not the kernel's
         tracemalloc.start()
@@ -138,15 +139,15 @@ class TestSimulateSnapshot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < base.nbytes / 2
+        assert peak < base.array.nbytes / 2
 
     def test_noise_is_written_into_out(self):
         base = np.ones((4, 16), np.complex128)
         out = np.empty_like(base)
-        assert _gain_and_noise(out, base, np.full(4, 2.0 + 0j), 10.0, 1, 2) is out
+        assert _gain_and_noise(out, WholeResponse(base), np.full(4, 2.0 + 0j), 10.0, 1, 2) is out
         assert np.all(out != 2.0)
         assert np.all(base == 1.0)
-        assert _gain_and_noise(out, base, np.full(4, 2.0 + 0j), None, 1, 2) is out
+        assert _gain_and_noise(out, WholeResponse(base), np.full(4, 2.0 + 0j), None, 1, 2) is out
         assert np.all(out == 2.0)
 
     def test_deterministic_given_seeds(self):

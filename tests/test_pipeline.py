@@ -13,7 +13,7 @@ import host_class
 import pytest
 import test_golden as golden
 
-from a2gsounder import pipeline, processing
+from a2gsounder import capture_sim, pipeline, processing
 from a2gsounder.capture_file import write_capture
 from a2gsounder.channel_synth import wobble_index
 from a2gsounder.cli import main as cli_main
@@ -55,12 +55,24 @@ def test_base_response_computed_once_per_tx_state(monkeypatch, preset, threads):
         assert 1 < states < len(times)
     else:  # a static TX has one state, a route TX one per snapshot
         states = 1 if preset == "olin-static" else len(times)
-    calls = []
-    monkeypatch.setattr(pipeline, "port_stack_response",
-                        recording(calls, pipeline.port_stack_response))
+    calls, builds = [], []
+    monkeypatch.setattr(pipeline, "paths_for_snapshot",
+                        recording(calls, pipeline.paths_for_snapshot))
+    original = capture_sim._path_factors
+
+    def building(gains, delays, advance, tones, take=None):
+        builds.append((threading.get_ident(), delays.tobytes()))
+        return original(gains, delays, advance, tones, take)
+    monkeypatch.setattr(capture_sim, "_path_factors", building)
     records = list(pipeline.run_synthesis(config))
     assert [r.snapshot_index for r in records] == list(range(len(times)))
-    assert len(calls) == states
+    # the feeding thread synthesizes each state's paths once; each worker
+    # builds a state's factors once, for the first of its snapshots it takes
+    assert len(calls) == states and set(calls) == {threading.get_ident()}
+    assert len({state for _, state in builds}) == states
+    assert len(set(builds)) == len(builds)
+    if threads == "1":
+        assert len(builds) == states
 
 
 def test_closing_the_synthesis_partway_shuts_its_pool_down(two_threads):

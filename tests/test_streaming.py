@@ -17,7 +17,7 @@ from a2gsounder import cli, pipeline
 from a2gsounder.calibration import calibrate, stability_stats
 from a2gsounder.capture_file import (CaptureFileError, Layout, read_capture, replacing,
                                      write_capture)
-from a2gsounder.capture_sim import CaptureRecord, port_stack_response
+from a2gsounder.capture_sim import CaptureRecord
 from a2gsounder.channel_synth import wobble_index
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
@@ -253,12 +253,12 @@ class TestBoundedMemory:
                                                                  bursts, threads):
         # 24 TX states each: one per wobble index, or one per route snapshot
         config = parse_scenario(tiny(preset, capture={"burst_count": bursts}))
-        calls = []
+        calls, paths = [], pipeline.paths_for_snapshot
 
-        def counted(*args):
+        def counted(*args):  # one call per TX state, in the feeding thread
             calls.append(None)
-            return port_stack_response(*args)
-        monkeypatch.setattr(pipeline, "port_stack_response", counted)
+            return paths(*args)
+        monkeypatch.setattr(pipeline, "paths_for_snapshot", counted)
         monkeypatch.setenv("A2GS_THREADS", str(threads))
         taken = set()
         for record in pipeline.run_synthesis(config):

@@ -11,8 +11,8 @@ second; snapshot_metrics in it is held byte for byte to the allocating
 kernels at port counts that are not whole 16-port blocks. The memory
 of analyze_records is bounded by its workspaces, each owning buffer
 counted once, and the records in flight (none when it reads a capture
-file), that of the synth command's write by its workspaces and the
-TX-state responses in flight, that of the b2b command's write by its
+file), that of the synth command's write by its workspaces, each with
+its TX state's path-sum factors, that of the b2b command's write by its
 base response, payload and scratch, and that of the calibrate command
 by its one payload, whatever the series length; a read into a buffer
 that is not a payload raises; a fresh ``a2gs analyze``, ``synth``,
@@ -43,14 +43,17 @@ from a2gsounder import cli, pipeline, processing
 from a2gsounder._rng import TAG_NOISE, stream
 from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
-from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, _gain_and_noise,
+from a2gsounder.array_geometry import build_cylindrical_array
+from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, FactoredResponse,
+                                    WholeResponse, _gain_and_noise, build_system_response,
                                     noise_scratch, port_stack_response, simulate_snapshot)
+from a2gsounder.channel_synth import SlotPaths
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
 from a2gsounder.processing import (GateConfig, RawCIR, Workspace, cir_from_tf,
                                    correlation_and_eigen, snapshot_metrics,
                                    threshold_and_gate)
-from a2gsounder.waveform import TonePlan
+from a2gsounder.waveform import TonePlan, snapshot_timestamps
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PLAN = TonePlan(tone_count=1841)
@@ -263,14 +266,15 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
     paths = pipeline.paths_for_snapshot(config, 0.0)
     args = (paths, config.geometry, config.tone_plan, system)
     base = port_stack_response(paths, config.geometry, config.tone_plan)
-    chained = base * system.common_chain
-    for index in range(3):
+    chained = FactoredResponse(config.geometry, config.tone_plan, system.common_chain)
+    for index in range(3):  # one build, reused as a worker reuses it for a run
         # the per-snapshot form it replaced: chain, then gains and drift in place
         expected = base * system.common_chain
         expected *= (system.per_port_gain * system.drift(index))[:, np.newaxis]
         noise_by_fresh_draws(expected, 30.0, 7, index)
         kwargs = dict(noise_snr_db=30.0, snapshot_index=index, seed=7)
-        assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, expected)
+        assert same_bytes(simulate_snapshot(*args, base_tf=chained.load(paths, key=0),
+                                            **kwargs).h_f, expected)
         assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, expected)
 
 
@@ -304,9 +308,78 @@ def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_d
     for want in (expected, np.ascontiguousarray(expected, "<c8")):
         for scratch in (np.full(noise_scratch(PLAN.tone_count).shape, np.nan), None):
             out = np.full(base.shape, np.nan, want.dtype)
-            got = _gain_and_noise(out, base, gain, snr_db, seed, 7, scratch)
+            got = _gain_and_noise(out, WholeResponse(base), gain, snr_db, seed, 7, scratch)
             assert got is out and same_bytes(out, want)
     assert same_bytes(base, untouched)
+
+
+def random_slot_paths(rng, rows, count):
+    """SlotPaths of ``rows`` rows of ``count`` random paths each; with more
+    than one row, each row past the first pads a random number of paths
+    (zero gain and direction, infinite delay), as a route's rows do."""
+    delays = np.sort(rng.uniform(50e-9, 400e-9, (rows, count)), axis=1)
+    directions = rng.standard_normal((rows, count, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    jones = rng.standard_normal((rows, count, 2)) + 1j * rng.standard_normal((rows, count, 2))
+    counts = np.full(rows, count)
+    if rows > 1:
+        counts[1:] = rng.integers(1, count + 1, rows - 1)
+    padded = np.arange(count) >= counts[:, np.newaxis]
+    delays[padded], directions[padded], jones[padded] = np.inf, 0.0, 0.0
+    return SlotPaths(delays=delays, jones=jones, directions=directions, counts=counts,
+                     tx_positions=np.zeros((rows, 3)), tx_tilt=np.zeros(2))
+
+
+@pytest.mark.parametrize("tones", [2, 63, 64, 65, 1841])  # partial and whole tone blocks
+@pytest.mark.parametrize("ports", [2, 6, 40, 128])  # partial and whole 16-port blocks
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-slot"])
+def test_factored_blocks_give_the_whole_response_bytes(shared, ports, tones):
+    # _gain_and_noise on a FactoredResponse against the whole
+    # port_stack_response times the chain, over states whose path count
+    # grows, then shrinks, in one factor buffer; the buffer, out and the
+    # scratch start full of NaN, as an earlier state or snapshot may
+    # leave them, which must not leak in
+    rng = np.random.default_rng(ports * tones)
+    geometry = build_cylindrical_array(ports // 2 if ports < 40 else ports // 8,
+                                       1 if ports < 40 else 4, 0.11, 0.043)
+    assert geometry.n_ports == ports
+    plan = TonePlan(tone_count=tones)
+    system = build_system_response(plan, ports, seed=3)
+    response = FactoredResponse(geometry, plan, system.common_chain, mounting_rotation=0.4)
+    scratch = np.empty(noise_scratch(tones).shape)
+    gain = system.per_port_gain * system.drift(1)
+    for key, count in enumerate((2, 6, 1)):
+        paths = random_slot_paths(rng, 1 if shared else ports, count)
+        whole = port_stack_response(paths, geometry, plan, 0.4)
+        whole *= system.common_chain
+        response._buffer.fill(np.nan)
+        assert response.load(paths, key) is response
+        for snr_db in (20.0, None):
+            want = _gain_and_noise(None, WholeResponse(whole), gain, snr_db, 5, key)
+            for dtype in (np.complex128, np.complex64):
+                out = np.full(whole.shape, np.nan, dtype)
+                scratch.fill(np.nan)
+                assert _gain_and_noise(out, response, gain, snr_db, 5, key, scratch) is out
+                assert same_bytes(out, want.astype(dtype)), (key, snr_db, dtype)
+
+
+def test_non_finite_path_gains_raise_on_the_factor_path():
+    rng = np.random.default_rng(0)
+    geometry = build_cylindrical_array(4, 2, 0.11, 0.043)
+    plan = TonePlan(tone_count=65)
+    system = build_system_response(plan, geometry.n_ports, seed=3)
+    response = FactoredResponse(geometry, plan, system.common_chain)
+    good = random_slot_paths(rng, 1, 3)
+    bad = replace(good, jones=good.jones.copy())
+    bad.jones[0, 1] = np.nan
+    want = _gain_and_noise(None, response.load(good, key=0), system.per_port_gain, None, 1, 0)
+    with pytest.raises(ValueError, match="non-finite path gains"):
+        port_stack_response(bad, geometry, plan)
+    with pytest.raises(ValueError, match="non-finite path gains"):
+        response.load(bad, key=1)
+    # the rejected paths leave the loaded state as it was
+    got = _gain_and_noise(None, response.load(good, key=0), system.per_port_gain, None, 1, 0)
+    assert same_bytes(got, want)
 
 
 def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
@@ -427,9 +500,22 @@ def synthesis_write_peak(tmp_path, preset, count):
         tracemalloc.stop()
 
 
+def factor_bytes(preset, count):
+    """The largest factor buffer of a FactoredResponse over the states of
+    ``count`` snapshots of ``preset``, one per burst: the phase (R, A, P),
+    coarse (R, Q*A, P) and fine (R, P, 64) complex128 factors, with one
+    row per element and its V and H gain sets (R = 64, Q = 2) for the
+    shared row of a static or hover TX, and A = 29 tone blocks."""
+    config = parse_scenario({"preset": preset, "timing": {"simos_per_burst": 1}})
+    times = snapshot_timestamps(config.timing, count)
+    paths = max(pipeline.paths_for_snapshot(config, t).delays.shape[1] for t in times)
+    blocks = -(-config.tone_plan.tone_count // 64)
+    return 16 * 64 * paths * (3 * blocks + 64)
+
+
 # olin-static has one TX state for the whole series; olin-hover at one
-# snapshot per burst a state per snapshot, so at two or more workers the
-# pool's workers + 1 tasks in flight each hold a different response.
+# snapshot per burst a state per snapshot, so each worker builds the
+# factors of each state it takes in its own buffer.
 @pytest.mark.parametrize("preset", ["olin-static", "olin-hover"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path, monkeypatch,
@@ -439,12 +525,10 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
     short = synthesis_write_peak(tmp_path, preset, SHORT)
     long = synthesis_write_peak(tmp_path, preset, LONG)
     ports, tones = 128, PLAN.tone_count
-    # a worker's <c8 payload and its noise scratch: the 16-port complex128
-    # block and the float64 block
-    per_worker = ports * tones * 8 + noise_scratch(tones).nbytes
-    response = ports * 1856 * 16  # port_stack_response's view of whole 64-tone blocks
-    in_flight = 1 if preset == "olin-static" or workers == 1 else workers + 1
-    bound = workers * (per_worker + SLACK_PER_WORKER) + in_flight * response
+    # a worker's <c8 payload, its noise scratch (the 16-port complex128
+    # block and the float64 block) and its factor buffer
+    per_worker = ports * tones * 8 + noise_scratch(tones).nbytes + factor_bytes(preset, LONG)
+    bound = workers * (per_worker + SLACK_PER_WORKER)
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
     assert long <= bound, (long, bound)
