@@ -13,7 +13,7 @@ response: it is expanded from the path-sum factors (FactoredResponse)
 through one small scratch block, into a given array of any complex
 dtype (or a fresh complex128 one). Back-to-back captures replace the
 antenna with an attenuator so the same chain can be divided out later;
-their base response is one array (WholeResponse).
+their base response is one array.
 
 All randomness is counter-based (see _rng), so snapshots can be
 simulated in any order or in parallel with bit-identical results.
@@ -212,23 +212,7 @@ def _rows_shared(paths, geometry):
     return len(paths) == 1
 
 
-def _path_terms(paths, geometry, mounting_rotation):
-    """The gains, delays and advances of _path_sum for SlotPaths ``paths``
-    (see port_stack_response): rows are elements with their V and H gain
-    sets for a shared row, ports with one gain set for one row per port."""
-    shared = _rows_shared(paths, geometry)
-    row = 0 if shared else slice(None)
-    dirs = _rotate_z(paths.directions[row], -mounting_rotation)
-    gains = geometry.port_gains(dirs, paths.jones[row])  # (K, P)
-    if shared:  # V and H ports share element positions
-        advance = geometry.positions[0::2] @ dirs.T  # (K/2, P)
-    else:
-        advance = (geometry.positions[:, np.newaxis, :] @ dirs.swapaxes(1, 2))[:, 0, :]
-    gains = gains.reshape(len(advance), -1, gains.shape[-1])  # (K/2, 2, P) or (K, 1, P)
-    return gains, paths.delays[row], advance
-
-
-def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
+def port_stack_response(paths, geometry, tones, mounting_rotation=0.0, out=None):
     """Noise-free antenna+channel transfer function, ports x tones.
 
     Plane-wave model: each path reaches port k with the element gain for
@@ -241,8 +225,25 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0):
     (square route) runs per port, padded paths with zero gain, and every
     row equals port_response_row bit for bit. The result is a view whose
     rows lie whole tone blocks apart.
+
+    With ``out``, a FactoredResponse, the response is not expanded: its
+    path-sum factors (_path_factors) are written into out's buffer and
+    out is returned, for FactoredResponse.product to expand 16 ports at
+    a time.
     """
-    tf = _path_sum(*_path_terms(paths, geometry, mounting_rotation), tones)
+    shared = _rows_shared(paths, geometry)
+    row = 0 if shared else slice(None)
+    dirs = _rotate_z(paths.directions[row], -mounting_rotation)
+    gains = geometry.port_gains(dirs, paths.jones[row])  # (K, P)
+    if shared:  # V and H ports share element positions
+        advance = geometry.positions[0::2] @ dirs.T  # (K/2, P)
+    else:
+        advance = (geometry.positions[:, np.newaxis, :] @ dirs.swapaxes(1, 2))[:, 0, :]
+    gains = gains.reshape(len(advance), -1, gains.shape[-1])  # (K/2, 2, P) or (K, 1, P)
+    if out is not None:
+        out.coarse, out.fine = _path_factors(gains, paths.delays[row], advance, tones, out.take)
+        return out
+    tf = _path_sum(gains, paths.delays[row], advance, tones)
     return tf.reshape(geometry.n_ports, tones.tone_count)
 
 
@@ -262,50 +263,27 @@ def port_response_row(paths, geometry, tones, port_index, mounting_rotation=0.0)
 _BLOCK_PORTS = 16
 
 
-class WholeResponse:
-    """A noise-free ports x tones response held as one array (simulate_b2b's
-    base); product() writes its rows times their gains."""
-
-    def __init__(self, array):
-        self.array = array
-        self.shape = array.shape
-
-    def product(self, k, gain, out, work):
-        """Ports k, k+1, ... of the response times ``gain`` (one per port),
-        written into ``out``; ``work`` is not used."""
-        return np.multiply(self.array[k:k + len(gain)], gain[:, np.newaxis], out=out)
-
-
 class FactoredResponse:
-    """The noise-free response of one TX state (port_stack_response) times
-    the common chain, held as its path-sum factors (see _path_factors) in
-    one grow-only complex128 buffer and expanded 16 ports at a time by
-    product(). A synthesis worker keeps one for every snapshot it takes:
-    load() builds the factors of a new state in the buffer, 0.50 MB for
-    a route state (2 paths a slot) and 0.93 MB for a hover one (6 paths)
-    at 128 x 1841.
+    """A noise-free ports x tones response times ``chain`` (the common
+    chain), held as its path-sum factors ``coarse`` and ``fine`` (see
+    _path_factors) in one grow-only complex128 buffer:
+    port_stack_response(..., out=this) writes a TX state's factors there
+    (0.50 MB for a route state, 2 paths a slot, and 0.93 MB for a hover
+    one, 6 paths, at 128 x 1841), and product() expands them 16 ports at
+    a time. A synthesis worker keeps one for every snapshot it takes and
+    rewrites it only for a new state.
     """
 
-    def __init__(self, geometry, tones, chain, mounting_rotation=0.0):
-        self.shape = (geometry.n_ports, tones.tone_count)
-        self._geometry, self._tones, self._chain = geometry, tones, chain
-        self._rotation = mounting_rotation
+    def __init__(self, ports, chain):
+        self.shape = (ports, len(chain))
+        self._chain = chain
         self._buffer = np.empty(0, np.complex128)
-        self._key = None
 
-    def _take(self, size):
+    def take(self, size):
+        """The first ``size`` values of the buffer, grown to hold them."""
         if self._buffer.size < size:
             self._buffer = np.empty(size, np.complex128)
         return self._buffer[:size]
-
-    def load(self, paths, key=None):
-        """Build the factors of SlotPaths ``paths``, unless ``key`` is not
-        None and names the state built last; returns self."""
-        if key is None or key != self._key:
-            terms = _path_terms(paths, self._geometry, self._rotation)
-            self._coarse, self._fine = _path_factors(*terms, self._tones, self._take)
-            self._key = key
-        return self
 
     def product(self, k, gain, out, work):
         """Ports k, k+1, ... of the chained response times ``gain`` (one
@@ -314,9 +292,9 @@ class FactoredResponse:
         len(gain) x A*B complex values), that times the chain into
         ``out``, then ``out`` times the gains, the operations of
         (port_stack_response * chain) * gain in their order."""
-        sets = self.shape[0] // len(self._coarse)
+        sets = self.shape[0] // len(self.coarse)
         rows = slice(k // sets, (k + len(gain)) // sets)
-        coarse, fine = self._coarse[rows], self._fine[rows]
+        coarse, fine = self.coarse[rows], self.fine[rows]
         shape = (len(coarse), coarse.shape[1], _BLOCK)
         sums = work[:2 * math.prod(shape)].view(np.complex128).reshape(shape)
         np.matmul(coarse, fine, out=sums)
@@ -334,14 +312,17 @@ def noise_scratch(tones):
     return np.empty(2 * _BLOCK_PORTS * (tones + -(-tones // _BLOCK) * _BLOCK))
 
 
-def _gain_and_noise(out, base, gain, snr_db, seed, snapshot_index, scratch=None):
-    """``base`` (a WholeResponse or FactoredResponse) times gain[:, None]
-    plus white Gaussian noise, written into ``out`` (a ports x tones
-    array of any complex dtype, or a fresh complex128 one when None) and
-    returned; ``base`` is only read. The noise lies ``snr_db`` below the
-    product's strongest port's mean tone power; None or +inf adds none.
-    Port k's draws are its tones' real parts, then their imaginary
-    parts, from one counter block per snapshot in port order.
+def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratch=None):
+    """A ``shape`` (ports x tones) base response times gain[:, None] plus
+    white Gaussian noise, written into ``out`` (an array of that shape
+    and any complex dtype, or a fresh complex128 one when None) and
+    returned. ``base(k, gain, block, work)`` writes ports k, k+1, ... of
+    the base times ``gain`` (one per port) into ``block``, with ``work``
+    to spare (FactoredResponse.product, or a multiply of a whole array).
+    The noise lies ``snr_db`` below the product's strongest port's mean
+    tone power; None or +inf adds none. Port k's draws are its tones'
+    real parts, then their imaginary parts, from one counter block per
+    snapshot in port order.
 
     It takes 16 ports at a time, in two passes: the first forms each
     block's product and its ports' mean |.|^2 for the reference power;
@@ -351,9 +332,9 @@ def _gain_and_noise(out, base, gain, snr_db, seed, snapshot_index, scratch=None)
     without it), and the base's work, |.|^2 and the draws in its
     float64 block.
     """
-    ports, tones = base.shape
+    ports, tones = shape
     if out is None:
-        out = np.empty(base.shape, np.complex128)
+        out = np.empty(shape, np.complex128)
     if scratch is None:
         scratch = noise_scratch(tones)
     spare = scratch[:2 * _BLOCK_PORTS * tones].view(np.complex128).reshape(-1, tones)
@@ -362,7 +343,7 @@ def _gain_and_noise(out, base, gain, snr_db, seed, snapshot_index, scratch=None)
 
     def product(k):
         g = gain[k:k + _BLOCK_PORTS]
-        return base.product(k, g, spare[:len(g)], floats)
+        return base(k, g, spare[:len(g)], floats)
 
     def strongest(k):  # the largest mean tone power of the block's ports
         b = product(k)
@@ -396,22 +377,24 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     captured at its own switch slot). The record's TX position is slot
     0's and its tilt the paths' tilt. Noise is scaled to
     ``noise_snr_db`` below the strongest port's mean tone power; None
-    disables it. ``base_tf`` may carry the FactoredResponse of these
-    paths and ``system.common_chain``, already loaded (a synthesis
-    worker keeps one and rebuilds it only for a new TX state); without
-    it a fresh one is built. The response times the per-port gain and
-    the drift, plus the noise, is expanded 16 ports at a time through
-    ``scratch`` into ``out`` (see _gain_and_noise), which becomes the
-    record's ``h_f``: a ports x tones array of any complex dtype, such
-    as a capture file's ``<c8`` payload, or a fresh complex128 one.
+    disables it. ``base_tf`` may carry these paths' response times
+    ``system.common_chain`` as a FactoredResponse, already filled by
+    port_stack_response (a synthesis worker keeps one and refills it
+    only for a new TX state); without it a fresh one is filled. The
+    response times the per-port gain and the drift, plus the noise, is
+    expanded 16 ports at a time through ``scratch`` into ``out`` (see
+    _gain_and_noise), which becomes the record's ``h_f``: a ports x
+    tones array of any complex dtype, such as a capture file's ``<c8``
+    payload, or a fresh complex128 one.
     """
     if base_tf is None:
-        base_tf = FactoredResponse(geometry, tones, system.common_chain,
-                                   mounting_rotation).load(paths)
+        base_tf = port_stack_response(paths, geometry, tones, mounting_rotation,
+                                      out=FactoredResponse(geometry.n_ports, system.common_chain))
     gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
 
     return CaptureRecord(
-        h_f=_gain_and_noise(out, base_tf, gain, noise_snr_db, seed, snapshot_index, scratch),
+        h_f=_gain_and_noise(out, base_tf.product, base_tf.shape, gain, noise_snr_db, seed,
+                            snapshot_index, scratch),
         tone_plan=tones,
         timestamp=timestamp,
         tx_position=paths.tx_position,
@@ -440,12 +423,14 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
     scratch = noise_scratch(tones.tone_count)
     base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
     base *= attenuator.response(tones)  # in place: no second ports x tones array
-    base = WholeResponse(base)
+
+    def product(k, gain, block, work):
+        return np.multiply(base[k:k + len(gain)], gain[:, np.newaxis], out=block)
 
     def snapshot(s):
-        drift = np.full(base.shape[0], system.drift(s, kind="b2b"))
+        drift = np.full(len(base), system.drift(s, kind="b2b"))
         return CaptureRecord(
-            h_f=_gain_and_noise(out, base, drift, noise_snr_db, seed, s, scratch),
+            h_f=_gain_and_noise(out, product, base.shape, drift, noise_snr_db, seed, s, scratch),
             tone_plan=tones,
             timestamp=s * snapshot_period,
             snr_db=noise_snr_db,

@@ -33,7 +33,7 @@ import numpy as np
 from .calibration import CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
 from .capture_sim import (FactoredResponse, build_system_response, noise_scratch,
-                          simulate_b2b, simulate_snapshot)
+                          port_stack_response, simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .config import SchemaError
 from .processing import Workspace, snapshot_metrics
@@ -134,9 +134,10 @@ def run_synthesis(config, put=None):
     once, at its first snapshot time, as the run is reached, and hands
     each of its snapshots to a pool task with the run's key (its first
     index) and those paths. Each worker thread keeps one
-    FactoredResponse, whose path-sum factors (0.50 MB for a route state,
-    0.93 MB for a hover one at 128 x 1841) it rebuilds only when a task's
-    key is not the one it built last. A task expands the noise-free
+    FactoredResponse, into which port_stack_response writes the state's
+    path-sum factors (0.50 MB for a route state, 0.93 MB for a hover one
+    at 128 x 1841) only when a task's key is not the one it built last.
+    A task expands the noise-free
     response times the common chain from the factors 16 ports at a time
     (the path-sum matmuls use BLAS at its own thread count), multiplies
     the ports by its snapshot's port gains and drift and adds the noise,
@@ -171,16 +172,18 @@ def run_synthesis(config, put=None):
         index, key, paths = item
         if not hasattr(local, "scratch"):
             local.scratch = noise_scratch(config.tone_plan.tone_count)
-            local.response = FactoredResponse(config.geometry, config.tone_plan,
-                                              system.common_chain,
-                                              config.scene.rx_mounting_rotation)
+            local.response = FactoredResponse(config.geometry.n_ports, system.common_chain)
+            local.key = None
             local.out = None if put is None else np.empty(local.response.shape, "<c8")
+        if key != local.key:
+            port_stack_response(paths, config.geometry, config.tone_plan,
+                                config.scene.rx_mounting_rotation, out=local.response)
+            local.key = key
         record = simulate_snapshot(paths, config.geometry, config.tone_plan, system,
                                    noise_snr_db=config.capture["snr_db"], snapshot_index=index,
                                    timestamp=float(times[index]),
                                    mounting_rotation=config.scene.rx_mounting_rotation,
-                                   seed=config.capture["noise_seed"],
-                                   base_tf=local.response.load(paths, key),
+                                   seed=config.capture["noise_seed"], base_tf=local.response,
                                    out=local.out, scratch=local.scratch)
         if put is None:
             return record

@@ -9,6 +9,8 @@ one-item views of the library that the library itself never needs: one
 port's gain for one plane wave, and a system response that changes
 nothing. ``complex128_metrics`` is the analysis front end as it ran
 before the complex64 delay domain, the reference that one is held to.
+``whole_product`` is the block product of _gain_and_noise for a whole
+array, as simulate_b2b forms it.
 """
 
 import math
@@ -41,6 +43,14 @@ def ideal_system_response(tones, n_ports):
         amplitude_jitter_db=0.0,
         seed=0,
     )
+
+
+def whole_product(base):
+    """The ``base`` argument of capture_sim._gain_and_noise for a whole
+    ports x tones array ``base``: its rows k, k+1, ... times ``gain``."""
+    def product(k, gain, block, work):
+        return np.multiply(base[k:k + len(gain)], gain[:, np.newaxis], out=block)
+    return product
 
 
 def charpoly_coefficients(r):

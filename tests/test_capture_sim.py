@@ -5,11 +5,11 @@ import tracemalloc
 import host_class
 import numpy as np
 import pytest
-from oracles import ideal_system_response, port_gain, transfer_function_oracle
+from oracles import ideal_system_response, port_gain, transfer_function_oracle, whole_product
 
 from a2gsounder._rng import TAG_DRIFT_B2B, TAG_NOISE, stream
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, WholeResponse, _gain_and_noise,
+from a2gsounder.capture_sim import (AttenuatorModel, _gain_and_noise,
                                     build_system_response, port_response_row,
                                     port_stack_response, simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
@@ -69,8 +69,8 @@ def chain_times_gain(ports, snr_db, seed, index):
     """The chain times the port gains of a seeded 64-tone system, plus noise."""
     system = build_system_response(TonePlan(tone_count=64), ports, seed=3)
     chain = np.broadcast_to(system.common_chain, (ports, 64))
-    return _gain_and_noise(np.empty((ports, 64), np.complex128), WholeResponse(chain),
-                           system.per_port_gain, snr_db, seed, index)
+    return _gain_and_noise(np.empty((ports, 64), np.complex128), whole_product(chain),
+                           chain.shape, system.per_port_gain, snr_db, seed, index)
 
 
 class TestSimulateSnapshot:
@@ -129,25 +129,27 @@ class TestSimulateSnapshot:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_noise_makes_no_full_size_temporary(self, dtype):
-        base = WholeResponse(np.ones((128, 1841), np.complex128))
+        base = np.ones((128, 1841), np.complex128)
         gain = np.ones(128, np.complex128)
         out = np.empty(base.shape, dtype)
-        _gain_and_noise(out, base, gain, 30.0, 1, 1)  # one-time allocations are not the kernel's
+        args = (whole_product(base), base.shape, gain, 30.0, 1)
+        _gain_and_noise(out, *args, 1)  # one-time allocations are not the kernel's
         tracemalloc.start()
         try:
-            _gain_and_noise(out, base, gain, 30.0, 1, 2)
+            _gain_and_noise(out, *args, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < base.array.nbytes / 2
+        assert peak < base.nbytes / 2
 
     def test_noise_is_written_into_out(self):
         base = np.ones((4, 16), np.complex128)
         out = np.empty_like(base)
-        assert _gain_and_noise(out, WholeResponse(base), np.full(4, 2.0 + 0j), 10.0, 1, 2) is out
+        args = (whole_product(base), base.shape, np.full(4, 2.0 + 0j))
+        assert _gain_and_noise(out, *args, 10.0, 1, 2) is out
         assert np.all(out != 2.0)
         assert np.all(base == 1.0)
-        assert _gain_and_noise(out, WholeResponse(base), np.full(4, 2.0 + 0j), None, 1, 2) is out
+        assert _gain_and_noise(out, *args, None, 1, 2) is out
         assert np.all(out == 2.0)
 
     def test_deterministic_given_seeds(self):

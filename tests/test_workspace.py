@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import test_golden as golden
+from oracles import whole_product
 
 from a2gsounder import cli, pipeline, processing
 from a2gsounder._rng import TAG_NOISE, stream
@@ -45,7 +46,7 @@ from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
 from a2gsounder.array_geometry import build_cylindrical_array
 from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, FactoredResponse,
-                                    WholeResponse, _gain_and_noise, build_system_response,
+                                    _gain_and_noise, build_system_response,
                                     noise_scratch, port_stack_response, simulate_snapshot)
 from a2gsounder.channel_synth import SlotPaths
 from a2gsounder.cli import main as cli_main
@@ -266,15 +267,15 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
     paths = pipeline.paths_for_snapshot(config, 0.0)
     args = (paths, config.geometry, config.tone_plan, system)
     base = port_stack_response(paths, config.geometry, config.tone_plan)
-    chained = FactoredResponse(config.geometry, config.tone_plan, system.common_chain)
+    chained = FactoredResponse(config.geometry.n_ports, system.common_chain)
+    port_stack_response(paths, config.geometry, config.tone_plan, out=chained)
     for index in range(3):  # one build, reused as a worker reuses it for a run
         # the per-snapshot form it replaced: chain, then gains and drift in place
         expected = base * system.common_chain
         expected *= (system.per_port_gain * system.drift(index))[:, np.newaxis]
         noise_by_fresh_draws(expected, 30.0, 7, index)
         kwargs = dict(noise_snr_db=30.0, snapshot_index=index, seed=7)
-        assert same_bytes(simulate_snapshot(*args, base_tf=chained.load(paths, key=0),
-                                            **kwargs).h_f, expected)
+        assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, expected)
         assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, expected)
 
 
@@ -308,7 +309,8 @@ def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_d
     for want in (expected, np.ascontiguousarray(expected, "<c8")):
         for scratch in (np.full(noise_scratch(PLAN.tone_count).shape, np.nan), None):
             out = np.full(base.shape, np.nan, want.dtype)
-            got = _gain_and_noise(out, WholeResponse(base), gain, snr_db, seed, 7, scratch)
+            got = _gain_and_noise(out, whole_product(base), base.shape, gain, snr_db, seed, 7,
+                                  scratch)
             assert got is out and same_bytes(out, want)
     assert same_bytes(base, untouched)
 
@@ -345,7 +347,7 @@ def test_factored_blocks_give_the_whole_response_bytes(shared, ports, tones):
     assert geometry.n_ports == ports
     plan = TonePlan(tone_count=tones)
     system = build_system_response(plan, ports, seed=3)
-    response = FactoredResponse(geometry, plan, system.common_chain, mounting_rotation=0.4)
+    response = FactoredResponse(ports, system.common_chain)
     scratch = np.empty(noise_scratch(tones).shape)
     gain = system.per_port_gain * system.drift(1)
     for key, count in enumerate((2, 6, 1)):
@@ -353,13 +355,14 @@ def test_factored_blocks_give_the_whole_response_bytes(shared, ports, tones):
         whole = port_stack_response(paths, geometry, plan, 0.4)
         whole *= system.common_chain
         response._buffer.fill(np.nan)
-        assert response.load(paths, key) is response
+        assert port_stack_response(paths, geometry, plan, 0.4, out=response) is response
         for snr_db in (20.0, None):
-            want = _gain_and_noise(None, WholeResponse(whole), gain, snr_db, 5, key)
+            want = _gain_and_noise(None, whole_product(whole), whole.shape, gain, snr_db, 5, key)
             for dtype in (np.complex128, np.complex64):
                 out = np.full(whole.shape, np.nan, dtype)
                 scratch.fill(np.nan)
-                assert _gain_and_noise(out, response, gain, snr_db, 5, key, scratch) is out
+                assert _gain_and_noise(out, response.product, response.shape, gain, snr_db, 5,
+                                       key, scratch) is out
                 assert same_bytes(out, want.astype(dtype)), (key, snr_db, dtype)
 
 
@@ -368,18 +371,19 @@ def test_non_finite_path_gains_raise_on_the_factor_path():
     geometry = build_cylindrical_array(4, 2, 0.11, 0.043)
     plan = TonePlan(tone_count=65)
     system = build_system_response(plan, geometry.n_ports, seed=3)
-    response = FactoredResponse(geometry, plan, system.common_chain)
+    response = FactoredResponse(geometry.n_ports, system.common_chain)
     good = random_slot_paths(rng, 1, 3)
     bad = replace(good, jones=good.jones.copy())
     bad.jones[0, 1] = np.nan
-    want = _gain_and_noise(None, response.load(good, key=0), system.per_port_gain, None, 1, 0)
+    args = (response.product, response.shape, system.per_port_gain, None, 1, 0)
+    port_stack_response(good, geometry, plan, out=response)
+    want = _gain_and_noise(None, *args)
     with pytest.raises(ValueError, match="non-finite path gains"):
         port_stack_response(bad, geometry, plan)
     with pytest.raises(ValueError, match="non-finite path gains"):
-        response.load(bad, key=1)
-    # the rejected paths leave the loaded state as it was
-    got = _gain_and_noise(None, response.load(good, key=0), system.per_port_gain, None, 1, 0)
-    assert same_bytes(got, want)
+        port_stack_response(bad, geometry, plan, out=response)
+    # the rejected paths leave the filled state as it was
+    assert same_bytes(_gain_and_noise(None, *args), want)
 
 
 def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
