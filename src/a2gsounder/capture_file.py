@@ -15,10 +15,12 @@ responses), config and geometry hashes, counts, the tone plan and the
 per-snapshot metadata. Payload length is snapshots*ports*tones*8 bytes.
 
 Neither direction holds the series: write_capture writes the header
-from a Layout and then each snapshot at its own offset, from whichever
-thread made it, and read_capture checks the header and size and returns
-a CaptureFile that reads a snapshot, or one port's rows, only when
-asked.
+from a Layout and then every payload byte through one positioned write
+of whole port rows at their own offset, from whichever thread made
+them, so a synthesis worker can write each 16-port block as it is
+finished and no snapshot is held whole; read_capture checks the header
+and size and returns a CaptureFile that reads a snapshot, or one port's
+rows, only when asked.
 """
 
 import contextlib
@@ -125,9 +127,10 @@ def _floats(vector):
 
 
 def _check_record(record, s, layout):
-    """ValueError unless ``record`` is snapshot ``s`` of ``layout``, whatever its record type."""
+    """ValueError unless ``record`` is snapshot ``s`` of ``layout``, whatever its
+    record type; an ``h_f`` of None (a streamed snapshot) has no shape to check."""
     shape = (layout.port_count, layout.tone_plan.tone_count)
-    if record.h_f.shape != shape:
+    if record.h_f is not None and record.h_f.shape != shape:
         raise ValueError(f"record {s} shape {record.h_f.shape} differs from {shape}")
     for name, written in vars(layout.record(s, record.h_f)).items():
         if name in ("h_f", "record_type"):  # the payload; a type record_type= may replace
@@ -136,6 +139,15 @@ def _check_record(record, s, layout):
         # as Python values, as the header holds them: a vector as a list
         if np.asarray(got).tolist() != np.asarray(written).tolist():
             raise ValueError(f"record {s} {name} {got} differs from the header's {written}")
+
+
+def _pwrite(fd, data, position):
+    """Write the bytes of the C-contiguous array ``data`` to ``fd`` at
+    ``position``, looping on short writes."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, position)
+        view, position = view[done:], position + done
 
 
 @contextlib.contextmanager
@@ -155,24 +167,31 @@ def replacing(path, mode="w"):
 
 def write_capture(path, records, config_hash="", geometry_hash="", record_type=None,
                   layout=None):
-    """Write CaptureRecords to ``path``: the header, then each record's
-    payload at its snapshot's offset.
+    """Write CaptureRecords to ``path``: the header, then each snapshot's
+    payload rows at their offset.
 
-    ``records`` is an iterable of the records in snapshot order, or,
-    for a writer whose snapshots are made on several threads, a
-    producer: a function that write_capture calls once with its
-    ``put(s, record)`` and that puts every snapshot once, from any
-    threads, before it returns. ``layout`` carries the header fields, so
-    neither form need hold the series. Without it the fields come from
-    ``records``: a CaptureFile's own, or those of the records, which are
-    then all taken first. A ``record_type`` replaces the layout's.
+    ``records`` is an iterable of the records in snapshot order, or a
+    producer: a function that write_capture calls once with its ``put``
+    and ``rows``, for snapshots written a block at a time or made on
+    several threads, and that puts every snapshot once, from any
+    threads, before it returns. ``layout`` carries the header fields,
+    so neither form need hold the series. Without it the fields come
+    from ``records``: a CaptureFile's own, or those of the records,
+    which are then all taken first. A ``record_type`` replaces the
+    layout's.
 
-    put checks the record against the layout, casts its ``h_f`` to a
-    C-contiguous ``<c8`` array (a ``<c8`` payload is written as it is, a
-    complex128 ``h_f`` is copied) and writes it under one lock; a
-    snapshot put twice or never raises ValueError. Complex samples are
-    quantized to float32 pairs; a second write of the read-back file is
-    byte-identical.
+    Every payload byte is written by ``rows(s, k, block)``: ``block``,
+    cast to a C-contiguous ``<c8`` array (a ``<c8`` block is written as
+    it is, any other is copied), holds ports k, k+1, ... of snapshot
+    ``s`` and is written with positioned writes at their offset. A
+    snapshot's rows are written in port order. ``put(s, record)`` checks
+    the record against the layout, writes its ``h_f`` as rows(s, 0,
+    h_f) or, when ``h_f`` is None (a snapshot whose rows were streamed),
+    writes nothing, and marks the snapshot done. A lock guards only that
+    bookkeeping: a snapshot put twice or never, a row block written
+    twice, out of order or after its snapshot was put, and a port left
+    unwritten raise ValueError. Complex samples are quantized to float32
+    pairs; a second write of the read-back file is byte-identical.
 
     The file is written through replacing(), so any error, whether a
     record that disagrees with the header or one raised while
@@ -191,11 +210,12 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     if layout.record_type not in RECORD_TYPES:
         raise ValueError(f"record_type must be one of {RECORD_TYPES}")
     header = layout.header(config_hash, geometry_hash)
-    count = header["snapshot_count"]
+    count, ports, tones = (header[key] for key in ("snapshot_count", "port_count", "tone_count"))
     if count == 0:
         raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    written = bytearray(count)  # 1 once a snapshot's payload is written
+    # rows written of each snapshot, in port order; ports + 1 once it is put
+    done = [0] * count
     lock = threading.Lock()
 
     with replacing(path, "wb") as fh:
@@ -204,25 +224,43 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         offset = fh.tell()
+        fh.flush()  # the payload bypasses the file object's buffer
 
-        def put(s, record):
+        def check_index(s):
             if not 0 <= s < count:
                 raise ValueError(f"more records than the header's {count} snapshots")
-            _check_record(record, s, layout)
-            payload = np.ascontiguousarray(record.h_f, "<c8")
+
+        def rows(s, k, block):
+            check_index(s)
+            block = np.ascontiguousarray(block, "<c8")
+            if block.ndim != 2 or block.shape[1] != tones or k + len(block) > ports:
+                raise ValueError(f"rows {k}.. of shape {block.shape} do not fit snapshot {s} "
+                                 f"of {ports} x {tones}")
             with lock:
-                if written[s]:
-                    raise ValueError(f"snapshot {s} is written twice")
-                written[s] = 1
-                fh.seek(offset + s * payload.nbytes)
-                fh.write(payload)
+                if k != done[s]:
+                    raise ValueError(f"snapshot {s} is written twice" if k < done[s] else
+                                     f"snapshot {s} ports {done[s]}..{k - 1} are skipped")
+                done[s] += len(block)
+            _pwrite(fh.fileno(), block, offset + (s * ports + k) * tones * 8)
+
+        def put(s, record):
+            check_index(s)
+            _check_record(record, s, layout)
+            if record.h_f is not None:
+                rows(s, 0, record.h_f)
+            with lock:
+                if done[s] != ports:
+                    raise ValueError(f"snapshot {s} is written twice" if done[s] > ports else
+                                     f"snapshot {s} has {done[s]} of {ports} ports written")
+                done[s] += 1
 
         if callable(records):
-            records(put)
+            records(put, rows)
         else:  # map keeps no record while the next is computed, as enumerate's tuple would
             deque(map(put, itertools.count(), records), maxlen=0)
-        if not all(written):
-            raise ValueError(f"{sum(written)} records for a header of {count} snapshots")
+        complete = done.count(ports + 1)
+        if complete != count:
+            raise ValueError(f"{complete} records for a header of {count} snapshots")
 
 
 def _tone_plan(value, path):

@@ -10,10 +10,12 @@ stability; additive white Gaussian noise is injected per tone in the
 frequency domain. A snapshot never holds its whole noise-free
 response: it is expanded from the path-sum factors (FactoredResponse)
 16 ports at a time, times the chain, gains and drift, plus the noise,
-through one small scratch block, into a given array of any complex
-dtype (or a fresh complex128 one). Back-to-back captures replace the
-antenna with an attenuator so the same chain can be divided out later;
-their base response is one array.
+through one small scratch block, and each finished block is either
+copied into a given array of any complex dtype (or a fresh complex128
+one) or cast to ``<c8`` and handed to a capture writer, so a snapshot
+written to a file is never held whole. Back-to-back captures replace
+the antenna with an attenuator so the same chain can be divided out
+later; their base response is one array.
 
 All randomness is counter-based (see _rng), so snapshots can be
 simulated in any order or in parallel with bit-identical results.
@@ -21,6 +23,7 @@ simulated in any order or in parallel with bit-identical results.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,7 +130,9 @@ class AttenuatorModel:
 class CaptureRecord:
     """One SIMO snapshot, ports x tones: a measured (MEAS) or
     back-to-back (B2B) capture, or a calibrated antenna+channel response
-    (CAL). A B2B capture has no TX, so its pose stays at zeros."""
+    (CAL). A B2B capture has no TX, so its pose stays at zeros. ``h_f``
+    is None for a snapshot whose rows were streamed to a capture file
+    (see _gain_and_noise)."""
 
     h_f: np.ndarray
     tone_plan: object
@@ -308,7 +313,7 @@ def noise_scratch(tones):
     float64 array: a 16-port complex128 block (0.47 MB at 1841 tones),
     then a float64 block the size of a 16-port complex128 block of whole
     64-tone blocks (0.48 MB), where FactoredResponse.product sums the
-    paths."""
+    paths and a finished block is cast to ``<c8`` for a writer."""
     return np.empty(2 * _BLOCK_PORTS * (tones + -(-tones // _BLOCK) * _BLOCK))
 
 
@@ -316,7 +321,9 @@ def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratc
     """A ``shape`` (ports x tones) base response times gain[:, None] plus
     white Gaussian noise, written into ``out`` (an array of that shape
     and any complex dtype, or a fresh complex128 one when None) and
-    returned. ``base(k, gain, block, work)`` writes ports k, k+1, ... of
+    returned, or, when ``out`` is a writer ``rows(k, block)``, handed
+    to it a finished block at a time, and None returned. ``base(k, gain,
+    block, work)`` writes ports k, k+1, ... of
     the base times ``gain`` (one per port) into ``block``, with ``work``
     to spare (FactoredResponse.product, or a multiply of a whole array).
     The noise lies ``snr_db`` below the product's strongest port's mean
@@ -327,12 +334,15 @@ def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratc
     It takes 16 ports at a time, in two passes: the first forms each
     block's product and its ports' mean |.|^2 for the reference power;
     the second forms the product again, adds the block's draws and
-    copies the block into ``out``. The product sits in the complex128
-    block of ``scratch`` (noise_scratch of the tone count; a fresh one
-    without it), and the base's work, |.|^2 and the draws in its
-    float64 block.
+    copies the block into ``out``, or casts it to a C-contiguous ``<c8``
+    block for rows(k, block), the cast ``out``'s rows would make. The
+    product sits in the complex128 block of ``scratch`` (noise_scratch
+    of the tone count; a fresh one without it), and the base's work,
+    |.|^2, the draws and the cast block in its float64 block, each
+    free by the time the next is written there.
     """
     ports, tones = shape
+    rows = out if callable(out) else None
     if out is None:
         out = np.empty(shape, np.complex128)
     if scratch is None:
@@ -363,8 +373,13 @@ def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratc
             draws *= sigma
             b.real += draws[:, 0]
             b.imag += draws[:, 1]
-        out[k:k + _BLOCK_PORTS] = b
-    return out
+        if rows is None:
+            out[k:k + _BLOCK_PORTS] = b
+        else:
+            cast = floats[:b.size].view("<c8").reshape(b.shape)
+            np.copyto(cast, b)
+            rows(k, cast)
+    return out if rows is None else None
 
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
@@ -384,8 +399,10 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     response times the per-port gain and the drift, plus the noise, is
     expanded 16 ports at a time through ``scratch`` into ``out`` (see
     _gain_and_noise), which becomes the record's ``h_f``: a ports x
-    tones array of any complex dtype, such as a capture file's ``<c8``
-    payload, or a fresh complex128 one.
+    tones array of any complex dtype, or a fresh complex128 one. When
+    ``out`` is a writer ``rows(k, block)``, such as a capture writer's
+    rows bound to this snapshot, each block goes to it as a ``<c8``
+    block and the record's ``h_f`` is None.
     """
     if base_tf is None:
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation,
@@ -406,7 +423,7 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
 
 
 def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
-                 noise_snr_db=None, snapshot_period=0.05, out=None):
+                 noise_snr_db=None, snapshot_period=0.05, rows=None):
     """Back-to-back capture series: chain and switch paths through the
     attenuator, no channel and no antenna pattern. Returns an ordered
     iterator of B2B CaptureRecords, each computed as it is taken.
@@ -414,9 +431,10 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
     The base response, chain times port gain times attenuator, is built
     once, in place. Each snapshot is the base times its drift, plus the
     noise, made 16 ports at a time through one noise_scratch block (see
-    _gain_and_noise) into ``out``, a ports x tones array of any complex
-    dtype that every record then carries and the next one overwrites,
-    or into a fresh complex128 array per record.
+    _gain_and_noise) into a fresh complex128 array per record, or, with
+    ``rows``, a capture writer's rows(s, k, block), handed to rows(s,
+    ...) a ``<c8`` block at a time, its record carrying no payload
+    (``h_f`` None).
     """
     if snapshot_count < 1:
         raise ValueError("snapshot_count must be >= 1")
@@ -429,6 +447,7 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
 
     def snapshot(s):
         drift = np.full(len(base), system.drift(s, kind="b2b"))
+        out = None if rows is None else partial(rows, s)
         return CaptureRecord(
             h_f=_gain_and_noise(out, product, base.shape, drift, noise_snr_db, seed, s, scratch),
             tone_plan=tones,

@@ -112,7 +112,7 @@ def _attenuator(args, config=None):
 def cmd_synth(args):
     config = _load_scenario(args.scenario, args.seed)
     layout = synthesis_layout(config)
-    # the pool's tasks write their snapshots themselves (run_synthesis's put)
+    # the pool's tasks write their snapshots themselves (run_synthesis's put and rows)
     write_capture(args.out, partial(run_synthesis, config), config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} snapshots to {args.out}")
@@ -124,8 +124,7 @@ def cmd_b2b(args):
         raise _Exit(EXIT_SCHEMA, f"--snapshots must be >= 1, got {args.snapshots}")
     config = _load_scenario(args.scenario, args.seed)
     layout = b2b_layout(config, snapshot_count=args.snapshots)
-    payload = np.empty((layout.port_count, layout.tone_plan.tone_count), "<c8")
-    write_capture(args.out, run_b2b(config, args.snapshots, out=payload),
+    write_capture(args.out, partial(run_b2b, config, args.snapshots),
                   config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} B2B snapshots to {args.out}")

@@ -11,7 +11,10 @@ step (and, for the synth command, the capture write) of run_synthesis
 or the capture reads, calibration and metrics of analyze_records. What
 feeds it runs in the feeding thread: the paths of each run of
 snapshots that share a TX state, from which each worker builds the
-state's path-sum factors once. run_b2b runs with no pool.
+state's path-sum factors once. run_b2b runs with no pool. Given a
+capture writer's put and rows, both synthesis stages write each
+snapshot's 16-port blocks straight to the file, so no ports x tones
+payload is held.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
 synthesis leaves it at its own count, and its bytes do not depend on it.
 """
@@ -25,8 +28,8 @@ import threading
 from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache
-from itertools import chain, groupby
+from functools import cache, partial
+from itertools import chain, count, groupby
 
 import numpy as np
 
@@ -122,10 +125,10 @@ def synthesis_layout(config):
                   range(len(times)), config.capture["snr_db"], config.capture["noise_seed"])
 
 
-def run_synthesis(config, put=None):
+def run_synthesis(config, put=None, rows=None):
     """Simulate every snapshot of the scenario: an ordered iterator of
-    fresh CaptureRecords, or, given ``put`` (write_capture's; see its
-    producer), every snapshot handed to put(index, record) from the
+    fresh CaptureRecords, or, given ``put`` and ``rows`` (write_capture's;
+    see its producer), every snapshot written through them from the
     pool's tasks, returning once the last is put and the pool is done.
 
     Consecutive snapshots that share a TX state form a run: one run for
@@ -142,10 +145,12 @@ def run_synthesis(config, put=None):
     (the path-sum matmuls use BLAS at its own thread count), multiplies
     the ports by its snapshot's port gains and drift and adds the noise,
     through its worker's noise scratch block, into a fresh complex128
-    array, or with ``put`` straight into its worker's one ``<c8``
-    payload, which put writes as it is before the task ends. No ports x
-    tones array crosses between threads, and the pool's lookahead holds
-    only snapshot indices and paths.
+    array, or with ``put`` block by block to rows(index, k, block), cast
+    to ``<c8`` in that scratch, and then puts the snapshot's record,
+    which carries no payload, before the task ends. No ports x tones
+    array crosses between threads, none is held by a worker that
+    writes, and the pool's lookahead holds only snapshot indices and
+    paths.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to workers + 1
@@ -174,7 +179,6 @@ def run_synthesis(config, put=None):
             local.scratch = noise_scratch(config.tone_plan.tone_count)
             local.response = FactoredResponse(config.geometry.n_ports, system.common_chain)
             local.key = None
-            local.out = None if put is None else np.empty(local.response.shape, "<c8")
         if key != local.key:
             port_stack_response(paths, config.geometry, config.tone_plan,
                                 config.scene.rx_mounting_rotation, out=local.response)
@@ -184,7 +188,8 @@ def run_synthesis(config, put=None):
                                    timestamp=float(times[index]),
                                    mounting_rotation=config.scene.rx_mounting_rotation,
                                    seed=config.capture["noise_seed"], base_tf=local.response,
-                                   out=local.out, scratch=local.scratch)
+                                   out=None if put is None else partial(rows, index),
+                                   scratch=local.scratch)
         if put is None:
             return record
         put(index, record)
@@ -210,18 +215,22 @@ def b2b_layout(config, snapshot_count=None):
                   config.capture["b2b_snr_db"], config.capture["b2b_noise_seed"])
 
 
-def run_b2b(config, snapshot_count=None, out=None):
+def run_b2b(config, snapshot_count=None, put=None, rows=None):
     """Simulate a back-to-back reference series for the scenario: an
     ordered iterator of B2B CaptureRecords, each made as it is taken
-    into a fresh complex128 array or into ``out``, such as the ``<c8``
-    payload that write_capture writes as it is, which every record then
-    carries (see simulate_b2b, whose base response and noise scratch
-    block it holds)."""
-    return simulate_b2b(config.tone_plan, system_for(config), config.attenuator,
-                        snapshot_count=_b2b_count(config, snapshot_count),
-                        seed=config.capture["b2b_noise_seed"],
-                        noise_snr_db=config.capture["b2b_snr_db"],
-                        snapshot_period=1.0 / config.timing.burst_rate, out=out)
+    into a fresh complex128 array, or, given ``put`` and ``rows``
+    (write_capture's; see its producer), every snapshot written block by
+    block through rows and put in turn, returning once the last is put
+    (see simulate_b2b, whose base response and noise scratch block it
+    holds)."""
+    records = simulate_b2b(config.tone_plan, system_for(config), config.attenuator,
+                           snapshot_count=_b2b_count(config, snapshot_count),
+                           seed=config.capture["b2b_noise_seed"],
+                           noise_snr_db=config.capture["b2b_snr_db"],
+                           snapshot_period=1.0 / config.timing.burst_rate, rows=rows)
+    if put is None:
+        return records
+    deque(map(put, count(), records), maxlen=0)
 
 
 def first_reference(ref_records, attenuator):

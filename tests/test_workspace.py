@@ -1,5 +1,6 @@
 """Analysis and synthesis in one fixed workspace per worker, and the
-capture writer that each synthesis task writes its snapshot through.
+capture writer that each synthesis task writes its snapshot's blocks
+through.
 
 Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays. An analysis Workspace is one complex128
@@ -12,14 +13,16 @@ kernels at port counts that are not whole 16-port blocks. The memory
 of analyze_records is bounded by its workspaces, each owning buffer
 counted once, and the records in flight (none when it reads a capture
 file), that of the synth command's write by its workspaces, each with
-its TX state's path-sum factors, that of the b2b command's write by its
-base response, payload and scratch, and that of the calibrate command
-by its one payload, whatever the series length; a read into a buffer
+its TX state's path-sum factors and no payload, that of the b2b
+command's write by its base response and scratch, and that of the
+calibrate command by its one payload, whatever the series length; a read into a buffer
 that is not a payload raises; a fresh ``a2gs analyze``, ``synth``,
 ``calibrate`` or ``b2b`` process takes no page faults per extra
 snapshot beyond a small bound. The
-writer's put fails closed: an error in any task leaves no file, and a
-snapshot put twice or never raises.
+writer fails closed: an error in any task leaves no file, and a
+snapshot put twice or never, or a row block written twice or skipped,
+raises. Its positioned row writes give the pinned bytes when every
+write is short, and a streamed write gives the bytes of a record list.
 """
 
 import collections
@@ -401,7 +404,7 @@ def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
                     [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
     peaks = []
 
-    def produce(put):
+    def produce(put, rows):
         with ThreadPoolExecutor(max_workers=count) as pool:
             for future in [pool.submit(put, s, layout.record(s, arrays[s]))
                            for s in reversed(range(count - 1))]:
@@ -528,10 +531,10 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
     synthesis_write_peak(tmp_path, preset, SHORT)  # one-time allocations are not the run's
     short = synthesis_write_peak(tmp_path, preset, SHORT)
     long = synthesis_write_peak(tmp_path, preset, LONG)
-    ports, tones = 128, PLAN.tone_count
-    # a worker's <c8 payload, its noise scratch (the 16-port complex128
-    # block and the float64 block) and its factor buffer
-    per_worker = ports * tones * 8 + noise_scratch(tones).nbytes + factor_bytes(preset, LONG)
+    # a worker's noise scratch (the 16-port complex128 block and the
+    # float64 block, where each finished block is cast to <c8 for the
+    # writer) and its factor buffer; no ports x tones payload
+    per_worker = noise_scratch(PLAN.tone_count).nbytes + factor_bytes(preset, LONG)
     bound = workers * (per_worker + SLACK_PER_WORKER)
     assert abs(long - short) <= SERIES_TOLERANCE + (workers - 1) * SLACK_PER_WORKER, \
         (short, long)
@@ -540,13 +543,12 @@ def test_synthesis_write_memory_is_fixed_by_the_workers_not_the_series(tmp_path,
 
 def b2b_write_peak(tmp_path, count):
     """Peak traced bytes of the b2b command's write of ``count`` snapshots,
-    each made into one <c8 payload."""
+    each written a 16-port block at a time."""
     config = parse_scenario({"preset": "olin-static"})
     layout = pipeline.b2b_layout(config, count)
     tracemalloc.start()
     try:
-        payload = np.empty((layout.port_count, layout.tone_plan.tone_count), "<c8")
-        write_capture(tmp_path / "ref.bin", pipeline.run_b2b(config, count, out=payload),
+        write_capture(tmp_path / "ref.bin", partial(pipeline.run_b2b, config, count),
                       layout=layout)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -557,9 +559,8 @@ def test_b2b_write_memory_is_fixed_by_the_base_not_the_series(tmp_path):
     b2b_write_peak(tmp_path, SHORT)  # one-time allocations are not the run's
     short, long = b2b_write_peak(tmp_path, SHORT), b2b_write_peak(tmp_path, LONG)
     ports, tones = 128, PLAN.tone_count
-    # the base response, built in place, the <c8 payload and the noise scratch
-    bound = ports * tones * 16 + ports * tones * 8 + noise_scratch(tones).nbytes \
-        + SLACK_PER_WORKER
+    # the base response, built in place, and the noise scratch
+    bound = ports * tones * 16 + noise_scratch(tones).nbytes + SLACK_PER_WORKER
     assert abs(long - short) <= SERIES_TOLERANCE, (short, long)
     assert long <= bound, (long, bound)
 
@@ -689,10 +690,12 @@ def test_calibrate_takes_no_page_faults_per_extra_snapshot(static_series, tmp_pa
 @linux_only
 @pytest.mark.parametrize("workers", [1, 2])
 def test_synth_takes_no_page_faults_per_extra_snapshot(tmp_path, workers):
-    # olin-hover has a TX state per burst. At two workers the heap grows
-    # by one response (~930 faults) each time more states' responses are
-    # alive at once than before, up to workers + 1; that can happen
-    # after a few dozen snapshots, so the series are 36 and 102 long
+    # olin-hover has a TX state per burst. Each worker refills its own
+    # factor buffer for a new state and writes its blocks to the file,
+    # so nothing ports x tones is allocated per snapshot: a run reads
+    # under one fault per extra snapshot. The series, 36 and 102 long,
+    # start past the first snapshots, in which the workers' buffers are
+    # first faulted in, and end at the benchmark's hover length
     faults = {}
     for bursts in (12, 34):
         scenario = golden._scenario(tmp_path, "hover", bursts)
@@ -757,20 +760,99 @@ def test_a_streamed_write_holds_one_record_and_the_buffer(tmp_path):
     assert peak <= record + record // 2 + (1 << 16), peak
 
 
-@pytest.mark.parametrize("order, message", [((0, 1, 1, 2), "snapshot 1 is written twice"),
-                                            ((0, 2), "2 records for a header of 3")],
-                         ids=["twice", "never"])
-def test_a_snapshot_put_twice_or_never_raises(tmp_path, order, message):
+# each step: a whole record put, (s, None), or a streamed one, (s, blocks
+# of its ports in the order they are written, each (first port, count))
+@pytest.mark.parametrize("steps, message", [
+    (((0, None), (1, None), (1, None), (2, None)), "snapshot 1 is written twice"),
+    (((0, None), (2, None)), "2 records for a header of 3"),
+    (((0, None), (1, ((0, 2), (2, 2))), (1, ((0, 4),)), (2, None)), "snapshot 1 is written twice"),
+    (((0, ((0, 2), (0, 2))), (1, None), (2, None)), "snapshot 0 is written twice"),
+    (((0, ((0, 2), (2, 2))), (1, ((0, 2),)), (2, None)), "snapshot 1 has 2 of 4 ports written"),
+    (((0, ((0, 1), (2, 2))), (1, None), (2, None)), "snapshot 0 ports 1..1 are skipped"),
+    (((0, ((0, 2), (2, 2))), (1, ((0, 2), (2, 2))), (2, ((0, 3), (3, 2)))),
+     "do not fit snapshot 2 of 4 x 8"),
+], ids=["twice", "never", "streamed-twice", "block-twice", "block-never", "block-skipped",
+        "block-beyond"])
+def test_a_snapshot_put_twice_or_never_raises(tmp_path, steps, message):
     plan = TonePlan(tone_count=8)
     layout = Layout("B2B", plan, 4, [0.0, 0.05, 0.1], [np.zeros(3)] * 3, [np.zeros(2)] * 3,
                     range(3))
 
-    def produce(put):
-        for s in order:
-            put(s, layout.record(s, np.ones((4, 8), complex)))
+    def produce(put, rows):
+        for s, blocks in steps:
+            if blocks is None:
+                put(s, layout.record(s, np.ones((4, 8), complex)))
+                continue
+            for k, n in blocks:
+                rows(s, k, np.ones((n, 8), "<c8"))
+            put(s, layout.record(s, None))
     with pytest.raises(ValueError, match=message):
         write_capture(tmp_path / "b2b.bin", produce, layout=layout)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_and_whole_records_give_one_file(tmp_path):
+    # rows of any block sizes, then a streamed put, write the bytes of
+    # the whole record; the record's metadata is still checked
+    plan = TonePlan(tone_count=8)
+    layout = Layout("B2B", plan, 4, [0.0, 0.05], [np.zeros(3)] * 2, [np.zeros(2)] * 2, range(2))
+    payloads = [random_response(s, 4, 8) for s in range(2)]
+    write_capture(tmp_path / "whole.bin", [layout.record(s, h) for s, h in enumerate(payloads)])
+
+    def produce(put, rows):
+        for s, h in enumerate(payloads):
+            for k, n in ((0, 1), (1, 3)):
+                rows(s, k, h[k:k + n])
+            put(s, layout.record(s, None))
+    write_capture(tmp_path / "rows.bin", produce, layout=layout)
+    assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    def mislabelled(put, rows):
+        rows(0, 0, payloads[0])
+        put(0, replace(layout.record(0, None), timestamp=1.0))
+    with pytest.raises(ValueError, match="record 0 timestamp 1.0 differs"):
+        write_capture(tmp_path / "bad.bin", mislabelled, layout=layout)
+    assert not (tmp_path / "bad.bin").exists()
+
+
+def test_short_row_writes_give_the_pinned_bytes(tmp_path, monkeypatch):
+    # every positioned write takes at most 4096 bytes, so each 16-port
+    # block (235 KB at 1841 tones) and each calibrated payload is
+    # written in many parts; the files are still the pinned ones
+    pwrite, sizes = os.pwrite, []
+
+    def short_pwrite(fd, data, position):
+        sizes.append(len(data))
+        return pwrite(fd, memoryview(data)[:4096], position)
+    monkeypatch.setattr(os, "pwrite", short_pwrite)
+    monkeypatch.setenv("A2GS_THREADS", "2")
+    scenario = golden._scenario(tmp_path, "hover", golden.BURSTS["hover"])
+    out = {key: str(tmp_path / f"{key}.bin") for key in ("synth", "b2b", "calibrate")}
+    golden._run("synth", "--scenario", scenario, "--out", out["synth"])
+    golden._run("b2b", "--scenario", scenario, "--out", out["b2b"], "--snapshots", "2")
+    golden._run("calibrate", "--meas", out["synth"], "--ref", out["b2b"],
+                "--out", out["calibrate"])
+    for key, path in out.items():
+        assert golden._sha256(path) == golden.GOLDEN["hover"][key], key
+    assert max(sizes) > 4096 and min(sizes) < 4096, (min(sizes), max(sizes))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_synth_and_b2b_give_the_record_list_bytes(tmp_path, monkeypatch, workers):
+    # the commands' writes, block by block from the workers, against the
+    # library's complex128 records, each cast whole by put
+    monkeypatch.setenv("A2GS_THREADS", str(workers))
+    config = parse_scenario(json.loads(Path(small_hover(tmp_path)).read_text()))
+    for name, layout, run in (("synth", pipeline.synthesis_layout(config),
+                               partial(pipeline.run_synthesis, config)),
+                              ("b2b", pipeline.b2b_layout(config, 5),
+                               partial(pipeline.run_b2b, config, 5))):
+        records = list(run())
+        assert all(r.h_f.dtype == np.complex128 for r in records)
+        write_capture(tmp_path / f"{name}-list.bin", records, layout=layout)
+        write_capture(tmp_path / f"{name}-rows.bin", run, layout=layout)
+        assert (tmp_path / f"{name}-rows.bin").read_bytes() == \
+            (tmp_path / f"{name}-list.bin").read_bytes(), name
 
 
 def test_synthesis_workers_never_share_a_workspace_or_a_write(tmp_path, monkeypatch):
