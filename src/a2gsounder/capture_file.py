@@ -15,12 +15,12 @@ responses), config and geometry hashes, counts, the tone plan and the
 per-snapshot metadata. Payload length is snapshots*ports*tones*8 bytes.
 
 Neither direction holds the series: write_capture writes the header
-from a Layout and then every payload byte through one positioned write
-of whole port rows at their own offset, from whichever thread made
-them, so a synthesis worker can write each 16-port block as it is
-finished and no snapshot is held whole; read_capture checks the header
-and size and returns a CaptureFile that reads a snapshot, or one port's
-rows, only when asked.
+from a Layout and then every payload byte through one callback, rows,
+a positioned write of whole port rows at their own offset, from
+whichever thread made them, so a synthesis worker or the B2B series
+writes each 16-port block as it is finished and no snapshot is held
+whole; read_capture checks the header and size and returns a
+CaptureFile that reads a snapshot, or one port's rows, only when asked.
 """
 
 import contextlib
@@ -128,9 +128,9 @@ def _floats(vector):
 
 def _check_record(record, s, layout):
     """ValueError unless ``record`` is snapshot ``s`` of ``layout``, whatever its
-    record type; an ``h_f`` of None (a streamed snapshot) has no shape to check."""
+    record type."""
     shape = (layout.port_count, layout.tone_plan.tone_count)
-    if record.h_f is not None and record.h_f.shape != shape:
+    if record.h_f.shape != shape:
         raise ValueError(f"record {s} shape {record.h_f.shape} differs from {shape}")
     for name, written in vars(layout.record(s, record.h_f)).items():
         if name in ("h_f", "record_type"):  # the payload; a type record_type= may replace
@@ -171,12 +171,12 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     payload rows at their offset.
 
     ``records`` is an iterable of the records in snapshot order, or a
-    producer: a function that write_capture calls once with its ``put``
-    and ``rows``, for snapshots written a block at a time or made on
-    several threads, and that puts every snapshot once, from any
-    threads, before it returns. ``layout`` carries the header fields,
-    so neither form need hold the series. Without it the fields come
-    from ``records``: a CaptureFile's own, or those of the records,
+    producer: a function that write_capture calls once with its
+    ``rows``, for snapshots written a block at a time or made on several
+    threads, and that writes every port of every snapshot once, from
+    any threads, before it returns. ``layout`` carries the header
+    fields, so neither form need hold the series. Without it the fields
+    come from ``records``: a CaptureFile's own, or those of the records,
     which are then all taken first. A ``record_type`` replaces the
     layout's.
 
@@ -184,14 +184,13 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     cast to a C-contiguous ``<c8`` array (a ``<c8`` block is written as
     it is, any other is copied), holds ports k, k+1, ... of snapshot
     ``s`` and is written with positioned writes at their offset. A
-    snapshot's rows are written in port order. ``put(s, record)`` checks
-    the record against the layout, writes its ``h_f`` as rows(s, 0,
-    h_f) or, when ``h_f`` is None (a snapshot whose rows were streamed),
-    writes nothing, and marks the snapshot done. A lock guards only that
-    bookkeeping: a snapshot put twice or never, a row block written
-    twice, out of order or after its snapshot was put, and a port left
-    unwritten raise ValueError. Complex samples are quantized to float32
-    pairs; a second write of the read-back file is byte-identical.
+    snapshot's rows are written in port order. Each record of the
+    iterable form is checked against the layout and written as rows(s,
+    0, h_f). A lock guards only the count of each snapshot's rows: a
+    row block written twice (a whole record among them), out of order
+    or beyond the snapshot, and a snapshot left short raise ValueError.
+    Complex samples are quantized to float32 pairs; a second write of
+    the read-back file is byte-identical.
 
     The file is written through replacing(), so any error, whether a
     record that disagrees with the header or one raised while
@@ -214,8 +213,7 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
     if count == 0:
         raise ValueError("no records to write")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # rows written of each snapshot, in port order; ports + 1 once it is put
-    done = [0] * count
+    done = [0] * count  # rows written of each snapshot, in port order
     lock = threading.Lock()
 
     with replacing(path, "wb") as fh:
@@ -246,21 +244,17 @@ def write_capture(path, records, config_hash="", geometry_hash="", record_type=N
         def put(s, record):
             check_index(s)
             _check_record(record, s, layout)
-            if record.h_f is not None:
-                rows(s, 0, record.h_f)
-            with lock:
-                if done[s] != ports:
-                    raise ValueError(f"snapshot {s} is written twice" if done[s] > ports else
-                                     f"snapshot {s} has {done[s]} of {ports} ports written")
-                done[s] += 1
+            rows(s, 0, record.h_f)
 
         if callable(records):
-            records(put, rows)
+            records(rows)
         else:  # map keeps no record while the next is computed, as enumerate's tuple would
             deque(map(put, itertools.count(), records), maxlen=0)
-        complete = done.count(ports + 1)
+        complete = done.count(ports)
         if complete != count:
-            raise ValueError(f"{complete} records for a header of {count} snapshots")
+            s = next(s for s, n in enumerate(done) if n != ports)
+            raise ValueError(f"{complete} records for a header of {count} snapshots: "
+                             f"snapshot {s} has {done[s]} of {ports} ports written")
 
 
 def _tone_plan(value, path):
@@ -351,10 +345,12 @@ class CaptureFile(Sequence):
         return self.read(range(len(self))[operator.index(index)])
 
     def read(self, s, out=None):
-        """Snapshot ``s`` (0 <= s < len) as a CaptureRecord whose ``h_f`` is
-        its payload read into ``out``, a C-contiguous little-endian
-        complex64 array of ``shape`` (any other raises ValueError), or a
-        fresh array."""
+        """Snapshot ``s`` (0 <= s < len, else IndexError) as a CaptureRecord
+        whose ``h_f`` is its payload read into ``out``, a C-contiguous
+        little-endian complex64 array of ``shape`` (any other raises
+        ValueError), or a fresh array."""
+        if not 0 <= s < len(self):
+            raise IndexError(f"snapshot {s} out of range for {len(self)} snapshots")
         if out is not None and not (out.dtype == np.dtype("<c8") and out.flags.c_contiguous
                                     and out.shape == self.shape):
             raise ValueError(f"out must be a C-contiguous <c8 array of shape {self.shape}")

@@ -3,7 +3,7 @@
 Subcommands:
   synth      scenario -> measurement capture file
   b2b        scenario -> back-to-back reference file
-  calibrate  meas + ref + attenuator -> calibrated (CAL) file
+  calibrate  scenario + meas + ref -> calibrated (CAL) file
   analyze    meas + ref (or CAL file) -> per-snapshot metrics + summary
   stability  B2B series -> relative amplitude/phase CSV
   report     metrics CSV -> route table CSV or JSON
@@ -30,7 +30,6 @@ import numpy as np
 from .calibration import CAL_FIELDS, CalibrationError, calibrate, stability_stats
 from .capture_file import (CaptureFileError, HashMismatch, read_capture,
                            replacing, write_capture)
-from .capture_sim import AttenuatorModel
 from .channel_synth import SceneError
 from .config import SchemaError, parse_scenario
 from .pipeline import (REPORT_FIELDS, SUMMARY_FIELDS, analyze_records, b2b_layout,
@@ -100,19 +99,10 @@ def _read(path, record_type, expected_hash=None, strict=False):
     return records, header
 
 
-def _attenuator(args, config=None):
-    if args.attenuator_db is None:
-        return config.attenuator if config is not None else AttenuatorModel()
-    try:
-        return AttenuatorModel(nominal_loss_db=args.attenuator_db)
-    except ValueError as exc:
-        raise _Exit(EXIT_SCHEMA, f"--attenuator-db: {exc}")
-
-
 def cmd_synth(args):
     config = _load_scenario(args.scenario, args.seed)
     layout = synthesis_layout(config)
-    # the pool's tasks write their snapshots themselves (run_synthesis's put and rows)
+    # the pool's tasks write their snapshots themselves (run_synthesis's rows)
     write_capture(args.out, partial(run_synthesis, config), config_hash=config.scenario_hash,
                   geometry_hash=config.geometry.content_hash(), layout=layout)
     print(f"wrote {len(layout.timestamps)} snapshots to {args.out}")
@@ -131,16 +121,17 @@ def cmd_b2b(args):
     return EXIT_OK
 
 
-def _measured(args, config=None, expected_hash=None):
-    """Open --meas, then --ref against the measurement's config hash, and
-    check the reference; returns (the --meas CaptureFile, its header, the
+def _measured(args, config):
+    """Open --meas against the scenario's config hash, then --ref against
+    the measurement's, and check the reference through the scenario's
+    attenuator; returns (the --meas CaptureFile, its header, the
     Reference). A measurement that does not fit the reference raises
     CalibrationError when it is calibrated."""
-    meas, meas_header = _read(args.meas, "MEAS", expected_hash=expected_hash,
+    meas, meas_header = _read(args.meas, "MEAS", expected_hash=config.scenario_hash,
                               strict=args.strict_hash)
     ref, _ = _read(args.ref, "B2B", expected_hash=meas_header["config_hash"],
                    strict=args.strict_hash)
-    reference = first_reference(ref, _attenuator(args, config))
+    reference = first_reference(ref, config.attenuator)
     print(f"reference: B2B snapshot 0 of {len(ref)}")
     return meas, meas_header, reference
 
@@ -153,7 +144,7 @@ def _write_rows(args, rows, config_hash):
 
 
 def cmd_calibrate(args):
-    meas, meas_header, reference = _measured(args)
+    meas, meas_header, reference = _measured(args, _load_scenario(args.scenario))
     payload = np.empty(meas.shape, "<c8")  # each snapshot read, calibrated and written in it
     cal = (calibrate(meas.read(s, out=payload), reference, out=payload)
            for s in range(len(meas)))
@@ -169,17 +160,16 @@ def cmd_analyze(args):
     expected = config.scenario_hash
 
     if args.cal:
-        for flag in ("meas", "ref", "attenuator_db"):
+        for flag in ("meas", "ref"):
             if getattr(args, flag) is not None:
-                option = "--" + flag.replace("_", "-")
-                raise _Exit(EXIT_SCHEMA, f"{option} cannot be used with --cal, "
+                raise _Exit(EXIT_SCHEMA, f"--{flag} cannot be used with --cal, "
                                          "whose file is already calibrated")
         records, _ = _read(args.cal, "CAL", expected_hash=expected, strict=args.strict_hash)
         reference = None
     else:
         if not args.meas or not args.ref:
             raise _Exit(EXIT_SCHEMA, "analyze needs either --cal or both --meas and --ref")
-        records, _, reference = _measured(args, config, expected_hash=expected)
+        records, _, reference = _measured(args, config)
 
     kept = {key: array("d") for key in SUMMARY_FIELDS}  # 40 B a row, for the summary
 
@@ -293,10 +283,10 @@ def build_parser():
     p.add_argument("--snapshots", type=int, default=None)
 
     p = sub.add_parser("calibrate", help="divide out the system response")
+    p.add_argument("--scenario", required=True)
     p.add_argument("--meas", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--attenuator-db", type=float, default=None)
     p.add_argument("--strict-hash", action="store_true")
 
     p = sub.add_parser("analyze", help="compute per-snapshot metrics")
@@ -306,7 +296,6 @@ def build_parser():
     p.add_argument("--cal")
     p.add_argument("--out", required=True)
     p.add_argument("--summary")
-    p.add_argument("--attenuator-db", type=float, default=None)
     p.add_argument("--window", choices=("rect", "hann"), default="rect")
     p.add_argument("--strict-hash", action="store_true",
                    help="escalate provenance hash mismatches to errors")

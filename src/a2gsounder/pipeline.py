@@ -12,9 +12,9 @@ or the capture reads, calibration and metrics of analyze_records. What
 feeds it runs in the feeding thread: the paths of each run of
 snapshots that share a TX state, from which each worker builds the
 state's path-sum factors once. run_b2b runs with no pool. Given a
-capture writer's put and rows, both synthesis stages write each
-snapshot's 16-port blocks straight to the file, so no ports x tones
-payload is held.
+capture writer's rows, both synthesis stages write each snapshot's
+16-port blocks straight to the file, so no ports x tones payload is
+held.
 Analysis holds numpy's OpenBLAS at one thread (see analyze_records);
 synthesis leaves it at its own count, and its bytes do not depend on it.
 """
@@ -29,7 +29,7 @@ from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
-from itertools import chain, count, groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -125,11 +125,11 @@ def synthesis_layout(config):
                   range(len(times)), config.capture["snr_db"], config.capture["noise_seed"])
 
 
-def run_synthesis(config, put=None, rows=None):
+def run_synthesis(config, rows=None):
     """Simulate every snapshot of the scenario: an ordered iterator of
-    fresh CaptureRecords, or, given ``put`` and ``rows`` (write_capture's;
-    see its producer), every snapshot written through them from the
-    pool's tasks, returning once the last is put and the pool is done.
+    fresh CaptureRecords, or, given ``rows`` (write_capture's; see its
+    producer), every snapshot written through it from the pool's tasks,
+    returning once the pool is done.
 
     Consecutive snapshots that share a TX state form a run: one run for
     a static TX, one per wobble index for a hover, one per snapshot for
@@ -145,12 +145,11 @@ def run_synthesis(config, put=None, rows=None):
     (the path-sum matmuls use BLAS at its own thread count), multiplies
     the ports by its snapshot's port gains and drift and adds the noise,
     through its worker's noise scratch block, into a fresh complex128
-    array, or with ``put`` block by block to rows(index, k, block), cast
-    to ``<c8`` in that scratch, and then puts the snapshot's record,
-    which carries no payload, before the task ends. No ports x tones
-    array crosses between threads, none is held by a worker that
-    writes, and the pool's lookahead holds only snapshot indices and
-    paths.
+    array, or with ``rows`` block by block to rows(index, k, block),
+    cast to ``<c8`` in that scratch; its record then carries no payload
+    and is dropped. No ports x tones array crosses between threads,
+    none is held by a worker that writes, and the pool's lookahead
+    holds only snapshot indices and paths.
 
     A SceneError surfaces when its run is reached: at one thread after
     every earlier record, at A2GS_THREADS >= 2 up to workers + 1
@@ -183,22 +182,18 @@ def run_synthesis(config, put=None, rows=None):
             port_stack_response(paths, config.geometry, config.tone_plan,
                                 config.scene.rx_mounting_rotation, out=local.response)
             local.key = key
-        record = simulate_snapshot(paths, config.geometry, config.tone_plan, system,
-                                   noise_snr_db=config.capture["snr_db"], snapshot_index=index,
-                                   timestamp=float(times[index]),
-                                   mounting_rotation=config.scene.rx_mounting_rotation,
-                                   seed=config.capture["noise_seed"], base_tf=local.response,
-                                   out=None if put is None else partial(rows, index),
-                                   scratch=local.scratch)
-        if put is None:
-            return record
-        put(index, record)
-        return index
+        return simulate_snapshot(paths, config.geometry, config.tone_plan, system,
+                                 noise_snr_db=config.capture["snr_db"], snapshot_index=index,
+                                 timestamp=float(times[index]),
+                                 mounting_rotation=config.scene.rx_mounting_rotation,
+                                 seed=config.capture["noise_seed"], base_tf=local.response,
+                                 out=None if rows is None else partial(rows, index),
+                                 scratch=local.scratch)
 
-    done = _map_ordered(one, snapshots())
-    if put is None:
-        return done
-    deque(done, maxlen=0)
+    records = _map_ordered(one, snapshots())
+    if rows is None:
+        return records
+    deque(records, maxlen=0)
 
 
 def _b2b_count(config, snapshot_count):
@@ -215,22 +210,21 @@ def b2b_layout(config, snapshot_count=None):
                   config.capture["b2b_snr_db"], config.capture["b2b_noise_seed"])
 
 
-def run_b2b(config, snapshot_count=None, put=None, rows=None):
+def run_b2b(config, snapshot_count=None, rows=None):
     """Simulate a back-to-back reference series for the scenario: an
     ordered iterator of B2B CaptureRecords, each made as it is taken
-    into a fresh complex128 array, or, given ``put`` and ``rows``
-    (write_capture's; see its producer), every snapshot written block by
-    block through rows and put in turn, returning once the last is put
-    (see simulate_b2b, whose base response and noise scratch block it
-    holds)."""
+    into a fresh complex128 array, or, given ``rows`` (write_capture's;
+    see its producer), every snapshot written block by block through
+    it, returning once the last is written (see simulate_b2b, whose base
+    response and noise scratch block it holds)."""
     records = simulate_b2b(config.tone_plan, system_for(config), config.attenuator,
                            snapshot_count=_b2b_count(config, snapshot_count),
                            seed=config.capture["b2b_noise_seed"],
                            noise_snr_db=config.capture["b2b_snr_db"],
                            snapshot_period=1.0 / config.timing.burst_rate, rows=rows)
-    if put is None:
+    if rows is None:
         return records
-    deque(map(put, count(), records), maxlen=0)
+    deque(records, maxlen=0)
 
 
 def first_reference(ref_records, attenuator):

@@ -317,7 +317,7 @@ class TestCli:
         assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
         capsys.readouterr()
-        assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+        assert cli_main(["calibrate", "--scenario", scenario, "--meas", meas, "--ref", ref,
                          "--out", cal, "--strict-hash"]) == 0
         # one of the three B2B snapshots is the reference, and both commands say so
         assert "reference: B2B snapshot 0 of 3\n" in capsys.readouterr().out
@@ -356,27 +356,24 @@ class TestCli:
         assert route_lines[0] == lines[0]  # hash propagates to the route table
 
     @pytest.mark.parametrize("loss", [10.0, 20.0])
-    def test_calibrate_divides_by_the_flag_attenuator_not_the_scenario_one(self, tmp_path,
-                                                                            loss):
-        # calibrate takes no scenario: without --attenuator-db it divides by
-        # the 30 dB default, so its p_rx_db and other absolute powers read
-        # 30 - loss dB below those of analyze --meas --ref, which divides by
-        # the scenario's attenuator; the ratio columns do not move
-        scenario = self.scenario_file(tmp_path, {"attenuator": {"nominal_loss_db": loss}})
+    def test_calibrate_divides_by_the_scenario_attenuator_as_analyze_does(self, tmp_path,
+                                                                          loss):
+        # calibrate and analyze --meas --ref divide by the one attenuator of
+        # the scenario, ripple included, so analyze --cal of calibrate's
+        # output reads what analyze --meas --ref reads; the 30 dB default
+        # would put every absolute power 30 - loss dB off
+        scenario = self.scenario_file(
+            tmp_path, {"attenuator": {"nominal_loss_db": loss, "ripple_db": 1.0}})
         files = {name: str(tmp_path / name) for name in (
-            "meas.bin", "ref.bin", "cal.bin", "cal30.bin", "m.csv", "cal.csv", "cal30.csv")}
+            "meas.bin", "ref.bin", "cal.bin", "m.csv", "cal.csv")}
         for argv in (["synth", "--scenario", scenario, "--out", files["meas.bin"]],
                      ["b2b", "--scenario", scenario, "--out", files["ref.bin"]],
-                     ["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
-                      "--out", files["cal.bin"], "--attenuator-db", str(loss)],
-                     ["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
-                      "--out", files["cal30.bin"]],
+                     ["calibrate", "--scenario", scenario, "--meas", files["meas.bin"],
+                      "--ref", files["ref.bin"], "--out", files["cal.bin"]],
                      ["analyze", "--scenario", scenario, "--meas", files["meas.bin"],
                       "--ref", files["ref.bin"], "--out", files["m.csv"]],
                      ["analyze", "--scenario", scenario, "--cal", files["cal.bin"],
-                      "--out", files["cal.csv"]],
-                     ["analyze", "--scenario", scenario, "--cal", files["cal30.bin"],
-                      "--out", files["cal30.csv"]]):
+                      "--out", files["cal.csv"]]):
             assert cli_main(argv) == 0, argv
 
         def rows(name):
@@ -385,15 +382,13 @@ class TestCli:
                 return [{key: float(cell) for key, cell in row.items()}
                         for row in csv.DictReader(fh)]
 
-        measured, flagged, default = rows("m.csv"), rows("cal.csv"), rows("cal30.csv")
-        assert len(measured) == len(flagged) == len(default) == 3
-        for want, got, off in zip(measured, flagged, default):
+        measured, calibrated = rows("m.csv"), rows("cal.csv")
+        assert len(measured) == len(calibrated) == 3
+        for want, got in zip(measured, calibrated):
+            assert math.isfinite(want["p_rx_db"])
             for key, value in want.items():
                 if key.endswith(("_db", "_dbs")) and math.isfinite(value):
-                    low = 30.0 - loss if key.startswith(("p_rx", "los_bin", "col")) else 0.0
                     assert abs(got[key] - value) <= 1e-4, (key, got[key], value)
-                    assert abs(off[key] - (value - low)) <= 1e-4, (key, off[key], value)
-            assert want["p_rx_db"] - off["p_rx_db"] == pytest.approx(30.0 - loss, abs=1e-4)
 
     @pytest.mark.parametrize("command", [["report", "--metrics", "m.csv"],
                                          ["stability", "--ref", "ref.bin"]])
@@ -453,7 +448,6 @@ class TestCli:
          "capture.b2b_snr_db: must be >= -300.0, got -5000.0"),
         ({"preset": "olin-static", "trajectory": {"position": [math.inf, 0, 1.8]}},
          ["synth"], "trajectory.position[0]: expected a finite number"),
-        (None, ["analyze", "--cal", "cal.bin", "--attenuator-db", "10"], "--attenuator-db"),
         (None, ["analyze", "--cal", "cal.bin", "--meas", "meas.bin"], "--meas"),
         (None, ["analyze", "--cal", "cal.bin", "--ref", "ref.bin"], "--ref"),
         ({"preset": []}, ["synth"], "scenario.preset: expected a string"),
@@ -464,7 +458,7 @@ class TestCli:
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
             "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number",
             "infinite-snr", "overflowing-snr", "non-finite-capture-snr",
-            "overflowing-b2b-snr", "infinite-position", "cal-with-attenuator", "cal-with-meas",
+            "overflowing-b2b-snr", "infinite-position", "cal-with-meas",
             "cal-with-ref", "list-preset", "object-preset", "null-preset",
             "wobble-rho-beyond-window"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
@@ -547,9 +541,7 @@ class TestCli:
         edited = json.dumps(header).encode()
         bad = tmp_path / "bad.bin"
         bad.write_bytes(blob[:8] + len(edited).to_bytes(4, "little") + edited + blob[end:])
-        argv = {"analyze": ["analyze", "--scenario", scenario],
-                "calibrate": ["calibrate"]}[command]
-        assert cli_main(argv + ["--meas", str(bad), "--ref", ref,
+        assert cli_main([command, "--scenario", scenario, "--meas", str(bad), "--ref", ref,
                                 "--out", str(tmp_path / "out")]) == 4
 
     @pytest.mark.parametrize("count", ["snapshot_count", "port_count"])
@@ -576,7 +568,8 @@ class TestCli:
         argv = {"stability": ["stability", "--ref", bad],
                 "analyze-meas": ["analyze", "--scenario", scenario, "--meas", bad, "--ref", ref],
                 "analyze-ref": ["analyze", "--scenario", scenario, "--meas", meas, "--ref", bad],
-                "calibrate": ["calibrate", "--meas", bad, "--ref", ref]}[command]
+                "calibrate": ["calibrate", "--scenario", scenario, "--meas", bad,
+                              "--ref", ref]}[command]
         assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 4
 
     @pytest.mark.parametrize("argv,wrong", [
@@ -594,11 +587,11 @@ class TestCli:
         files = {name: str(tmp_path / name) for name in ("meas.bin", "ref.bin", "cal.bin")}
         assert cli_main(["synth", "--scenario", scenario, "--out", files["meas.bin"]]) == 0
         assert cli_main(["b2b", "--scenario", scenario, "--out", files["ref.bin"]]) == 0
-        assert cli_main(["calibrate", "--meas", files["meas.bin"], "--ref", files["ref.bin"],
-                         "--out", files["cal.bin"]]) == 0
+        assert cli_main(["calibrate", "--scenario", scenario, "--meas", files["meas.bin"],
+                         "--ref", files["ref.bin"], "--out", files["cal.bin"]]) == 0
         capsys.readouterr()
         argv = [files.get(arg, arg) for arg in argv]
-        if argv[0] == "analyze":
+        if argv[0] != "stability":
             argv += ["--scenario", scenario]
         out = tmp_path / "out"
         assert cli_main(argv + ["--out", str(out)]) == 4
@@ -606,18 +599,18 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "calibrate"])
-    @pytest.mark.parametrize("loss", ["0", "-3", "nan", "inf"])
+    @pytest.mark.parametrize("loss", [0, -3, math.nan, math.inf])
     def test_bad_attenuator_exit_code(self, tmp_path, capsys, command, loss):
+        # the scenario's attenuator is checked by its rules before any file is read
         scenario = self.scenario_file(tmp_path)
         meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
         out = tmp_path / "out"
         assert cli_main(["synth", "--scenario", scenario, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", scenario, "--out", ref]) == 0
-        argv = {"analyze": ["analyze", "--scenario", scenario],
-                "calibrate": ["calibrate"]}[command]
-        assert cli_main(argv + ["--meas", meas, "--ref", ref, "--out", str(out),
-                                "--attenuator-db", loss]) == 2
-        assert "--attenuator-db" in capsys.readouterr().err
+        bad = self.scenario_file(tmp_path, {"attenuator": {"nominal_loss_db": loss}})
+        assert cli_main([command, "--scenario", bad, "--meas", meas, "--ref", ref,
+                         "--out", str(out)]) == 2
+        assert "attenuator.nominal_loss_db" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"", _REPORT_HEADER,
@@ -693,7 +686,8 @@ class TestCli:
         meas, ref, cal = (str(tmp_path / name) for name in ("meas.bin", "ref.bin", "cal.bin"))
         assert cli_main(["synth", "--scenario", str(source), "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", str(source), "--out", ref]) == 0
-        assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", cal]) == 0
+        assert cli_main(["calibrate", "--scenario", str(source), "--meas", meas, "--ref", ref,
+                         "--out", cal]) == 0
         return meas, ref, cal
 
     def test_lowest_snr_writes_captures_that_analyze(self, tmp_path):
@@ -712,7 +706,8 @@ class TestCli:
         meas, ref, cal = self.captures(tmp_path)
         scenario = self.scenario_file(tmp_path)
         poisoned, argv = {
-            "calibrate": (meas, ["calibrate", "--meas", meas, "--ref", ref]),
+            "calibrate": (meas, ["calibrate", "--scenario", scenario, "--meas", meas,
+                                 "--ref", ref]),
             "analyze-meas": (meas, ["analyze", "--scenario", scenario,
                                     "--meas", meas, "--ref", ref]),
             "analyze-cal": (cal, ["analyze", "--scenario", scenario, "--cal", cal]),
@@ -743,7 +738,8 @@ class TestCli:
         overwrite_payload(meas, samples, snapshot=snapshot, port=port)
         capsys.readouterr()
         out = tmp_path / "out.bin"
-        assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", str(out)]) == 4
+        assert cli_main(["calibrate", "--scenario", str(tmp_path / "captured.json"),
+                         "--meas", meas, "--ref", ref, "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith(
             f"error: {meas} snapshot {snapshot} has a sample that is not finite")
         assert not out.exists()
@@ -792,11 +788,11 @@ class TestCli:
         ref = str(tmp_path / "b.bin")
         assert cli_main(["synth", "--scenario", s1, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", str(s2), "--out", ref]) == 0
-        assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+        assert cli_main(["calibrate", "--scenario", s1, "--meas", meas, "--ref", ref,
                          "--out", str(tmp_path / "c.bin"), "--strict-hash"]) == 6
         # without strict it proceeds with a warning
         with pytest.warns(UserWarning, match="config hash mismatch"):
-            assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+            assert cli_main(["calibrate", "--scenario", s1, "--meas", meas, "--ref", ref,
                              "--out", str(tmp_path / "c.bin")]) == 0
 
     def test_hash_mismatch_without_strict_warns(self, tmp_path):
@@ -809,7 +805,7 @@ class TestCli:
         assert cli_main(["synth", "--scenario", s1, "--out", meas]) == 0
         assert cli_main(["b2b", "--scenario", str(s2), "--out", ref]) == 0
         with pytest.warns(UserWarning, match="config hash mismatch"):
-            assert cli_main(["calibrate", "--meas", meas, "--ref", ref,
+            assert cli_main(["calibrate", "--scenario", s1, "--meas", meas, "--ref", ref,
                              "--out", str(tmp_path / "c.bin")]) == 0
 
     @pytest.mark.parametrize("error,code,prefix", [
@@ -833,7 +829,7 @@ class TestCli:
             [str(Path(a2g.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         for ref, code in ((str(tmp_path / "missing.bin"), 3), (meas, 4)):
             done = subprocess.run([sys.executable, "-m", "a2gsounder", "calibrate",
-                                   "--meas", meas, "--ref", ref,
+                                   "--scenario", scenario, "--meas", meas, "--ref", ref,
                                    "--out", str(tmp_path / "cal.bin")],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == code, done.stderr

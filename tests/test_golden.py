@@ -96,7 +96,7 @@ def _measurement_flow(tmp_path, name):
         ("report", "route.csv"), ("report_json", "route.json"))}
     _run("synth", "--scenario", scenario, "--out", out["synth"])
     _run("b2b", "--scenario", scenario, "--out", out["b2b"], "--snapshots", "2")
-    _run("calibrate", "--meas", out["synth"], "--ref", out["b2b"],
+    _run("calibrate", "--scenario", scenario, "--meas", out["synth"], "--ref", out["b2b"],
          "--out", out["calibrate"], "--strict-hash")
     _run("analyze", "--scenario", scenario, "--meas", out["synth"], "--ref", out["b2b"],
          "--out", out["analyze_csv"], "--summary", out["analyze_summary"])
@@ -163,7 +163,8 @@ def test_analysis_is_thread_count_invariant(tmp_path, monkeypatch, name):
     assert _sha256(csv_out) == GOLDEN[name]["analyze_csv"], host_class.note()
     assert _sha256(summary) == GOLDEN[name]["analyze_summary"], host_class.note()
     cal, cal_csv = str(tmp_path / "cal.bin"), str(tmp_path / "metrics_cal.csv")
-    _run("calibrate", "--meas", meas, "--ref", ref, "--out", cal, "--strict-hash")
+    _run("calibrate", "--scenario", scenario, "--meas", meas, "--ref", ref, "--out", cal,
+         "--strict-hash")
     _run("analyze", "--scenario", scenario, "--cal", cal, "--out", cal_csv)
     assert _sha256(cal) == GOLDEN[name]["calibrate"], host_class.note()
     assert _sha256(cal_csv) == GOLDEN[name]["analyze_cal_csv"], host_class.note()

@@ -138,7 +138,8 @@ class TestFailedWrite:
         cal = tmp_path / "cal.bin"
         # the two scenarios differ, so their config hashes do too
         with pytest.warns(UserWarning, match="config hash mismatch"):
-            assert cli_main(["calibrate", "--meas", meas, "--ref", ref, "--out", str(cal)]) == 5
+            assert cli_main(["calibrate", "--scenario", str(tmp_path / "a.json"),
+                             "--meas", meas, "--ref", ref, "--out", str(cal)]) == 5
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "meas.bin",
                                                               "ref.bin"]
 
@@ -187,6 +188,21 @@ class TestLazyRead:
         with pytest.raises(CaptureFileError):
             back[0]
 
+    @pytest.mark.parametrize("index", [3, 4, -1])
+    def test_read_outside_the_file_raises_index_error(self, tmp_path, index):
+        # as port_rows does for a port, read names the count; a negative
+        # index counts from the end only through indexing
+        path = tmp_path / "b2b.bin"
+        layout, records = series(3, 4, 8)
+        write_capture(path, records, layout=layout)
+        back, _ = read_capture(path)
+        buf = np.zeros(back.shape, "<c8")
+        for out in (None, buf):
+            with pytest.raises(IndexError, match=f"snapshot {index} out of range for 3 "):
+                back.read(index, out=out)
+        assert not buf.any()
+        assert back[-1].snapshot_index == 2
+
     @pytest.mark.parametrize("window", [slice(1, 3), slice(None, None, -1), slice(-2, None)],
                              ids=["1:3", "::-1", "-2:"])
     def test_slice_is_the_list_slice(self, tmp_path, window):
@@ -219,7 +235,8 @@ class TestLazyRead:
         out = tmp_path / "out"
         argv = {"stability": ["stability", "--ref", ref, "--port", "15"],
                 "analyze": ["analyze", "--scenario", scenario, "--meas", meas, "--ref", ref],
-                "calibrate": ["calibrate", "--meas", meas, "--ref", ref]}[command]
+                "calibrate": ["calibrate", "--scenario", scenario, "--meas", meas,
+                              "--ref", ref]}[command]
         assert cli_main(argv + ["--out", str(out)]) == 4
         assert not out.exists()
 

@@ -19,10 +19,10 @@ calibrate command by its one payload, whatever the series length; a read into a 
 that is not a payload raises; a fresh ``a2gs analyze``, ``synth``,
 ``calibrate`` or ``b2b`` process takes no page faults per extra
 snapshot beyond a small bound. The
-writer fails closed: an error in any task leaves no file, and a
-snapshot put twice or never, or a row block written twice or skipped,
-raises. Its positioned row writes give the pinned bytes when every
-write is short, and a streamed write gives the bytes of a record list.
+writer fails closed: an error in any task leaves no file, and a row
+block written twice or skipped, or a snapshot left short, raises. Its
+positioned row writes give the pinned bytes when every write is short,
+and a streamed write gives the bytes of a record list.
 """
 
 import collections
@@ -389,11 +389,11 @@ def test_non_finite_path_gains_raise_on_the_factor_path():
     assert same_bytes(_gain_and_noise(None, *args), want)
 
 
-def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
-    # records put from several threads in reverse order, one of them a
-    # strided view, and one with float32 subnormal, underflowing and
-    # near-maximum samples; then a C-contiguous <c8 payload, which put
-    # writes as it is, without a copy
+def test_rows_cast_to_the_bytes_of_ascontiguousarray(tmp_path):
+    # whole snapshots written from several threads in reverse order, one
+    # of them a strided view, and one with float32 subnormal,
+    # underflowing and near-maximum samples; then a C-contiguous <c8
+    # payload, which rows writes as it is, without a copy
     arrays = [random_response(s, 16, 64, np.complex128) for s in range(3)]
     arrays[0][0, :3] = [1e-42, 1e-50j, 3.4e38 - 3.4e38j]
     arrays.append(random_response(3, 16, 128, np.complex128)[:, ::2])
@@ -404,15 +404,14 @@ def test_put_casts_to_the_bytes_of_ascontiguousarray(tmp_path):
                     [np.zeros(3)] * count, [np.zeros(2)] * count, range(count))
     peaks = []
 
-    def produce(put, rows):
+    def produce(rows):
         with ThreadPoolExecutor(max_workers=count) as pool:
-            for future in [pool.submit(put, s, layout.record(s, arrays[s]))
+            for future in [pool.submit(rows, s, 0, arrays[s])
                            for s in reversed(range(count - 1))]:
                 future.result()
-        record = layout.record(count - 1, payload)
         tracemalloc.start()
         try:
-            put(count - 1, record)
+            rows(count - 1, 0, payload)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -453,7 +452,8 @@ def full_size(tmp_path_factory):
     files = {}
     for count in (SHORT, LONG):
         path = tmp_path_factory.mktemp("capture") / "meas.bin"
-        write_capture(path, [replace(record, snapshot_index=s) for s in range(count)])
+        write_capture(path, [replace(record, snapshot_index=s) for s in range(count)],
+                      config_hash=config.scenario_hash)
         files[count] = read_capture(path)[0]
     return config, reference, record, files
 
@@ -567,19 +567,22 @@ def test_b2b_write_memory_is_fixed_by_the_base_not_the_series(tmp_path):
 
 @pytest.fixture(scope="module")
 def full_size_ref(full_size, tmp_path_factory):
-    """A one-snapshot B2B file of the full_size scenario."""
-    path = tmp_path_factory.mktemp("ref") / "ref.bin"
-    write_capture(path, pipeline.run_b2b(full_size[0], 1))
-    return str(path)
+    """The full_size scenario's file and a one-snapshot B2B file of it."""
+    config, tmp = full_size[0], tmp_path_factory.mktemp("ref")
+    scenario, path = tmp / "static.json", tmp / "ref.bin"
+    scenario.write_text(json.dumps({"preset": "olin-static"}))
+    write_capture(path, pipeline.run_b2b(config, 1), config_hash=config.scenario_hash)
+    return str(scenario), str(path)
 
 
 def calibrate_peak(full_size, full_size_ref, tmp_path, count):
     """Peak traced bytes of the calibrate command over ``count`` snapshots;
     its Reference is full_size's, built before tracing starts."""
     meas = str(full_size[3][count].path)
+    scenario, ref = full_size_ref
     tracemalloc.start()
     try:
-        assert cli_main(["calibrate", "--meas", meas, "--ref", full_size_ref,
+        assert cli_main(["calibrate", "--scenario", scenario, "--meas", meas, "--ref", ref,
                          "--out", str(tmp_path / "cal.bin")]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -681,9 +684,9 @@ def test_analyze_takes_no_page_faults_per_extra_snapshot(static_series, tmp_path
 
 @linux_only
 def test_calibrate_takes_no_page_faults_per_extra_snapshot(static_series, tmp_path):
-    faults = {count: cli_faults(1, "calibrate", "--meas", meas, "--ref", ref,
-                                "--out", str(tmp_path / f"cal{count}.bin"))
-              for count, (_, meas, ref) in static_series.items()}
+    faults = {count: cli_faults(1, "calibrate", "--scenario", scenario, "--meas", meas,
+                                "--ref", ref, "--out", str(tmp_path / f"cal{count}.bin"))
+              for count, (scenario, meas, ref) in static_series.items()}
     assert faults_per_extra_snapshot(faults) <= FAULTS_PER_SNAPSHOT, faults
 
 
@@ -760,59 +763,48 @@ def test_a_streamed_write_holds_one_record_and_the_buffer(tmp_path):
     assert peak <= record + record // 2 + (1 << 16), peak
 
 
-# each step: a whole record put, (s, None), or a streamed one, (s, blocks
-# of its ports in the order they are written, each (first port, count))
+# each step: a snapshot and the blocks of its ports in the order they
+# are written, each (first port, count); WHOLE is one block of all 4
+WHOLE = ((0, 4),)
+
+
 @pytest.mark.parametrize("steps, message", [
-    (((0, None), (1, None), (1, None), (2, None)), "snapshot 1 is written twice"),
-    (((0, None), (2, None)), "2 records for a header of 3"),
-    (((0, None), (1, ((0, 2), (2, 2))), (1, ((0, 4),)), (2, None)), "snapshot 1 is written twice"),
-    (((0, ((0, 2), (0, 2))), (1, None), (2, None)), "snapshot 0 is written twice"),
-    (((0, ((0, 2), (2, 2))), (1, ((0, 2),)), (2, None)), "snapshot 1 has 2 of 4 ports written"),
-    (((0, ((0, 1), (2, 2))), (1, None), (2, None)), "snapshot 0 ports 1..1 are skipped"),
+    (((0, WHOLE), (1, WHOLE), (1, WHOLE), (2, WHOLE)), "snapshot 1 is written twice"),
+    (((0, WHOLE), (2, WHOLE)), "2 records for a header of 3 snapshots: snapshot 1 has 0 of 4"),
+    (((0, WHOLE), (1, ((0, 2), (2, 2))), (1, WHOLE), (2, WHOLE)), "snapshot 1 is written twice"),
+    (((0, ((0, 2), (0, 2))), (1, WHOLE), (2, WHOLE)), "snapshot 0 is written twice"),
+    (((0, ((0, 2), (2, 2))), (1, ((0, 2),)), (2, WHOLE)), "snapshot 1 has 2 of 4 ports written"),
+    (((0, ((0, 1), (2, 2))), (1, WHOLE), (2, WHOLE)), "snapshot 0 ports 1..1 are skipped"),
     (((0, ((0, 2), (2, 2))), (1, ((0, 2), (2, 2))), (2, ((0, 3), (3, 2)))),
      "do not fit snapshot 2 of 4 x 8"),
-], ids=["twice", "never", "streamed-twice", "block-twice", "block-never", "block-skipped",
+], ids=["twice", "never", "whole-over-rows", "block-twice", "block-short", "block-skipped",
         "block-beyond"])
-def test_a_snapshot_put_twice_or_never_raises(tmp_path, steps, message):
-    plan = TonePlan(tone_count=8)
-    layout = Layout("B2B", plan, 4, [0.0, 0.05, 0.1], [np.zeros(3)] * 3, [np.zeros(2)] * 3,
-                    range(3))
+def test_a_snapshot_written_twice_or_left_short_raises(tmp_path, steps, message):
+    layout = Layout("B2B", TonePlan(tone_count=8), 4, [0.0, 0.05, 0.1], [np.zeros(3)] * 3,
+                    [np.zeros(2)] * 3, range(3))
 
-    def produce(put, rows):
+    def produce(rows):
         for s, blocks in steps:
-            if blocks is None:
-                put(s, layout.record(s, np.ones((4, 8), complex)))
-                continue
             for k, n in blocks:
                 rows(s, k, np.ones((n, 8), "<c8"))
-            put(s, layout.record(s, None))
     with pytest.raises(ValueError, match=message):
         write_capture(tmp_path / "b2b.bin", produce, layout=layout)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_streamed_and_whole_records_give_one_file(tmp_path):
-    # rows of any block sizes, then a streamed put, write the bytes of
-    # the whole record; the record's metadata is still checked
+    # rows of any block sizes write the bytes of the whole records
     plan = TonePlan(tone_count=8)
     layout = Layout("B2B", plan, 4, [0.0, 0.05], [np.zeros(3)] * 2, [np.zeros(2)] * 2, range(2))
     payloads = [random_response(s, 4, 8) for s in range(2)]
     write_capture(tmp_path / "whole.bin", [layout.record(s, h) for s, h in enumerate(payloads)])
 
-    def produce(put, rows):
+    def produce(rows):
         for s, h in enumerate(payloads):
             for k, n in ((0, 1), (1, 3)):
                 rows(s, k, h[k:k + n])
-            put(s, layout.record(s, None))
     write_capture(tmp_path / "rows.bin", produce, layout=layout)
     assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
-
-    def mislabelled(put, rows):
-        rows(0, 0, payloads[0])
-        put(0, replace(layout.record(0, None), timestamp=1.0))
-    with pytest.raises(ValueError, match="record 0 timestamp 1.0 differs"):
-        write_capture(tmp_path / "bad.bin", mislabelled, layout=layout)
-    assert not (tmp_path / "bad.bin").exists()
 
 
 def test_short_row_writes_give_the_pinned_bytes(tmp_path, monkeypatch):
@@ -830,19 +822,26 @@ def test_short_row_writes_give_the_pinned_bytes(tmp_path, monkeypatch):
     out = {key: str(tmp_path / f"{key}.bin") for key in ("synth", "b2b", "calibrate")}
     golden._run("synth", "--scenario", scenario, "--out", out["synth"])
     golden._run("b2b", "--scenario", scenario, "--out", out["b2b"], "--snapshots", "2")
-    golden._run("calibrate", "--meas", out["synth"], "--ref", out["b2b"],
+    golden._run("calibrate", "--scenario", scenario, "--meas", out["synth"], "--ref", out["b2b"],
                 "--out", out["calibrate"])
     for key, path in out.items():
         assert golden._sha256(path) == golden.GOLDEN["hover"][key], key
     assert max(sizes) > 4096 and min(sizes) < 4096, (min(sizes), max(sizes))
 
 
+@pytest.mark.parametrize("preset", ["olin-static", "olin-hover", "paper-route"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_streamed_synth_and_b2b_give_the_record_list_bytes(tmp_path, monkeypatch, workers):
+def test_streamed_synth_and_b2b_give_the_record_list_bytes(tmp_path, monkeypatch, workers,
+                                                           preset):
     # the commands' writes, block by block from the workers, against the
-    # library's complex128 records, each cast whole by put
+    # library's complex128 records, each cast whole by the list write.
+    # A streamed snapshot carries no record to check, so the list write,
+    # which checks every record against synthesis_layout or b2b_layout,
+    # is where the layouts meet what run_synthesis and run_b2b make, for
+    # each trajectory kind
     monkeypatch.setenv("A2GS_THREADS", str(workers))
-    config = parse_scenario(json.loads(Path(small_hover(tmp_path)).read_text()))
+    config = parse_scenario({**json.loads(Path(small_hover(tmp_path)).read_text()),
+                             "preset": preset})
     for name, layout, run in (("synth", pipeline.synthesis_layout(config),
                                partial(pipeline.run_synthesis, config)),
                               ("b2b", pipeline.b2b_layout(config, 5),
