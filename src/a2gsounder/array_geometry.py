@@ -11,12 +11,12 @@ the array in the world frame is a scenario concern (a rotation about z
 handled by the capture simulator).
 """
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from ._digest import canonical_hash
 
 _POL_INDEX = {"V": 0, "H": 1}
 
@@ -138,8 +138,7 @@ class ArrayGeometry:
         return amp * (co + p.cross_amplitude * cross)
 
     def content_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_hash(self.to_dict())
 
     def to_dict(self):
         return {

@@ -43,23 +43,36 @@ class Reference:
     measurements, held as the complex128 factor attenuation / reference
     on its tone grid, computed once.
 
-    A reference tone more than REFERENCE_FLOOR_DB below the reference's
-    median magnitude raises, naming the port and tone, rather than being
-    regularized.
+    A reference tone that is not finite, or more than REFERENCE_FLOOR_DB
+    below the reference's median magnitude, raises, naming the port and
+    tone, rather than being regularized.
     """
 
     def __init__(self, ref, attenuator):
         ref_mag = np.absolute(ref.h_f, dtype=np.float64)  # float64 of a complex64 read too
-        floor = float(np.median(ref_mag)) * 10.0 ** (-REFERENCE_FLOOR_DB / 20.0)
-        bad = np.argwhere(ref_mag <= floor)
-        if bad.size:
-            port, tone = bad[0]
-            raise CalibrationError(
-                f"reference tone below floor at port {port}, tone {tone} "
-                f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
+        _reject(ref_mag, ~np.isfinite(ref_mag), "not finite")
+        floor = _median(ref_mag) * 10.0 ** (-REFERENCE_FLOOR_DB / 20.0)
+        _reject(ref_mag, ref_mag <= floor, "below floor")
         self.tone_plan = ref.tone_plan
         # complex128 attenuation over a complex64 or complex128 reference
         self.factor = attenuator.response(ref.tone_plan)[np.newaxis, :] / ref.h_f
+
+
+def _reject(ref_mag, bad, what):
+    if bad.any():
+        port, tone = np.argwhere(bad)[0]
+        raise CalibrationError(f"reference tone {what} at port {port}, tone {tone} "
+                               f"(|Y_ref| = {ref_mag[port, tone]:.3e})")
+
+
+def _median(values):
+    """float(np.median(values)) as np.median computes it, np.mean of the
+    middle one or two values of np.partition, without the NaN check
+    that imports numpy.ma (~1.2 MiB): ``values`` are finite."""
+    flat = values.ravel()
+    middle = flat.size // 2
+    kth = [middle] if flat.size % 2 else [middle - 1, middle]
+    return float(np.mean(np.partition(flat, kth)[kth[0]:middle + 1]))
 
 
 def calibrate(meas, reference, out=None):

@@ -14,11 +14,11 @@ Presets:
 """
 
 import copy
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 
+from ._digest import canonical_hash
 from .array_geometry import PatternParams, build_cylindrical_array
 from .capture_sim import AttenuatorModel
 from .channel_synth import WOBBLE_RHO_MAX, Facet, Scene, Trajectory, WobbleParams
@@ -374,12 +374,7 @@ class ScenarioConfig:
 
     @property
     def scenario_hash(self):
-        return config_hash(self.resolved)
-
-
-def config_hash(resolved):
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_hash(self.resolved)
 
 
 def parse_scenario(document):

@@ -11,7 +11,9 @@ step (and, for the synth command, the capture write) of run_synthesis
 or the capture reads, calibration and metrics of analyze_records. What
 feeds it runs in the feeding thread: the paths of each run of
 snapshots that share a TX state, from which each worker builds the
-state's path-sum factors once. run_b2b runs with no pool. Given a
+state's path-sum factors once. run_b2b runs with no pool, and a
+process that starts none never imports concurrent.futures or the
+logging it imports. Given a
 capture writer's rows, both synthesis stages write each snapshot's
 16-port blocks straight to the file, so no ports x tones payload is
 held.
@@ -27,7 +29,6 @@ import os
 import threading
 from array import array
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from itertools import chain, groupby
 
@@ -71,13 +72,17 @@ def _map_ordered(fn, items):
 
     While another call's pool runs (it holds _POOL_RUNNING until its
     iterator ends or is closed), as when this stage feeds that pool, it
-    maps in the taking thread: A2GS_THREADS caps the whole process.
+    maps in the taking thread: A2GS_THREADS caps the whole process. So
+    it does at one thread, and only a call that starts a pool imports
+    concurrent.futures.
     """
     workers = thread_count()
     if workers == 1 or not _POOL_RUNNING.acquire(blocking=False):
         yield from map(fn, items)
         return
     try:
+        from concurrent.futures import ThreadPoolExecutor  # and logging: 0.6 MiB
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque()
             try:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from a2gsounder.calibration import (CalibrationError, Reference, calibrate,
+from a2gsounder.calibration import (CalibrationError, Reference, _median, calibrate,
                                     stability_stats)
 from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord,
                                     build_system_response,
@@ -81,6 +84,19 @@ class TestCalibrate:
             calibrate(record(np.ones((4, PLAN.tone_count))),
                       Reference(record(ref, record_type="B2B"), FlatAttenuator(1.0)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, np.inf),
+                                       complex(1.0, -np.inf)],
+                             ids=["nan", "inf", "nan-inf", "imag-inf"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_non_finite_reference_tone_names_port_and_tone(self, value, dtype):
+        # a NaN would make the median, and so the floor, NaN and pass every
+        # tone; an inf would give that tone a factor of 0
+        h_f = np.ones((4, PLAN.tone_count), dtype)
+        h_f[3, 40] = value
+        ref = CaptureRecord(h_f=h_f, tone_plan=PLAN, record_type="B2B")
+        with pytest.raises(CalibrationError, match=r"not finite at port 3, tone 40"):
+            Reference(ref, FlatAttenuator(1.0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(CalibrationError, match="dimensions"):
             calibrate(record(np.ones((4, PLAN.tone_count))),
@@ -103,6 +119,22 @@ class TestCalibrate:
         truth = port_stack_response(paths, geom, PLAN)
         err = np.abs(cal.h_f - truth) / np.max(np.abs(truth))
         assert np.max(err) < 1e-10
+
+
+# magnitudes drawn from a few values too, so that the middle ones tie
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 2.5, 7.0]),
+                        st.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                  elements=_MAGNITUDES))
+@example(np.array([[3.0]]))
+@example(np.array([[2.0, 1.0, 2.0, 1.0]]))  # even count, tied middle pair
+@example(np.array([[1.0, 3.0], [3.0, 1.0], [3.0, 0.0]]))  # even count, distinct middle pair
+@example(np.array([[7.0, 2.5, 2.5], [2.5, 0.0, 7.0], [1.0, 2.5, 7.0]]))  # odd count, ties
+def test_reference_median_is_np_median_bit_for_bit(values):
+    assert _median(values).hex() == float(np.median(values)).hex()
 
 
 class TestStabilityStats:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from a2gsounder.cli import main as cli_main
 from a2gsounder.config import DEFAULTS, MIN_SNR_DB, SchemaError, parse_scenario
 from a2gsounder.pipeline import REPORT_FIELDS
 from a2gsounder.processing import AnalysisError
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # the columns `report` projects, as the header of a hand-made metrics CSV
 _REPORT_HEADER = (b"timestamp,tx_x,tx_y,tx_z,p_rx_db,sigma_tau_dbs,gamma12_db,"
@@ -120,6 +123,16 @@ class TestParseScenario:
         # the output contract: the bare defaults and each preset are pinned
         document = {} if preset is None else {"preset": preset}
         assert parse_scenario(document).scenario_hash == digest
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in SCENARIOS.glob("*.json")))
+    def test_provenance_hashes_are_hashlibs_sha256(self, name):
+        # the interpreter's built-in sha256 gives hashlib's digest of the
+        # same canonical JSON, for the scenario and for its geometry
+        config = parse_scenario(json.loads((SCENARIOS / f"{name}.json").read_text()))
+        for document, digest in ((config.resolved, config.scenario_hash),
+                                 (config.geometry.to_dict(), config.geometry.content_hash())):
+            blob = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+            assert digest == hashlib.sha256(blob).hexdigest()
 
     @pytest.mark.parametrize("bad", ["x", True, [1], math.nan, -math.inf],
                              ids=["str", "bool", "list", "nan", "neg-inf"])

@@ -31,6 +31,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -638,15 +639,18 @@ linux_only = pytest.mark.skipif(not hasattr(os, "wait4") or not sys.platform.sta
 
 
 def cli_faults(workers, *argv):
-    """Minor page faults of one ``a2gs`` child process."""
+    """Minor page faults of one ``a2gs`` child process. Its stderr goes
+    to a temporary file, read after the wait: a pipe would block a child
+    that writes more than the pipe holds."""
     env = dict(os.environ, A2GS_THREADS=str(workers), PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen([sys.executable, "-m", "a2gsounder", *argv],
-                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, child.stderr.read().decode()
-    child.stderr.close()
+    with tempfile.TemporaryFile() as stderr:
+        child = subprocess.Popen([sys.executable, "-m", "a2gsounder", *argv],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stderr.seek(0)
+        assert child.returncode == 0, stderr.read().decode()
     return usage.ru_minflt
 
 
