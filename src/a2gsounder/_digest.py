@@ -2,8 +2,9 @@
 
 sha256 comes from the interpreter's built-in module (``_sha2`` from
 CPython 3.12, ``_sha256`` before), which gives hashlib's digest without
-mapping OpenSSL's libcrypto (~3.5 MiB) into every command. hashlib is
-the fallback on an interpreter that has neither.
+mapping OpenSSL's libcrypto (~3.4 MiB) into a command that hashes a
+scenario or an array. hashlib is the fallback on an interpreter that
+has neither.
 """
 
 import json

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._rng import numpy_random
 from .capture_file import read_capture, write_capture
 from .capture_sim import CaptureRecord
 from .config import parse_scenario
@@ -169,8 +170,9 @@ def run_selftest(verbose=True):
     """Run every invariant check, each given a fresh seeded generator
     (the file checks ignore it); returns the number of failures."""
     failures = 0
+    random = numpy_random()
     for name, fn in CHECKS:
-        rng = np.random.Generator(np.random.Philox(key=20240301))
+        rng = random.Generator(random.Philox(key=20240301))
         try:
             ok, detail = fn(rng)
         except Exception as exc:  # a crash is a failure, not an abort
