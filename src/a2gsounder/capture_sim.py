@@ -7,7 +7,9 @@ downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
 stability; additive white Gaussian noise is injected per tone in the
-frequency domain. A snapshot never holds its whole noise-free
+frequency domain, at one power per capture, fixed by its first
+snapshot (noise_sigma), as a receiver's noise floor does not follow
+the signal. A snapshot never holds its whole noise-free
 response: it is expanded from the path-sum factors (FactoredResponse)
 16 ports at a time, times the chain, gains and drift, plus the noise,
 through one small scratch block, and each finished block is either
@@ -313,62 +315,75 @@ def noise_scratch(tones):
     float64 array: a 16-port complex128 block (0.47 MB at 1841 tones),
     then a float64 block the size of a 16-port complex128 block of whole
     64-tone blocks (0.48 MB), where FactoredResponse.product sums the
-    paths and a finished block is cast to ``<c8`` for a writer."""
+    paths, noise_sigma takes |.|^2, the draws are made and a finished
+    block is cast to ``<c8`` for a writer."""
     return np.empty(2 * _BLOCK_PORTS * (tones + -(-tones // _BLOCK) * _BLOCK))
 
 
-def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratch=None):
-    """A ``shape`` (ports x tones) base response times gain[:, None] plus
-    white Gaussian noise, written into ``out`` (an array of that shape
-    and any complex dtype, or a fresh complex128 one when None) and
-    returned, or, when ``out`` is a writer ``rows(k, block)``, handed
-    to it a finished block at a time, and None returned. ``base(k, gain,
-    block, work)`` writes ports k, k+1, ... of
-    the base times ``gain`` (one per port) into ``block``, with ``work``
-    to spare (FactoredResponse.product, or a multiply of a whole array).
-    The noise lies ``snr_db`` below the product's strongest port's mean
-    tone power; None or +inf adds none. Port k's draws are its tones'
-    real parts, then their imaginary parts, from one counter block per
-    snapshot in port order.
-
-    It takes 16 ports at a time, in two passes: the first forms each
-    block's product and its ports' mean |.|^2 for the reference power;
-    the second forms the product again, adds the block's draws and
-    copies the block into ``out``, or casts it to a C-contiguous ``<c8``
-    block for rows(k, block), the cast ``out``'s rows would make. The
-    product sits in the complex128 block of ``scratch`` (noise_scratch
-    of the tone count; a fresh one without it), and the base's work,
-    |.|^2, the draws and the cast block in its float64 block, each
-    free by the time the next is written there.
-    """
-    ports, tones = shape
-    rows = out if callable(out) else None
-    if out is None:
-        out = np.empty(shape, np.complex128)
+def _blocks(base, shape, gain, scratch=None):
+    """(k, block, work) for each 16-port block of a ``shape`` (ports x
+    tones) base response times gain[:, None]: ``base(k, gain, block,
+    work)`` writes ports k, k+1, ... of the base times ``gain`` (one per
+    port) into ``block``, with ``work`` to spare (FactoredResponse.product,
+    or a multiply of a whole array). ``block`` is the complex128 block of
+    ``scratch`` (noise_scratch of the tone count; a fresh one without
+    it) and ``work`` its float64 block, each free for the caller's use
+    until the next block is taken."""
+    tones = shape[1]
     if scratch is None:
         scratch = noise_scratch(tones)
     spare = scratch[:2 * _BLOCK_PORTS * tones].view(np.complex128).reshape(-1, tones)
-    floats = scratch[2 * _BLOCK_PORTS * tones:]
-    blocks = range(0, ports, _BLOCK_PORTS)
-
-    def product(k):
+    work = scratch[2 * _BLOCK_PORTS * tones:]
+    for k in range(0, shape[0], _BLOCK_PORTS):
         g = gain[k:k + _BLOCK_PORTS]
-        return base(k, g, spare[:len(g)], floats)
+        yield k, base(k, g, spare[:len(g)], work), work
 
-    def strongest(k):  # the largest mean tone power of the block's ports
-        b = product(k)
-        power = np.absolute(b, out=floats[:b.size].reshape(b.shape))
+
+def noise_sigma(snr_db, base, shape, gain, scratch=None):
+    """The standard deviation of the real and the imaginary part of the
+    noise of a capture whose first snapshot is ``base`` times ``gain``
+    (see _blocks): the noise per tone lies ``snr_db`` below the mean
+    tone power of that snapshot's strongest port, for every snapshot of
+    the capture, as a receiver's noise floor does not follow the signal.
+    None when ``snr_db`` is None or +inf: the capture has no noise. The
+    product is formed 16 ports at a time through ``scratch``, its |.|^2
+    in the float64 block."""
+    if snr_db is None or snr_db == math.inf:
+        return None
+
+    def strongest(block, work):  # the largest mean tone power of the block's ports
+        power = np.absolute(block, out=work[:block.size].reshape(block.shape))
         return np.max(np.mean(np.square(power, out=power), axis=1))
 
-    noisy = snr_db is not None and snr_db != math.inf
-    if noisy:
-        ref_power = float(max(map(strongest, blocks)))
-        sigma = math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    ref_power = float(max(strongest(b, work) for _, b, work in _blocks(base, shape, gain, scratch)))
+    return math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+
+
+def _gain_and_noise(out, base, shape, gain, sigma, seed, snapshot_index, scratch=None):
+    """A ``shape`` (ports x tones) base response times gain[:, None] plus
+    white Gaussian noise of standard deviation ``sigma`` in its real and
+    its imaginary part (noise_sigma; None adds none), written into
+    ``out`` (an array of that shape and any complex dtype, or a fresh
+    complex128 one when None) and returned, or, when ``out`` is a writer
+    ``rows(k, block)``, handed to it a finished block at a time, and
+    None returned. Port k's draws are its tones' real parts, then their
+    imaginary parts, from one counter block per snapshot in port order.
+
+    It takes 16 ports at a time, in one pass (see _blocks for ``base``
+    and ``scratch``): it forms each block's product, adds the block's
+    draws and copies the block into ``out``, or casts it to a
+    C-contiguous ``<c8`` block for rows(k, block), the cast ``out``'s
+    rows would make. The draws and the cast block sit in the float64
+    block of ``scratch``, each free by the time the next is written.
+    """
+    rows = out if callable(out) else None
+    if out is None:
+        out = np.empty(shape, np.complex128)
+    if sigma is not None:
         rng = stream(seed, TAG_NOISE, snapshot_index)
-    for k in blocks:
-        b = product(k)
-        if noisy:
-            draws = floats[:2 * b.size].reshape(len(b), 2, tones)
+    for k, b, work in _blocks(base, shape, gain, scratch):
+        if sigma is not None:
+            draws = work[:2 * b.size].reshape(len(b), 2, shape[1])
             rng.standard_normal(out=draws)
             draws *= sigma
             b.real += draws[:, 0]
@@ -376,7 +391,7 @@ def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratc
         if rows is None:
             out[k:k + _BLOCK_PORTS] = b
         else:
-            cast = floats[:b.size].view("<c8").reshape(b.shape)
+            cast = work[:b.size].view("<c8").reshape(b.shape)
             np.copyto(cast, b)
             rows(k, cast)
     return out if rows is None else None
@@ -384,15 +399,17 @@ def _gain_and_noise(out, base, shape, gain, snr_db, seed, snapshot_index, scratc
 
 def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
                       snapshot_index=0, timestamp=0.0, mounting_rotation=0.0, seed=0,
-                      base_tf=None, out=None, scratch=None):
+                      base_tf=None, out=None, scratch=None, sigma=None):
     """Capture one SIMO snapshot of SlotPaths ``paths``.
 
     One row is shared by all ports; one row per port means the
     transmitter moves within the snapshot (square route: port k is
     captured at its own switch slot). The record's TX position is slot
-    0's and its tilt the paths' tilt. Noise is scaled to
-    ``noise_snr_db`` below the strongest port's mean tone power; None
-    disables it. ``base_tf`` may carry these paths' response times
+    0's and its tilt the paths' tilt. ``sigma`` is the noise of the
+    capture the snapshot belongs to, noise_sigma of its first snapshot
+    with ``noise_snr_db``; None takes this snapshot as that first one,
+    as in a one-snapshot capture (no noise when ``noise_snr_db`` is None
+    or +inf). ``base_tf`` may carry these paths' response times
     ``system.common_chain`` as a FactoredResponse, already filled by
     port_stack_response (a synthesis worker keeps one and refills it
     only for a new TX state); without it a fresh one is filled. The
@@ -408,18 +425,13 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
         base_tf = port_stack_response(paths, geometry, tones, mounting_rotation,
                                       out=FactoredResponse(geometry.n_ports, system.common_chain))
     gain = system.per_port_gain * system.drift(snapshot_index, kind="meas")
-
+    if sigma is None:
+        sigma = noise_sigma(noise_snr_db, base_tf.product, base_tf.shape, gain, scratch)
     return CaptureRecord(
-        h_f=_gain_and_noise(out, base_tf.product, base_tf.shape, gain, noise_snr_db, seed,
+        h_f=_gain_and_noise(out, base_tf.product, base_tf.shape, gain, sigma, seed,
                             snapshot_index, scratch),
-        tone_plan=tones,
-        timestamp=timestamp,
-        tx_position=paths.tx_position,
-        tx_tilt=paths.tx_tilt,
-        snr_db=noise_snr_db,
-        seed=seed,
-        snapshot_index=snapshot_index,
-    )
+        tone_plan=tones, timestamp=timestamp, tx_position=paths.tx_position,
+        tx_tilt=paths.tx_tilt, snr_db=noise_snr_db, seed=seed, snapshot_index=snapshot_index)
 
 
 def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
@@ -429,9 +441,11 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
     iterator of B2B CaptureRecords, each computed as it is taken.
 
     The base response, chain times port gain times attenuator, is built
-    once, in place. Each snapshot is the base times its drift, plus the
-    noise, made 16 ports at a time through one noise_scratch block (see
-    _gain_and_noise) into a fresh complex128 array per record, or, with
+    once, in place. The noise of every snapshot lies ``noise_snr_db``
+    below the strongest port of snapshot 0 (noise_sigma, formed through
+    the same blocks). Each snapshot is the base times its drift, plus
+    the noise, made 16 ports at a time through one noise_scratch block
+    (see _gain_and_noise) into a fresh complex128 array per record, or, with
     ``rows``, a capture writer's rows(s, k, block), handed to rows(s,
     ...) a ``<c8`` block at a time, its record carrying no payload
     (``h_f`` None).
@@ -445,17 +459,16 @@ def simulate_b2b(tones, system, attenuator, snapshot_count=1, seed=0,
     def product(k, gain, block, work):
         return np.multiply(base[k:k + len(gain)], gain[:, np.newaxis], out=block)
 
+    def drift(s):
+        return np.full(len(base), system.drift(s, kind="b2b"))
+
+    sigma = noise_sigma(noise_snr_db, product, base.shape, drift(0), scratch)
+
     def snapshot(s):
-        drift = np.full(len(base), system.drift(s, kind="b2b"))
         out = None if rows is None else partial(rows, s)
         return CaptureRecord(
-            h_f=_gain_and_noise(out, product, base.shape, drift, noise_snr_db, seed, s, scratch),
-            tone_plan=tones,
-            timestamp=s * snapshot_period,
-            snr_db=noise_snr_db,
-            seed=seed,
-            snapshot_index=s,
-            record_type="B2B",
-        )
+            h_f=_gain_and_noise(out, product, base.shape, drift(s), sigma, seed, s, scratch),
+            tone_plan=tones, timestamp=s * snapshot_period, snr_db=noise_snr_db, seed=seed,
+            snapshot_index=s, record_type="B2B")
 
     return map(snapshot, range(int(snapshot_count)))

@@ -221,7 +221,8 @@ def _facets(value, path):
 
 
 # Lowest SNR a capture may carry. Noise is drawn 10^(-snr_db/20) times
-# the strongest port's rms amplitude, and captures are complex64, whose
+# the rms amplitude of the strongest port of the capture's first
+# snapshot, for every snapshot, and captures are complex64, whose
 # largest finite magnitude, 3.4e38, is 770 dB. A standard normal draw
 # stays below 10 (20 dB). A path's gain, its free-space amplitude
 # wavelength/(4*pi*d), is below 1 (0 dB) unless the TX is within

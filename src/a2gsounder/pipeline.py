@@ -36,7 +36,7 @@ import numpy as np
 
 from .calibration import CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
-from .capture_sim import (FactoredResponse, build_system_response, noise_scratch,
+from .capture_sim import (FactoredResponse, build_system_response, noise_scratch, noise_sigma,
                           port_stack_response, simulate_b2b, simulate_snapshot)
 from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
 from .config import SchemaError
@@ -141,15 +141,19 @@ def run_synthesis(config, rows=None):
     a route. The thread that feeds the pool synthesizes a run's paths
     once, at its first snapshot time, as the run is reached, and hands
     each of its snapshots to a pool task with the run's key (its first
-    index) and those paths. Each worker thread keeps one
+    index), those paths and the first run's. Each worker thread keeps one
     FactoredResponse, into which port_stack_response writes the state's
     path-sum factors (0.50 MB for a route state, 0.93 MB for a hover one
     at 128 x 1841) only when a task's key is not the one it built last.
+    As a worker starts, it builds snapshot 0's state there and takes the
+    capture's noise sigma from snapshot 0 (noise_sigma, one expansion of
+    its blocks through the worker's noise scratch block): every worker
+    holds the same float, without a lock or an extra buffer.
     A task expands the noise-free
     response times the common chain from the factors 16 ports at a time
     (the path-sum matmuls use BLAS at its own thread count), multiplies
     the ports by its snapshot's port gains and drift and adds the noise,
-    through its worker's noise scratch block, into a fresh complex128
+    in one pass through that noise scratch block, into a fresh complex128
     array, or with ``rows`` block by block to rows(index, k, block),
     cast to ``<c8`` in that scratch; its record then carries no payload
     and is dropped. No ports x tones array crosses between threads,
@@ -171,29 +175,37 @@ def run_synthesis(config, rows=None):
         return 0 if traj.kind == "static_point" else index
 
     def snapshots():
+        first = None
         for _, run in groupby(range(len(times)), key=state):
             run = list(run)
             paths = paths_for_snapshot(config, times[run[0]])
+            first = paths if first is None else first
             for index in run:
-                yield index, run[0], paths
+                yield index, run[0], paths, first
+
+    def fill(key, paths):  # a TX state's path-sum factors, into this worker's response
+        port_stack_response(paths, config.geometry, config.tone_plan,
+                            config.scene.rx_mounting_rotation, out=local.response)
+        local.key = key
 
     def one(item):
-        index, key, paths = item
-        if not hasattr(local, "scratch"):
+        index, key, paths, first = item
+        if not hasattr(local, "scratch"):  # and the capture's noise, from snapshot 0's state
             local.scratch = noise_scratch(config.tone_plan.tone_count)
             local.response = FactoredResponse(config.geometry.n_ports, system.common_chain)
-            local.key = None
+            fill(0, first)
+            local.sigma = noise_sigma(config.capture["snr_db"], local.response.product,
+                                      local.response.shape,
+                                      system.per_port_gain * system.drift(0), local.scratch)
         if key != local.key:
-            port_stack_response(paths, config.geometry, config.tone_plan,
-                                config.scene.rx_mounting_rotation, out=local.response)
-            local.key = key
+            fill(key, paths)
         return simulate_snapshot(paths, config.geometry, config.tone_plan, system,
                                  noise_snr_db=config.capture["snr_db"], snapshot_index=index,
                                  timestamp=float(times[index]),
                                  mounting_rotation=config.scene.rx_mounting_rotation,
                                  seed=config.capture["noise_seed"], base_tf=local.response,
                                  out=None if rows is None else partial(rows, index),
-                                 scratch=local.scratch)
+                                 scratch=local.scratch, sigma=local.sigma)
 
     records = _map_ordered(one, snapshots())
     if rows is None:

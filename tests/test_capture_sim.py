@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import host_class
 import numpy as np
@@ -9,14 +11,16 @@ from oracles import ideal_system_response, port_gain, transfer_function_oracle, 
 
 from a2gsounder._rng import TAG_DRIFT_B2B, TAG_NOISE, stream
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, _gain_and_noise,
-                                    build_system_response, port_response_row,
+from a2gsounder.capture_sim import (AttenuatorModel, FactoredResponse, _gain_and_noise,
+                                    build_system_response, noise_sigma, port_response_row,
                                     port_stack_response, simulate_b2b, simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
                                      tx_position_at, wobble_index)
 from a2gsounder.config import parse_scenario
-from a2gsounder.pipeline import paths_for_snapshot
-from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan
+from a2gsounder.pipeline import (calibrate_records, paths_for_snapshot, run_b2b,
+                                 run_synthesis, system_for)
+from a2gsounder.processing import cir_from_tf, snapshot_metrics, threshold_and_gate
+from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan, snapshot_timestamps
 
 PLAN = TonePlan(tone_count=128)
 
@@ -66,11 +70,13 @@ class TestSystemResponse:
 
 
 def chain_times_gain(ports, snr_db, seed, index):
-    """The chain times the port gains of a seeded 64-tone system, plus noise."""
+    """The chain times the port gains of a seeded 64-tone system, plus the
+    noise of a capture whose first snapshot it is."""
     system = build_system_response(TonePlan(tone_count=64), ports, seed=3)
     chain = np.broadcast_to(system.common_chain, (ports, 64))
-    return _gain_and_noise(np.empty((ports, 64), np.complex128), whole_product(chain),
-                           chain.shape, system.per_port_gain, snr_db, seed, index)
+    args = (whole_product(chain), chain.shape, system.per_port_gain)
+    return _gain_and_noise(np.empty((ports, 64), np.complex128), *args,
+                           noise_sigma(snr_db, *args), seed, index)
 
 
 class TestSimulateSnapshot:
@@ -132,7 +138,7 @@ class TestSimulateSnapshot:
         base = np.ones((128, 1841), np.complex128)
         gain = np.ones(128, np.complex128)
         out = np.empty(base.shape, dtype)
-        args = (whole_product(base), base.shape, gain, 30.0, 1)
+        args = (whole_product(base), base.shape, gain, 0.03, 1)  # noise sigma 0.03
         _gain_and_noise(out, *args, 1)  # one-time allocations are not the kernel's
         tracemalloc.start()
         try:
@@ -208,6 +214,115 @@ class TestSimulateB2B:
         with pytest.raises(ValueError):
             simulate_b2b(PLAN, ideal_system_response(PLAN, 4), AttenuatorModel(),
                          snapshot_count=0)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# sha256 of snapshot 0's <c8 payload (synth, b2b) of each bundled
+# scenario, recorded from the per-snapshot noise reference that came
+# before the per-capture one: snapshot 0 is its capture's reference, so
+# the change leaves these bytes, and the operating SNR, as they were
+SNAPSHOT_0_DIGESTS = {
+    ("static", "synth"): "441d72f2cb10b4f3dcd8fb0946cabb427b0d10dc81798acdf96ef61686914afc",
+    ("hover", "synth"): "ec161c8e5cda9b166b2694b156cc52bebe91df02c8e047e69d60b09c1e41ebca",
+    ("route", "synth"): "deb63f504c5d433c7420f26537e8b6a7f19cf115df70f3f89b3da7be39367ede",
+    ("static", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
+    ("hover", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
+    ("route", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
+    ("b2b-stability", "b2b"): "14b242b4aa371ad6e71f039d9f03f9d9c18b0c8f5de61491fa669ac9d4e7d53e",
+}
+
+
+class TestCaptureNoise:
+    """One noise power per capture: ``snr_db`` below the strongest port
+    of its snapshot 0, whatever the later snapshots' signal does."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("preset", ["olin-static", "olin-hover", "paper-route"])
+    def test_every_snapshot_takes_the_noise_of_snapshot_0(self, monkeypatch, preset, threads):
+        monkeypatch.setenv("A2GS_THREADS", threads)
+        config = parse_scenario({"preset": preset, "array": {"columns": 4, "rows": 2},
+                                 "timing": {"ports_per_simo": 16},
+                                 "tone_plan": {"tone_count": 64}, "capture": {"burst_count": 2}})
+        system = system_for(config)
+        times = snapshot_timestamps(config.timing, 2)
+        rotation = config.scene.rx_mounting_rotation
+        kwargs = dict(noise_snr_db=config.capture["snr_db"], seed=config.capture["noise_seed"],
+                      mounting_rotation=rotation)
+
+        def alone(s, **more):
+            return simulate_snapshot(paths_for_snapshot(config, times[s]), config.geometry,
+                                     config.tone_plan, system, snapshot_index=s,
+                                     timestamp=times[s], **kwargs, **more).h_f
+
+        records = list(run_synthesis(config))
+        # snapshot 0 is the one-snapshot capture of its paths
+        assert records[0].h_f.tobytes() == alone(0).tobytes()
+        first = port_stack_response(paths_for_snapshot(config, 0.0), config.geometry,
+                                    config.tone_plan, rotation,
+                                    out=FactoredResponse(config.geometry.n_ports,
+                                                         system.common_chain))
+        sigma = noise_sigma(config.capture["snr_db"], first.product, first.shape,
+                            system.per_port_gain * system.drift(0))
+        assert len(records) == len(times) > 1
+        for s, record in enumerate(records):
+            assert record.h_f.tobytes() == alone(s, sigma=sigma).tobytes(), s
+
+    def test_b2b_snapshot_0_is_a_one_snapshot_series(self):
+        system = build_system_response(PLAN, 40, seed=3)
+        series = [list(simulate_b2b(PLAN, system, AttenuatorModel(), snapshot_count=count,
+                                    seed=7, noise_snr_db=20.0)) for count in (1, 3)]
+        assert series[0][0].h_f.tobytes() == series[1][0].h_f.tobytes()
+        assert series[1][1].h_f.tobytes() != series[1][0].h_f.tobytes()
+
+    @pytest.mark.parametrize("name,command", sorted(SNAPSHOT_0_DIGESTS))
+    def test_bundled_snapshot_0_payloads_are_pinned(self, name, command):
+        config = parse_scenario(json.loads((SCENARIOS / f"{name}.json").read_text()))
+        records = run_synthesis(config) if command == "synth" else run_b2b(config, 1)
+        h_f = next(iter(records)).h_f
+        got = hashlib.sha256(np.ascontiguousarray(h_f, "<c8").tobytes()).hexdigest()
+        assert got == SNAPSHOT_0_DIGESTS[name, command], host_class.note()
+
+    def test_noise_floor_holds_while_the_drone_flies_away(self):
+        # a 100 m square 30..130 m east of the RX at 10 m height, no
+        # facets: 31 to 140 m from the RX around the route
+        config = parse_scenario({
+            "preset": "paper-route", "scene": {"facets": []},
+            "trajectory": {"center": [80.0, 0.0], "side": 100.0, "height": 10.0,
+                           "speed": 25.0},
+            "timing": {"simos_per_burst": 1, "burst_rate": 1.0},
+            "capture": {"burst_count": 16, "snr_db": 20.0}})
+        records = list(run_synthesis(config))
+        distances = np.array([np.linalg.norm(r.tx_position - config.scene.rx_position)
+                              for r in records])
+        assert distances.max() >= 4 * distances.min()
+        floors, p_rx_db = [], []
+        ref = run_b2b(config, 1)
+        for cal in calibrate_records(records, ref, config.attenuator):
+            raw = cir_from_tf(cal, window="hann")  # rect's sidelobes reach the tail
+            floors.append(np.median(threshold_and_gate(raw, config.gate).noise_floor))
+            p_rx_db.append(snapshot_metrics(cal, config.geometry, config.gate, "hann")["p_rx_db"])
+        # A port's floor is the mean power of its T tail bins. Every
+        # snapshot is calibrated by the one B2B reference, so a port's
+        # noise has the same spectrum, and its floor the same
+        # expectation, in every snapshot. A bin's power has a relative
+        # std of 1, and the Hann window correlates neighbouring bins
+        # (|rho|^2 = 4/9 at lag 1 and 1/36 at lag 2; the reference's
+        # +-1.5 dB chain ripple adds little), so the floor's relative
+        # std is about sqrt(c / T), c = 1 + 2 (4/9 + 1/36). With every
+        # port within 6 of those of its expectation, the median over
+        # the ports stays within (1 +- e) of the median of the
+        # expectations, so no two snapshots' medians differ by more
+        # than (1 + e) / (1 - e): 4.1 dB here. A floor that followed
+        # the signal would spread 20 log10(140 / 31) = 13 dB.
+        tail = math.ceil(config.gate.noise_window_fraction * config.tone_plan.tone_count)
+        e = 6.0 * math.sqrt((1.0 + 2.0 * (4.0 / 9.0 + 1.0 / 36.0)) / tail)
+        assert max(floors) / min(floors) <= (1.0 + e) / (1.0 - e)
+        # the received power falls as the free-space 20 log10(d) (the
+        # path loss, element pattern and ground bounce give a slope of
+        # -0.99 here)
+        slope = np.polyfit(20.0 * np.log10(distances), p_rx_db, 1)[0]
+        assert -1.2 <= slope <= -0.8
 
 
 class TestAttenuator:

@@ -28,37 +28,37 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "d3569e7aebc58e50716069f2a03002bcda742dca849a1e6efd397e0dd02a7331",
-        "analyze_csv": "079fffc67dcc8d3d99f23d5f0b4306b886e8b2f711f43ad2500adfcd322f1c19",
-        "analyze_json": "dde0a8c45976c61f0361aaf0e11a63e24d230c4565dc8c9e14750b852fd68623",
-        "analyze_summary": "3f754c8caf6be0cd4bf16015624816f701dc399c32e996780cd6d5a5e197eba1",
-        "b2b": "0f57311e12858768a4e2978fd6e951b75fd49368b2d35e89299ab61304c49e1f",
-        "calibrate": "89b5e3b8ee5abcb955e08dcc137b960353c769ff36418bd1fbde155c381a907b",
-        "report": "3731feafd54cac4d6b03154a3df128eff569d9b0eb45b0c28c0bd5fa436ef124",
-        "report_json": "4153bd5f033e16995f25bdf920951bd409222bad3e08d867148a0bbe92caf55c",
-        "synth": "ee4689609c9dd3333085c78a2e3b399333665f426c53b1523e38fc5f73bc21c6",
+        "analyze_cal_csv": "643d2faf7481244e7cc416a189ce8e7029f7fa828b7278ca8cc7d7dec8acc396",
+        "analyze_csv": "22bb8b798657e397907d38609e4ff001b18735aaaec14d565b0765b5aaea2277",
+        "analyze_json": "913e0f92e629f4b0d9558a302933a09dd5f5b9f63fbd8c3bf1b51e0958580ec3",
+        "analyze_summary": "78829c6a564f3b3e9f6af34d56bac25d5acb0cafd645f88c67dbd35d67fd9f42",
+        "b2b": "c13697066a70c87320a8b9e795edf2f68f4958cb88ff77a56baedb3c4587e6b1",
+        "calibrate": "1501f334e45839e7e3a9c610e657145fd55e3337c9e65f1e64bd111c8538783a",
+        "report": "62f6cd860077efe5d3443471d046c2c165ed6a40db425f085a9de66cdfcee62a",
+        "report_json": "f6e2fed6960e940ab26dd6dec0b5876b0d99521b4887389b9aafda7c0c127337",
+        "synth": "9fcbedcac092683d1c4b0774b05679208ea852cfb22f91648786f306e0abdd91",
     },
     "hover": {
-        "analyze_cal_csv": "575ef8f7994b05d730ac74876009d934f0b444ed7a3ed8cc41b264ef66f302f3",
-        "analyze_csv": "d73186bf7fe443f9393aab414f14d4c995770816bee47b4c1ec10a9249a9c7c3",
-        "analyze_json": "2b48c48ae2953852d2093074762e0f60b1f0a4e69611b9721f825dca21cbf87a",
-        "analyze_summary": "0eb45c3166866b515c31985e02ac537683148cf8223b9400efa0dd63dd3580e0",
-        "b2b": "275704e22bd675147d9cd3ff3cc75606aa077aac311661f26f01460f9d4e849e",
-        "calibrate": "9254264bed230decb7959630b64882b5617ab6d9b1a107715039eaf70fa680b9",
-        "report": "b51d73789fc121914f8f4aa3ac44cb22895a21de525c1dac54b88dde09bc5d66",
-        "report_json": "e01a7c84b3a2eb1df3b0a187baac83b246084df0b27995a537fbc31f85c0dcd7",
-        "synth": "08cb6fcf3aedaddfdd2f2b3b9461e899c37a4e2eadc1bf6393b7ce435bc469fd",
+        "analyze_cal_csv": "77acb457bd6b641f58a78a6fa3c27415c3d7b4f030ee379ac8dc7da48eaa50a4",
+        "analyze_csv": "932619e3dd28d1b17e3d5c2445bf3bd9b1a2b06e28925fbb151f7950a7f06e9f",
+        "analyze_json": "e70678abd3f6220fdfd9a2d025769015d0afa44bc328bc67977471f6a2ff412b",
+        "analyze_summary": "02752f0d6ed4de992a43778074b8f04241d0eb68d4579a13d615d676c6674b3d",
+        "b2b": "82687ac9926dfb36c21e9274db9a7fafbea21fc2e3c5b3d09ad092151ac93ff2",
+        "calibrate": "19b173f6b2ca05fcc4a65c5438e4961e5ba39f36c8ae00d8e2afe35d85009eb1",
+        "report": "f1def9086243f2a369cdd1c7f05adb485172738b673bafccdbe9416213c2f07e",
+        "report_json": "ccece613803b2e39eceb1479ce4b6e69debb0fbd3e9d78bc0f40e62f684456f5",
+        "synth": "b64234971ed40d20faa420181013f22a0747ee59fdcfc71958ee54edb4f130fa",
     },
     "route": {
-        "analyze_cal_csv": "7a8b25a048d5b93b818366cf11891e22cda3863a19530753042ac246b8a572db",
-        "analyze_csv": "8f3df7dd4357d81b07de760f2eebfaf42e4f59ba0924cff25bc6ab050d212327",
-        "analyze_json": "ad3cc720d0a231c6585005d22fd3e0107262f4dda2b4ccc5b7e393f1d0070eca",
-        "analyze_summary": "e8d406a0faa0e33586836de53b93696cfcfea2274056bce3882dce2e3aee7f62",
-        "b2b": "437d1c7359c6ae4b84116429b130ffd8a365c0cab73d2e826ca1cffcf22383e3",
-        "calibrate": "00e5010aa79e826c30cfae0fb08196ba994d4280818f2e106099d18bcccf5cfc",
-        "report": "d63f9821faddbfbe48baf0ec7eb5a027ff18222b8a98af2c56ee75444689e818",
-        "report_json": "04fdce6cc0f17395876e1241b04f3645017ff0345798e29d8257d0f8f92ba8c9",
-        "synth": "a8e05c306a0e5d263f49cb441f3bdafb81608900ac5250b94a51c128df5b902d",
+        "analyze_cal_csv": "d8979b799a94a329d1bd8d87d573b67b6a7df9d5d22ff58048c2a025ff1a07ab",
+        "analyze_csv": "2f0ff13e047faca31c021a3aa97b7b2ef386019c8ef0c11df3d72a391e26bafe",
+        "analyze_json": "027b1b1b5352fbbdc012207f52b5fec6ddc593e902c94f09dcf8f6aceae2c57f",
+        "analyze_summary": "eb19bb694d1e48722087ec63dd2d4d9d31ae27694a4a18a1ac5c0af37642322e",
+        "b2b": "d7010608323abe9810002f0ef5061d1263cb6a79854f6097e54e62ba0bb3bc10",
+        "calibrate": "32e0498404715c78391accb8b408749f1ebb0f435fc7fd6bb567989e5301492e",
+        "report": "811f324ce233dc9361846b1a22d234330687b88c4d2a620034f621d4f82600d7",
+        "report_json": "fcc2acbbba7b31000875fd989847e2ac375607dec7b74eb9d567dbdb46e463f1",
+        "synth": "dc9aaaca6c2368ee8849446288dc1bcc1795227c33859d02587f88b392e89850",
     },
     "b2b-stability": {
         "b2b": "56d83d8d23105764ae57f19525e52d7d8a1dca55f59848e92a07bb9428899fe8",

@@ -67,12 +67,57 @@ def test_base_response_computed_once_per_tx_state(monkeypatch, preset, threads):
     records = list(pipeline.run_synthesis(config))
     assert [r.snapshot_index for r in records] == list(range(len(times)))
     # the feeding thread synthesizes each state's paths once; each worker
-    # builds a state's factors once, for the first of its snapshots it takes
+    # builds snapshot 0's state as it starts (for the capture's noise),
+    # then a state's factors once, for the first of its snapshots it takes
     assert len(calls) == states and set(calls) == {threading.get_ident()}
     assert len({state for _, state in builds}) == states
     assert len(set(builds)) == len(builds)
     if threads == "1":
         assert len(builds) == states
+
+
+def forty_ports(preset, snr_db):
+    """A 40-port (three 16-port blocks), 64-tone scenario of 6 snapshots."""
+    return parse_scenario({"preset": preset, "array": {"columns": 5, "rows": 4},
+                           "timing": {"ports_per_simo": 40}, "tone_plan": {"tone_count": 64},
+                           "capture": {"burst_count": 2, "snr_db": snr_db,
+                                       "b2b_snr_db": snr_db}})
+
+
+@pytest.mark.parametrize("snr_db", [20.0, None])
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("preset", ["olin-hover", "paper-route"])
+def test_synthesis_expands_each_block_once_per_snapshot(monkeypatch, preset, threads, snr_db):
+    # one product per 16-port block per snapshot, and, for a noisy
+    # capture, one set per worker as it starts: snapshot 0's, for the
+    # capture's noise
+    monkeypatch.setenv("A2GS_THREADS", threads)
+    config = forty_ports(preset, snr_db)
+    products, snapshots = [], []
+    monkeypatch.setattr(capture_sim.FactoredResponse, "product",
+                        recording(products, capture_sim.FactoredResponse.product))
+    monkeypatch.setattr(pipeline, "simulate_snapshot",
+                        recording(snapshots, pipeline.simulate_snapshot))
+    records = list(pipeline.run_synthesis(config))
+    assert len(records) == len(snapshots) == 6
+    for worker in set(snapshots):
+        assert products.count(worker) == 3 * (snapshots.count(worker) + (snr_db is not None))
+    assert set(products) == set(snapshots)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, None])
+def test_b2b_expands_each_block_once_per_snapshot(monkeypatch, snr_db):
+    # one product per 16-port block per snapshot, and, for a noisy
+    # series, one set for snapshot 0's noise reference
+    products = []
+    blocks = capture_sim._blocks
+
+    def counting(base, *args):
+        return blocks(recording(products, base), *args)
+    monkeypatch.setattr(capture_sim, "_blocks", counting)
+    records = list(pipeline.run_b2b(forty_ports("olin-static", snr_db), snapshot_count=4))
+    assert len(records) == 4
+    assert len(products) == 3 * (4 + (snr_db is not None))
 
 
 def test_closing_the_synthesis_partway_shuts_its_pool_down(two_threads):

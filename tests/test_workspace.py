@@ -50,8 +50,9 @@ from a2gsounder.calibration import Reference, calibrate
 from a2gsounder.capture_file import Layout, read_capture, write_capture
 from a2gsounder.array_geometry import build_cylindrical_array
 from a2gsounder.capture_sim import (AttenuatorModel, CaptureRecord, FactoredResponse,
-                                    _gain_and_noise, build_system_response,
-                                    noise_scratch, port_stack_response, simulate_snapshot)
+                                    _gain_and_noise, build_system_response, noise_scratch,
+                                    noise_sigma, port_stack_response, simulate_b2b,
+                                    simulate_snapshot)
 from a2gsounder.channel_synth import SlotPaths
 from a2gsounder.cli import main as cli_main
 from a2gsounder.config import parse_scenario
@@ -273,23 +274,34 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
     base = port_stack_response(paths, config.geometry, config.tone_plan)
     chained = FactoredResponse(config.geometry.n_ports, system.common_chain)
     port_stack_response(paths, config.geometry, config.tone_plan, out=chained)
+    gains = [system.per_port_gain * system.drift(index) for index in range(3)]
+    first = base * system.common_chain * gains[0][:, np.newaxis]  # the capture's snapshot 0
+    sigma = noise_sigma(30.0, chained.product, chained.shape, gains[0])
     for index in range(3):  # one build, reused as a worker reuses it for a run
         # the per-snapshot form it replaced: chain, then gains and drift in place
         expected = base * system.common_chain
-        expected *= (system.per_port_gain * system.drift(index))[:, np.newaxis]
-        noise_by_fresh_draws(expected, 30.0, 7, index)
+        expected *= gains[index][:, np.newaxis]
+        alone = noise_by_fresh_draws(expected.copy(), 30.0, 7, index)
+        noise_by_fresh_draws(expected, 30.0, 7, index, first)
         kwargs = dict(noise_snr_db=30.0, snapshot_index=index, seed=7)
-        assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, expected)
-        assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, expected)
+        assert same_bytes(simulate_snapshot(*args, base_tf=chained, sigma=sigma, **kwargs).h_f,
+                          expected)
+        # without the capture's sigma, a snapshot is a capture of its own
+        assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, alone)
+        assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, alone)
+        assert same_bytes(alone, expected) == (index == 0)
 
 
-def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index):
-    """The noise step as it was: ``tf`` plus noise in place, through a
-    fresh |b|^2 and fresh draws per 16-port block."""
-    blocks = [tf[k:k + 16] for k in range(0, len(tf), 16)]
-    ref_power = float(np.max(np.concatenate([np.mean(np.abs(b) ** 2, axis=1) for b in blocks])))
+def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index, first=None):
+    """The noise step as it was, with the noise of a capture whose first
+    snapshot is ``first`` (``tf`` itself when None): ``snr_db`` below the
+    largest mean |.|^2 of a port of ``first``, taken per 16-port block,
+    added to ``tf`` in place through fresh draws per 16-port block."""
+    first = tf if first is None else first
+    ref_power = float(np.max(np.concatenate([np.mean(np.abs(first[k:k + 16]) ** 2, axis=1)
+                                             for k in range(0, len(first), 16)])))
     rng = stream(seed, TAG_NOISE, snapshot_index)
-    for b in blocks:
+    for b in (tf[k:k + 16] for k in range(0, len(tf), 16)):
         draws = rng.standard_normal((len(b), 2, tf.shape[1]))
         draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
         b.real += draws[:, 0]
@@ -303,20 +315,39 @@ def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index):
 def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_db):
     # the base is a view whose rows lie whole tone blocks apart, as
     # port_stack_response's; out, block and scratch start full of NaN,
-    # as an earlier snapshot may leave them, which must not leak in
-    base = random_response(seed, ports, 1856, np.complex128)[:, :PLAN.tone_count]
+    # as an earlier snapshot may leave them, which must not leak in. The
+    # noise is that of a capture whose first snapshot is another base
+    # times the same gains, through the same blocks
+    base, first = (random_response(s, ports, 1856, np.complex128)[:, :PLAN.tone_count]
+                   for s in (seed, seed + 20))
     gain = random_response(seed + 10, ports, 1, np.complex128)[:, 0]
     expected = base * gain[:, np.newaxis]
     if snr_db is not None:
-        noise_by_fresh_draws(expected, snr_db, seed, 7)
+        noise_by_fresh_draws(expected, snr_db, seed, 7, first * gain[:, np.newaxis])
     untouched = base.copy()
     for want in (expected, np.ascontiguousarray(expected, "<c8")):
         for scratch in (np.full(noise_scratch(PLAN.tone_count).shape, np.nan), None):
+            sigma = noise_sigma(snr_db, whole_product(first), first.shape, gain, scratch)
             out = np.full(base.shape, np.nan, want.dtype)
-            got = _gain_and_noise(out, whole_product(base), base.shape, gain, snr_db, seed, 7,
+            got = _gain_and_noise(out, whole_product(base), base.shape, gain, sigma, seed, 7,
                                   scratch)
             assert got is out and same_bytes(out, want)
     assert same_bytes(base, untouched)
+
+
+def test_a_b2b_series_takes_its_noise_from_snapshot_0():
+    # the chain and port gains through the attenuator, times each
+    # snapshot's drift, plus noise snr_db below snapshot 0's strongest port
+    plan = TonePlan(tone_count=64)
+    system = build_system_response(plan, 40, seed=3, amplitude_jitter_db=0.5)
+    attenuator = AttenuatorModel()
+    base = system.common_chain[np.newaxis, :] * system.per_port_gain[:, np.newaxis]
+    base *= attenuator.response(plan)
+    first = base * system.drift(0, "b2b")
+    records = simulate_b2b(plan, system, attenuator, snapshot_count=3, seed=7, noise_snr_db=20.0)
+    for s, record in enumerate(records):
+        want = noise_by_fresh_draws(base * system.drift(s, "b2b"), 20.0, 7, s, first)
+        assert same_bytes(record.h_f, want), s
 
 
 def random_slot_paths(rng, rows, count):
@@ -361,11 +392,14 @@ def test_factored_blocks_give_the_whole_response_bytes(shared, ports, tones):
         response._buffer.fill(np.nan)
         assert port_stack_response(paths, geometry, plan, 0.4, out=response) is response
         for snr_db in (20.0, None):
-            want = _gain_and_noise(None, whole_product(whole), whole.shape, gain, snr_db, 5, key)
+            sigma = noise_sigma(snr_db, whole_product(whole), whole.shape, gain)
+            scratch.fill(np.nan)
+            assert noise_sigma(snr_db, response.product, response.shape, gain, scratch) == sigma
+            want = _gain_and_noise(None, whole_product(whole), whole.shape, gain, sigma, 5, key)
             for dtype in (np.complex128, np.complex64):
                 out = np.full(whole.shape, np.nan, dtype)
                 scratch.fill(np.nan)
-                assert _gain_and_noise(out, response.product, response.shape, gain, snr_db, 5,
+                assert _gain_and_noise(out, response.product, response.shape, gain, sigma, 5,
                                        key, scratch) is out
                 assert same_bytes(out, want.astype(dtype)), (key, snr_db, dtype)
 
