@@ -6,6 +6,12 @@ compares the sha256 of every file it writes against the digests below.
 A refactor that keeps these digests keeps the program's behaviour byte
 for byte.
 
+Each output also has a content digest (CONTENT) that leaves out the
+config hash: a capture file's payload after its header, and a text
+output less its ``# config_hash:`` line or ``"config_hash"`` field. A
+schema change moves the hash, and so every file digest, but a change
+that keeps the content digests has moved no other byte.
+
 Re-pinning a digest is a behaviour change. Any change that re-pins one
 must say in CHANGES.md which outputs moved and why; on a mismatch the
 test prints the full table of actual digests to copy from.
@@ -13,6 +19,7 @@ test prints the full table of actual digests to copy from.
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import host_class
@@ -67,9 +74,64 @@ GOLDEN = {
     },
 }
 
+# the same outputs without the config hash (see _content_sha256)
+CONTENT = {
+    "static": {
+        "analyze_cal_csv": "20d487dcded80f77d912f1f6664dc64c2adf90b8cbc157251c7d40c5ef567232",
+        "analyze_csv": "3d9eae3238371eb37154313dd2e84845e0ed4ef248daf8e66aa676a402842a7a",
+        "analyze_json": "913e0f92e629f4b0d9558a302933a09dd5f5b9f63fbd8c3bf1b51e0958580ec3",
+        "analyze_summary": "e75a4f5887445f554c7ea25265bca0cbbc363a4eb73d58ff1cae7281a81d7b32",
+        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
+        "calibrate": "e57f0e230dbadcd148e830e7aa448c2b2594d40a452a3940cf1c3244ba09f8a5",
+        "report": "7f7c02669f0ae6124f459e0675bf03f1f31d8121539c11b652bee3bf71f88a52",
+        "report_json": "f6e2fed6960e940ab26dd6dec0b5876b0d99521b4887389b9aafda7c0c127337",
+        "synth": "e3b4ef7b534ef6d92d8674b20e5e4d7c4e1772823423351ccd9dd0c1eef767d1",
+    },
+    "hover": {
+        "analyze_cal_csv": "7e98b3c6f47278d0029631d0c38d9f0c8bfbd9c00c609044af56d0a5776d9814",
+        "analyze_csv": "d0cc45e1f65fea99ef7589247002dc24076912b70eb1d34e87c9c2ae6c383fd0",
+        "analyze_json": "e70678abd3f6220fdfd9a2d025769015d0afa44bc328bc67977471f6a2ff412b",
+        "analyze_summary": "3c4bf0529c2225fd07bfe9957e425cc5f9215bfc868f498a2a3c0d3b9538f79e",
+        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
+        "calibrate": "ec9c3082fb8a076b5fcba8fc4197f32e6a415acd21dfa35b45bf074a4a4a0417",
+        "report": "cb21746adc30da2dc0b6427d8f9ab9093d5d77b98ec00e01cfd20a611e775cc5",
+        "report_json": "ccece613803b2e39eceb1479ce4b6e69debb0fbd3e9d78bc0f40e62f684456f5",
+        "synth": "b08dd9505cd8476705b7918fb1a11f9996cf8d9103800f2dbce0d3946fcdefd7",
+    },
+    "route": {
+        "analyze_cal_csv": "13e232e8b6182d0d291534c05d08bad114c00f0027f5dc34bf62d8226da08464",
+        "analyze_csv": "07adbf7256ca3383a53f66c987b6cc53f76b9b8ef5fd0100bd82459e38a455c5",
+        "analyze_json": "027b1b1b5352fbbdc012207f52b5fec6ddc593e902c94f09dcf8f6aceae2c57f",
+        "analyze_summary": "b237a74a91a79feb5eb7f8965e93997563b7a30a14873d7f9fe862c8508cc816",
+        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
+        "calibrate": "b2268a59fe42507cd260ff6b947e1378e324233dcb0d9f7d4728e337f1098f5b",
+        "report": "48ec7d96c7fcf35a8f8c02e38a670d34242d09eace5daa3f5495b9f7e5e24475",
+        "report_json": "fcc2acbbba7b31000875fd989847e2ac375607dec7b74eb9d567dbdb46e463f1",
+        "synth": "6bb310700fec716052d5ec841e95a4f1f44c270bd65ed9bca12a23df77fe9b0c",
+    },
+    "b2b-stability": {
+        "b2b": "755db79bb56f97fc0fcace00d93340b39c9e61e8c954477c9ae46d2018dd8734",
+        "stability": "89df4f7c2c3ea4702a244a524a7fa497891d2c4a0729e477680d84dbd1f1e4ec",
+        "stability_json": "9bee1e4f84064918840dc354edb1a3fcb367f5dc0976e592ee9d53fd9f69de21",
+    },
+}
+
 
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _content_sha256(path):
+    """sha256 of a file without its config hash: a capture's payload
+    after the header, or a text file less its config_hash line."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"A2GS"):
+        (length,) = struct.unpack_from("<I", data, 8)
+        data = data[12 + length:]
+    else:
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.lstrip().startswith((b"# config_hash:", b'"config_hash":')))
+    return hashlib.sha256(data).hexdigest()
 
 
 def _scenario(tmp_path, name, burst_count=None):
@@ -123,13 +185,16 @@ def _stability_flow(tmp_path):
     return out
 
 
+def _table(digests):
+    return "\n".join(f'        "{key}": "{digest}",' for key, digest in sorted(digests.items()))
+
+
 def _check(name, outputs):
     actual = {key: _sha256(path) for key, path in outputs.items()}
-    if actual != GOLDEN[name]:
-        table = "\n".join(f'        "{key}": "{digest}",'
-                          for key, digest in sorted(actual.items()))
-        pytest.fail(f"golden digests of '{name}' changed; actual:\n{table}\n"
-                    f"{host_class.note()}")
+    content = {key: _content_sha256(path) for key, path in outputs.items()}
+    if actual != GOLDEN[name] or content != {key: CONTENT[name][key] for key in outputs}:
+        pytest.fail(f"golden digests of '{name}' changed; actual:\n{_table(actual)}\n"
+                    f"content:\n{_table(content)}\n{host_class.note()}")
 
 
 @pytest.mark.parametrize("name", sorted(BURSTS))
