@@ -2,7 +2,7 @@
 
 Every stochastic quantity in the simulator is drawn from a Philox stream
 keyed on (seed, purpose tag) with the counter carrying one index (a
-snapshot, or a hover wobble step). Streams can therefore be evaluated in
+snapshot, or a TX wobble step). Streams can therefore be evaluated in
 any order, in parallel, and always reproduce bit-identically.
 
 This module is the package's one import of numpy.random (``numpy_random``).

@@ -227,9 +227,9 @@ def port_stack_response(paths, geometry, tones, mounting_rotation=0.0, out=None)
     port's offset toward the source, on top of exp(-j*2*pi*f*delay).
 
     ``paths`` is SlotPaths, and both forms are one _path_sum call. One
-    row (static or hover TX) is seen by every port: the sum runs per
+    row (a TX at one waypoint) is seen by every port: the sum runs per
     element, whose V and H gains share its tone phases. One row per port
-    (square route) runs per port, padded paths with zero gain, and every
+    (a moving TX) runs per port, padded paths with zero gain, and every
     row equals port_response_row bit for bit. The result is a view whose
     rows lie whole tone blocks apart.
 
@@ -275,10 +275,10 @@ class FactoredResponse:
     chain), held as its path-sum factors ``coarse`` and ``fine`` (see
     _path_factors) in one grow-only complex128 buffer:
     port_stack_response(..., out=this) writes a TX state's factors there
-    (0.50 MB for a route state, 2 paths a slot, and 0.93 MB for a hover
-    one, 6 paths, at 128 x 1841), and product() expands them 16 ports at
-    a time. A synthesis worker keeps one for every snapshot it takes and
-    rewrites it only for a new state.
+    (0.50 MB for a paper-route state, 2 paths a slot, and 0.93 MB for
+    an olin-hover one, 6 paths, at 128 x 1841), and product() expands
+    them 16 ports at a time. A synthesis worker keeps one for every
+    snapshot it takes and rewrites it only for a new state.
     """
 
     def __init__(self, ports, chain):
@@ -403,11 +403,11 @@ def simulate_snapshot(paths, geometry, tones, system, noise_snr_db=None,
     """Capture one SIMO snapshot of SlotPaths ``paths``.
 
     One row is shared by all ports; one row per port means the
-    transmitter moves within the snapshot (square route: port k is
-    captured at its own switch slot). The record's TX position is slot
-    0's and its tilt the paths' tilt. ``sigma`` is the noise of the
-    capture the snapshot belongs to, noise_sigma of its first snapshot
-    with ``noise_snr_db``; None takes this snapshot as that first one,
+    transmitter moves within the snapshot (port k is captured at its
+    own switch slot). The record's TX position is slot 0's and its tilt
+    the paths' tilt. ``sigma`` is the noise of the capture the snapshot
+    belongs to, noise_sigma of its first snapshot with
+    ``noise_snr_db``; None takes this snapshot as that first one,
     as in a one-snapshot capture (no noise when ``noise_snr_db`` is None
     or +inf). ``base_tf`` may carry these paths' response times
     ``system.common_chain`` as a FactoredResponse, already filled by

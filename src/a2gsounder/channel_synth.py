@@ -10,19 +10,27 @@ tilt rotates its polarization axis.
 The geometry is evaluated as array operations over a batch of TX
 positions, and every multipath result is a SlotPaths with one row per
 position. A moving TX is seen from a new position at every 50 us
-switch slot, so a square-route snapshot synthesizes all of its slots in
-one pass (``synthesize_slots``); a static or hovering TX is synthesized
-once per TX state, a one-row SlotPaths. ``synthesize_paths`` and
-``tx_position_at`` are the one-position calls of the same code.
+switch slot, so its snapshot synthesizes all of its slots in one pass
+(``synthesize_slots``); a TX at one waypoint is synthesized once per TX
+state, a one-row SlotPaths. ``synthesize_paths`` and ``tx_position_at``
+are the one-position calls of the same code.
 
-Drone motion is a trajectory: a fixed point, a hover with a truncated
-AR(1) wobble, or a square route walked at constant speed. The wobble
-is not indexed per SIMO snapshot: the state at time t is number
-floor(t * snapshot_rate), with snapshot_rate = burst_rate *
-simos_per_burst, and the SIMO snapshots sit back to back at the start
-of each burst. With the default timing (three 6.4 ms snapshots per
-50 ms burst, 60 Hz) the snapshots of a burst share one state and only
-every third state is observed.
+Drone motion is a trajectory: a polyline of 3-D waypoints walked at
+constant speed by cumulative edge length, from the first waypoint at
+t = 0. The polyline wraps when its last waypoint equals its first and
+holds its last point otherwise; a single waypoint is a fixed point, so
+a static TX, a hover and a route are the same motion. The walk gives a
+position at any time, between snapshot starts too, and the TX moves
+within a snapshot exactly when there is more than one waypoint.
+
+On top of the walk a truncated AR(1) wobble offsets the position and
+tilts the antenna when either of its sigmas is above 0. The wobble is
+not indexed per SIMO snapshot: at any time t, a snapshot start or not,
+the state is number floor(t * snapshot_rate), with snapshot_rate =
+burst_rate * simos_per_burst, and the SIMO snapshots sit back to back
+at the start of each burst. With the default timing (three 6.4 ms
+snapshots per 50 ms burst, 60 Hz) the snapshots of a burst share one
+state and only every third state is observed.
 """
 
 import functools
@@ -167,7 +175,7 @@ class Scene:
 class SlotPaths:
     """Paths of one snapshot, one row per TX position (switch slot).
 
-    A static or hovering TX is frozen within a snapshot, so its one row
+    A TX at one waypoint is frozen within a snapshot, so its one row
     is seen by every port. A TX moving between switch slots has one row
     per port, and slot k feeds port k. Row k holds that slot's paths
     sorted by delay, the line of sight first: the first ``counts[k]``
@@ -340,11 +348,11 @@ def synthesize_paths(scene, tx_position, carrier_frequency=3.5e9, tx_tilt=(0.0, 
 
 @dataclass(frozen=True)
 class WobbleParams:
-    """Truncated AR(1) jitter of hover position and TX tilt, one state
-    per 1/snapshot_rate seconds."""
+    """Truncated AR(1) jitter of TX position and tilt, one state per
+    1/snapshot_rate seconds; none while both sigmas are 0."""
 
-    sigma_pos: float = 0.08
-    sigma_angle: float = math.radians(1.0)
+    sigma_pos: float = 0.0
+    sigma_angle: float = 0.0
     rho: float = 0.9
     seed: int = 0
     snapshot_rate: float = 60.0
@@ -403,80 +411,83 @@ def wobble_tilt(params, snapshot_index):
     return np.clip(t, -6.0 * params.sigma_angle, 6.0 * params.sigma_angle)
 
 
-_CORNER_ORDER = {"NW": 0, "NE": 1, "SE": 2, "SW": 3}
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """TX motion: ``static_point``, ``hover`` or ``square_route``.
+    """TX motion: the polyline ``waypoints`` (N, 3) walked at ``speed``
+    m/s by cumulative edge length, plus the ``wobble``.
 
-    The square route follows the corner order NW -> NE -> SE -> SW at
-    constant speed (north edge first, west to east), wrapping. Hover
-    adds the wobble offset for snapshot index floor(t * snapshot_rate)
-    to the base position, frozen within a snapshot.
+    The walk is at the first waypoint at t = 0. It wraps when the last
+    waypoint equals the first and holds the last point otherwise; one
+    waypoint is a fixed point. The wobble, when either sigma is above
+    0, adds the position offset and the tilt of state
+    floor(t * snapshot_rate) at every time t.
     """
 
-    kind: str
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    wobble: WobbleParams = None
-    center: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    side: float = 30.0
-    height: float = 50.0
+    waypoints: np.ndarray
     speed: float = 2.0
-    start_corner: str = "NW"
+    wobble: WobbleParams = field(default_factory=WobbleParams)
 
     def __post_init__(self):
-        if self.kind not in ("static_point", "hover", "square_route"):
-            raise ValueError(f"unknown trajectory kind '{self.kind}'")
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if self.kind == "hover" and self.wobble is None:
-            object.__setattr__(self, "wobble", WobbleParams())
-        if self.kind == "square_route":
-            if self.side <= 0 or self.speed <= 0:
-                raise ValueError("square_route needs positive side and speed")
-            if self.start_corner not in _CORNER_ORDER:
-                raise ValueError(f"start_corner must be one of {sorted(_CORNER_ORDER)}")
+        points = np.asarray(self.waypoints, dtype=np.float64)
+        if points.ndim != 2 or len(points) < 1 or points.shape[1] != 3:
+            raise ValueError("waypoints must be (>=1, 3)")
+        with np.errstate(over="ignore"):  # an infinite length is rejected below
+            lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+            ends = np.concatenate([[0.0], np.cumsum(lengths)])  # path length at each waypoint
+        if np.any(lengths == 0.0) or not math.isfinite(ends[-1]):
+            raise ValueError("consecutive waypoints must differ, a finite length apart")
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
+        object.__setattr__(self, "waypoints", points)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_ends", ends)
 
-    def corners(self):
-        cx, cy = self.center[0], self.center[1]
-        h = self.side / 2.0
-        base = [
-            np.array([cx - h, cy + h, self.height]),  # NW
-            np.array([cx + h, cy + h, self.height]),  # NE
-            np.array([cx + h, cy - h, self.height]),  # SE
-            np.array([cx - h, cy - h, self.height]),  # SW
-        ]
-        k = _CORNER_ORDER[self.start_corner]
-        return base[k:] + base[:k]
+    @property
+    def moves(self):
+        """Whether the TX moves within a snapshot: more than one waypoint."""
+        return len(self.waypoints) > 1
+
+    def state(self, index, time):
+        """Key of the TX state of snapshot ``index``, which starts at
+        ``time``: the index when the TX moves, the wobble state when it
+        wobbles, else 0. Snapshots with one key share their paths."""
+        if self.moves:
+            return index
+        if self.wobble.sigma_pos > 0 or self.wobble.sigma_angle > 0:
+            return wobble_index(self, time)
+        return 0
 
 
 def wobble_index(trajectory, time):
-    """Hover wobble state at ``time``: floor(time * snapshot_rate), with
+    """Wobble state at ``time``: floor(time * snapshot_rate), with
     a 1e-9 state tolerance so that a product that rounds just below a
     boundary (2.05 * 60 = 122.99999999999999) still gets that state."""
     return int(math.floor(time * trajectory.wobble.snapshot_rate + 1e-9))
 
 
 def tx_positions_at(trajectory, times):
-    """TX positions (S, 3) at each of the (S,) ``times`` seconds (>= 0)."""
+    """TX positions (S, 3) at each of the (S,) ``times`` seconds (>= 0):
+    the walk's point, plus the wobble offset of each time's state."""
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise ValueError("time must be >= 0")
-    if trajectory.kind == "static_point":
-        return np.tile(trajectory.position, (len(times), 1))
-    if trajectory.kind == "hover":
-        offsets = [wobble_offset(trajectory.wobble, wobble_index(trajectory, t)) for t in times]
-        return trajectory.position + np.reshape(offsets, (-1, 3))
-    # square_route
-    corners = np.array(trajectory.corners())
-    s = np.remainder(trajectory.speed * times, 4.0 * trajectory.side)
-    edge = np.floor_divide(s, trajectory.side)
-    frac = (s - edge * trajectory.side) / trajectory.side
-    edge = edge.astype(np.int64)
-    a = corners[edge]
-    b = corners[(edge + 1) % 4]
-    return a + frac[:, np.newaxis] * (b - a)
+    points, ends = trajectory.waypoints, trajectory._ends
+    if len(points) == 1:
+        positions = np.tile(points[0], (len(times), 1))
+    else:
+        s = trajectory.speed * times
+        if np.array_equal(points[0], points[-1]):  # closed: wrap
+            s = np.remainder(s, ends[-1])
+        edge = np.minimum(np.searchsorted(ends, s, side="right") - 1, len(points) - 2)
+        a, b = points[edge], points[edge + 1]
+        frac = (s - ends[edge]) / trajectory._lengths[edge]
+        positions = np.where((s < ends[-1])[:, np.newaxis],
+                             a + frac[:, np.newaxis] * (b - a), points[-1])
+    if trajectory.wobble.sigma_pos > 0:
+        index = [wobble_index(trajectory, t) for t in times]
+        offsets = {i: wobble_offset(trajectory.wobble, i) for i in set(index)}
+        positions = positions + np.array([offsets[i] for i in index])
+    return positions
 
 
 def tx_position_at(trajectory, time):
@@ -485,7 +496,5 @@ def tx_position_at(trajectory, time):
 
 
 def tx_tilt_at(trajectory, time):
-    """TX antenna tilt (x, y rotations, radians) at ``time``."""
-    if trajectory.kind == "hover":
-        return wobble_tilt(trajectory.wobble, wobble_index(trajectory, time))
-    return np.zeros(2)
+    """TX antenna tilt (x, y rotations, radians) at ``time``: the wobble's."""
+    return wobble_tilt(trajectory.wobble, wobble_index(trajectory, time))

@@ -7,10 +7,10 @@ a resolved scenario describes a run completely. The resolved document
 is hashed (sha256 of canonical JSON) and the hash is embedded in every
 downstream artifact for provenance.
 
-Presets:
+Presets (each trajectory a list of waypoints; see channel_synth):
   olin-static  courtyard geometry, TX on a pole 12 m east of the array
-  olin-hover   same geometry, drone hovering with wobble
-  paper-route  30 m square route at 50 m height around the array, 2 m/s
+  olin-hover   same geometry and waypoint, drone hovering with wobble
+  paper-route  closed 30 m square at 50 m height around the array, 2 m/s
 """
 
 import copy
@@ -83,25 +83,22 @@ _OLIN_SCENE = {
 PRESETS = {
     "olin-static": {
         "scene": _OLIN_SCENE,
-        "trajectory": {"kind": "static_point", "position": [12.0, 0.0, 1.8]},
+        "trajectory": {"waypoints": [[12.0, 0.0, 1.8]]},
     },
     "olin-hover": {
         "scene": _OLIN_SCENE,
         "trajectory": {
-            "kind": "hover",
-            "position": [12.0, 0.0, 1.8],
+            "waypoints": [[12.0, 0.0, 1.8]],
             "wobble": {"sigma_pos": 0.08, "sigma_angle_deg": 1.0, "rho": 0.9, "seed": 7},
         },
     },
     "paper-route": {
         "scene": _OLIN_SCENE,
+        # NW, NE, SE, SW and NW again: north edge first, west to east
         "trajectory": {
-            "kind": "square_route",
-            "center": [0.0, 0.0],
-            "side": 30.0,
-            "height": 50.0,
+            "waypoints": [[-15.0, 15.0, 50.0], [15.0, 15.0, 50.0], [15.0, -15.0, 50.0],
+                          [-15.0, -15.0, 50.0], [-15.0, 15.0, 50.0]],
             "speed": 2.0,
-            "start_corner": "NW",
         },
     },
 }
@@ -180,11 +177,23 @@ def _complex(value, path):
     return complex(_number()(value, path), 0.0)
 
 
-def _points(value, path):
-    """Rule: a list of at least three 3-D points."""
-    if not isinstance(value, list) or len(value) < 3:
-        raise SchemaError(f"{path}: expected a list of >= 3 points")
-    return [_vector(3)(c, f"{path}[{k}]") for k, c in enumerate(value)]
+def _points(minimum):
+    """Rule: a list of at least ``minimum`` 3-D points."""
+    def check(value, path):
+        if not isinstance(value, list) or len(value) < minimum:
+            raise SchemaError(f"{path}: expected a list of >= {minimum} points")
+        return [_vector(3)(c, f"{path}[{k}]") for k, c in enumerate(value)]
+    return check
+
+
+def _waypoints(value, path):
+    """Rule: a list of >= 1 3-D points, no two consecutive ones equal
+    (a zero-length edge)."""
+    points = _points(1)(value, path)
+    for k in range(1, len(points)):
+        if points[k] == points[k - 1]:
+            raise SchemaError(f"{path}[{k}]: equals the waypoint before it")
+    return points
 
 
 def _defaults(node):
@@ -197,7 +206,7 @@ def _defaults(node):
 # facet<index>.
 _FACET = {
     "name": (None, _text),
-    "corners": (None, _points),
+    "corners": (None, _points(3)),
     "gamma_v": ([-0.5, 0.0], _complex),
     "gamma_h": ([-0.5, 0.0], _complex),
     "cross_pol": (0.0, _number(minimum=0.0, maximum=0.999999)),
@@ -268,19 +277,15 @@ SCHEMA = {
         "facets": ([], _facets),
     },
     "trajectory": {
-        "kind": ("static_point", _one_of("static_point", "hover", "square_route")),
-        "position": ([12.0, 0.0, 1.8], _vector(3)),
+        "waypoints": ([[12.0, 0.0, 1.8]], _waypoints),
+        "speed": (2.0, _number(above=0.0)),
+        # both sigmas 0: no wobble
         "wobble": {
-            "sigma_pos": (0.08, _number(minimum=0.0)),
-            "sigma_angle_deg": (1.0, _number(minimum=0.0)),
+            "sigma_pos": (0.0, _number(minimum=0.0)),
+            "sigma_angle_deg": (0.0, _number(minimum=0.0)),
             "rho": (0.9, _number(minimum=0.0, maximum=WOBBLE_RHO_MAX)),
             "seed": (7, _integer()),
         },
-        "center": ([0.0, 0.0], _vector(2)),
-        "side": (30.0, _number(above=0.0)),
-        "height": (50.0, _number()),
-        "speed": (2.0, _number(above=0.0)),
-        "start_corner": ("NW", _one_of("NW", "NE", "SE", "SW")),
     },
     "system": {
         "seed": (11, _integer()),

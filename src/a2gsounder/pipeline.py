@@ -38,7 +38,7 @@ from .calibration import CalibrationError, Reference, calibrate
 from .capture_file import CaptureFile, Layout, replacing
 from .capture_sim import (FactoredResponse, build_system_response, noise_scratch, noise_sigma,
                           port_stack_response, simulate_b2b, simulate_snapshot)
-from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at, wobble_index
+from .channel_synth import synthesize_slots, tx_positions_at, tx_tilt_at
 from .config import SchemaError
 from .processing import Workspace, snapshot_metrics
 from .waveform import snapshot_timestamps
@@ -106,15 +106,15 @@ def system_for(config):
 def paths_for_snapshot(config, time):
     """SlotPaths of the snapshot that starts at ``time``.
 
-    A static or hover TX is frozen within a snapshot: it is synthesized
-    once, at ``time``, and every port shares that row. A route TX
-    advances between switch slots: it is synthesized at each slot time
-    time + k * t_siso, and port k sees row k. One synthesize_slots call
-    computes the image-source paths of every position in one array
-    pass.
+    A TX at one waypoint is frozen within a snapshot: it is synthesized
+    once, at ``time``, and every port shares that row. A TX that walks
+    more than one waypoint advances between switch slots: it is
+    synthesized at each slot time time + k * t_siso, and port k sees
+    row k. One synthesize_slots call computes the image-source paths of
+    every position in one array pass.
     """
     traj = config.trajectory
-    slots = config.geometry.n_ports if traj.kind == "square_route" else 1
+    slots = config.geometry.n_ports if traj.moves else 1
     times = time + np.arange(slots) * config.timing.t_siso
     return synthesize_slots(config.scene, tx_positions_at(traj, times),
                             config.tone_plan.center_frequency, tx_tilt=tx_tilt_at(traj, time))
@@ -136,15 +136,17 @@ def run_synthesis(config, rows=None):
     producer), every snapshot written through it from the pool's tasks,
     returning once the pool is done.
 
-    Consecutive snapshots that share a TX state form a run: one run for
-    a static TX, one per wobble index for a hover, one per snapshot for
-    a route. The thread that feeds the pool synthesizes a run's paths
-    once, at its first snapshot time, as the run is reached, and hands
-    each of its snapshots to a pool task with the run's key (its first
-    index), those paths and the first run's. Each worker thread keeps one
+    Consecutive snapshots that share a TX state (Trajectory.state) form
+    a run: one run for a still TX, one per wobble index for a wobbling
+    one at one waypoint, one per snapshot for a moving one. The thread
+    that feeds the pool synthesizes a run's paths once, at its first
+    snapshot time, as the run is reached, and hands each of its
+    snapshots to a pool task with the run's key (its first index), those
+    paths and the first run's. Each worker thread keeps one
     FactoredResponse, into which port_stack_response writes the state's
-    path-sum factors (0.50 MB for a route state, 0.93 MB for a hover one
-    at 128 x 1841) only when a task's key is not the one it built last.
+    path-sum factors (0.50 MB for a paper-route state, 0.93 MB for an
+    olin-hover one at 128 x 1841) only when a task's key is not the one
+    it built last.
     As a worker starts, it builds snapshot 0's state there and takes the
     capture's noise sigma from snapshot 0 (noise_sigma, one expansion of
     its blocks through the worker's noise scratch block): every worker
@@ -169,14 +171,9 @@ def run_synthesis(config, rows=None):
     traj = config.trajectory
     local = threading.local()
 
-    def state(index):
-        if traj.kind == "hover":
-            return wobble_index(traj, times[index])
-        return 0 if traj.kind == "static_point" else index
-
     def snapshots():
         first = None
-        for _, run in groupby(range(len(times)), key=state):
+        for _, run in groupby(range(len(times)), key=lambda s: traj.state(s, times[s])):
             run = list(run)
             paths = paths_for_snapshot(config, times[run[0]])
             first = paths if first is None else first

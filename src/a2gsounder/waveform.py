@@ -97,7 +97,7 @@ class TimingPlan:
 
     @property
     def snapshot_rate(self):
-        """Nominal snapshot index rate used by the hover wobble process."""
+        """Nominal snapshot index rate used by the TX wobble process."""
         return self.burst_rate * self.simos_per_burst
 
 

@@ -10,7 +10,9 @@ port's gain for one plane wave, and a system response that changes
 nothing. ``complex128_metrics`` is the analysis front end as it ran
 before the complex64 delay domain, the reference that one is held to.
 ``whole_product`` is the block product of _gain_and_noise for a whole
-array, as simulate_b2b forms it.
+array, as simulate_b2b forms it. ``square_walk`` is the square route as
+the trajectory walked it before waypoints, and ``polyline_walk`` the
+waypoint walk in scalar Python floats.
 """
 
 import math
@@ -51,6 +53,51 @@ def whole_product(base):
     def product(k, gain, block, work):
         return np.multiply(base[k:k + len(gain)], gain[:, np.newaxis], out=block)
     return product
+
+
+def square_walk(center, side, height, speed, start_corner, times):
+    """(S, 3) positions of the square route of ``side`` at ``height``
+    around ``center`` (x, y): corners NW -> NE -> SE -> SW from
+    ``start_corner``, wrapping, walked at ``speed`` by edge number
+    floor(s / side) of the path length s mod 4 * side."""
+    cx, cy = center
+    h = side / 2.0
+    corners = [[cx - h, cy + h, height], [cx + h, cy + h, height],
+               [cx + h, cy - h, height], [cx - h, cy - h, height]]
+    k = ["NW", "NE", "SE", "SW"].index(start_corner)
+    corners = np.array(corners[k:] + corners[:k])
+    s = np.remainder(speed * np.asarray(times, dtype=np.float64), 4.0 * side)
+    edge = np.floor_divide(s, side)
+    frac = (s - edge * side) / side
+    edge = edge.astype(np.int64)
+    a, b = corners[edge], corners[(edge + 1) % 4]
+    return a + frac[:, np.newaxis] * (b - a)
+
+
+def polyline_walk(waypoints, speed, time):
+    """Position at ``time`` of the walk along ``waypoints`` at ``speed``,
+    one Python float at a time: the path length s = speed * time, mod
+    the total length when the last waypoint equals the first; the edge
+    whose cumulative start length is the last one <= s, and the point a
+    fraction (s - start) / edge length along it; the last waypoint once
+    an open walk has ended."""
+    points = [[float(c) for c in p] for p in waypoints]
+    if len(points) == 1:
+        return points[0]
+    lengths = [math.sqrt(sum((b - a) * (b - a) for a, b in zip(p, q)))
+               for p, q in zip(points, points[1:])]
+    starts = [0.0]
+    for length in lengths:
+        starts.append(starts[-1] + length)
+    s = speed * float(time)
+    if points[0] == points[-1]:
+        s = s % starts[-1]
+    if s >= starts[-1]:
+        return points[-1]
+    edge = max(k for k in range(len(lengths)) if starts[k] <= s)
+    frac = (s - starts[edge]) / lengths[edge]
+    a, b = points[edge], points[edge + 1]
+    return [x + frac * (y - x) for x, y in zip(a, b)]
 
 
 def charpoly_coefficients(r):

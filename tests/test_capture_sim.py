@@ -288,7 +288,9 @@ class TestCaptureNoise:
         # facets: 31 to 140 m from the RX around the route
         config = parse_scenario({
             "preset": "paper-route", "scene": {"facets": []},
-            "trajectory": {"center": [80.0, 0.0], "side": 100.0, "height": 10.0,
+            "trajectory": {"waypoints": [[30.0, 50.0, 10.0], [130.0, 50.0, 10.0],
+                                         [130.0, -50.0, 10.0], [30.0, -50.0, 10.0],
+                                         [30.0, 50.0, 10.0]],
                            "speed": 25.0},
             "timing": {"simos_per_burst": 1, "burst_rate": 1.0},
             "capture": {"burst_count": 16, "snr_db": 20.0}})
@@ -482,8 +484,7 @@ class TestSharedResponse:
                              ids=[case[0] for case in SHARED_RESPONSE_DIGESTS])
     def test_shared_response_is_byte_identical(self, preset, time, wobble, digest):
         config = tiny_config(preset)
-        if config.trajectory.kind == "hover":
-            assert wobble_index(config.trajectory, time) == wobble
+        assert wobble_index(config.trajectory, time) == wobble
         paths = paths_for_snapshot(config, time)
         assert len(paths) == 1
         tf = port_stack_response(paths, config.geometry, config.tone_plan,

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import polyline_walk, square_walk
 
 from a2gsounder.channel_synth import (WOBBLE_RHO_MAX, Facet, Scene, SceneError,
                                       Trajectory, WobbleParams, synthesize_paths,
                                       synthesize_slots, tx_position_at,
                                       tx_positions_at, tx_tilt_at,
-                                      wobble_index, wobble_offset)
+                                      wobble_index, wobble_offset, wobble_tilt)
+from a2gsounder.config import parse_scenario
 from a2gsounder.waveform import SPEED_OF_LIGHT, TimingPlan, snapshot_timestamps
 
 WAVELENGTH = SPEED_OF_LIGHT / 3.5e9
@@ -19,15 +23,19 @@ def big_wall_x(x0, gamma=1.0, span=500.0):
                  gamma_v=gamma, gamma_h=gamma, name="wall")
 
 
+# the paper-route square: NW, NE, SE, SW and NW again
+SQUARE = [[-15.0, 15.0, 50.0], [15.0, 15.0, 50.0], [15.0, -15.0, 50.0],
+          [-15.0, -15.0, 50.0], [-15.0, 15.0, 50.0]]
+HOVER_POINT = [[12.0, 0.0, 1.8]]
+
+
 class TestTrajectories:
-    def test_route_starts_at_north_west_corner(self):
-        traj = Trajectory(kind="square_route", center=[0, 0], side=30.0,
-                          height=50.0, speed=2.0)
+    def test_route_starts_at_its_first_waypoint(self):
+        traj = Trajectory(waypoints=SQUARE, speed=2.0)
         np.testing.assert_allclose(tx_position_at(traj, 0.0), [-15.0, 15.0, 50.0])
 
     def test_route_walks_north_edge_west_to_east(self):
-        traj = Trajectory(kind="square_route", center=[0, 0], side=30.0,
-                          height=50.0, speed=2.0)
+        traj = Trajectory(waypoints=SQUARE, speed=2.0)
         np.testing.assert_allclose(tx_position_at(traj, 15.0), [15.0, 15.0, 50.0])
         # next edge heads south along the east side
         np.testing.assert_allclose(tx_position_at(traj, 30.0), [15.0, -15.0, 50.0])
@@ -35,41 +43,88 @@ class TestTrajectories:
         np.testing.assert_allclose(tx_position_at(traj, 60.0),
                                    tx_position_at(traj, 0.0), atol=1e-9)
 
-    def test_route_positions_batch_matches_single_times(self):
-        traj = Trajectory(kind="square_route", center=[2.0, -1.0], side=30.0,
-                          height=50.0, speed=2.0, start_corner="SE")
+    @pytest.mark.parametrize("waypoints", [
+        [[2.0, -1.0, 50.0], [17.3, 4.1, 52.5], [9.9, -20.7, 47.0], [-3.3, -8.8, 50.1],
+         [2.0, -1.0, 50.0]],
+        [[30.0, 0.0, 2.0], [30.0, 0.0, 120.0], [-5.5, 12.25, 80.0]],
+    ], ids=["closed", "open"])
+    def test_route_positions_batch_matches_single_times(self, waypoints):
+        traj = Trajectory(waypoints=waypoints, speed=2.0)
         times = np.concatenate([np.random.default_rng(3).uniform(0, 500, 300),
                                 15.0 - 50e-6 * np.arange(-64, 64)])
         batch = tx_positions_at(traj, times)
-        corners = traj.corners()
         for t, p in zip(times, batch):
-            # the scalar walk along the perimeter, in Python floats
-            s = (traj.speed * float(t)) % (4.0 * traj.side)
-            edge = int(s // traj.side)
-            frac = (s - edge * traj.side) / traj.side
-            a, b = corners[edge], corners[(edge + 1) % 4]
-            assert np.array_equal(p, a + frac * (b - a))
+            # the cumulative-length walk, in Python floats
+            assert np.array_equal(p, polyline_walk(waypoints, 2.0, t))
             assert np.array_equal(p, tx_position_at(traj, float(t)))
         with pytest.raises(ValueError):
             tx_positions_at(traj, [1.0, -1.0])
 
-    def test_static_point_identity(self):
-        traj = Trajectory(kind="static_point", position=[1.0, 2.0, 3.0])
+    def test_route_preset_walks_the_square_route(self):
+        # the preset's waypoints give the square walk bit for bit, at the
+        # slot times of scenarios/route.json's first snapshots
+        traj = parse_scenario({"preset": "paper-route"}).trajectory
+        times = (np.arange(8)[:, np.newaxis] / 1.6 + 50e-6 * np.arange(128)).ravel()
+        assert np.array_equal(tx_positions_at(traj, times),
+                              square_walk((0.0, 0.0), 30.0, 50.0, 2.0, "NW", times))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cx=st.floats(-100, 100), cy=st.floats(-100, 100), side=st.floats(1, 200),
+           height=st.floats(-50, 200), speed=st.floats(0.1, 20),
+           start=st.sampled_from(["NW", "NE", "SE", "SW"]),
+           laps=st.lists(st.floats(0, 10), min_size=1, max_size=20))
+    def test_waypoint_square_agrees_with_the_square_walk(self, cx, cy, side, height, speed,
+                                                          start, laps):
+        # the corners as the square walk forms them, closed; within 10
+        # laps the waypoint edge lengths, |(c + h) - (c - h)| rather than
+        # side, move a position by well under 1e-11 m
+        h = side / 2.0
+        corners = [[cx - h, cy + h, height], [cx + h, cy + h, height],
+                   [cx + h, cy - h, height], [cx - h, cy - h, height]]
+        k = ["NW", "NE", "SE", "SW"].index(start)
+        corners = corners[k:] + corners[:k]
+        traj = Trajectory(waypoints=corners + corners[:1], speed=speed)
+        times = np.array(laps) * 4.0 * side / speed
+        np.testing.assert_allclose(tx_positions_at(traj, times),
+                                   square_walk((cx, cy), side, height, speed, start, times),
+                                   rtol=0, atol=1e-11)
+
+    def test_open_climb_reaches_the_closed_form_height_and_holds_it(self):
+        # a climb from 2 to 120 m at 2 m/s: slot k of snapshot s starts
+        # s / 1.6 + k * 50 us in, at height 2 + 2 t, until the walk ends
+        # after 59 s
+        traj = Trajectory(waypoints=[[30.0, 0.0, 2.0], [30.0, 0.0, 120.0]], speed=2.0)
+        assert traj.moves
+        times = (np.arange(100)[:, np.newaxis] / 1.6 + 50e-6 * np.arange(128)).ravel()
+        positions = tx_positions_at(traj, times)
+        np.testing.assert_allclose(positions[:, 2], np.minimum(2.0 + 2.0 * times, 120.0),
+                                   rtol=0, atol=1e-12)
+        ended = times >= 59.0
+        assert ended.any() and np.all(positions[ended, 2] == 120.0)
+        assert np.all(positions[:, :2] == [30.0, 0.0])
+
+    def test_closed_polyline_returns_to_its_start_after_one_perimeter(self):
+        waypoints = [[0.0, 0.0, 10.0], [40.0, 0.0, 10.0], [40.0, 30.0, 60.0], [0.0, 0.0, 10.0]]
+        traj = Trajectory(waypoints=waypoints, speed=3.0)
+        perimeter = 40.0 + math.hypot(30.0, 50.0) + math.hypot(40.0, 30.0, 50.0)
+        for laps in (1, 2, 7):
+            np.testing.assert_allclose(tx_position_at(traj, laps * perimeter / 3.0),
+                                       waypoints[0], rtol=0, atol=1e-12)
+        # an open polyline holds its last point instead
+        open_walk = Trajectory(waypoints=waypoints[:3], speed=3.0)
+        np.testing.assert_array_equal(tx_position_at(open_walk, perimeter / 3.0),
+                                      waypoints[2])
+
+    def test_one_waypoint_is_a_fixed_point(self):
+        traj = Trajectory(waypoints=[[1.0, 2.0, 3.0]])
+        assert not traj.moves
         for t in (0.0, 0.5, 100.0):
             np.testing.assert_array_equal(tx_position_at(traj, t), [1.0, 2.0, 3.0])
 
-    def test_route_positions_stay_on_perimeter(self):
-        traj = Trajectory(kind="square_route", center=[2.0, -1.0], side=30.0,
-                          height=50.0, speed=2.0)
-        rng = np.random.default_rng(8)
-        for t in rng.uniform(0, 200, 50):
-            p = tx_position_at(traj, float(t))
-            assert p[2] == 50.0
-            assert max(abs(p[0] - 2.0), abs(p[1] + 1.0)) == pytest.approx(15.0)
-
     def test_zero_wobble_reduces_to_static(self):
         wob = WobbleParams(sigma_pos=0.0, sigma_angle=0.0, seed=1, snapshot_rate=60.0)
-        traj = Trajectory(kind="hover", position=[12.0, 0.0, 1.8], wobble=wob)
+        traj = Trajectory(waypoints=HOVER_POINT, wobble=wob)
+        assert traj.state(5, 2.7) == 0
         for t in (0.0, 0.3, 2.7):
             np.testing.assert_array_equal(tx_position_at(traj, t), [12.0, 0.0, 1.8])
             np.testing.assert_array_equal(tx_tilt_at(traj, t), [0.0, 0.0])
@@ -105,7 +160,7 @@ class TestTrajectories:
 
     def test_snapshot_index_freezes_within_burst(self):
         wob = WobbleParams(sigma_pos=0.05, seed=1, snapshot_rate=60.0)
-        traj = Trajectory(kind="hover", position=[12.0, 0.0, 1.8], wobble=wob)
+        traj = Trajectory(waypoints=HOVER_POINT, wobble=wob)
         # three SIMO snapshots of one 20 Hz burst share the wobble index
         p0 = tx_position_at(traj, 0.0)
         p1 = tx_position_at(traj, 0.0064)
@@ -117,7 +172,7 @@ class TestTrajectories:
 
     def test_every_snapshot_of_a_burst_gets_the_burst_state(self):
         timing = TimingPlan()
-        traj = Trajectory(kind="hover", position=[12.0, 0.0, 1.8],
+        traj = Trajectory(waypoints=HOVER_POINT,
                           wobble=WobbleParams(snapshot_rate=timing.snapshot_rate))
         bursts = snapshot_timestamps(timing, 5000).reshape(5000, timing.simos_per_burst)
         states = [[wobble_index(traj, t) for t in burst] for burst in bursts]
@@ -126,12 +181,36 @@ class TestTrajectories:
         assert states[41] == [123, 123, 123]
         assert [b for b, burst in enumerate(states) if burst != [3 * b] * 3] == []
 
-    def test_invalid_kind_and_negative_time(self):
+    @pytest.mark.parametrize("waypoints", [
+        [], [[0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 1e308], [0.0, 0.0, -1e308]],
+    ], ids=["empty", "2-vector", "zero-length-edge", "infinite-length"])
+    def test_invalid_waypoints_rejected(self, waypoints):
         with pytest.raises(ValueError):
-            Trajectory(kind="orbit")
-        traj = Trajectory(kind="static_point", position=[0, 0, 1])
+            Trajectory(waypoints=waypoints)
+
+    def test_negative_time_rejected(self):
+        traj = Trajectory(waypoints=[[0, 0, 1]])
         with pytest.raises(ValueError):
             tx_position_at(traj, -1.0)
+
+    def test_state_key_is_the_index_the_wobble_state_or_0(self):
+        wob = WobbleParams(sigma_pos=0.05, seed=1, snapshot_rate=60.0)
+        tilt_only = WobbleParams(sigma_angle=0.01, snapshot_rate=60.0)
+        assert Trajectory(waypoints=HOVER_POINT).state(7, 0.35) == 0
+        assert Trajectory(waypoints=HOVER_POINT, wobble=wob).state(7, 0.35) == 21
+        assert Trajectory(waypoints=HOVER_POINT, wobble=tilt_only).state(7, 0.35) == 21
+        assert Trajectory(waypoints=SQUARE, wobble=wob).state(7, 0.35) == 7
+
+    def test_a_moving_tx_wobbles_by_the_state_of_each_time(self):
+        wob = WobbleParams(sigma_pos=0.05, sigma_angle=0.01, seed=4, snapshot_rate=60.0)
+        walk, wobbling = Trajectory(waypoints=SQUARE), Trajectory(waypoints=SQUARE, wobble=wob)
+        times = np.array([0.0, 0.01, 0.02, 0.5, 3.25])
+        offsets = tx_positions_at(wobbling, times) - tx_positions_at(walk, times)
+        for t, offset in zip(times, offsets):
+            state = wobble_index(wobbling, t)
+            np.testing.assert_allclose(offset, wobble_offset(wob, state), rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(tx_tilt_at(wobbling, t), wobble_tilt(wob, state))
 
 
 class TestSynthesizePaths:
@@ -295,8 +374,7 @@ class TestRouteFacadeOracle:
 
     def test_reflections_match_oracle_at_waypoints(self):
         scene = self.scene()
-        traj = Trajectory(kind="square_route", center=[0, 0], side=30.0,
-                          height=50.0, speed=2.0)
+        traj = Trajectory(waypoints=SQUARE, speed=2.0)
         rx = (0.0, 0.0, 1.5)
         seen = 0
         for t in np.linspace(0.0, 60.0, 8, endpoint=False):

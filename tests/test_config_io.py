@@ -52,11 +52,25 @@ class TestParseScenario:
 
     def test_paper_route_preset(self):
         config = parse_scenario({"preset": "paper-route"})
-        assert config.trajectory.kind == "square_route"
-        assert config.trajectory.side == 30.0
-        assert config.trajectory.height == 50.0
+        # the 30 m square at 50 m height, NW corner first, closed
+        np.testing.assert_array_equal(config.trajectory.waypoints, [
+            [-15.0, 15.0, 50.0], [15.0, 15.0, 50.0], [15.0, -15.0, 50.0],
+            [-15.0, -15.0, 50.0], [-15.0, 15.0, 50.0]])
         assert config.trajectory.speed == 2.0
-        assert config.trajectory.start_corner == "NW"
+        assert config.trajectory.moves
+
+    @pytest.mark.parametrize("preset", ["olin-static", "olin-hover"])
+    def test_olin_presets_are_one_waypoint(self, preset):
+        trajectory = parse_scenario({"preset": preset}).trajectory
+        np.testing.assert_array_equal(trajectory.waypoints, [[12.0, 0.0, 1.8]])
+        assert not trajectory.moves
+        wobble = (trajectory.wobble.sigma_pos, trajectory.wobble.sigma_angle)
+        assert wobble == ((0.08, math.radians(1.0)) if preset == "olin-hover" else (0.0, 0.0))
+
+    def test_trajectory_has_six_settable_leaves(self):
+        assert sorted(_leaf_paths(DEFAULTS["trajectory"])) == [
+            "speed", "waypoints", "wobble.rho", "wobble.seed", "wobble.sigma_angle_deg",
+            "wobble.sigma_pos"]
 
     def test_unknown_keys_rejected_with_path(self):
         with pytest.raises(SchemaError, match="scenario.frequency"):
@@ -113,10 +127,10 @@ class TestParseScenario:
         assert a.scenario_hash != c.scenario_hash
 
     @pytest.mark.parametrize("preset,digest", [
-        (None, "f7ffe4423c8ce1593902fe17768e836ddbfc5ec33a50401be4fd25035c8d4259"),
-        ("olin-static", "9d90f70e70d9759e587de07826a5b883c1590fb20207d171af0d545970ad8a6f"),
-        ("olin-hover", "7e0413f3e7977c88a28f6c17bb5a4055b0971e02a85d12c475f71ace83245d59"),
-        ("paper-route", "d948456117793dd4a33681436450852a685f0610d14b1d81199f87e766de459c"),
+        (None, "157cada1a101a3783a09fd62c2661e8c18098e6b9b1939d855417c7b7275db1c"),
+        ("olin-static", "b8e556d2b0e93cbcde806aa0ba9f717018be7ce31979622725d9904a3ab8770d"),
+        ("olin-hover", "18ac7d4bff47700ee510e960c2f51f5e6a7ee55c5c5206025d5fd0b5c3009c34"),
+        ("paper-route", "adda4140307537b04be9ffa0addbf576a47c0a07c082c584d52b11b9aefff0ef"),
     ], ids=["defaults", "olin-static", "olin-hover", "paper-route"])
     def test_resolved_scenario_hash_pinned(self, preset, digest):
         # the resolved document, hence every provenance hash, is part of
@@ -148,13 +162,13 @@ class TestParseScenario:
         assert path in str(info.value)
 
     @pytest.mark.parametrize("doc,path", [
-        ({"trajectory": {"position": [math.nan, 0.0, 1.8]}}, "trajectory.position[0]"),
+        ({"trajectory": {"waypoints": [[math.nan, 0.0, 1.8]]}}, "trajectory.waypoints[0][0]"),
         ({"scene": {"rx_position": [0.0, math.nan, 1.5]}}, "scene.rx_position[1]"),
         ({"scene": {"facets": [{"corners": [[0, 0, 0], [1, 0, 0], [1, 1, math.nan]]}]}},
          "scene.facets[0].corners[2][2]"),
         ({"scene": {"facets": [{"corners": [[0, 0, 0], [1, 0, 0], [1, 1, 0]],
                                 "gamma_v": [0.1, math.nan]}]}}, "scene.facets[0].gamma_v[1]"),
-    ], ids=["position", "rx-position", "facet-corner", "facet-gamma"])
+    ], ids=["waypoint", "rx-position", "facet-corner", "facet-gamma"])
     def test_nan_inside_a_vector_rejected_with_path(self, doc, path):
         with pytest.raises(SchemaError, match="NaN") as info:
             parse_scenario(doc)
@@ -166,9 +180,11 @@ class TestParseScenario:
         with pytest.raises(SchemaError, match=f"capture.{leaf}: must be >= -300.0"):
             parse_scenario({"capture": {leaf: MIN_SNR_DB - 0.5}})
 
-    def test_route_start_corner_rejected_with_path(self):
-        with pytest.raises(SchemaError, match="trajectory.start_corner"):
-            parse_scenario({"preset": "paper-route", "trajectory": {"start_corner": [1]}})
+    def test_waypoints_replace_the_presets_whole(self):
+        config = parse_scenario({"preset": "paper-route",
+                                 "trajectory": {"waypoints": [[30.0, 0.0, 2.0]]}})
+        np.testing.assert_array_equal(config.trajectory.waypoints, [[30.0, 0.0, 2.0]])
+        assert config.trajectory.speed == 2.0
 
     def test_mounting_rotation_paper_orientation(self):
         config = parse_scenario({"preset": "olin-static"})
@@ -459,8 +475,8 @@ class TestCli:
          "capture.snr_db: must be >= -300.0, got -900.0"),
         ({"preset": "olin-static", "capture": {"b2b_snr_db": -5000}}, ["b2b"],
          "capture.b2b_snr_db: must be >= -300.0, got -5000.0"),
-        ({"preset": "olin-static", "trajectory": {"position": [math.inf, 0, 1.8]}},
-         ["synth"], "trajectory.position[0]: expected a finite number"),
+        ({"preset": "olin-static", "trajectory": {"waypoints": [[math.inf, 0, 1.8]]}},
+         ["synth"], "trajectory.waypoints[0][0]: expected a finite number"),
         (None, ["analyze", "--cal", "cal.bin", "--meas", "meas.bin"], "--meas"),
         (None, ["analyze", "--cal", "cal.bin", "--ref", "ref.bin"], "--ref"),
         ({"preset": []}, ["synth"], "scenario.preset: expected a string"),
@@ -471,7 +487,7 @@ class TestCli:
     ], ids=["seed-on-json-list", "seed-on-scalar-capture", "seed-on-list-system",
             "zero-b2b-snapshots", "negative-b2b-snapshots", "nan-scenario-number",
             "infinite-snr", "overflowing-snr", "non-finite-capture-snr",
-            "overflowing-b2b-snr", "infinite-position", "cal-with-meas",
+            "overflowing-b2b-snr", "infinite-waypoint", "cal-with-meas",
             "cal-with-ref", "list-preset", "object-preset", "null-preset",
             "wobble-rho-beyond-window"])
     def test_bad_input_exit_code(self, tmp_path, capsys, document, argv, names):
@@ -674,10 +690,77 @@ class TestCli:
         records, _ = read_capture(meas)
         np.testing.assert_array_equal(records[1].tx_position, [15.0, -8.0, 50.0])
 
+    @pytest.mark.parametrize("key,value", [
+        ("kind", "hover"), ("position", [12.0, 0.0, 1.8]), ("center", [0.0, 0.0]),
+        ("side", 30.0), ("height", 50.0), ("start_corner", "NW")])
+    def test_a_removed_trajectory_key_exit_code(self, tmp_path, capsys, key, value):
+        # the trajectory is waypoints alone: the keys of the former
+        # static, hover and square-route kinds are unknown keys
+        scenario = self.scenario_file(tmp_path, {"trajectory": {key: value}})
+        out = tmp_path / "meas.bin"
+        assert cli_main(["synth", "--scenario", scenario, "--out", str(out)]) == 2
+        assert f"trajectory.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("waypoints,names", [
+        ([], "trajectory.waypoints: expected a list of >= 1 points"),
+        ({"0": [0, 0, 1]}, "trajectory.waypoints: expected a list of >= 1 points"),
+        ([[0, 0, 1], [1, 2]], "trajectory.waypoints[1]: expected a list of 3 elements"),
+        ([[0, 0, 1], [1, 2, 3, 4]], "trajectory.waypoints[1]: expected a list of 3 elements"),
+        ([[0, 0, 1], 5], "trajectory.waypoints[1]: expected a list of 3 elements"),
+        ([[0, 0, 1], [0, "up", 1]], "trajectory.waypoints[1][1]: expected a number"),
+        ([[0, 0, 1], [0, math.nan, 1]], "trajectory.waypoints[1][1]: expected a number, got NaN"),
+        ([[0, 0, 1], [0, 0, -math.inf]], "trajectory.waypoints[1][2]: expected a finite number"),
+        ([[0, 0, 1], [5, 0, 1], [5, 0, 1.0]],
+         "trajectory.waypoints[2]: equals the waypoint before it"),
+        ([[0, 0, 1], [5, 0, 1], [0, 0, 1], [0, 0, 1]],
+         "trajectory.waypoints[3]: equals the waypoint before it"),
+    ], ids=["empty", "object", "2-vector", "4-vector", "scalar", "string-coordinate",
+            "nan-coordinate", "infinite-coordinate", "repeated-point", "repeated-closure"])
+    def test_bad_waypoints_exit_code(self, tmp_path, capsys, waypoints, names):
+        scenario = self.scenario_file(tmp_path, {"trajectory": {"waypoints": waypoints}})
+        out = tmp_path / "meas.bin"
+        assert cli_main(["synth", "--scenario", scenario, "--out", str(out)]) == 2
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_climb_runs_through_every_command(self, tmp_path, monkeypatch, threads):
+        # an open climb from 2 to 120 m, 30 m east of the array, at
+        # 16 ports and 64 tones: 7 snapshots 0.5 s apart at 40 m/s; the
+        # walk ends at 2.95 s, and the last snapshot holds 120 m
+        monkeypatch.setenv("A2GS_THREADS", threads)
+        scenario = self.scenario_file(tmp_path, {
+            "tone_plan": {"tone_count": 64},
+            "timing": {"ports_per_simo": 16, "simos_per_burst": 1, "burst_rate": 2.0},
+            "trajectory": {"waypoints": [[30.0, 0.0, 2.0], [30.0, 0.0, 120.0]], "speed": 40.0},
+            "capture": {"burst_count": 7}})
+        out = {name: str(tmp_path / name) for name in (
+            "meas.bin", "ref.bin", "cal.bin", "metrics.csv", "route.csv", "stab.csv")}
+        for argv in (
+                ["synth", "--scenario", scenario, "--out", out["meas.bin"]],
+                ["b2b", "--scenario", scenario, "--out", out["ref.bin"]],
+                ["calibrate", "--scenario", scenario, "--meas", out["meas.bin"],
+                 "--ref", out["ref.bin"], "--out", out["cal.bin"], "--strict-hash"],
+                ["analyze", "--scenario", scenario, "--cal", out["cal.bin"],
+                 "--out", out["metrics.csv"]],
+                ["report", "--metrics", out["metrics.csv"], "--out", out["route.csv"]],
+                ["stability", "--ref", out["ref.bin"], "--port", "0",
+                 "--out", out["stab.csv"]]):
+            assert cli_main(argv) == 0, argv
+        with open(out["metrics.csv"]) as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [int(row["snapshot_index"]) for row in rows] == list(range(7))
+        # each row carries the snapshot's slot-0 position, 2 + 40 t m up
+        heights = [float(row["tx_z"]) for row in rows]
+        assert heights == [2.0, 22.0, 42.0, 62.0, 82.0, 102.0, 120.0]
+        records, _ = read_capture(out["meas.bin"])
+        assert len(records) == 7
+
     def test_tx_inside_a_facet_exit_code(self, tmp_path):
         # olin-static's east facade spans y in [-15, 15], z in [0, 12] at x = 25
         scenario = self.scenario_file(tmp_path, {
-            "trajectory": {"kind": "static_point", "position": [25.0, 0.0, 5.0]}})
+            "trajectory": {"waypoints": [[25.0, 0.0, 5.0]]}})
         assert cli_main(["synth", "--scenario", scenario,
                          "--out", str(tmp_path / "meas.bin")]) == 2
 

@@ -35,41 +35,41 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "643d2faf7481244e7cc416a189ce8e7029f7fa828b7278ca8cc7d7dec8acc396",
-        "analyze_csv": "22bb8b798657e397907d38609e4ff001b18735aaaec14d565b0765b5aaea2277",
+        "analyze_cal_csv": "cc8b544fb71332979399bf0375c7d37ff281714723ee37673410ac091b80b67b",
+        "analyze_csv": "5be8361793e3e23e31486704da610e9aa53031d9d32e8d28ae60fd52dfa902c5",
         "analyze_json": "913e0f92e629f4b0d9558a302933a09dd5f5b9f63fbd8c3bf1b51e0958580ec3",
-        "analyze_summary": "78829c6a564f3b3e9f6af34d56bac25d5acb0cafd645f88c67dbd35d67fd9f42",
-        "b2b": "c13697066a70c87320a8b9e795edf2f68f4958cb88ff77a56baedb3c4587e6b1",
-        "calibrate": "1501f334e45839e7e3a9c610e657145fd55e3337c9e65f1e64bd111c8538783a",
-        "report": "62f6cd860077efe5d3443471d046c2c165ed6a40db425f085a9de66cdfcee62a",
+        "analyze_summary": "8441ff64dd5e2f21757d8ef900b1456ffaa124b35977ec1c784e60cc80e787c1",
+        "b2b": "28182316f75e579a7a89d3badf758b459c821da641ba91a0a33bdff8ecbf9707",
+        "calibrate": "f1e6a2962b61c61a41ad38d91886e2888f449575d506afd9298b6a7baf1e3b48",
+        "report": "638d9fd65f38d3c9ff4d77d4c9435eab648015556a67b52fdbffffba4a9af551",
         "report_json": "f6e2fed6960e940ab26dd6dec0b5876b0d99521b4887389b9aafda7c0c127337",
-        "synth": "9fcbedcac092683d1c4b0774b05679208ea852cfb22f91648786f306e0abdd91",
+        "synth": "654b104699228d2b8b23942c74850387fcb5408caff6192bb60f60ac2b12d639",
     },
     "hover": {
-        "analyze_cal_csv": "77acb457bd6b641f58a78a6fa3c27415c3d7b4f030ee379ac8dc7da48eaa50a4",
-        "analyze_csv": "932619e3dd28d1b17e3d5c2445bf3bd9b1a2b06e28925fbb151f7950a7f06e9f",
+        "analyze_cal_csv": "66e205b7e16795d6b73091f7ac0477205d6f98bdd3848822b230b773933e1cfa",
+        "analyze_csv": "0287f61d173ac7cc0c0b42d353607df341b6e44bafe99371c1dc422b743c5b32",
         "analyze_json": "e70678abd3f6220fdfd9a2d025769015d0afa44bc328bc67977471f6a2ff412b",
-        "analyze_summary": "02752f0d6ed4de992a43778074b8f04241d0eb68d4579a13d615d676c6674b3d",
-        "b2b": "82687ac9926dfb36c21e9274db9a7fafbea21fc2e3c5b3d09ad092151ac93ff2",
-        "calibrate": "19b173f6b2ca05fcc4a65c5438e4961e5ba39f36c8ae00d8e2afe35d85009eb1",
-        "report": "f1def9086243f2a369cdd1c7f05adb485172738b673bafccdbe9416213c2f07e",
+        "analyze_summary": "3c070ec23b6936640fd11c1ea27897a9c1aec345b7d9778f81966dc28795a6cf",
+        "b2b": "8f56208e2b4b93cd3855a1af2ecbabfb967af7eb7f1bcaad42bd660f2a99bb29",
+        "calibrate": "88efab0b144e784710874d5cb2ae5badb85ba6d8ddf8010e7a7537223cb70ec5",
+        "report": "35b53a7130f80e07652a8e25e906b4ef3d53aa75165fe28df00418fe59c32a97",
         "report_json": "ccece613803b2e39eceb1479ce4b6e69debb0fbd3e9d78bc0f40e62f684456f5",
-        "synth": "b64234971ed40d20faa420181013f22a0747ee59fdcfc71958ee54edb4f130fa",
+        "synth": "1c0b4d72c7b39ddb72ba53ae383d8ea414aca93efefb577c2b186d838e1a5ef1",
     },
     "route": {
-        "analyze_cal_csv": "d8979b799a94a329d1bd8d87d573b67b6a7df9d5d22ff58048c2a025ff1a07ab",
-        "analyze_csv": "2f0ff13e047faca31c021a3aa97b7b2ef386019c8ef0c11df3d72a391e26bafe",
+        "analyze_cal_csv": "8761aededc1f62d7a81879b8e279acd7dcf35410bd74a2ee3077dae17c9f8520",
+        "analyze_csv": "3c3b86eb4b4a8a939538103fc9480d7180fbdacea245d8ff354a0dba9fbd8329",
         "analyze_json": "027b1b1b5352fbbdc012207f52b5fec6ddc593e902c94f09dcf8f6aceae2c57f",
-        "analyze_summary": "eb19bb694d1e48722087ec63dd2d4d9d31ae27694a4a18a1ac5c0af37642322e",
-        "b2b": "d7010608323abe9810002f0ef5061d1263cb6a79854f6097e54e62ba0bb3bc10",
-        "calibrate": "32e0498404715c78391accb8b408749f1ebb0f435fc7fd6bb567989e5301492e",
-        "report": "811f324ce233dc9361846b1a22d234330687b88c4d2a620034f621d4f82600d7",
+        "analyze_summary": "304ba61f53d6bdc40106210be2cb445a780bae7987825aaee285d7141bc53aaa",
+        "b2b": "4e72b4313d0b26545994ed1ea5e6687773978f8eb50eb22bb8fa5bd35c13ef66",
+        "calibrate": "acc4df0c1bc77cc7aa7e89398d558782fdc0432bae053d66110c615563263a6a",
+        "report": "553d5753698425ba7bdb795db1692939715103dffefa8d088686fa17399c3406",
         "report_json": "fcc2acbbba7b31000875fd989847e2ac375607dec7b74eb9d567dbdb46e463f1",
-        "synth": "dc9aaaca6c2368ee8849446288dc1bcc1795227c33859d02587f88b392e89850",
+        "synth": "128ffda982977442c91cdfa7e4061ff889f93a53515f79f51fdccb840fc0196a",
     },
     "b2b-stability": {
-        "b2b": "56d83d8d23105764ae57f19525e52d7d8a1dca55f59848e92a07bb9428899fe8",
-        "stability": "ec89a34e3af62a19500ab3d1e378b43ca32df6f37f3c9f426e1bada90a804d93",
+        "b2b": "d05289a6bd6deb01ac68d0075f565f79c44ee48717796c57fbf23d2bda093ff4",
+        "stability": "425576ad8501605c94ed81152696429d53ea87125651f237068c63f0aed22bc2",
         "stability_json": "9bee1e4f84064918840dc354edb1a3fcb367f5dc0976e592ee9d53fd9f69de21",
     },
 }
