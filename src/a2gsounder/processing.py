@@ -1,20 +1,22 @@
 """Per-snapshot channel metrics.
 
 Pipeline, per calibrated SIMO snapshot: the impulse response is the
-unitary inverse DFT of each port's transfer function, taken in
-complex64, whose power is taken once, in float64; a dual noise
-threshold (the larger of noise floor + 6 dB and peak - 20 dB) and a
-2 us delay gate anchored at the first surviving bin clean it; total
-received power adds the gated energies of all ports non-coherently; the
-RMS delay spread is computed from the strongest port's gated power
-delay profile; the correlation matrix is the tone-averaged outer
-product of the stacked port responses, summarized by eigenvalue ratios;
-and the angular picture is the mean gated energy per column and
-polarization. snapshot_metrics runs every ports x tones step in one
+unitary inverse DFT of each port's transfer function, zero-padded to
+the tone plan's transform_length (the smallest 11-smooth length, 1848
+for 1841 tones) and taken in complex64, whose power is taken once, in
+float64; a dual noise threshold (the larger of noise floor + 6 dB and
+peak - 20 dB) and a 2 us delay gate anchored at the first surviving bin
+clean it; total received power adds the gated energies of all ports
+non-coherently; the RMS delay spread is computed from the strongest
+port's gated power delay profile; the correlation matrix is the
+tone-averaged outer product of the stacked port responses, summarized
+by eigenvalue ratios; and the angular picture is the mean gated energy
+per column and polarization. snapshot_metrics runs every step in one
 Workspace, which a caller reuses from snapshot to snapshot: one
-complex128 buffer that holds, in turn, the capture payload (its second
-half), the calibrated response, per-row Re/Im planes, the complex64
-delay domain (its first half) and the float64 power (its second half).
+complex128 buffer of ports x transform_length that holds, in turn, the
+capture payload (after its first half), the calibrated response (its
+first ports x tones), per-row Re/Im planes, the complex64 delay domain
+(its first half) and the float64 power (its second half).
 
 Delay spreads are quoted in dBs, decibels relative to one second
 (-90 dBs is 1 ns).
@@ -30,6 +32,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+from .waveform import smooth_length
 
 
 class AnalysisError(ValueError):
@@ -126,35 +130,48 @@ def cast_by_blocks(out, h_f, factor=None):
 
 class Workspace:
     """The memory one snapshot's analysis runs in, reused for every
-    snapshot one thread analyzes: one C-contiguous complex128 ports x
-    tones buffer, the bool ``mask`` and a 16-port complex128 ``block``
-    (4.5 MB at 128 x 1841). Views of the buffer take each role in turn:
+    snapshot one thread analyzes: one C-contiguous complex128 buffer of
+    ports x L, where L = smooth_length(tones) is the delay transform's
+    length, the bool ports x L ``mask`` and a 16-port complex128
+    ``block`` (4.49 MB at 128 x 1841, L = 1848). Views of the buffer
+    take each role in turn:
 
-    - ``payload``, the little-endian complex64 second half, receives the
-      capture read;
-    - ``response``, the whole buffer, receives the calibrated response
-      (calibrate's product with the payload, or the payload cast by
-      cast_by_blocks), which the correlation reads interleaved;
-    - ``re`` and ``im``, the two halves of each row's float64 view: the
-      correlation de-interleaves the response into them (``planes``);
-    - ``delay``, the complex64 first half, receives those planes cast to
-      the delay domain (``delay_domain``), and the IFFT runs in place;
-    - ``power``, the float64 second half, receives the gated power.
+    - ``payload``, the little-endian complex64 ports x tones that starts
+      half-way through the buffer, receives the capture read;
+    - ``response``, the complex128 ports x tones at its start, receives
+      the calibrated response (calibrate's product with the payload, or
+      the payload cast by cast_by_blocks), which the correlation reads
+      interleaved;
+    - ``re`` and ``im``, the two halves of each response row's float64
+      view: the correlation de-interleaves the response into them
+      (``planes``);
+    - ``delay``, the complex64 ports x L first half, receives those
+      planes cast to its tone columns and zeros in its pad columns
+      (``delay_domain``), and the IFFT runs in place;
+    - ``power``, the float64 ports x L second half, receives the gated
+      power; it lies apart from ``delay``.
 
-    Every pass goes 16 ports at a time, in port order; the two that move
-    rows within the buffer (``planes`` and ``delay_domain``) go through
-    ``block``.
+    Every pass goes 16 ports at a time, in port order, so no row is
+    written before it is read: a response row lies over payload rows of
+    at most its own index (the payload starts at byte 8 * ports * L, and
+    L >= tones), and a delay row over plane rows of at most its own index
+    (a delay row is 8 * L bytes and a plane row 16 * tones, and
+    L < 2 * tones). The two passes that move rows within the buffer
+    (``planes`` and ``delay_domain``) go through ``block``.
     """
 
     def __init__(self, shape):
         ports, tones = self.shape = tuple(shape)
-        self.response = np.empty(self.shape, np.complex128)
-        self.mask = np.empty(self.shape, bool)
+        length = smooth_length(tones)
+        size = ports * length  # complex128 elements: 2 * size complex64 or float64
+        self.buffer = np.empty(size, np.complex128)
+        self.mask = np.empty((ports, length), bool)
         self.block = np.empty((min(ports, _BLOCK_PORTS), tones), np.complex128)
-        flat = self.response.reshape(-1)
-        self.delay, self.payload = (half.reshape(self.shape)
-                                    for half in np.split(flat.view("<c8"), 2))
-        self.power = np.split(flat.view(np.float64), 2)[1].reshape(self.shape)
+        c8 = self.buffer.view("<c8")
+        self.delay = c8[:size].reshape(ports, length)
+        self.payload = c8[size:size + ports * tones].reshape(self.shape)
+        self.power = self.buffer.view(np.float64)[size:].reshape(ports, length)
+        self.response = self.buffer[:ports * tones].reshape(self.shape)
         self.re, self.im = np.split(self.response.view(np.float64), 2, axis=1)
 
     @property
@@ -179,13 +196,16 @@ class Workspace:
         return self.re, self.im
 
     def delay_domain(self):
-        """Cast the planes into ``delay``; returns it. A delay row lies
-        over plane rows of at most its own index, so the rows go in
-        order, each block whole in ``block`` before it is written."""
+        """Cast the planes into ``delay``'s tone columns and write its pad
+        columns zero; returns it. The pad lies over plane bytes, so it is
+        written for every snapshot. The rows go in order, each block whole
+        in ``block`` before it is written."""
+        tones = self.shape[1]
         for rows, block in self._blocks():
             np.copyto(block.real, self.re[rows])
             np.copyto(block.imag, self.im[rows])
-            np.copyto(self.delay[rows], block)
+            np.copyto(self.delay[rows, :tones], block)
+            self.delay[rows, tones:] = 0
         return self.delay
 
 
@@ -193,28 +213,46 @@ _WINDOWS = ("rect", "hann")
 
 
 def cir_from_tf(cal, window="rect", out=None):
-    """Unitary inverse DFT of each port's transfer function.
+    """Unitary inverse DFT of each port's transfer function, zero-padded
+    from tone_count N to the tone plan's transform_length L.
 
-    Delay bins are spaced 1/(tone_count*tone_spacing). A non-rectangular
-    window tapers the band edges before the transform; note the usual
-    trade: it lowers delay sidelobes but widens (scallops) each path's
-    main lobe, spreading energy to neighboring bins.
+    L is the smallest length >= N whose prime factors are all <= 11
+    (1848 for 1841 = 7 x 263; N itself when N is 11-smooth), so the
+    transform takes no slow large-prime pass. The L delay bins are
+    spaced 1/(L*tone_spacing) (TonePlan.delay_bin_spacing) over the
+    same 1/tone_spacing period: finer samples of the same band-limited
+    response, whose resolution stays 1/(N*tone_spacing). The transform
+    is unitary over the L points, so the bins keep the tones' energy.
+    A non-rectangular window tapers the N tones, not the pad, before the
+    transform; note the usual trade: it lowers delay sidelobes but widens
+    (scallops) each path's main lobe, spreading energy to neighboring
+    bins.
 
     The transform runs in the precision of ``cal.h_f``: complex64 in,
     complex64 out; complex128 in, complex128 out. snapshot_metrics hands
     it complex64: the capture file already quantizes every sample to
     float32, and the float32 transform adds rounding about 140 dB below
     the peak, where the gate's threshold sits at most 20 dB below it.
-    ``out``, an array of ``cal.h_f``'s shape and dtype that may be
-    ``cal.h_f`` itself, receives the taper and the transform in place.
+    ``cal.h_f`` is ports x N, or ports x L with zero pad columns, as
+    Workspace.delay_domain leaves it. ``out``, a ports x L array of
+    ``cal.h_f``'s dtype that may be that padded ``cal.h_f`` itself,
+    receives the taper and the transform in place.
     """
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     plan = cal.tone_plan
+    n = plan.tone_count
     h_f = cal.h_f
     if window == "hann":  # a taper of h_f's real dtype does not widen h_f
-        h_f = np.multiply(h_f, np.hanning(plan.tone_count).astype(h_f.real.dtype), out=out)
-    h = np.fft.ifft(h_f, axis=1, norm="ortho", out=out)
+        taper = np.hanning(n).astype(h_f.real.dtype)
+        if out is None:
+            h_f = h_f[:, :n] * taper
+        else:
+            np.multiply(h_f[:, :n], taper, out=out[:, :n])
+            out[:, n:] = 0  # already zero when out is h_f
+            h_f = out
+    # n= pads only an h_f of N tones; a padded one is transformed as it is
+    h = np.fft.ifft(h_f, n=plan.transform_length, axis=1, norm="ortho", out=out)
     return RawCIR(h=h, delays=plan.delay_bins)
 
 

@@ -48,8 +48,22 @@ class TonePlan:
 
     @property
     def delay_resolution(self):
-        """Delay bin width of the inverse transform, 1/(count*spacing)."""
+        """Resolution of the delay transform, 1/(count*spacing): the width
+        the occupied band gives a path's main lobe. The bins are spaced
+        finer when the transform is padded (delay_bin_spacing)."""
         return 1.0 / (self.tone_count * self.tone_spacing)
+
+    @cached_property
+    def transform_length(self):
+        """Points of the delay transform: smooth_length(tone_count), so
+        the tones are zero-padded to a length pocketfft runs fast."""
+        return smooth_length(self.tone_count)
+
+    @property
+    def delay_bin_spacing(self):
+        """Spacing of the delay bins, 1/(transform_length*spacing): equal
+        to delay_resolution when tone_count is 11-smooth, finer otherwise."""
+        return 1.0 / (self.transform_length * self.tone_spacing)
 
     @property
     def max_unambiguous_delay(self):
@@ -63,8 +77,27 @@ class TonePlan:
 
     @cached_property
     def delay_bins(self):
-        """Delay axis of the unitary inverse DFT over the tone index."""
-        return np.arange(self.tone_count, dtype=np.float64) * self.delay_resolution
+        """Delay axis of the unitary inverse DFT of the zero-padded tones:
+        transform_length bins, delay_bin_spacing apart, over the same
+        1/spacing period."""
+        return np.arange(self.transform_length, dtype=np.float64) * self.delay_bin_spacing
+
+
+def smooth_length(n):
+    """The smallest length >= ``n`` whose prime factors are all <= 11:
+    pocketfft has passes for those, so a transform at that length avoids
+    a slow large-prime pass (1841 = 7 x 263 becomes 1848 = 2^3 3 7 11)."""
+    if n < 1:
+        raise ValueError(f"a transform length must be positive, got {n}")
+    length = n
+    while True:
+        rest = length
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
 
 
 @dataclass(frozen=True)

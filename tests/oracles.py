@@ -208,15 +208,17 @@ def complex128_metrics(meas, ref, attenuation, geometry, gate):
     """Metric columns of one snapshot by the complex128 front end.
 
     The measurement is divided by the reference and multiplied by the
-    attenuator response, transformed by a complex128 unitary inverse
-    DFT, and gated on the power np.abs(h)**2 by the dual threshold and
-    delay gate of processing.threshold_and_gate. The gated response's
+    attenuator response, zero-padded to the tone plan's delay bins,
+    transformed by a complex128 unitary inverse DFT over them, and gated
+    on the power np.abs(h)**2 by the dual threshold and delay gate of
+    processing.threshold_and_gate. The gated response's
     power np.abs(gated)**2, carried by a GatedCIR, feeds processing's
     reductions.
     Returns snapshot_metrics' columns from p_rx on.
     """
     h_f = meas.h_f / ref.h_f * attenuation
-    h = np.fft.ifft(h_f, axis=1, norm="ortho")
+    delays = meas.tone_plan.delay_bins
+    h = np.fft.ifft(h_f, n=len(delays), axis=1, norm="ortho")
     power = np.abs(h) ** 2
     n_bins = power.shape[1]
     tail = max(1, int(math.ceil(gate.noise_window_fraction * n_bins)))
@@ -224,7 +226,6 @@ def complex128_metrics(meas, ref, attenuation, geometry, gate):
     peak = np.max(power, axis=1)
     threshold = np.maximum(noise_floor * 10.0 ** (gate.noise_margin_db / 10.0),
                            peak * 10.0 ** (-gate.peak_margin_db / 10.0))
-    delays = meas.tone_plan.delay_bins
     keep = power >= threshold[:, np.newaxis]
     first = delays[np.argmax(keep, axis=1)]
     gated = np.where(keep & (delays[np.newaxis, :] <= first[:, np.newaxis] + gate.delay_gate),

@@ -317,7 +317,7 @@ class TestCaptureNoise:
         # expectations, so no two snapshots' medians differ by more
         # than (1 + e) / (1 - e): 4.1 dB here. A floor that followed
         # the signal would spread 20 log10(140 / 31) = 13 dB.
-        tail = math.ceil(config.gate.noise_window_fraction * config.tone_plan.tone_count)
+        tail = math.ceil(config.gate.noise_window_fraction * len(raw.delays))
         e = 6.0 * math.sqrt((1.0 + 2.0 * (4.0 / 9.0 + 1.0 / 36.0)) / tail)
         assert max(floors) / min(floors) <= (1.0 + e) / (1.0 - e)
         # the received power falls as the free-space 20 log10(d) (the

@@ -35,36 +35,36 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "cc8b544fb71332979399bf0375c7d37ff281714723ee37673410ac091b80b67b",
-        "analyze_csv": "5be8361793e3e23e31486704da610e9aa53031d9d32e8d28ae60fd52dfa902c5",
-        "analyze_json": "913e0f92e629f4b0d9558a302933a09dd5f5b9f63fbd8c3bf1b51e0958580ec3",
-        "analyze_summary": "8441ff64dd5e2f21757d8ef900b1456ffaa124b35977ec1c784e60cc80e787c1",
+        "analyze_cal_csv": "29a50434f0b580d54b43a570c5a4a955b57b05b650f87b89a746bdc0a6f80687",
+        "analyze_csv": "506fbff54dd9944d7d853238bd52f9fbb7dbd09732b8433882979371bb9c0784",
+        "analyze_json": "006eefc949add793f86952775a927f31df2f8f48f7669873e3b0d9d3d79af4a7",
+        "analyze_summary": "9b3bffee4dd1d4be8a74d6421dfd9da3b1ed6f886d221070ca95052954f140f0",
         "b2b": "28182316f75e579a7a89d3badf758b459c821da641ba91a0a33bdff8ecbf9707",
         "calibrate": "f1e6a2962b61c61a41ad38d91886e2888f449575d506afd9298b6a7baf1e3b48",
-        "report": "638d9fd65f38d3c9ff4d77d4c9435eab648015556a67b52fdbffffba4a9af551",
-        "report_json": "f6e2fed6960e940ab26dd6dec0b5876b0d99521b4887389b9aafda7c0c127337",
+        "report": "7fc49ce9e28ed13c2aa234ec9cfe0b7849c084030cdf1ca1f7127fe885a20cab",
+        "report_json": "612103b767131a80d8ceb39daf8ba406449ec66af02cbaf50678df5c9b95e7a8",
         "synth": "654b104699228d2b8b23942c74850387fcb5408caff6192bb60f60ac2b12d639",
     },
     "hover": {
-        "analyze_cal_csv": "66e205b7e16795d6b73091f7ac0477205d6f98bdd3848822b230b773933e1cfa",
-        "analyze_csv": "0287f61d173ac7cc0c0b42d353607df341b6e44bafe99371c1dc422b743c5b32",
-        "analyze_json": "e70678abd3f6220fdfd9a2d025769015d0afa44bc328bc67977471f6a2ff412b",
-        "analyze_summary": "3c070ec23b6936640fd11c1ea27897a9c1aec345b7d9778f81966dc28795a6cf",
+        "analyze_cal_csv": "55822b3cefe71e22c5bcc19cda6cc31240cd8b98ea515699ac932189f8bf5eb9",
+        "analyze_csv": "7233a65918fa39620a32b4e6474ce0f41cd0e0eb83ab8ad6fc560625db0be600",
+        "analyze_json": "e7af6afee82f4be008e918de1ca9d062955a42010439d0281035d7a3e2e7790b",
+        "analyze_summary": "7bc7cac4b662a3cd16966d0567f6d6d2f89727a07adaed0a4ffd7e31cf8362ee",
         "b2b": "8f56208e2b4b93cd3855a1af2ecbabfb967af7eb7f1bcaad42bd660f2a99bb29",
         "calibrate": "88efab0b144e784710874d5cb2ae5badb85ba6d8ddf8010e7a7537223cb70ec5",
-        "report": "35b53a7130f80e07652a8e25e906b4ef3d53aa75165fe28df00418fe59c32a97",
-        "report_json": "ccece613803b2e39eceb1479ce4b6e69debb0fbd3e9d78bc0f40e62f684456f5",
+        "report": "22d634aa50b7679866b1beb72e40ee59c725e661da407e3c5d109f74da619a7d",
+        "report_json": "49a6ef462bfe7702076c3511d125ab52d2fb85bec334720aeff8239664f24414",
         "synth": "1c0b4d72c7b39ddb72ba53ae383d8ea414aca93efefb577c2b186d838e1a5ef1",
     },
     "route": {
-        "analyze_cal_csv": "8761aededc1f62d7a81879b8e279acd7dcf35410bd74a2ee3077dae17c9f8520",
-        "analyze_csv": "3c3b86eb4b4a8a939538103fc9480d7180fbdacea245d8ff354a0dba9fbd8329",
-        "analyze_json": "027b1b1b5352fbbdc012207f52b5fec6ddc593e902c94f09dcf8f6aceae2c57f",
-        "analyze_summary": "304ba61f53d6bdc40106210be2cb445a780bae7987825aaee285d7141bc53aaa",
+        "analyze_cal_csv": "00b44d4511b08f50ecc3f0e2b59e1736e3addef1981b2d71b231f2273ad051e6",
+        "analyze_csv": "c90dbfaac0a49cb013a213a358f73698a53a97387f31034be77fb141d5099f54",
+        "analyze_json": "7d63be00ad5e64fa1563b89c1f64dacfed806cc0321191c7766c45bc77a54e7d",
+        "analyze_summary": "313e0792ce93ef0e98a14ca91c0929bd7faf25f05aefc3f3fa39e01fd9008d12",
         "b2b": "4e72b4313d0b26545994ed1ea5e6687773978f8eb50eb22bb8fa5bd35c13ef66",
         "calibrate": "acc4df0c1bc77cc7aa7e89398d558782fdc0432bae053d66110c615563263a6a",
-        "report": "553d5753698425ba7bdb795db1692939715103dffefa8d088686fa17399c3406",
-        "report_json": "fcc2acbbba7b31000875fd989847e2ac375607dec7b74eb9d567dbdb46e463f1",
+        "report": "a76628ba8acab8ea40e918b35e0e8aa8f96f57ee5884da569a2b69c7100b58f2",
+        "report_json": "b07473ca15f1f208ffea70913b68a84b8b50719c45f85b6493f8f9c2c72e696b",
         "synth": "128ffda982977442c91cdfa7e4061ff889f93a53515f79f51fdccb840fc0196a",
     },
     "b2b-stability": {
@@ -77,36 +77,36 @@ GOLDEN = {
 # the same outputs without the config hash (see _content_sha256)
 CONTENT = {
     "static": {
-        "analyze_cal_csv": "20d487dcded80f77d912f1f6664dc64c2adf90b8cbc157251c7d40c5ef567232",
-        "analyze_csv": "3d9eae3238371eb37154313dd2e84845e0ed4ef248daf8e66aa676a402842a7a",
-        "analyze_json": "913e0f92e629f4b0d9558a302933a09dd5f5b9f63fbd8c3bf1b51e0958580ec3",
-        "analyze_summary": "e75a4f5887445f554c7ea25265bca0cbbc363a4eb73d58ff1cae7281a81d7b32",
+        "analyze_cal_csv": "b01403d72f94801c0dab40a1ce63f83de358ae0026197e6267710e8c38b9b5a7",
+        "analyze_csv": "56529915e8ff0dc92f691efc19cae967cc8dc27bd4fe02efc7fdf277a6588ff8",
+        "analyze_json": "006eefc949add793f86952775a927f31df2f8f48f7669873e3b0d9d3d79af4a7",
+        "analyze_summary": "04f80415bb03feace7815ea25ca960097ca0bdc176a1ea0d449f5ac7b60d8a55",
         "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
         "calibrate": "e57f0e230dbadcd148e830e7aa448c2b2594d40a452a3940cf1c3244ba09f8a5",
-        "report": "7f7c02669f0ae6124f459e0675bf03f1f31d8121539c11b652bee3bf71f88a52",
-        "report_json": "f6e2fed6960e940ab26dd6dec0b5876b0d99521b4887389b9aafda7c0c127337",
+        "report": "0f58582bec7b833970d218451c7dc136219a15a98969de48d5fc33e9276f2e6b",
+        "report_json": "612103b767131a80d8ceb39daf8ba406449ec66af02cbaf50678df5c9b95e7a8",
         "synth": "e3b4ef7b534ef6d92d8674b20e5e4d7c4e1772823423351ccd9dd0c1eef767d1",
     },
     "hover": {
-        "analyze_cal_csv": "7e98b3c6f47278d0029631d0c38d9f0c8bfbd9c00c609044af56d0a5776d9814",
-        "analyze_csv": "d0cc45e1f65fea99ef7589247002dc24076912b70eb1d34e87c9c2ae6c383fd0",
-        "analyze_json": "e70678abd3f6220fdfd9a2d025769015d0afa44bc328bc67977471f6a2ff412b",
-        "analyze_summary": "3c4bf0529c2225fd07bfe9957e425cc5f9215bfc868f498a2a3c0d3b9538f79e",
+        "analyze_cal_csv": "7366a6f1ed282ca4f06d6514a2d6a614f5ce52686a58860eb562b68ac710cd6e",
+        "analyze_csv": "16e042c77dfb78157f72ea2dca8bd82fc5b7f4cd8db154381942d49e5daf8d0c",
+        "analyze_json": "e7af6afee82f4be008e918de1ca9d062955a42010439d0281035d7a3e2e7790b",
+        "analyze_summary": "c0749dd813be7c9b71138fec600c9922f025e906d9913abfec76bb5eae09dc92",
         "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
         "calibrate": "ec9c3082fb8a076b5fcba8fc4197f32e6a415acd21dfa35b45bf074a4a4a0417",
-        "report": "cb21746adc30da2dc0b6427d8f9ab9093d5d77b98ec00e01cfd20a611e775cc5",
-        "report_json": "ccece613803b2e39eceb1479ce4b6e69debb0fbd3e9d78bc0f40e62f684456f5",
+        "report": "f831723ba5b0257e137dc8752f4c22e0f2b8a0834f6cc01b933d33ede3ecb019",
+        "report_json": "49a6ef462bfe7702076c3511d125ab52d2fb85bec334720aeff8239664f24414",
         "synth": "b08dd9505cd8476705b7918fb1a11f9996cf8d9103800f2dbce0d3946fcdefd7",
     },
     "route": {
-        "analyze_cal_csv": "13e232e8b6182d0d291534c05d08bad114c00f0027f5dc34bf62d8226da08464",
-        "analyze_csv": "07adbf7256ca3383a53f66c987b6cc53f76b9b8ef5fd0100bd82459e38a455c5",
-        "analyze_json": "027b1b1b5352fbbdc012207f52b5fec6ddc593e902c94f09dcf8f6aceae2c57f",
-        "analyze_summary": "b237a74a91a79feb5eb7f8965e93997563b7a30a14873d7f9fe862c8508cc816",
+        "analyze_cal_csv": "84d4c0a26a7236b2e99cbce245a0382226eac71f7aff60047b00859043a3179f",
+        "analyze_csv": "44f800e449e952e26bbf582aeb1d7b32320fca51fc090c24c526bbc7836728be",
+        "analyze_json": "7d63be00ad5e64fa1563b89c1f64dacfed806cc0321191c7766c45bc77a54e7d",
+        "analyze_summary": "2db44a6e4d2d61b3a996f441b9358711b4e9b1eb133a874be424ee69f4539b27",
         "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
         "calibrate": "b2268a59fe42507cd260ff6b947e1378e324233dcb0d9f7d4728e337f1098f5b",
-        "report": "48ec7d96c7fcf35a8f8c02e38a670d34242d09eace5daa3f5495b9f7e5e24475",
-        "report_json": "fcc2acbbba7b31000875fd989847e2ac375607dec7b74eb9d567dbdb46e463f1",
+        "report": "35edf4258c6e9436b121e4784e29ac37329eb6b2483413b268ae16d04085a68d",
+        "report_json": "b07473ca15f1f208ffea70913b68a84b8b50719c45f85b6493f8f9c2c72e696b",
         "synth": "6bb310700fec716052d5ec841e95a4f1f44c270bd65ed9bca12a23df77fe9b0c",
     },
     "b2b-stability": {

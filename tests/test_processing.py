@@ -98,6 +98,108 @@ class TestCirFromTf:
         np.testing.assert_array_equal(raw.delays, plan.delay_bins)
 
 
+U32 = 2.0 ** -24  # unit roundoff of float32
+
+
+def prime_factors(n):
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def mixed_radix_bound(length):
+    """First-order bound on the relative norm-wise error of a float32
+    unitary FFT of ``length`` points taken as one pass per prime factor r.
+
+    A pass is a set of r-point DFTs: each output sums r products of a
+    sample and a rounded twiddle, so it errs by at most (u + sqrt(2)
+    gamma_2 + gamma_{r-1}) times the sum of the r input magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and
+    3.6), at most (r + 2 sqrt(2)) u sqrt(r) times the input's norm. The
+    r outputs have sqrt(r) times the input's norm, so the pass errs by
+    (r + 2 sqrt(2)) u sqrt(r) relative to its output. Each pass is a
+    scaled unitary map, so the errors add; the twiddle products between
+    passes add (2 sqrt(2) + 1) u each, and the 1/sqrt(length) scale u.
+    pocketfft's radix-4 pass and its paired radix-7 and radix-11
+    butterflies do fewer operations than this count.
+    """
+    per_pass = sum((r + 2.0 * math.sqrt(2.0)) * math.sqrt(r) + 2.0 * math.sqrt(2.0) + 1.0
+                   for r in prime_factors(length))
+    return (per_pass + 1.0) * U32
+
+
+def dirichlet(plan, bins):
+    """The unitary inverse DFT over transform_length L of one path's
+    N tones, the path ``bins`` bin spacings late, in closed form:
+    e^{-j2pi f_0 tau} sum_{n<N} e^{j2pi n (k - bins) / L} / sqrt(L)
+    = e^{-j2pi f_0 tau} e^{j pi x (N-1) / L} sin(pi x N / L) / (sqrt(L) sin(pi x / L)),
+    x = k - bins, N / sqrt(L) times the phase where x = 0."""
+    n, length = plan.tone_count, plan.transform_length
+    tau = bins * plan.delay_bin_spacing
+    x = np.arange(length) - bins
+    s = np.sin(np.pi * x / length)
+    ratio = np.where(s == 0.0, float(n),
+                     np.sin(np.pi * x * n / length) / np.where(s == 0.0, 1.0, s))
+    phase = np.exp(-2j * math.pi * plan.tone_frequencies[0] * tau
+                   + 1j * math.pi * x * (n - 1) / length)
+    return phase * ratio / math.sqrt(length)
+
+
+class TestPaddedTransform:
+    """The default 1841 tones transformed over 1848 padded points."""
+
+    PADDED = TonePlan()
+
+    def path(self, bins):
+        tau = bins * self.PADDED.delay_bin_spacing
+        return np.exp(-2j * math.pi * self.PADDED.tone_frequencies * tau)[np.newaxis, :]
+
+    @pytest.mark.parametrize("bins", [37.0, 37.5, 1000.0, 1500.5], ids=["on-37", "half-37",
+                                                                        "on-1000", "half-1500"])
+    def test_one_path_gives_the_dirichlet_kernel_in_complex64(self, bins):
+        plan = self.PADDED
+        n, length = plan.tone_count, plan.transform_length
+        assert (n, length) == (1841, 1848)
+        h_f = self.path(bins).astype(np.complex64)
+        raw = cir_from_tf(CaptureRecord(h_f=h_f, tone_plan=plan))
+        assert raw.h.dtype == np.complex64 and raw.h.shape == (1, length)
+        np.testing.assert_array_equal(raw.delays, plan.delay_bins)
+        want = dirichlet(plan, bins)
+        # the complex64 input is each unit tone rounded (at most u each),
+        # and the transform adds mixed_radix_bound; both relative to the
+        # response's norm sqrt(N), which also bounds any one bin's error
+        eps = mixed_radix_bound(length) + U32
+        err = raw.h[0].astype(np.complex128) - want
+        assert np.linalg.norm(err) <= eps * math.sqrt(n)
+        assert np.max(np.abs(err)) <= eps * math.sqrt(n)
+        # N < L: even a path on the bin grid spreads over the bins
+        power = np.abs(want) ** 2
+        peak = int(bins)
+        assert np.sum(power) - power[peak] > 1e-3 * power[peak]
+
+    def test_parseval_between_tones_and_padded_bins_in_complex64(self):
+        # energy is the squared norm: its relative error is at most
+        # 2 eps + eps^2 for a norm-wise bound eps, the transform's plus,
+        # under hann, u for the complex64 product with the taper
+        plan = self.PADDED
+        rng = np.random.default_rng(3)
+        shape = (4, plan.tone_count)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        for window in ("rect", "hann"):
+            eps = mixed_radix_bound(plan.transform_length) + (U32 if window == "hann" else 0.0)
+            raw = cir_from_tf(CaptureRecord(h_f=h, tone_plan=plan), window=window)
+            tones = h.astype(np.complex128)
+            if window == "hann":
+                tones = tones * np.hanning(plan.tone_count).astype(np.float32)
+            a = np.sum(np.abs(raw.h.astype(np.complex128)) ** 2)
+            b = np.sum(np.abs(tones) ** 2)
+            assert abs(a - b) <= (2.0 * eps + eps * eps) * b, window
+
+
 class TestThresholdAndGate:
     def test_peak_margin_governs(self):
         # noise floor -80 dB, peak -50 dB: threshold = max(-74, -70) = -70

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from a2gsounder.waveform import TimingPlan, TonePlan, snapshot_timestamps
+from a2gsounder.waveform import TimingPlan, TonePlan, smooth_length, snapshot_timestamps
+
+
+def largest_prime_factor(n):
+    """By trial division, apart from the library's sieve by 2..11."""
+    largest, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            largest, n = p, n // p
+        p += 1
+    return max(largest, n)
 
 
 class TestTonePlan:
@@ -46,6 +58,51 @@ class TestTonePlan:
         with pytest.raises(ValueError):
             # center below half the occupied bandwidth
             TonePlan(center_frequency=5e5, tone_spacing=20e3, tone_count=100)
+
+
+class TestTransformLength:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10_000))
+    @example(1841)
+    @example(10_000)
+    def test_the_smallest_11_smooth_length_from_the_tone_count(self, count):
+        plan = TonePlan(center_frequency=3.5e9, tone_spacing=1e3, tone_count=count)
+        length = plan.transform_length
+        assert length >= count
+        assert largest_prime_factor(length) <= 11
+        assert all(largest_prime_factor(m) > 11 for m in range(count, length))
+        assert (length == count) == (largest_prime_factor(count) <= 11)
+
+    @pytest.mark.parametrize("count, length", [(1841, 1848), (67, 70), (64, 64), (128, 128),
+                                               (129, 132), (1024, 1024), (13, 14), (2, 2)])
+    def test_known_lengths(self, count, length):
+        assert smooth_length(count) == length
+
+    def test_a_length_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            smooth_length(0)
+
+    def test_bin_spacing_and_resolution_at_the_default_plan(self):
+        plan = TonePlan()
+        assert plan.transform_length == 1848
+        # resolution 1/(N df) = 27.16 ns; the padded bins lie 1/(L df) = 27.06 ns apart
+        assert plan.delay_resolution == pytest.approx(1.0 / (1841 * 20e3), rel=1e-12)
+        assert plan.delay_bin_spacing == pytest.approx(1.0 / (1848 * 20e3), rel=1e-12)
+        assert round(plan.delay_resolution * 1e9, 2) == 27.16
+        assert round(plan.delay_bin_spacing * 1e9, 2) == 27.06
+        bins = plan.delay_bins
+        assert len(bins) == 1848 and bins[0] == 0.0
+        np.testing.assert_allclose(np.diff(bins), plan.delay_bin_spacing, rtol=1e-9)
+        # the same alias period 1/df
+        assert len(bins) * plan.delay_bin_spacing == pytest.approx(plan.max_unambiguous_delay,
+                                                                   rel=1e-12)
+
+    def test_a_smooth_count_keeps_its_bins(self):
+        plan = TonePlan(tone_count=128)
+        assert plan.transform_length == 128
+        assert plan.delay_bin_spacing == plan.delay_resolution
+        np.testing.assert_array_equal(plan.delay_bins,
+                                      np.arange(128, dtype=np.float64) * plan.delay_resolution)
 
 
 class TestTimingPlan:

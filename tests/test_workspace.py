@@ -3,13 +3,17 @@ capture writer that each synthesis task writes its snapshot's blocks
 through.
 
 Each in-place kernel is held byte for byte to the allocating form it
-replaced, on random arrays. An analysis Workspace is one complex128
-buffer (plus the keep mask and a 16-port block, 4.48 MB at 128 x 1841)
-whose views take each role in turn: the payload in its second half,
-the calibrated response over all of it, per-row [Re | Im] planes, the
+replaced, on random arrays; the delay transform to the tones
+zero-padded to the transform length in a fresh array. An analysis
+Workspace is one complex128 ports x transform-length buffer (plus the
+keep mask and a 16-port block, 4.49 MB at 128 x 1841 tones, 1848
+points) whose views take each role in turn: the payload from half-way,
+the calibrated response at its start, per-row [Re | Im] planes, the
 complex64 delay domain in its first half and the float64 power in its
 second; snapshot_metrics in it is held byte for byte to the allocating
-kernels at port counts that are not whole 16-port blocks. The memory
+kernels at port counts that are not whole 16-port blocks, and a
+snapshot analyzed after another, at a padded tone count, to the same
+snapshot in a fresh workspace and at any thread count. The memory
 of analyze_records is bounded by its workspaces, each owning buffer
 counted once, and the records in flight (none when it reads a capture
 file), that of the synth command's write by its workspaces, each with
@@ -76,6 +80,17 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def padded_ifft(h, window, plan=PLAN):
+    """The delay transform on a padded array: the complex64 tones, tapered
+    under hann, then zeros up to the transform length, transformed whole."""
+    tones = h.astype(np.complex64)
+    if window == "hann":
+        tones = tones * np.hanning(plan.tone_count).astype(np.float32)
+    padded = np.zeros((len(h), plan.transform_length), np.complex64)
+    padded[:, :plan.tone_count] = tones
+    return np.fft.ifft(padded, axis=1, norm="ortho")
+
+
 def gate_by_mask(raw, gate):
     """threshold_and_gate as it was: a late-bin mask and np.where over the
     power of a complex128 copy."""
@@ -100,12 +115,23 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("window", ["rect", "hann"])
     @pytest.mark.parametrize("seed", range(3))
     def test_ifft_in_place_gives_the_allocating_bytes(self, seed, window):
+        # 1841 tones, 1848 points: the allocating form pads through numpy's
+        # n=, the in-place one transforms a buffer padded with zeros
         h = random_response(seed)
-        expected = cir_from_tf(CaptureRecord(h_f=h, tone_plan=PLAN), window=window).h
-        buffer = h.copy()
+        expected = padded_ifft(h, window)
+        assert expected.shape == (16, 1848)
+        cal = CaptureRecord(h_f=h, tone_plan=PLAN)
+        assert same_bytes(cir_from_tf(cal, window=window).h, expected)
+        buffer = np.zeros(expected.shape, np.complex64)
+        buffer[:, :PLAN.tone_count] = h
         got = cir_from_tf(CaptureRecord(h_f=buffer, tone_plan=PLAN), window=window,
                           out=buffer).h
         assert got is buffer
+        assert same_bytes(got, expected)
+        # an out apart from the tones: what it held does not reach the bins
+        stale = np.full(expected.shape, np.nan, np.complex64)
+        got = cir_from_tf(cal, window=window, out=stale).h
+        assert got is stale
         assert same_bytes(got, expected)
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -121,7 +147,7 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("delay_gate", [1e-7, 2e-6, 2e-5])
     @pytest.mark.parametrize("seed", range(4))
     def test_prefix_cut_and_multiply_give_the_mask_and_where_bytes(self, seed, delay_gate):
-        h = random_response(seed)
+        h = random_response(seed, tones=PLAN.transform_length)  # one per delay bin
         h[:, 40] += 50.0 * np.abs(h).max()  # a strong path, so the gates differ per port
         h[3] = 0.0  # a port where nothing survives
         raw = RawCIR(h=h, delays=PLAN.delay_bins)
@@ -160,7 +186,7 @@ class TestInPlaceKernels:
         ref = CaptureRecord(h_f=random_response(10, ports), tone_plan=PLAN, record_type="B2B")
         reference = Reference(ref, AttenuatorModel())
         ws = Workspace((ports, PLAN.tone_count))
-        ws.response.fill(np.nan)
+        ws.buffer.fill(np.nan)
         payload = random_response(0, ports)
         np.copyto(ws.payload, payload)
         cal = calibrate(CaptureRecord(h_f=ws.payload, tone_plan=PLAN), reference,
@@ -222,9 +248,10 @@ class ColumnPerPort:
 def test_one_buffer_analysis_gives_the_allocating_bytes(monkeypatch, ports, dtype, window):
     # snapshot_metrics in one Workspace reused across snapshots of
     # different content, against the allocating kernels: the correlation
-    # from contiguous planes, and fresh delay and power arrays. A complex64
-    # snapshot is analyzed from an array apart from the workspace and from
-    # its payload half, as a capture read leaves it.
+    # from contiguous planes, the transform of fresh padded tones and a
+    # fresh power array. A complex64 snapshot is analyzed from an array
+    # apart from the workspace and from its payload, as a capture read
+    # leaves it.
     gate = GateConfig()
     seen = {}
     picks = {"correlation_and_eigen": lambda result: result.correlation,
@@ -240,12 +267,11 @@ def test_one_buffer_analysis_gives_the_allocating_bytes(monkeypatch, ports, dtyp
     for name in picks:
         monkeypatch.setattr(processing, name, spy(name, getattr(processing, name)))
     ws = Workspace((ports, PLAN.tone_count))
-    ws.response.fill(np.nan)
+    ws.buffer.fill(np.nan)
     sources = ["apart", "payload"] if dtype == np.complex64 else ["apart"]
     for seed in range(3):
         h = random_response(seed, ports, dtype=dtype)
-        raw = cir_from_tf(CaptureRecord(h_f=h.astype(np.complex64), tone_plan=PLAN),
-                          window=window)
+        raw = RawCIR(h=padded_ifft(h, window), delays=PLAN.delay_bins)
         expected = {"correlation_and_eigen": correlation_by_planes(h), "cir_from_tf": raw.h,
                     "threshold_and_gate": threshold_and_gate(raw, gate).power}
         rows = []
@@ -263,6 +289,49 @@ def test_one_buffer_analysis_gives_the_allocating_bytes(monkeypatch, ports, dtyp
             for name, want in expected.items():
                 assert same_bytes(seen[name], want), (source, name)
         assert repr(rows[0]) == repr(rows[-1])
+
+
+PADDED = TonePlan(tone_count=67)  # 67 is prime: the transform takes 70 points
+
+
+def test_a_reused_workspace_gives_the_fresh_workspace_bytes():
+    # after a snapshot the pad columns of the delay domain hold its last
+    # bins, and the next snapshot's planes are written over them: the
+    # transform must see zeros there, whatever the workspace held
+    assert PADDED.transform_length == 70
+    ports = 40
+    a, b = (random_response(seed, ports, PADDED.tone_count) for seed in (1, 2))
+    for window in ("rect", "hann"):
+        ws = Workspace((ports, PADDED.tone_count))
+        snapshot_metrics(CaptureRecord(h_f=a, tone_plan=PADDED), ColumnPerPort(ports),
+                         GateConfig(), window, ws)
+        assert np.all(ws.delay[:, PADDED.tone_count:] != 0)
+        after_a = snapshot_metrics(CaptureRecord(h_f=b, tone_plan=PADDED),
+                                   ColumnPerPort(ports), GateConfig(), window, ws)
+        # the gate leaves the transformed bins in the delay domain
+        assert same_bytes(ws.delay, padded_ifft(b, window, PADDED)), window
+        fresh = snapshot_metrics(CaptureRecord(h_f=b, tone_plan=PADDED), ColumnPerPort(ports),
+                                 GateConfig(), window, Workspace((ports, PADDED.tone_count)))
+        assert repr(after_a) == repr(fresh), window
+
+
+def test_a_padded_tone_count_gives_one_csv_at_any_thread_count(tmp_path, monkeypatch):
+    doc = {"preset": "olin-hover", "array": {"columns": 4, "rows": 2},
+           "timing": {"ports_per_simo": 16}, "tone_plan": {"tone_count": PADDED.tone_count},
+           "capture": {"burst_count": 4}}
+    scenario = tmp_path / "padded.json"
+    scenario.write_text(json.dumps(doc))
+    meas, ref = str(tmp_path / "meas.bin"), str(tmp_path / "ref.bin")
+    assert cli_main(["synth", "--scenario", str(scenario), "--out", meas]) == 0
+    assert cli_main(["b2b", "--scenario", str(scenario), "--out", ref, "--snapshots", "2"]) == 0
+    csvs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setenv("A2GS_THREADS", str(workers))
+        out = tmp_path / f"metrics-{workers}.csv"
+        assert cli_main(["analyze", "--scenario", str(scenario), "--meas", meas, "--ref", ref,
+                         "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
@@ -517,7 +586,7 @@ def test_analysis_memory_is_fixed_by_the_workers_not_the_series(full_size, monke
     monkeypatch.setenv("A2GS_THREADS", str(workers))
     short, long = analysis_peak(full_size, SHORT, source), analysis_peak(full_size, LONG, source)
     # each array that owns its memory, once: the buffer, the mask and
-    # the block (4.48 MB at 128 x 1841; its views would count it again)
+    # the block (4.49 MB at 128 x 1841; its views would count it again)
     workspace = Workspace(full_size[2].h_f.shape).nbytes
     assert workspace <= 4.6e6, workspace
     in_flight = 0 if source == "file" else (workers + 1) * full_size[2].h_f.nbytes
