@@ -6,8 +6,9 @@ a shared path row and for one row per switch slot alike. One shared
 downconversion chain (a smooth random ripple over the tone grid) feeds
 per-port scalar switch-path gains, mirroring a switched single-chain
 architecture. A per-snapshot complex drift factor models clock
-stability; additive white Gaussian noise is injected per tone in the
-frequency domain, at one power per capture, fixed by its first
+stability; circular complex Gaussian noise, a Rayleigh amplitude at a
+uniform phase drawn in float32 (_add_noise), is injected per tone in
+the frequency domain, at one power per capture, fixed by its first
 snapshot (noise_sigma), as a receiver's noise floor does not follow
 the signal. A snapshot never holds its whole noise-free
 response: it is expanded from the path-sum factors (FactoredResponse)
@@ -315,8 +316,10 @@ def noise_scratch(tones):
     float64 array: a 16-port complex128 block (0.47 MB at 1841 tones),
     then a float64 block the size of a 16-port complex128 block of whole
     64-tone blocks (0.48 MB), where FactoredResponse.product sums the
-    paths, noise_sigma takes |.|^2, the draws are made and a finished
-    block is cast to ``<c8`` for a writer."""
+    paths, noise_sigma takes |.|^2, the noise is drawn (two float32
+    uniforms a tone and one float32 cosine, 3 x 16 x tones float32, which
+    fit in its 4 x 16 x whole-block tones) and a finished block is cast
+    to ``<c8`` for a writer."""
     return np.empty(2 * _BLOCK_PORTS * (tones + -(-tones // _BLOCK) * _BLOCK))
 
 
@@ -359,19 +362,58 @@ def noise_sigma(snr_db, base, shape, gain, scratch=None):
     return math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
 
 
+# 2*pi rounded to float32 once: the phase of a uniform u is this times u.
+_TWO_PI = np.float32(2.0 * math.pi)
+
+# The largest noise amplitude over sigma, up to float32 rounding: rho at
+# the largest float32 uniform, 1 - 2^-24, is sqrt(48 ln 2) = 5.77 (15.2 dB).
+NOISE_PEAK = math.sqrt(48.0 * math.log(2.0))
+
+
+def _add_noise(block, rng, sigma, work):
+    """Add circular complex Gaussian noise of standard deviation ``sigma``
+    (a float32) in each part to ``block`` (ports x tones complex128), in
+    place: sigma * rho * (cos phi, sin phi) per tone, a Rayleigh
+    amplitude rho = sqrt(-2 ln(1 - u1)) at a uniform phase phi = 2*pi*u2
+    (Box and Muller's transform), all in float32. ``rng`` fills float32
+    uniforms (ports, 2, tones) in ``work``, port k's u1 for its tones,
+    then its u2; a float32 uniform is a multiple of 2^-24 below 1, so
+    1 - u1 is exact and rho is at most NOISE_PEAK. sigma multiplies
+    after the root, so the largest float32 value is the amplitude
+    sigma * rho itself (no sigma^2), within 3 dB of the larger part."""
+    flat = work.view(np.float32)
+    uniforms = flat[:2 * block.size].reshape(len(block), 2, -1)
+    cos = flat[2 * block.size:3 * block.size].reshape(block.shape)
+    rng.random(out=uniforms, dtype=np.float32)
+    rho, phi = uniforms[:, 0], uniforms[:, 1]
+    np.subtract(1, rho, out=rho)
+    np.log(rho, out=rho)
+    rho *= -2
+    np.sqrt(rho, out=rho)
+    rho *= sigma
+    phi *= _TWO_PI
+    np.cos(phi, out=cos)
+    np.sin(phi, out=phi)
+    cos *= rho
+    phi *= rho
+    block.real += cos
+    block.imag += phi
+
+
 def _gain_and_noise(out, base, shape, gain, sigma, seed, snapshot_index, scratch=None):
     """A ``shape`` (ports x tones) base response times gain[:, None] plus
-    white Gaussian noise of standard deviation ``sigma`` in its real and
-    its imaginary part (noise_sigma; None adds none), written into
-    ``out`` (an array of that shape and any complex dtype, or a fresh
-    complex128 one when None) and returned, or, when ``out`` is a writer
-    ``rows(k, block)``, handed to it a finished block at a time, and
-    None returned. Port k's draws are its tones' real parts, then their
-    imaginary parts, from one counter block per snapshot in port order.
+    circular complex Gaussian noise of standard deviation ``sigma`` in
+    its real and its imaginary part (noise_sigma; None adds none; see
+    _add_noise), written into ``out`` (an array of that shape and any
+    complex dtype, or a fresh complex128 one when None) and returned, or,
+    when ``out`` is a writer ``rows(k, block)``, handed to it a finished
+    block at a time, and None returned. The uniforms come from one
+    counter block per snapshot, port after port, so the bytes do not
+    depend on the block size.
 
     It takes 16 ports at a time, in one pass (see _blocks for ``base``
     and ``scratch``): it forms each block's product, adds the block's
-    draws and copies the block into ``out``, or casts it to a
+    noise and copies the block into ``out``, or casts it to a
     C-contiguous ``<c8`` block for rows(k, block), the cast ``out``'s
     rows would make. The draws and the cast block sit in the float64
     block of ``scratch``, each free by the time the next is written.
@@ -381,13 +423,10 @@ def _gain_and_noise(out, base, shape, gain, sigma, seed, snapshot_index, scratch
         out = np.empty(shape, np.complex128)
     if sigma is not None:
         rng = stream(seed, TAG_NOISE, snapshot_index)
+        sigma = np.float32(sigma)
     for k, b, work in _blocks(base, shape, gain, scratch):
         if sigma is not None:
-            draws = work[:2 * b.size].reshape(len(b), 2, shape[1])
-            rng.standard_normal(out=draws)
-            draws *= sigma
-            b.real += draws[:, 0]
-            b.imag += draws[:, 1]
+            _add_noise(b, rng, sigma, work)
         if rows is None:
             out[k:k + _BLOCK_PORTS] = b
         else:

@@ -232,14 +232,17 @@ def _facets(value, path):
 # Lowest SNR a capture may carry. Noise is drawn 10^(-snr_db/20) times
 # the rms amplitude of the strongest port of the capture's first
 # snapshot, for every snapshot, and captures are complex64, whose
-# largest finite magnitude, 3.4e38, is 770 dB. A standard normal draw
-# stays below 10 (20 dB). A path's gain, its free-space amplitude
-# wavelength/(4*pi*d), is below 1 (0 dB) unless the TX is within
-# wavelength/(4*pi), under 1 cm at 3.5 GHz, of the RX. At -300 dB every
-# sample stays finite until the path, chain and switch gains together
-# pass 770 - 300 - 20 = 450 dB. Lower values add nothing but, far
-# enough down, overflow: at -900 dB complex64 samples are infinite, and
-# at -5000 dB the float64 noise power is.
+# largest finite magnitude, 3.4e38, is 770 dB. A noise amplitude stays
+# below capture_sim.NOISE_PEAK = 5.77 (15.2 dB) times the noise sigma.
+# It is drawn in float32, whose range is complex64's, with sigma applied
+# after the root, so its largest float32 value is that amplitude itself,
+# at most 3 dB above its larger part. A path's gain, its free-space
+# amplitude wavelength/(4*pi*d), is below 1 (0 dB) unless the TX is
+# within wavelength/(4*pi), under 1 cm at 3.5 GHz, of the RX. At -300 dB
+# every sample stays finite until the path, chain and switch gains
+# together pass 770 - 300 - 15.2 - 3 = 451.8 dB. Lower values add
+# nothing but, far enough down, overflow: at -900 dB complex64 samples
+# are infinite, and at -5000 dB the float64 noise power is.
 MIN_SNR_DB = -300.0
 
 # The scenario schema: every leaf is a (default, rule) pair and every

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import numpy_random
 from .capture_file import read_capture, write_capture
-from .capture_sim import CaptureRecord
+from .capture_sim import NOISE_PEAK, CaptureRecord, _gain_and_noise
 from .config import parse_scenario
 from .pipeline import (analyze_records, calibrate_records, run_b2b,
                        run_synthesis)
@@ -98,6 +98,27 @@ def check_parseval(rng):
     return abs(a - b) <= 1e-12 * b, f"{a:.12g} vs {b:.12g}"
 
 
+def check_noise_power(rng):
+    """A noise-only 128 x 1841 snapshot at sigma 0.5: N draws per part,
+    whose N mean(x^2) / sigma^2 is chi-square of N degrees of freedom,
+    within 6 of its sqrt(2 N) spread of N, and no amplitude above
+    NOISE_PEAK sigma but for float32 rounding (below 2^-20 of it)."""
+    shape, sigma = (128, 1841), 0.5
+
+    def zeros(k, gain, block, work):
+        block.fill(0.0)
+        return block
+
+    noise = _gain_and_noise(None, zeros, shape, np.ones(shape[0], np.complex128), sigma,
+                            int(rng.integers(1 << 32)), 0)
+    bound = 6.0 * math.sqrt(2.0 / noise.size)
+    powers = [float(np.mean(part ** 2)) / sigma ** 2 for part in (noise.real, noise.imag)]
+    peak = float(np.max(np.abs(noise))) / sigma
+    ok = all(abs(p - 1.0) <= bound for p in powers) and peak <= NOISE_PEAK * (1.0 + 2.0 ** -20)
+    return ok, (f"power / sigma^2 {powers[0]:.5f}, {powers[1]:.5f} (within {bound:.5f} of 1), "
+                f"peak {peak:.3f} sigma (at most {NOISE_PEAK:.3f})")
+
+
 def _tiny_scenario(preset="olin-static", burst_count=1):
     return parse_scenario({
         "preset": preset,
@@ -161,6 +182,7 @@ CHECKS = (
     ("correlation PSD and trace identity", check_correlation_psd_and_trace),
     ("gamma12 <= gamma14", check_gamma_ordering),
     ("Parseval identity", check_parseval),
+    ("noise power and peak", check_noise_power),
     ("capture file round trip", check_file_round_trip),
     ("cross-run determinism", check_cross_run_determinism),
 )

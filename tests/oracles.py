@@ -10,16 +10,17 @@ port's gain for one plane wave, and a system response that changes
 nothing. ``complex128_metrics`` is the analysis front end as it ran
 before the complex64 delay domain, the reference that one is held to.
 ``whole_product`` is the block product of _gain_and_noise for a whole
-array, as simulate_b2b forms it. ``square_walk`` is the square route as
-the trajectory walked it before waypoints, and ``polyline_walk`` the
-waypoint walk in scalar Python floats.
+array, as simulate_b2b forms it, and ``noise_only`` its noise alone.
+``square_walk`` is the square route as the trajectory walked it before
+waypoints, and ``polyline_walk`` the waypoint walk in scalar Python
+floats.
 """
 
 import math
 
 import numpy as np
 
-from a2gsounder.capture_sim import CaptureRecord, SystemResponse
+from a2gsounder.capture_sim import CaptureRecord, SystemResponse, _gain_and_noise
 from a2gsounder.processing import (GatedCIR, column_power_profile, correlation_and_eigen,
                                    los_bin_power_db, rms_delay_spread, rx_power)
 
@@ -53,6 +54,16 @@ def whole_product(base):
     def product(k, gain, block, work):
         return np.multiply(base[k:k + len(gain)], gain[:, np.newaxis], out=block)
     return product
+
+
+def noise_only(sigma, seed, snapshot_index, shape=(128, 1841)):
+    """The noise _gain_and_noise adds to one snapshot of ``shape`` at
+    ``sigma``: its result on a zero base, complex128."""
+    def zeros(k, gain, block, work):
+        block.fill(0.0)
+        return block
+    return _gain_and_noise(None, zeros, shape, np.ones(shape[0], np.complex128), sigma,
+                           seed, snapshot_index)
 
 
 def square_walk(center, side, height, speed, start_corner, times):

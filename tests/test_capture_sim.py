@@ -1,19 +1,24 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import host_class
 import numpy as np
 import pytest
-from oracles import ideal_system_response, port_gain, transfer_function_oracle, whole_product
+from oracles import (ideal_system_response, noise_only, port_gain, transfer_function_oracle,
+                     whole_product)
 
 from a2gsounder._rng import TAG_DRIFT_B2B, TAG_NOISE, stream
 from a2gsounder.array_geometry import PatternParams, build_cylindrical_array
-from a2gsounder.capture_sim import (AttenuatorModel, FactoredResponse, _gain_and_noise,
-                                    build_system_response, noise_sigma, port_response_row,
-                                    port_stack_response, simulate_b2b, simulate_snapshot)
+from a2gsounder.capture_sim import (NOISE_PEAK, AttenuatorModel, FactoredResponse, _add_noise,
+                                    _gain_and_noise, build_system_response, noise_sigma,
+                                    port_response_row, port_stack_response, simulate_b2b,
+                                    simulate_snapshot)
 from a2gsounder.channel_synth import (Scene, synthesize_paths, synthesize_slots,
                                      tx_position_at, wobble_index)
 from a2gsounder.config import parse_scenario
@@ -23,6 +28,8 @@ from a2gsounder.processing import cir_from_tf, snapshot_metrics, threshold_and_g
 from a2gsounder.waveform import SPEED_OF_LIGHT, TonePlan, snapshot_timestamps
 
 PLAN = TonePlan(tone_count=128)
+TESTS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TESTS).parent / "src")
 
 
 def los_paths(distance=12.0):
@@ -113,12 +120,14 @@ class TestSimulateSnapshot:
         assert measured == pytest.approx(peak_power / 1e3, rel=0.05)
 
     # (SNR dB, seed, snapshot index, sha256 of the noisy response as
-    # complex128 bytes). Each draw of a snapshot's counter block lands on
-    # a fixed (port, tone, re/im), so these bytes, and with them every
-    # B2B digest of the golden gate, hold however the noise is added.
+    # complex128 bytes). Each uniform of a snapshot's counter block lands
+    # on a fixed (port, tone, amplitude/phase), so these bytes, and with
+    # them every B2B digest of the golden gate, hold however the noise
+    # is added. Recorded from the float32 Rayleigh-amplitude, uniform-phase
+    # draws.
     @pytest.mark.parametrize("snr_db,seed,index,digest", [
-        (20.0, 5, 7, "11fa9e15a1a0b0017c129e540f12254f8dcbffcdf46290adefa3fe3b827f1c8a"),
-        (-30.0, 1, 0, "08d28b8c7c451362b257663e85a20b038fc9ddec7516f7e380fb8c08450d9f29"),
+        (20.0, 5, 7, "b4ea07994b745a9f9b372379c7331e35aa8b7565f98c31a891fb3eabec22ceda"),
+        (-30.0, 1, 0, "9a6589cad6cf6f4f4b302ec5790620222702e64d5fd44643118c01edbec71c75"),
     ])
     def test_noise_bytes_are_pinned(self, snr_db, seed, index, digest):
         noisy = chain_times_gain(8, snr_db, seed, index)
@@ -127,10 +136,10 @@ class TestSimulateSnapshot:
 
     def test_noise_bytes_across_port_blocks_are_pinned(self):
         # 40 ports: two whole blocks of 16 ports and a partial one; the
-        # digest was recorded from the one-array noise step
+        # port-block count does not enter the uniforms' order
         noisy = chain_times_gain(40, 20.0, 5, 7)
         got = hashlib.sha256(np.ascontiguousarray(noisy, "<c16").tobytes()).hexdigest()
-        assert got == "e9228627faec7ed65eb3d841775065cb1c2dfa9e422dbb19a067f071bf272cbc", \
+        assert got == "09dfdecbfb3c3704b83c6082f16575143a2c16d9356f7226ddfde57a942b7ae2", \
             host_class.note()
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -187,6 +196,121 @@ class TestSimulateSnapshot:
                                    shared.h_f, rtol=0, atol=1e-15)
 
 
+# Each sampler oracle below fails a correct sampler with probability
+# below ALPHA, its bound derived from the sample count.
+ALPHA = 1e-6
+Z = 4.9  # two-sided standard normal quantile at ALPHA: P(|z| > 4.9) = 9.6e-7
+# The float32 rounding an amplitude can carry past NOISE_PEAK * sigma:
+# sigma's and the root's rounding and the two products (1 each), the
+# log's 4 ulp halved by the root (4), and the cosine and sine, each
+# within 1.5 ulp (3 * 2^-24 absolute), on the magnitude (3 * sqrt(2)).
+PEAK_ROUNDING = (8.0 + 3.0 * math.sqrt(2.0)) * 2.0 ** -24
+
+
+def ks_distance(samples, cdf):
+    """The Kolmogorov-Smirnov distance of ``samples`` from ``cdf``."""
+    f = cdf(np.sort(samples))
+    n = len(f)
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
+def chi2_quantile(k, z):
+    """The chi-square quantile of ``k`` degrees of freedom at standard
+    normal quantile ``z`` (Wilson and Hilferty's approximation)."""
+    return k * (1.0 - 2.0 / (9.0 * k) + z * math.sqrt(2.0 / (9.0 * k))) ** 3
+
+
+class TestNoiseSampler:
+    """Circular complex Gaussian noise, per tone sigma * rho * (cos phi,
+    sin phi) with a Rayleigh rho and a uniform phi, held to its
+    distribution on one noise-only 128 x 1841 snapshot (N samples)."""
+
+    SIGMA = 0.7
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        return noise_only(self.SIGMA, 11, 4)
+
+    def test_each_part_has_mean_0_and_variance_sigma_squared(self, noise):
+        n = noise.size
+        for part in (noise.real, noise.imag):
+            # the mean of N draws of variance sigma^2, and N mean(x^2) /
+            # sigma^2, chi-square of N degrees of freedom
+            assert abs(np.mean(part)) <= Z * self.SIGMA / math.sqrt(n)
+            power = n * np.mean(part ** 2) / self.SIGMA ** 2
+            assert chi2_quantile(n, -Z) <= power <= chi2_quantile(n, Z)
+
+    def test_noise_is_circular(self, noise):
+        # re^2 - im^2 and 2 re im have variance 4 sigma^4 each, so |mean
+        # n^2| is Rayleigh of scale 2 sigma^2 / sqrt(N)
+        scale = 2.0 * self.SIGMA ** 2 / math.sqrt(noise.size)
+        assert abs(np.mean(noise ** 2)) <= scale * math.sqrt(2.0 * math.log(1.0 / ALPHA))
+
+    def test_amplitude_is_rayleigh_and_phase_uniform(self, noise):
+        # Dvoretzky-Kiefer-Wolfowitz: P(D > eps) <= 2 exp(-2 N eps^2)
+        eps = math.sqrt(math.log(2.0 / ALPHA) / (2.0 * noise.size))
+        rho = np.abs(noise).ravel() / self.SIGMA
+        assert ks_distance(rho, lambda r: -np.expm1(-r ** 2 / 2.0)) <= eps
+        phase = np.mod(np.angle(noise).ravel() / (2.0 * math.pi), 1.0)
+        assert ks_distance(phase, lambda u: u) <= eps
+
+    @pytest.mark.parametrize("axis", [1, 0], ids=["tones", "ports"])
+    def test_neighbours_are_uncorrelated(self, noise, axis):
+        a = noise[:, :-1] if axis else noise[:-1]
+        b = noise[:, 1:] if axis else noise[1:]
+        # over M pairs, each normalized mean product is complex with
+        # variance 1/M, so its modulus is Rayleigh of scale 1/sqrt(2 M)
+        bound = math.sqrt(math.log(1.0 / ALPHA) / a.size)
+        power = 2.0 * self.SIGMA ** 2
+        assert abs(np.mean(a * b.conj())) / power <= bound
+        assert abs(np.mean(a * b)) / power <= bound
+
+    def test_amplitude_never_passes_the_peak(self, noise):
+        class Extreme:  # every phase uniform, at the largest amplitude uniform
+            start = 0
+
+            def random(self, out, dtype):
+                out[:, 0] = 1.0 - 2.0 ** -24
+                count = out[:, 1].size
+                out[:, 1] = np.arange(self.start, self.start + count).reshape(len(out), -1)
+                out[:, 1] *= 2.0 ** -24
+                self.start += count
+
+        rng, largest = Extreme(), 0.0
+        block = np.empty((16, 4096), np.complex128)
+        work = np.empty(2 * block.size)
+        while rng.start < 1 << 24:
+            block.fill(0.0)
+            _add_noise(block, rng, np.float32(self.SIGMA), work)
+            largest = max(largest, float(np.max(np.abs(block))))
+        peak = NOISE_PEAK * self.SIGMA
+        assert peak * (1.0 - PEAK_ROUNDING) <= largest <= peak * (1.0 + PEAK_ROUNDING)
+        assert np.max(np.abs(noise)) <= peak * (1.0 + PEAK_ROUNDING)
+
+    def test_noise_bytes_hold_without_avx512(self, noise):
+        # numpy's float32 log, sqrt, sin and cos give the same bytes
+        # under its X86_V3 dispatch as under X86_V4 and AVX-512
+        umath = np._core._multiarray_umath
+        targets = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if not all(umath.__cpu_features__.get(t) for t in targets):
+            pytest.skip("this host does not enable " + " ".join(targets))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, TESTS,
+                                                            os.environ.get("PYTHONPATH")])))
+        child = ("import hashlib, json, numpy as np\n"
+                 "from oracles import noise_only\n"
+                 "umath = np._core._multiarray_umath\n"
+                 f"noise = noise_only({self.SIGMA!r}, 11, 4)\n"
+                 "print(json.dumps([hashlib.sha256(noise.tobytes()).hexdigest(),\n"
+                 f"                  [t for t in {targets!r} if umath.__cpu_features__[t]]]))")
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        digest, enabled = json.loads(done.stdout)
+        assert enabled == []
+        assert digest == hashlib.sha256(noise.tobytes()).hexdigest()
+
+
 class TestSimulateB2B:
     def test_no_stochastic_terms_means_identical_snapshots(self):
         system = ideal_system_response(PLAN, 8)
@@ -219,16 +343,17 @@ class TestSimulateB2B:
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # sha256 of snapshot 0's <c8 payload (synth, b2b) of each bundled
-# scenario, recorded from the per-snapshot noise reference that came
-# before the per-capture one: snapshot 0 is its capture's reference, so
-# the change leaves these bytes, and the operating SNR, as they were
+# scenario. Snapshot 0 is its capture's noise reference, so these bytes
+# hold whatever the later snapshots do; the noisy ones were recorded
+# from the float32 Rayleigh-amplitude, uniform-phase draws, and the
+# noiseless b2b-stability one is older than them
 SNAPSHOT_0_DIGESTS = {
-    ("static", "synth"): "441d72f2cb10b4f3dcd8fb0946cabb427b0d10dc81798acdf96ef61686914afc",
-    ("hover", "synth"): "ec161c8e5cda9b166b2694b156cc52bebe91df02c8e047e69d60b09c1e41ebca",
-    ("route", "synth"): "deb63f504c5d433c7420f26537e8b6a7f19cf115df70f3f89b3da7be39367ede",
-    ("static", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
-    ("hover", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
-    ("route", "b2b"): "443ff452e0ec15b4617070ee0fddc9d28100cdf86aaa4ec4641ecd5db3c9f4ed",
+    ("static", "synth"): "cde1151342712a532184cce24ccf1e8178d25777573149763a427709844129a8",
+    ("hover", "synth"): "ea486a065dda6658cf82fc35e3e3ae974d5c1764fd4248e0411bf42b832f72f8",
+    ("route", "synth"): "b49fd3d63094682e0f3c11b9f248c42b118d32f2a771be51e024b39b01aba3d3",
+    ("static", "b2b"): "548a9ed40d4248aeaa30fabb9c9f00d54569acff5220cc2a23082776b619b1a0",
+    ("hover", "b2b"): "548a9ed40d4248aeaa30fabb9c9f00d54569acff5220cc2a23082776b619b1a0",
+    ("route", "b2b"): "548a9ed40d4248aeaa30fabb9c9f00d54569acff5220cc2a23082776b619b1a0",
     ("b2b-stability", "b2b"): "14b242b4aa371ad6e71f039d9f03f9d9c18b0c8f5de61491fa669ac9d4e7d53e",
 }
 

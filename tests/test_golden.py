@@ -35,37 +35,37 @@ B2B_STABILITY_SNAPSHOTS = 4
 
 GOLDEN = {
     "static": {
-        "analyze_cal_csv": "29a50434f0b580d54b43a570c5a4a955b57b05b650f87b89a746bdc0a6f80687",
-        "analyze_csv": "506fbff54dd9944d7d853238bd52f9fbb7dbd09732b8433882979371bb9c0784",
-        "analyze_json": "006eefc949add793f86952775a927f31df2f8f48f7669873e3b0d9d3d79af4a7",
-        "analyze_summary": "9b3bffee4dd1d4be8a74d6421dfd9da3b1ed6f886d221070ca95052954f140f0",
-        "b2b": "28182316f75e579a7a89d3badf758b459c821da641ba91a0a33bdff8ecbf9707",
-        "calibrate": "f1e6a2962b61c61a41ad38d91886e2888f449575d506afd9298b6a7baf1e3b48",
-        "report": "7fc49ce9e28ed13c2aa234ec9cfe0b7849c084030cdf1ca1f7127fe885a20cab",
-        "report_json": "612103b767131a80d8ceb39daf8ba406449ec66af02cbaf50678df5c9b95e7a8",
-        "synth": "654b104699228d2b8b23942c74850387fcb5408caff6192bb60f60ac2b12d639",
+        "analyze_cal_csv": "2d1aaab35f00836cba1ed2111960ff40125dcdabb43a78f30148e539d74be577",
+        "analyze_csv": "5afc72fd82de7cfd8be13cc7b6f35b8d69d281b99e77641bc973def8611d96e1",
+        "analyze_json": "54ec0bc693b784d44126ba42442c3aa7629b84423143d4645adda2d53a158f11",
+        "analyze_summary": "0f74076ff45042c3536ebe7a1f2cc4d2dd12b07804e5a60658edce8b532994b4",
+        "b2b": "410c70a6c33a5161ac74f956a9c7cc5c4410433851224c393258af6f223475c7",
+        "calibrate": "fda7876495acd9a5c7ba98ec5c8c9ae13207019efbf589cad38437c0af9d5bf6",
+        "report": "1b37c066b51ca5662331553f38763d545e741682b647867743b9be3c5f096c5c",
+        "report_json": "93e199e86d1a380fe235815dea03c896d535b86e62e1565161688493068a2d20",
+        "synth": "1b4781cd572c2b5be0f1388639e1a932c48d2b6d65d14bcf276f6e07e3c9055a",
     },
     "hover": {
-        "analyze_cal_csv": "55822b3cefe71e22c5bcc19cda6cc31240cd8b98ea515699ac932189f8bf5eb9",
-        "analyze_csv": "7233a65918fa39620a32b4e6474ce0f41cd0e0eb83ab8ad6fc560625db0be600",
-        "analyze_json": "e7af6afee82f4be008e918de1ca9d062955a42010439d0281035d7a3e2e7790b",
-        "analyze_summary": "7bc7cac4b662a3cd16966d0567f6d6d2f89727a07adaed0a4ffd7e31cf8362ee",
-        "b2b": "8f56208e2b4b93cd3855a1af2ecbabfb967af7eb7f1bcaad42bd660f2a99bb29",
-        "calibrate": "88efab0b144e784710874d5cb2ae5badb85ba6d8ddf8010e7a7537223cb70ec5",
-        "report": "22d634aa50b7679866b1beb72e40ee59c725e661da407e3c5d109f74da619a7d",
-        "report_json": "49a6ef462bfe7702076c3511d125ab52d2fb85bec334720aeff8239664f24414",
-        "synth": "1c0b4d72c7b39ddb72ba53ae383d8ea414aca93efefb577c2b186d838e1a5ef1",
+        "analyze_cal_csv": "3fda062b31ce45d561ec4406358e92719eb76754db3596acb5da6890bff84bfa",
+        "analyze_csv": "c3e1299f059b023c25753d8bb774b945fceb8d41008bac9bb295162f089f7f8a",
+        "analyze_json": "383f766e3494ffe0017cddff7834a94e61a6e870f386db9ba0d5627a2240254b",
+        "analyze_summary": "0fdd0ac8ba8efb0e8e3c3ccc52c0d0bbccdc95cd7183069b2a27bb0d757618fd",
+        "b2b": "12811457d1b2752381df95248768d8ea0311192f5c951db1fb804bb5dda2929f",
+        "calibrate": "23899e573666f48fcae56fc20c02c9154b4bde69014c4e375350ce080c01c7fa",
+        "report": "cc8af9d3206e9430af5eb36bae32c98f5c5d8274852d885f7134d343360fcd47",
+        "report_json": "780474f916ab1dab53afe0d7d593f38f9461eee26e7e4fc2d90499f300e4a635",
+        "synth": "e3aca4f1a49d441baecb9dd72e24a5e4e5798535ecfae3d7771f8941dc56c7b5",
     },
     "route": {
-        "analyze_cal_csv": "00b44d4511b08f50ecc3f0e2b59e1736e3addef1981b2d71b231f2273ad051e6",
-        "analyze_csv": "c90dbfaac0a49cb013a213a358f73698a53a97387f31034be77fb141d5099f54",
-        "analyze_json": "7d63be00ad5e64fa1563b89c1f64dacfed806cc0321191c7766c45bc77a54e7d",
-        "analyze_summary": "313e0792ce93ef0e98a14ca91c0929bd7faf25f05aefc3f3fa39e01fd9008d12",
-        "b2b": "4e72b4313d0b26545994ed1ea5e6687773978f8eb50eb22bb8fa5bd35c13ef66",
-        "calibrate": "acc4df0c1bc77cc7aa7e89398d558782fdc0432bae053d66110c615563263a6a",
-        "report": "a76628ba8acab8ea40e918b35e0e8aa8f96f57ee5884da569a2b69c7100b58f2",
-        "report_json": "b07473ca15f1f208ffea70913b68a84b8b50719c45f85b6493f8f9c2c72e696b",
-        "synth": "128ffda982977442c91cdfa7e4061ff889f93a53515f79f51fdccb840fc0196a",
+        "analyze_cal_csv": "a6af780df1432fffb20fd5da0e288846c1049fffe420627c222b66814540f119",
+        "analyze_csv": "853d62566e947820fde579ecad0b2a85cf94bca26d2a544126f6f287f48c8923",
+        "analyze_json": "d7512284c43a2f78ae38cabe7d9c8b8d7227f5ff411ec9e01f3c9a5e761089b3",
+        "analyze_summary": "00c031b7a947d2452d7ba1130de1d73f8df90d100703e8759cbe71fa383c28c8",
+        "b2b": "e17806098f3e8dd8961142b45b98c9a02643e25759a58cdd23772563036e0789",
+        "calibrate": "5d3e3989b5c6c66f4e08bc075ec41b6849b3c23f21d9e4919a75edc7334c75ac",
+        "report": "be8f7acab737f3dad389f60b0f312da629bffcf8a4def4c31476804615cacf56",
+        "report_json": "f3e6ee2587faf642ac1baffedabc3bfd9864b8e6c8bef90d33885ed83b9c631d",
+        "synth": "185c35f15704963b6bb59638e2821e87543467a62d147e71e9166e225ec930cd",
     },
     "b2b-stability": {
         "b2b": "d05289a6bd6deb01ac68d0075f565f79c44ee48717796c57fbf23d2bda093ff4",
@@ -77,37 +77,37 @@ GOLDEN = {
 # the same outputs without the config hash (see _content_sha256)
 CONTENT = {
     "static": {
-        "analyze_cal_csv": "b01403d72f94801c0dab40a1ce63f83de358ae0026197e6267710e8c38b9b5a7",
-        "analyze_csv": "56529915e8ff0dc92f691efc19cae967cc8dc27bd4fe02efc7fdf277a6588ff8",
-        "analyze_json": "006eefc949add793f86952775a927f31df2f8f48f7669873e3b0d9d3d79af4a7",
-        "analyze_summary": "04f80415bb03feace7815ea25ca960097ca0bdc176a1ea0d449f5ac7b60d8a55",
-        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
-        "calibrate": "e57f0e230dbadcd148e830e7aa448c2b2594d40a452a3940cf1c3244ba09f8a5",
-        "report": "0f58582bec7b833970d218451c7dc136219a15a98969de48d5fc33e9276f2e6b",
-        "report_json": "612103b767131a80d8ceb39daf8ba406449ec66af02cbaf50678df5c9b95e7a8",
-        "synth": "e3b4ef7b534ef6d92d8674b20e5e4d7c4e1772823423351ccd9dd0c1eef767d1",
+        "analyze_cal_csv": "27918730c637b825740698f46976bb4df30af15f420cc9b976032e40288a318b",
+        "analyze_csv": "c86b76e935b8ff5fb0d9732678bdd267e34e17ba7e276b05618698ff6741c957",
+        "analyze_json": "54ec0bc693b784d44126ba42442c3aa7629b84423143d4645adda2d53a158f11",
+        "analyze_summary": "068ad2089125f01d992c44a54c15f327cd74d92da9740552d5da8f1001503e06",
+        "b2b": "963af72271e722d4541eb37e4f9906a4fc8b895ef46430632a1a5f9d4dcc2ea0",
+        "calibrate": "955ab0cb69e02732287c111ee86619b9f611d10b6c66f5d4cee864e47a13e14e",
+        "report": "ce2abd8799c32484309f8eb73d763e08df08944b55f13ccd0f185ba1f4d6f3c0",
+        "report_json": "93e199e86d1a380fe235815dea03c896d535b86e62e1565161688493068a2d20",
+        "synth": "91d2d15ad6f820726eff753fe2d8453b0a06c1be01086da1e3586ed7bd9c97c5",
     },
     "hover": {
-        "analyze_cal_csv": "7366a6f1ed282ca4f06d6514a2d6a614f5ce52686a58860eb562b68ac710cd6e",
-        "analyze_csv": "16e042c77dfb78157f72ea2dca8bd82fc5b7f4cd8db154381942d49e5daf8d0c",
-        "analyze_json": "e7af6afee82f4be008e918de1ca9d062955a42010439d0281035d7a3e2e7790b",
-        "analyze_summary": "c0749dd813be7c9b71138fec600c9922f025e906d9913abfec76bb5eae09dc92",
-        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
-        "calibrate": "ec9c3082fb8a076b5fcba8fc4197f32e6a415acd21dfa35b45bf074a4a4a0417",
-        "report": "f831723ba5b0257e137dc8752f4c22e0f2b8a0834f6cc01b933d33ede3ecb019",
-        "report_json": "49a6ef462bfe7702076c3511d125ab52d2fb85bec334720aeff8239664f24414",
-        "synth": "b08dd9505cd8476705b7918fb1a11f9996cf8d9103800f2dbce0d3946fcdefd7",
+        "analyze_cal_csv": "9ccf4f3a6ab6a147e9202b6e2e0595a50bd2265d809d003e70c3a0dd358ab5e5",
+        "analyze_csv": "9bb2d2c5d790e26db34506abda1858f17d889381ab636efeb4e62f3ee1921268",
+        "analyze_json": "383f766e3494ffe0017cddff7834a94e61a6e870f386db9ba0d5627a2240254b",
+        "analyze_summary": "5ac9ada2aedd0ee3d23e57ae21ba2d296d1cde78f7e4a0a670403e65886b629c",
+        "b2b": "963af72271e722d4541eb37e4f9906a4fc8b895ef46430632a1a5f9d4dcc2ea0",
+        "calibrate": "16fc49489cdfd09e59ea1e23b46a920050d4848112cecbe345a23eb33d9955fc",
+        "report": "45ea9ad4be1394e0e5f8bdf5dd1b246144738675d32ed7e125180452130c2056",
+        "report_json": "780474f916ab1dab53afe0d7d593f38f9461eee26e7e4fc2d90499f300e4a635",
+        "synth": "c0b91aa40cbf4596a8c641febb874d7a56719e06211af87e49d6b29ac73d243c",
     },
     "route": {
-        "analyze_cal_csv": "84d4c0a26a7236b2e99cbce245a0382226eac71f7aff60047b00859043a3179f",
-        "analyze_csv": "44f800e449e952e26bbf582aeb1d7b32320fca51fc090c24c526bbc7836728be",
-        "analyze_json": "7d63be00ad5e64fa1563b89c1f64dacfed806cc0321191c7766c45bc77a54e7d",
-        "analyze_summary": "2db44a6e4d2d61b3a996f441b9358711b4e9b1eb133a874be424ee69f4539b27",
-        "b2b": "13164c1b96341c9bdbab320df813eb7ca320644223810f5a4f0e91a0fbd47648",
-        "calibrate": "b2268a59fe42507cd260ff6b947e1378e324233dcb0d9f7d4728e337f1098f5b",
-        "report": "35edf4258c6e9436b121e4784e29ac37329eb6b2483413b268ae16d04085a68d",
-        "report_json": "b07473ca15f1f208ffea70913b68a84b8b50719c45f85b6493f8f9c2c72e696b",
-        "synth": "6bb310700fec716052d5ec841e95a4f1f44c270bd65ed9bca12a23df77fe9b0c",
+        "analyze_cal_csv": "07b962cb44cf5b23a7295f193abb5166aefdc348024e7c544cc60356aec49e2d",
+        "analyze_csv": "3e475b7eaffb50cdf15a418984d3e9b30328996514b6357dc2c15474750e4135",
+        "analyze_json": "d7512284c43a2f78ae38cabe7d9c8b8d7227f5ff411ec9e01f3c9a5e761089b3",
+        "analyze_summary": "6dff99ec9580579335e6692ef9510da0cbda72aa1300a682f44f4ebc79c5e96f",
+        "b2b": "963af72271e722d4541eb37e4f9906a4fc8b895ef46430632a1a5f9d4dcc2ea0",
+        "calibrate": "915cb70cc9da2728522dfe5761c7d82ec5db79c1a5f1f45ac38965d67b5cac1c",
+        "report": "a9d15439d5e5c90bb02ffa2e1fdd5de3f5d0d37a2f00b233bb05fcc2cec04ceb",
+        "report_json": "f3e6ee2587faf642ac1baffedabc3bfd9864b8e6c8bef90d33885ed83b9c631d",
+        "synth": "4e4ad27b98fbef6eceb8c886610839baa75a0c1882479d4e59ea8834601f19f1",
     },
     "b2b-stability": {
         "b2b": "755db79bb56f97fc0fcace00d93340b39c9e61e8c954477c9ae46d2018dd8734",

@@ -4,7 +4,8 @@ through.
 
 Each in-place kernel is held byte for byte to the allocating form it
 replaced, on random arrays; the delay transform to the tones
-zero-padded to the transform length in a fresh array. An analysis
+zero-padded to the transform length in a fresh array; the float32
+noise to its definition evaluated in float64, within float32 rounding. An analysis
 Workspace is one complex128 ports x transform-length buffer (plus the
 keep mask and a 16-port block, 4.49 MB at 128 x 1841 tones, 1848
 points) whose views take each role in turn: the payload from half-way,
@@ -350,32 +351,65 @@ def test_chain_applied_once_per_run_gives_the_per_snapshot_bytes():
         # the per-snapshot form it replaced: chain, then gains and drift in place
         expected = base * system.common_chain
         expected *= gains[index][:, np.newaxis]
-        alone = noise_by_fresh_draws(expected.copy(), 30.0, 7, index)
-        noise_by_fresh_draws(expected, 30.0, 7, index, first)
-        kwargs = dict(noise_snr_db=30.0, snapshot_index=index, seed=7)
-        assert same_bytes(simulate_snapshot(*args, base_tf=chained, sigma=sigma, **kwargs).h_f,
-                          expected)
+        kwargs = dict(snapshot_index=index, seed=7)
+        assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, expected)
+        kwargs["noise_snr_db"] = 30.0
+        in_capture = simulate_snapshot(*args, base_tf=chained, sigma=sigma, **kwargs).h_f
+        assert_noise_matches(in_capture, expected, 30.0, 7, index, first)
         # without the capture's sigma, a snapshot is a capture of its own
-        assert same_bytes(simulate_snapshot(*args, **kwargs).h_f, alone)
+        alone = simulate_snapshot(*args, **kwargs).h_f
         assert same_bytes(simulate_snapshot(*args, base_tf=chained, **kwargs).h_f, alone)
-        assert same_bytes(alone, expected) == (index == 0)
+        assert_noise_matches(alone, expected, 30.0, 7, index)
+        assert same_bytes(alone, in_capture) == (index == 0)
+
+
+# The float32 noise transform's error against its float64 evaluation,
+# per part, in units of sigma * rho * 2^-24 (float32's relative rounding
+# bound; an ulp of a value within 1 in magnitude is at most 2^-23). It
+# sums sigma's rounding to float32 (1); ln(1 - u1), exact in its
+# argument, within 4 ulp (numpy documents 3.83 for its float32 log), 8
+# relative, halved by the root (4); the root's rounding (1); the
+# products sigma * rho and its product with the cosine (1 each); the
+# phase, whose float32 2*pi and product round it by 2 relative, so by
+# up to 2 * 2*pi absolute (4*pi); and the cosine or sine, within 1.5 ulp
+# (numpy documents 1.49), 3 absolute. Second-order terms are below 1e-6
+# of the sum.
+NOISE_ROUNDING = (11.0 + 4.0 * math.pi) * 2.0 ** -24
 
 
 def noise_by_fresh_draws(tf, snr_db, seed, snapshot_index, first=None):
-    """The noise step as it was, with the noise of a capture whose first
-    snapshot is ``first`` (``tf`` itself when None): ``snr_db`` below the
-    largest mean |.|^2 of a port of ``first``, taken per 16-port block,
-    added to ``tf`` in place through fresh draws per 16-port block."""
+    """The noise step by its definition, evaluated in float64, with the
+    noise of a capture whose first snapshot is ``first`` (``tf`` itself
+    when None): sigma lies ``snr_db`` below the largest mean |.|^2 of a
+    port of ``first``, taken per 16-port block. Port after port, the
+    snapshot's stream gives float32 uniforms u1 for the port's tones,
+    then u2, and each tone gets sigma * rho * (cos phi, sin phi), with
+    rho = sqrt(-2 ln(1 - u1)) and phi = 2 pi u2. Added to ``tf`` in
+    place; returns ``tf`` and sigma * rho per tone."""
     first = tf if first is None else first
     ref_power = float(np.max(np.concatenate([np.mean(np.abs(first[k:k + 16]) ** 2, axis=1)
                                              for k in range(0, len(first), 16)])))
-    rng = stream(seed, TAG_NOISE, snapshot_index)
-    for b in (tf[k:k + 16] for k in range(0, len(tf), 16)):
-        draws = rng.standard_normal((len(b), 2, tf.shape[1]))
-        draws *= math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
-        b.real += draws[:, 0]
-        b.imag += draws[:, 1]
-    return tf
+    sigma = math.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    u = stream(seed, TAG_NOISE, snapshot_index).random((len(tf), 2, tf.shape[1]), np.float32)
+    u = u.astype(np.float64)
+    amplitude = sigma * np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+    tf += amplitude * np.exp(2j * math.pi * u[:, 1])
+    return tf, amplitude
+
+
+def assert_noise_matches(got, noiseless, snr_db, seed, snapshot_index, first=None):
+    """``got`` is ``noiseless`` plus noise_by_fresh_draws' noise in each
+    part within the transform's rounding (NOISE_ROUNDING) and that of
+    the sums and of ``got``'s dtype."""
+    want, amplitude = noise_by_fresh_draws(noiseless.copy(), snr_db, seed, snapshot_index,
+                                           first)
+    err = got.astype(np.complex128) - want
+    cast = np.finfo(got.dtype).eps / 2  # the payload's own rounding
+    for part in ("real", "imag"):
+        bound = (NOISE_ROUNDING * amplitude
+                 + (cast + 2.0 ** -50) * np.abs(getattr(want, part)) + 2.0 ** -50 * amplitude)
+        excess = np.abs(getattr(err, part)) - bound
+        assert np.all(excess <= 0), (part, float(np.max(excess)))
 
 
 @pytest.mark.parametrize("snr_db", [20.0, None])
@@ -386,21 +420,29 @@ def test_gain_and_noise_by_blocks_gives_the_whole_array_bytes(ports, seed, snr_d
     # port_stack_response's; out, block and scratch start full of NaN,
     # as an earlier snapshot may leave them, which must not leak in. The
     # noise is that of a capture whose first snapshot is another base
-    # times the same gains, through the same blocks
+    # times the same gains, through the same blocks: the complex128
+    # result holds the float64 noise within its rounding, and the <c8
+    # one is its cast, byte for byte
     base, first = (random_response(s, ports, 1856, np.complex128)[:, :PLAN.tone_count]
                    for s in (seed, seed + 20))
     gain = random_response(seed + 10, ports, 1, np.complex128)[:, 0]
     expected = base * gain[:, np.newaxis]
-    if snr_db is not None:
-        noise_by_fresh_draws(expected, snr_db, seed, 7, first * gain[:, np.newaxis])
     untouched = base.copy()
-    for want in (expected, np.ascontiguousarray(expected, "<c8")):
+    results = []
+    for dtype in (np.complex128, np.complex64):
         for scratch in (np.full(noise_scratch(PLAN.tone_count).shape, np.nan), None):
             sigma = noise_sigma(snr_db, whole_product(first), first.shape, gain, scratch)
-            out = np.full(base.shape, np.nan, want.dtype)
+            out = np.full(base.shape, np.nan, dtype)
             got = _gain_and_noise(out, whole_product(base), base.shape, gain, sigma, seed, 7,
                                   scratch)
-            assert got is out and same_bytes(out, want)
+            assert got is out
+            results.append(out)
+    assert same_bytes(results[0], results[1]) and same_bytes(results[2], results[3])
+    assert same_bytes(results[2], np.ascontiguousarray(results[0], "<c8"))
+    if snr_db is None:
+        assert same_bytes(results[0], expected)
+    else:
+        assert_noise_matches(results[0], expected, snr_db, seed, 7, first * gain[:, np.newaxis])
     assert same_bytes(base, untouched)
 
 
@@ -415,8 +457,7 @@ def test_a_b2b_series_takes_its_noise_from_snapshot_0():
     first = base * system.drift(0, "b2b")
     records = simulate_b2b(plan, system, attenuator, snapshot_count=3, seed=7, noise_snr_db=20.0)
     for s, record in enumerate(records):
-        want = noise_by_fresh_draws(base * system.drift(s, "b2b"), 20.0, 7, s, first)
-        assert same_bytes(record.h_f, want), s
+        assert_noise_matches(record.h_f, base * system.drift(s, "b2b"), 20.0, 7, s, first)
 
 
 def random_slot_paths(rng, rows, count):
